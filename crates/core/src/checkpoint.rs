@@ -76,11 +76,8 @@ mod tag {
 
 /// FNV-1a over a byte slice; the per-record checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = crate::FNV_OFFSET;
+    crate::fnv_mix(&mut h, bytes);
     h
 }
 

@@ -68,3 +68,34 @@ pub use testgen::{
     RunSummary, SharedFeasMemo, Strategy, Testgen, TestgenConfig, TestProvenance,
 };
 pub use testspec::{KeyMatch, MaskedBytes, OutputPacketSpec, TableEntrySpec, TestSpec};
+
+/// FNV-1a (64-bit) offset basis: the starting accumulator for
+/// [`fnv_mix`]. The one FNV-1a behind run/source fingerprints, checkpoint
+/// record checksums, serve cache keys, and fuzz crash filenames — all of
+/// which persist, so its values must never change.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold bytes into an FNV-1a accumulator started at [`FNV_OFFSET`].
+pub fn fnv_mix(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        let hash = |s: &str| {
+            let mut h = FNV_OFFSET;
+            fnv_mix(&mut h, s.as_bytes());
+            h
+        };
+        assert_eq!(hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash("foobar"), 0x8594_4171_f739_67e8);
+    }
+}

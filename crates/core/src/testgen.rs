@@ -36,8 +36,9 @@ use crate::target::{ExecCtx, Target};
 use crate::testspec::{
     KeyMatch, MaskedBytes, OutputPacketSpec, RegisterSpec, TableEntrySpec, TestSpec,
 };
+use crate::{fnv_mix, FNV_OFFSET};
 use crossbeam::deque::{Steal, Stealer, Worker as WorkerDeque};
-use p4t_ir::IrProgram;
+use p4t_ir::{IrProgram, StmtId};
 use p4t_obs::trace::{EngineEvent, PathOutcome, PathRecord, PathTiming, TraceLog};
 use p4t_obs::{FlightRecorder, LiveStatus, Registry};
 use p4t_smt::sat::{SatStats, LEARNT_SIZE_BOUNDS};
@@ -75,9 +76,10 @@ pub enum Strategy {
 }
 
 /// Observability switches for a run. The default is fully off, and "off"
-/// really is free: workers check `trace`/`metrics` once per *path* (never
-/// per step), no trace records are allocated, and the metrics fold at merge
-/// time never runs.
+/// really is free: workers test one bool per *path* (never per step), no
+/// path records are allocated, and the metrics fold at merge time never
+/// runs. `trace`, `provenance` and `explain` are views of one per-path
+/// record ([`PathRecord`]), buffered while any of them is on.
 #[derive(Clone, Default)]
 pub struct ObsConfig {
     /// Collect a structured trace (per-path records keyed by fork trail plus
@@ -1326,8 +1328,8 @@ struct WorkerOut {
     sat_stats: SatStats,
     /// Warm-spine / simplifier / blast-cache / exchange counters.
     inc_stats: IncrementalStats,
-    /// This worker's trace buffer (populated only under `ObsConfig::trace`).
-    trace: Option<TraceLog>,
+    /// This worker's path records and engine events (see `PathWorker::log`).
+    log: Option<TraceLog>,
     /// Successful steals from sibling deques.
     steals: u64,
     /// Busy→idle transitions (the worker found no local or stealable work).
@@ -1338,12 +1340,6 @@ struct WorkerOut {
     queue_depth_hist: [u64; QUEUE_DEPTH_BOUNDS.len() + 1],
     /// Sum of the sampled depths (the histogram's `_sum` series).
     queue_depth_sum: u64,
-    /// Per-emission provenance raw material: (trail, path-constraint
-    /// count, logical solver checks). Populated only under
-    /// `ObsConfig::provenance`; coverage deltas are derived at merge time.
-    prov: Vec<(Vec<u32>, u64, u64)>,
-    /// Abandonment sites (populated only under `ObsConfig::explain`).
-    abandon_sites: Vec<AbandonSite>,
 }
 
 /// A target-validated frontend compile, separated from [`Testgen`] so a
@@ -1808,23 +1804,19 @@ impl<T: Target> Testgen<T> {
         let mut run_solver = SolverStats::default();
         let mut run_sat = SatStats::default();
         let mut run_inc = IncrementalStats::default();
-        let mut trace = self.config.obs.trace.then(TraceLog::new);
+        let mut log = TraceLog::new();
         let mut steals = 0u64;
         let mut parks = 0u64;
         let mut idle = Duration::ZERO;
         let mut queue_depth_hist = [0u64; QUEUE_DEPTH_BOUNDS.len() + 1];
         let mut queue_depth_sum = 0u64;
-        let mut prov_raw: Vec<(Vec<u32>, u64, u64)> = Vec::new();
-        let mut abandon_sites: Vec<AbandonSite> = Vec::new();
-        for mut o in outs {
-            prov_raw.append(&mut o.prov);
-            abandon_sites.append(&mut o.abandon_sites);
+        for o in outs {
             phases.absorb(&o.phases);
             merge_solver_stats(&mut run_solver, &o.solver_stats);
             merge_sat_stats(&mut run_sat, &o.sat_stats);
             run_inc.absorb(&o.inc_stats);
-            if let (Some(t), Some(wt)) = (&mut trace, o.trace.take()) {
-                t.absorb(wt);
+            if let Some(wl) = o.log {
+                log.absorb(wl);
             }
             steals += o.steals;
             parks += o.parks;
@@ -1848,9 +1840,8 @@ impl<T: Target> Testgen<T> {
         };
         merge_solver_stats(&mut self.solver_totals, &run_solver);
         merge_sat_stats(&mut self.sat_totals, &run_sat);
-        if let Some(t) = &mut trace {
-            t.canonicalize();
-        }
+        // Every per-path view below is derived from these records.
+        log.canonicalize();
         errors.deadline_expired |= shared.deadline_hit.load(Ordering::Relaxed);
         errors.frontend_warnings = self.frontend_warnings.len() as u64;
         // Canonical panic order too: by trail, like the test suite itself.
@@ -1903,8 +1894,12 @@ impl<T: Target> Testgen<T> {
         // suite — deterministic at any job count — rather than of the
         // racy order in which workers reached `SharedCoverage::add`.
         let provenance = self.config.obs.provenance.then(|| {
-            let meta: BTreeMap<&[u32], (u64, u64)> =
-                prov_raw.iter().map(|(t, c, k)| (t.as_slice(), (*c, *k))).collect();
+            let meta: BTreeMap<&[u32], (u64, u64)> = log
+                .paths
+                .iter()
+                .filter(|r| r.outcome == PathOutcome::Emitted)
+                .map(|r| (r.trail.as_slice(), (r.constraints, r.checks)))
+                .collect();
             let mut seen: BTreeSet<u32> = BTreeSet::new();
             merged
                 .iter()
@@ -1929,9 +1924,27 @@ impl<T: Target> Testgen<T> {
                 })
                 .collect::<Vec<_>>()
         });
-        // Canonical order for abandonment sites too (their collection
-        // order is schedule-dependent; their content is not).
-        abandon_sites.sort_by(|a, b| a.trail.cmp(&b.trail).then_with(|| a.reason.cmp(&b.reason)));
+        // Abandonment sites: the abandoned and panicked records, in the
+        // records' canonical trail order.
+        let abandon_sites: Vec<AbandonSite> = if self.config.obs.explain {
+            log.paths
+                .iter()
+                .filter_map(|r| {
+                    let reason = match r.outcome {
+                        PathOutcome::Abandoned(key) => key,
+                        PathOutcome::Panicked => reason::PANIC,
+                        PathOutcome::Emitted | PathOutcome::Infeasible => return None,
+                    };
+                    Some(AbandonSite {
+                        trail: r.trail.clone(),
+                        reason: reason.to_string(),
+                        near_stmt: r.near_stmt.map(StmtId),
+                    })
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         for (_, spec) in &merged {
             tests += 1;
             if !on_test(spec) {
@@ -1991,7 +2004,7 @@ impl<T: Target> Testgen<T> {
             solver: run_inc,
             errors,
             test_trails,
-            trace,
+            trace: self.config.obs.trace.then_some(log),
             resume: resume_info,
             provenance,
             abandon_sites,
@@ -2220,17 +2233,6 @@ fn merge_sat_stats(into: &mut SatStats, from: &SatStats) {
     }
 }
 
-/// FNV-1a offset basis (64-bit); used for the run/source fingerprints.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold bytes into an FNV-1a accumulator.
-fn fnv_mix(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Render a panic payload as text when possible.
 fn panic_payload_text(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
@@ -2331,8 +2333,11 @@ struct PathWorker<'a, 'b, T: Target> {
     spawned: Vec<Pending>,
     /// The current path's emission, if it survived the top-k filter.
     pending_emit: Option<(Vec<u32>, TestSpec)>,
-    /// Trace buffer; `None` (the default) costs one pointer test per path.
-    trace: Option<TraceLog>,
+    /// The one per-path record buffer, `Some` while any per-path view
+    /// (trace, provenance, explain) is on; engine events also land here
+    /// under `ObsConfig::trace`. `None` (the default) costs one pointer
+    /// test per path and allocates nothing.
+    log: Option<TraceLog>,
     /// Sequence number for this worker's engine events.
     event_seq: u32,
     /// Successful steals (counted even with tracing off — one add per steal).
@@ -2343,10 +2348,6 @@ struct PathWorker<'a, 'b, T: Target> {
     /// trip — raw deltas would differ with which worker warmed the memo,
     /// breaking the trace determinism contract.
     path_checks: u64,
-    /// Provenance raw material per emission (under `ObsConfig::provenance`).
-    prov: Vec<(Vec<u32>, u64, u64)>,
-    /// Abandonment sites (under `ObsConfig::explain`).
-    abandon_sites: Vec<AbandonSite>,
 }
 
 /// If a worker dies *outside* the per-path panic isolation, its `live`
@@ -2394,15 +2395,13 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
         errors: ErrorStats::default(),
         spawned: Vec::new(),
         pending_emit: None,
-        trace: sh.config.obs.trace.then(TraceLog::new),
+        log: (sh.config.obs.trace || sh.config.obs.provenance || sh.config.obs.explain)
+            .then(TraceLog::new),
         event_seq: 0,
         steals: 0,
         path_checks: 0,
-        prov: Vec::new(),
-        abandon_sites: Vec::new(),
     };
-    w.engine_event("worker-start", None);
-    w.flight("worker-start", None, None);
+    w.lifecycle("worker-start", None, None);
     let live_status = sh.config.obs.live.as_deref();
     if let Some(ls) = live_status {
         // Workers start busy (`was_busy = true` below mirrors this).
@@ -2461,8 +2460,7 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
             if sh.config.checkpoint.is_some() || sh.kill_hit.load(Ordering::Relaxed) {
                 if !drain_seen {
                     drain_seen = true;
-                    w.engine_event("drain", None);
-                    w.flight("drain", Some(p.st.trail.clone()), None);
+                    w.lifecycle("drain", Some(&p.st.trail), None);
                 }
             } else {
                 {
@@ -2471,26 +2469,10 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
                     j.abandoned += 1;
                     j.errors.bump_reason(reason::DEADLINE);
                 }
-                if sh.config.obs.explain {
-                    w.abandon_sites.push(AbandonSite {
-                        trail: p.st.trail.clone(),
-                        reason: reason::DEADLINE.to_string(),
-                        near_stmt: p.st.covered.iter().next_back().copied(),
-                    });
-                }
+                w.pruned(&p.st, PathOutcome::Abandoned(reason::DEADLINE));
                 if !deadline_seen {
                     deadline_seen = true;
-                    w.engine_event("deadline", None);
-                    w.flight("deadline", Some(p.st.trail.clone()), None);
-                }
-                if let Some(tr) = &mut w.trace {
-                    tr.paths.push(PathRecord {
-                        trail: p.st.trail.clone(),
-                        steps: 0,
-                        checks: 0,
-                        outcome: PathOutcome::Abandoned(reason::DEADLINE.to_string()),
-                        timing: PathTiming::default(),
-                    });
+                    w.lifecycle("deadline", Some(&p.st.trail), None);
                 }
             }
             w.phases.busy += t_busy.elapsed();
@@ -2504,8 +2486,7 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
             sh.kill_hit.store(true, Ordering::Relaxed);
             sh.drain_hit.store(true, Ordering::Relaxed);
             sh.stop.store(true, Ordering::Relaxed);
-            w.engine_event("kill-fault", None);
-            w.flight("kill-fault", Some(p.st.trail.clone()), None);
+            w.lifecycle("kill-fault", Some(&p.st.trail), None);
             w.phases.busy += t_busy.elapsed();
             sh.live.fetch_sub(1, Ordering::AcqRel);
             continue;
@@ -2554,29 +2535,14 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
             w.errors.bump_reason(reason::PANIC);
             let payload_text = panic_payload_text(payload.as_ref());
             w.flight("panic", Some(st.trail.clone()), Some(payload_text.clone()));
-            if sh.config.obs.explain {
-                w.abandon_sites.push(AbandonSite {
-                    trail: st.trail.clone(),
-                    reason: reason::PANIC.to_string(),
-                    near_stmt: st.covered.iter().next_back().copied(),
-                });
-            }
             w.errors.panics.push(PanicRecord {
                 trail: st.trail.clone(),
                 payload: payload_text,
                 last_trace: st.trace.last().cloned(),
             });
-            if let Some(tr) = &mut w.trace {
-                // Step/check counts died with the unwound frame; the
-                // trail survives in the state and identifies the path.
-                tr.paths.push(PathRecord {
-                    trail: st.trail.clone(),
-                    steps: 0,
-                    checks: 0,
-                    outcome: PathOutcome::Panicked,
-                    timing: PathTiming::default(),
-                });
-            }
+            // Step/check counts died with the unwound frame; the trail
+            // survives in the state and identifies the path.
+            w.pruned(&st, PathOutcome::Panicked);
         }
         // The per-path journal transaction: atomically replace the popped
         // trail with its children and emission, and fold this path's
@@ -2624,8 +2590,7 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
         w.phases.busy += t_busy.elapsed();
         sh.live.fetch_sub(1, Ordering::AcqRel);
     }
-    w.engine_event("worker-stop", None);
-    w.flight("worker-stop", None, None);
+    w.lifecycle("worker-stop", None, None);
     if was_busy {
         if let Some(ls) = live_status {
             ls.workers_busy.fetch_sub(1, Ordering::Relaxed);
@@ -2637,13 +2602,11 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
         solver_stats: w.solver.stats.clone(),
         sat_stats: w.solver.sat_stats().clone(),
         inc_stats: w.solver.inc_stats.clone(),
-        trace: w.trace,
+        log: w.log,
         steals: w.steals,
         parks,
         queue_depth_hist,
         queue_depth_sum,
-        prov: w.prov,
-        abandon_sites: w.abandon_sites,
     }
 }
 
@@ -2659,12 +2622,15 @@ impl<T: Target> PathWorker<'_, '_, T> {
 
     /// Record an engine-level trace event (no-op, and no allocation, when
     /// tracing is off). Callers building a `detail` string should gate on
-    /// `self.trace.is_some()` first.
+    /// `self.sh.config.obs.trace` first.
     fn engine_event(&mut self, event: &str, detail: Option<String>) {
-        if let Some(tr) = &mut self.trace {
+        if !self.sh.config.obs.trace {
+            return;
+        }
+        if let Some(log) = &mut self.log {
             let seq = self.event_seq;
             self.event_seq += 1;
-            tr.engine.push(EngineEvent {
+            log.engine.push(EngineEvent {
                 worker: self.widx,
                 seq,
                 event: event.to_string(),
@@ -2674,19 +2640,40 @@ impl<T: Target> PathWorker<'_, '_, T> {
         }
     }
 
-    /// Record the terminal state of one path (no-op when tracing is off).
-    /// Pruned forks pass `checks: 0` — their admission query is attributed
-    /// to the parent path that issued it.
-    fn path_record(
-        &mut self,
-        trail: &[u32],
-        steps: u64,
-        checks: u64,
-        outcome: PathOutcome,
-        timing: PathTiming,
-    ) {
-        if let Some(tr) = &mut self.trace {
-            tr.paths.push(PathRecord { trail: trail.to_vec(), steps, checks, outcome, timing });
+    /// A worker lifecycle event (start, drain, deadline, kill fault, stop,
+    /// checkpoint flush): an engine event in the trace, carrying `detail`,
+    /// and a span in the flight recorder, carrying `trail` and `detail`.
+    fn lifecycle(&mut self, kind: &'static str, trail: Option<&[u32]>, detail: Option<String>) {
+        if let Some(fr) = &self.sh.config.obs.flight {
+            fr.record(self.widx, kind, trail.map(<[u32]>::to_vec), detail.clone());
+        }
+        self.engine_event(kind, detail);
+    }
+
+    /// The one sink for a path's terminal record: every per-path view is
+    /// derived from these at merge time. Callers build the record only
+    /// when `self.log` is on (or the flight recorder wants its `path-end`).
+    fn path_end(&mut self, rec: PathRecord) {
+        if let Some(log) = &mut self.log {
+            log.paths.push(rec);
+        }
+    }
+
+    /// Record a path that ends without being processed to completion: a
+    /// pruned fork, a deadline abandon at pop time, or a panic. It has no
+    /// steps, checks, or timing of its own — a pruned fork's admission
+    /// query is charged to the parent path that issued it.
+    fn pruned(&mut self, st: &ExecState, outcome: PathOutcome) {
+        if self.log.is_some() {
+            self.path_end(PathRecord {
+                trail: st.trail.clone(),
+                steps: 0,
+                checks: 0,
+                outcome,
+                timing: PathTiming::default(),
+                constraints: st.constraints.len() as u64,
+                near_stmt: near_stmt(st),
+            });
         }
     }
 
@@ -2751,7 +2738,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
                 match self.sh.stealers[i].steal() {
                     Steal::Success(p) => {
                         self.steals += 1;
-                        if self.trace.is_some() {
+                        if self.sh.config.obs.trace {
                             self.engine_event("steal", Some(format!("from={i}")));
                         }
                         return Some(p);
@@ -2821,7 +2808,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
         let mut res = query(&mut self.solver);
         if res == CheckResult::Unknown && sh.config.budget_retry {
             self.errors.budget_retries += 1;
-            if self.trace.is_some() {
+            if sh.config.obs.trace {
                 self.engine_event("budget-retry", Some(format!("trail={trail:?}")));
             }
             self.solver.set_phase_seed((sh.config.seed ^ trail_hash(trail)) | 1);
@@ -2905,13 +2892,10 @@ impl<T: Target> PathWorker<'_, '_, T> {
         }
         let path = ck.path.clone();
         if self.sh.flush_checkpoint(&path)
-            && (self.trace.is_some() || self.sh.config.obs.flight.is_some())
+            && (self.sh.config.obs.trace || self.sh.config.obs.flight.is_some())
         {
             let frontier = self.sh.journal.lock().pending.len();
-            if self.trace.is_some() {
-                self.engine_event("checkpoint-flush", Some(format!("frontier={frontier}")));
-            }
-            self.flight("checkpoint-flush", None, Some(format!("frontier={frontier}")));
+            self.lifecycle("checkpoint-flush", None, Some(format!("frontier={frontier}")));
         }
         *last = Instant::now();
     }
@@ -2999,13 +2983,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
                     }
                     if f.trivially_unsat(sh.pool) {
                         self.infeasible += 1;
-                        self.path_record(
-                            &f.trail,
-                            0,
-                            0,
-                            PathOutcome::Infeasible,
-                            PathTiming::default(),
-                        );
+                        self.pruned(&f, PathOutcome::Infeasible);
                         continue;
                     }
                     if sh.config.eager_pruning && !f.constraints.is_empty() {
@@ -3013,13 +2991,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
                             CheckResult::Sat => {}
                             CheckResult::Unsat => {
                                 self.infeasible += 1;
-                                self.path_record(
-                                    &f.trail,
-                                    0,
-                                    0,
-                                    PathOutcome::Infeasible,
-                                    PathTiming::default(),
-                                );
+                                self.pruned(&f, PathOutcome::Infeasible);
                                 continue;
                             }
                             CheckResult::Unknown => {
@@ -3027,22 +2999,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
                                 // is *abandoned* (budget or injected fault).
                                 self.abandoned += 1;
                                 self.errors.bump_reason(reason::SOLVER_UNKNOWN);
-                                if sh.config.obs.explain {
-                                    self.abandon_sites.push(AbandonSite {
-                                        trail: f.trail.clone(),
-                                        reason: reason::SOLVER_UNKNOWN.to_string(),
-                                        near_stmt: f.covered.iter().next_back().copied(),
-                                    });
-                                }
-                                if self.trace.is_some() {
-                                    self.path_record(
-                                        &f.trail,
-                                        0,
-                                        0,
-                                        PathOutcome::Abandoned(reason::SOLVER_UNKNOWN.to_string()),
-                                        PathTiming::default(),
-                                    );
-                                }
+                                self.pruned(&f, PathOutcome::Abandoned(reason::SOLVER_UNKNOWN));
                                 continue;
                             }
                         }
@@ -3082,14 +3039,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
             }
         }
         self.paths += 1;
-        // Taxonomy keys are &'static strs, so the outcome is carried without
-        // allocating; the owned PathOutcome is built only when tracing.
-        enum Out {
-            Emitted,
-            Infeasible,
-            Abandoned(&'static str),
-        }
-        let outcome = match st.finished.clone() {
+        let outcome = match &st.finished {
             Some(FinishReason::Completed) | Some(FinishReason::Dropped) => {
                 let t2 = Instant::now();
                 let solving_before = self.phases.solving;
@@ -3114,78 +3064,58 @@ impl<T: Target> PathWorker<'_, '_, T> {
                             }
                         }
                         if keep {
-                            if sh.config.obs.provenance {
-                                self.prov.push((
-                                    st.trail.clone(),
-                                    st.constraints.len() as u64,
-                                    self.path_checks,
-                                ));
-                            }
                             self.pending_emit = Some((st.trail.clone(), spec));
                         }
                         if sh.config.stop_at_full_coverage && sh.coverage.is_full() {
                             sh.stop.store(true, Ordering::Relaxed);
                         }
-                        Out::Emitted
+                        PathOutcome::Emitted
                     }
                     Err(key) => {
                         self.abandoned += 1;
                         self.errors.bump_reason(key);
-                        Out::Abandoned(key)
+                        PathOutcome::Abandoned(key)
                     }
                 }
             }
             Some(FinishReason::Infeasible) => {
                 self.infeasible += 1;
-                Out::Infeasible
+                PathOutcome::Infeasible
             }
             Some(FinishReason::Abandoned(msg)) => {
                 self.abandoned += 1;
-                let key = classify_abandon_reason(&msg);
+                let key = classify_abandon_reason(msg);
                 self.errors.bump_reason(key);
-                Out::Abandoned(key)
+                PathOutcome::Abandoned(key)
             }
             None => {
                 self.abandoned += 1;
                 self.errors.bump_reason(reason::EXEC_ERROR);
-                Out::Abandoned(reason::EXEC_ERROR)
+                PathOutcome::Abandoned(reason::EXEC_ERROR)
             }
         };
-        if sh.config.obs.explain {
-            if let Out::Abandoned(key) = &outcome {
-                self.abandon_sites.push(AbandonSite {
-                    trail: st.trail.clone(),
-                    reason: (*key).to_string(),
-                    near_stmt: st.covered.iter().next_back().copied(),
-                });
+        if self.log.is_some() || sh.config.obs.flight.is_some() {
+            let rec = PathRecord {
+                trail: st.trail.clone(),
+                steps,
+                checks: self.path_checks,
+                outcome,
+                timing: PathTiming {
+                    step_ns: (self.phases.stepping - phases_at_entry.0).as_nanos() as u64,
+                    solve_ns: (self.phases.solving - phases_at_entry.1).as_nanos() as u64,
+                    emit_ns: (self.phases.emission - phases_at_entry.2).as_nanos() as u64,
+                },
+                constraints: st.constraints.len() as u64,
+                near_stmt: near_stmt(st),
+            };
+            if sh.config.obs.flight.is_some() {
+                self.flight(
+                    "path-end",
+                    Some(rec.trail.clone()),
+                    Some(format!("{} steps={} checks={}", rec.outcome.key(), rec.steps, rec.checks)),
+                );
             }
-        }
-        if sh.config.obs.flight.is_some() {
-            let label = match &outcome {
-                Out::Emitted => "emitted",
-                Out::Infeasible => "infeasible",
-                Out::Abandoned(key) => key,
-            };
-            self.flight(
-                "path-end",
-                Some(st.trail.clone()),
-                Some(format!("{label} steps={steps} checks={}", self.path_checks)),
-            );
-        }
-        if self.trace.is_some() {
-            let timing = PathTiming {
-                step_ns: (self.phases.stepping - phases_at_entry.0).as_nanos() as u64,
-                solve_ns: (self.phases.solving - phases_at_entry.1).as_nanos() as u64,
-                emit_ns: (self.phases.emission - phases_at_entry.2).as_nanos() as u64,
-            };
-            let outcome = match outcome {
-                Out::Emitted => PathOutcome::Emitted,
-                Out::Infeasible => PathOutcome::Infeasible,
-                Out::Abandoned(key) => PathOutcome::Abandoned(key.to_string()),
-            };
-            let checks = self.path_checks;
-            let trail = st.trail.clone();
-            self.path_record(&trail, steps, checks, outcome, timing);
+            self.path_end(rec);
         }
     }
 
@@ -3252,8 +3182,8 @@ impl<T: Target> PathWorker<'_, '_, T> {
         let mut rng = StdRng::seed_from_u64(sh.config.seed ^ trail_hash(&st.trail));
         for e in &st.entries {
             for (_, t, w) in &e.args {
-                let r: u128 = rng.gen::<u128>() & mask_ones(*w);
-                let c = sh.pool.constant(BitVec::from_u128(*w as usize, r));
+                // `from_u128` truncates the draw to the argument's width.
+                let c = sh.pool.constant(BitVec::from_u128(*w as usize, rng.gen::<u128>()));
                 proposals.push(sh.pool.eq(*t, c));
             }
         }
@@ -3444,12 +3374,9 @@ impl<T: Target> PathWorker<'_, '_, T> {
     }
 }
 
-fn mask_ones(w: u32) -> u128 {
-    if w >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << w) - 1
-    }
+/// The deepest (highest-id) statement a path covered: how close it got.
+fn near_stmt(st: &ExecState) -> Option<u32> {
+    st.covered.iter().next_back().map(|s| s.0)
 }
 
 /// Bits (MSB-first) to bytes, right-padding the final partial byte with 0.

@@ -23,6 +23,7 @@
 //! the architecture, so the regression corpus is self-describing.
 
 use p4t_corpus::fuzz::{arch_of, check_input, prelude_for, run_fuzz, Outcome};
+use p4testgen_core::{fnv_mix, FNV_OFFSET};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -120,17 +121,6 @@ fn replay(dir: &Path, quiet: bool) -> std::io::Result<u64> {
     Ok(panics)
 }
 
-/// Stable filename hash (FNV-1a) so re-finding a crash overwrites its file
-/// instead of accumulating duplicates.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn main() -> ExitCode {
     let opts = parse_args();
 
@@ -186,7 +176,11 @@ fn main() -> ExitCode {
             eprintln!("p4fuzz: cannot create {}: {e}", out_dir.display());
             return ExitCode::from(2);
         }
-        let path = out_dir.join(format!("crash-{:016x}.p4", fnv(&crash.signature.location)));
+        // Stable filename hash so re-finding a crash overwrites its file
+        // instead of accumulating duplicates.
+        let mut hash = FNV_OFFSET;
+        fnv_mix(&mut hash, crash.signature.location.as_bytes());
+        let path = out_dir.join(format!("crash-{hash:016x}.p4"));
         let body = format!(
             "// arch: {}\n// p4fuzz: panicked at {} ({})\n// found: seed={} iteration={} from {}\n{}\n",
             crash.arch,

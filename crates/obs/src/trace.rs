@@ -1,4 +1,19 @@
-//! Structured run traces.
+//! Structured run traces, and the one per-path record every per-path
+//! view is derived from.
+//!
+//! The exploration engine produces exactly one [`PathRecord`] for every
+//! path it finishes or prunes, buffered per worker in [`TraceLog::paths`]
+//! whenever any per-path view is requested. At merge time the engine
+//! derives each view from the same records:
+//!
+//! * **the trace** (`--trace-out`) — the records themselves, serialized
+//!   below;
+//! * **abandonment sites** (`--coverage-report`) — the `abandoned` and
+//!   `panicked` records, with their taxonomy reason and `near_stmt`;
+//! * **provenance** (`--provenance-out`) — `constraints` and `checks` of
+//!   the `emitted` records, joined to the suite by trail;
+//! * **the flight recorder** (`--flight-out`) — its `path-end` span is
+//!   formatted from the record at the site that builds it.
 //!
 //! A trace has two record kinds, distinguished by the `"k"` field of each
 //! JSONL line:
@@ -8,9 +23,12 @@
 //!   uses for deterministic emission). They carry step counts, logical
 //!   solver-query counts, the outcome (`emitted` / `infeasible` /
 //!   `abandoned` + taxonomy reason / `panicked`), and per-phase durations.
+//!   The fields that feed only the other views (`constraints`,
+//!   `near_stmt`) are not serialized.
 //! * **Engine events** (`"k":"engine"`) — worker lifecycle and scheduler
 //!   activity: worker start, steals, parks, deadline expiry, budget
-//!   retries. These describe *one particular schedule*.
+//!   retries. These describe *one particular schedule*, and are collected
+//!   only when the trace itself is requested.
 //!
 //! # Determinism contract
 //!
@@ -30,7 +48,7 @@
 use serde::value::{Number, Value};
 
 /// Terminal state of one explored path.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PathOutcome {
     /// A test was emitted for this path.
     Emitted,
@@ -38,18 +56,27 @@ pub enum PathOutcome {
     Infeasible,
     /// Abandoned; the payload is a stable taxonomy key from
     /// `core::testgen::reason` (e.g. `"solver-unknown"`, `"step-budget"`).
-    Abandoned(String),
+    Abandoned(&'static str),
     /// The path's worker caught a panic while processing it.
     Panicked,
 }
 
 impl PathOutcome {
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         match self {
             PathOutcome::Emitted => "emitted",
             PathOutcome::Infeasible => "infeasible",
             PathOutcome::Abandoned(_) => "abandoned",
             PathOutcome::Panicked => "panicked",
+        }
+    }
+
+    /// One word for the outcome: the taxonomy reason of an abandoned
+    /// path, the outcome label otherwise (the flight recorder's form).
+    pub fn key(&self) -> &'static str {
+        match self {
+            PathOutcome::Abandoned(reason) => reason,
+            other => other.label(),
         }
     }
 }
@@ -77,6 +104,12 @@ pub struct PathRecord {
     pub checks: u64,
     pub outcome: PathOutcome,
     pub timing: PathTiming,
+    /// Path-constraint count at the path's end (the provenance view; not
+    /// serialized).
+    pub constraints: u64,
+    /// Highest-id statement the path covered (the coverage-report view;
+    /// not serialized).
+    pub near_stmt: Option<u32>,
 }
 
 impl PathRecord {
@@ -91,8 +124,8 @@ impl PathRecord {
             ("checks".into(), Value::Number(Number::U(self.checks))),
             ("outcome".into(), Value::String(self.outcome.label().into())),
         ];
-        if let PathOutcome::Abandoned(reason) = &self.outcome {
-            obj.push(("reason".into(), Value::String(reason.clone())));
+        if let PathOutcome::Abandoned(reason) = self.outcome {
+            obj.push(("reason".into(), Value::String(reason.into())));
         }
         obj.push((
             "t".into(),
@@ -219,8 +252,10 @@ mod tests {
                     trail: vec![1, 0],
                     steps: 12,
                     checks: 3,
-                    outcome: PathOutcome::Abandoned("solver-unknown".into()),
+                    outcome: PathOutcome::Abandoned("solver-unknown"),
                     timing: PathTiming { step_ns: 5, solve_ns: 6, emit_ns: 0 },
+                    constraints: 4,
+                    near_stmt: Some(9),
                 },
                 PathRecord {
                     trail: vec![0],
@@ -228,6 +263,8 @@ mod tests {
                     checks: 2,
                     outcome: PathOutcome::Emitted,
                     timing: PathTiming { step_ns: 1, solve_ns: 2, emit_ns: 3 },
+                    constraints: 2,
+                    near_stmt: None,
                 },
             ],
             engine: vec![EngineEvent {
@@ -259,6 +296,7 @@ mod tests {
         assert_eq!(first.get("k").and_then(Value::as_str), Some("path"));
         assert_eq!(first.get("outcome").and_then(Value::as_str), Some("emitted"));
         assert!(first.get("t").is_some());
+        assert!(first.get("constraints").is_none() && first.get("near_stmt").is_none());
         let second: Value = serde_json::from_str(lines[1]).unwrap();
         assert_eq!(second.get("reason").and_then(Value::as_str), Some("solver-unknown"));
         let engine: Value = serde_json::from_str(lines[2]).unwrap();

@@ -69,8 +69,8 @@ use p4t_obs::{
 use p4t_obs::LruCache;
 use p4t_targets::{EbpfModel, Tofino, V1Model};
 use p4testgen_core::{
-    run_fingerprint_of, BuildError, CompiledProgram, FaultPlan, RunSummary, SharedFeasMemo,
-    SolverMode, Strategy, Target, Testgen, TestgenConfig,
+    fnv_mix, run_fingerprint_of, BuildError, CompiledProgram, FaultPlan, RunSummary,
+    SharedFeasMemo, SolverMode, Strategy, Target, Testgen, TestgenConfig, FNV_OFFSET,
 };
 use serde::value::{Number, Value};
 use std::collections::VecDeque;
@@ -318,15 +318,11 @@ fn canonicalize_source(src: &str) -> String {
 }
 
 fn fnv1a(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = FNV_OFFSET;
     for p in parts {
-        for &b in *p {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        fnv_mix(&mut h, p);
         // Separator so ("ab","c") and ("a","bc") differ.
-        h ^= 0xff;
-        h = h.wrapping_mul(0x100000001b3);
+        fnv_mix(&mut h, &[0xff]);
     }
     h
 }

@@ -26,12 +26,19 @@ control Dep(packet_out pkt, in headers_t hdr) { apply { pkt.emit(hdr.eth); } }
 V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
 "#;
 
+/// The shared program file, written exactly once per test process: tests
+/// run in parallel, and rewriting (truncating) it while another test's
+/// child process reads it makes that child see an empty program.
 fn write_program() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("p4testgen_cli_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("prog.p4");
-    std::fs::write(&path, PROGRAM).unwrap();
-    path
+    static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("p4testgen_cli_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("prog.p4");
+        std::fs::write(&path, PROGRAM).unwrap();
+        path
+    })
+    .clone()
 }
 
 fn bin() -> Command {

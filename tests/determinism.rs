@@ -989,3 +989,67 @@ V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
     assert_eq!(f1, fingerprint(4), "report differs between jobs=1 and jobs=4");
     assert_eq!(f1, fingerprint(8), "report differs between jobs=1 and jobs=8");
 }
+
+/// Every per-path view is derived from one per-path record, so the views
+/// agree with the trace on every trail — and each view is the same whether
+/// or not the other views were requested alongside it. The fault plan
+/// plants Unknown verdicts (one trail-keyed, the rest sampled) and one
+/// panic, so abandoned, panicked and emitted records all occur.
+#[test]
+fn per_path_views_agree_with_the_trace() {
+    use p4t_obs::trace::PathOutcome;
+    use std::collections::{BTreeMap, BTreeSet};
+    let src = p4t_corpus::generate_synthetic(3, 3);
+    let (_, base_sum) = run_with_jobs("synthetic_3x3", &src, 1);
+    let trails = &base_sum.test_trails;
+    let mut plan = p4testgen_core::FaultPlan::new(99);
+    plan.unknown_permille = 100;
+    plan.force_unknown_at(trails[0].clone());
+    plan.force_panic_at(trails[trails.len() / 2].clone());
+    let observed = |trace: bool, provenance: bool, explain: bool| {
+        let mut config = TestgenConfig::default();
+        config.seed = 7;
+        config.jobs = 4;
+        config.fault_plan = plan.clone();
+        config.obs.trace = trace;
+        config.obs.provenance = provenance;
+        config.obs.explain = explain;
+        run_with_config("synthetic_3x3", &src, config).1
+    };
+    let all = observed(true, true, true);
+    let trace = all.trace.as_ref().expect("trace collected");
+
+    // Abandonment sites are exactly the abandoned and panicked records.
+    let from_trace: BTreeSet<(Vec<u32>, String)> = trace
+        .paths
+        .iter()
+        .filter_map(|r| match r.outcome {
+            PathOutcome::Abandoned(reason) => Some((r.trail.clone(), reason.to_string())),
+            PathOutcome::Panicked => Some((r.trail.clone(), "panic".to_string())),
+            PathOutcome::Emitted | PathOutcome::Infeasible => None,
+        })
+        .collect();
+    let sites: BTreeSet<(Vec<u32>, String)> =
+        all.abandon_sites.iter().map(|s| (s.trail.clone(), s.reason.clone())).collect();
+    assert_eq!(sites.len(), all.abandon_sites.len(), "one site per abandoned path");
+    assert!(sites.iter().any(|(_, r)| r == "panic"), "{sites:?}");
+    assert!(sites.iter().any(|(_, r)| r == "solver-unknown"), "{sites:?}");
+    assert_eq!(sites, from_trace);
+
+    // Provenance checks are the trace's checks for the same trail.
+    let checks: BTreeMap<&[u32], u64> =
+        trace.paths.iter().map(|r| (r.trail.as_slice(), r.checks)).collect();
+    let prov = all.provenance.as_ref().expect("provenance collected");
+    assert_eq!(prov.len() as u64, all.tests);
+    for p in prov {
+        assert_eq!(p.solver_checks, checks.get(p.trail.as_slice()).copied(), "trail {:?}", p.trail);
+    }
+
+    // Each view alone equals the same view with all three on.
+    let explain_only = observed(false, false, true);
+    assert!(explain_only.trace.is_none() && explain_only.provenance.is_none());
+    assert_eq!(explain_only.abandon_sites, all.abandon_sites);
+    let provenance_only = observed(false, true, false);
+    assert!(provenance_only.trace.is_none() && provenance_only.abandon_sites.is_empty());
+    assert_eq!(provenance_only.provenance, all.provenance);
+}
