@@ -39,8 +39,8 @@ use crate::testspec::{
 use crate::{fnv_mix, FNV_OFFSET};
 use crossbeam::deque::{Steal, Stealer, Worker as WorkerDeque};
 use p4t_ir::{IrProgram, StmtId};
-use p4t_obs::trace::{EngineEvent, PathOutcome, PathRecord, PathTiming, TraceLog};
-use p4t_obs::{FlightRecorder, LiveStatus, Registry};
+use p4t_obs::trace::{PathOutcome, PathRecord, PathTiming, TraceLog};
+use p4t_obs::{FlightRecorder, LiveStatus, Registry, SpanEvent};
 use p4t_smt::sat::{SatStats, LEARNT_SIZE_BOUNDS};
 use p4t_smt::solver::{
     IncrementalStats, SolverStats, CONFLICTS_PER_CHECK_BOUNDS, SPINE_PER_CHECK_BOUNDS,
@@ -77,42 +77,25 @@ pub enum Strategy {
 
 /// Observability switches for a run. The default is fully off, and "off"
 /// really is free: workers test one bool per *path* (never per step), no
-/// path records are allocated, and the metrics fold at merge time never
-/// runs. `trace`, `provenance` and `explain` are views of one per-path
-/// record ([`PathRecord`]), buffered while any of them is on.
+/// path records or events are allocated, and the metrics fold at merge
+/// time never runs.
 #[derive(Clone, Default)]
 pub struct ObsConfig {
-    /// Collect a structured trace (per-path records keyed by fork trail plus
-    /// engine-level scheduler events) into [`RunSummary::trace`].
+    /// Buffer one [`PathRecord`] per finished or pruned path, plus every
+    /// worker event, and derive the per-path views from them at merge time:
+    /// [`RunSummary::trace`], [`RunSummary::provenance`] and
+    /// [`RunSummary::abandon_sites`].
     pub trace: bool,
     /// Fold end-of-run metrics (solver internals, pool stats, memo hit
     /// rate, queue depths, per-worker busy/idle) into this registry.
     pub metrics: Option<Arc<Registry>>,
-    /// Span flight recorder (`--flight-out`): workers record lifecycle,
-    /// path, solver-check, and degradation events into bounded per-worker
+    /// Span flight recorder (`--flight-out`): workers record every worker
+    /// event and one `path-end` span per path into bounded per-worker
     /// rings; the engine never reads them, so exploration is unperturbed.
     pub flight: Option<Arc<FlightRecorder>>,
     /// Live status shared with the `--status-addr` HTTP endpoint. Updated
     /// with relaxed atomics at journal-transaction granularity.
     pub live: Option<Arc<LiveStatus>>,
-    /// Collect per-test provenance (fork trail, constraint count, solver
-    /// checks, coverage delta) into [`RunSummary::provenance`].
-    pub provenance: bool,
-    /// Collect [`AbandonSite`]s (where and why paths died) into
-    /// [`RunSummary::abandon_sites`] for `--coverage-report` attribution.
-    pub explain: bool,
-}
-
-impl ObsConfig {
-    /// Anything enabled at all? (Used to size merge-time work.)
-    pub fn any(&self) -> bool {
-        self.trace
-            || self.metrics.is_some()
-            || self.flight.is_some()
-            || self.live.is_some()
-            || self.provenance
-            || self.explain
-    }
 }
 
 impl std::fmt::Debug for ObsConfig {
@@ -122,8 +105,6 @@ impl std::fmt::Debug for ObsConfig {
             .field("metrics", &self.metrics.is_some())
             .field("flight", &self.flight.is_some())
             .field("live", &self.live.is_some())
-            .field("provenance", &self.provenance)
-            .field("explain", &self.explain)
             .finish()
     }
 }
@@ -584,18 +565,20 @@ pub struct RunSummary {
     /// tests and fault plans key on.
     pub test_trails: Vec<Vec<u32>>,
     /// Structured run trace, populated when [`ObsConfig::trace`] is set:
-    /// per-path records in canonical trail order plus engine events. `None`
+    /// per-path records in canonical trail order plus worker events. `None`
     /// when tracing is off (the default).
     pub trace: Option<TraceLog>,
     /// Checkpoint/resume bookkeeping; `Some` whenever checkpointing or
     /// resuming was configured (or a kill fault fired).
     pub resume: Option<ResumeInfo>,
     /// Per-test provenance records (parallel to the emitted suite, in
-    /// canonical trail order), populated when [`ObsConfig::provenance`]
-    /// is set. `None` when provenance collection is off (the default).
+    /// canonical trail order), derived from the trace's `emitted` records.
+    /// `None` when no per-path records were collected ([`ObsConfig::trace`]
+    /// off, the default).
     pub provenance: Option<Vec<TestProvenance>>,
-    /// Abandonment sites for coverage attribution, trail-sorted.
-    /// Populated when [`ObsConfig::explain`] is set; empty otherwise.
+    /// Abandonment sites for coverage attribution, trail-sorted, derived
+    /// from the trace's `abandoned` and `panicked` records. Empty when
+    /// [`ObsConfig::trace`] is off.
     pub abandon_sites: Vec<AbandonSite>,
     /// Differential-harness results (`p4testgen diff`); `None` for plain
     /// generation runs. Serialized under the append-only v2 schema.
@@ -1342,6 +1325,26 @@ struct WorkerOut {
     queue_depth_sum: u64,
 }
 
+impl WorkerOut {
+    /// Merge another worker's results into this one.
+    fn absorb(&mut self, other: WorkerOut) {
+        self.phases.absorb(&other.phases);
+        self.solver_stats.absorb(&other.solver_stats);
+        self.sat_stats.absorb(&other.sat_stats);
+        self.inc_stats.absorb(&other.inc_stats);
+        if let Some(log) = other.log {
+            self.log.get_or_insert_with(TraceLog::new).absorb(log);
+        }
+        self.steals += other.steals;
+        self.parks += other.parks;
+        self.idle += other.idle;
+        for (t, o) in self.queue_depth_hist.iter_mut().zip(other.queue_depth_hist.iter()) {
+            *t += o;
+        }
+        self.queue_depth_sum += other.queue_depth_sum;
+    }
+}
+
 /// A target-validated frontend compile, separated from [`Testgen`] so a
 /// long-lived host can cache it: compiling is the expensive, immutable
 /// part of request setup (parse + type-check + IR lowering), keyed purely
@@ -1735,12 +1738,11 @@ impl<T: Target> Testgen<T> {
                 fr.record_run("resume-restored", Some(format!("replayed={live}")));
             }
             if let Some(ls) = &self.config.obs.live {
-                let j = shared.journal.lock();
-                ls.frontier_depth.store(j.pending.len() as u64, Ordering::Relaxed);
-                ls.tests_emitted.store(j.emitted.len() as u64, Ordering::Relaxed);
-                ls.paths_explored.store(j.paths, Ordering::Relaxed);
-                drop(j);
-                ls.sample_coverage(shared.coverage.covered_count() as u64);
+                let (frontier, emitted, paths) = {
+                    let j = shared.journal.lock();
+                    (j.pending.len() as u64, j.emitted.len() as u64, j.paths)
+                };
+                ls.publish(frontier, emitted, paths, live, shared.coverage.covered_count() as u64);
             }
             shared.live.store(live, Ordering::Release);
         } else {
@@ -1800,31 +1802,9 @@ impl<T: Target> Testgen<T> {
 
         // Merge per-worker instrumentation; path counters, emissions, and
         // error taxonomies come from the journal.
-        let mut phases = PhaseStats::default();
-        let mut run_solver = SolverStats::default();
-        let mut run_sat = SatStats::default();
-        let mut run_inc = IncrementalStats::default();
-        let mut log = TraceLog::new();
-        let mut steals = 0u64;
-        let mut parks = 0u64;
-        let mut idle = Duration::ZERO;
-        let mut queue_depth_hist = [0u64; QUEUE_DEPTH_BOUNDS.len() + 1];
-        let mut queue_depth_sum = 0u64;
+        let mut out = WorkerOut::default();
         for o in outs {
-            phases.absorb(&o.phases);
-            merge_solver_stats(&mut run_solver, &o.solver_stats);
-            merge_sat_stats(&mut run_sat, &o.sat_stats);
-            run_inc.absorb(&o.inc_stats);
-            if let Some(wl) = o.log {
-                log.absorb(wl);
-            }
-            steals += o.steals;
-            parks += o.parks;
-            idle += o.idle;
-            for (acc, c) in queue_depth_hist.iter_mut().zip(o.queue_depth_hist.iter()) {
-                *acc += c;
-            }
-            queue_depth_sum += o.queue_depth_sum;
+            out.absorb(o);
         }
         let (paths, infeasible, abandoned, out_of_shard, mut errors, mut merged, frontier_remaining) = {
             let mut j = shared.journal.lock();
@@ -1838,10 +1818,13 @@ impl<T: Target> Testgen<T> {
                 j.pending.len() as u64,
             )
         };
-        merge_solver_stats(&mut self.solver_totals, &run_solver);
-        merge_sat_stats(&mut self.sat_totals, &run_sat);
+        self.solver_totals.absorb(&out.solver_stats);
+        self.sat_totals.absorb(&out.sat_stats);
         // Every per-path view below is derived from these records.
-        log.canonicalize();
+        let log = out.log.take().map(|mut log| {
+            log.canonicalize();
+            log
+        });
         errors.deadline_expired |= shared.deadline_hit.load(Ordering::Relaxed);
         errors.frontend_warnings = self.frontend_warnings.len() as u64;
         // Canonical panic order too: by trail, like the test suite itself.
@@ -1893,7 +1876,7 @@ impl<T: Target> Testgen<T> {
         // suite in canonical order, so they are a pure function of the
         // suite — deterministic at any job count — rather than of the
         // racy order in which workers reached `SharedCoverage::add`.
-        let provenance = self.config.obs.provenance.then(|| {
+        let provenance = log.as_ref().map(|log| {
             let meta: BTreeMap<&[u32], (u64, u64)> = log
                 .paths
                 .iter()
@@ -1926,25 +1909,22 @@ impl<T: Target> Testgen<T> {
         });
         // Abandonment sites: the abandoned and panicked records, in the
         // records' canonical trail order.
-        let abandon_sites: Vec<AbandonSite> = if self.config.obs.explain {
-            log.paths
-                .iter()
-                .filter_map(|r| {
-                    let reason = match r.outcome {
-                        PathOutcome::Abandoned(key) => key,
-                        PathOutcome::Panicked => reason::PANIC,
-                        PathOutcome::Emitted | PathOutcome::Infeasible => return None,
-                    };
-                    Some(AbandonSite {
-                        trail: r.trail.clone(),
-                        reason: reason.to_string(),
-                        near_stmt: r.near_stmt.map(StmtId),
-                    })
+        let abandon_sites: Vec<AbandonSite> = log
+            .iter()
+            .flat_map(|log| &log.paths)
+            .filter_map(|r| {
+                let reason = match r.outcome {
+                    PathOutcome::Abandoned(key) => key,
+                    PathOutcome::Panicked => reason::PANIC,
+                    PathOutcome::Emitted | PathOutcome::Infeasible => return None,
+                };
+                Some(AbandonSite {
+                    trail: r.trail.clone(),
+                    reason: reason.to_string(),
+                    near_stmt: r.near_stmt.map(StmtId),
                 })
-                .collect()
-        } else {
-            Vec::new()
-        };
+            })
+            .collect();
         for (_, spec) in &merged {
             tests += 1;
             if !on_test(spec) {
@@ -1952,45 +1932,16 @@ impl<T: Target> Testgen<T> {
             }
         }
 
+        let mut phases = std::mem::take(&mut out.phases);
         phases.total = t_start.elapsed();
         phases.workers = jobs as u32;
 
         if let Some(ls) = &self.config.obs.live {
-            ls.tests_emitted.store(tests, Ordering::Relaxed);
-            ls.paths_explored.store(paths, Ordering::Relaxed);
-            ls.frontier_depth.store(frontier_remaining, Ordering::Relaxed);
-            ls.queue_live.store(0, Ordering::Relaxed);
-            ls.sample_coverage(shared.coverage.covered_count() as u64);
+            ls.publish(frontier_remaining, tests, paths, 0, shared.coverage.covered_count() as u64);
             ls.finish();
         }
 
-        if let Some(reg) = &self.config.obs.metrics {
-            fold_run_metrics(
-                reg,
-                &FoldInputs {
-                    tests,
-                    infeasible,
-                    abandoned,
-                    errors: &errors,
-                    run_solver: &run_solver,
-                    run_sat: &run_sat,
-                    run_inc: &run_inc,
-                    memo_lookups: shared.memo.lookups.load(Ordering::Relaxed),
-                    memo_hits,
-                    pool: &self.pool,
-                    phases: &phases,
-                    idle,
-                    steals,
-                    parks,
-                    queue_depth_hist: &queue_depth_hist,
-                    queue_depth_sum,
-                    resume: resume_info.as_ref(),
-                    last_ckpt: shared.last_ckpt.lock().map(|(at, bytes)| (at.elapsed(), bytes)),
-                },
-            );
-        }
-
-        Ok(RunSummary {
+        let summary = RunSummary {
             tests,
             paths_explored: paths,
             infeasible_paths: infeasible,
@@ -2001,54 +1952,42 @@ impl<T: Target> Testgen<T> {
             solver_checks,
             memo_hits,
             solver_mode: self.config.solver_mode,
-            solver: run_inc,
+            solver: std::mem::take(&mut out.inc_stats),
             errors,
             test_trails,
-            trace: self.config.obs.trace.then_some(log),
+            trace: log,
             resume: resume_info,
             provenance,
             abandon_sites,
             differential: None,
-        })
+        };
+        if let Some(reg) = &self.config.obs.metrics {
+            fold_run_metrics(reg, &summary, &out, &shared);
+        }
+        Ok(summary)
     }
 }
 
-/// Everything [`fold_run_metrics`] reads, bundled to keep the call site flat.
-struct FoldInputs<'a> {
-    tests: u64,
-    infeasible: u64,
-    abandoned: u64,
-    errors: &'a ErrorStats,
-    run_solver: &'a SolverStats,
-    run_sat: &'a SatStats,
-    run_inc: &'a IncrementalStats,
-    memo_lookups: u64,
-    memo_hits: u64,
-    pool: &'a TermPool,
-    phases: &'a PhaseStats,
-    idle: Duration,
-    steals: u64,
-    parks: u64,
-    queue_depth_hist: &'a [u64],
-    queue_depth_sum: u64,
-    resume: Option<&'a ResumeInfo>,
-    /// Age and on-disk size of the last successful checkpoint flush.
-    last_ckpt: Option<(Duration, u64)>,
-}
-
-/// Fold one run's merged statistics into the metrics registry. Runs once at
-/// merge time on the coordinating thread — the exploration hot path never
-/// touches the registry. The metric catalogue here is documented in
-/// DESIGN.md ("Observability").
-fn fold_run_metrics(reg: &Registry, f: &FoldInputs<'_>) {
+/// Fold one run's finished summary and merged per-worker results into the
+/// metrics registry. Runs once at merge time on the coordinating thread —
+/// the exploration hot path never touches the registry. The metric
+/// catalogue here is documented in DESIGN.md ("Observability").
+fn fold_run_metrics<T: Target>(
+    reg: &Registry,
+    summary: &RunSummary,
+    out: &WorkerOut,
+    sh: &Shared<'_, T>,
+) {
     let paths_help = "explored paths by terminal outcome";
-    reg.counter_with("p4testgen_paths_total", paths_help, &[("outcome", "emitted")]).add(f.tests);
+    reg.counter_with("p4testgen_paths_total", paths_help, &[("outcome", "emitted")])
+        .add(summary.tests);
     reg.counter_with("p4testgen_paths_total", paths_help, &[("outcome", "infeasible")])
-        .add(f.infeasible);
+        .add(summary.infeasible_paths);
     reg.counter_with("p4testgen_paths_total", paths_help, &[("outcome", "abandoned")])
-        .add(f.abandoned);
-    reg.counter("p4testgen_tests_emitted_total", "tests delivered to the backend").add(f.tests);
-    for (reason, n) in &f.errors.abandoned_by_reason {
+        .add(summary.abandoned_paths);
+    reg.counter("p4testgen_tests_emitted_total", "tests delivered to the backend")
+        .add(summary.tests);
+    for (reason, n) in &summary.errors.abandoned_by_reason {
         reg.counter_with(
             "p4testgen_abandoned_total",
             "abandoned paths by taxonomy reason",
@@ -2057,7 +1996,7 @@ fn fold_run_metrics(reg: &Registry, f: &FoldInputs<'_>) {
         .add(*n);
     }
 
-    let s = f.run_solver;
+    let s = &out.solver_stats;
     reg.counter("p4testgen_solver_checks_total", "solver checks issued").add(s.checks);
     let verdict_help = "solver verdicts by kind";
     reg.counter_with("p4testgen_solver_results_total", verdict_help, &[("verdict", "sat")])
@@ -2069,7 +2008,7 @@ fn fold_run_metrics(reg: &Registry, f: &FoldInputs<'_>) {
     reg.counter("p4testgen_solver_solve_ns_total", "wall time inside check (ns)")
         .add(s.solve_time.as_nanos() as u64);
 
-    let sat = f.run_sat;
+    let sat = &out.sat_stats;
     reg.counter("p4testgen_sat_decisions_total", "SAT decisions").add(sat.decisions);
     reg.counter("p4testgen_sat_propagations_total", "SAT unit propagations").add(sat.propagations);
     reg.counter("p4testgen_sat_conflicts_total", "SAT conflicts").add(sat.conflicts);
@@ -2090,12 +2029,12 @@ fn fold_run_metrics(reg: &Registry, f: &FoldInputs<'_>) {
     )
     .merge_prebucketed(&s.conflicts_per_check_hist, sat.conflicts);
 
-    reg.counter("p4testgen_memo_lookups_total", "feasibility-memo lookups").add(f.memo_lookups);
-    reg.counter("p4testgen_memo_hits_total", "feasibility-memo hits").add(f.memo_hits);
+    reg.counter("p4testgen_memo_lookups_total", "feasibility-memo lookups").add(sh.memo.lookups.load(Ordering::Relaxed));
+    reg.counter("p4testgen_memo_hits_total", "feasibility-memo hits").add(summary.memo_hits);
 
     // The incremental layer: warm spine core, simplifier, blast cache,
     // cross-worker clause exchange.
-    let inc = f.run_inc;
+    let inc = &summary.solver;
     let warm_help = "feasibility checks by solving discipline";
     reg.counter_with("p4testgen_feasibility_checks_total", warm_help, &[("path", "warm")])
         .add(inc.warm_checks);
@@ -2142,41 +2081,41 @@ fn fold_run_metrics(reg: &Registry, f: &FoldInputs<'_>) {
     reg.counter_with("p4testgen_learnt_exchange_total", xch_help, &[("dir", "import_skipped")])
         .add(inc.learnt_import_skipped);
 
-    reg.gauge("p4testgen_pool_terms", "interned terms in the pool").set(f.pool.len() as u64);
-    reg.gauge("p4testgen_pool_vars", "declared symbolic variables").set(f.pool.num_vars() as u64);
+    reg.gauge("p4testgen_pool_terms", "interned terms in the pool").set(sh.pool.len() as u64);
+    reg.gauge("p4testgen_pool_vars", "declared symbolic variables").set(sh.pool.num_vars() as u64);
     reg.gauge(
         "p4testgen_pool_intern_contention",
         "interns that found their consing shard locked (pool lifetime)",
     )
-    .set(f.pool.intern_contention());
+    .set(sh.pool.intern_contention());
 
-    reg.counter("p4testgen_worker_steals_total", "successful work steals").add(f.steals);
-    reg.counter("p4testgen_worker_parks_total", "busy-to-idle worker transitions").add(f.parks);
+    reg.counter("p4testgen_worker_steals_total", "successful work steals").add(out.steals);
+    reg.counter("p4testgen_worker_parks_total", "busy-to-idle worker transitions").add(out.parks);
     reg.counter("p4testgen_worker_busy_ns_total", "summed worker busy time (ns)")
-        .add(f.phases.busy.as_nanos() as u64);
+        .add(summary.phases.busy.as_nanos() as u64);
     reg.counter("p4testgen_worker_idle_ns_total", "summed worker idle time (ns)")
-        .add(f.idle.as_nanos() as u64);
+        .add(out.idle.as_nanos() as u64);
     reg.histogram(
         "p4testgen_queue_depth",
         "local queue depth sampled at each dequeue",
         &QUEUE_DEPTH_BOUNDS,
     )
-    .merge_prebucketed(f.queue_depth_hist, f.queue_depth_sum);
+    .merge_prebucketed(&out.queue_depth_hist, out.queue_depth_sum);
 
     reg.counter("p4testgen_unknown_queries_total", "solver queries ending Unknown after retry")
-        .add(f.errors.unknown_queries);
+        .add(summary.errors.unknown_queries);
     reg.counter("p4testgen_budget_retries_total", "Unknown queries retried with a rotated phase seed")
-        .add(f.errors.budget_retries);
+        .add(summary.errors.budget_retries);
     reg.counter("p4testgen_panicked_paths_total", "paths isolated after panicking")
-        .add(f.errors.panicked_paths);
+        .add(summary.errors.panicked_paths);
     reg.counter("p4testgen_model_defaults_total", "model evaluations that fell back to zero")
-        .add(f.errors.model_defaults);
+        .add(summary.errors.model_defaults);
     reg.gauge("p4testgen_deadline_expired", "1 when the run deadline expired")
-        .set(u64::from(f.errors.deadline_expired));
+        .set(u64::from(summary.errors.deadline_expired));
 
     // Checkpoint/resume instrumentation (present only for checkpointed or
     // resumed runs, so plain runs don't grow empty series).
-    if let Some(r) = f.resume {
+    if let Some(r) = &summary.resume {
         reg.counter("p4testgen_checkpoints_written_total", "checkpoint files flushed")
             .add(r.checkpoints_written);
         reg.counter("p4testgen_frontier_restored_total", "frontier trails replayed on resume")
@@ -2194,42 +2133,17 @@ fn fold_run_metrics(reg: &Registry, f: &FoldInputs<'_>) {
         )
         .set(r.frontier_remaining);
     }
-    if let Some((age, bytes)) = f.last_ckpt {
+    if let Some((at, bytes)) = *sh.last_ckpt.lock() {
         reg.gauge(
             "p4testgen_checkpoint_age_seconds",
             "Seconds since the last successful checkpoint flush",
         )
-        .set(age.as_secs());
+        .set(at.elapsed().as_secs());
         reg.gauge(
             "p4testgen_checkpoint_bytes",
             "On-disk size of the last successful checkpoint",
         )
         .set(bytes);
-    }
-}
-
-fn merge_solver_stats(into: &mut SolverStats, from: &SolverStats) {
-    into.checks += from.checks;
-    into.sat_results += from.sat_results;
-    into.unsat_results += from.unsat_results;
-    into.unknown_results += from.unknown_results;
-    into.solve_time += from.solve_time;
-    into.sat_time += from.sat_time;
-    for (i, f) in into.conflicts_per_check_hist.iter_mut().zip(from.conflicts_per_check_hist.iter())
-    {
-        *i += f;
-    }
-}
-
-fn merge_sat_stats(into: &mut SatStats, from: &SatStats) {
-    into.decisions += from.decisions;
-    into.propagations += from.propagations;
-    into.conflicts += from.conflicts;
-    into.restarts += from.restarts;
-    into.learnt_clauses += from.learnt_clauses;
-    into.learnt_literals += from.learnt_literals;
-    for (i, f) in into.learnt_size_hist.iter_mut().zip(from.learnt_size_hist.iter()) {
-        *i += f;
     }
 }
 
@@ -2333,13 +2247,10 @@ struct PathWorker<'a, 'b, T: Target> {
     spawned: Vec<Pending>,
     /// The current path's emission, if it survived the top-k filter.
     pending_emit: Option<(Vec<u32>, TestSpec)>,
-    /// The one per-path record buffer, `Some` while any per-path view
-    /// (trace, provenance, explain) is on; engine events also land here
-    /// under `ObsConfig::trace`. `None` (the default) costs one pointer
+    /// The one per-path record and worker event buffer, `Some` while
+    /// `ObsConfig::trace` is on. `None` (the default) costs one pointer
     /// test per path and allocates nothing.
     log: Option<TraceLog>,
-    /// Sequence number for this worker's engine events.
-    event_seq: u32,
     /// Successful steals (counted even with tracing off — one add per steal).
     steals: u64,
     /// Logical queries issued while processing the current path. Counted at
@@ -2395,13 +2306,11 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
         errors: ErrorStats::default(),
         spawned: Vec::new(),
         pending_emit: None,
-        log: (sh.config.obs.trace || sh.config.obs.provenance || sh.config.obs.explain)
-            .then(TraceLog::new),
-        event_seq: 0,
+        log: sh.config.obs.trace.then(TraceLog::new),
         steals: 0,
         path_checks: 0,
     };
-    w.lifecycle("worker-start", None, None);
+    w.event("worker-start", None, None);
     let live_status = sh.config.obs.live.as_deref();
     if let Some(ls) = live_status {
         // Workers start busy (`was_busy = true` below mirrors this).
@@ -2427,7 +2336,7 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
             if was_busy {
                 was_busy = false;
                 parks += 1;
-                w.engine_event("park", None);
+                w.event("park", None, None);
                 if let Some(ls) = live_status {
                     ls.workers_busy.fetch_sub(1, Ordering::Relaxed);
                 }
@@ -2460,7 +2369,7 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
             if sh.config.checkpoint.is_some() || sh.kill_hit.load(Ordering::Relaxed) {
                 if !drain_seen {
                     drain_seen = true;
-                    w.lifecycle("drain", Some(&p.st.trail), None);
+                    w.event("drain", Some(&p.st.trail), None);
                 }
             } else {
                 {
@@ -2472,7 +2381,7 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
                 w.pruned(&p.st, PathOutcome::Abandoned(reason::DEADLINE));
                 if !deadline_seen {
                     deadline_seen = true;
-                    w.lifecycle("deadline", Some(&p.st.trail), None);
+                    w.event("deadline", Some(&p.st.trail), None);
                 }
             }
             w.phases.busy += t_busy.elapsed();
@@ -2486,7 +2395,7 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
             sh.kill_hit.store(true, Ordering::Relaxed);
             sh.drain_hit.store(true, Ordering::Relaxed);
             sh.stop.store(true, Ordering::Relaxed);
-            w.lifecycle("kill-fault", Some(&p.st.trail), None);
+            w.event("kill-fault", Some(&p.st.trail), None);
             w.phases.busy += t_busy.elapsed();
             sh.live.fetch_sub(1, Ordering::AcqRel);
             continue;
@@ -2534,7 +2443,9 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
             w.errors.panicked_paths += 1;
             w.errors.bump_reason(reason::PANIC);
             let payload_text = panic_payload_text(payload.as_ref());
-            w.flight("panic", Some(st.trail.clone()), Some(payload_text.clone()));
+            if w.observed() {
+                w.event("panic", Some(&st.trail), Some(payload_text.clone()));
+            }
             w.errors.panics.push(PanicRecord {
                 trail: st.trail.clone(),
                 payload: payload_text,
@@ -2572,11 +2483,8 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
             live_status.map(|_| (j.pending.len() as u64, j.emitted.len() as u64, j.paths))
         };
         if let (Some(ls), Some((frontier, emitted, paths))) = (live_status, live_snapshot) {
-            ls.frontier_depth.store(frontier, Ordering::Relaxed);
-            ls.tests_emitted.store(emitted, Ordering::Relaxed);
-            ls.paths_explored.store(paths, Ordering::Relaxed);
-            ls.queue_live.store(sh.live.load(Ordering::Relaxed), Ordering::Relaxed);
-            ls.sample_coverage(sh.coverage.covered_count() as u64);
+            let queue_live = sh.live.load(Ordering::Relaxed);
+            ls.publish(frontier, emitted, paths, queue_live, sh.coverage.covered_count() as u64);
         }
         if !spawned.is_empty() {
             // `live` covers this path's own slot until the fetch_sub below,
@@ -2590,7 +2498,7 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
         w.phases.busy += t_busy.elapsed();
         sh.live.fetch_sub(1, Ordering::AcqRel);
     }
-    w.lifecycle("worker-stop", None, None);
+    w.event("worker-stop", None, None);
     if was_busy {
         if let Some(ls) = live_status {
             ls.workers_busy.fetch_sub(1, Ordering::Relaxed);
@@ -2611,49 +2519,45 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
 }
 
 impl<T: Target> PathWorker<'_, '_, T> {
-    /// Record a span event into the flight recorder (no-op when the
-    /// recorder is off). Callers building a `detail` string should gate on
-    /// `self.sh.config.obs.flight.is_some()` first.
-    fn flight(&self, kind: &'static str, trail: Option<Vec<u32>>, detail: Option<String>) {
-        if let Some(fr) = &self.sh.config.obs.flight {
-            fr.record(self.widx, kind, trail, detail);
-        }
+    /// Is any worker event sink on? Callers building an event's `detail`
+    /// string gate on this first, so "off" allocates nothing.
+    fn observed(&self) -> bool {
+        self.log.is_some() || self.sh.config.obs.flight.is_some()
     }
 
-    /// Record an engine-level trace event (no-op, and no allocation, when
-    /// tracing is off). Callers building a `detail` string should gate on
-    /// `self.sh.config.obs.trace` first.
-    fn engine_event(&mut self, event: &str, detail: Option<String>) {
-        if !self.sh.config.obs.trace {
-            return;
+    /// The one worker event call: send `kind` (with the path `trail` it
+    /// concerns, if any, and a free-form `detail`) to every enabled sink —
+    /// the flight recorder's ring and the trace's engine events. A no-op,
+    /// with no allocation, when both are off.
+    fn event(&mut self, kind: &'static str, trail: Option<&[u32]>, detail: Option<String>) {
+        if let Some(fr) = &self.sh.config.obs.flight {
+            fr.record(self.widx, kind, trail.map(<[u32]>::to_vec), detail.clone());
         }
         if let Some(log) = &mut self.log {
-            let seq = self.event_seq;
-            self.event_seq += 1;
-            log.engine.push(EngineEvent {
-                worker: self.widx,
-                seq,
-                event: event.to_string(),
-                detail,
+            log.engine.push(SpanEvent {
                 at_ns: self.sh.started.elapsed().as_nanos() as u64,
+                worker: self.widx,
+                seq: log.engine.len() as u64,
+                kind,
+                trail: trail.map(<[u32]>::to_vec),
+                detail,
             });
         }
     }
 
-    /// A worker lifecycle event (start, drain, deadline, kill fault, stop,
-    /// checkpoint flush): an engine event in the trace, carrying `detail`,
-    /// and a span in the flight recorder, carrying `trail` and `detail`.
-    fn lifecycle(&mut self, kind: &'static str, trail: Option<&[u32]>, detail: Option<String>) {
-        if let Some(fr) = &self.sh.config.obs.flight {
-            fr.record(self.widx, kind, trail.map(<[u32]>::to_vec), detail.clone());
-        }
-        self.engine_event(kind, detail);
-    }
-
     /// The one sink for a path's terminal record: every per-path view is
-    /// derived from these at merge time. Callers build the record only
-    /// when `self.log` is on (or the flight recorder wants its `path-end`).
+    /// derived from these at merge time, and the flight recorder gets the
+    /// record's `path-end` span here. Callers build the record only when
+    /// [`PathWorker::observed`].
     fn path_end(&mut self, rec: PathRecord) {
+        if let Some(fr) = &self.sh.config.obs.flight {
+            fr.record(
+                self.widx,
+                "path-end",
+                Some(rec.trail.clone()),
+                Some(format!("{} steps={} checks={}", rec.outcome.key(), rec.steps, rec.checks)),
+            );
+        }
         if let Some(log) = &mut self.log {
             log.paths.push(rec);
         }
@@ -2664,7 +2568,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
     /// steps, checks, or timing of its own — a pruned fork's admission
     /// query is charged to the parent path that issued it.
     fn pruned(&mut self, st: &ExecState, outcome: PathOutcome) {
-        if self.log.is_some() {
+        if self.observed() {
             self.path_end(PathRecord {
                 trail: st.trail.clone(),
                 steps: 0,
@@ -2738,8 +2642,8 @@ impl<T: Target> PathWorker<'_, '_, T> {
                 match self.sh.stealers[i].steal() {
                     Steal::Success(p) => {
                         self.steals += 1;
-                        if self.sh.config.obs.trace {
-                            self.engine_event("steal", Some(format!("from={i}")));
+                        if self.observed() {
+                            self.event("steal", None, Some(format!("from={i}")));
                         }
                         return Some(p);
                     }
@@ -2808,9 +2712,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
         let mut res = query(&mut self.solver);
         if res == CheckResult::Unknown && sh.config.budget_retry {
             self.errors.budget_retries += 1;
-            if sh.config.obs.trace {
-                self.engine_event("budget-retry", Some(format!("trail={trail:?}")));
-            }
+            self.event("budget-retry", Some(trail), None);
             self.solver.set_phase_seed((sh.config.seed ^ trail_hash(trail)) | 1);
             res = query(&mut self.solver);
             self.solver.set_phase_seed(0);
@@ -2818,15 +2720,15 @@ impl<T: Target> PathWorker<'_, '_, T> {
         if res == CheckResult::Unknown {
             self.errors.unknown_queries += 1;
         }
-        if self.sh.config.obs.flight.is_some() {
+        if self.observed() {
             let verdict = match res {
                 CheckResult::Sat => "sat",
                 CheckResult::Unsat => "unsat",
                 CheckResult::Unknown => "unknown",
             };
-            self.flight(
+            self.event(
                 "solver-check",
-                Some(trail.to_vec()),
+                Some(trail),
                 Some(format!(
                     "{verdict} {} assumptions={}",
                     if verdict_only { "feasibility" } else { "model" },
@@ -2891,11 +2793,9 @@ impl<T: Target> PathWorker<'_, '_, T> {
             return;
         }
         let path = ck.path.clone();
-        if self.sh.flush_checkpoint(&path)
-            && (self.sh.config.obs.trace || self.sh.config.obs.flight.is_some())
-        {
+        if self.sh.flush_checkpoint(&path) && self.observed() {
             let frontier = self.sh.journal.lock().pending.len();
-            self.lifecycle("checkpoint-flush", None, Some(format!("frontier={frontier}")));
+            self.event("checkpoint-flush", None, Some(format!("frontier={frontier}")));
         }
         *last = Instant::now();
     }
@@ -3094,8 +2994,8 @@ impl<T: Target> PathWorker<'_, '_, T> {
                 PathOutcome::Abandoned(reason::EXEC_ERROR)
             }
         };
-        if self.log.is_some() || sh.config.obs.flight.is_some() {
-            let rec = PathRecord {
+        if self.observed() {
+            self.path_end(PathRecord {
                 trail: st.trail.clone(),
                 steps,
                 checks: self.path_checks,
@@ -3107,15 +3007,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
                 },
                 constraints: st.constraints.len() as u64,
                 near_stmt: near_stmt(st),
-            };
-            if sh.config.obs.flight.is_some() {
-                self.flight(
-                    "path-end",
-                    Some(rec.trail.clone()),
-                    Some(format!("{} steps={} checks={}", rec.outcome.key(), rec.steps, rec.checks)),
-                );
-            }
-            self.path_end(rec);
+            });
         }
     }
 

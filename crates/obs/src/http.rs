@@ -96,6 +96,17 @@ impl LiveStatus {
         samples.push((now, covered));
     }
 
+    /// Publish one progress snapshot: the frontier depth, tests emitted,
+    /// paths explored, states held by workers, and statements covered
+    /// (also recorded as a coverage-growth sample).
+    pub fn publish(&self, frontier: u64, emitted: u64, paths: u64, queue_live: u64, covered: u64) {
+        self.frontier_depth.store(frontier, Ordering::Relaxed);
+        self.tests_emitted.store(emitted, Ordering::Relaxed);
+        self.paths_explored.store(paths, Ordering::Relaxed);
+        self.queue_live.store(queue_live, Ordering::Relaxed);
+        self.sample_coverage(covered);
+    }
+
     /// Note a successful checkpoint flush of `bytes` bytes.
     pub fn note_checkpoint(&self, bytes: u64) {
         self.checkpoint_bytes.store(bytes, Ordering::Relaxed);

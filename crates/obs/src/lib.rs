@@ -11,8 +11,9 @@
 //!   render in Prometheus text format and as JSON.
 //! * [`trace`] — the structured event layer: per-path spans keyed by the
 //!   schedule-independent fork trail (steps, solver checks, phase
-//!   durations, outcome) plus engine-level events (worker start / steal /
-//!   park, deadline expiry, budget retries), rendered as JSONL. The
+//!   durations, outcome) plus the worker event stream (lifecycle, steals,
+//!   parks, budget retries, solver checks, panics) as [`SpanEvent`]s —
+//!   the same events the flight recorder holds — rendered as JSONL. The
 //!   determinism contract — which lines and fields are identical across
 //!   worker counts — is documented on [`trace::TraceLog`] and enforced by
 //!   [`trace::strip_schedule_dependent`].
@@ -55,4 +56,4 @@ pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use server::{BoundedQueue, LruCache, LruStats, Pop, Push};
 pub use recorder::{FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use span::{SpanEvent, RUN_WORKER};
-pub use trace::{EngineEvent, PathOutcome, PathRecord, PathTiming, TraceLog};
+pub use trace::{PathOutcome, PathRecord, PathTiming, TraceLog};

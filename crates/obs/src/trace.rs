@@ -1,10 +1,11 @@
-//! Structured run traces, and the one per-path record every per-path
-//! view is derived from.
+//! Structured run traces: the one per-path record every per-path view is
+//! derived from, and the one worker event stream.
 //!
 //! The exploration engine produces exactly one [`PathRecord`] for every
 //! path it finishes or prunes, buffered per worker in [`TraceLog::paths`]
-//! whenever any per-path view is requested. At merge time the engine
-//! derives each view from the same records:
+//! whenever the trace is on (`ObsConfig::trace`; the CLI turns it on for
+//! any of `--trace-out`, `--provenance-out` and `--coverage-report`). At
+//! merge time the engine derives each view from the same records:
 //!
 //! * **the trace** (`--trace-out`) — the records themselves, serialized
 //!   below;
@@ -12,8 +13,12 @@
 //!   `panicked` records, with their taxonomy reason and `near_stmt`;
 //! * **provenance** (`--provenance-out`) — `constraints` and `checks` of
 //!   the `emitted` records, joined to the suite by trail;
-//! * **the flight recorder** (`--flight-out`) — its `path-end` span is
-//!   formatted from the record at the site that builds it.
+//! * **the flight recorder** (`--flight-out`) — the worker writes one
+//!   `path-end` span per record, pruned forks and panics included.
+//!
+//! Every other worker event (lifecycle, steal, park, budget retry, solver
+//! check, panic) is one [`SpanEvent`] that the worker sends to each enabled
+//! sink alike: the flight recorder's ring and [`TraceLog::engine`].
 //!
 //! A trace has two record kinds, distinguished by the `"k"` field of each
 //! JSONL line:
@@ -25,10 +30,10 @@
 //!   `abandoned` + taxonomy reason / `panicked`), and per-phase durations.
 //!   The fields that feed only the other views (`constraints`,
 //!   `near_stmt`) are not serialized.
-//! * **Engine events** (`"k":"engine"`) — worker lifecycle and scheduler
-//!   activity: worker start, steals, parks, deadline expiry, budget
-//!   retries. These describe *one particular schedule*, and are collected
-//!   only when the trace itself is requested.
+//! * **Engine events** (`"k":"engine"`) — the worker event stream: worker
+//!   start and stop, steals, parks, drain, deadline expiry, kill faults,
+//!   checkpoint flushes, budget retries, solver checks and panics. These
+//!   describe *one particular schedule*.
 //!
 //! # Determinism contract
 //!
@@ -46,6 +51,8 @@
 //! asserts the stripped output is byte-identical at jobs 1/4/8.
 
 use serde::value::{Number, Value};
+
+use crate::span::SpanEvent;
 
 /// Terminal state of one explored path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,44 +146,38 @@ impl PathRecord {
     }
 }
 
-/// Scheduler/worker lifecycle event. Entirely schedule-dependent.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EngineEvent {
-    pub worker: u32,
-    /// Per-worker sequence number; `(worker, seq)` orders events totally.
-    pub seq: u32,
-    /// Event name: `worker-start`, `steal`, `park`, `deadline`,
-    /// `budget-retry`, `worker-stop`.
-    pub event: String,
-    pub detail: Option<String>,
-    /// Nanoseconds since engine start (schedule-dependent; under `"t"`).
-    pub at_ns: u64,
-}
-
-impl EngineEvent {
-    fn to_value(&self) -> Value {
-        let mut obj: Vec<(String, Value)> = vec![
-            ("k".into(), Value::String("engine".into())),
-            ("event".into(), Value::String(self.event.clone())),
-            ("worker".into(), Value::Number(Number::U(u64::from(self.worker)))),
-            ("seq".into(), Value::Number(Number::U(u64::from(self.seq)))),
-        ];
-        if let Some(d) = &self.detail {
-            obj.push(("detail".into(), Value::String(d.clone())));
-        }
+/// One worker event as a trace line. `seq` is the event's index in its
+/// worker's buffer, so `(worker, seq)` orders events totally; `at_ns`
+/// (nanoseconds since engine start) sits under `"t"`.
+fn engine_value(ev: &SpanEvent) -> Value {
+    let mut obj: Vec<(String, Value)> = vec![
+        ("k".into(), Value::String("engine".into())),
+        ("event".into(), Value::String(ev.kind.into())),
+        ("worker".into(), Value::Number(Number::U(u64::from(ev.worker)))),
+        ("seq".into(), Value::Number(Number::U(ev.seq))),
+    ];
+    if let Some(trail) = &ev.trail {
         obj.push((
-            "t".into(),
-            Value::Object(vec![("at_ns".into(), Value::Number(Number::U(self.at_ns)))]),
+            "trail".into(),
+            Value::Array(trail.iter().map(|b| Value::Number(Number::U(u64::from(*b)))).collect()),
         ));
-        Value::Object(obj)
     }
+    if let Some(d) = &ev.detail {
+        obj.push(("detail".into(), Value::String(d.clone())));
+    }
+    obj.push((
+        "t".into(),
+        Value::Object(vec![("at_ns".into(), Value::Number(Number::U(ev.at_ns)))]),
+    ));
+    Value::Object(obj)
 }
 
 /// A complete run trace: per-worker buffers merged at join time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceLog {
     pub paths: Vec<PathRecord>,
-    pub engine: Vec<EngineEvent>,
+    /// Worker events, entirely schedule-dependent.
+    pub engine: Vec<SpanEvent>,
 }
 
 impl TraceLog {
@@ -207,7 +208,7 @@ impl TraceLog {
             out.push('\n');
         }
         for e in &self.engine {
-            out.push_str(&serde_json::to_string(&e.to_value()).expect("trace value serializes"));
+            out.push_str(&serde_json::to_string(&engine_value(e)).expect("trace value serializes"));
             out.push('\n');
         }
         out
@@ -267,12 +268,13 @@ mod tests {
                     near_stmt: None,
                 },
             ],
-            engine: vec![EngineEvent {
+            engine: vec![SpanEvent {
+                at_ns: 99,
                 worker: 1,
                 seq: 0,
-                event: "steal".into(),
+                kind: "steal",
+                trail: None,
                 detail: Some("from=0".into()),
-                at_ns: 99,
             }],
         }
     }

@@ -346,9 +346,9 @@ mod tests {
             assert_eq!(x.add(&y).to_u64(), Some((a + b) & 0xFF), "{a}+{b}");
             assert_eq!(x.sub(&y).to_u64(), Some(a.wrapping_sub(b) & 0xFF), "{a}-{b}");
             assert_eq!(x.mul(&y).to_u64(), Some((a * b) & 0xFF), "{a}*{b}");
-            if b != 0 {
-                assert_eq!(x.udiv(&y).to_u64(), Some(a / b), "{a}/{b}");
-                assert_eq!(x.urem(&y).to_u64(), Some(a % b), "{a}%{b}");
+            if let (Some(q), Some(r)) = (a.checked_div(b), a.checked_rem(b)) {
+                assert_eq!(x.udiv(&y).to_u64(), Some(q), "{a}/{b}");
+                assert_eq!(x.urem(&y).to_u64(), Some(r), "{a}%{b}");
             }
             assert_eq!(x.ult(&y), a < b);
             assert_eq!(x.ule(&y), a <= b);

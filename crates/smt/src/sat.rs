@@ -153,6 +153,20 @@ pub struct SatStats {
     pub learnt_size_hist: [u64; LEARNT_SIZE_BOUNDS.len() + 1],
 }
 
+impl SatStats {
+    pub fn absorb(&mut self, other: &SatStats) {
+        self.decisions += other.decisions;
+        self.propagations += other.propagations;
+        self.conflicts += other.conflicts;
+        self.restarts += other.restarts;
+        self.learnt_clauses += other.learnt_clauses;
+        self.learnt_literals += other.learnt_literals;
+        for (t, o) in self.learnt_size_hist.iter_mut().zip(other.learnt_size_hist.iter()) {
+            *t += o;
+        }
+    }
+}
+
 /// The solver. Variables are created with [`SatSolver::new_var`], clauses
 /// added with [`SatSolver::add_clause`], and satisfiability queried with
 /// [`SatSolver::solve`]. Clauses persist across solve calls; per-query

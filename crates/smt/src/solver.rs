@@ -157,6 +157,22 @@ pub struct SolverStats {
     pub conflicts_per_check_hist: [u64; CONFLICTS_PER_CHECK_BOUNDS.len() + 1],
 }
 
+impl SolverStats {
+    pub fn absorb(&mut self, other: &SolverStats) {
+        self.checks += other.checks;
+        self.sat_results += other.sat_results;
+        self.unsat_results += other.unsat_results;
+        self.unknown_results += other.unknown_results;
+        self.solve_time += other.solve_time;
+        self.sat_time += other.sat_time;
+        for (t, o) in
+            self.conflicts_per_check_hist.iter_mut().zip(other.conflicts_per_check_hist.iter())
+        {
+            *t += o;
+        }
+    }
+}
+
 /// Counters for the incremental layer (warm spine core, simplifier, blast
 /// cache, cross-worker clause exchange), folded into the metrics registry
 /// and `--summary-json` by the exploration engine.
@@ -616,7 +632,7 @@ impl Solver {
             [CONFLICTS_PER_CHECK_BOUNDS.partition_point(|&b| b < sat.stats.conflicts)] += 1;
         self.inc_stats.blast_cache_hits += blaster.stats.cache_hits;
         self.inc_stats.blast_cache_misses += blaster.stats.cache_misses;
-        accumulate(&mut self.sat_totals, &sat.stats);
+        self.sat_totals.absorb(&sat.stats);
         self.last = Some((sat, blaster));
         self.count_result(res)
     }
@@ -786,18 +802,6 @@ impl Solver {
     /// SAT-core statistics accumulated over all checks.
     pub fn sat_stats(&self) -> &crate::sat::SatStats {
         &self.sat_totals
-    }
-}
-
-fn accumulate(total: &mut crate::sat::SatStats, one: &crate::sat::SatStats) {
-    total.decisions += one.decisions;
-    total.propagations += one.propagations;
-    total.conflicts += one.conflicts;
-    total.restarts += one.restarts;
-    total.learnt_clauses += one.learnt_clauses;
-    total.learnt_literals += one.learnt_literals;
-    for (t, o) in total.learnt_size_hist.iter_mut().zip(one.learnt_size_hist.iter()) {
-        *t += o;
     }
 }
 

@@ -736,15 +736,17 @@ fn main() -> ExitCode {
         fixed_packet_bytes: opts.fixed_packet,
         apply_entry_restrictions: opts.with_constraints,
     };
-    // Observability: trace collection is on only when a sink was named, and
-    // the metrics registry exists only when something will read it — a
-    // `--metrics-out` export or the live `/metrics` endpoint.
-    config.obs.trace = opts.trace_out.is_some();
+    // Observability: the per-path records are collected only when a view
+    // of them was named (the trace, provenance, or the coverage report's
+    // abandonment reasons), and the metrics registry exists only when
+    // something will read it — a `--metrics-out` export or the live
+    // `/metrics` endpoint.
+    config.obs.trace = opts.trace_out.is_some()
+        || opts.provenance_out.is_some()
+        || opts.coverage_report.is_some();
     let registry = (opts.metrics_out.is_some() || opts.status_addr.is_some())
         .then(|| Arc::new(Registry::new()));
     config.obs.metrics = registry.clone();
-    config.obs.provenance = opts.provenance_out.is_some();
-    config.obs.explain = opts.coverage_report.is_some();
     // Live introspection: bind the status endpoint before generation starts
     // so a long campaign is observable from its first path.
     let live = opts.status_addr.as_ref().map(|_| Arc::new(LiveStatus::new()));

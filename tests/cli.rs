@@ -170,10 +170,11 @@ fn cli_observability_outputs_round_trip() {
         summary_v.get("schema").and_then(|s| s.as_str()),
         Some("p4testgen-run-summary/v2")
     );
-    // v2 keeps every v1 field and adds the endpoint/provenance entries
-    // (null/absent-count when the corresponding flags are off).
+    // v2 keeps every v1 field and adds the endpoint/provenance entries. The
+    // endpoint is null without `--status-addr`; provenance is derived from
+    // the trace's per-path records, so with the trace on it counts the tests.
     assert!(summary_v.get("status_endpoint").is_some_and(|v| v.is_null()));
-    assert!(summary_v.get("provenance_records").is_some_and(|v| v.is_null()));
+    assert_eq!(summary_v.get("provenance_records"), summary_v.get("tests"));
     // The differential section exists (append-only v2) and is null outside
     // `p4testgen diff` runs.
     assert!(summary_v.get("differential").is_some_and(|v| v.is_null()));

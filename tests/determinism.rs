@@ -897,8 +897,6 @@ fn full_observability_stack_is_zero_cost_and_deterministic_at_jobs_1_4_8() {
         config.obs.metrics = Some(Arc::new(Registry::new()));
         config.obs.flight = Some(Arc::new(FlightRecorder::new(jobs, 64)));
         config.obs.live = Some(Arc::new(LiveStatus::new()));
-        config.obs.provenance = true;
-        config.obs.explain = true;
         run_with_config("synthetic_3x3", &src, config)
     };
     let mut reference_prov = None;
@@ -970,7 +968,7 @@ V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
         let mut config = TestgenConfig::default();
         config.seed = 7;
         config.jobs = jobs;
-        config.obs.explain = true;
+        config.obs.trace = true;
         config.fault_plan.seed = 99;
         config.fault_plan.force_unknown_at(poison.clone());
         let (_, summary) = run_with_config("infeasible_branch", src, config);
@@ -990,33 +988,36 @@ V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
     assert_eq!(f1, fingerprint(8), "report differs between jobs=1 and jobs=8");
 }
 
+/// The fault plan the per-path view tests share: Unknown verdicts (one
+/// trail-keyed, the rest sampled) and one panic, keyed by a clean run's
+/// test trails, so abandoned, panicked and emitted records all occur.
+fn views_fault_plan(trails: &[Vec<u32>]) -> p4testgen_core::FaultPlan {
+    let mut plan = p4testgen_core::FaultPlan::new(99);
+    plan.unknown_permille = 100;
+    plan.force_unknown_at(trails[0].clone());
+    plan.force_panic_at(trails[trails.len() / 2].clone());
+    plan
+}
+
 /// Every per-path view is derived from one per-path record, so the views
-/// agree with the trace on every trail — and each view is the same whether
-/// or not the other views were requested alongside it. The fault plan
-/// plants Unknown verdicts (one trail-keyed, the rest sampled) and one
-/// panic, so abandoned, panicked and emitted records all occur.
+/// agree with the trace on every trail, and the one `trace` switch fills
+/// all three of them.
 #[test]
 fn per_path_views_agree_with_the_trace() {
     use p4t_obs::trace::PathOutcome;
     use std::collections::{BTreeMap, BTreeSet};
     let src = p4t_corpus::generate_synthetic(3, 3);
     let (_, base_sum) = run_with_jobs("synthetic_3x3", &src, 1);
-    let trails = &base_sum.test_trails;
-    let mut plan = p4testgen_core::FaultPlan::new(99);
-    plan.unknown_permille = 100;
-    plan.force_unknown_at(trails[0].clone());
-    plan.force_panic_at(trails[trails.len() / 2].clone());
-    let observed = |trace: bool, provenance: bool, explain: bool| {
+    let plan = views_fault_plan(&base_sum.test_trails);
+    let observed = |trace: bool| {
         let mut config = TestgenConfig::default();
         config.seed = 7;
         config.jobs = 4;
         config.fault_plan = plan.clone();
         config.obs.trace = trace;
-        config.obs.provenance = provenance;
-        config.obs.explain = explain;
         run_with_config("synthetic_3x3", &src, config).1
     };
-    let all = observed(true, true, true);
+    let all = observed(true);
     let trace = all.trace.as_ref().expect("trace collected");
 
     // Abandonment sites are exactly the abandoned and panicked records.
@@ -1045,11 +1046,63 @@ fn per_path_views_agree_with_the_trace() {
         assert_eq!(p.solver_checks, checks.get(p.trail.as_slice()).copied(), "trail {:?}", p.trail);
     }
 
-    // Each view alone equals the same view with all three on.
-    let explain_only = observed(false, false, true);
-    assert!(explain_only.trace.is_none() && explain_only.provenance.is_none());
-    assert_eq!(explain_only.abandon_sites, all.abandon_sites);
-    let provenance_only = observed(false, true, false);
-    assert!(provenance_only.trace.is_none() && provenance_only.abandon_sites.is_empty());
-    assert_eq!(provenance_only.provenance, all.provenance);
+    // With the switch off, none of the three views is collected.
+    let off = observed(false);
+    assert!(off.trace.is_none() && off.provenance.is_none() && off.abandon_sites.is_empty());
+}
+
+/// Every worker event reaches the trace and the flight recorder alike, and
+/// every per-path record gets one flight `path-end` span — pruned forks and
+/// panics included. The program needs SAT search, so a one-conflict budget
+/// forces budget retries; the views' fault plan adds Unknowns and a panic.
+#[test]
+fn worker_events_reach_trace_and_flight_alike() {
+    use p4t_obs::{FlightRecorder, RUN_WORKER};
+    use p4t_targets::Tofino;
+    use std::sync::Arc;
+    let (name, src) = p4t_corpus::all_programs()
+        .into_iter()
+        .find_map(|(name, src, _)| (name == "switch_sim").then_some((name, src)))
+        .expect("switch_sim is a corpus program");
+    let run = |config: TestgenConfig| {
+        let mut tg = Testgen::new(name, &src, Tofino::tna(), config)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        tg.try_run(|_| true).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let mut config = TestgenConfig::default();
+    config.seed = 7;
+    config.jobs = 1;
+    config.solver_budget = 0;
+    let base = run(config);
+
+    let jobs = 4;
+    let flight = Arc::new(FlightRecorder::new(jobs, 1 << 16));
+    let mut config = TestgenConfig::default();
+    config.seed = 7;
+    config.jobs = jobs;
+    config.solver_budget = 1;
+    config.fault_plan = views_fault_plan(&base.test_trails);
+    config.obs.trace = true;
+    config.obs.flight = Some(Arc::clone(&flight));
+    let summary = run(config);
+    let trace = summary.trace.expect("trace collected");
+
+    let spans: Vec<_> = flight.drain().into_iter().filter(|e| e.worker != RUN_WORKER).collect();
+    let (path_ends, flight_events): (Vec<_>, Vec<_>) =
+        spans.into_iter().partition(|e| e.kind == "path-end");
+    let key = |e: &p4t_obs::SpanEvent| (e.worker, e.kind, e.detail.clone());
+    let mut from_flight: Vec<_> = flight_events.iter().map(key).collect();
+    let mut from_trace: Vec<_> = trace.engine.iter().map(key).collect();
+    from_flight.sort();
+    from_trace.sort();
+    assert_eq!(from_flight, from_trace, "flight and trace saw different worker events");
+    for kind in ["worker-start", "worker-stop", "solver-check", "budget-retry", "panic"] {
+        assert!(from_trace.iter().any(|(_, k, _)| *k == kind), "no {kind} event");
+    }
+
+    let mut flight_trails: Vec<Vec<u32>> =
+        path_ends.into_iter().map(|e| e.trail.expect("path-end carries its trail")).collect();
+    flight_trails.sort();
+    let trace_trails: Vec<Vec<u32>> = trace.paths.iter().map(|r| r.trail.clone()).collect();
+    assert_eq!(flight_trails, trace_trails, "one flight path-end per path record");
 }
