@@ -3,7 +3,6 @@
 //! are detected and how they manifest.
 
 use p4t_interp::{execute_and_check, Arch, Fault, FaultClass, FaultSet, FaultTargetClass, Verdict};
-use p4t_targets::{Tofino, V1Model};
 use p4testgen_core::{Testgen, TestgenConfig, TestSpec};
 use std::collections::HashMap;
 
@@ -51,34 +50,19 @@ pub struct ProgramTests {
 fn generate_one(name: &str, src: &str, arch: &str, max_tests: u64) -> ProgramTests {
     let mut config = TestgenConfig::default();
     config.max_tests = max_tests;
-    match arch {
-        "v1model" => {
-            let mut tg = Testgen::new(name, src, V1Model::new(), config)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let mut tests = Vec::new();
-            tg.run(|t| {
-                tests.push(t.clone());
-                true
-            });
-            ProgramTests {
-                name: name.to_string(),
-                arch: Arch::V1Model,
-                prog: tg.prog.clone(),
-                tests,
-            }
-        }
-        "tna" => {
-            let mut tg = Testgen::new(name, src, Tofino::tna(), config)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let mut tests = Vec::new();
-            tg.run(|t| {
-                tests.push(t.clone());
-                true
-            });
-            ProgramTests { name: name.to_string(), arch: Arch::Tna, prog: tg.prog.clone(), tests }
-        }
-        other => panic!("unknown arch {other}"),
-    }
+    let (Some(target), Some(model)) =
+        (p4t_targets::by_name(arch), Arch::from_target_name(arch))
+    else {
+        panic!("unknown arch {arch}")
+    };
+    let mut tg =
+        Testgen::new(name, src, target, config).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let mut tests = Vec::new();
+    tg.run(|t| {
+        tests.push(t.clone());
+        true
+    });
+    ProgramTests { name: name.to_string(), arch: model, prog: tg.prog, tests }
 }
 
 /// Generate up to `max_tests` tests for every corpus program, one scoped

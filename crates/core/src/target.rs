@@ -152,11 +152,12 @@ pub enum UninitPolicy {
 
 /// A target extension.
 ///
-/// Targets must be `Send + Sync`: one target instance is shared by all
-/// exploration workers. In practice target extensions are stateless policy
-/// objects (all per-path state lives in [`ExecState`]), so this bound is
-/// free.
-pub trait Target: Send + Sync {
+/// Targets must be `Send + Sync + 'static`: one target instance is shared
+/// by all exploration workers, and a driver owns it as a
+/// `Box<dyn Target>` so the target can be chosen by name at run time. In
+/// practice target extensions are stateless policy objects (all per-path
+/// state lives in [`ExecState`]), so these bounds are free.
+pub trait Target: Send + Sync + 'static {
     /// Architecture name (e.g. "v1model").
     fn name(&self) -> &str;
 
@@ -210,5 +211,13 @@ pub trait Target: Send + Sync {
     /// Width of port numbers on this target.
     fn port_width(&self) -> u32 {
         9
+    }
+}
+
+/// Lets driver constructors take either a concrete target or one already
+/// boxed (e.g. from a by-name registry).
+impl<T: Target> From<T> for Box<dyn Target> {
+    fn from(target: T) -> Self {
+        Box::new(target)
     }
 }

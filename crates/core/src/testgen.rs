@@ -75,6 +75,19 @@ pub enum Strategy {
     CoverageFirst,
 }
 
+impl Strategy {
+    /// Parse a CLI/request spelling (`dfs|bfs|random|coverage`).
+    pub fn parse(s: &str) -> Option<Strategy> {
+        match s {
+            "dfs" => Some(Strategy::Dfs),
+            "bfs" => Some(Strategy::Bfs),
+            "random" => Some(Strategy::RandomBacktrack),
+            "coverage" => Some(Strategy::CoverageFirst),
+            _ => None,
+        }
+    }
+}
+
 /// Observability switches for a run. The default is fully off, and "off"
 /// really is free: workers test one bool per *path* (never per step), no
 /// path records or events are allocated, and the metrics fold at merge
@@ -116,16 +129,12 @@ pub struct TestgenConfig {
     pub max_tests: u64,
     /// Stop after exploring this many paths (0 = unlimited).
     pub max_paths: u64,
-    /// Per-path step budget (runaway guard).
-    pub max_steps_per_path: u64,
     pub seed: u64,
     pub parser_loop_bound: u32,
     pub strategy: Strategy,
     pub preconditions: Preconditions,
     /// Stop once every statement has been covered.
     pub stop_at_full_coverage: bool,
-    /// Retries for the concolic resolution loop (§5.4).
-    pub concolic_retries: u32,
     /// Skip solver calls for forks whose constraints are syntactically
     /// trivial (pure-constant conditions); always sound, just lazier.
     pub eager_pruning: bool,
@@ -139,9 +148,6 @@ pub struct TestgenConfig {
     /// run — the engine's analogue of the paper's Z3 timeout. Defaults to
     /// the `P4TESTGEN_SOLVER_BUDGET` environment variable when set.
     pub solver_budget: u64,
-    /// Retry an Unknown query once with a rotated phase seed before giving
-    /// up on the path.
-    pub budget_retry: bool,
     /// Feasibility-check discipline: `Incremental` (the default) keeps one
     /// warm SAT core per worker along its DFS spine; `Fresh` rebuilds every
     /// check. Model-bearing checks (emission, concolic resolution) are
@@ -194,6 +200,12 @@ pub struct TestgenConfig {
     pub shared_memo: Option<Arc<SharedFeasMemo>>,
 }
 
+/// Per-path step budget (runaway guard).
+const MAX_STEPS_PER_PATH: u64 = 100_000;
+
+/// Retries for the concolic resolution loop (§5.4).
+const CONCOLIC_RETRIES: u32 = 3;
+
 fn default_jobs() -> usize {
     std::env::var("P4TESTGEN_JOBS")
         .ok()
@@ -229,17 +241,14 @@ impl Default for TestgenConfig {
         TestgenConfig {
             max_tests: 0,
             max_paths: 0,
-            max_steps_per_path: 100_000,
             seed: 1,
             parser_loop_bound: 8,
             strategy: Strategy::Dfs,
             preconditions: Preconditions::none(),
             stop_at_full_coverage: false,
-            concolic_retries: 3,
             eager_pruning: true,
             jobs: default_jobs(),
             solver_budget: default_solver_budget(),
-            budget_retry: true,
             solver_mode: default_solver_mode(),
             deadline: default_deadline(),
             interp_parser_loop_bound: 64,
@@ -306,7 +315,7 @@ impl PhaseStats {
 /// [`ErrorStats::abandoned_by_reason`]). Everything the engine gives up on
 /// is attributed to exactly one of these.
 pub mod reason {
-    /// Per-path step budget exhausted (`max_steps_per_path`).
+    /// Per-path step budget exhausted (`MAX_STEPS_PER_PATH`).
     pub const STEP_BUDGET: &str = "step-budget";
     /// Parser loop bound hit (symbolic executor or software model).
     pub const PARSER_LOOP_BOUND: &str = "parser-loop-bound";
@@ -910,17 +919,15 @@ pub struct SharedFeasMemo {
 }
 
 /// The config subset that decides whether a feasibility query resolves at
-/// all (as opposed to what the verdict is): the conflict budget, the
-/// budget-retry switch, and — only when retries are on — the seed, which
-/// feeds the retry's phase seed and so decides whether a retried query
-/// comes back definitive. Two runs in the same class abandon the same
-/// queries, so they may share memoized verdicts without perturbing each
-/// other's suites.
+/// all (as opposed to what the verdict is): the conflict budget and the
+/// seed, which feeds the budget retry's phase seed and so decides whether a
+/// retried query comes back definitive. Two runs in the same class abandon
+/// the same queries, so they may share memoized verdicts without perturbing
+/// each other's suites.
 pub fn feas_budget_class(c: &TestgenConfig) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_mix(&mut h, &c.solver_budget.to_le_bytes());
-    fnv_mix(&mut h, &u64::from(c.budget_retry).to_le_bytes());
-    fnv_mix(&mut h, &(if c.budget_retry { c.seed } else { 0 }).to_le_bytes());
+    fnv_mix(&mut h, &c.seed.to_le_bytes());
     h
 }
 
@@ -1105,9 +1112,9 @@ struct Journal {
 }
 
 /// Everything the workers share for one run.
-struct Shared<'a, T: Target> {
+struct Shared<'a> {
     prog: &'a IrProgram,
-    target: &'a T,
+    target: &'a dyn Target,
     pool: &'a TermPool,
     config: &'a TestgenConfig,
     concolics: &'a ConcolicRegistry,
@@ -1171,7 +1178,7 @@ struct Shared<'a, T: Target> {
     last_ckpt: Mutex<Option<(Instant, u64)>>,
 }
 
-impl<T: Target> Shared<'_, T> {
+impl Shared<'_> {
     /// Has the run deadline expired? Latches the verdict and sets the
     /// cooperative stop flag on first observation, so workers drain their
     /// queues and the run ends with a deterministic partial suite.
@@ -1366,7 +1373,7 @@ pub struct CompiledProgram {
 impl CompiledProgram {
     /// Compile `source` with `target`'s prelude prepended and validate the
     /// pipeline shape against the target.
-    pub fn build<T: Target>(source: &str, target: &T) -> Result<CompiledProgram, BuildError> {
+    pub fn build(source: &str, target: &dyn Target) -> Result<CompiledProgram, BuildError> {
         let prelude = target.prelude();
         let full = format!("{prelude}\n{source}");
         // Number of newlines ahead of the user's first line in `full`.
@@ -1388,24 +1395,27 @@ impl CompiledProgram {
 /// checkpoint/resume/drain wiring, shared memo, and the shard spec — the
 /// *merged* suite is shard-independent) are excluded, so a resumed run may
 /// change them and still complete the identical suite. Exposed free-form so
-/// a host can compute cache keys before constructing a [`Testgen`].
+/// a host can compute cache keys before constructing a [`Testgen`]. The
+/// per-path step budget, concolic retry count and budget-retry switch were
+/// once config fields; they are constants now but keep their slots, so
+/// fingerprints written by older binaries still match.
 pub fn run_fingerprint_of(source_fingerprint: u64, c: &TestgenConfig) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_mix(&mut h, &source_fingerprint.to_le_bytes());
     for v in [
         c.max_tests,
         c.max_paths,
-        c.max_steps_per_path,
+        MAX_STEPS_PER_PATH,
         c.seed,
         u64::from(c.parser_loop_bound),
         c.strategy as u64,
         u64::from(c.preconditions.apply_entry_restrictions),
         c.preconditions.fixed_packet_bytes.map_or(u64::MAX, u64::from),
         u64::from(c.stop_at_full_coverage),
-        u64::from(c.concolic_retries),
+        u64::from(CONCOLIC_RETRIES),
         u64::from(c.eager_pruning),
         c.solver_budget,
-        u64::from(c.budget_retry),
+        1, // budget retry: always on
     ] {
         fnv_mix(&mut h, &v.to_le_bytes());
     }
@@ -1414,9 +1424,9 @@ pub fn run_fingerprint_of(source_fingerprint: u64, c: &TestgenConfig) -> u64 {
 
 /// The generation driver. Owns the term pool, the target extension, and the
 /// compiled program; each exploration worker owns its solver.
-pub struct Testgen<T: Target> {
+pub struct Testgen {
     pub prog: IrProgram,
-    pub target: T,
+    pub target: Box<dyn Target>,
     pool: TermPool,
     pub config: TestgenConfig,
     pub concolics: ConcolicRegistry,
@@ -1431,13 +1441,18 @@ pub struct Testgen<T: Target> {
     source_fingerprint: u64,
 }
 
-impl<T: Target> Testgen<T> {
+impl Testgen {
     /// Compile `source` (with the target's prelude prepended) and prepare a
     /// generation run.
     ///
     /// Convenience wrapper over [`Testgen::new_checked`] that flattens the
     /// structured [`BuildError`] into a rendered string.
-    pub fn new(program_name: &str, source: &str, target: T, config: TestgenConfig) -> Result<Self, String> {
+    pub fn new(
+        program_name: &str,
+        source: &str,
+        target: impl Into<Box<dyn Target>>,
+        config: TestgenConfig,
+    ) -> Result<Self, String> {
         Self::new_checked(program_name, source, target, config).map_err(|e| e.to_string())
     }
 
@@ -1447,10 +1462,11 @@ impl<T: Target> Testgen<T> {
     pub fn new_checked(
         program_name: &str,
         source: &str,
-        target: T,
+        target: impl Into<Box<dyn Target>>,
         config: TestgenConfig,
     ) -> Result<Self, BuildError> {
-        let compiled = CompiledProgram::build(source, &target)?;
+        let target = target.into();
+        let compiled = CompiledProgram::build(source, &*target)?;
         Ok(Testgen::from_compiled(program_name, compiled, target, config))
     }
 
@@ -1462,12 +1478,12 @@ impl<T: Target> Testgen<T> {
     pub fn from_compiled(
         program_name: &str,
         compiled: CompiledProgram,
-        target: T,
+        target: impl Into<Box<dyn Target>>,
         config: TestgenConfig,
     ) -> Self {
         Testgen {
             prog: compiled.prog,
-            target,
+            target: target.into(),
             pool: TermPool::new(),
             config,
             concolics: ConcolicRegistry::with_builtins(),
@@ -1622,7 +1638,7 @@ impl<T: Target> Testgen<T> {
 
         let shared = Shared {
             prog: &self.prog,
-            target: &self.target,
+            target: &*self.target,
             pool: &self.pool,
             config: &self.config,
             concolics: &self.concolics,
@@ -1972,11 +1988,11 @@ impl<T: Target> Testgen<T> {
 /// metrics registry. Runs once at merge time on the coordinating thread —
 /// the exploration hot path never touches the registry. The metric
 /// catalogue here is documented in DESIGN.md ("Observability").
-fn fold_run_metrics<T: Target>(
+fn fold_run_metrics(
     reg: &Registry,
     summary: &RunSummary,
     out: &WorkerOut,
-    sh: &Shared<'_, T>,
+    sh: &Shared<'_>,
 ) {
     let paths_help = "explored paths by terminal outcome";
     reg.counter_with("p4testgen_paths_total", paths_help, &[("outcome", "emitted")])
@@ -2169,8 +2185,8 @@ fn panic_payload_text(p: &(dyn std::any::Any + Send)) -> String {
 /// that ran under the per-path budget). `None` means the program or engine
 /// no longer produces this trail — the caller abandons it rather than
 /// trusting a diverged world.
-fn replay_to_trail<T: Target>(
-    sh: &Shared<'_, T>,
+fn replay_to_trail(
+    sh: &Shared<'_>,
     init: &ExecState,
     trail: &[u32],
 ) -> Option<ExecState> {
@@ -2178,10 +2194,7 @@ fn replay_to_trail<T: Target>(
     if trail.is_empty() {
         return Some(st); // the root is the initial state itself
     }
-    let budget = sh
-        .config
-        .max_steps_per_path
-        .saturating_mul(trail.len() as u64 + 1);
+    let budget = MAX_STEPS_PER_PATH.saturating_mul(trail.len() as u64 + 1);
     let mut pos = 0usize;
     let mut steps = 0u64;
     while pos < trail.len() {
@@ -2227,8 +2240,8 @@ fn replay_to_trail<T: Target>(
 
 /// One exploration worker: drives states popped from its local deque,
 /// queues feasible forks locally, and steals when idle.
-struct PathWorker<'a, 'b, T: Target> {
-    sh: &'b Shared<'a, T>,
+struct PathWorker<'a, 'b> {
+    sh: &'b Shared<'a>,
     widx: u32,
     solver: Solver,
     rng: StdRng,
@@ -2279,7 +2292,7 @@ impl Drop for AbortGuard<'_> {
     }
 }
 
-fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pending>) -> WorkerOut {
+fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pending>) -> WorkerOut {
     let _abort_guard = AbortGuard { aborted: &sh.aborted, stop: &sh.stop };
     let t_worker = Instant::now();
     let metrics_on = sh.config.obs.metrics.is_some();
@@ -2518,7 +2531,7 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
     }
 }
 
-impl<T: Target> PathWorker<'_, '_, T> {
+impl PathWorker<'_, '_> {
     /// Is any worker event sink on? Callers building an event's `detail`
     /// string gate on this first, so "off" allocates nothing.
     fn observed(&self) -> bool {
@@ -2663,9 +2676,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
             return false;
         }
         self.errors.unknown_queries += 1;
-        if self.sh.config.budget_retry {
-            self.errors.budget_retries += 1;
-        }
+        self.errors.budget_retries += 1;
         true
     }
 
@@ -2710,7 +2721,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
             }
         };
         let mut res = query(&mut self.solver);
-        if res == CheckResult::Unknown && sh.config.budget_retry {
+        if res == CheckResult::Unknown {
             self.errors.budget_retries += 1;
             self.event("budget-retry", Some(trail), None);
             self.solver.set_phase_seed((sh.config.seed ^ trail_hash(trail)) | 1);
@@ -2822,7 +2833,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
                 break;
             };
             steps += 1;
-            if steps > sh.config.max_steps_per_path {
+            if steps > MAX_STEPS_PER_PATH {
                 st.finish(FinishReason::Abandoned("step budget exhausted".into()));
                 break;
             }
@@ -3045,7 +3056,7 @@ impl<T: Target> PathWorker<'_, '_, T> {
             sh.concolics,
             &st.concolics,
             &st.constraints,
-            sh.config.concolic_retries,
+            CONCOLIC_RETRIES,
         );
         let mut assumptions = st.constraints.clone();
         match extra {
@@ -3341,19 +3352,13 @@ mod tests {
         let reader_big = FeasMemo::with_persistence(&[], Some(shared), big_class);
         assert_eq!(reader_big.stable_lookup(42), Some(true));
 
-        // Budget-irrelevant config fields (here: max_tests; seed only when
-        // budget retries are off) do not split the class — that sharing is
-        // the point of the daemon-wide memo.
+        // Budget-irrelevant config fields (here: max_tests) do not split the
+        // class — that sharing is the point of the daemon-wide memo.
         let mut other = big.clone();
         other.max_tests = big.max_tests + 7;
         assert_eq!(feas_budget_class(&other), big_class);
-        let mut no_retry_a = big.clone();
-        no_retry_a.budget_retry = false;
-        let mut no_retry_b = no_retry_a.clone();
-        no_retry_b.seed = no_retry_a.seed + 1;
-        assert_eq!(feas_budget_class(&no_retry_a), feas_budget_class(&no_retry_b));
-        // With retries on, the seed feeds the retry phase seed and so
-        // decides which queries come back definitive: it splits the class.
+        // The seed feeds the budget retry's phase seed and so decides which
+        // queries come back definitive: it splits the class.
         let mut seeded = big.clone();
         seeded.seed = big.seed + 1;
         assert_ne!(feas_budget_class(&seeded), big_class);

@@ -136,26 +136,21 @@ pub fn check_input(full_source: &str) -> Outcome {
 }
 
 /// Resolve a seed's architecture banner (`// arch: tna` on the first line)
-/// to its prelude. Unknown or absent banners default to v1model.
+/// to a target name from [`p4t_targets::NAMES`]. Unknown or absent banners
+/// default to v1model.
 pub fn arch_of(source: &str) -> &'static str {
     let first = source.lines().next().unwrap_or("");
-    match first.trim().strip_prefix("// arch:").map(str::trim) {
-        Some("tna") => "tna",
-        Some("t2na") => "t2na",
-        Some("ebpf_model") => "ebpf_model",
-        _ => "v1model",
-    }
+    let banner = first.trim().strip_prefix("// arch:").map(str::trim);
+    p4t_targets::NAMES.iter().copied().find(|&n| Some(n) == banner).unwrap_or("v1model")
 }
 
-/// The prelude for an architecture name from [`arch_of`].
+/// The prelude for an architecture name from [`arch_of`]; unknown names get
+/// v1model's.
 pub fn prelude_for(arch: &str) -> String {
-    use p4testgen_core::Target;
-    match arch {
-        "tna" => p4t_targets::Tofino::tna().prelude().to_string(),
-        "t2na" => p4t_targets::Tofino::t2na().prelude().to_string(),
-        "ebpf_model" => p4t_targets::EbpfModel::new().prelude().to_string(),
-        _ => p4t_targets::V1Model::new().prelude().to_string(),
-    }
+    p4t_targets::by_name(arch)
+        .unwrap_or_else(|| Box::new(p4t_targets::V1Model::new()))
+        .prelude()
+        .to_string()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,7 @@
 //! Every corpus program must pass the full frontend with its target prelude.
 
 use p4t_corpus::all_programs;
-
-// The preludes live in p4t-targets; to avoid a dependency cycle in dev-deps
-// we duplicate the lookup here via the dev-dependency.
-fn prelude_for(arch: &str) -> &'static str {
-    match arch {
-        "v1model" => p4t_targets::v1model::V1MODEL_PRELUDE,
-        "tna" | "t2na" => p4t_targets::tofino::TNA_PRELUDE,
-        "ebpf_model" => p4t_targets::ebpf::EBPF_PRELUDE,
-        other => panic!("unknown arch {other}"),
-    }
-}
+use p4t_corpus::fuzz::prelude_for;
 
 #[test]
 fn all_corpus_programs_compile() {

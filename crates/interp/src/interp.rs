@@ -58,6 +58,21 @@ pub enum Arch {
     Ebpf,
 }
 
+impl Arch {
+    /// Map a target name (as the `targets` crate spells them) to an arch.
+    /// The interpreter keeps its own map: it is an engine independent of
+    /// the target extensions it checks.
+    pub fn from_target_name(name: &str) -> Option<Arch> {
+        match name {
+            "v1model" => Some(Arch::V1Model),
+            "tna" => Some(Arch::Tna),
+            "t2na" => Some(Arch::T2na),
+            "ebpf_model" => Some(Arch::Ebpf),
+            _ => None,
+        }
+    }
+}
+
 const DROP_PORT: u64 = 511;
 const GARBAGE: u8 = 0xA5;
 

@@ -14,6 +14,10 @@
 //! * [`ebpf`] — the `ebpf_model` end-host target (§6.1.3): parser + filter,
 //!   no deparser, implicit header emission.
 //!
+//! [`by_name`] is the one place a target name picks a target: the CLI,
+//! the serve daemon, the differential harness and the corpus tools all
+//! choose their target through it.
+//!
 //! [`quirks`] documents the expected cross-target behavioral differences
 //! the differential harness tolerates (`p4testgen diff --cross`).
 
@@ -27,3 +31,20 @@ pub use ebpf::EbpfModel;
 pub use quirks::{match_quirk, DivergenceContext, Quirk, SideObservation};
 pub use tofino::{Tofino, TofinoVariant};
 pub use v1model::V1Model;
+
+use p4testgen_core::Target;
+
+/// Every target name [`by_name`] accepts, in Table 1 order.
+pub const NAMES: &[&str] = &["v1model", "tna", "t2na", "ebpf_model"];
+
+/// The target extension called `name` (one of [`NAMES`]), or `None` for
+/// an unknown name.
+pub fn by_name(name: &str) -> Option<Box<dyn Target>> {
+    Some(match name {
+        "v1model" => Box::new(V1Model::new()),
+        "tna" => Box::new(Tofino::tna()),
+        "t2na" => Box::new(Tofino::t2na()),
+        "ebpf_model" => Box::new(EbpfModel::new()),
+        _ => return None,
+    })
+}

@@ -7,8 +7,9 @@
 //! asserts byte-identical output.
 
 use p4testgen::backends::{StfBackend, TestBackend};
-use p4testgen::core::{Target, Testgen, TestgenConfig};
-use p4testgen::targets::{Tofino, V1Model};
+use p4testgen::core::{Testgen, TestgenConfig};
+use p4testgen::corpus::fuzz::arch_of;
+use p4testgen::targets;
 use std::fs;
 use std::path::Path;
 
@@ -20,7 +21,9 @@ fn golden_config() -> TestgenConfig {
     config
 }
 
-fn suite_for<T: Target>(name: &str, source: &str, target: T) -> String {
+/// The STF suite for one example, on the target its `// arch:` banner names.
+fn suite_for(name: &str, source: &str) -> String {
+    let target = targets::by_name(arch_of(source)).expect("arch_of yields a target name");
     let mut tg = Testgen::new(name, source, target, golden_config()).expect("compile");
     let mut tests = Vec::new();
     tg.run(|t| {
@@ -40,17 +43,7 @@ fn main() {
         }
         let name = path.file_stem().unwrap().to_str().unwrap().to_string();
         let source = fs::read_to_string(&path).expect("read example");
-        let arch = source
-            .lines()
-            .next()
-            .and_then(|l| l.strip_prefix("// arch: "))
-            .unwrap_or("v1model")
-            .trim()
-            .to_string();
-        let suite = match arch.as_str() {
-            "tna" => suite_for(&name, &source, Tofino::tna()),
-            _ => suite_for(&name, &source, V1Model::new()),
-        };
+        let suite = suite_for(&name, &source);
         let dest = out.join(format!("{name}.stf"));
         fs::write(&dest, &suite).expect("write golden");
         println!("wrote {} ({} bytes)", dest.display(), suite.len());

@@ -52,7 +52,7 @@ use p4t_refeval::{
     evaluate, RefArch, RefEntry, RefError, RefExpect, RefExpectedOutput, RefInput, RefKey,
     RefRegister, RefRun,
 };
-use p4t_targets::{match_quirk, DivergenceContext, EbpfModel, SideObservation, Tofino, V1Model};
+use p4t_targets::{match_quirk, DivergenceContext, SideObservation};
 use p4t_interp::Verdict;
 use p4testgen_core::{DifferentialSummary, KeyMatch, TestSpec, Testgen, TestgenConfig};
 use serde::value::{Number, Value};
@@ -470,17 +470,6 @@ struct Prepared {
     checked: p4t_frontend::typecheck::CheckedProgram,
 }
 
-fn prelude_of(target: &str) -> Option<String> {
-    use p4testgen_core::Target as _;
-    match target {
-        "v1model" => Some(V1Model::new().prelude().to_string()),
-        "tna" => Some(Tofino::tna().prelude().to_string()),
-        "t2na" => Some(Tofino::t2na().prelude().to_string()),
-        "ebpf_model" => Some(EbpfModel::new().prelude().to_string()),
-        _ => None,
-    }
-}
-
 fn base_config(opts: &DiffOptions) -> TestgenConfig {
     let mut config = TestgenConfig::default();
     config.max_tests = opts.max_tests;
@@ -501,51 +490,28 @@ fn prepare(
     target: &str,
     config: TestgenConfig,
 ) -> Result<Prepared, String> {
-    fn run_gen<T: p4testgen_core::Target>(
-        name: &str,
-        source: &str,
-        t: T,
-        config: TestgenConfig,
-    ) -> Result<(Vec<TestSpec>, p4t_ir::IrProgram), String> {
-        let mut tg = Testgen::new_checked(name, source, t, config)
-            .map_err(|e| format!("build failed: {e}"))?;
-        let mut tests = Vec::new();
-        tg.try_run(|t| {
-            tests.push(t.clone());
-            true
-        })
-        .map_err(|e| format!("generation failed: {e}"))?;
-        Ok((tests, tg.prog.clone()))
-    }
-    let (tests, prog, arch) = match target {
-        "v1model" => {
-            let (t, p) = run_gen(name, source, V1Model::new(), config)?;
-            (t, p, Arch::V1Model)
-        }
-        "tna" => {
-            let (t, p) = run_gen(name, source, Tofino::tna(), config)?;
-            (t, p, Arch::Tna)
-        }
-        "t2na" => {
-            let (t, p) = run_gen(name, source, Tofino::t2na(), config)?;
-            (t, p, Arch::T2na)
-        }
-        "ebpf_model" => {
-            let (t, p) = run_gen(name, source, EbpfModel::new(), config)?;
-            (t, p, Arch::Ebpf)
-        }
-        other => return Err(format!("unknown target '{other}'")),
+    let (Some(t), Some(arch), Some(ref_arch)) = (
+        p4t_targets::by_name(target),
+        Arch::from_target_name(target),
+        RefArch::from_target_name(target),
+    ) else {
+        return Err(format!("unknown target '{target}'"));
     };
-    let ref_arch = RefArch::from_target_name(target)
-        .ok_or_else(|| format!("no reference semantics for '{target}'"))?;
-    let prelude = prelude_of(target).ok_or_else(|| format!("unknown target '{target}'"))?;
-    let checked = p4t_frontend::frontend(&format!("{prelude}{source}"))
+    let mut tg =
+        Testgen::new_checked(name, source, t, config).map_err(|e| format!("build failed: {e}"))?;
+    let mut tests = Vec::new();
+    tg.try_run(|t| {
+        tests.push(t.clone());
+        true
+    })
+    .map_err(|e| format!("generation failed: {e}"))?;
+    let checked = p4t_frontend::frontend(&format!("{}{source}", tg.target.prelude()))
         .map_err(|d| format!("reference-side frontend rejected the program ({} diagnostic(s))", d.len()))?;
     Ok(Prepared {
         name: name.to_string(),
         target: target.to_string(),
         tests,
-        prog,
+        prog: tg.prog,
         arch,
         ref_arch,
         checked,
@@ -742,8 +708,8 @@ fn run_cross(opts: &DiffOptions, diag: &Diag) -> Result<Tally, ExitCode> {
     let mut variants: Vec<(String, RefArch, p4t_frontend::typecheck::CheckedProgram)> = Vec::new();
     for target in p4t_corpus::INTERSECTION_TARGETS {
         let src = p4t_corpus::generate_intersection(target);
-        let prelude = prelude_of(target).expect("intersection targets are known");
-        match p4t_frontend::frontend(&format!("{prelude}{src}")) {
+        let t = p4t_targets::by_name(target).expect("intersection targets are known");
+        match p4t_frontend::frontend(&format!("{}{src}", t.prelude())) {
             Ok(checked) => {
                 let arch = RefArch::from_target_name(target).expect("known target");
                 variants.push((target.to_string(), arch, checked));

@@ -53,7 +53,6 @@ use p4t_interp::{execute_and_check_counted, Arch, FaultSet, InterpStats};
 use p4t_obs::{
     Diag, FlightRecorder, Level, LiveStatus, Registry, StatusServer, DEFAULT_RING_CAPACITY,
 };
-use p4t_targets::{EbpfModel, Tofino, V1Model};
 use p4testgen_core::{
     AbandonSite, BuildError, CheckpointCfg, ExplorationState, Preconditions, RunSummary,
     ShardSpec, SolverMode, Strategy, Target, Testgen, TestgenConfig, TestSpec,
@@ -183,13 +182,8 @@ fn parse_args() -> Options {
                 opts.seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
             "--strategy" => {
-                opts.strategy = match args.next().as_deref() {
-                    Some("dfs") => Strategy::Dfs,
-                    Some("bfs") => Strategy::Bfs,
-                    Some("random") => Strategy::RandomBacktrack,
-                    Some("coverage") => Strategy::CoverageFirst,
-                    _ => usage(),
-                }
+                opts.strategy =
+                    args.next().as_deref().and_then(Strategy::parse).unwrap_or_else(|| usage())
             }
             "--jobs" | "-j" => {
                 opts.jobs = Some(
@@ -383,10 +377,10 @@ enum GenError {
     Run(String),
 }
 
-fn generate<T: Target>(
+fn generate(
     name: &str,
     source: &str,
-    target: T,
+    target: Box<dyn Target>,
     config: TestgenConfig,
 ) -> Result<GenOutput, GenError> {
     let prelude_lines = target.prelude().matches('\n').count() as u32 + 1;
@@ -777,17 +771,13 @@ fn main() -> ExitCode {
     }
     let name = opts.program.rsplit('/').next().unwrap_or(&opts.program);
     let model_loop_bound = config.interp_parser_loop_bound;
-    let result = match opts.target.as_str() {
-        "v1model" => generate(name, &source, V1Model::new(), config).map(|r| (r, Arch::V1Model)),
-        "tna" => generate(name, &source, Tofino::tna(), config).map(|r| (r, Arch::Tna)),
-        "t2na" => generate(name, &source, Tofino::t2na(), config).map(|r| (r, Arch::T2na)),
-        "ebpf_model" => generate(name, &source, EbpfModel::new(), config).map(|r| (r, Arch::Ebpf)),
-        other => {
-            diag.error(format!("unknown target '{other}'"));
-            return ExitCode::from(EXIT_USAGE_IO);
-        }
+    let (Some(target), Some(arch)) =
+        (p4t_targets::by_name(&opts.target), Arch::from_target_name(&opts.target))
+    else {
+        diag.error(format!("unknown target '{}'", opts.target));
+        return ExitCode::from(EXIT_USAGE_IO);
     };
-    let (gen, arch) = match result {
+    let gen = match generate(name, &source, target, config) {
         Ok(r) => r,
         Err(GenError::Build(BuildError::Frontend { diagnostics, prelude_lines })) => {
             let map = SourceMap::new(&opts.program, &source);

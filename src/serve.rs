@@ -67,7 +67,6 @@ use p4t_obs::{
     BoundedQueue, Diag, Level, LiveStatus, LruStats, Pop, Push, Registry, StatusServer,
 };
 use p4t_obs::LruCache;
-use p4t_targets::{EbpfModel, Tofino, V1Model};
 use p4testgen_core::{
     fnv_mix, run_fingerprint_of, BuildError, CompiledProgram, FaultPlan, RunSummary,
     SharedFeasMemo, SolverMode, Strategy, Target, Testgen, TestgenConfig, FNV_OFFSET,
@@ -170,7 +169,7 @@ struct Job {
     tenant: String,
     /// `program` name stamped into every emitted test.
     name: String,
-    target: String,
+    target: Box<dyn Target>,
     backend: String,
     source: String,
     config: TestgenConfig,
@@ -223,23 +222,15 @@ impl ServeStats {
     }
 }
 
-/// A warm driver instance, cached across requests keyed on its run
-/// fingerprint. Term pool and solver statistics persist; the config is
-/// replaced wholesale per request (every suite-affecting field is part of
-/// the cache key, so only per-request plumbing — deadline, cancel flag,
-/// fault plan, shared memo — actually changes).
-enum AnyTestgen {
-    V1(Box<Testgen<V1Model>>),
-    Tna(Box<Testgen<Tofino>>),
-    T2na(Box<Testgen<Tofino>>),
-    Ebpf(Box<Testgen<EbpfModel>>),
-}
-
 struct Caches {
     /// Compiled IR keyed on fnv(target name, source).
     ir: Mutex<LruCache<u64, Arc<CompiledProgram>>>,
-    /// Warm instances keyed on the run fingerprint.
-    instances: Mutex<LruCache<u64, AnyTestgen>>,
+    /// Warm driver instances keyed on the run fingerprint. Term pool and
+    /// solver statistics persist; the config is replaced wholesale per
+    /// request (every suite-affecting field is part of the cache key, so
+    /// only per-request plumbing — deadline, cancel flag, fault plan,
+    /// shared memo — actually changes).
+    instances: Mutex<LruCache<u64, Box<Testgen>>>,
 }
 
 /// Everything the accept loop, connection readers, and workers share.
@@ -420,10 +411,10 @@ fn parse_request(
             .map(str::to_string)
             .ok_or_else(|| ErrBody::new("bad-request", format!("missing string field '{key}'")))
     };
-    let target = req_str("target")?;
-    if !matches!(target.as_str(), "v1model" | "tna" | "t2na" | "ebpf_model") {
-        return Err(ErrBody::new("bad-request", format!("unknown target '{target}'")));
-    }
+    let target_name = req_str("target")?;
+    let target = p4t_targets::by_name(&target_name).ok_or_else(|| {
+        ErrBody::new("bad-request", format!("unknown target '{target_name}'"))
+    })?;
     let backend = match v.get("backend").and_then(Value::as_str) {
         None => "stf".to_string(),
         Some(b @ ("stf" | "ptf" | "proto" | "json")) => b.to_string(),
@@ -463,13 +454,7 @@ fn parse_request(
                 }
                 "solver_budget" => config.solver_budget = val.as_u64().ok_or_else(|| bad(k))?,
                 "strategy" => {
-                    config.strategy = match val.as_str() {
-                        Some("dfs") => Strategy::Dfs,
-                        Some("bfs") => Strategy::Bfs,
-                        Some("random") => Strategy::RandomBacktrack,
-                        Some("coverage") => Strategy::CoverageFirst,
-                        _ => return Err(bad(k)),
-                    }
+                    config.strategy = val.as_str().and_then(Strategy::parse).ok_or_else(|| bad(k))?
                 }
                 "solver_mode" => {
                     config.solver_mode = val
@@ -541,17 +526,12 @@ fn frontend_message(diagnostics: &[p4t_frontend::Diagnostic], prelude_lines: u32
     rendered.join("; ")
 }
 
-/// The typed core of one request: compile (or hit the IR cache), take (or
-/// build) a warm instance, run, and put the instance back. Generic over
-/// the target; the `wrap`/`unwrap` pair maps between `Testgen<T>` and the
-/// type-erased cache slot.
-fn run_typed<T: Target>(
-    job: Job,
-    shared: &ServeShared,
-    target: T,
-    wrap: fn(Box<Testgen<T>>) -> AnyTestgen,
-    unwrap: fn(AnyTestgen) -> Option<Box<Testgen<T>>>,
-) -> Result<OkBody, ErrBody> {
+/// One request: compile (or hit the IR cache), take (or build) a warm
+/// instance, run, and put the instance back.
+fn handle(job: Job, shared: &ServeShared) -> Result<OkBody, ErrBody> {
+    if job.cancel.load(Ordering::Acquire) {
+        return Err(ErrBody::new("cancelled", "client disconnected before the request ran"));
+    }
     // Key on the canonical form (comments/whitespace stripped), so
     // formatting-only resubmissions hit the cache instead of recompiling.
     let canonical = canonicalize_source(&job.source);
@@ -559,7 +539,7 @@ fn run_typed<T: Target>(
     if canonicalized {
         shared.stats.ir_canonicalized.fetch_add(1, Ordering::Relaxed);
     }
-    let ir_key = fnv1a(&[target.name().as_bytes(), canonical.as_bytes()]);
+    let ir_key = fnv1a(&[job.target.name().as_bytes(), canonical.as_bytes()]);
     let cached = lock(&shared.caches.ir).get(&ir_key).cloned();
     if cached.is_some() && canonicalized {
         shared.stats.ir_canonical_hits.fetch_add(1, Ordering::Relaxed);
@@ -569,7 +549,7 @@ fn run_typed<T: Target>(
         None => {
             // Compile outside the lock: a slow frontend pass must not
             // serialize every other tenant's cache lookup behind it.
-            let built = CompiledProgram::build(&job.source, &target).map_err(|e| match e {
+            let built = CompiledProgram::build(&job.source, &*job.target).map_err(|e| match e {
                 BuildError::Frontend { diagnostics, prelude_lines } => {
                     ErrBody::new("frontend", frontend_message(&diagnostics, prelude_lines))
                 }
@@ -582,7 +562,7 @@ fn run_typed<T: Target>(
     };
 
     let run_key = run_fingerprint_of(compiled.source_fingerprint, &job.config);
-    let warm = lock(&shared.caches.instances).take(&run_key).and_then(unwrap);
+    let warm = lock(&shared.caches.instances).take(&run_key);
     let instance_hit = warm.is_some();
     let mut tg = match warm {
         Some(mut t) => {
@@ -597,7 +577,7 @@ fn run_typed<T: Target>(
         None => Box::new(Testgen::from_compiled(
             &job.name,
             (*compiled).clone(),
-            target,
+            job.target,
             job.config,
         )),
     };
@@ -613,7 +593,7 @@ fn run_typed<T: Target>(
     // The instance survived the run; park it for the next identical
     // request (term pool stays warm). A panicking run never reaches this
     // point, so a possibly-wedged instance is dropped, not cached.
-    lock(&shared.caches.instances).insert(run_key, wrap(tg));
+    lock(&shared.caches.instances).insert(run_key, tg);
 
     if summary.errors.deadline_expired {
         let mut e = ErrBody::new(
@@ -637,32 +617,6 @@ fn run_typed<T: Target>(
     let suite = driver::render_suite(&job.backend, &tests)
         .ok_or_else(|| ErrBody::new("bad-request", format!("unknown backend '{}'", job.backend)))?;
     Ok(OkBody { tests: summary.tests, suite, ir_hit, instance_hit, summary })
-}
-
-fn handle(job: Job, shared: &ServeShared) -> Result<OkBody, ErrBody> {
-    if job.cancel.load(Ordering::Acquire) {
-        return Err(ErrBody::new("cancelled", "client disconnected before the request ran"));
-    }
-    match job.target.as_str() {
-        "v1model" => run_typed(job, shared, V1Model::new(), AnyTestgen::V1, |a| match a {
-            AnyTestgen::V1(t) => Some(t),
-            _ => None,
-        }),
-        "tna" => run_typed(job, shared, Tofino::tna(), AnyTestgen::Tna, |a| match a {
-            AnyTestgen::Tna(t) => Some(t),
-            _ => None,
-        }),
-        "t2na" => run_typed(job, shared, Tofino::t2na(), AnyTestgen::T2na, |a| match a {
-            AnyTestgen::T2na(t) => Some(t),
-            _ => None,
-        }),
-        "ebpf_model" => run_typed(job, shared, EbpfModel::new(), AnyTestgen::Ebpf, |a| match a {
-            AnyTestgen::Ebpf(t) => Some(t),
-            _ => None,
-        }),
-        // Unreachable: admission validated the target. Classified anyway.
-        other => Err(ErrBody::new("bad-request", format!("unknown target '{other}'"))),
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -722,7 +676,7 @@ fn worker_loop(shared: &Arc<ServeShared>) {
         let queue_ms = job.enqueued.elapsed().as_millis() as u64;
         let id = job.id.clone();
         let tenant = job.tenant.clone();
-        let target = job.target.clone();
+        let target = job.target.name().to_string();
         let reply = Arc::clone(&job.reply);
         let cancel = Arc::clone(&job.cancel);
         let t_run = Instant::now();

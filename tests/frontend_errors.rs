@@ -9,8 +9,9 @@
 
 use p4testgen::backends::{StfBackend, TestBackend};
 use p4testgen::core::{Target, Testgen, TestgenConfig};
+use p4testgen::corpus::fuzz::arch_of;
 use p4testgen::frontend::{codes, frontend, Diagnostic, Phase, Severity};
-use p4testgen::targets::{Tofino, V1Model};
+use p4testgen::targets::{self, V1Model};
 use std::fs;
 use std::path::Path;
 
@@ -201,7 +202,9 @@ fn golden_config() -> TestgenConfig {
     config
 }
 
-fn suite_for<T: Target>(name: &str, source: &str, target: T) -> String {
+/// The STF suite for one example, on the target its `// arch:` banner names.
+fn suite_for(name: &str, source: &str) -> String {
+    let target = targets::by_name(arch_of(source)).expect("arch_of yields a target name");
     let mut tg = Testgen::new_checked(name, source, target, golden_config())
         .unwrap_or_else(|e| panic!("{name} must compile: {e}"));
     assert!(
@@ -228,17 +231,7 @@ fn all_examples_compile_clean_and_match_goldens() {
         }
         let name = path.file_stem().unwrap().to_str().unwrap().to_string();
         let source = fs::read_to_string(&path).expect("read example");
-        let arch = source
-            .lines()
-            .next()
-            .and_then(|l| l.strip_prefix("// arch: "))
-            .unwrap_or("v1model")
-            .trim()
-            .to_string();
-        let suite = match arch.as_str() {
-            "tna" => suite_for(&name, &source, Tofino::tna()),
-            _ => suite_for(&name, &source, V1Model::new()),
-        };
+        let suite = suite_for(&name, &source);
         let golden = fs::read_to_string(goldens.join(format!("{name}.stf")))
             .unwrap_or_else(|e| panic!("missing golden for {name}: {e}"));
         assert_eq!(

@@ -248,40 +248,20 @@ fn corpus_oracle_validation() {
     for (name, src, arch) in p4t_corpus::all_programs() {
         let mut config = TestgenConfig::default();
         config.max_tests = 100; // 10x the paper's per-program budget of 10
-        let (verdicts, prog) = match arch {
-            "v1model" => {
-                let mut tg = Testgen::new(name, &src, V1Model::new(), config).unwrap();
-                let mut tests = Vec::new();
-                tg.run(|t| {
-                    tests.push(t.clone());
-                    true
-                });
-                let v: Vec<_> = tests
-                    .iter()
-                    .map(|t| (t.clone(), execute_and_check(&tg.prog, Arch::V1Model, FaultSet::none(), t)))
-                    .collect();
-                (v, name)
-            }
-            "tna" => {
-                let mut tg = Testgen::new(name, &src, Tofino::tna(), config).unwrap();
-                let mut tests = Vec::new();
-                tg.run(|t| {
-                    tests.push(t.clone());
-                    true
-                });
-                let v: Vec<_> = tests
-                    .iter()
-                    .map(|t| (t.clone(), execute_and_check(&tg.prog, Arch::Tna, FaultSet::none(), t)))
-                    .collect();
-                (v, name)
-            }
-            other => panic!("unknown arch {other}"),
-        };
-        assert!(!verdicts.is_empty(), "{prog}: no tests generated");
-        for (t, v) in &verdicts {
+        let target = p4t_targets::by_name(arch).unwrap_or_else(|| panic!("unknown arch {arch}"));
+        let model = Arch::from_target_name(arch).expect("known arch");
+        let mut tg = Testgen::new(name, &src, target, config).unwrap();
+        let mut tests = Vec::new();
+        tg.run(|t| {
+            tests.push(t.clone());
+            true
+        });
+        assert!(!tests.is_empty(), "{name}: no tests generated");
+        for t in &tests {
+            let v = execute_and_check(&tg.prog, model, FaultSet::none(), t);
             assert!(
                 v.is_pass(),
-                "{prog}: test {} failed on unfaulted model: {v}\ninput: {:02x?}\ntrace: {:#?}",
+                "{name}: test {} failed on unfaulted model: {v}\ninput: {:02x?}\ntrace: {:#?}",
                 t.id,
                 t.input_packet,
                 t.trace

@@ -323,6 +323,64 @@ fn serve_warm_instance_restamps_program_name() {
     );
 }
 
+/// Serve picks its target through the same registry as the CLI: every
+/// target name serves the suite a cold CLI run emits, a repeat hits the
+/// warm instance, a different target with identical source never reuses
+/// another target's instance, and an unknown name is refused at admission.
+#[test]
+fn serve_matches_the_cli_on_every_target() {
+    let daemon = spawn_serve(&["--workers", "1"]);
+    let mut client = Client::connect(&daemon.addr);
+    let dir = std::env::temp_dir().join(format!("p4testgen_serve_targets_{}", std::process::id()));
+    let targeted = |id: &str, target: &str, source: &str| {
+        let mut req = request(id, empty_config());
+        if let Value::Object(fields) = &mut req {
+            for (k, v) in fields.iter_mut() {
+                match k.as_str() {
+                    "target" => *v = Value::String(target.to_string()),
+                    "source" => *v = Value::String(source.to_string()),
+                    _ => {}
+                }
+            }
+        }
+        req
+    };
+    // t2na follows tna with the identical source, so its first request
+    // shows that the instance cache keys on the target too.
+    assert_eq!(
+        p4testgen::corpus::generate_intersection("tna"),
+        p4testgen::corpus::generate_intersection("t2na")
+    );
+    for &target in p4testgen::targets::NAMES {
+        let source = p4testgen::corpus::generate_intersection(target);
+        let case = dir.join(target);
+        std::fs::create_dir_all(&case).unwrap();
+        let path = case.join("prog.p4");
+        std::fs::write(&path, &source).unwrap();
+        let out = bin()
+            .args(["--target", target, "--backend", "stf"])
+            .arg(&path)
+            .output()
+            .expect("cold CLI run");
+        assert!(out.status.success(), "{target}: {}", String::from_utf8_lossy(&out.stderr));
+        let cold = String::from_utf8(out.stdout).unwrap();
+
+        for (round, instance) in [("cold", "miss"), ("warm", "hit")] {
+            client.send(&targeted(&format!("{target}-{round}"), target, &source));
+            let resp = client.recv();
+            assert_eq!(str_field(&resp, "status"), "ok", "{target} {round}: {resp:?}");
+            assert_eq!(str_field(&resp, "suite"), cold, "{target} {round}: suite differs from the CLI");
+            assert_eq!(str_field(field(&resp, "cache"), "instance"), instance, "{target} {round}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    client.send(&targeted("nope", "bmv2", PROGRAM));
+    let resp = client.recv();
+    assert_eq!(str_field(&resp, "status"), "error");
+    assert_eq!(error_kind(&resp), "bad-request", "{resp:?}");
+}
+
 /// The IR cache keys on the *canonicalized* source: a resubmission that
 /// differs only in comments and whitespace must hit the compiled-IR slot
 /// (and produce the identical suite), and the daemon's /status counters
