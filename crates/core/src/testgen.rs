@@ -46,7 +46,7 @@ use p4t_smt::solver::{
     IncrementalStats, SolverStats, CONFLICTS_PER_CHECK_BOUNDS, SPINE_PER_CHECK_BOUNDS,
 };
 use p4t_smt::{
-    eval, stable_fingerprint, Assignment, BitVec, CheckResult, ClauseExchange, SolveBudget, Solver,
+    eval, stable_fingerprint, Assignment, BitVec, CheckResult, SolveBudget, Solver,
     SolverMode, TermId, TermPool, VarId,
 };
 use parking_lot::Mutex;
@@ -562,9 +562,10 @@ pub struct RunSummary {
     pub memo_hits: u64,
     /// Feasibility-check discipline this run used.
     pub solver_mode: SolverMode,
-    /// Warm-spine / simplifier / blast-cache / clause-exchange counters for
-    /// this run (all zero under [`SolverMode::Fresh`] except the blast-cache
-    /// ones, which fresh instances also report).
+    /// Warm-spine / simplifier / blast-cache counters for this run (all
+    /// zero under [`SolverMode::Fresh`] except the blast-cache ones, which
+    /// fresh instances also report). The `learnt_*` keys are retired and
+    /// always 0.
     pub solver: IncrementalStats,
     /// Degradation taxonomy (budget Unknowns, isolated panics, deadline,
     /// model-default fallbacks, per-reason abandoned counts).
@@ -1140,10 +1141,6 @@ struct Shared<'a> {
     paths_started: AtomicU64,
     coverage: SharedCoverage,
     memo: FeasMemo,
-    /// Cross-worker learnt-clause pool, created when the run is incremental
-    /// with more than one worker. Clause traffic influences only warm-core
-    /// search order, never verdicts, so it cannot perturb the emitted suite.
-    exchange: Option<Arc<ClauseExchange>>,
     stealers: Vec<Stealer<Pending>>,
     /// Run start, for the cooperative deadline below.
     started: Instant,
@@ -1316,7 +1313,7 @@ struct WorkerOut {
     phases: PhaseStats,
     solver_stats: SolverStats,
     sat_stats: SatStats,
-    /// Warm-spine / simplifier / blast-cache / exchange counters.
+    /// Warm-spine / simplifier / blast-cache counters.
     inc_stats: IncrementalStats,
     /// This worker's path records and engine events (see `PathWorker::log`).
     log: Option<TraceLog>,
@@ -1658,8 +1655,6 @@ impl Testgen {
             } else {
                 FeasMemo::new()
             },
-            exchange: (self.config.solver_mode == SolverMode::Incremental && jobs > 1)
-                .then(|| Arc::new(ClauseExchange::new())),
             stealers: Vec::new(),
             started: t_start,
             deadline: self.config.fault_plan.deadline_override.or(self.config.deadline),
@@ -2048,8 +2043,7 @@ fn fold_run_metrics(
     reg.counter("p4testgen_memo_lookups_total", "feasibility-memo lookups").add(sh.memo.lookups.load(Ordering::Relaxed));
     reg.counter("p4testgen_memo_hits_total", "feasibility-memo hits").add(summary.memo_hits);
 
-    // The incremental layer: warm spine core, simplifier, blast cache,
-    // cross-worker clause exchange.
+    // The incremental layer: warm spine core, simplifier, blast cache.
     let inc = &summary.solver;
     let warm_help = "feasibility checks by solving discipline";
     reg.counter_with("p4testgen_feasibility_checks_total", warm_help, &[("path", "warm")])
@@ -2089,13 +2083,6 @@ fn fold_run_metrics(
         .add(inc.simplify.dropped_true);
     reg.counter_with("p4testgen_simplify_total", simp_help, &[("action", "fast_unsat")])
         .add(inc.simplify.fast_unsat);
-    let xch_help = "cross-worker learnt-clause exchange traffic";
-    reg.counter_with("p4testgen_learnt_exchange_total", xch_help, &[("dir", "exported")])
-        .add(inc.learnt_exported);
-    reg.counter_with("p4testgen_learnt_exchange_total", xch_help, &[("dir", "imported")])
-        .add(inc.learnt_imported);
-    reg.counter_with("p4testgen_learnt_exchange_total", xch_help, &[("dir", "import_skipped")])
-        .add(inc.learnt_import_skipped);
 
     reg.gauge("p4testgen_pool_terms", "interned terms in the pool").set(sh.pool.len() as u64);
     reg.gauge("p4testgen_pool_vars", "declared symbolic variables").set(sh.pool.num_vars() as u64);
@@ -2299,9 +2286,6 @@ fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pending>) -> Work
     let mut solver = Solver::new();
     solver.set_budget(SolveBudget::conflicts(sh.config.solver_budget));
     solver.set_mode(sh.config.solver_mode);
-    if let Some(ex) = &sh.exchange {
-        solver.set_exchange(ex.clone(), widx as u32);
-    }
     let mut w = PathWorker {
         sh,
         widx: widx as u32,

@@ -24,10 +24,6 @@ pub struct Blaster {
     cache: HashMap<TermId, Vec<Lit>>,
     /// SAT variables backing each pool variable's bits (LSB first).
     var_bits: HashMap<VarId, Vec<SatVar>>,
-    /// Pool variables in the order they were first encoded — an append-only
-    /// log so the incremental facade can register newly encoded variables
-    /// (for cross-worker clause translation) without rescanning `var_bits`.
-    encoded_vars: Vec<VarId>,
     /// A literal constrained to be true.
     true_lit: Lit,
     pub stats: BlastStats,
@@ -41,7 +37,6 @@ impl Blaster {
         Blaster {
             cache: HashMap::new(),
             var_bits: HashMap::new(),
-            encoded_vars: Vec::new(),
             true_lit: Lit::positive(t),
             stats: BlastStats::default(),
         }
@@ -65,18 +60,6 @@ impl Blaster {
 
     fn is_false(&self, l: Lit) -> bool {
         l == self.false_lit()
-    }
-
-    /// SAT variables backing a pool variable, if it was ever encoded.
-    pub fn bits_of_var(&self, v: VarId) -> Option<&[SatVar]> {
-        self.var_bits.get(&v).map(|b| b.as_slice())
-    }
-
-    /// Pool variables encoded so far, in first-encoding order. Append-only:
-    /// a caller holding a cursor into this slice sees exactly the variables
-    /// encoded since it last looked.
-    pub fn encoded_vars(&self) -> &[VarId] {
-        &self.encoded_vars
     }
 
     /// Extract the model value of a pool variable after a Sat result.
@@ -319,7 +302,6 @@ impl Blaster {
                 let width = pool.var_info(v).width;
                 let bits: Vec<SatVar> = (0..width).map(|_| sat.new_var()).collect();
                 self.var_bits.insert(v, bits.clone());
-                self.encoded_vars.push(v);
                 bits.into_iter().map(Lit::positive).collect()
             }
             Node::Not(a) => {

@@ -24,8 +24,7 @@
 //!   executor, with timing statistics for the Fig. 7 experiment. Two
 //!   disciplines behind one API: fresh-per-check for model-bearing
 //!   queries, and (by default) warm assumption-based incremental solving
-//!   along the DFS spine for verdict-only feasibility checks, with an
-//!   optional cross-worker learnt-clause exchange.
+//!   along the DFS spine for verdict-only feasibility checks.
 //! * [`mod@eval`] — reference concrete evaluation of terms, used for model
 //!   checking, concolic execution, and cross-validation property tests.
 //!
@@ -48,5 +47,5 @@ pub use eval::{eval, Assignment};
 pub use fingerprint::stable_fingerprint;
 pub use sat::SolveBudget;
 pub use simplify::SimplifyStats;
-pub use solver::{ClauseExchange, CheckResult, IncrementalStats, Solver, SolverMode};
+pub use solver::{CheckResult, IncrementalStats, Solver, SolverMode};
 pub use term::{BinOp, Node, TermId, TermPool, VarId};

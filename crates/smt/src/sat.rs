@@ -239,23 +239,6 @@ impl SatSolver {
         self.ok
     }
 
-    /// Total clauses ever attached (original and learnt, including deleted
-    /// slots). Stable indices: a cursor taken here is a high-water mark for
-    /// [`SatSolver::learnt_lits`] scans.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Literals of clause `i` when it is a live learnt clause, else `None`.
-    /// Learnt clauses are consequences of the clause database alone (conflict
-    /// analysis resolves only over attached clauses; assumptions enter as
-    /// decisions and are never resolved on), which is what makes exporting
-    /// them to another solver over the same definitions sound.
-    pub fn learnt_lits(&self, i: usize) -> Option<&[Lit]> {
-        let c = self.clauses.get(i)?;
-        (c.learnt && !c.deleted).then_some(c.lits.as_slice())
-    }
-
     /// Create a fresh variable.
     pub fn new_var(&mut self) -> SatVar {
         let v = SatVar(self.assigns.len() as u32);
@@ -929,6 +912,8 @@ mod tests {
         // The same instance must still answer Unsat without a budget —
         // Unknown leaves the solver consistent, it does not poison it.
         assert_eq!(s.solve(&[]), SatResult::Unsat);
+        // A refutation this long crosses the Luby restart schedule.
+        assert!(s.stats.restarts > 0, "PH(7,6) finished without a restart");
     }
 
     #[test]

@@ -60,26 +60,13 @@
 //!   Unknown) — the scrambled phases must apply to a history-free search;
 //! * the engine recovers from an isolated path panic ([`Solver::reset_warm`])
 //!   — the warm core may have been abandoned mid-push.
-//!
-//! Workers can pool what they learn: bounded learnt clauses whose literals
-//! all map to *shared atoms* (a constraint root or a pool-variable bit) are
-//! exported to a [`ClauseExchange`] and folded into sibling solvers. Learnt
-//! clauses are consequences of the clause database alone — assumptions
-//! enter conflict analysis as decisions and are never resolved on — and the
-//! warm database contains only definitional axioms, so every exported
-//! clause is valid over the term semantics and sound to import anywhere.
-//! Imports influence only warm search order, never verdicts, so fork-trail
-//! determinism survives. (See DESIGN.md "Incremental spine solving".)
 
 use crate::blast::Blaster;
 use crate::eval::Assignment;
-use crate::sat::{Lit, SatResult, SatSolver, SatVar, SolveBudget};
+use crate::sat::{Lit, SatResult, SatSolver, SolveBudget};
 use crate::simplify::{simplify_conjunction, Simplified, SimplifyStats};
 use crate::term::{TermId, TermPool, VarId};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Result of a `check` call.
@@ -174,8 +161,8 @@ impl SolverStats {
 }
 
 /// Counters for the incremental layer (warm spine core, simplifier, blast
-/// cache, cross-worker clause exchange), folded into the metrics registry
-/// and `--summary-json` by the exploration engine.
+/// cache), folded into the metrics registry and `--summary-json` by the
+/// exploration engine.
 #[derive(Default, Clone, Debug)]
 pub struct IncrementalStats {
     /// Feasibility checks answered by the warm spine core.
@@ -199,10 +186,10 @@ pub struct IncrementalStats {
     pub blast_cache_misses: u64,
     /// Term-simplification counters (warm path only).
     pub simplify: SimplifyStats,
-    /// Learnt clauses exported to / imported from the [`ClauseExchange`].
+    /// Retired with the cross-worker learnt-clause exchange; always 0.
+    /// Kept because the `--summary-json` schema is append-only.
     pub learnt_exported: u64,
     pub learnt_imported: u64,
-    /// Exchange clauses skipped on import (an atom not blasted locally).
     pub learnt_import_skipped: u64,
 }
 
@@ -226,101 +213,6 @@ impl IncrementalStats {
         self.blast_cache_hits += other.blast_cache_hits;
         self.blast_cache_misses += other.blast_cache_misses;
         self.simplify.absorb(&other.simplify);
-        self.learnt_exported += other.learnt_exported;
-        self.learnt_imported += other.learnt_imported;
-        self.learnt_import_skipped += other.learnt_import_skipped;
-    }
-}
-
-// ---- cross-worker learnt-clause exchange --------------------------------
-
-/// Maximum literals in an exchanged clause. Short clauses prune the most
-/// per byte; long ones rarely transfer.
-const MAX_SHARED_CLAUSE_LITS: usize = 8;
-
-/// Cap on the exchange pool. Once full, further exports are dropped — the
-/// pool is an accelerator, not a log.
-const MAX_SHARED_POOL: usize = 4096;
-
-/// A worker-independent SAT atom: CNF variable numbering is per-worker, so
-/// clauses cross workers in terms of things both sides can name — the root
-/// of a blasted constraint term, or one bit of a pool variable.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum SharedVar {
-    /// The root literal of a blasted 1-bit term.
-    TermRoot(TermId),
-    /// Bit `i` (LSB-first) of a pool variable.
-    VarBit(VarId, u32),
-}
-
-/// A literal over a [`SharedVar`]; `positive` means "the atom is true".
-#[derive(Clone, Copy, Debug)]
-struct SharedLit {
-    var: SharedVar,
-    positive: bool,
-}
-
-#[derive(Clone, Debug)]
-struct SharedClause {
-    /// Exporting worker, so importers skip their own clauses.
-    source: u32,
-    lits: Vec<SharedLit>,
-}
-
-/// Bounded cross-worker pool of learnt clauses. Append-only: the published
-/// length is the epoch, and each warm core keeps a cursor of how far it has
-/// imported — so every clause is considered exactly once per core, in
-/// publication order. Everything in the pool is a consequence of Tseitin
-/// definitional axioms (see the module docs), hence valid over the term
-/// semantics and sound to fold into any worker's core.
-pub struct ClauseExchange {
-    clauses: Mutex<Vec<SharedClause>>,
-    /// Published length, readable without the lock (the import fast path).
-    published: AtomicUsize,
-}
-
-impl Default for ClauseExchange {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ClauseExchange {
-    pub fn new() -> Self {
-        ClauseExchange { clauses: Mutex::new(Vec::new()), published: AtomicUsize::new(0) }
-    }
-
-    /// Current epoch (published clause count).
-    pub fn epoch(&self) -> usize {
-        self.published.load(Ordering::Acquire)
-    }
-
-    /// Append a batch, honoring the pool cap. Returns how many were kept.
-    fn publish(&self, source: u32, batch: Vec<Vec<SharedLit>>) -> u64 {
-        if batch.is_empty() {
-            return 0;
-        }
-        let mut g = self.clauses.lock();
-        let mut added = 0u64;
-        for lits in batch {
-            if g.len() >= MAX_SHARED_POOL {
-                break;
-            }
-            g.push(SharedClause { source, lits });
-            added += 1;
-        }
-        self.published.store(g.len(), Ordering::Release);
-        added
-    }
-
-    /// Clauses published since `cursor` (cloned out to keep the lock short).
-    fn fetch_since(&self, cursor: usize) -> Vec<SharedClause> {
-        let published = self.published.load(Ordering::Acquire);
-        if published <= cursor {
-            return Vec::new();
-        }
-        let g = self.clauses.lock();
-        g[cursor..published.min(g.len())].to_vec()
     }
 }
 
@@ -343,17 +235,6 @@ struct WarmCore {
     /// sum over a check's roots estimates its live cone for the rebuild
     /// policy.
     root_cost: HashMap<TermId, u64>,
-    /// Local CNF variable -> shared atom (+ the polarity of the local
-    /// literal that means "atom true").
-    shared_of: HashMap<SatVar, (SharedVar, bool)>,
-    /// Shared atom -> the local literal meaning "atom true".
-    local_of: HashMap<SharedVar, Lit>,
-    /// High-water mark into the blaster's encoded-variable log.
-    var_log_cursor: usize,
-    /// High-water mark into the SAT clause array for learnt-clause export.
-    export_cursor: usize,
-    /// Exchange epoch already imported.
-    import_cursor: usize,
 }
 
 impl WarmCore {
@@ -365,11 +246,6 @@ impl WarmCore {
             blaster,
             root_lits: HashMap::new(),
             root_cost: HashMap::new(),
-            shared_of: HashMap::new(),
-            local_of: HashMap::new(),
-            var_log_cursor: 0,
-            export_cursor: 0,
-            import_cursor: 0,
         }
     }
 
@@ -384,101 +260,9 @@ impl WarmCore {
         let cost = (self.sat.num_vars() as u64 - vars_before).max(1);
         self.root_lits.insert(t, l);
         self.root_cost.insert(t, cost);
-        self.shared_of.entry(l.var()).or_insert((SharedVar::TermRoot(t), l.is_positive()));
-        self.local_of.entry(SharedVar::TermRoot(t)).or_insert(l);
         (l, false)
     }
 
-    /// Register shared atoms for pool variables encoded since last call.
-    fn register_new_var_bits(&mut self) {
-        while self.var_log_cursor < self.blaster.encoded_vars().len() {
-            let v = self.blaster.encoded_vars()[self.var_log_cursor];
-            self.var_log_cursor += 1;
-            let Some(bits) = self.blaster.bits_of_var(v) else { continue };
-            let bits: Vec<SatVar> = bits.to_vec();
-            for (i, sv) in bits.into_iter().enumerate() {
-                let atom = SharedVar::VarBit(v, i as u32);
-                self.shared_of.entry(sv).or_insert((atom, true));
-                self.local_of.entry(atom).or_insert(Lit::positive(sv));
-            }
-        }
-    }
-
-    /// Export bounded learnt clauses whose literals all map to shared atoms.
-    fn export(&mut self, ex: &ClauseExchange, source: u32) -> u64 {
-        let n = self.sat.num_clauses();
-        let mut batch: Vec<Vec<SharedLit>> = Vec::new();
-        for i in self.export_cursor..n {
-            let Some(lits) = self.sat.learnt_lits(i) else { continue };
-            if lits.len() > MAX_SHARED_CLAUSE_LITS {
-                continue;
-            }
-            let mut shared = Vec::with_capacity(lits.len());
-            let mut mappable = true;
-            for &l in lits {
-                match self.shared_of.get(&l.var()) {
-                    Some(&(atom, reg_pos)) => shared
-                        .push(SharedLit { var: atom, positive: l.is_positive() == reg_pos }),
-                    None => {
-                        mappable = false;
-                        break;
-                    }
-                }
-            }
-            if mappable {
-                batch.push(shared);
-            }
-        }
-        self.export_cursor = n;
-        ex.publish(source, batch)
-    }
-
-    /// Fold in exchange clauses published since this core's last import.
-    /// Clauses from `me` or with locally unknown atoms are skipped (the
-    /// epoch cursor still advances — each clause is considered once).
-    /// Returns `(imported, skipped)`.
-    fn import(&mut self, ex: &ClauseExchange, me: u32) -> (u64, u64) {
-        let epoch = ex.epoch();
-        if epoch <= self.import_cursor {
-            return (0, 0);
-        }
-        let batch = ex.fetch_since(self.import_cursor);
-        self.import_cursor = epoch;
-        let mut imported = 0u64;
-        let mut skipped = 0u64;
-        let mut local: Vec<Lit> = Vec::new();
-        for sc in &batch {
-            if sc.source == me {
-                continue;
-            }
-            local.clear();
-            let mut mappable = true;
-            for sl in &sc.lits {
-                match self.local_of.get(&sl.var) {
-                    Some(&base) => {
-                        local.push(if sl.positive { base } else { base.negate() })
-                    }
-                    None => {
-                        mappable = false;
-                        break;
-                    }
-                }
-            }
-            if !mappable {
-                skipped += 1;
-                continue;
-            }
-            self.sat.add_clause(&local);
-            imported += 1;
-            if !self.sat.is_ok() {
-                // A level-0 conflict from a valid clause is impossible over
-                // a definitional database; if it ever happens the caller
-                // rebuilds defensively.
-                break;
-            }
-        }
-        (imported, skipped)
-    }
 }
 
 /// Bitvector solver with scoped assertions.
@@ -499,10 +283,6 @@ pub struct Solver {
     mode: SolverMode,
     /// The warm spine core, lazily created on the first warm check.
     warm: Option<WarmCore>,
-    /// Cross-worker learnt-clause pool, when the engine attached one.
-    exchange: Option<Arc<ClauseExchange>>,
-    /// This solver's id on the exchange (skip self-imports).
-    worker_id: u32,
     pub stats: SolverStats,
     pub inc_stats: IncrementalStats,
 }
@@ -524,8 +304,6 @@ impl Solver {
             phase_seed: 0,
             mode: SolverMode::default(),
             warm: None,
-            exchange: None,
-            worker_id: 0,
             stats: SolverStats::default(),
             inc_stats: IncrementalStats::default(),
         }
@@ -548,13 +326,6 @@ impl Solver {
 
     pub fn mode(&self) -> SolverMode {
         self.mode
-    }
-
-    /// Attach a cross-worker learnt-clause exchange; `worker_id` must be
-    /// unique among the solvers sharing it.
-    pub fn set_exchange(&mut self, exchange: Arc<ClauseExchange>, worker_id: u32) {
-        self.exchange = Some(exchange);
-        self.worker_id = worker_id;
     }
 
     /// Discard the warm spine core. The engine calls this after recovering
@@ -705,7 +476,6 @@ impl Solver {
             }
             assumptions.push(l);
         }
-        core.register_new_var_bits();
         self.inc_stats.roots_reused += reused;
         self.inc_stats.roots_blasted += blasted;
         self.inc_stats.reused_per_check_hist
@@ -714,12 +484,6 @@ impl Solver {
             [SPINE_PER_CHECK_BOUNDS.partition_point(|&b| b < blasted)] += 1;
         self.inc_stats.blast_cache_hits += core.blaster.stats.cache_hits - blast_hits0;
         self.inc_stats.blast_cache_misses += core.blaster.stats.cache_misses - blast_miss0;
-        // Fold in what siblings learned since we last looked.
-        if let Some(ex) = self.exchange.clone() {
-            let (imported, skipped) = core.import(&ex, self.worker_id);
-            self.inc_stats.learnt_imported += imported;
-            self.inc_stats.learnt_import_skipped += skipped;
-        }
         if !core.sat.is_ok() {
             // Defensive: the definitional database can never conflict at
             // level 0; if it somehow did, rebuild and re-push this check's
@@ -730,7 +494,6 @@ impl Solver {
             for &c in &roots {
                 assumptions.push(core.root_lit(pool, c).0);
             }
-            core.register_new_var_bits();
         }
         let t1 = Instant::now();
         let conflicts0 = core.sat.stats.conflicts;
@@ -740,9 +503,6 @@ impl Solver {
         self.stats.conflicts_per_check_hist[CONFLICTS_PER_CHECK_BOUNDS
             .partition_point(|&b| b < core.sat.stats.conflicts - conflicts0)] += 1;
         accumulate_delta(&mut self.sat_totals, &sat_before, &core.sat.stats);
-        if let Some(ex) = self.exchange.clone() {
-            self.inc_stats.learnt_exported += core.export(&ex, self.worker_id);
-        }
         self.warm = Some(core);
         self.stats.solve_time += t0.elapsed();
         self.count_result(res)
@@ -1096,53 +856,6 @@ mod tests {
         let after: Vec<CheckResult> =
             fams.iter().map(|cs| s.check_feasible(&pool, cs)).collect();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn exchange_imports_translated_clauses_soundly() {
-        let pool = TermPool::new();
-        let ex = Arc::new(ClauseExchange::new());
-        let x = pool.fresh_var("ex", 8);
-        let c0 = pool.const_u128(8, 0);
-        let c1 = pool.const_u128(8, 1);
-        // Inequalities survive the simplifier (no equality bindings), so
-        // both constraints reach the warm core and get root literals.
-        let lt1 = pool.ult(x, c1); // x < 1, i.e. x == 0
-        let gt0 = pool.ult(c0, x); // x > 0
-
-        // Worker A pushes both constraints (separately — together they are
-        // jointly unsat).
-        let mut a = Solver::new();
-        a.set_exchange(ex.clone(), 0);
-        assert_eq!(a.check_feasible(&pool, &[lt1]), CheckResult::Sat);
-        assert_eq!(a.check_feasible(&pool, &[gt0]), CheckResult::Sat);
-
-        // Hand-publish a *valid* clause over A's shared atoms — "not both
-        // roots" — exercising the translation path end to end.
-        let a_core = a.warm.as_ref().expect("warm core");
-        let r0 = *a_core.root_lits.get(&lt1).expect("root for lt1");
-        let r1 = *a_core.root_lits.get(&gt0).expect("root for gt0");
-        let to_shared = |l: Lit| {
-            let &(atom, reg_pos) = a_core.shared_of.get(&l.var()).expect("mapped");
-            SharedLit { var: atom, positive: l.is_positive() == reg_pos }
-        };
-        ex.publish(0, vec![vec![to_shared(r0.negate()), to_shared(r1.negate())]]);
-
-        // Worker B blasts the same constraints, imports, and must still get
-        // semantically correct verdicts. B's first check pushes both roots,
-        // so at import time every atom in the shared clause is mapped
-        // (imports happen after the check's roots are blasted; clauses with
-        // still-unknown atoms would be skipped for this core).
-        let mut b = Solver::new();
-        b.set_exchange(ex.clone(), 1);
-        assert_eq!(b.check_feasible(&pool, &[lt1, gt0]), CheckResult::Unsat);
-        assert_eq!(b.inc_stats.learnt_imported, 1);
-        assert_eq!(b.check_feasible(&pool, &[lt1]), CheckResult::Sat);
-        assert_eq!(b.check_feasible(&pool, &[gt0]), CheckResult::Sat);
-        // And a model-bearing check is untouched by any of this.
-        assert_eq!(b.check_assuming(&pool, &[lt1]), CheckResult::Sat);
-        let crate::term::Node::Var(v) = *pool.node(x) else { panic!() };
-        assert!(b.model_value(&pool, v).is_zero());
     }
 
     #[test]

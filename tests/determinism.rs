@@ -438,6 +438,14 @@ fn solver_modes_emit_identical_suites_at_jobs_1_4_8() {
         // The comparison is only meaningful if the warm core actually ran.
         assert!(inc_sum.solver.warm_checks > 0, "jobs={jobs}: warm core never used");
         assert_eq!(fresh_sum.solver.warm_checks, 0, "jobs={jobs}: fresh mode went warm");
+        // The retired clause-exchange keys stay in the summary, always 0.
+        for s in [&fresh_sum.solver, &inc_sum.solver] {
+            assert_eq!(
+                (s.learnt_exported, s.learnt_imported, s.learnt_import_skipped),
+                (0, 0, 0),
+                "jobs={jobs}: retired learnt_* counters moved"
+            );
+        }
     }
 }
 
