@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::fault::trail_hash;
-use crate::testgen::{ErrorStats, PanicRecord};
+use crate::summary::{ErrorStats, PanicRecord};
 use crate::testspec::TestSpec;
 
 /// File magic: identifies a p4testgen checkpoint.

@@ -220,7 +220,7 @@ pub struct MissedStatement {
 pub struct AbandonSite {
     /// Fork trail of the abandoned path (schedule-independent identity).
     pub trail: Vec<u32>,
-    /// Stable taxonomy key from `testgen::reason`.
+    /// Stable taxonomy key from `summary::reason`.
     pub reason: String,
     /// Highest-id statement covered by the path before abandonment.
     pub near_stmt: Option<StmtId>,

@@ -8,7 +8,7 @@
 //! deterministic across worker counts as a clean one: the same trails are
 //! poisoned no matter which worker reaches them or in what order.
 //!
-//! The plan lives in [`crate::testgen::TestgenConfig`] but is intentionally
+//! The plan lives in [`crate::config::TestgenConfig`] but is intentionally
 //! not reachable from the one-shot CLI; production runs always carry the
 //! empty plan, which is checked with two branch-predictable comparisons per
 //! path. The `serve` daemon *can* accept per-request plans (parsed with

@@ -26,9 +26,12 @@
 //! * [`coverage`] — statement-coverage tracking and reports (§7).
 //! * [`testspec`] — the abstract test specification consumed by the test
 //!   back ends (§4 step 3).
+//! * [`config`] — [`TestgenConfig`] and [`TestgenConfig::set`], the one
+//!   option-name → field map every front end uses.
 //! * [`testgen`] — the driver: path selection (DFS default), eager
 //!   infeasible-path pruning, and test emission with per-phase timing
-//!   (Fig. 7).
+//!   (Fig. 7), on the private `worker` module's exploration workers.
+//! * [`summary`] — what a run reports; [`memo`] — the feasibility memos.
 //! * [`fault`] — deterministic, trail-keyed fault injection for exercising
 //!   the driver's degradation paths (Unknown verdicts, panicking paths,
 //!   shrunken deadlines, simulated hard kills) from tests and benches.
@@ -39,17 +42,21 @@
 
 pub mod checkpoint;
 pub mod concolic;
+pub mod config;
 pub mod coverage;
 pub mod exec;
 pub mod fault;
+pub mod memo;
 pub mod packet;
 pub mod preconditions;
 pub mod state;
+pub mod summary;
 pub mod sym;
 pub mod tables;
 pub mod target;
 pub mod testgen;
 pub mod testspec;
+mod worker;
 
 pub use checkpoint::{
     is_transient_io, merge_shard_suites, CheckpointCfg, CheckpointError, ExplorationState,
@@ -62,11 +69,13 @@ pub use state::{Cmd, ExecState, FinishReason};
 pub use sym::Sym;
 pub use target::{ExecCtx, ExtArg, ExternOutcome, PipeStep, Target, UninitPolicy};
 pub use p4t_smt::SolverMode;
-pub use testgen::{
-    classify_abandon_reason, reason, run_fingerprint_of, BuildError, CompiledProgram,
-    DifferentialSummary, ErrorStats, ObsConfig, PanicRecord, PhaseStats, ResumeInfo, RunError,
-    RunSummary, SharedFeasMemo, Strategy, Testgen, TestgenConfig, TestProvenance,
+pub use config::{ConfigError, ObsConfig, Strategy, TestgenConfig};
+pub use memo::SharedFeasMemo;
+pub use summary::{
+    classify_abandon_reason, reason, DifferentialSummary, ErrorStats, PanicRecord, PhaseStats,
+    ResumeInfo, RunSummary, TestProvenance,
 };
+pub use testgen::{run_fingerprint_of, BuildError, CompiledProgram, RunError, Testgen};
 pub use testspec::{KeyMatch, MaskedBytes, OutputPacketSpec, TableEntrySpec, TestSpec};
 
 /// FNV-1a (64-bit) offset basis: the starting accumulator for

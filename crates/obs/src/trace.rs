@@ -62,7 +62,7 @@ pub enum PathOutcome {
     /// The path condition was UNSAT.
     Infeasible,
     /// Abandoned; the payload is a stable taxonomy key from
-    /// `core::testgen::reason` (e.g. `"solver-unknown"`, `"step-budget"`).
+    /// `core::summary::reason` (e.g. `"solver-unknown"`, `"step-budget"`).
     Abandoned(&'static str),
     /// The path's worker caught a panic while processing it.
     Panicked,

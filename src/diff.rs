@@ -20,6 +20,8 @@
 //!   --seed N              value-selection seed [1]
 //!   --jobs, -j N          exploration worker threads [1]
 //!   --model-loop-bound N  parser loop bound for both engines [64]
+//!                         (and every other engine flag of the generation
+//!                         CLI: each is a `TestgenConfig::set` key)
 //!   --min-detections N    fault-catalog: fail (exit 1) below N detections
 //!   --report FILE         JSONL divergence report (p4testgen-divergence/v1)
 //!   --summary-json [FILE] machine-readable summary with a `differential` section
@@ -45,7 +47,7 @@
 //! * `ref-unsupported`    — the reference evaluator does not model the
 //!   construct; reported so coverage gaps are visible, never a failure.
 
-use crate::{write_summary, EXIT_FRONTEND, EXIT_USAGE_IO};
+use crate::{set_option, write_metrics, write_summary, EXIT_FRONTEND, EXIT_USAGE_IO};
 use p4t_interp::{Arch, Fault, FaultSet, FaultTargetClass, Interp, InterpException, InterpResult};
 use p4t_obs::{Diag, Level, Registry};
 use p4t_refeval::{
@@ -74,10 +76,8 @@ struct DiffOptions {
     cross: bool,
     fault_catalog: bool,
     min_detections: Option<u64>,
-    max_tests: u64,
-    seed: u64,
-    jobs: Option<usize>,
-    model_loop_bound: Option<u32>,
+    /// Engine flags, as in the CLI; `model_loop_bound` also bounds refeval.
+    config: TestgenConfig,
     report: Option<String>,
     summary_json: Option<Option<String>>,
     metrics_out: Option<String>,
@@ -105,10 +105,7 @@ fn parse_args(argv: &[String]) -> DiffOptions {
         cross: false,
         fault_catalog: false,
         min_detections: None,
-        max_tests: 0,
-        seed: 1,
-        jobs: None,
-        model_loop_bound: None,
+        config: TestgenConfig::default(),
         report: None,
         summary_json: None,
         metrics_out: None,
@@ -127,40 +124,19 @@ fn parse_args(argv: &[String]) -> DiffOptions {
                 opts.min_detections =
                     Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
             }
-            "--max-tests" => {
-                opts.max_tests =
-                    args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                opts.seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--jobs" | "-j" => {
-                opts.jobs = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&j| j >= 1)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--model-loop-bound" => {
-                opts.model_loop_bound =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
+            "-j" => set_option(&mut opts.config, "--jobs", args.next(), usage),
+            "--with-constraints" => {
+                set_option(&mut opts.config, &a, Some("true".to_string()), usage)
             }
             "--report" => opts.report = Some(args.next().unwrap_or_else(|| usage())),
-            "--summary-json" => {
-                let file = match args.peek() {
-                    Some(next) if next.ends_with(".json") => args.next(),
-                    _ => None,
-                };
-                opts.summary_json = Some(file);
-            }
+            "--summary-json" => opts.summary_json = Some(args.next_if(|f| f.ends_with(".json"))),
             "--metrics-out" => opts.metrics_out = Some(args.next().unwrap_or_else(|| usage())),
             "--quirks-out" => opts.quirks_out = Some(args.next().unwrap_or_else(|| usage())),
             "--quiet" => opts.verbosity = Level::Error,
             "-v" | "--verbose" => opts.verbosity = Level::Verbose,
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') => opts.program = Some(other.to_string()),
-            _ => usage(),
+            flag => set_option(&mut opts.config, flag, args.next(), usage),
         }
     }
     let sources = usize::from(opts.program.is_some())
@@ -470,19 +446,6 @@ struct Prepared {
     checked: p4t_frontend::typecheck::CheckedProgram,
 }
 
-fn base_config(opts: &DiffOptions) -> TestgenConfig {
-    let mut config = TestgenConfig::default();
-    config.max_tests = opts.max_tests;
-    config.seed = opts.seed;
-    if let Some(jobs) = opts.jobs {
-        config.jobs = jobs;
-    }
-    if let Some(bound) = opts.model_loop_bound {
-        config.interp_parser_loop_bound = bound;
-    }
-    config
-}
-
 /// Generate a suite and compile the reference-side AST for one program.
 fn prepare(
     name: &str,
@@ -531,10 +494,10 @@ fn run_interp_vs_ref(
     diag: &Diag,
     lenient: bool,
 ) -> Result<Tally, ExitCode> {
-    let bound = opts.model_loop_bound.unwrap_or_else(|| base_config(opts).interp_parser_loop_bound);
+    let bound = opts.config.interp_parser_loop_bound;
     let mut tally = Tally::default();
     for (name, source, target) in programs {
-        let prepared = match prepare(name, source, target, base_config(opts)) {
+        let prepared = match prepare(name, source, target, opts.config.clone()) {
             Ok(p) => p,
             Err(e) if lenient => {
                 diag.verbose(format!("{name}: skipped ({e})"));
@@ -580,12 +543,12 @@ fn run_interp_vs_ref(
 /// The reference side runs unfaulted once per test and is reused across
 /// all faults.
 fn run_fault_catalog(opts: &DiffOptions, diag: &Diag) -> Result<Tally, ExitCode> {
-    let bound = opts.model_loop_bound.unwrap_or_else(|| base_config(opts).interp_parser_loop_bound);
+    let bound = opts.config.interp_parser_loop_bound;
     let mut tally = Tally::default();
     // Prepare every corpus program once; cache the reference outcomes.
     let mut prepared: Vec<(Prepared, Vec<Result<RefRun, RefError>>)> = Vec::new();
     for (name, source, target) in p4t_corpus::all_programs() {
-        match prepare(name, &source, target, base_config(opts)) {
+        match prepare(name, &source, target, opts.config.clone()) {
             Ok(p) => {
                 let refs: Vec<_> = p
                     .tests
@@ -690,11 +653,11 @@ fn observe(target: &str, outcome: &Result<RefRun, RefError>) -> SideObservation 
 /// planes; compare the v1model baseline against each other target through
 /// the quirk list.
 fn run_cross(opts: &DiffOptions, diag: &Diag) -> Result<Tally, ExitCode> {
-    let bound = opts.model_loop_bound.unwrap_or_else(|| base_config(opts).interp_parser_loop_bound);
+    let bound = opts.config.interp_parser_loop_bound;
     let mut tally = Tally::default();
     // The suite comes from the v1model variant; 64-byte fixed inputs keep
     // the Tofino minimum-frame rule from suppressing every comparison.
-    let mut config = base_config(opts);
+    let mut config = opts.config.clone();
     config.preconditions.fixed_packet_bytes = Some(64);
     let base_src = p4t_corpus::generate_intersection("v1model");
     let base = match prepare("intersection", &base_src, "v1model", config) {
@@ -930,15 +893,7 @@ pub fn diff_main(argv: &[String]) -> ExitCode {
             .add(summary.faults_detected);
     }
     if let (Some(path), Some(reg)) = (&opts.metrics_out, &registry) {
-        let rendered = if path.ends_with(".json") {
-            let mut s = serde_json::to_string_pretty(&reg.render_json()).unwrap_or_default();
-            s.push('\n');
-            s
-        } else {
-            reg.render_prometheus()
-        };
-        if let Err(e) = std::fs::write(path, rendered) {
-            diag.error(format!("cannot write {path}: {e}"));
+        if write_metrics(path, reg, &diag).is_err() {
             return ExitCode::from(EXIT_USAGE_IO);
         }
     }

@@ -43,6 +43,10 @@
 //!   --quiet                                  only errors on stderr
 //!   -v, --verbose                            chattier stderr diagnostics
 //! ```
+//!
+//! Engine flags are [`TestgenConfig::set`] keys: `--foo-bar V` sets key
+//! `foo_bar` (only `-j` and the value-less `--with-constraints` differ),
+//! overriding the `P4TESTGEN_*` environment defaults.
 
 mod diff;
 mod driver;
@@ -54,8 +58,8 @@ use p4t_obs::{
     Diag, FlightRecorder, Level, LiveStatus, Registry, StatusServer, DEFAULT_RING_CAPACITY,
 };
 use p4testgen_core::{
-    AbandonSite, BuildError, CheckpointCfg, ExplorationState, Preconditions, RunSummary,
-    ShardSpec, SolverMode, Strategy, Target, Testgen, TestgenConfig, TestSpec,
+    AbandonSite, BuildError, CheckpointCfg, ConfigError, ExplorationState, RunSummary, Target,
+    Testgen, TestgenConfig, TestSpec,
 };
 use serde::value::{Number, Value};
 use std::io::Write;
@@ -74,30 +78,21 @@ struct Options {
     target: String,
     backend: String,
     program: String,
-    max_tests: u64,
-    seed: u64,
-    strategy: Strategy,
-    fixed_packet: Option<u32>,
-    with_constraints: bool,
+    /// Engine flags, set on top of the environment defaults.
+    config: TestgenConfig,
     out: Option<String>,
     coverage: bool,
     validate: bool,
-    jobs: Option<usize>,
-    solver_budget: Option<u64>,
-    solver_mode: Option<SolverMode>,
-    deadline: Option<Duration>,
-    shard: Option<ShardSpec>,
     checkpoint: Option<String>,
     checkpoint_every: Option<Duration>,
     resume: Option<String>,
     merge_shards: Vec<String>,
-    model_loop_bound: Option<u32>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     /// `None` = off; `Some(None)` = stdout; `Some(Some(path))` = file.
     summary_json: Option<Option<String>>,
     status_addr: Option<String>,
-    status_linger: Option<f64>,
+    status_linger: Option<Duration>,
     flight_out: Option<String>,
     provenance_out: Option<String>,
     coverage_report: Option<String>,
@@ -142,24 +137,14 @@ fn parse_args() -> Options {
         target: String::new(),
         backend: "stf".to_string(),
         program: String::new(),
-        max_tests: 0,
-        seed: 1,
-        strategy: Strategy::Dfs,
-        fixed_packet: None,
-        with_constraints: false,
+        config: TestgenConfig::default(),
         out: None,
         coverage: false,
         validate: false,
-        jobs: None,
-        solver_budget: None,
-        solver_mode: None,
-        deadline: None,
-        shard: None,
         checkpoint: None,
         checkpoint_every: None,
         resume: None,
         merge_shards: Vec::new(),
-        model_loop_bound: None,
         trace_out: None,
         metrics_out: None,
         summary_json: None,
@@ -170,109 +155,39 @@ fn parse_args() -> Options {
         coverage_report: None,
         verbosity: Level::Info,
     };
+    // `--checkpoint-every` and `--status-linger` take seconds >= 0.
+    let secs = |value: Option<String>| {
+        value
+            .and_then(|s| s.parse::<f64>().ok())
+            .filter(|&s| s >= 0.0)
+            .and_then(|s| Duration::try_from_secs_f64(s).ok())
+            .unwrap_or_else(|| usage())
+    };
     let mut args = std::env::args().skip(1).peekable();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--target" => opts.target = args.next().unwrap_or_else(|| usage()),
             "--backend" => opts.backend = args.next().unwrap_or_else(|| usage()),
-            "--max-tests" => {
-                opts.max_tests = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                opts.seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--strategy" => {
-                opts.strategy =
-                    args.next().as_deref().and_then(Strategy::parse).unwrap_or_else(|| usage())
-            }
-            "--jobs" | "-j" => {
-                opts.jobs = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&j| j >= 1)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--solver-budget" => {
-                opts.solver_budget =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--solver-mode" => {
-                opts.solver_mode = Some(
-                    args.next()
-                        .as_deref()
-                        .and_then(SolverMode::parse)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--deadline" => {
-                opts.deadline = Some(
-                    args.next()
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|&s| s > 0.0)
-                        .map(Duration::from_secs_f64)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--shard" => {
-                opts.shard = Some(
-                    args.next()
-                        .as_deref()
-                        .map(ShardSpec::parse)
-                        .unwrap_or_else(|| usage())
-                        .unwrap_or_else(|e| {
-                            eprintln!("p4testgen: {e}");
-                            std::process::exit(2);
-                        }),
-                )
+            "-j" => set_option(&mut opts.config, "--jobs", args.next(), usage),
+            "--with-constraints" => {
+                set_option(&mut opts.config, &a, Some("true".to_string()), usage)
             }
             "--checkpoint" => opts.checkpoint = Some(args.next().unwrap_or_else(|| usage())),
-            "--checkpoint-every" => {
-                opts.checkpoint_every = Some(
-                    args.next()
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|&s| s >= 0.0)
-                        .map(Duration::from_secs_f64)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--checkpoint-every" => opts.checkpoint_every = Some(secs(args.next())),
             "--resume" => opts.resume = Some(args.next().unwrap_or_else(|| usage())),
             "--merge-shards" => {
                 opts.merge_shards.push(args.next().unwrap_or_else(|| usage()))
             }
-            "--model-loop-bound" => {
-                opts.model_loop_bound =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--fixed-packet-size" => {
-                opts.fixed_packet =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--with-constraints" => opts.with_constraints = true,
             "--out" => opts.out = Some(args.next().unwrap_or_else(|| usage())),
             "--coverage" => opts.coverage = true,
             "--validate" => opts.validate = true,
             "--trace-out" => opts.trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--metrics-out" => opts.metrics_out = Some(args.next().unwrap_or_else(|| usage())),
-            "--summary-json" => {
-                // Optional FILE operand: consume the next argument only when
-                // it is unambiguously a summary destination (a .json path);
-                // otherwise the summary goes to stdout.
-                let file = match args.peek() {
-                    Some(next) if next.ends_with(".json") => args.next(),
-                    _ => None,
-                };
-                opts.summary_json = Some(file);
-            }
+            // Optional FILE operand: only an unambiguous summary destination
+            // (a .json path); otherwise the summary goes to stdout.
+            "--summary-json" => opts.summary_json = Some(args.next_if(|f| f.ends_with(".json"))),
             "--status-addr" => opts.status_addr = Some(args.next().unwrap_or_else(|| usage())),
-            "--status-linger" => {
-                opts.status_linger = Some(
-                    args.next()
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|&s| s >= 0.0)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--status-linger" => opts.status_linger = Some(secs(args.next())),
             "--flight-out" => opts.flight_out = Some(args.next().unwrap_or_else(|| usage())),
             "--provenance-out" => {
                 opts.provenance_out = Some(args.next().unwrap_or_else(|| usage()))
@@ -284,7 +199,8 @@ fn parse_args() -> Options {
             "-v" | "--verbose" => opts.verbosity = Level::Verbose,
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') => opts.program = other.to_string(),
-            _ => usage(),
+            // Every other `--foo-bar VALUE` is engine option `foo_bar`.
+            flag => set_option(&mut opts.config, flag, args.next(), usage),
         }
     }
     // Merge mode consumes checkpoints, not a program.
@@ -292,6 +208,31 @@ fn parse_args() -> Options {
         usage();
     }
     opts
+}
+
+/// Apply the engine flag `--foo-bar VALUE` as [`TestgenConfig::set`] key
+/// `foo_bar`, shared by the generation and `diff` flag grammars. A flag
+/// `set` does not know, or a missing value, calls `usage`; a bad value is
+/// reported first. Both exit 2.
+pub(crate) fn set_option(
+    config: &mut TestgenConfig,
+    flag: &str,
+    value: Option<String>,
+    usage: fn() -> !,
+) {
+    let key = match flag.strip_prefix("--") {
+        Some(name) if !name.contains('_') => name.replace('-', "_"),
+        _ => usage(),
+    };
+    let value = value.unwrap_or_else(|| usage());
+    match config.set(&key, &value) {
+        Ok(()) => {}
+        Err(ConfigError::UnknownKey(_)) => usage(),
+        Err(e @ ConfigError::BadValue { .. }) => {
+            eprintln!("p4testgen: {e}");
+            usage()
+        }
+    }
 }
 
 /// `--merge-shards`: fold the completed shard checkpoints back into the
@@ -331,7 +272,7 @@ fn merge_shards_main(opts: &Options, diag: &Diag) -> ExitCode {
         }
         shard_states.push(state.emitted);
     }
-    let merged = p4testgen_core::merge_shard_suites(shard_states, opts.max_tests);
+    let merged = p4testgen_core::merge_shard_suites(shard_states, opts.config.max_tests);
     diag.info(format!(
         "merged {} shard checkpoint(s) into {} tests",
         opts.merge_shards.len(),
@@ -444,6 +385,25 @@ fn write_summary(dest: &Option<String>, value: &Value, diag: &Diag) -> Result<()
     Ok(())
 }
 
+/// Write the `--metrics-out` export: JSON for a `.json` destination, else
+/// the Prometheus text exposition. I/O failures are reported and mapped to
+/// the I/O exit code by the caller.
+fn write_metrics(path: &str, reg: &Registry, diag: &Diag) -> Result<(), ()> {
+    let rendered = if path.ends_with(".json") {
+        let mut s = serde_json::to_string_pretty(&reg.render_json()).unwrap_or_default();
+        s.push('\n');
+        s
+    } else {
+        reg.render_prometheus()
+    };
+    if let Err(e) = std::fs::write(path, rendered) {
+        diag.error(format!("cannot write {path}: {e}"));
+        return Err(());
+    }
+    diag.verbose(format!("wrote metrics {path}"));
+    Ok(())
+}
+
 /// The `--flight-out` destination. Ring drains are destructive, so every
 /// dump appends the newly drained events to `dumped` and rewrites the whole
 /// file — a panic-hook dump mid-run and the final dump compose instead of
@@ -542,20 +502,8 @@ fn flush_sinks(
         }
     }
     if let (Some(path), Some(reg)) = (&opts.metrics_out, registry) {
-        // Format follows the destination: .json gets the JSON export,
-        // anything else the Prometheus text exposition.
-        let rendered = if path.ends_with(".json") {
-            let mut s = serde_json::to_string_pretty(&reg.render_json()).unwrap_or_default();
-            s.push('\n');
-            s
-        } else {
-            reg.render_prometheus()
-        };
-        if let Err(e) = std::fs::write(path, rendered) {
-            diag.error(format!("cannot write {path}: {e}"));
+        if write_metrics(path, reg, diag).is_err() {
             ok = Err(());
-        } else {
-            diag.verbose(format!("wrote metrics {path}"));
         }
     }
     if let Some(sink) = flight_sink {
@@ -631,26 +579,7 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_USAGE_IO);
         }
     };
-    let mut config = TestgenConfig::default();
-    config.max_tests = opts.max_tests;
-    config.seed = opts.seed;
-    config.strategy = opts.strategy;
-    if let Some(jobs) = opts.jobs {
-        config.jobs = jobs; // otherwise the P4TESTGEN_JOBS default applies
-    }
-    if let Some(budget) = opts.solver_budget {
-        config.solver_budget = budget; // else P4TESTGEN_SOLVER_BUDGET applies
-    }
-    if let Some(mode) = opts.solver_mode {
-        config.solver_mode = mode; // else P4TESTGEN_SOLVER_MODE applies
-    }
-    if let Some(deadline) = opts.deadline {
-        config.deadline = Some(deadline); // else P4TESTGEN_DEADLINE applies
-    }
-    if let Some(bound) = opts.model_loop_bound {
-        config.interp_parser_loop_bound = bound;
-    }
-    config.shard = opts.shard;
+    let mut config = opts.config.clone();
     // `--resume FILE` implies continuing to checkpoint into the same file,
     // so an interrupted resume is itself resumable.
     let checkpoint_path =
@@ -726,10 +655,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    config.preconditions = Preconditions {
-        fixed_packet_bytes: opts.fixed_packet,
-        apply_entry_restrictions: opts.with_constraints,
-    };
     // Observability: the per-path records are collected only when a view
     // of them was named (the trace, provenance, or the coverage report's
     // abandonment reasons), and the metrics registry exists only when
@@ -961,11 +886,11 @@ fn main() -> ExitCode {
     // Keep the endpoint up for `--status-linger` so a poller can read the
     // final snapshot (state "done", final counters) after the run.
     if let Some(mut srv) = status_server.take() {
-        if let Some(linger) = opts.status_linger.filter(|&s| s > 0.0) {
-            diag.verbose(format!("status endpoint lingering {linger}s"));
+        if let Some(linger) = opts.status_linger.filter(|d| !d.is_zero()) {
+            diag.verbose(format!("status endpoint lingering {linger:?}"));
             // Sliced sleep: a SIGTERM during the linger ends it early
             // instead of pinning the process for the full window.
-            let until = std::time::Instant::now() + Duration::from_secs_f64(linger);
+            let until = std::time::Instant::now() + linger;
             loop {
                 if drain_flag.as_ref().is_some_and(|d| d.load(Ordering::Relaxed)) {
                     diag.verbose("drain requested; ending status linger early");

@@ -29,13 +29,13 @@
 //!
 //! Request: `{"id": ..., "tenant": "...", "name": "prog.p4",
 //! "target": "v1model|tna|t2na|ebpf_model", "backend": "stf|ptf|proto|json",
-//! "source": "...P4...", "config": {...}, "fault": {...}}`. The `config`
-//! object admits the CLI's suite-affecting knobs (`max_tests`, `seed`,
-//! `strategy`, `solver_budget`, `solver_mode`, `deadline_ms`,
-//! `fixed_packet_bytes`, `with_constraints`, `jobs`); unknown keys are
-//! rejected, not ignored, so a typo cannot silently change what a tenant
-//! asked for. `name` becomes the `program` stamped into every test — pass
-//! the CLI's file basename to get byte-identical suites.
+//! "source": "...P4...", "config": {...}, "fault": {...}}`. Each scalar in
+//! the `config` object is applied with `TestgenConfig::set`, which lists
+//! the keys (the CLI's engine flags, spelled `max_tests`, `deadline_ms`,
+//! ...); an unknown key or a bad value is a `bad-request`, never ignored,
+//! so a typo cannot silently change what a tenant asked for. `name`
+//! becomes the `program` stamped into every test — pass the CLI's file
+//! basename to get byte-identical suites.
 //!
 //! Responses: `"status": "ok"` with the rendered suite, `"shed"` with a
 //! deterministic `retry_after_ms` (admission queue full, or draining), or
@@ -69,7 +69,7 @@ use p4t_obs::{
 use p4t_obs::LruCache;
 use p4testgen_core::{
     fnv_mix, run_fingerprint_of, BuildError, CompiledProgram, FaultPlan, RunSummary,
-    SharedFeasMemo, SolverMode, Strategy, Target, Testgen, TestgenConfig, FNV_OFFSET,
+    SharedFeasMemo, Target, Testgen, TestgenConfig, FNV_OFFSET,
 };
 use serde::value::{Number, Value};
 use std::collections::VecDeque;
@@ -443,44 +443,14 @@ fn parse_request(
         let cfg = c
             .as_object()
             .ok_or_else(|| ErrBody::new("bad-request", "'config' must be an object"))?;
-        let bad = |key: &str| ErrBody::new("bad-request", format!("bad config value for '{key}'"));
         for (k, val) in cfg {
-            match k.as_str() {
-                "max_tests" => config.max_tests = val.as_u64().ok_or_else(|| bad(k))?,
-                "seed" => config.seed = val.as_u64().ok_or_else(|| bad(k))?,
-                "jobs" => {
-                    config.jobs =
-                        val.as_u64().filter(|&j| j >= 1).ok_or_else(|| bad(k))? as usize
-                }
-                "solver_budget" => config.solver_budget = val.as_u64().ok_or_else(|| bad(k))?,
-                "strategy" => {
-                    config.strategy = val.as_str().and_then(Strategy::parse).ok_or_else(|| bad(k))?
-                }
-                "solver_mode" => {
-                    config.solver_mode = val
-                        .as_str()
-                        .and_then(SolverMode::parse)
-                        .ok_or_else(|| bad(k))?
-                }
-                "deadline_ms" => {
-                    config.deadline =
-                        Some(Duration::from_millis(val.as_u64().ok_or_else(|| bad(k))?))
-                }
-                "fixed_packet_bytes" => {
-                    config.preconditions.fixed_packet_bytes =
-                        Some(val.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or_else(|| bad(k))?)
-                }
-                "with_constraints" => {
-                    config.preconditions.apply_entry_restrictions =
-                        val.as_bool().ok_or_else(|| bad(k))?
-                }
-                other => {
-                    return Err(ErrBody::new(
-                        "bad-request",
-                        format!("unknown config key '{other}'"),
-                    ))
-                }
-            }
+            // A string goes to `set` as is, anything else as its JSON text
+            // (`5`, `true`, `1.0`, `[]`), which `set` parses or refuses.
+            let text = match val {
+                Value::String(s) => s.clone(),
+                other => serde_json::to_string(other).unwrap_or_default(),
+            };
+            config.set(k, &text).map_err(|e| ErrBody::new("bad-request", e.to_string()))?;
         }
     }
     if let Some(f) = v.get("fault") {

@@ -1,5 +1,8 @@
 //! Integration tests for the `p4testgen` command-line binary.
 
+mod common;
+
+use common::EXAMPLE_VALUES;
 use std::process::Command;
 
 const PROGRAM: &str = r#"
@@ -694,4 +697,61 @@ fn cli_resume_under_different_shard_filter_warns() {
     let resume = parsed.get("resume").expect("resume block");
     let mismatch = resume.get("shard_mismatch").and_then(|m| m.as_str()).unwrap_or_default();
     assert!(mismatch.contains("shard 0/2"), "summary: {parsed:?}");
+}
+
+/// `--foo-bar` spelling of a `TestgenConfig::set` key.
+fn flag(key: &str) -> String {
+    format!("--{}", key.replace('_', "-"))
+}
+
+#[test]
+fn cli_option_values_go_through_config_set() {
+    let prog = write_program();
+    // `--with-constraints` takes no value on the CLI.
+    let valued = || EXAMPLE_VALUES.iter().filter(|(key, ..)| *key != "with_constraints");
+    let mut all_good = bin();
+    all_good.args(["--target", "v1model", "--quiet", "--with-constraints"]);
+    for (key, good, _) in valued() {
+        all_good.arg(flag(key)).arg(good);
+    }
+    let out = all_good.arg(&prog).output().unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    for (key, _, bad) in valued() {
+        let mut cmd = bin();
+        let out = cmd.args(["--target", "v1model"]).arg(flag(key)).arg(bad).arg(&prog);
+        let out = out.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{} {bad}: {stderr}", flag(key));
+        assert!(stderr.contains(&format!("bad config value for '{key}'")), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    // `-j` is `--jobs`; an unknown engine flag is a usage error too.
+    for args in [&["-j", "0"][..], &["--deadline-s", "1"], &["--max_tests", "1"]] {
+        let out = bin().args(["--target", "v1model"]).args(args).arg(&prog).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+}
+
+#[test]
+fn cli_flags_override_env_defaults_and_bad_env_values_are_ignored() {
+    let prog = write_program();
+    let suite = std::env::temp_dir().join(format!("p4testgen_cli_{}_env.stf", std::process::id()));
+    let workers = |env_jobs: &str, args: &[&str]| {
+        let out = bin()
+            .env("P4TESTGEN_JOBS", env_jobs)
+            .args(["--target", "v1model", "--quiet", "--summary-json", "--out"])
+            .arg(&suite)
+            .args(args)
+            .arg(&prog)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let summary: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+        summary.get("phases").and_then(|p| p.get("workers")).and_then(|w| w.as_u64()).unwrap()
+    };
+    assert_eq!(workers("4", &[]), 4, "P4TESTGEN_JOBS sets the default");
+    assert_eq!(workers("4", &["--jobs", "1"]), 1, "--jobs overrides P4TESTGEN_JOBS");
+    assert_eq!(workers("4", &["-j", "1"]), 1, "-j overrides P4TESTGEN_JOBS");
+    assert_eq!(workers("0", &[]), 1, "an invalid P4TESTGEN_JOBS is ignored");
+    let _ = std::fs::remove_file(&suite);
 }

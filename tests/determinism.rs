@@ -37,113 +37,213 @@ fn suite_set(tests: &[TestSpec]) -> Vec<String> {
     v
 }
 
+/// A matrix column: [`TestgenConfig::set`] key/value pairs applied on top
+/// of the row's settings.
+type Col = &'static [(&'static str, &'static str)];
+
+/// Worker counts × solver modes. The incremental warm core is verdict-only
+/// and every emitted byte comes from a fresh model-bearing check, so every
+/// cell must emit the reference suite byte for byte, in trail order.
+const JOBS_X_MODES: &[Col] = &[
+    &[("jobs", "1"), ("solver_mode", "fresh")],
+    &[("jobs", "1"), ("solver_mode", "incremental")],
+    &[("jobs", "4"), ("solver_mode", "fresh")],
+    &[("jobs", "4"), ("solver_mode", "incremental")],
+    &[("jobs", "8"), ("solver_mode", "fresh")],
+    &[("jobs", "8"), ("solver_mode", "incremental")],
+];
+
+/// Full exploration visits the same path set under any strategy, also with
+/// a parallel pool (the strategy only orders each worker's local deque), so
+/// strategy cells must emit the reference *set*; the order may differ.
+const STRATEGY_COLS: &[Col] = &[
+    &[("jobs", "1")],
+    &[("jobs", "4"), ("strategy", "bfs")],
+    &[("jobs", "4"), ("strategy", "random")],
+    &[("jobs", "4"), ("strategy", "coverage")],
+];
+
+/// The `max_tests` caps the capped fork-heavy rows run at.
+const CAPS: &[Col] = &[&[("max_tests", "1")], &[("max_tests", "7")], &[("max_tests", "25")]];
+
+/// A matrix row: one program, the settings all its cells share, and the
+/// fewest tests its reference cell (the first column) must emit.
+struct Row {
+    name: &'static str,
+    src: String,
+    base: Col,
+    min_tests: usize,
+    cols: &'static [Col],
+}
+
+fn label(pairs: Col) -> String {
+    pairs.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
+}
+
+/// Run one cell, turning any panic into one that names the row and column.
+fn run_cell(row: &Row, col: Col, ctx: &str) -> (Vec<TestSpec>, p4testgen_core::RunSummary) {
+    let run = || {
+        let mut config = TestgenConfig::default();
+        config.seed = 7;
+        for (k, v) in row.base.iter().chain(col) {
+            config.set(k, v).unwrap_or_else(|e| panic!("{e}"));
+        }
+        run_with_config(row.name, &row.src, config)
+    };
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|p| {
+        let msg = p
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        panic!("{ctx}: run panicked: {msg}")
+    })
+}
+
+/// Every v1model corpus program, one row each.
+fn corpus_rows(cols: &'static [Col]) -> Vec<Row> {
+    p4t_corpus::all_programs()
+        .into_iter()
+        .filter(|(_, _, target)| *target == "v1model")
+        .map(|(name, src, _)| Row { name, src, base: &[], min_tests: 1, cols })
+        .collect()
+}
+
+/// The fork-heavy synthetic program, one row per base setting. ~4^4
+/// feasible paths: enough branching that all 8 workers stay busy and the
+/// work-stealing paths actually execute.
+fn fork_heavy_rows(bases: &[Col], cols: &'static [Col]) -> Vec<Row> {
+    let src = p4t_corpus::generate_synthetic(4, 3);
+    bases
+        .iter()
+        .map(|&base| Row {
+            name: "synthetic_4x3",
+            src: src.clone(),
+            base,
+            min_tests: if base.is_empty() { 51 } else { 1 },
+            cols,
+        })
+        .collect()
+}
+
+/// The equivalence matrix: for a fixed seed, every column of a row must
+/// reproduce the row's reference cell (its first column). Path identity is
+/// the fork trail, per-path randomness is seeded from it, and emission is
+/// trail-sorted, so worker count and solver mode may not change the suite,
+/// its order, or (uncapped) the path, infeasible-path and coverage counts.
+/// A `max_tests = k` cap keeps the k lexicographically-smallest trails, so
+/// capped suites must agree too. Every panic names the failing cell. The
+/// tests below are the matrix's slices, one per row family and column set.
+fn check_matrix(rows: &[Row]) {
+    for row in rows {
+        let row_label = format!("{} {}", row.name, label(row.base)).trim_end().to_string();
+        let ref_ctx = format!("{row_label} × {}", label(row.cols[0]));
+        let (reference, ref_sum) = run_cell(row, row.cols[0], &ref_ctx);
+        assert!(
+            reference.len() >= row.min_tests,
+            "{ref_ctx}: {} tests, expected at least {}",
+            reference.len(),
+            row.min_tests
+        );
+        for &col in row.cols {
+            let ctx = format!("{row_label} × {}", label(col));
+            let (tests, sum) = run_cell(row, col, &ctx);
+            // Expectations come from the cell's labels, not from the config
+            // `set` built, so a key that `set` mis-maps fails here.
+            let get = |key: &str| {
+                row.base.iter().chain(col).rev().find(|(k, _)| *k == key).map(|&(_, v)| v)
+            };
+            let ordered = get("strategy").is_none();
+            if get("jobs") == Some("8") {
+                let set = suite_set(&tests);
+                let mut dedup = set.clone();
+                dedup.dedup();
+                assert_eq!(set.len(), dedup.len(), "{ctx}: duplicate tests emitted");
+            }
+            assert_eq!(suite_set(&reference), suite_set(&tests), "{ctx}: test set differs");
+            if ordered {
+                assert_eq!(reference, tests, "{ctx}: suite order or ids differ");
+                assert_eq!(ref_sum.test_trails, sum.test_trails, "{ctx}: trails differ");
+            }
+            if let Some(cap) = get("max_tests") {
+                assert_eq!(tests.len().to_string(), cap, "{ctx}: cap not honored");
+            } else {
+                assert_eq!(ref_sum.tests, sum.tests, "{ctx}: test counts differ");
+                assert_eq!(
+                    ref_sum.coverage.covered, sum.coverage.covered,
+                    "{ctx}: coverage differs"
+                );
+                if ordered {
+                    assert_eq!(ref_sum.paths_explored, sum.paths_explored, "{ctx}: paths differ");
+                    assert_eq!(
+                        ref_sum.infeasible_paths, sum.infeasible_paths,
+                        "{ctx}: infeasible paths differ"
+                    );
+                }
+            }
+            // The comparison is only meaningful if the warm core ran in
+            // incremental cells and stayed off in fresh ones.
+            let mode = get("solver_mode")
+                .unwrap_or_else(|| TestgenConfig::default().solver_mode.as_str());
+            if mode == "fresh" {
+                assert_eq!(sum.solver.warm_checks, 0, "{ctx}: fresh mode went warm");
+            } else {
+                assert!(sum.solver.warm_checks > 0, "{ctx}: warm core never used");
+            }
+            // The retired clause-exchange keys stay in the summary, always 0.
+            let s = &sum.solver;
+            assert_eq!(
+                (s.learnt_exported, s.learnt_imported, s.learnt_import_skipped),
+                (0, 0, 0),
+                "{ctx}: retired learnt_* counters moved"
+            );
+        }
+    }
+}
+
 #[test]
 fn corpus_programs_same_suite_at_jobs_1_and_4() {
-    for (name, src, target) in p4t_corpus::all_programs() {
-        if target != "v1model" {
-            continue;
-        }
-        let (seq, sum1) = run_with_jobs(name, &src, 1);
-        let (par, sum4) = run_with_jobs(name, &src, 4);
-        assert!(!seq.is_empty(), "{name}: no tests generated");
-        assert_eq!(
-            suite_set(&seq),
-            suite_set(&par),
-            "{name}: test sets differ between jobs=1 and jobs=4"
-        );
-        // The trail sort makes the order (and therefore the ids) identical
-        // too, not just the sets.
-        assert_eq!(seq, par, "{name}: suite order differs between jobs=1 and jobs=4");
-        assert_eq!(
-            sum1.coverage.covered, sum4.coverage.covered,
-            "{name}: coverage differs between jobs=1 and jobs=4"
-        );
-        assert_eq!(sum1.tests, sum4.tests, "{name}: test counts differ");
-    }
+    check_matrix(&corpus_rows(&[&[("jobs", "1")], &[("jobs", "4")]]));
+}
+
+#[test]
+fn solver_modes_agree_on_corpus_programs() {
+    check_matrix(&corpus_rows(&[
+        &[("jobs", "1"), ("solver_mode", "fresh")],
+        &[("jobs", "1"), ("solver_mode", "incremental")],
+    ]));
 }
 
 #[test]
 fn fork_heavy_stress_jobs_8_no_duplicates_and_coverage_matches() {
-    // ~4^4 feasible paths: enough branching that all 8 workers stay busy
-    // and the work-stealing paths actually execute.
-    let src = p4t_corpus::generate_synthetic(4, 3);
-    let (seq, sum1) = run_with_jobs("synthetic_4x3", &src, 1);
-    let (par, sum8) = run_with_jobs("synthetic_4x3", &src, 8);
-    assert!(seq.len() > 50, "expected a fork-heavy corpus, got {} tests", seq.len());
-
-    // No path may be emitted twice under work stealing.
-    let set = suite_set(&par);
-    let mut dedup = set.clone();
-    dedup.dedup();
-    assert_eq!(set.len(), dedup.len(), "duplicate tests emitted at jobs=8");
-
-    assert_eq!(suite_set(&seq), set, "jobs=8 test set differs from sequential");
-    assert_eq!(seq, par, "jobs=8 suite order differs from sequential");
-    assert_eq!(
-        sum1.coverage.covered, sum8.coverage.covered,
-        "parallel coverage differs from sequential"
-    );
-    assert_eq!(sum1.paths_explored, sum8.paths_explored, "path counts differ");
-    assert_eq!(sum1.infeasible_paths, sum8.infeasible_paths, "infeasible counts differ");
+    check_matrix(&fork_heavy_rows(&[&[]], &[&[("jobs", "1")], &[("jobs", "8")]]));
 }
 
 #[test]
-fn strategies_explore_same_set_in_parallel() {
-    use p4testgen_core::Strategy;
-    // Full exploration visits the same path set under any strategy; with a
-    // parallel worker pool that must stay true (the strategy only orders
-    // each worker's local deque).
-    let src = p4t_corpus::generate_synthetic(3, 2);
-    let base = {
-        let (t, _) = run_with_jobs("synthetic_3x2", &src, 1);
-        suite_set(&t)
-    };
-    for strategy in [Strategy::Bfs, Strategy::RandomBacktrack, Strategy::CoverageFirst] {
-        let mut config = TestgenConfig::default();
-        config.seed = 7;
-        config.jobs = 4;
-        config.strategy = strategy;
-        let mut tg = Testgen::new("synthetic_3x2", &src, V1Model::new(), config).unwrap();
-        let mut tests = Vec::new();
-        tg.run(|t| {
-            tests.push(t.clone());
-            true
-        });
-        assert_eq!(
-            base,
-            suite_set(&tests),
-            "{strategy:?} at jobs=4 explored a different test set"
-        );
-    }
+fn solver_modes_emit_identical_suites_at_jobs_1_4_8() {
+    check_matrix(&fork_heavy_rows(&[&[]], JOBS_X_MODES));
 }
 
 #[test]
 fn max_tests_cap_is_deterministic_across_job_counts() {
-    // The cap selects the k lexicographically-smallest test trails, so the
-    // capped suite must also be identical at any worker count — not just
-    // the full exploration.
-    let src = p4t_corpus::generate_synthetic(4, 3);
-    for cap in [1u64, 7, 25] {
-        let run = |jobs: usize| {
-            let mut config = TestgenConfig::default();
-            config.seed = 7;
-            config.jobs = jobs;
-            config.max_tests = cap;
-            let mut tg = Testgen::new("synthetic_4x3", &src, V1Model::new(), config).unwrap();
-            let mut tests = Vec::new();
-            tg.run(|t| {
-                tests.push(t.clone());
-                true
-            });
-            tests
-        };
-        let seq = run(1);
-        assert_eq!(seq.len() as u64, cap, "cap honored at jobs=1");
-        for jobs in [4usize, 8] {
-            let par = run(jobs);
-            assert_eq!(seq, par, "capped suite (max_tests={cap}) differs at jobs={jobs}");
-        }
-    }
+    check_matrix(&fork_heavy_rows(CAPS, &[&[("jobs", "1")], &[("jobs", "4")], &[("jobs", "8")]]));
+}
+
+#[test]
+fn solver_modes_identical_under_max_tests_cap() {
+    check_matrix(&fork_heavy_rows(CAPS, JOBS_X_MODES));
+}
+
+#[test]
+fn strategies_explore_same_set_in_parallel() {
+    let row = Row {
+        name: "synthetic_3x2",
+        src: p4t_corpus::generate_synthetic(3, 2),
+        base: &[],
+        min_tests: 1,
+        cols: STRATEGY_COLS,
+    };
+    check_matrix(&[row]);
 }
 
 fn run_with_config(
@@ -408,59 +508,6 @@ fn run_with_mode(
     run_with_config(name, src, config)
 }
 
-#[test]
-fn solver_modes_emit_identical_suites_at_jobs_1_4_8() {
-    use p4testgen_core::SolverMode;
-    // The incremental warm core is verdict-only; every emitted byte comes
-    // from a fresh model-bearing check in both modes — so the suites must be
-    // byte-identical, not merely equivalent.
-    let src = p4t_corpus::generate_synthetic(4, 3);
-    for jobs in [1usize, 4, 8] {
-        let (fresh, fresh_sum) =
-            run_with_mode("synthetic_4x3", &src, jobs, SolverMode::Fresh, |_| {});
-        let (inc, inc_sum) =
-            run_with_mode("synthetic_4x3", &src, jobs, SolverMode::Incremental, |_| {});
-        assert!(!fresh.is_empty(), "jobs={jobs}: fresh mode emitted nothing");
-        assert_eq!(
-            suite_seq(&fresh),
-            suite_seq(&inc),
-            "jobs={jobs}: suites differ between solver modes"
-        );
-        assert_eq!(fresh, inc, "jobs={jobs}: ids/order differ between solver modes");
-        assert_eq!(
-            fresh_sum.coverage.covered, inc_sum.coverage.covered,
-            "jobs={jobs}: coverage differs between solver modes"
-        );
-        assert_eq!(
-            fresh_sum.test_trails, inc_sum.test_trails,
-            "jobs={jobs}: trail sets differ between solver modes"
-        );
-        // The comparison is only meaningful if the warm core actually ran.
-        assert!(inc_sum.solver.warm_checks > 0, "jobs={jobs}: warm core never used");
-        assert_eq!(fresh_sum.solver.warm_checks, 0, "jobs={jobs}: fresh mode went warm");
-        // The retired clause-exchange keys stay in the summary, always 0.
-        for s in [&fresh_sum.solver, &inc_sum.solver] {
-            assert_eq!(
-                (s.learnt_exported, s.learnt_imported, s.learnt_import_skipped),
-                (0, 0, 0),
-                "jobs={jobs}: retired learnt_* counters moved"
-            );
-        }
-    }
-}
-
-#[test]
-fn solver_modes_agree_on_corpus_programs() {
-    use p4testgen_core::SolverMode;
-    for (name, src, target) in p4t_corpus::all_programs() {
-        if target != "v1model" {
-            continue;
-        }
-        let (fresh, _) = run_with_mode(name, &src, 1, SolverMode::Fresh, |_| {});
-        let (inc, _) = run_with_mode(name, &src, 1, SolverMode::Incremental, |_| {});
-        assert_eq!(fresh, inc, "{name}: suites differ between solver modes");
-    }
-}
 
 #[test]
 fn solver_modes_identical_under_fault_plans() {
@@ -496,27 +543,6 @@ fn solver_modes_identical_under_fault_plans() {
     }
 }
 
-#[test]
-fn solver_modes_identical_under_max_tests_cap() {
-    use p4testgen_core::SolverMode;
-    let src = p4t_corpus::generate_synthetic(4, 3);
-    for cap in [1u64, 7, 25] {
-        for jobs in [1usize, 4, 8] {
-            let (fresh, _) = run_with_mode("synthetic_4x3", &src, jobs, SolverMode::Fresh, |c| {
-                c.max_tests = cap;
-            });
-            let (inc, _) =
-                run_with_mode("synthetic_4x3", &src, jobs, SolverMode::Incremental, |c| {
-                    c.max_tests = cap;
-                });
-            assert_eq!(fresh.len() as u64, cap, "jobs={jobs}: cap not honored");
-            assert_eq!(
-                fresh, inc,
-                "capped suite (max_tests={cap}) differs between modes at jobs={jobs}"
-            );
-        }
-    }
-}
 
 #[test]
 fn incremental_run_reports_spine_reuse() {

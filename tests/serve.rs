@@ -6,6 +6,9 @@
 //! byte-identity with cold CLI runs, per-request panic containment,
 //! deterministic load shedding, and graceful SIGTERM drain.
 
+mod common;
+
+use common::EXAMPLE_VALUES;
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -556,6 +559,37 @@ fn serve_rejects_malformed_requests_structurally() {
     // And the daemon is still healthy afterwards.
     client.send(&request("fine", empty_config()));
     assert_eq!(str_field(&client.recv(), "status"), "ok");
+}
+
+#[test]
+fn serve_config_values_go_through_config_set() {
+    // Table values travel as the JSON a client would send: numbers and
+    // booleans as such, anything else as a string.
+    let json = |text: &str| {
+        serde_json::from_str::<Value>(text).unwrap_or_else(|_| Value::String(text.to_string()))
+    };
+    let daemon = spawn_serve(&["--workers", "1"]);
+    let mut client = Client::connect(&daemon.addr);
+
+    let all_good = EXAMPLE_VALUES.iter().map(|(k, good, _)| (k.to_string(), json(good)));
+    client.send(&request("good", Value::Object(all_good.collect())));
+    let resp = client.recv();
+    assert_eq!(str_field(&resp, "status"), "ok", "{resp:?}");
+
+    for (key, _, bad) in EXAMPLE_VALUES {
+        client.send(&request(key, Value::Object(vec![(key.to_string(), json(bad))])));
+        let resp = client.recv();
+        assert_eq!(error_kind(&resp), "bad-request", "{key}={bad}: {resp:?}");
+        let message = str_field(field(&resp, "error"), "message");
+        assert!(message.contains(&format!("bad config value for '{key}'")), "{message}");
+    }
+    // An unknown key, and a value that is not a scalar.
+    for (key, value) in [("deadline_s", json("1")), ("jobs", Value::Array(vec![]))] {
+        client.send(&request("odd", Value::Object(vec![(key.to_string(), value)])));
+        let resp = client.recv();
+        assert_eq!(error_kind(&resp), "bad-request", "{resp:?}");
+        assert!(str_field(field(&resp, "error"), "message").contains(key), "{resp:?}");
+    }
 }
 
 #[cfg(unix)]
