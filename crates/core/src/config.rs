@@ -68,8 +68,6 @@ impl std::fmt::Debug for ObsConfig {
 pub struct TestgenConfig {
     /// Stop after emitting this many tests (0 = unlimited).
     pub max_tests: u64,
-    /// Stop after exploring this many paths (0 = unlimited).
-    pub max_paths: u64,
     pub seed: u64,
     pub parser_loop_bound: u32,
     pub strategy: Strategy,
@@ -148,7 +146,6 @@ impl Default for TestgenConfig {
     fn default() -> Self {
         let mut config = TestgenConfig {
             max_tests: 0,
-            max_paths: 0,
             seed: 1,
             parser_loop_bound: 8,
             strategy: Strategy::Dfs,

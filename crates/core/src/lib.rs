@@ -76,6 +76,7 @@ pub use summary::{
     ResumeInfo, RunSummary, TestProvenance,
 };
 pub use testgen::{run_fingerprint_of, BuildError, CompiledProgram, RunError, Testgen};
+pub use worker::panic_payload_text;
 pub use testspec::{KeyMatch, MaskedBytes, OutputPacketSpec, TableEntrySpec, TestSpec};
 
 /// FNV-1a (64-bit) offset basis: the starting accumulator for

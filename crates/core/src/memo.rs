@@ -141,13 +141,16 @@ impl FeasMemo {
         self.stable.is_some() || self.external.is_some()
     }
 
+    /// Look a fingerprint up in the stable layer, then the cross-run one.
+    /// A hit counts in `hits` like a `TermId`-layer hit, so `solver_checks +
+    /// memo_hits` is the same with the layer on or off.
     pub(crate) fn stable_lookup(&self, fp: u128) -> Option<bool> {
-        if let Some(s) = &self.stable {
-            if let Some(&sat) = s.lock().get(&fp) {
-                return Some(sat);
-            }
+        let local = self.stable.as_ref().and_then(|s| s.lock().get(&fp).copied());
+        let hit = local.or_else(|| self.external.as_ref()?.get(self.external_class, fp));
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        self.external.as_ref()?.get(self.external_class, fp)
+        hit
     }
 
     pub(crate) fn stable_record(&self, fp: u128, sat: bool) {

@@ -22,9 +22,9 @@
 //! stays deterministic too: it selects the k lexicographically-smallest
 //! test trails (enforced by a shared top-k heap that prunes subtrees which
 //! can no longer contribute), not whichever k tests raced to finish first.
-//! The remaining caveat is `max_paths` and `stop_at_full_coverage`: those
-//! caps trigger on whichever paths finish first, which under parallelism
-//! may cut off a different subset of the (fully deterministic) path space.
+//! The remaining caveat is `stop_at_full_coverage`: it triggers on
+//! whichever paths finish first, which under parallelism may cut off a
+//! different subset of the (fully deterministic) path space.
 
 use crate::checkpoint::{sanitize_frontier, ExplorationState, ShardSpec};
 use crate::concolic::ConcolicRegistry;
@@ -154,15 +154,16 @@ impl CompiledProgram {
 /// *merged* suite is shard-independent) are excluded, so a resumed run may
 /// change them and still complete the identical suite. Exposed free-form so
 /// a host can compute cache keys before constructing a [`Testgen`]. The
-/// per-path step budget, concolic retry count and budget-retry switch were
-/// once config fields; they are constants now but keep their slots, so
-/// fingerprints written by older binaries still match.
+/// path cap, per-path step budget, concolic retry count and budget-retry
+/// switch were once config fields; they are constants now (the path cap is
+/// gone, hashed as 0) but keep their slots, so fingerprints written by
+/// older binaries still match.
 pub fn run_fingerprint_of(source_fingerprint: u64, c: &TestgenConfig) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_mix(&mut h, &source_fingerprint.to_le_bytes());
     for v in [
         c.max_tests,
-        c.max_paths,
+        0, // max_paths: retired, the slot stays
         MAX_STEPS_PER_PATH,
         c.seed,
         u64::from(c.parser_loop_bound),
@@ -253,16 +254,6 @@ impl Testgen {
         }
     }
 
-    /// Replace the `program` name stamped into every emitted test. A host
-    /// reusing a warm instance for a request with a different display name
-    /// must call this: the name is presentation-only (it is not part of
-    /// the run fingerprint), so the cache may legitimately serve it, but
-    /// the suite must carry the *requesting* tenant's name, not the name
-    /// of whoever warmed the instance.
-    pub fn set_program_name(&mut self, name: &str) {
-        name.clone_into(&mut self.program_name);
-    }
-
     /// Fingerprint of everything that decides the emitted suite's bytes
     /// (see [`run_fingerprint_of`]). Stamped into checkpoints and
     /// validated on resume.
@@ -286,7 +277,8 @@ impl Testgen {
     }
 
     /// Solver timing and SAT-core statistics (Fig. 7 analysis), summed over
-    /// every worker's solver.
+    /// every worker's solver of every run this driver has made: a lifetime
+    /// total, unlike the per-run counters in [`RunSummary`].
     pub fn solver_stats(&self) -> (Duration, Duration, SatStats) {
         (self.solver_totals.solve_time, self.solver_totals.sat_time, self.sat_totals.clone())
     }
@@ -405,7 +397,6 @@ impl Testgen {
             live: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             best: Mutex::new(BinaryHeap::new()),
-            paths_started: AtomicU64::new(0),
             coverage: SharedCoverage::new(&self.prog),
             memo: if ckpt_enabled || self.config.shared_memo.is_some() {
                 FeasMemo::with_persistence(
@@ -602,7 +593,7 @@ impl Testgen {
         // Canonical panic order too: by trail, like the test suite itself.
         errors.panics.sort_by(|a, b| a.trail.cmp(&b.trail));
         errors.panics.truncate(MAX_PANIC_RECORDS);
-        let solver_checks = self.solver_totals.checks;
+        let solver_checks = out.solver_stats.checks;
         let memo_hits = shared.memo.hits.load(Ordering::Relaxed);
 
         // A kill fault simulates power loss right after the final flush:

@@ -99,8 +99,6 @@ pub(crate) struct Shared<'a> {
     /// at any job count and across repeated runs, unlike a stop-at-k flag,
     /// which would cap whichever paths happened to finish first.
     pub(crate) best: Mutex<BinaryHeap<Vec<u32>>>,
-    /// Paths claimed for processing (for the `max_paths` cap).
-    pub(crate) paths_started: AtomicU64,
     pub(crate) coverage: SharedCoverage,
     pub(crate) memo: FeasMemo,
     pub(crate) stealers: Vec<Stealer<Pending>>,
@@ -312,7 +310,7 @@ impl WorkerOut {
 }
 
 /// Render a panic payload as text when possible.
-pub(crate) fn panic_payload_text(p: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_payload_text(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -569,13 +567,6 @@ pub(crate) fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pendin
             let best = sh.best.lock();
             discard = best.len() as u64 >= sh.config.max_tests
                 && best.peek().is_some_and(|worst| p.st.trail >= *worst);
-        }
-        if !discard && sh.config.max_paths > 0 {
-            let n = sh.paths_started.fetch_add(1, Ordering::Relaxed);
-            if n >= sh.config.max_paths {
-                sh.stop.store(true, Ordering::Relaxed);
-                discard = true;
-            }
         }
         if discard {
             // Cap discards *decide* the subtree (it can never contribute),

@@ -438,3 +438,23 @@ fn clean_runs_report_clean_error_stats() {
     assert!(summary.errors.abandoned_by_reason.is_empty(), "{:?}", summary.errors.abandoned_by_reason);
     assert_eq!(summary.test_trails.len(), tests.len(), "trails parallel the emitted suite");
 }
+
+#[test]
+fn repeated_runs_of_one_driver_report_their_own_solver_checks() {
+    // `RunSummary::solver_checks` counts one run's work; only
+    // `Testgen::solver_stats` accumulates over the driver's lifetime.
+    let src = mini_wrap(
+        "    state start { pkt.extract(hdr.a); transition accept; }",
+        r#"        if (hdr.a.v == 0x2A) {
+            m.port = 1;
+        } else {
+            m.port = 2;
+        }"#,
+    );
+    let mut tg = Testgen::new("mini", &src, MiniTarget, TestgenConfig::default())
+        .expect("mini program compiles");
+    let first = tg.run(|_| true);
+    let second = tg.run(|_| true);
+    assert!(first.solver_checks > 0);
+    assert_eq!(first.solver_checks, second.solver_checks, "second run reported a running total");
+}

@@ -3,8 +3,10 @@
 //! Two small, dependency-free building blocks used by `p4testgen serve`:
 //!
 //! * [`LruCache`] — a bounded least-recently-used map with hit/miss/eviction
-//!   accounting, so every cache in the daemon can prove it is bounded and
-//!   export its behaviour through `/metrics`.
+//!   accounting, so both of the daemon's caches (compiled IR, and the
+//!   feasibility memo shared across requests) can prove they are bounded
+//!   and export their behaviour through `/metrics`. Engines are not
+//!   cached: every request runs on a fresh one.
 //! * [`BoundedQueue`] — a blocking MPMC queue with a hard capacity and an
 //!   explicit drain mode. Admission control is a *push-side* decision: once
 //!   the queue is full the caller gets the item back (`Push::Full`) and must
@@ -87,25 +89,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         } else {
             self.misses += 1;
             None
-        }
-    }
-
-    /// Remove and return `key`'s value (counts as a hit when present, a miss
-    /// otherwise). Used by exclusive-ownership caches: take the entry out,
-    /// use it, and re-`insert` it when done.
-    pub fn take(&mut self, key: &K) -> Option<V> {
-        match self.map.remove(key) {
-            Some(v) => {
-                self.hits += 1;
-                if let Some(pos) = self.order.iter().position(|k| k == key) {
-                    self.order.remove(pos);
-                }
-                Some(v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
         }
     }
 
@@ -283,17 +266,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.peek(&1), Some(&11));
         assert_eq!(c.stats().evictions, 0);
-    }
-
-    #[test]
-    fn lru_take_removes_entry() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
-        c.insert(7, 70);
-        assert_eq!(c.take(&7), Some(70));
-        assert_eq!(c.take(&7), None);
-        assert_eq!(c.len(), 0);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!
 //! For a fixed program, seed, and configuration (including any fault plan),
 //! and with no result-dependent caps cutting exploration short
-//! (`max_tests` / `max_paths` / `--deadline` make *which* paths run
+//! (`max_tests` / `--deadline` make *which* paths run
 //! schedule-dependent), the set of path records is identical across worker
 //! counts **except** for wall-clock timings. All timing fields therefore
 //! live under the single `"t"` object so consumers can strip them

@@ -50,13 +50,11 @@
 use crate::{set_option, write_metrics, write_summary, EXIT_FRONTEND, EXIT_USAGE_IO};
 use p4t_interp::{Arch, Fault, FaultSet, FaultTargetClass, Interp, InterpException, InterpResult};
 use p4t_obs::{Diag, Level, Registry};
-use p4t_refeval::{
-    evaluate, RefArch, RefEntry, RefError, RefExpect, RefExpectedOutput, RefInput, RefKey,
-    RefRegister, RefRun,
-};
+use p4t_refeval::{evaluate, RefArch, RefError, RefRun};
 use p4t_targets::{match_quirk, DivergenceContext, SideObservation};
 use p4t_interp::Verdict;
-use p4testgen_core::{DifferentialSummary, KeyMatch, TestSpec, Testgen, TestgenConfig};
+use p4testgen::refeval_spec::{ref_input, ref_expect};
+use p4testgen_core::{DifferentialSummary, TestSpec, Testgen, TestgenConfig};
 use serde::value::{Number, Value};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -239,71 +237,6 @@ impl Tally {
         summary.ref_unsupported =
             summary.by_kind.iter().find(|(k, _)| k == "ref-unsupported").map_or(0, |(_, n)| *n);
         (summary, records)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TestSpec → reference-evaluator conversion
-// ---------------------------------------------------------------------------
-
-fn ref_input(spec: &TestSpec) -> RefInput {
-    RefInput {
-        input_port: spec.input_port,
-        input_packet: spec.input_packet.clone(),
-        entries: spec
-            .entries
-            .iter()
-            .map(|e| RefEntry {
-                table: e.table.clone(),
-                keys: e
-                    .keys
-                    .iter()
-                    .map(|k| match k {
-                        KeyMatch::Exact { value, .. } => RefKey::Exact { value: value.clone() },
-                        KeyMatch::Ternary { value, mask, .. } => {
-                            RefKey::Ternary { value: value.clone(), mask: mask.clone() }
-                        }
-                        KeyMatch::Lpm { value, prefix_len, .. } => {
-                            RefKey::Lpm { value: value.clone(), prefix_len: *prefix_len }
-                        }
-                        KeyMatch::Range { lo, hi, .. } => {
-                            RefKey::Range { lo: lo.clone(), hi: hi.clone() }
-                        }
-                        KeyMatch::Optional { value, .. } => {
-                            RefKey::Optional { value: value.clone() }
-                        }
-                    })
-                    .collect(),
-                action: e.action.clone(),
-                action_args: e.action_args.iter().map(|(_, v)| v.clone()).collect(),
-                priority: e.priority,
-            })
-            .collect(),
-        register_init: spec
-            .register_init
-            .iter()
-            .map(|r| RefRegister { instance: r.instance.clone(), index: r.index, value: r.value.clone() })
-            .collect(),
-    }
-}
-
-fn ref_expect(spec: &TestSpec) -> RefExpect {
-    RefExpect {
-        expects_drop: spec.expects_drop(),
-        outputs: spec
-            .outputs
-            .iter()
-            .map(|o| RefExpectedOutput {
-                port: o.port,
-                data: o.packet.data.clone(),
-                mask: Some(o.packet.mask.clone()),
-            })
-            .collect(),
-        registers: spec
-            .register_expect
-            .iter()
-            .map(|r| RefRegister { instance: r.instance.clone(), index: r.index, value: r.value.clone() })
-            .collect(),
     }
 }
 

@@ -21,6 +21,9 @@
 //!   the bounded queue/LRU primitives behind `p4testgen serve`.
 //! * [`corpus`] (`p4t-corpus`) — the evaluation program corpus.
 //!
+//! It owns one piece of code: [`refeval_spec`], the translation of a
+//! generated test into the reference evaluator's input and expectation.
+//!
 //! The `p4testgen` binary fronts all of this twice over: a one-shot CLI
 //! (`p4testgen --target ... prog.p4`) and a long-lived generation daemon
 //! (`p4testgen serve --listen HOST:PORT`) that multiplexes tenants over
@@ -66,3 +69,5 @@ pub use p4t_obs as obs;
 pub use p4t_smt as smt;
 pub use p4t_targets as targets;
 pub use p4testgen_core as core;
+
+pub mod refeval_spec;

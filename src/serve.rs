@@ -12,8 +12,6 @@
 //!   --ir-cache <N>              compiled-IR LRU entries, keyed on the
 //!                               (target, canonicalized source) hash —
 //!                               comments and whitespace don't miss [32]
-//!   --instance-cache <N>        warm Testgen-instance LRU entries, keyed on
-//!                               the run fingerprint [8]
 //!   --memo-cache <N>            shared feasibility-memo entries [65536]
 //!   --status-addr <ADDR>        serve /status, /metrics, /healthz, /readyz
 //!   --enable-fault-injection    honor per-request "fault" plans (tests only)
@@ -49,9 +47,10 @@
 //!   still applies underneath; this layer catches what escapes it.
 //! * **Admission control** — a bounded queue sheds deterministically
 //!   instead of accepting unbounded work.
-//! * **Bounded caches** — compiled IR, warm instances (term-pool reuse),
-//!   and the shared feasibility memo are all LRU-bounded with hit/miss/
-//!   eviction counters exported via `/metrics`.
+//! * **Bounded caches** — compiled IR and the shared feasibility memo are
+//!   LRU-bounded with hit/miss/eviction counters exported via `/metrics`.
+//!   Every request runs on a fresh engine built from the compiled IR, so
+//!   its summary counts only its own work.
 //! * **Graceful drain** — SIGTERM/SIGINT stop admission (`/readyz` flips
 //!   to 503, new requests shed as `draining`), in-flight and queued
 //!   requests finish, and the process exits 0.
@@ -68,7 +67,7 @@ use p4t_obs::{
 };
 use p4t_obs::LruCache;
 use p4testgen_core::{
-    fnv_mix, run_fingerprint_of, BuildError, CompiledProgram, FaultPlan, RunSummary,
+    fnv_mix, panic_payload_text, BuildError, CompiledProgram, FaultPlan, RunSummary,
     SharedFeasMemo, Target, Testgen, TestgenConfig, FNV_OFFSET,
 };
 use serde::value::{Number, Value};
@@ -99,7 +98,6 @@ struct ServeOptions {
     workers: usize,
     max_pending: usize,
     ir_cache: usize,
-    instance_cache: usize,
     memo_cache: usize,
     status_addr: Option<String>,
     fault_enabled: bool,
@@ -109,7 +107,7 @@ struct ServeOptions {
 fn serve_usage() -> ! {
     eprintln!(
         "usage: p4testgen serve --listen HOST:PORT [--workers N] [--max-pending N]\n\
-         \t[--ir-cache N] [--instance-cache N] [--memo-cache N]\n\
+         \t[--ir-cache N] [--memo-cache N]\n\
          \t[--status-addr ADDR] [--enable-fault-injection] [--quiet] [-v|--verbose]"
     );
     std::process::exit(2);
@@ -121,7 +119,6 @@ fn parse_serve_args(args: &[String]) -> ServeOptions {
         workers: 2,
         max_pending: 16,
         ir_cache: 32,
-        instance_cache: 8,
         memo_cache: 65536,
         status_addr: None,
         fault_enabled: false,
@@ -137,7 +134,6 @@ fn parse_serve_args(args: &[String]) -> ServeOptions {
             "--workers" => opts.workers = usize_arg(it.next(), 1),
             "--max-pending" => opts.max_pending = usize_arg(it.next(), 1),
             "--ir-cache" => opts.ir_cache = usize_arg(it.next(), 1),
-            "--instance-cache" => opts.instance_cache = usize_arg(it.next(), 1),
             "--memo-cache" => opts.memo_cache = usize_arg(it.next(), 1),
             "--status-addr" => {
                 opts.status_addr = Some(it.next().cloned().unwrap_or_else(|| serve_usage()))
@@ -222,21 +218,11 @@ impl ServeStats {
     }
 }
 
-struct Caches {
-    /// Compiled IR keyed on fnv(target name, source).
-    ir: Mutex<LruCache<u64, Arc<CompiledProgram>>>,
-    /// Warm driver instances keyed on the run fingerprint. Term pool and
-    /// solver statistics persist; the config is replaced wholesale per
-    /// request (every suite-affecting field is part of the cache key, so
-    /// only per-request plumbing — deadline, cancel flag, fault plan,
-    /// shared memo — actually changes).
-    instances: Mutex<LruCache<u64, Box<Testgen>>>,
-}
-
 /// Everything the accept loop, connection readers, and workers share.
 struct ServeShared {
     queue: BoundedQueue<Job>,
-    caches: Caches,
+    /// Compiled IR keyed on fnv(target name, canonical source).
+    ir: Mutex<LruCache<u64, Arc<CompiledProgram>>>,
     memo: Arc<SharedFeasMemo>,
     registry: Arc<Registry>,
     stats: ServeStats,
@@ -348,7 +334,6 @@ struct OkBody {
     tests: u64,
     suite: String,
     ir_hit: bool,
-    instance_hit: bool,
     summary: RunSummary,
 }
 
@@ -496,8 +481,7 @@ fn frontend_message(diagnostics: &[p4t_frontend::Diagnostic], prelude_lines: u32
     rendered.join("; ")
 }
 
-/// One request: compile (or hit the IR cache), take (or build) a warm
-/// instance, run, and put the instance back.
+/// One request: compile (or hit the IR cache), then run a fresh engine.
 fn handle(job: Job, shared: &ServeShared) -> Result<OkBody, ErrBody> {
     if job.cancel.load(Ordering::Acquire) {
         return Err(ErrBody::new("cancelled", "client disconnected before the request ran"));
@@ -510,7 +494,7 @@ fn handle(job: Job, shared: &ServeShared) -> Result<OkBody, ErrBody> {
         shared.stats.ir_canonicalized.fetch_add(1, Ordering::Relaxed);
     }
     let ir_key = fnv1a(&[job.target.name().as_bytes(), canonical.as_bytes()]);
-    let cached = lock(&shared.caches.ir).get(&ir_key).cloned();
+    let cached = lock(&shared.ir).get(&ir_key).cloned();
     if cached.is_some() && canonicalized {
         shared.stats.ir_canonical_hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -526,32 +510,12 @@ fn handle(job: Job, shared: &ServeShared) -> Result<OkBody, ErrBody> {
                 BuildError::Target(msg) => ErrBody::new("target", msg),
             })?;
             let arc = Arc::new(built);
-            lock(&shared.caches.ir).insert(ir_key, Arc::clone(&arc));
+            lock(&shared.ir).insert(ir_key, Arc::clone(&arc));
             (arc, false)
         }
     };
 
-    let run_key = run_fingerprint_of(compiled.source_fingerprint, &job.config);
-    let warm = lock(&shared.caches.instances).take(&run_key);
-    let instance_hit = warm.is_some();
-    let mut tg = match warm {
-        Some(mut t) => {
-            t.config = job.config;
-            // The run fingerprint deliberately excludes the display name,
-            // so the warm instance may have been built for a different
-            // `name`: restamp it, or this tenant's suite would carry (and
-            // leak) whichever name first warmed the cache slot.
-            t.set_program_name(&job.name);
-            t
-        }
-        None => Box::new(Testgen::from_compiled(
-            &job.name,
-            (*compiled).clone(),
-            job.target,
-            job.config,
-        )),
-    };
-
+    let mut tg = Testgen::from_compiled(&job.name, (*compiled).clone(), job.target, job.config);
     let mut tests = Vec::new();
     let summary = tg
         .try_run(|t| {
@@ -559,11 +523,6 @@ fn handle(job: Job, shared: &ServeShared) -> Result<OkBody, ErrBody> {
             true
         })
         .map_err(|e| ErrBody::new("run", e.to_string()))?;
-
-    // The instance survived the run; park it for the next identical
-    // request (term pool stays warm). A panicking run never reaches this
-    // point, so a possibly-wedged instance is dropped, not cached.
-    lock(&shared.caches.instances).insert(run_key, tg);
 
     if summary.errors.deadline_expired {
         let mut e = ErrBody::new(
@@ -586,17 +545,7 @@ fn handle(job: Job, shared: &ServeShared) -> Result<OkBody, ErrBody> {
 
     let suite = driver::render_suite(&job.backend, &tests)
         .ok_or_else(|| ErrBody::new("bad-request", format!("unknown backend '{}'", job.backend)))?;
-    Ok(OkBody { tests: summary.tests, suite, ir_hit, instance_hit, summary })
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
+    Ok(OkBody { tests: summary.tests, suite, ir_hit, summary })
 }
 
 /// Export one cache's LRU statistics as gauges (totals are monotonic but
@@ -613,8 +562,7 @@ fn export_cache(reg: &Registry, cache: &str, s: LruStats) {
 }
 
 fn export_all_caches(shared: &ServeShared) {
-    export_cache(&shared.registry, "ir", lock(&shared.caches.ir).stats());
-    export_cache(&shared.registry, "instance", lock(&shared.caches.instances).stats());
+    export_cache(&shared.registry, "ir", lock(&shared.ir).stats());
     export_cache(&shared.registry, "memo", shared.memo.stats());
     shared
         .registry
@@ -658,10 +606,7 @@ fn worker_loop(shared: &Arc<ServeShared>) {
         let (status, tests, response) = match outcome {
             Ok(Ok(ok)) => {
                 let coverage = Value::Number(Number::F(ok.summary.coverage.percent));
-                let cache = obj(vec![
-                    ("ir", vstr(if ok.ir_hit { "hit" } else { "miss" })),
-                    ("instance", vstr(if ok.instance_hit { "hit" } else { "miss" })),
-                ]);
+                let cache = obj(vec![("ir", vstr(if ok.ir_hit { "hit" } else { "miss" }))]);
                 let summary = obj(vec![
                     ("paths_explored", vnum(ok.summary.paths_explored)),
                     ("infeasible_paths", vnum(ok.summary.infeasible_paths)),
@@ -690,7 +635,7 @@ fn worker_loop(shared: &Arc<ServeShared>) {
                 shared.stats.errors.fetch_add(1, Ordering::Relaxed);
                 let e = ErrBody::new(
                     "panic",
-                    format!("request panicked: {}", panic_message(payload)),
+                    format!("request panicked: {}", panic_payload_text(payload.as_ref())),
                 );
                 ("panic", 0, error_response(&id, &e))
             }
@@ -864,10 +809,7 @@ pub fn serve_main(args: &[String]) -> ExitCode {
     let registry = Arc::new(Registry::new());
     let shared = Arc::new(ServeShared {
         queue: BoundedQueue::new(opts.max_pending),
-        caches: Caches {
-            ir: Mutex::new(LruCache::new(opts.ir_cache)),
-            instances: Mutex::new(LruCache::new(opts.instance_cache)),
-        },
+        ir: Mutex::new(LruCache::new(opts.ir_cache)),
         memo: Arc::new(SharedFeasMemo::new(opts.memo_cache)),
         registry: Arc::clone(&registry),
         stats: ServeStats::default(),

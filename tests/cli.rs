@@ -2,7 +2,7 @@
 
 mod common;
 
-use common::EXAMPLE_VALUES;
+use common::{bin, EXAMPLE_VALUES};
 use std::process::Command;
 
 const PROGRAM: &str = r#"
@@ -42,10 +42,6 @@ fn write_program() -> std::path::PathBuf {
         path
     })
     .clone()
-}
-
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_p4testgen"))
 }
 
 #[test]

@@ -5,12 +5,10 @@
 //! and the concrete semantics (interp) fails this test.
 
 use p4t_interp::{execute_and_check, Arch, FaultSet, Verdict};
-use p4t_refeval::{
-    check, evaluate, RefArch, RefEntry, RefExpect, RefExpectedOutput, RefInput, RefKey,
-    RefRegister,
-};
+use p4t_refeval::{check, evaluate, RefArch};
+use p4testgen::refeval_spec::{ref_expect, ref_input};
 use p4t_targets::V1Model;
-use p4testgen_core::{KeyMatch, Target, TestSpec, Testgen, TestgenConfig};
+use p4testgen_core::{Target, Testgen, TestgenConfig};
 use proptest::prelude::*;
 
 fn check_synthetic(n_tables: u32, n_actions: u32, seed: u64) -> Result<(), TestCaseError> {
@@ -75,75 +73,6 @@ fn synthetic_path_count_scales_exponentially() {
     }
 }
 
-fn ref_input_of(spec: &TestSpec) -> RefInput {
-    RefInput {
-        input_port: spec.input_port,
-        input_packet: spec.input_packet.clone(),
-        entries: spec
-            .entries
-            .iter()
-            .map(|e| RefEntry {
-                table: e.table.clone(),
-                keys: e
-                    .keys
-                    .iter()
-                    .map(|k| match k {
-                        KeyMatch::Exact { value, .. } => RefKey::Exact { value: value.clone() },
-                        KeyMatch::Ternary { value, mask, .. } => {
-                            RefKey::Ternary { value: value.clone(), mask: mask.clone() }
-                        }
-                        KeyMatch::Lpm { value, prefix_len, .. } => {
-                            RefKey::Lpm { value: value.clone(), prefix_len: *prefix_len }
-                        }
-                        KeyMatch::Range { lo, hi, .. } => {
-                            RefKey::Range { lo: lo.clone(), hi: hi.clone() }
-                        }
-                        KeyMatch::Optional { value, .. } => {
-                            RefKey::Optional { value: value.clone() }
-                        }
-                    })
-                    .collect(),
-                action: e.action.clone(),
-                action_args: e.action_args.iter().map(|(_, v)| v.clone()).collect(),
-                priority: e.priority,
-            })
-            .collect(),
-        register_init: spec
-            .register_init
-            .iter()
-            .map(|r| RefRegister {
-                instance: r.instance.clone(),
-                index: r.index,
-                value: r.value.clone(),
-            })
-            .collect(),
-    }
-}
-
-fn ref_expect_of(spec: &TestSpec) -> RefExpect {
-    RefExpect {
-        expects_drop: spec.expects_drop(),
-        outputs: spec
-            .outputs
-            .iter()
-            .map(|o| RefExpectedOutput {
-                port: o.port,
-                data: o.packet.data.clone(),
-                mask: Some(o.packet.mask.clone()),
-            })
-            .collect(),
-        registers: spec
-            .register_expect
-            .iter()
-            .map(|r| RefRegister {
-                instance: r.instance.clone(),
-                index: r.index,
-                value: r.value.clone(),
-            })
-            .collect(),
-    }
-}
-
 /// A degraded generator must not manufacture false divergences: when the
 /// PR 2 fault plan taints generation (unknown bits widen the don't-care
 /// masks), every test that still gets emitted has to pass on BOTH the
@@ -174,8 +103,8 @@ fn emitted_tests_agree_across_engines_under_generation_fault_plans() {
             .expect("reference frontend accepts the program");
         for t in &tests {
             let iv = execute_and_check(&tg.prog, Arch::V1Model, FaultSet::none(), t);
-            let outcome = evaluate(&checked, RefArch::V1Model, &ref_input_of(t), bound);
-            let rv = check(&ref_expect_of(t), &outcome);
+            let outcome = evaluate(&checked, RefArch::V1Model, &ref_input(t), bound);
+            let rv = check(&ref_expect(t), &outcome);
             if rv.kind() == "unsupported" {
                 continue;
             }

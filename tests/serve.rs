@@ -8,11 +8,11 @@
 
 mod common;
 
-use common::EXAMPLE_VALUES;
+use common::{bin, spawn_serve, Client, EXAMPLE_VALUES};
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::Duration;
 
 const PROGRAM: &str = r#"
@@ -31,99 +31,6 @@ control CC(inout headers_t hdr, inout meta_t meta) { apply { } }
 control Dep(packet_out pkt, in headers_t hdr) { apply { pkt.emit(hdr.h); } }
 V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
 "#;
-
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_p4testgen"))
-}
-
-/// Kill-on-drop guard so a failing assertion never leaks a daemon.
-struct Daemon {
-    child: Child,
-    addr: String,
-    status_addr: Option<String>,
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Start `p4testgen serve` on an ephemeral port and parse the announced
-/// addresses off stderr.
-fn spawn_serve(extra: &[&str]) -> Daemon {
-    let mut child = bin()
-        .arg("serve")
-        .args(["--listen", "127.0.0.1:0"])
-        .args(extra)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("daemon spawns");
-    let stderr = child.stderr.take().expect("stderr piped");
-    let mut reader = BufReader::new(stderr);
-    let mut status_addr = None;
-    let mut line = String::new();
-    let addr = loop {
-        line.clear();
-        if reader.read_line(&mut line).expect("read stderr") == 0 {
-            panic!("daemon exited before announcing its address");
-        }
-        let l = line.trim();
-        if let Some(rest) = l.strip_prefix("p4testgen: status endpoint listening on http://") {
-            status_addr = Some(rest.to_string());
-        }
-        if let Some(rest) = l.strip_prefix("p4testgen: serve listening on ") {
-            break rest.split(' ').next().unwrap().to_string();
-        }
-    };
-    // Keep draining stderr so the daemon never blocks on a full pipe.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        let _ = reader.read_to_string(&mut sink);
-    });
-    Daemon { child, addr, status_addr }
-}
-
-/// One client connection with line-per-message framing.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-        let reader = BufReader::new(stream.try_clone().unwrap());
-        Client { writer: stream, reader }
-    }
-
-    fn send(&mut self, v: &Value) {
-        let mut line = serde_json::to_string(v).unwrap();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).expect("send request");
-    }
-
-    fn send_raw(&mut self, raw: &str) {
-        self.writer.write_all(raw.as_bytes()).expect("send raw");
-    }
-
-    fn recv(&mut self) -> Value {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "daemon closed the connection");
-        serde_json::from_str(line.trim()).expect("response is JSON")
-    }
-
-    /// Shut down the write half (end-of-requests for a pipelining client);
-    /// the read half stays open for the remaining responses.
-    fn half_close(&mut self) {
-        self.writer.shutdown(std::net::Shutdown::Write).expect("half-close");
-    }
-}
 
 fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
     v.get(key).unwrap_or_else(|| panic!("response missing '{key}': {v:?}"))
@@ -244,13 +151,11 @@ fn serve_mixed_tenants_contained_and_byte_identical() {
     let resp = client.recv();
     assert_eq!(str_field(&resp, "status"), "ok");
     assert_eq!(str_field(&resp, "suite"), reference);
-    let cache = field(&resp, "cache");
-    assert_eq!(str_field(cache, "ir"), "hit");
-    assert_eq!(str_field(cache, "instance"), "hit");
+    assert_eq!(str_field(field(&resp, "cache"), "ir"), "hit");
 
     // /metrics reports every cache as bounded, with hit/eviction counters.
     let metrics = http_get(daemon.status_addr.as_deref().unwrap(), "/metrics");
-    for cache in ["ir", "instance", "memo"] {
+    for cache in ["ir", "memo"] {
         assert!(
             metrics.contains(&format!("p4testgen_serve_cache_capacity{{cache=\"{cache}\"}}")),
             "missing capacity for {cache}: {metrics}"
@@ -285,10 +190,9 @@ fn serve_reassembles_slow_chunked_request_lines() {
     assert_eq!(str_field(&resp, "status"), "ok", "{resp:?}");
 }
 
-/// The warm-instance cache key deliberately excludes the display `name`,
-/// so a cache hit must restamp it: tenant B's suite carries B's program
-/// name even when tenant A (same source + config, different name) warmed
-/// the instance.
+/// The IR cache key excludes the display `name`, so tenant B's suite must
+/// carry B's program name even when tenant A (same source + config,
+/// different name) warmed the cache.
 #[test]
 fn serve_warm_instance_restamps_program_name() {
     let daemon = spawn_serve(&["--workers", "1"]);
@@ -313,11 +217,6 @@ fn serve_warm_instance_restamps_program_name() {
     client.send(&named("second", "beta.p4"));
     let second = client.recv();
     assert_eq!(str_field(&second, "status"), "ok");
-    assert_eq!(
-        str_field(field(&second, "cache"), "instance"),
-        "hit",
-        "same source+config must reuse the warm instance"
-    );
     let suite = str_field(&second, "suite");
     assert!(suite.contains("beta.p4"), "suite must carry the requesting name: {suite}");
     assert!(
@@ -328,8 +227,8 @@ fn serve_warm_instance_restamps_program_name() {
 
 /// Serve picks its target through the same registry as the CLI: every
 /// target name serves the suite a cold CLI run emits, a repeat hits the
-/// warm instance, a different target with identical source never reuses
-/// another target's instance, and an unknown name is refused at admission.
+/// compiled-IR cache, a different target with identical source never
+/// reuses another target's IR, and an unknown name is refused at admission.
 #[test]
 fn serve_matches_the_cli_on_every_target() {
     let daemon = spawn_serve(&["--workers", "1"]);
@@ -349,7 +248,7 @@ fn serve_matches_the_cli_on_every_target() {
         req
     };
     // t2na follows tna with the identical source, so its first request
-    // shows that the instance cache keys on the target too.
+    // shows that the IR cache keys on the target too.
     assert_eq!(
         p4testgen::corpus::generate_intersection("tna"),
         p4testgen::corpus::generate_intersection("t2na")
@@ -368,12 +267,12 @@ fn serve_matches_the_cli_on_every_target() {
         assert!(out.status.success(), "{target}: {}", String::from_utf8_lossy(&out.stderr));
         let cold = String::from_utf8(out.stdout).unwrap();
 
-        for (round, instance) in [("cold", "miss"), ("warm", "hit")] {
+        for (round, ir) in [("cold", "miss"), ("warm", "hit")] {
             client.send(&targeted(&format!("{target}-{round}"), target, &source));
             let resp = client.recv();
             assert_eq!(str_field(&resp, "status"), "ok", "{target} {round}: {resp:?}");
             assert_eq!(str_field(&resp, "suite"), cold, "{target} {round}: suite differs from the CLI");
-            assert_eq!(str_field(field(&resp, "cache"), "instance"), instance, "{target} {round}");
+            assert_eq!(str_field(field(&resp, "cache"), "ir"), ir, "{target} {round}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
