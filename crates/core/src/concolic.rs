@@ -70,7 +70,9 @@ impl ConcolicRegistry {
 
 /// Resolve all concolic bindings of a path against the solver: returns the
 /// extra equality constraints to add, or `None` if no consistent concrete
-/// assignment was found within `max_retries`.
+/// assignment was found within `max_retries`. When `bindings` is not empty,
+/// `Some(eqs)` means the solver's last model-bearing check was a Sat check
+/// of exactly `path_constraints ++ eqs`, so its model can be read at once.
 pub fn resolve_concolics(
     pool: &TermPool,
     solver: &mut Solver,

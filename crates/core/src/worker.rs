@@ -867,23 +867,22 @@ impl PathWorker<'_, '_> {
         if res == CheckResult::Unknown {
             self.errors.unknown_queries += 1;
         }
-        if self.observed() {
-            let verdict = match res {
-                CheckResult::Sat => "sat",
-                CheckResult::Unsat => "unsat",
-                CheckResult::Unknown => "unknown",
-            };
-            self.event(
-                "solver-check",
-                Some(trail),
-                Some(format!(
-                    "{verdict} {} assumptions={}",
-                    if verdict_only { "feasibility" } else { "model" },
-                    assumptions.len(),
-                )),
-            );
-        }
+        self.log_check(trail, res, verdict_only, assumptions.len());
         res
+    }
+
+    /// The `solver-check` event for one query issued at `trail`.
+    fn log_check(&mut self, trail: &[u32], res: CheckResult, verdict_only: bool, n: usize) {
+        if !self.observed() {
+            return;
+        }
+        let verdict = match res {
+            CheckResult::Sat => "sat",
+            CheckResult::Unsat => "unsat",
+            CheckResult::Unknown => "unknown",
+        };
+        let kind = if verdict_only { "feasibility" } else { "model" };
+        self.event("solver-check", Some(trail), Some(format!("{verdict} {kind} assumptions={n}")));
     }
 
     /// Fork-feasibility check with memoization on the constraint set.
@@ -1186,37 +1185,23 @@ impl PathWorker<'_, '_> {
         // Resolve concolic bindings (§5.4); adds equality constraints. An
         // Unknown inside the concolic loop surfaces as a failed resolution.
         let t0 = Instant::now();
-        let extra = resolve_concolics(
+        let Some(eqs) = resolve_concolics(
             sh.pool,
             &mut self.solver,
             sh.concolics,
             &st.concolics,
             &st.constraints,
             CONCOLIC_RETRIES,
-        );
+        ) else {
+            self.phases.solving += t0.elapsed();
+            return Err(reason::CONCOLIC_UNRESOLVED);
+        };
         let mut assumptions = st.constraints.clone();
-        match extra {
-            Some(eqs) => assumptions.extend(eqs),
-            None => {
-                self.phases.solving += t0.elapsed();
-                return Err(reason::CONCOLIC_UNRESOLVED);
-            }
-        }
-        self.path_checks += 1;
-        let verdict = self.checked(&st.trail, &assumptions);
-        self.phases.solving += t0.elapsed();
-        match verdict {
-            CheckResult::Sat => {}
-            CheckResult::Unsat => return Err(reason::EMISSION_UNSAT),
-            CheckResult::Unknown => return Err(reason::SOLVER_UNKNOWN),
-        }
+        assumptions.extend(eqs);
         // Randomize free control-plane choices (the paper: "the output port
         // is chosen at random"): propose seeded random values for synthesized
-        // entry arguments and fall back to the unbiased model when the
-        // proposal is inconsistent with the path constraints. Seeded by the
-        // fork trail so the choice is a function of the path, not of the
-        // order in which workers reached it.
-        let t1 = Instant::now();
+        // entry arguments. Seeded by the fork trail so the choice is a
+        // function of the path, not of the order in which workers reached it.
         let mut proposals: Vec<TermId> = Vec::new();
         let mut rng = StdRng::seed_from_u64(sh.config.seed ^ trail_hash(&st.trail));
         for e in &st.entries {
@@ -1226,17 +1211,38 @@ impl PathWorker<'_, '_> {
                 proposals.push(sh.pool.eq(*t, c));
             }
         }
-        if !proposals.is_empty() {
+        // One model-bearing check per emitted test. Proposals first: when
+        // `constraints ∪ eqs ∪ proposals` is Sat, that check's instance holds
+        // the test's model. Only when it is not (the proposal contradicts the
+        // path, or it ran out of budget) is the unbiased model solved for,
+        // with the usual Unknown retry. With no proposals, a path whose
+        // concolics resolved already holds a Sat check of exactly
+        // `constraints ∪ eqs` — the last check `resolve_concolics` made — and
+        // a fresh check's model is a pure function of its ordered constraint
+        // list, so solving it again would rebuild the same model.
+        self.path_checks += 1;
+        let verdict = if !proposals.is_empty() {
             let mut with_rand = assumptions.clone();
-            with_rand.extend(proposals.iter().copied());
-            if self.solver.check_assuming(sh.pool, &with_rand) == CheckResult::Sat {
+            with_rand.extend(proposals);
+            let res = self.solver.check_assuming(sh.pool, &with_rand);
+            self.log_check(&st.trail, res, false, with_rand.len());
+            if res == CheckResult::Sat {
                 assumptions = with_rand;
+                res
             } else {
-                // Re-establish the model without the proposals.
-                let _ = self.solver.check_assuming(sh.pool, &assumptions);
+                self.checked(&st.trail, &assumptions)
             }
+        } else if !st.concolics.is_empty() {
+            CheckResult::Sat
+        } else {
+            self.checked(&st.trail, &assumptions)
+        };
+        self.phases.solving += t0.elapsed();
+        match verdict {
+            CheckResult::Sat => {}
+            CheckResult::Unsat => return Err(reason::EMISSION_UNSAT),
+            CheckResult::Unknown => return Err(reason::SOLVER_UNKNOWN),
         }
-        self.phases.solving += t1.elapsed();
         // Gather every variable the test depends on and extract the model.
         let model = self.model_for(st, &assumptions);
         // Input packet.

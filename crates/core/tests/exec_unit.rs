@@ -458,3 +458,23 @@ fn repeated_runs_of_one_driver_report_their_own_solver_checks() {
     assert!(first.solver_checks > 0);
     assert_eq!(first.solver_checks, second.solver_checks, "second run reported a running total");
 }
+
+#[test]
+fn emission_makes_one_model_bearing_check_per_test() {
+    // In incremental mode with no budget every feasibility check runs on
+    // the warm spine core, so the rest of `solver_checks` are the fresh,
+    // model-bearing ones: exactly one per emitted test, with the random
+    // entry-argument proposals checked first and their model kept.
+    let src = p4t_corpus::generate_synthetic(2, 3);
+    let config = TestgenConfig {
+        jobs: 1,
+        solver_mode: p4t_smt::SolverMode::Incremental,
+        solver_budget: 0,
+        ..TestgenConfig::default()
+    };
+    let mut tg = Testgen::new("synthetic", &src, p4t_targets::V1Model::new(), config)
+        .expect("synthetic program compiles");
+    let summary = tg.run(|_| true);
+    assert!(summary.tests > 0);
+    assert_eq!(summary.solver_checks - summary.solver.warm_checks, summary.tests);
+}

@@ -11,7 +11,7 @@ use crate::term::{BinOp, Node, TermId, TermPool, VarId};
 use std::collections::HashMap;
 
 /// Encoding-cache counters, read by the solver facade's metrics fold.
-#[derive(Default, Clone, Debug)]
+#[derive(Default, Clone, Debug, PartialEq, Eq)]
 pub struct BlastStats {
     /// `blast` calls answered from the per-term cache.
     pub cache_hits: u64,
@@ -32,14 +32,30 @@ pub struct Blaster {
 impl Blaster {
     /// Create a blaster over `sat`, claiming one variable pinned to true.
     pub fn new(sat: &mut SatSolver) -> Self {
-        let t = sat.new_var();
-        sat.add_clause(&[Lit::positive(t)]);
         Blaster {
             cache: HashMap::new(),
             var_bits: HashMap::new(),
-            true_lit: Lit::positive(t),
+            true_lit: Self::pin_true(sat),
             stats: BlastStats::default(),
         }
+    }
+
+    /// Return to the state [`Blaster::new`] builds over `sat`, which the
+    /// caller has just [`SatSolver::reset`]: empty caches (keeping their
+    /// capacity), zeroed `stats`, and the true literal pinned again — as
+    /// variable 0, exactly where `new` puts it on a new solver.
+    pub fn reset(&mut self, sat: &mut SatSolver) {
+        debug_assert_eq!(sat.num_vars(), 0, "reset the SAT solver first");
+        self.cache.clear();
+        self.var_bits.clear();
+        self.true_lit = Self::pin_true(sat);
+        self.stats = BlastStats::default();
+    }
+
+    fn pin_true(sat: &mut SatSolver) -> Lit {
+        let t = Lit::positive(sat.new_var());
+        sat.add_clause(&[t]);
+        t
     }
 
     fn false_lit(&self) -> Lit {
@@ -420,6 +436,19 @@ impl Blaster {
     pub fn assertion_lit(&mut self, sat: &mut SatSolver, pool: &TermPool, t: TermId) -> Lit {
         assert_eq!(pool.width(t), 1, "assertions must be 1-bit terms");
         self.blast(sat, pool, t)[0]
+    }
+}
+
+#[cfg(test)]
+impl Blaster {
+    /// Assert that `self` and `other` are in the same state (see
+    /// [`SatSolver::assert_same_state`]).
+    pub(crate) fn assert_same_state(&self, other: &Blaster) {
+        let Blaster { cache, var_bits, true_lit, stats } = self;
+        assert_eq!(cache, &other.cache);
+        assert_eq!(var_bits, &other.var_bits);
+        assert_eq!(true_lit, &other.true_lit);
+        assert_eq!(stats, &other.stats);
     }
 }
 

@@ -122,8 +122,11 @@ impl Value {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct ClauseRef(u32);
 
+/// A clause header; its literals are `SatSolver::lits[start..start + len]`.
+#[derive(PartialEq, Debug)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learnt: bool,
     /// Activity for learnt-clause reduction.
     activity: f64,
@@ -139,7 +142,7 @@ pub const LEARNT_SIZE_BOUNDS: [u64; 8] = [1, 2, 3, 4, 8, 16, 32, 64];
 
 /// Statistics from the solver, surfaced in the Fig. 7 harness and folded
 /// into the metrics registry by the exploration engine.
-#[derive(Default, Clone, Debug)]
+#[derive(Default, Clone, Debug, PartialEq, Eq)]
 pub struct SatStats {
     pub decisions: u64,
     pub propagations: u64,
@@ -174,6 +177,9 @@ impl SatStats {
 /// facade in [`crate::solver`] is built.
 pub struct SatSolver {
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back, so adding a clause allocates
+    /// nothing once the arena has grown (deleted clauses keep their slots).
+    lits: Vec<Lit>,
     watches: Vec<Vec<ClauseRef>>,
     assigns: Vec<Value>,
     levels: Vec<u32>,
@@ -208,6 +214,7 @@ impl SatSolver {
     pub fn new() -> Self {
         SatSolver {
             clauses: Vec::new(),
+            lits: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
             levels: Vec::new(),
@@ -225,6 +232,32 @@ impl SatSolver {
             cla_inc: 1.0,
             stats: SatStats::default(),
         }
+    }
+
+    /// Return to the state [`SatSolver::new`] builds — no variables, no
+    /// clauses, default scalars and zeroed `stats` — while keeping every
+    /// vector's capacity, including each watch list's. A reset instance is
+    /// state-equal to a new one, so the variables, clauses and solves fed
+    /// to it afterwards behave exactly as on a new instance.
+    pub fn reset(&mut self) {
+        self.clauses.clear();
+        self.lits.clear();
+        // Watch lists stay allocated; `new_var` clears a slot as it reuses it.
+        self.assigns.clear();
+        self.levels.clear();
+        self.reasons.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.heap.clear();
+        self.heap_pos.clear();
+        self.phases.clear();
+        self.seen.clear();
+        self.ok = true;
+        self.cla_inc = 1.0;
+        self.stats = SatStats::default();
     }
 
     /// Number of variables.
@@ -249,8 +282,14 @@ impl SatSolver {
         self.phases.push(false);
         self.seen.push(false);
         self.heap_pos.push(None);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        let slot = 2 * v.0 as usize;
+        if self.watches.len() > slot {
+            self.watches[slot].clear();
+            self.watches[slot + 1].clear();
+        } else {
+            self.watches.push(Vec::new());
+            self.watches.push(Vec::new());
+        }
         self.heap_insert(v);
         v
     }
@@ -280,47 +319,64 @@ impl SatSolver {
         if !self.ok {
             return false;
         }
-        // Simplify: drop duplicate/false literals, detect tautology/satisfied.
-        let mut cl: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Simplify into the arena's tail: drop duplicate/false literals,
+        // detect tautology/satisfied. The tail becomes the clause's
+        // literals, or is truncated away.
+        let start = self.lits.len();
         for &l in lits {
+            let cl = &self.lits[start..];
             match self.value_lit(l) {
-                Value::True => return true, // already satisfied at level 0
+                Value::True => {
+                    // already satisfied at level 0
+                    self.lits.truncate(start);
+                    return true;
+                }
                 Value::False => continue,
                 Value::Unassigned => {
                     if cl.contains(&l.negate()) {
+                        self.lits.truncate(start);
                         return true; // tautology
                     }
                     if !cl.contains(&l) {
-                        cl.push(l);
+                        self.lits.push(l);
                     }
                 }
             }
         }
-        match cl.len() {
+        match self.lits.len() - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(cl[0], None);
+                let unit = self.lits.pop().unwrap();
+                self.enqueue(unit, None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_clause(cl, false);
+                self.attach_tail(start, false);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
-        debug_assert!(lits.len() >= 2);
+    /// Attach the clause whose literals are `lits[start..]`.
+    fn attach_tail(&mut self, start: usize, learnt: bool) -> ClauseRef {
+        let len = self.lits.len() - start;
+        debug_assert!(len >= 2);
         let cref = ClauseRef(self.clauses.len() as u32);
-        self.watches[lits[0].negate().index()].push(cref);
-        self.watches[lits[1].negate().index()].push(cref);
-        self.clauses.push(Clause { lits, learnt, activity: 0.0, deleted: false });
+        self.watches[self.lits[start].negate().index()].push(cref);
+        self.watches[self.lits[start + 1].negate().index()].push(cref);
+        self.clauses.push(Clause {
+            start: start as u32,
+            len: len as u32,
+            learnt,
+            activity: 0.0,
+            deleted: false,
+        });
         cref
     }
 
@@ -346,27 +402,29 @@ impl SatSolver {
             let mut i = 0;
             'clauses: while i < ws.len() {
                 let cref = ws[i];
-                let ci = cref.0 as usize;
-                if self.clauses[ci].deleted {
+                let c = &self.clauses[cref.0 as usize];
+                if c.deleted {
                     ws.swap_remove(i);
                     continue;
                 }
-                // Normalize so lits[0] is the other watched literal.
+                let (start, end) = (c.start as usize, (c.start + c.len) as usize);
+                // Normalize so the clause's first literal is the other
+                // watched one.
                 let false_lit = p.negate();
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if self.lits[start] == false_lit {
+                    self.lits.swap(start, start + 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(self.lits[start + 1], false_lit);
+                let first = self.lits[start];
                 if self.value_lit(first) == Value::True {
                     i += 1;
                     continue;
                 }
                 // Search for a replacement watch.
-                for k in 2..self.clauses[ci].lits.len() {
-                    let lk = self.clauses[ci].lits[k];
+                for k in start + 2..end {
+                    let lk = self.lits[k];
                     if self.value_lit(lk) != Value::False {
-                        self.clauses[ci].lits.swap(1, k);
+                        self.lits.swap(start + 1, k);
                         self.watches[lk.negate().index()].push(cref);
                         ws.swap_remove(i);
                         continue 'clauses;
@@ -419,9 +477,10 @@ impl SatSolver {
         let mut trail_idx = self.trail.len();
         loop {
             self.bump_clause(conflict);
-            let lits: Vec<Lit> = self.clauses[conflict.0 as usize].lits.clone();
+            let Clause { start, len, .. } = self.clauses[conflict.0 as usize];
             let skip = usize::from(p.is_some());
-            for &q in lits.iter().skip(skip) {
+            for k in (start + skip as u32) as usize..(start + len) as usize {
+                let q = self.lits[k];
                 let qv = q.var().0 as usize;
                 if self.seen[qv] || self.levels[qv] == 0 {
                     continue;
@@ -502,17 +561,15 @@ impl SatSolver {
             .clauses
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted && c.lits.len() > 2)
+            .filter(|(_, c)| c.learnt && !c.deleted && c.len > 2)
             .map(|(i, c)| (c.activity, i))
             .collect();
         learnts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         let locked: Vec<bool> = learnts
             .iter()
             .map(|&(_, i)| {
-                self.clauses[i]
-                    .lits
-                    .first()
-                    .is_some_and(|l| self.reasons[l.var().0 as usize] == Some(ClauseRef(i as u32)))
+                let first = self.lits[self.clauses[i].start as usize];
+                self.reasons[first.var().0 as usize] == Some(ClauseRef(i as u32))
             })
             .collect();
         for (k, &(_, i)) in learnts.iter().take(learnts.len() / 2).enumerate() {
@@ -611,7 +668,9 @@ impl SatSolver {
                 } else {
                     // The learnt clause is asserting at the backtrack level,
                     // unless we had to jump further back for assumptions.
-                    let cref = self.attach_clause(learnt.clone(), true);
+                    let start = self.lits.len();
+                    self.lits.extend_from_slice(&learnt);
+                    let cref = self.attach_tail(start, true);
                     if self.value_lit(learnt[0]) == Value::Unassigned {
                         self.enqueue(learnt[0], Some(cref));
                     }
@@ -734,6 +793,56 @@ impl SatSolver {
         self.heap.swap(i, j);
         self.heap_pos[self.heap[i].0 as usize] = Some(i as u32);
         self.heap_pos[self.heap[j].0 as usize] = Some(j as u32);
+    }
+}
+
+#[cfg(test)]
+impl SatSolver {
+    /// Assert that `self` and `other` are in the same logical state: every
+    /// field equal, watch lists compared over the live variables' slots
+    /// (a reset instance keeps the others allocated and empty-on-reuse).
+    /// Destructures both, so a new field fails to compile until it is
+    /// compared here — and, by the same token, handled in `reset`.
+    pub(crate) fn assert_same_state(&self, other: &SatSolver) {
+        let SatSolver {
+            clauses,
+            lits,
+            watches,
+            assigns,
+            levels,
+            reasons,
+            trail,
+            trail_lim,
+            qhead,
+            activity,
+            var_inc,
+            heap,
+            heap_pos,
+            phases,
+            seen,
+            ok,
+            cla_inc,
+            stats,
+        } = self;
+        let live = 2 * assigns.len();
+        assert_eq!(assigns, &other.assigns);
+        assert_eq!(clauses, &other.clauses);
+        assert_eq!(lits, &other.lits);
+        assert_eq!(&watches[..live], &other.watches[..live]);
+        assert_eq!(levels, &other.levels);
+        assert_eq!(reasons, &other.reasons);
+        assert_eq!(trail, &other.trail);
+        assert_eq!(trail_lim, &other.trail_lim);
+        assert_eq!(qhead, &other.qhead);
+        assert_eq!(activity, &other.activity);
+        assert_eq!(var_inc, &other.var_inc);
+        assert_eq!(heap, &other.heap);
+        assert_eq!(heap_pos, &other.heap_pos);
+        assert_eq!(phases, &other.phases);
+        assert_eq!(seen, &other.seen);
+        assert_eq!(ok, &other.ok);
+        assert_eq!(cla_inc, &other.cla_inc);
+        assert_eq!(stats, &other.stats);
     }
 }
 
@@ -956,6 +1065,78 @@ mod tests {
             for c in &cls {
                 assert!(c.iter().any(|l| s.model_value(l.var()) == l.is_positive()));
             }
+        }
+    }
+
+    /// Random 3-SAT over `n` variables at the given clause count.
+    fn random_3sat(s: &mut SatSolver, n: usize, clauses: usize, mut seed: u64) {
+        let vs = lits(s, n);
+        for _ in 0..clauses {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| {
+                    seed = splitmix64(seed);
+                    Lit::new(vs[(seed % n as u64) as usize], seed & (1 << 40) != 0)
+                })
+                .collect();
+            s.add_clause(&c);
+        }
+    }
+
+    #[test]
+    fn reset_instance_matches_a_new_one() {
+        // One instance, reset before every job, must end each job in exactly
+        // the state a new instance reaches: same verdict, model, learnt
+        // clauses, activities, phases and stats. The jobs leave behind what a
+        // reset has to undo: a latched Unsat, a budget-exhausted search,
+        // scrambled phases, restarts and a learnt-clause reduction.
+        type Job = fn(&mut SatSolver) -> SatResult;
+        let jobs: [Job; 6] = [
+            |s| {
+                pigeonhole(s, 6);
+                s.solve_budgeted(&[], &SolveBudget::conflicts(3))
+            },
+            |s| {
+                random_3sat(s, 40, 120, 1);
+                s.seed_phases(0xDEAD_BEEF);
+                s.solve(&[])
+            },
+            |s| {
+                random_3sat(s, 150, 640, 2);
+                let r = s.solve(&[]);
+                assert!(s.stats.learnt_clauses > 2000, "no learnt-clause reduction ran");
+                assert!(s.stats.restarts > 0, "no restart ran");
+                r
+            },
+            |s| {
+                let v = s.new_var();
+                s.add_clause(&[Lit::positive(v)]);
+                s.add_clause(&[Lit::negative(v)]);
+                s.solve(&[])
+            },
+            |s| {
+                random_3sat(s, 30, 60, 3);
+                s.seed_phases(7);
+                s.solve_budgeted(&[], &SolveBudget { decisions: 4, ..SolveBudget::UNLIMITED })
+            },
+            |s| {
+                let vs = lits(s, 3);
+                s.add_clause(&[Lit::negative(vs[0]), Lit::positive(vs[1])]);
+                s.solve(&[Lit::positive(vs[0]), Lit::negative(vs[2])])
+            },
+        ];
+        let mut reused = SatSolver::new();
+        let mut verdicts = Vec::new();
+        for (i, job) in jobs.iter().enumerate() {
+            reused.reset();
+            let mut new = SatSolver::new();
+            reused.assert_same_state(&new);
+            let (r, n) = (job(&mut reused), job(&mut new));
+            assert_eq!(r, n, "job {i}: verdicts differ");
+            reused.assert_same_state(&new);
+            verdicts.push(r);
+        }
+        for want in [SatResult::Sat, SatResult::Unsat, SatResult::Unknown] {
+            assert!(verdicts.contains(&want), "no job answered {want:?}");
         }
     }
 

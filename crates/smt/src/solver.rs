@@ -10,12 +10,17 @@
 //!
 //! * [`Solver::check_assuming`] (and [`Solver::check`]) are **model-bearing
 //!   and fresh-per-check**: the cone of the constraint set is encoded into
-//!   a brand-new SAT instance, solved, and kept for model extraction. CNF
-//!   variables are numbered by the blaster's structural traversal of that
-//!   cone alone, so the model is a pure function of the constraint set —
-//!   never of what this worker (or any other) solved before. Every byte of
-//!   an emitted test descends from one of these checks, which is what keeps
-//!   suites byte-identical across job counts *and across solver modes*.
+//!   an instance reset to the empty state, reusing storage, solved, and
+//!   kept for model extraction until the next such check resets it. The
+//!   reset ([`SatSolver::reset`], [`Blaster::reset`]) clears every vector
+//!   and map and restores every scalar and counter to what `new` sets, so a
+//!   reset instance is state-equal to a brand-new one; only capacity
+//!   survives. CNF variables are therefore numbered by the blaster's
+//!   structural traversal of that cone alone, and the model is a pure
+//!   function of the ordered constraint list — never of what this worker
+//!   (or any other) solved before. Every byte of an emitted test descends
+//!   from one of these checks, which is what keeps suites byte-identical
+//!   across job counts *and across solver modes*.
 //!
 //! * [`Solver::check_feasible`] is **verdict-only**. In
 //!   [`SolverMode::Incremental`] (the default) the solver keeps one warm
@@ -40,7 +45,8 @@
 //! grows past a small multiple of the current check's live cone (retired
 //! subtrees' garbage dominating), the core is **rebuilt** from the current
 //! constraint set — the same cone restriction Z3's incremental mode
-//! performs internally, made explicit and deterministic.
+//! performs internally, made explicit and deterministic. A rebuild resets
+//! the core in place, on the same storage.
 //!
 //! In front of the warm blaster sits a term-level simplification pass
 //! ([`crate::simplify`]): constant folding over the conjunction, equality
@@ -239,14 +245,21 @@ struct WarmCore {
 
 impl WarmCore {
     fn new() -> Self {
-        let mut sat = SatSolver::new();
-        let blaster = Blaster::new(&mut sat);
+        let (sat, blaster) = empty_instance(None);
         WarmCore {
             sat,
             blaster,
             root_lits: HashMap::new(),
             root_cost: HashMap::new(),
         }
+    }
+
+    /// Rebuild: back to the state `new` builds, on the storage already held.
+    fn reset(&mut self) {
+        self.sat.reset();
+        self.blaster.reset(&mut self.sat);
+        self.root_lits.clear();
+        self.root_cost.clear();
     }
 
     /// Get-or-blast the activation literal for a constraint root. Returns
@@ -262,7 +275,25 @@ impl WarmCore {
         self.root_cost.insert(t, cost);
         (l, false)
     }
+}
 
+/// A SAT instance and blaster in the state `SatSolver::new` +
+/// `Blaster::new` build. A `recycled` pair is reset rather than dropped,
+/// so the new instance reuses its storage; being state-equal to a new pair,
+/// it numbers variables, searches and answers exactly as one would.
+fn empty_instance(recycled: Option<(SatSolver, Blaster)>) -> (SatSolver, Blaster) {
+    match recycled {
+        Some((mut sat, mut blaster)) => {
+            sat.reset();
+            blaster.reset(&mut sat);
+            (sat, blaster)
+        }
+        None => {
+            let mut sat = SatSolver::new();
+            let blaster = Blaster::new(&mut sat);
+            (sat, blaster)
+        }
+    }
 }
 
 /// Bitvector solver with scoped assertions.
@@ -271,8 +302,10 @@ pub struct Solver {
     asserted_terms: Vec<TermId>,
     scope_marks: Vec<usize>,
     /// The SAT instance and blaster from the most recent *model-bearing*
-    /// check (kept for model extraction).
+    /// check (kept for model extraction, then reset for the next one).
     last: Option<(SatSolver, Blaster)>,
+    /// The verdict of that check; a model may only be read after `Sat`.
+    last_verdict: Option<CheckResult>,
     /// Accumulated SAT-core statistics across all checks.
     sat_totals: crate::sat::SatStats,
     /// Per-query resource budget (unlimited by default).
@@ -299,6 +332,7 @@ impl Solver {
             asserted_terms: Vec::new(),
             scope_marks: Vec::new(),
             last: None,
+            last_verdict: None,
             sat_totals: crate::sat::SatStats::default(),
             budget: SolveBudget::UNLIMITED,
             phase_seed: 0,
@@ -375,11 +409,11 @@ impl Solver {
     /// Model-bearing check with extra transient assumptions (1-bit terms).
     /// Always fresh-per-check: the verdict *and the model* are a pure
     /// function of the constraint set (plus budget and phase seed) — this
-    /// is the only check whose model may be read afterwards.
+    /// is the only check whose model may be read afterwards, and only when
+    /// it answered `Sat`.
     pub fn check_assuming(&mut self, pool: &TermPool, extra: &[TermId]) -> CheckResult {
         let t0 = Instant::now();
-        let mut sat = SatSolver::new();
-        let mut blaster = Blaster::new(&mut sat);
+        let (mut sat, mut blaster) = empty_instance(self.last.take());
         let mut ok = true;
         for &t in self.asserted_terms.iter().chain(extra) {
             debug_assert_eq!(pool.width(t), 1, "assumptions must be 1-bit terms");
@@ -405,7 +439,9 @@ impl Solver {
         self.inc_stats.blast_cache_misses += blaster.stats.cache_misses;
         self.sat_totals.absorb(&sat.stats);
         self.last = Some((sat, blaster));
-        self.count_result(res)
+        let verdict = self.count_result(res);
+        self.last_verdict = Some(verdict);
+        verdict
     }
 
     /// Verdict-only feasibility check of `asserted ∧ extra`. In incremental
@@ -443,10 +479,10 @@ impl Solver {
             }
             Simplified::Constraints(cs) => cs,
         };
-        let mut core = match self.warm.take() {
-            Some(w) if w.sat.is_ok() => w,
-            _ => WarmCore::new(),
-        };
+        let mut core = self.warm.take().unwrap_or_else(WarmCore::new);
+        if !core.sat.is_ok() {
+            core.reset();
+        }
         // Rebuild policy: estimate this check's live cone from the recorded
         // per-root costs; when the database has grown well past it, the
         // garbage from retired subtrees dominates and a rebuild makes every
@@ -457,7 +493,7 @@ impl Solver {
             && total > live.saturating_mul(REBUILD_GROWTH_FACTOR) + REBUILD_SLACK_VARS
         {
             self.inc_stats.rebuilds += 1;
-            core = WarmCore::new();
+            core.reset();
         }
         // Advance the spine: reuse already-pushed constraints, blast only
         // the new cones. Each root literal is the constraint's activation
@@ -489,7 +525,7 @@ impl Solver {
             // level 0; if it somehow did, rebuild and re-push this check's
             // roots so the verdict stays correct.
             self.inc_stats.rebuilds += 1;
-            core = WarmCore::new();
+            core.reset();
             assumptions.clear();
             for &c in &roots {
                 assumptions.push(core.root_lit(pool, c).0);
@@ -526,8 +562,11 @@ impl Solver {
     }
 
     /// Model value of one variable after a Sat check. Variables that did not
-    /// occur in the checked formula evaluate to zero.
+    /// occur in the checked formula evaluate to zero. Reading a model after
+    /// an Unsat or Unknown check is a caller bug (the values are whatever
+    /// the search left behind), caught by a debug assertion.
     pub fn model_value(&self, pool: &TermPool, v: VarId) -> crate::bitvec::BitVec {
+        self.debug_assert_model_readable();
         match &self.last {
             Some((sat, blaster)) => blaster.model_value(sat, pool, v),
             None => crate::bitvec::BitVec::zeros(pool.var_info(v).width),
@@ -536,11 +575,18 @@ impl Solver {
 
     /// Full model over the given variables after a Sat check.
     pub fn model(&self, pool: &TermPool, vars: &[VarId]) -> Assignment {
+        self.debug_assert_model_readable();
         let mut asg = Assignment::new();
         for &v in vars {
             asg.set(v, self.model_value(pool, v));
         }
         asg
+    }
+
+    fn debug_assert_model_readable(&self) {
+        if let Some(v) = self.last_verdict {
+            debug_assert_eq!(v, CheckResult::Sat, "model read after a non-Sat check");
+        }
     }
 
     /// Model over every variable mentioned in the current assertions.
@@ -689,16 +735,19 @@ mod tests {
     /// A 24×24→48-bit factoring constraint: hard enough that a one-conflict
     /// budget can never finish it.
     fn hard_query(pool: &TermPool, s: &mut Solver) {
+        for t in hard_terms(pool) {
+            s.assert(pool, t);
+        }
+    }
+
+    fn hard_terms(pool: &TermPool) -> Vec<TermId> {
         let x = pool.fresh_var("x", 48);
         let y = pool.fresh_var("y", 48);
         let prod = pool.mul(x, y);
         // 0xB4D5_2F9E_1D03 = 198341*957463 — force a nontrivial factoring.
         let target = pool.const_u128(48, 198_341u128 * 957_463u128);
         let one = pool.const_u128(48, 1);
-        s.assert(pool, pool.eq(prod, target));
-        s.assert(pool, pool.ult(one, x));
-        s.assert(pool, pool.ult(one, y));
-        s.assert(pool, pool.ult(x, y));
+        vec![pool.eq(prod, target), pool.ult(one, x), pool.ult(one, y), pool.ult(x, y)]
     }
 
     #[test]
@@ -744,6 +793,82 @@ mod tests {
         assert_eq!(s.check(&pool), CheckResult::Sat);
         let m = s.model_of_assertions(&pool);
         assert!(eval(&pool, &m, pool.eq(x, c)).is_true());
+    }
+
+    #[test]
+    fn recycled_instances_match_new_ones() {
+        // A model-bearing check builds its instance on the previous check's
+        // reset storage. Over verdicts of every kind, budgets and phase
+        // seeds, each check must leave exactly the instance — and so the
+        // verdict, model and SAT stats — that a new `Solver` builds.
+        let pool = TermPool::new();
+        let hard = hard_terms(&pool);
+        let mut queries: Vec<(Vec<TermId>, SolveBudget, u64)> = Vec::new();
+        for seed in [0u64, 0x1234] {
+            for cs in spine_family(&pool) {
+                queries.push((cs, SolveBudget::UNLIMITED, seed));
+            }
+            queries.push((hard.clone(), SolveBudget::conflicts(50), seed));
+        }
+        queries.push((hard[1..].to_vec(), SolveBudget::UNLIMITED, 7));
+        let mut reused = Solver::new();
+        let mut verdicts = Vec::new();
+        for (i, (cs, budget, seed)) in queries.iter().enumerate() {
+            let mut new = Solver::new();
+            for s in [&mut reused, &mut new] {
+                s.set_budget(*budget);
+                s.set_phase_seed(*seed);
+            }
+            let verdict = reused.check_assuming(&pool, cs);
+            assert_eq!(verdict, new.check_assuming(&pool, cs), "query {i}: verdicts differ");
+            let (rs, rb) = reused.last.as_ref().unwrap();
+            let (ns, nb) = new.last.as_ref().unwrap();
+            rs.assert_same_state(ns);
+            rb.assert_same_state(nb);
+            if verdict == CheckResult::Sat {
+                for v in cs.iter().flat_map(|&c| pool.vars_of(c)) {
+                    assert_eq!(reused.model_value(&pool, v), new.model_value(&pool, v), "query {i}");
+                }
+            }
+            verdicts.push(verdict);
+        }
+        for want in [CheckResult::Sat, CheckResult::Unsat, CheckResult::Unknown] {
+            assert!(verdicts.contains(&want), "no query answered {want:?}");
+        }
+    }
+
+    #[test]
+    fn warm_rebuild_matches_a_new_core() {
+        // A rebuild resets the warm core in place; afterwards it must hold
+        // exactly what a new core holds after the same check.
+        let pool = TermPool::new();
+        let (x, y) = (pool.fresh_var("bx", 24), pool.fresh_var("by", 24));
+        let big = pool.ult(pool.const_u128(24, 5), pool.mul(x, y));
+        let small = spine_family(&pool).swap_remove(0);
+        let mut warm = Solver::new();
+        assert_eq!(warm.check_feasible(&pool, &[big]), CheckResult::Sat);
+        assert_eq!(warm.check_feasible(&pool, &small), CheckResult::Sat);
+        assert_eq!(warm.inc_stats.rebuilds, 1, "the small check must trigger a rebuild");
+        let mut new = Solver::new();
+        assert_eq!(new.check_feasible(&pool, &small), CheckResult::Sat);
+        let (w, n) = (warm.warm.as_ref().unwrap(), new.warm.as_ref().unwrap());
+        w.sat.assert_same_state(&n.sat);
+        w.blaster.assert_same_state(&n.blaster);
+        assert_eq!(w.root_lits, n.root_lits);
+        assert_eq!(w.root_cost, n.root_cost);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "model read after a non-Sat check")]
+    fn model_after_unsat_check_panics_in_debug_builds() {
+        let pool = TermPool::new();
+        let mut s = Solver::new();
+        let x = pool.fresh_var("ux", 8);
+        let (c1, c2) = (pool.const_u128(8, 1), pool.const_u128(8, 2));
+        assert_eq!(s.check_assuming(&pool, &[pool.eq(x, c1), pool.eq(x, c2)]), CheckResult::Unsat);
+        let crate::term::Node::Var(v) = *pool.node(x) else { panic!() };
+        s.model_value(&pool, v);
     }
 
     #[test]
