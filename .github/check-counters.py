@@ -22,6 +22,7 @@ COUNTERS = [
     "smt.sat_propagations",
     "smt.roots_blasted",
     "smt.warm_rebuilds",
+    "smt.simplify_fast_unsat",
 ]
 
 

@@ -770,6 +770,11 @@ fn fold_run_metrics(
         .add(s.unknown_results);
     reg.counter("p4testgen_solver_solve_ns_total", "wall time inside check (ns)")
         .add(s.solve_time.as_nanos() as u64);
+    reg.counter(
+        "p4testgen_solver_simplify_ns_total",
+        "wall time in term simplification, part of solve_ns (ns)",
+    )
+    .add(s.simplify_time.as_nanos() as u64);
 
     let sat = &out.sat_stats;
     reg.counter("p4testgen_sat_decisions_total", "SAT decisions").add(sat.decisions);

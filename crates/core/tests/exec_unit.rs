@@ -478,3 +478,28 @@ fn emission_makes_one_model_bearing_check_per_test() {
     assert!(summary.tests > 0);
     assert_eq!(summary.solver_checks - summary.solver.warm_checks, summary.tests);
 }
+
+#[test]
+fn deep_parser_simplification_grows_linearly() {
+    // Every feasibility check of parser_deep(d, 8) re-derives the pinned
+    // select key's binding, so the simplifier's rewrite memo carries over
+    // from check to check: doubling the depth doubles the rewrites
+    // computed, where a per-check memo quadruples them.
+    let run = |depth: u32| {
+        let config = TestgenConfig {
+            jobs: 1,
+            solver_mode: p4t_smt::SolverMode::Incremental,
+            solver_budget: 0,
+            ..TestgenConfig::default()
+        };
+        let src = p4t_corpus::generate_parser_deep(depth, 8);
+        let mut tg = Testgen::new("deep", &src, p4t_targets::V1Model::new(), config)
+            .expect("parser_deep compiles");
+        let summary = tg.run(|_| true);
+        // Each of the 8 arms per level contradicts the pinned key.
+        assert_eq!(summary.solver.simplify.fast_unsat, 8 * depth as u64);
+        summary.solver.simplify.rewrites
+    };
+    let (r20, r40) = (run(20), run(40));
+    assert!(r40 < 3 * r20, "rewrites grew superlinearly: {r20} at depth 20, {r40} at depth 40");
+}

@@ -29,6 +29,13 @@
 //!   *simplified* structure: syntactically different constraints that
 //!   simplify to the same term share one CNF encoding.
 //!
+//! * **A rewrite memo kept across checks** — a [`RewriteCache`] holds one
+//!   `TermId -> TermId` memo per round, tagged with the bindings it was
+//!   built under. A round whose bindings equal its slot's tag reuses the
+//!   slot's memo, so a DFS that re-derives the same bindings check after
+//!   check (a parser's pinned select key) rewrites each trail constraint
+//!   once per run rather than once per check.
+//!
 //! Soundness caveat: dropping a spent defining equality `x == c` preserves
 //! *satisfiability* of the conjunction, not its models (`x` becomes
 //! unconstrained). The pass is therefore only used for verdict-only
@@ -47,8 +54,11 @@ const MAX_ROUNDS: usize = 4;
 #[derive(Default, Clone, Debug)]
 pub struct SimplifyStats {
     /// Term nodes whose rewrite produced a structurally different term.
+    /// Counts rewrites computed, not ones served from the memo of an
+    /// earlier check (see [`RewriteCache`]).
     pub rewrites: u64,
-    /// Variable occurrences replaced via a trail equality binding.
+    /// Variable occurrences replaced via a trail equality binding, counted
+    /// like `rewrites`: when computed, not when served from the memo.
     pub substitutions: u64,
     /// Constraints dropped because they simplified to constant true.
     pub dropped_true: u64,
@@ -75,12 +85,70 @@ pub enum Simplified {
     False,
 }
 
+/// Rewrite memos kept across the [`simplify_conjunction`] calls of one
+/// solver: one slot per round, each tagged with the whole-variable and
+/// bit-range bindings its memo was built under.
+///
+/// Reuse is exact. `rewrite` reads only those bindings and the pool, and
+/// the pool is append-only and hash-consed, so a memo entry is the term a
+/// fresh memo would build for the same bindings. Only the `rewrites` and
+/// `substitutions` counters see the difference. Memory is bounded by the
+/// pool: at most one entry per term per round, and a slot is cleared
+/// whenever its round's bindings change. A cache serves one pool; a fresh
+/// `RewriteCache` is a from-scratch simplification.
+#[derive(Default)]
+pub struct RewriteCache {
+    slots: Vec<MemoSlot>,
+    /// Address of the pool the memos were built over — checked in debug
+    /// builds, since entries name its terms.
+    pool: usize,
+}
+
+/// One round's memo and the bindings it was built under.
+#[derive(Default)]
+struct MemoSlot {
+    whole: HashMap<VarId, TermId>,
+    ranges: HashMap<VarId, Vec<RangeBind>>,
+    memo: HashMap<TermId, TermId>,
+}
+
+impl RewriteCache {
+    /// The memo for `round` under `bindings`: the slot's own memo when it
+    /// was built under the same bindings, otherwise a cleared one.
+    fn memo(
+        &mut self,
+        pool: &TermPool,
+        round: usize,
+        bindings: &Bindings,
+    ) -> &mut HashMap<TermId, TermId> {
+        let addr = pool as *const TermPool as usize;
+        debug_assert!(
+            self.pool == addr || self.slots.iter().all(|s| s.memo.is_empty()),
+            "a RewriteCache must serve one pool"
+        );
+        self.pool = addr;
+        if self.slots.len() <= round {
+            self.slots.resize_with(round + 1, MemoSlot::default);
+        }
+        let slot = &mut self.slots[round];
+        if slot.whole != bindings.whole || slot.ranges != bindings.ranges {
+            slot.memo.clear();
+            slot.whole.clone_from(&bindings.whole);
+            slot.ranges.clone_from(&bindings.ranges);
+        }
+        &mut slot.memo
+    }
+}
+
 /// Simplify a conjunction of 1-bit constraints (see the module docs). The
 /// result is equisatisfiable with the input; it is *not* model-preserving.
-/// Deterministic: a pure function of the constraint sequence.
+/// Deterministic: a pure function of the constraint sequence, whatever
+/// `cache` holds (only the `rewrites` and `substitutions` counts depend on
+/// it).
 pub fn simplify_conjunction(
     pool: &TermPool,
     constraints: &[TermId],
+    cache: &mut RewriteCache,
     stats: &mut SimplifyStats,
 ) -> Simplified {
     let mut cur: Vec<TermId> = constraints.to_vec();
@@ -96,7 +164,7 @@ pub fn simplify_conjunction(
             // still change anything.
             break;
         }
-        let mut memo: HashMap<TermId, TermId> = HashMap::new();
+        let memo = cache.memo(pool, round, &bindings);
         let mut next = Vec::with_capacity(cur.len());
         for &c in &cur {
             if bindings.definers.contains(&c) {
@@ -106,7 +174,7 @@ pub fn simplify_conjunction(
                 next.push(c);
                 continue;
             }
-            let r = rewrite(pool, &bindings, &mut memo, stats, c);
+            let r = rewrite(pool, &bindings, memo, stats, c);
             if pool.is_const_false(r) {
                 stats.fast_unsat += 1;
                 return Simplified::False;
@@ -139,7 +207,7 @@ pub fn simplify_conjunction(
 }
 
 /// One bound bit-range of a variable: `var[hi:lo] == value` (a constant).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct RangeBind {
     hi: u32,
     lo: u32,
@@ -373,7 +441,7 @@ mod tests {
 
     fn simplify(pool: &TermPool, cs: &[TermId]) -> (Simplified, SimplifyStats) {
         let mut stats = SimplifyStats::default();
-        let r = simplify_conjunction(pool, cs, &mut stats);
+        let r = simplify_conjunction(pool, cs, &mut RewriteCache::default(), &mut stats);
         (r, stats)
     }
 
@@ -625,6 +693,137 @@ mod tests {
                     assert_eq!(res_sat, brute_sat, "residue changed satisfiability");
                 }
             }
+        }
+    }
+
+    // ---- the cross-check rewrite memo -----------------------------------
+
+    /// Simplify each conjunction of `seq` in turn through one long-lived
+    /// cache, and check every result against a call on a fresh cache: the
+    /// same residue or verdict, and the same `fast_unsat` and
+    /// `dropped_true` deltas. Returns the stats totals with and without
+    /// the long-lived cache.
+    fn assert_cache_matches_fresh(
+        pool: &TermPool,
+        seq: &[Vec<TermId>],
+    ) -> (SimplifyStats, SimplifyStats) {
+        let mut cache = RewriteCache::default();
+        let mut kept = SimplifyStats::default();
+        let mut fresh_total = SimplifyStats::default();
+        for (i, cs) in seq.iter().enumerate() {
+            let mut fresh = SimplifyStats::default();
+            let want = simplify_conjunction(pool, cs, &mut RewriteCache::default(), &mut fresh);
+            let before = kept.clone();
+            let got = simplify_conjunction(pool, cs, &mut cache, &mut kept);
+            assert_eq!(got, want, "check {i}: {cs:?}");
+            assert_eq!(kept.fast_unsat - before.fast_unsat, fresh.fast_unsat, "check {i}");
+            assert_eq!(kept.dropped_true - before.dropped_true, fresh.dropped_true, "check {i}");
+            fresh_total.absorb(&fresh);
+        }
+        (kept, fresh_total)
+    }
+
+    /// Constraints shaped like a parser's trail: a select key pinned to
+    /// one of two values (a range binding), select arms that conflict with
+    /// it, a slice it covers, var-var bindings, 1-bit literals, and an
+    /// arithmetic chain `y == x + 1`, `z == y + 1`, `w == z + 1` whose
+    /// bindings only appear in rounds 2, 3 and 4.
+    fn trail_catalogue(p: &TermPool) -> Vec<Vec<TermId>> {
+        let pkt = p.fresh_var("pkt", 48);
+        let key = p.extract(47, 16, pkt);
+        let pin = |k: u128| p.eq(key, p.const_u128(32, k));
+        let arm = |k: u128| p.eq(key, p.const_u128(32, 0xA000_0001 + k));
+        let covered = p.ult(p.extract(47, 40, pkt), p.const_u128(8, 0xA1));
+        let [x, y, z, w, u] = ["x", "y", "z", "w", "u"].map(|n| p.fresh_var(n, 8));
+        let one = p.const_u128(8, 1);
+        let (a, b) = (p.fresh_var("a", 1), p.fresh_var("b", 1));
+        vec![
+            vec![pin(0xA000_0000), pin(0xB000_0000), p.eq(x, p.const_u128(8, 5))],
+            vec![covered, arm(0), p.eq(y, p.add(x, one))],
+            vec![a, p.eq(u, x), p.eq(z, p.add(y, one))],
+            vec![p.eq(w, p.add(z, one)), p.not(b), arm(1), covered],
+            vec![p.neq(w, p.const_u128(8, 8)), p.eq(a, b), p.ult(u, p.const_u128(8, 9))],
+        ]
+    }
+
+    /// Every root-to-node trail of the tree whose level `d` offers the
+    /// choices `levels[d]`, in DFS order: the trail grows, backtracks, and
+    /// bindings appear and vanish with the constraints that make them. (The
+    /// catalogue's last choices bind no whole variable and fold to no
+    /// false, so moving from the first pin's subtree to the second changes
+    /// only the range binding.)
+    fn dfs_trails(levels: &[Vec<TermId>]) -> Vec<Vec<TermId>> {
+        fn go(levels: &[Vec<TermId>], trail: &mut Vec<TermId>, out: &mut Vec<Vec<TermId>>) {
+            let Some((choices, rest)) = levels.split_first() else { return };
+            for &c in choices {
+                trail.push(c);
+                out.push(trail.clone());
+                go(rest, trail, out);
+                trail.pop();
+            }
+        }
+        let mut out = Vec::new();
+        go(levels, &mut Vec::new(), &mut out);
+        out
+    }
+
+    #[test]
+    fn kept_memo_matches_a_fresh_one_along_a_dfs() {
+        let p = TermPool::new();
+        let mut seq = dfs_trails(&trail_catalogue(&p));
+        seq.extend(crate::solver::tests::spine_family(&p));
+        let (kept, fresh) = assert_cache_matches_fresh(&p, &seq);
+        assert!(kept.rewrites < fresh.rewrites, "the kept memo must save rewrites");
+        // The sequence reaches every mechanism the memo must be exact for.
+        assert!(fresh.fast_unsat > 0 && fresh.dropped_true > 0 && fresh.substitutions > 0);
+    }
+
+    #[test]
+    fn arithmetic_chain_binds_one_variable_per_round() {
+        // The catalogue's chain: x is bound in round 1, y in round 2, z in
+        // round 3 and w in round 4, which folds `w != 8` to false.
+        let p = TermPool::new();
+        let l = trail_catalogue(&p);
+        let chain = [l[0][2], l[1][2], l[2][2], l[3][0], l[4][0]];
+        assert_eq!(simplify(&p, &chain).0, Simplified::False);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a RewriteCache must serve one pool")]
+    fn a_cache_with_entries_rejects_another_pool() {
+        let (p, q) = (TermPool::new(), TermPool::new());
+        let mut cache = RewriteCache::default();
+        let mut stats = SimplifyStats::default();
+        for pool in [&p, &q] {
+            // x == 5, y == x + 1: the second rewrites under the first.
+            let l = trail_catalogue(pool);
+            simplify_conjunction(pool, &[l[0][2], l[1][2]], &mut cache, &mut stats);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Random push/pop walks over the catalogue: a kept memo answers
+        /// every check exactly as a fresh one does.
+        #[test]
+        fn kept_memo_matches_a_fresh_one_on_random_walks(
+            ops in proptest::collection::vec((0u8..3, 0usize..64), 1..40)
+        ) {
+            let p = TermPool::new();
+            let catalogue: Vec<TermId> = trail_catalogue(&p).concat();
+            let mut trail = Vec::new();
+            let mut seq = Vec::new();
+            for (op, i) in ops {
+                if op == 0 {
+                    trail.pop();
+                } else {
+                    trail.push(catalogue[i % catalogue.len()]);
+                }
+                seq.push(trail.clone());
+            }
+            assert_cache_matches_fresh(&p, &seq);
         }
     }
 }

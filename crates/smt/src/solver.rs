@@ -54,7 +54,10 @@
 //! into the hash-consed pool — a blast cache keyed on *simplified*
 //! structure. A constraint that folds to constant false decides the check
 //! with no SAT call at all. The pass preserves satisfiability, not models,
-//! which is exactly why it is confined to the verdict-only path.
+//! which is exactly why it is confined to the verdict-only path. Its rewrite
+//! memo ([`RewriteCache`]) lives as long as the solver: a warm-core rebuild
+//! keeps it (rewrites do not depend on the SAT core), and
+//! [`Solver::reset_warm`] drops it.
 //!
 //! Fresh mode is still used, even under [`SolverMode::Incremental`], when:
 //!
@@ -70,7 +73,7 @@
 use crate::blast::Blaster;
 use crate::eval::Assignment;
 use crate::sat::{Lit, SatResult, SatSolver, SolveBudget};
-use crate::simplify::{simplify_conjunction, Simplified, SimplifyStats};
+use crate::simplify::{simplify_conjunction, RewriteCache, Simplified, SimplifyStats};
 use crate::term::{TermId, TermPool, VarId};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -139,8 +142,12 @@ pub struct SolverStats {
     pub unsat_results: u64,
     /// Checks that exhausted their budget without a verdict.
     pub unknown_results: u64,
-    /// Wall time spent inside `check` (bit-blasting + SAT search).
+    /// Wall time spent inside `check` (simplification + bit-blasting + SAT
+    /// search).
     pub solve_time: Duration,
+    /// Wall time spent in term simplification (warm checks only); a
+    /// sub-interval of `solve_time`.
+    pub simplify_time: Duration,
     /// Wall time spent purely in the SAT search.
     pub sat_time: Duration,
     /// Non-cumulative histogram of SAT conflicts per check: cell `i` counts
@@ -157,6 +164,7 @@ impl SolverStats {
         self.unsat_results += other.unsat_results;
         self.unknown_results += other.unknown_results;
         self.solve_time += other.solve_time;
+        self.simplify_time += other.simplify_time;
         self.sat_time += other.sat_time;
         for (t, o) in
             self.conflicts_per_check_hist.iter_mut().zip(other.conflicts_per_check_hist.iter())
@@ -316,6 +324,8 @@ pub struct Solver {
     mode: SolverMode,
     /// The warm spine core, lazily created on the first warm check.
     warm: Option<WarmCore>,
+    /// The simplifier's rewrite memos, kept across warm checks.
+    rewrite_cache: RewriteCache,
     pub stats: SolverStats,
     pub inc_stats: IncrementalStats,
 }
@@ -338,6 +348,7 @@ impl Solver {
             phase_seed: 0,
             mode: SolverMode::default(),
             warm: None,
+            rewrite_cache: RewriteCache::default(),
             stats: SolverStats::default(),
             inc_stats: IncrementalStats::default(),
         }
@@ -362,12 +373,13 @@ impl Solver {
         self.mode
     }
 
-    /// Discard the warm spine core. The engine calls this after recovering
-    /// from an isolated path panic — the core may have been abandoned
-    /// mid-push, and the next warm check deterministically rebuilds it from
-    /// that check's own constraint set.
+    /// Discard the warm spine core and the simplifier's rewrite memos. The
+    /// engine calls this after recovering from an isolated path panic — the
+    /// core may have been abandoned mid-push, and the next warm check
+    /// deterministically rebuilds it from that check's own constraint set.
     pub fn reset_warm(&mut self) {
         self.warm = None;
+        self.rewrite_cache = RewriteCache::default();
     }
 
     /// Scramble initial decision phases for subsequent checks (0 restores
@@ -471,7 +483,10 @@ impl Solver {
         // false residue is a verdict with no SAT work at all.
         let all: Vec<TermId> =
             self.asserted_terms.iter().chain(extra).copied().collect();
-        let roots = match simplify_conjunction(pool, &all, &mut self.inc_stats.simplify) {
+        let simplified =
+            simplify_conjunction(pool, &all, &mut self.rewrite_cache, &mut self.inc_stats.simplify);
+        self.stats.simplify_time += t0.elapsed();
+        let roots = match simplified {
             Simplified::False => {
                 self.stats.conflicts_per_check_hist[0] += 1;
                 self.stats.solve_time += t0.elapsed();
@@ -635,7 +650,7 @@ fn accumulate_delta(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::eval::eval;
 
@@ -886,7 +901,7 @@ mod tests {
 
     /// Sibling-style constraint sequences (shared prefix, one differing
     /// tail) to exercise spine reuse.
-    fn spine_family(pool: &TermPool) -> Vec<Vec<TermId>> {
+    pub(crate) fn spine_family(pool: &TermPool) -> Vec<Vec<TermId>> {
         let x = pool.fresh_var("sx", 16);
         let y = pool.fresh_var("sy", 16);
         let c10 = pool.const_u128(16, 10);
@@ -968,6 +983,29 @@ mod tests {
         assert_eq!(s.check_feasible(&pool, &[]), CheckResult::Unknown);
         assert_eq!(s.inc_stats.fresh_fallbacks, 1);
         assert_eq!(s.inc_stats.warm_checks, 0);
+    }
+
+    #[test]
+    fn rewrite_memo_outlives_checks_until_reset_warm() {
+        // A check that repeats the previous one's bindings computes no
+        // rewrite; dropping the warm state makes the next one start over.
+        let pool = TermPool::new();
+        let pkt = pool.fresh_var("mp", 32);
+        let key = pool.extract(31, 16, pkt);
+        let pin = pool.eq(key, pool.const_u128(16, 0xA000));
+        let arm = pool.eq(key, pool.const_u128(16, 0xA001));
+        let mut s = Solver::new();
+        let rewrites = |s: &mut Solver| {
+            let before = s.inc_stats.simplify.rewrites;
+            assert_eq!(s.check_feasible(&pool, &[pin, arm]), CheckResult::Unsat);
+            s.inc_stats.simplify.rewrites - before
+        };
+        let first = rewrites(&mut s);
+        assert!(first > 0);
+        assert_eq!(rewrites(&mut s), 0);
+        s.reset_warm();
+        assert_eq!(rewrites(&mut s), first);
+        assert!(s.stats.simplify_time <= s.stats.solve_time);
     }
 
     #[test]
