@@ -17,6 +17,7 @@ COUNTERS = [
     "core.paths",
     "core.tests",
     "core.solver_checks",
+    "core.memo_hits",
     "smt.blast_cache_misses",
     "smt.sat_decisions",
     "smt.sat_propagations",

@@ -1,43 +1,17 @@
 //! Ablation study of p4testgen's design choices (DESIGN.md items):
 //!
-//! 1. **Path-selection strategy** (§5.1.2: continuations make heuristics
-//!    pluggable; §6: DFS is the default): tests needed to reach full
-//!    statement coverage under DFS vs BFS vs random backtracking.
-//! 2. **Eager infeasible-path pruning** (§6: "P4Testgen prunes
-//!    unsatisfiable paths"): solver checks and wall time with pruning at
-//!    fork time vs only at test emission.
-//! 3. **Taint-aware entry synthesis** (§5.3): number of generated tests
+//! 1. **Taint-aware entry synthesis** (§5.3): number of generated tests
 //!    with the wildcard-ternary mitigation vs dropping tainted-key tables
 //!    entirely (approximated by counting tests whose entries use wildcards).
-//! 4. **Incremental solving** (the paper solves each path incrementally):
+//! 2. **Incremental solving** (the paper solves each path incrementally):
 //!    run time and warm-core reuse counters with feasibility checks solved
 //!    fresh per check vs on the warm spine core, at one worker.
 
 use p4t_targets::V1Model;
-use p4testgen_core::{SolverMode, Strategy, Testgen, TestgenConfig};
-use std::time::Instant;
-
-fn tests_to_full_coverage(src: &str, strategy: Strategy, seed: u64) -> (u64, u64) {
-    let mut config = TestgenConfig::default();
-    config.strategy = strategy;
-    config.seed = seed;
-    config.stop_at_full_coverage = true;
-    let mut tg = Testgen::new("ablation", src, V1Model::new(), config).unwrap();
-    let summary = tg.run(|_| true);
-    (summary.tests, summary.paths_explored)
-}
-
-fn pruning_run(src: &str, eager: bool) -> (u64, u64, u64, f64) {
-    let mut config = TestgenConfig::default();
-    config.eager_pruning = eager;
-    let t0 = Instant::now();
-    let mut tg = Testgen::new("ablation", src, V1Model::new(), config).unwrap();
-    let summary = tg.run(|_| true);
-    (summary.tests, summary.paths_explored, summary.solver_checks, t0.elapsed().as_secs_f64())
-}
+use p4testgen_core::{SolverMode, Testgen, TestgenConfig};
 
 fn solver_mode_table() {
-    println!("Ablation 4: fresh vs incremental feasibility checks (jobs 1)");
+    println!("Ablation 2: fresh vs incremental feasibility checks (jobs 1)");
     println!("| Program | Mode | Total | Roots reused / blasted | Rebuilds | Blast-cache misses |");
     println!("|---|---|---|---|---|---|");
     let programs = [
@@ -69,32 +43,7 @@ fn solver_mode_table() {
 }
 
 fn main() {
-    let mb = &*p4t_corpus::MIDDLEBLOCK_SIM;
-
-    println!("Ablation 1: tests to reach full statement coverage (middleblock_sim)");
-    println!("| Strategy          | Tests | Paths explored |");
-    println!("|-------------------|-------|----------------|");
-    for (name, strat) in [
-        ("DFS (default)", Strategy::Dfs),
-        ("BFS", Strategy::Bfs),
-        ("Random backtrack", Strategy::RandomBacktrack),
-        ("Coverage-first", Strategy::CoverageFirst),
-    ] {
-        let (tests, paths) = tests_to_full_coverage(mb, strat, 1);
-        println!("| {name:17} | {tests:5} | {paths:14} |");
-    }
-
-    println!();
-    println!("Ablation 2: eager vs lazy infeasible-path pruning (middleblock_sim)");
-    println!("| Pruning | Tests | Paths | Solver checks | Time |");
-    println!("|---------|-------|-------|---------------|------|");
-    for (name, eager) in [("eager", true), ("lazy", false)] {
-        let (tests, paths, checks, secs) = pruning_run(mb, eager);
-        println!("| {name:7} | {tests:5} | {paths:5} | {checks:13} | {secs:.2}s |");
-    }
-
-    println!();
-    println!("Ablation 3: taint-aware ternary wildcarding (tofino_quirks-style)");
+    println!("Ablation 1: taint-aware ternary wildcarding (tofino_quirks-style)");
     // A tna program keying a ternary table on tainted intrinsic metadata:
     // with the mitigation, entries are wildcarded (tests still generated);
     // without it (exact match kind), synthesis is skipped entirely.

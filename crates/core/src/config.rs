@@ -72,11 +72,6 @@ pub struct TestgenConfig {
     pub parser_loop_bound: u32,
     pub strategy: Strategy,
     pub preconditions: Preconditions,
-    /// Stop once every statement has been covered.
-    pub stop_at_full_coverage: bool,
-    /// Skip solver calls for forks whose constraints are syntactically
-    /// trivial (pure-constant conditions); always sound, just lazier.
-    pub eager_pruning: bool,
     /// Exploration worker threads. `1` (the default) explores on the calling
     /// thread with the identical code path the workers run, so results for
     /// a fixed seed are the same set at any job count. Defaults to the
@@ -127,15 +122,16 @@ pub struct TestgenConfig {
     /// later `resume`.
     pub drain: Option<Arc<AtomicBool>>,
     /// Cross-run feasibility memo shared by a long-lived host (the serve
-    /// daemon): verdicts for stable constraint-set fingerprints are read
-    /// from and written to this bounded cache in addition to the run-local
-    /// memo. Safe to share across programs — fingerprints are
-    /// content-addressed canonical constraint sets, so a hit is the same
-    /// query regardless of which request first solved it — but only within
-    /// one [`feas_budget_class`](crate::memo::feas_budget_class): the memo
-    /// partitions entries by budget class so a run never sees a verdict its
-    /// own (colder-budget) solver would have abandoned as Unknown. `None`
-    /// (the default) preserves the one-shot behaviour exactly.
+    /// daemon). Every run keys its own memo by the stable fingerprint of a
+    /// path's constraint list; with this set, a lookup that misses the
+    /// run's memo also asks this bounded cache, and every verdict the run
+    /// solves is written to both. Safe to share across programs —
+    /// fingerprints are content-addressed canonical constraint sets, so a
+    /// hit is the same query regardless of which request first solved it —
+    /// but only within one [`feas_budget_class`](crate::memo::feas_budget_class):
+    /// the memo partitions entries by budget class so a run never sees a
+    /// verdict its own (colder-budget) solver would have abandoned as
+    /// Unknown. `None` (the default) keeps the run's memo to itself.
     pub shared_memo: Option<Arc<SharedFeasMemo>>,
 }
 
@@ -150,8 +146,6 @@ impl Default for TestgenConfig {
             parser_loop_bound: 8,
             strategy: Strategy::Dfs,
             preconditions: Preconditions::none(),
-            stop_at_full_coverage: false,
-            eager_pruning: true,
             jobs: 1,
             solver_budget: 0,
             solver_mode: SolverMode::default(),

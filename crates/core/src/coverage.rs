@@ -151,10 +151,6 @@ impl SharedCoverage {
         }
     }
 
-    pub fn is_full(&self) -> bool {
-        self.covered_count() >= self.total
-    }
-
     /// Snapshot the bitset for checkpointing: the raw words plus the
     /// novelty epoch. Taken while workers may still be running; each word
     /// is read atomically, so the snapshot is a superset of some past
@@ -340,7 +336,6 @@ mod tests {
             }
         });
         assert_eq!(sc.covered_count(), 200, "each bit counted exactly once");
-        assert!(sc.is_full());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Feasibility memos: the run-local `FeasMemo` keyed by constraint set,
-//! and the bounded cross-run [`SharedFeasMemo`] a long-lived host shares
-//! between requests.
+//! Feasibility memos: the run's `FeasMemo`, keyed by the stable
+//! fingerprint of a path's constraint list, and the bounded cross-run
+//! [`SharedFeasMemo`] a long-lived host shares between requests under the
+//! same key.
 
 use crate::config::TestgenConfig;
 use crate::{fnv_mix, FNV_OFFSET};
-use p4t_smt::TermId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,74 +78,52 @@ impl std::fmt::Debug for SharedFeasMemo {
     }
 }
 
-/// Memoizes fork-feasibility verdicts by constraint *set*. Different
-/// interleavings frequently reconverge on the same constraint set (e.g.
-/// sibling table branches re-deriving a parser prefix); hash consing makes
-/// the sorted `TermId` vector a cheap canonical key. Only the sat/unsat
-/// verdict is cached — emission-time checks always run, because they need a
-/// fresh model.
+/// The run's fork-feasibility memo: sat/unsat verdicts keyed by the
+/// [`p4t_smt::stable_fingerprint`] of a path's constraint list, which each
+/// path carries incrementally in its
+/// [`FingerprintFrame`](p4t_smt::fingerprint::FingerprintFrame). Different
+/// interleavings frequently reconverge on alpha-equivalent constraint lists
+/// (e.g. sibling table branches re-deriving a parser prefix), and the key
+/// does not depend on `TermId`s, so the same memo is what a checkpoint
+/// persists and resumes and what a serve daemon shares across requests.
+/// Only the verdict is cached — emission-time checks always run, because
+/// they need a fresh model.
 pub(crate) struct FeasMemo {
-    map: Mutex<HashMap<Vec<TermId>, bool>>,
+    map: Mutex<HashMap<u128, bool>>,
     pub(crate) hits: AtomicU64,
     pub(crate) lookups: AtomicU64,
-    /// Process-portable second layer, keyed by the canonical (alpha-renamed)
-    /// constraint-set fingerprint instead of `TermId`s. Enabled only when a run
-    /// checkpoints or resumes: this is the form the memo round-trips through
-    /// [`ExplorationState::memo`](crate::ExplorationState::memo), and computing
-    /// fingerprints costs a term walk per miss, which plain runs should not
-    /// pay.
-    stable: Option<Mutex<HashMap<u128, bool>>>,
     /// Cross-run layer owned by a long-lived host (see
-    /// [`TestgenConfig::shared_memo`]); consulted after `stable`, written
-    /// alongside it. Keyed by `(external_class, fingerprint)` so tenants
-    /// with different solver budgets never see each other's verdicts.
+    /// [`TestgenConfig::shared_memo`]); consulted after the run's own map,
+    /// written alongside it. Keyed by `(external_class, fingerprint)` so
+    /// tenants with different solver budgets never see each other's
+    /// verdicts.
     external: Option<Arc<SharedFeasMemo>>,
     /// This run's [`feas_budget_class`], fixed at construction.
     external_class: u64,
 }
 
 impl FeasMemo {
-    pub(crate) fn new() -> Self {
-        FeasMemo {
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            stable: None,
-            external: None,
-            external_class: 0,
-        }
-    }
-
-    /// A memo with the stable-fingerprint layer on, seeded from a restored
-    /// checkpoint's entries (empty for a cold checkpointed start) and
-    /// optionally connected to a host-owned cross-run cache, which is
-    /// consulted only within this run's budget class.
-    pub(crate) fn with_persistence(
+    /// A memo seeded from a restored checkpoint's entries (empty for a cold
+    /// start) and optionally connected to a host-owned cross-run cache,
+    /// which is consulted only within this run's budget class.
+    pub(crate) fn new(
         entries: &[(u128, bool)],
         external: Option<Arc<SharedFeasMemo>>,
         external_class: u64,
     ) -> Self {
         FeasMemo {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(entries.iter().copied().collect()),
             hits: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
-            stable: Some(Mutex::new(entries.iter().copied().collect())),
             external,
             external_class,
         }
     }
 
-    /// Is a stable-fingerprint layer enabled (checkpointing runs and runs
-    /// hosted by the serve daemon)?
-    pub(crate) fn persistent(&self) -> bool {
-        self.stable.is_some() || self.external.is_some()
-    }
-
-    /// Look a fingerprint up in the stable layer, then the cross-run one.
-    /// A hit counts in `hits` like a `TermId`-layer hit, so `solver_checks +
-    /// memo_hits` is the same with the layer on or off.
-    pub(crate) fn stable_lookup(&self, fp: u128) -> Option<bool> {
-        let local = self.stable.as_ref().and_then(|s| s.lock().get(&fp).copied());
+    /// Look a fingerprint up in the run's map, then in the cross-run one.
+    pub(crate) fn lookup(&self, fp: u128) -> Option<bool> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        let local = self.map.lock().get(&fp).copied();
         let hit = local.or_else(|| self.external.as_ref()?.get(self.external_class, fp));
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -153,67 +131,82 @@ impl FeasMemo {
         hit
     }
 
-    pub(crate) fn stable_record(&self, fp: u128, sat: bool) {
-        if let Some(s) = &self.stable {
-            s.lock().insert(fp, sat);
-        }
+    pub(crate) fn record(&self, fp: u128, sat: bool) {
+        self.map.lock().insert(fp, sat);
         if let Some(e) = &self.external {
             e.put(self.external_class, fp, sat);
         }
     }
 
-    /// Sorted dump of the stable layer for checkpointing (empty when the
-    /// layer is off).
-    pub(crate) fn stable_snapshot(&self) -> Vec<(u128, bool)> {
-        match &self.stable {
-            Some(s) => {
-                let mut v: Vec<(u128, bool)> = s.lock().iter().map(|(&k, &v)| (k, v)).collect();
-                v.sort_unstable();
-                v
-            }
-            None => Vec::new(),
-        }
+    /// Sorted dump of the run's map, for checkpointing.
+    pub(crate) fn snapshot(&self) -> Vec<(u128, bool)> {
+        let mut v: Vec<(u128, bool)> = self.map.lock().iter().map(|(&k, &v)| (k, v)).collect();
+        v.sort_unstable();
+        v
     }
+}
 
-    pub(crate) fn key(constraints: &[TermId]) -> Vec<TermId> {
-        let mut k = constraints.to_vec();
-        k.sort_unstable();
-        k.dedup();
-        k
+/// Prefix of the panic message a failed memo audit raises in debug builds.
+#[cfg(debug_assertions)]
+pub(crate) const AUDIT_FAILURE: &str = "memo audit failed";
+
+/// Debug-build audit of one memo lookup for `constraints`. The fingerprint
+/// `fp` a path carried must equal the whole list's, which catches a stale
+/// frame. A hit's verdict must survive a re-solve on a scratch fresh solver
+/// under the run's conflict budget, so the worker's solver, warm core,
+/// phase seed and counters stay untouched; an Unknown answer proves nothing
+/// either way.
+#[cfg(debug_assertions)]
+pub(crate) fn audit_lookup(
+    pool: &p4t_smt::TermPool,
+    constraints: &[p4t_smt::TermId],
+    fp: u128,
+    hit: Option<bool>,
+    budget: u64,
+) -> Result<(), String> {
+    use p4t_smt::{stable_fingerprint, CheckResult, SolveBudget, Solver};
+    if fp != stable_fingerprint(pool, constraints) {
+        return Err(format!("{AUDIT_FAILURE}: stale fingerprint frame"));
     }
-
-    pub(crate) fn lookup(&self, key: &[TermId]) -> Option<bool> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let hit = self.map.lock().get(key).copied();
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    pub(crate) fn record(&self, key: Vec<TermId>, sat: bool) {
-        self.map.lock().insert(key, sat);
+    let Some(sat) = hit else { return Ok(()) };
+    let mut solver = Solver::new();
+    solver.set_budget(SolveBudget::conflicts(budget));
+    let fresh = match solver.check_assuming(pool, constraints) {
+        CheckResult::Sat => true,
+        CheckResult::Unsat => false,
+        CheckResult::Unknown => return Ok(()),
+    };
+    if fresh == sat {
+        Ok(())
+    } else {
+        Err(format!("{AUDIT_FAILURE}: memo says sat={sat}, a fresh solve says sat={fresh}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4t_smt::TermPool;
 
+    /// The audit accepts a true verdict and refutes a planted wrong one,
+    /// whichever way the plant points, and a stale fingerprint.
+    #[cfg(debug_assertions)]
     #[test]
-    fn feas_memo_key_is_canonical() {
-        let p = TermPool::new();
-        let x = p.fresh_var("x", 1);
-        let y = p.fresh_var("y", 1);
-        let a = FeasMemo::key(&[y, x, y]);
-        let b = FeasMemo::key(&[x, y]);
-        assert_eq!(a, b);
-        let memo = FeasMemo::new();
-        assert_eq!(memo.lookup(&a), None);
-        memo.record(a.clone(), true);
-        assert_eq!(memo.lookup(&a), Some(true));
-        assert_eq!(memo.hits.load(Ordering::Relaxed), 1);
+    fn audit_refutes_a_planted_wrong_verdict() {
+        let p = p4t_smt::TermPool::new();
+        let x = p.fresh_var("x", 8);
+        let is5 = p.eq(x, p.const_u128(8, 5));
+        let is6 = p.eq(x, p.const_u128(8, 6));
+        let audit = |cs: &[p4t_smt::TermId], hit| {
+            audit_lookup(&p, cs, p4t_smt::stable_fingerprint(&p, cs), hit, 0)
+        };
+        assert_eq!(audit(&[is5], Some(true)), Ok(()));
+        assert_eq!(audit(&[is5, is6], Some(false)), Ok(()));
+        assert_eq!(audit(&[is5, is6], None), Ok(()));
+        let err = audit(&[is5], Some(false)).unwrap_err();
+        assert!(err.starts_with(AUDIT_FAILURE), "{err}");
+        assert!(audit(&[is5, is6], Some(true)).is_err());
+        let stale = p4t_smt::stable_fingerprint(&p, &[is5]);
+        assert!(audit_lookup(&p, &[is5, is6], stale, None, 0).is_err());
     }
 
     /// A verdict recorded by one budget class must be invisible to another:
@@ -231,13 +224,14 @@ mod tests {
             (feas_budget_class(&big), feas_budget_class(&small));
         assert_ne!(big_class, small_class);
 
-        let writer = FeasMemo::with_persistence(&[], Some(Arc::clone(&shared)), big_class);
-        writer.stable_record(42, true);
+        let writer = FeasMemo::new(&[], Some(Arc::clone(&shared)), big_class);
+        writer.record(42, true);
         let reader_small =
-            FeasMemo::with_persistence(&[], Some(Arc::clone(&shared)), small_class);
-        assert_eq!(reader_small.stable_lookup(42), None);
-        let reader_big = FeasMemo::with_persistence(&[], Some(shared), big_class);
-        assert_eq!(reader_big.stable_lookup(42), Some(true));
+            FeasMemo::new(&[], Some(Arc::clone(&shared)), small_class);
+        assert_eq!(reader_small.lookup(42), None);
+        let reader_big = FeasMemo::new(&[], Some(shared), big_class);
+        assert_eq!(reader_big.lookup(42), Some(true));
+        assert_eq!(reader_big.hits.load(Ordering::Relaxed), 1);
 
         // Budget-irrelevant config fields (here: max_tests) do not split the
         // class — that sharing is the point of the daemon-wide memo.

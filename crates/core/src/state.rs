@@ -7,6 +7,7 @@
 use crate::packet::PacketModel;
 use crate::sym::Sym;
 use p4t_ir::{IrStmt, Path, StmtId};
+use p4t_smt::fingerprint::FingerprintFrame;
 use p4t_smt::{BitVec, TermId, TermPool};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -117,8 +118,13 @@ pub struct ExecState {
     env: BTreeMap<String, Sym>,
     /// Alias frames: local head segment → global head segment.
     frames: Vec<HashMap<String, String>>,
-    /// Path constraints (1-bit terms), in collection order.
+    /// Path constraints (1-bit terms), in collection order. Append-only:
+    /// `fingerprint` folds a prefix of it.
     pub constraints: Vec<TermId>,
+    /// Running stable fingerprint of `constraints`, the feasibility memo's
+    /// key. Forks clone it, and a feasibility check folds in only the
+    /// constraints added since the last check on this path's lineage.
+    pub fingerprint: FingerprintFrame,
     pub packet: PacketModel,
     /// Continuation stack; the top (last) element executes next.
     pub continuations: Vec<Cmd>,
@@ -147,6 +153,7 @@ impl ExecState {
             env: BTreeMap::new(),
             frames: vec![HashMap::new()],
             constraints: Vec::new(),
+            fingerprint: FingerprintFrame::default(),
             packet: PacketModel::new(),
             continuations: Vec::new(),
             covered: BTreeSet::new(),

@@ -22,9 +22,6 @@
 //! stays deterministic too: it selects the k lexicographically-smallest
 //! test trails (enforced by a shared top-k heap that prunes subtrees which
 //! can no longer contribute), not whichever k tests raced to finish first.
-//! The remaining caveat is `stop_at_full_coverage`: it triggers on
-//! whichever paths finish first, which under parallelism may cut off a
-//! different subset of the (fully deterministic) path space.
 
 use crate::checkpoint::{sanitize_frontier, ExplorationState, ShardSpec};
 use crate::concolic::ConcolicRegistry;
@@ -154,8 +151,9 @@ impl CompiledProgram {
 /// *merged* suite is shard-independent) are excluded, so a resumed run may
 /// change them and still complete the identical suite. Exposed free-form so
 /// a host can compute cache keys before constructing a [`Testgen`]. The
-/// path cap, per-path step budget, concolic retry count and budget-retry
-/// switch were once config fields; they are constants now (the path cap is
+/// path cap, per-path step budget, concolic retry count, budget-retry,
+/// stop-at-full-coverage and eager-pruning switches were once config
+/// fields; they are constants now (the path cap and the coverage stop are
 /// gone, hashed as 0) but keep their slots, so fingerprints written by
 /// older binaries still match.
 pub fn run_fingerprint_of(source_fingerprint: u64, c: &TestgenConfig) -> u64 {
@@ -170,9 +168,9 @@ pub fn run_fingerprint_of(source_fingerprint: u64, c: &TestgenConfig) -> u64 {
         c.strategy as u64,
         u64::from(c.preconditions.apply_entry_restrictions),
         c.preconditions.fixed_packet_bytes.map_or(u64::MAX, u64::from),
-        u64::from(c.stop_at_full_coverage),
+        0, // stop at full coverage: retired, the slot stays
         u64::from(CONCOLIC_RETRIES),
-        u64::from(c.eager_pruning),
+        1, // eager pruning: always on
         c.solver_budget,
         1, // budget retry: always on
     ] {
@@ -398,15 +396,11 @@ impl Testgen {
             stop: AtomicBool::new(false),
             best: Mutex::new(BinaryHeap::new()),
             coverage: SharedCoverage::new(&self.prog),
-            memo: if ckpt_enabled || self.config.shared_memo.is_some() {
-                FeasMemo::with_persistence(
-                    restored.as_ref().map_or(&[], |r| r.memo.as_slice()),
-                    self.config.shared_memo.clone(),
-                    feas_budget_class(&self.config),
-                )
-            } else {
-                FeasMemo::new()
-            },
+            memo: FeasMemo::new(
+                restored.as_ref().map_or(&[], |r| r.memo.as_slice()),
+                self.config.shared_memo.clone(),
+                feas_budget_class(&self.config),
+            ),
             stealers: Vec::new(),
             started: t_start,
             deadline: self.config.fault_plan.deadline_override.or(self.config.deadline),

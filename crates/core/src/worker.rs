@@ -21,11 +21,11 @@ use crossbeam::deque::{Steal, Stealer, Worker as WorkerDeque};
 use p4t_ir::IrProgram;
 use p4t_obs::trace::{PathOutcome, PathRecord, PathTiming, TraceLog};
 use p4t_obs::SpanEvent;
+use p4t_smt::fingerprint::TermHashes;
 use p4t_smt::sat::SatStats;
 use p4t_smt::solver::{IncrementalStats, SolverStats};
 use p4t_smt::{
-    eval, stable_fingerprint, Assignment, BitVec, CheckResult, SolveBudget, Solver, TermId,
-    TermPool, VarId,
+    eval, Assignment, BitVec, CheckResult, SolveBudget, Solver, TermId, TermPool, VarId,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -200,7 +200,7 @@ impl Shared<'_> {
             best,
             coverage_words,
             coverage_epoch,
-            memo: self.memo.stable_snapshot(),
+            memo: self.memo.snapshot(),
             paths_explored: paths,
             infeasible_paths: infeasible,
             abandoned_paths: abandoned,
@@ -418,6 +418,8 @@ struct PathWorker<'a, 'b> {
     /// trip — raw deltas would differ with which worker warmed the memo,
     /// breaking the trace determinism contract.
     path_checks: u64,
+    /// Term hashes for extending fingerprint frames, kept across checks.
+    term_hashes: TermHashes,
 }
 
 /// If a worker dies *outside* the per-path panic isolation, its `live`
@@ -465,6 +467,7 @@ pub(crate) fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pendin
         log: sh.config.obs.trace.then(TraceLog::new),
         steals: 0,
         path_checks: 0,
+        term_hashes: TermHashes::default(),
     };
     w.event("worker-start", None, None);
     let live_status = sh.config.obs.live.as_deref();
@@ -584,6 +587,13 @@ pub(crate) fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pendin
         let mut st = p.st;
         let outcome = catch_unwind(AssertUnwindSafe(|| w.process(&mut st)));
         if let Err(payload) = outcome {
+            // A failed memo audit (a refuted verdict or a stale frame) is an
+            // engine bug, not a path fault: it fails the run instead of
+            // abandoning one path.
+            #[cfg(debug_assertions)]
+            if panic_payload_text(payload.as_ref()).starts_with(crate::memo::AUDIT_FAILURE) {
+                std::panic::resume_unwind(payload);
+            }
             // The warm spine core may have been abandoned mid-push by
             // the unwound frame; drop it so the next feasibility check
             // rebuilds from its own (fully specified) constraint set.
@@ -885,8 +895,9 @@ impl PathWorker<'_, '_> {
         self.event("solver-check", Some(trail), Some(format!("{verdict} {kind} assumptions={n}")));
     }
 
-    /// Fork-feasibility check with memoization on the constraint set.
-    fn fork_feasible(&mut self, f: &ExecState) -> CheckResult {
+    /// Fork-feasibility check, memoized by the fork's constraint
+    /// fingerprint.
+    fn fork_feasible(&mut self, f: &mut ExecState) -> CheckResult {
         let sh = self.sh;
         // One logical query regardless of how it resolves (injected fault,
         // memo hit, or solver round trip) — see the `path_checks` field docs.
@@ -896,23 +907,20 @@ impl PathWorker<'_, '_> {
         if self.injected_unknown(&f.trail) {
             return CheckResult::Unknown;
         }
-        let key = FeasMemo::key(&f.constraints);
-        if let Some(sat) = sh.memo.lookup(&key) {
-            return if sat { CheckResult::Sat } else { CheckResult::Unsat };
+        let fp = f.fingerprint.extend(sh.pool, &f.constraints, &mut self.term_hashes);
+        let hit = sh.memo.lookup(fp);
+        #[cfg(debug_assertions)]
+        if let Err(msg) = crate::memo::audit_lookup(
+            sh.pool,
+            &f.constraints,
+            fp,
+            hit,
+            sh.config.solver_budget,
+        ) {
+            panic!("{msg} at trail {:?}", f.trail);
         }
-        // Second, persistent memo layer keyed by a TermId-independent
-        // fingerprint: only consulted when checkpointing is on (the
-        // fingerprint walk costs real time). A hit also warms the cheap
-        // TermId layer for this process's lifetime.
-        let stable_fp = sh
-            .memo
-            .persistent()
-            .then(|| stable_fingerprint(sh.pool, &f.constraints));
-        if let Some(fp) = stable_fp {
-            if let Some(sat) = sh.memo.stable_lookup(fp) {
-                sh.memo.record(key, sat);
-                return if sat { CheckResult::Sat } else { CheckResult::Unsat };
-            }
+        if let Some(sat) = hit {
+            return if sat { CheckResult::Sat } else { CheckResult::Unsat };
         }
         let t1 = Instant::now();
         let res = self.checked_feasible(&f.trail, &f.constraints);
@@ -920,10 +928,7 @@ impl PathWorker<'_, '_> {
         // Unknown is a verdict about the budget, not the constraint set —
         // never memoize it.
         if res != CheckResult::Unknown {
-            sh.memo.record(key, res == CheckResult::Sat);
-            if let Some(fp) = stable_fp {
-                sh.memo.stable_record(fp, res == CheckResult::Sat);
-            }
+            sh.memo.record(fp, res == CheckResult::Sat);
         }
         res
     }
@@ -1032,8 +1037,8 @@ impl PathWorker<'_, '_> {
                         self.pruned(&f, PathOutcome::Infeasible);
                         continue;
                     }
-                    if sh.config.eager_pruning && !f.constraints.is_empty() {
-                        match self.fork_feasible(&f) {
+                    if !f.constraints.is_empty() {
+                        match self.fork_feasible(&mut f) {
                             CheckResult::Sat => {}
                             CheckResult::Unsat => {
                                 self.infeasible += 1;
@@ -1111,9 +1116,6 @@ impl PathWorker<'_, '_> {
                         }
                         if keep {
                             self.pending_emit = Some((st.trail.clone(), spec));
-                        }
-                        if sh.config.stop_at_full_coverage && sh.coverage.is_full() {
-                            sh.stop.store(true, Ordering::Relaxed);
                         }
                         PathOutcome::Emitted
                     }

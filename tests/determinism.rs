@@ -91,8 +91,8 @@ fn queue_time_prefix(trail: &[u32]) -> Vec<u32> {
 enum Runner {
     /// One run.
     Plain,
-    /// One run that writes a checkpoint and is not interrupted; this turns
-    /// on the feasibility memo's fingerprint layer.
+    /// One run that writes a checkpoint, feasibility memo included, and is
+    /// not interrupted.
     Checkpoint,
     /// One run with the trace, metrics, flight recorder and live status on.
     Obs,
@@ -247,7 +247,7 @@ fn guarded<T>(ctx: &str, f: impl FnOnce() -> T) -> T {
 /// emission order, and the summary when the suite comes from one run.
 type Outcomes = Vec<(String, Vec<TestSpec>, Option<RunSummary>)>;
 
-/// The feasibility checks a run made, whether the solver or a memo layer
+/// The feasibility checks a run made, whether the solver or the memo
 /// answered them.
 fn logical_checks(sum: &RunSummary) -> u64 {
     sum.solver_checks + sum.memo_hits
@@ -558,7 +558,10 @@ fn check_observed(
 /// capped suites must agree too. Cells that are one uncapped run must also
 /// agree on the path, infeasible-path and error counts, and, on unfaulted
 /// rows, on the number of logical feasibility checks: `solver_checks +
-/// memo_hits`, however the memo layers split them; uncapped, unfaulted
+/// memo_hits`. At one worker the memo sees the same checks in the same
+/// order in every one-run mode, so there the solver checks and memo hits
+/// must each agree; with more workers, which of two reconverging paths
+/// asks first is up to the schedule. Uncapped, unfaulted
 /// shards each make at most that many and together at least that many,
 /// since every shard re-checks the forks above the split. A faulted row's cells
 /// all run under the plan its fault builds from the unfaulted reference's
@@ -572,6 +575,10 @@ fn check_matrix(rows: &[Row]) {
         let row_label = format!("{} {}", row.name, pairs_label(row.base)).trim_end().to_string();
         let ref_col = row.cols[0];
         assert_eq!(ref_col.runner, Plain, "{row_label}: the reference column must be plain");
+        let jobs_of = |col: Col| {
+            let set = row.base.iter().chain(col.set).rev().find(|(k, _)| *k == "jobs");
+            set.map_or(TestgenConfig::default().jobs, |(_, v)| v.parse().expect("jobs"))
+        };
         let ref_ctx = format!("{row_label} × {}", ref_col.label());
         let (reference, ref_sum, plan) = reference_cell(row, &ref_ctx);
         assert!(
@@ -640,6 +647,14 @@ fn check_matrix(rows: &[Row]) {
                             logical_checks(&sum),
                             "{ctx}: logical feasibility checks (solver_checks + memo_hits) differ"
                         );
+                        if jobs_of(ref_col) == 1 && jobs_of(col) == 1 {
+                            let split = |s: &RunSummary| (s.solver_checks, s.memo_hits);
+                            assert_eq!(
+                                split(&ref_sum),
+                                split(&sum),
+                                "{ctx}: (solver_checks, memo_hits) differ at one worker"
+                            );
+                        }
                     }
                 }
                 // The comparison is only meaningful if the warm core ran in
@@ -680,14 +695,17 @@ fn solver_modes_agree_on_corpus_programs() {
     ]));
 }
 
-/// Checkpointing turns on the memo's fingerprint layer and serving shares
-/// a memo across requests: neither may change a suite or the count of
-/// logical feasibility checks. Every program is served twice, so a daemon
-/// that carried engine state from one request to the next would show it.
+/// Checkpointing persists the feasibility memo and serving shares one
+/// across requests: neither may change a suite or the count of logical
+/// feasibility checks, and a checkpointing run at one worker splits them
+/// between solver and memo exactly as a plain run does. Every program is
+/// served twice, so a daemon that carried engine state from one request to
+/// the next would show it.
 #[test]
 fn checkpointed_and_served_runs_match_plain_runs() {
     const COLS: &[Col] = &[
         plain(&[("jobs", "1")]),
+        col(Checkpoint, &[("jobs", "1")]),
         col(Checkpoint, &[("jobs", "4")]),
         col(Serve, &[("jobs", "1")]),
         col(Serve, &[("jobs", "4")]),
@@ -1006,6 +1024,45 @@ fn engine_checkpoint_round_trips_through_bytes() {
     assert_eq!(reparsed, saved);
     assert!(summary.resume.as_ref().is_some_and(|i| i.checkpoints_written >= 1));
     let _ = std::fs::remove_file(&path);
+}
+
+/// A wrong memo verdict would delete coverage silently, so a debug build
+/// re-solves every memo hit, and a refuted one must fail the whole run
+/// rather than abandon one path. The plant: a run resumed from its own
+/// frontier root with every verdict of the complete run flipped.
+#[cfg(debug_assertions)]
+#[test]
+fn debug_builds_fail_the_run_on_a_wrong_memo_verdict() {
+    let src = p4t_corpus::generate_synthetic(3, 2);
+    let checkpoint = |tag: &str, pairs: Pairs| {
+        let path = scratch_file(tag);
+        let mut cfg = config(pairs);
+        cfg.checkpoint = Some(CheckpointCfg::new(&path));
+        let _ = run("synthetic_3x2", &src, cfg);
+        let saved = ExplorationState::load(&path).expect("checkpoint written");
+        let _ = std::fs::remove_file(&path);
+        saved
+    };
+    let verdicts = checkpoint("audit-full", &[]).memo;
+    assert!(!verdicts.is_empty(), "the complete run memoized nothing");
+    let mut planted = checkpoint("audit-cut", &[("deadline_ms", "0")]);
+    assert!(!planted.is_complete(), "the cut run left nothing to resume");
+    planted.memo = verdicts.iter().map(|&(fp, sat)| (fp, !sat)).collect();
+    // One worker runs on the calling thread, so the failure is a panic out
+    // of `try_run`; more workers report it as a `RunError`.
+    for jobs in ["1", "2"] {
+        let mut cfg = config(&[("jobs", jobs)]);
+        cfg.resume = Some(planted.clone());
+        let mut tg = Testgen::new("synthetic_3x2", &src, V1Model::new(), cfg).expect("compiles");
+        let failure = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tg.try_run(|_| true)
+        })) {
+            Ok(Ok(_)) => panic!("jobs {jobs}: a refuted memo verdict did not fail the run"),
+            Ok(Err(e)) => e.to_string(),
+            Err(p) => panic_payload_text(p.as_ref()),
+        };
+        assert!(failure.contains("memo audit failed"), "jobs {jobs}: {failure}");
+    }
 }
 
 #[test]
