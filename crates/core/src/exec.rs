@@ -13,7 +13,6 @@ use crate::target::{ExecCtx, ExtArg, ExternOutcome, Target, UninitPolicy};
 use p4t_frontend::types::{Type, ERROR_WIDTH};
 use p4t_ir::{IrArg, IrBinOp, IrBlock, IrExpr, IrKeyset, IrStmt, IrTransition, IrUnOp, Path};
 use p4t_smt::{BinOp, BitVec, TermId};
-use std::collections::HashMap;
 
 /// An execution abort: the state cannot continue (unsupported construct,
 /// internal inconsistency). The driver marks the path abandoned.
@@ -38,8 +37,7 @@ pub fn eval_expr(
         IrExpr::Const { width, value } => Ok(ctx.constant(*width, *value)),
         IrExpr::Read { path, width } => Ok(read_slot(ctx, st, target, path, *width)),
         IrExpr::IsValid { path } => {
-            let vp = st.resolve(path).valid();
-            match st.read_global(vp.as_str()) {
+            match st.read(path.valid().as_str()) {
                 Some(s) => Ok(s.clone()),
                 None => Ok(ctx.constant(1, 0)), // never-touched headers are invalid
             }
@@ -105,8 +103,7 @@ pub fn eval_expr(
         }
         IrExpr::Lookahead { width } => Ok(st.packet.peek(ctx.pool, *width)),
         IrExpr::VarbitLen { path } => {
-            let lp = st.resolve(path).child("$len");
-            match st.read_global(lp.as_str()) {
+            match st.read(path.child("$len").as_str()) {
                 Some(s) => Ok(s.clone()),
                 None => Ok(ctx.constant(32, 0)),
             }
@@ -167,25 +164,23 @@ pub fn read_slot(
     path: &Path,
     width: u32,
 ) -> Sym {
-    let resolved = st.resolve(path);
-    if let Some((parent, leaf)) = resolved.as_str().rsplit_once('.') {
+    if let Some((parent, leaf)) = path.as_str().rsplit_once('.') {
         if !leaf.starts_with('$') {
-            if let Some(v) = st.read_global(&format!("{parent}.$valid")) {
+            if let Some(v) = st.read(&format!("{parent}.$valid")) {
                 if ctx.pool.as_const(v.term).is_some_and(|c| c.is_zero()) {
-                    return ctx.havoc(&format!("invalid_{resolved}"), width);
+                    return ctx.havoc(&format!("invalid_{path}"), width);
                 }
             }
         }
     }
-    if let Some(s) = st.read(path) {
+    if let Some(s) = st.read(path.as_str()) {
         return s.clone();
     }
-    let global = resolved;
-    let value = match target.uninit_policy_for(global.as_str()) {
+    let value = match target.uninit_policy_for(path.as_str()) {
         UninitPolicy::Zero => ctx.constant(width, 0),
-        UninitPolicy::Taint => ctx.havoc(&format!("uninit_{global}"), width),
+        UninitPolicy::Taint => ctx.havoc(&format!("uninit_{path}"), width),
     };
-    st.write_global(global.as_str(), value.clone());
+    st.write(path.as_str(), value.clone());
     value
 }
 
@@ -206,10 +201,6 @@ pub fn step(
             }
         }
         Cmd::PipeStep(idx) => pipe_step(ctx, st, target, idx),
-        Cmd::PopFrame => {
-            st.pop_frame();
-            Ok(())
-        }
         Cmd::FlushEmit => {
             st.packet.flush_emit();
             Ok(())
@@ -227,9 +218,7 @@ fn pipe_step(
     target: &dyn Target,
     idx: usize,
 ) -> ExecResult<()> {
-    let pipeline = target
-        .pipeline(ctx.prog)
-        .map_err(|e| Abort(format!("pipeline template error: {e}")))?;
+    let pipeline = ctx.pipeline;
     if idx >= pipeline.len() {
         target.finalize(ctx, st);
         if st.is_running() {
@@ -246,20 +235,15 @@ fn pipe_step(
         crate::target::PipeStep::FlushEmit => {
             st.continuations.push(Cmd::FlushEmit);
         }
-        crate::target::PipeStep::Block { block, bindings } => {
-            enter_block(ctx, st, block, bindings)?;
+        crate::target::PipeStep::Block(block) => {
+            enter_block(ctx, st, block)?;
         }
     }
     Ok(())
 }
 
-/// Bind a block's parameters and queue its body.
-pub fn enter_block(
-    ctx: &mut ExecCtx,
-    st: &mut ExecState,
-    block: &str,
-    bindings: &[Option<String>],
-) -> ExecResult<()> {
+/// Reset a block's `out` parameters and queue its body.
+pub fn enter_block(ctx: &mut ExecCtx, st: &mut ExecState, block: &str) -> ExecResult<()> {
     let prog = ctx.prog;
     let Some(b) = prog.blocks.get(block) else {
         return Err(Abort(format!("unknown block '{block}'")));
@@ -268,24 +252,14 @@ pub fn enter_block(
         IrBlock::Parser(p) => &p.params,
         IrBlock::Control(c) => &c.params,
     };
-    let mut frame = HashMap::new();
-    let mut resets: Vec<(Type, String)> = Vec::new();
-    for (i, p) in params.iter().enumerate() {
-        if let Some(Some(global)) = bindings.get(i) {
-            frame.insert(p.name.clone(), global.clone());
-            if p.direction == p4t_frontend::ast::Direction::Out {
-                resets.push((p.ty.clone(), global.clone()));
-            }
-        }
-    }
     // `out` parameters are reset on entry: slots cleared (so the uninit
     // policy applies) and header validity explicitly zeroed.
-    for (ty, global) in resets {
-        st.clear_prefix(&global);
-        invalidate_headers(ctx, st, &ty, &Path::new(global));
+    for p in params {
+        if let (p4t_frontend::ast::Direction::Out, Some(root)) = (p.direction, &p.root) {
+            st.clear_prefix(root);
+            invalidate_headers(ctx, st, &p.ty, &Path::new(root.clone()));
+        }
     }
-    st.push_frame(frame);
-    st.continuations.push(Cmd::PopFrame);
     st.log(format!("enter block {block}"));
     match b {
         IrBlock::Parser(_) => {
@@ -306,7 +280,7 @@ pub fn invalidate_headers(ctx: &mut ExecCtx, st: &mut ExecState, ty: &Type, base
     let zero = ctx.constant(1, 0);
     match ty {
         Type::Header(_) => {
-            st.write_global(base.valid().as_str(), zero);
+            st.write(base.valid().as_str(), zero);
         }
         Type::Struct(sn) => {
             let prog = ctx.prog;
@@ -320,9 +294,9 @@ pub fn invalidate_headers(ctx: &mut ExecCtx, st: &mut ExecState, ty: &Type, base
         Type::Stack(elem, n) => {
             if matches!(elem.as_ref(), Type::Header(_)) {
                 let z32 = ctx.constant(32, 0);
-                st.write_global(base.next_index().as_str(), z32);
+                st.write(base.next_index().as_str(), z32);
                 for i in 0..*n {
-                    st.write_global(base.indexed(i).valid().as_str(), zero.clone());
+                    st.write(base.indexed(i).valid().as_str(), zero.clone());
                 }
             }
         }
@@ -448,7 +422,7 @@ fn run_select(
 /// Record a parser error in the conventional global slot.
 pub fn set_parser_error(ctx: &mut ExecCtx, st: &mut ExecState, code: u128) {
     let v = ctx.constant(ERROR_WIDTH, code);
-    st.write_global("$parser_error", v);
+    st.write("$parser_error", v);
 }
 
 /// Build the match condition of one keyset row against the key values.
@@ -501,17 +475,16 @@ fn exec_stmt(
     st.cover(s.id());
     match s {
         IrStmt::DeclVar { path, width, .. } => {
-            let global = st.resolve(path);
-            let value = match target.uninit_policy_for(global.as_str()) {
+            let value = match target.uninit_policy_for(path.as_str()) {
                 UninitPolicy::Zero => ctx.constant(*width, 0),
                 UninitPolicy::Taint => ctx.havoc(&format!("decl_{path}"), *width),
             };
-            st.write(path, value);
+            st.write(path.as_str(), value);
             Ok(())
         }
         IrStmt::Assign { target: tpath, value, .. } => {
             let v = eval_expr(ctx, st, target, value)?;
-            st.write(tpath, v);
+            st.write(tpath.as_str(), v);
             Ok(())
         }
         IrStmt::If { cond, then_s, else_s, .. } => {
@@ -561,8 +534,7 @@ fn exec_stmt(
         IrStmt::Emit { header, ty, .. } => exec_emit(ctx, st, target, header, ty),
         IrStmt::SetValid { header, valid, .. } => {
             let v = ctx.constant(1, *valid as u128);
-            let vp = st.resolve(header).valid();
-            st.write_global(vp.as_str(), v);
+            st.write(header.valid().as_str(), v);
             Ok(())
         }
         IrStmt::CallAction { action, args, .. } => {
@@ -578,9 +550,9 @@ fn exec_stmt(
         IrStmt::StackOp { stack, push, count, .. } => exec_stack_op(ctx, st, stack, *push, *count),
         IrStmt::Exit { .. } => {
             // `exit` terminates the pipeline block: drop queued commands up
-            // to the enclosing frame boundary.
+            // to the next pipeline step, which sits directly below them.
             while let Some(cmd) = st.continuations.last() {
-                if matches!(cmd, Cmd::PopFrame | Cmd::PipeStep(_)) {
+                if matches!(cmd, Cmd::PipeStep(_)) {
                     break;
                 }
                 st.continuations.pop();
@@ -611,7 +583,7 @@ pub fn call_action(
                 for ((pname, pwidth), v) in a.params.iter().zip(args) {
                     let path = format!("{}::{}::{}", c.name, a.name, pname);
                     let cast = ctx.pool.cast(v.term, *pwidth as usize);
-                    st.write_global(&path, Sym::with_taint(cast, SymOps::cast_taint(v, *pwidth)));
+                    st.write(&path, Sym::with_taint(cast, SymOps::cast_taint(v, *pwidth)));
                 }
                 st.push_stmts(&a.body);
                 return Ok(());
@@ -685,10 +657,9 @@ fn exec_extract(
     }
     // Normal path: read the content and assign fields MSB-first.
     let content = st.packet.read(ctx.pool, need);
-    let hp = st.resolve(header);
     let mut offset = need; // bits remaining, counted from the MSB end
     for (fname, fty) in &fields {
-        let fp = hp.child(fname);
+        let fp = header.child(fname);
         if let Type::Varbit(max) = fty {
             let data = if vb_len > 0 {
                 let t = ctx.pool.extract(
@@ -705,9 +676,9 @@ fn exec_extract(
             } else {
                 ctx.constant(*max, 0)
             };
-            st.write_global(fp.as_str(), data);
+            st.write(fp.as_str(), data);
             let len = ctx.constant(32, vb_len as u128);
-            st.write_global(fp.child("$len").as_str(), len);
+            st.write(fp.child("$len").as_str(), len);
             offset -= vb_len;
         } else {
             let w = fty.width(&prog.env).unwrap_or(0);
@@ -716,18 +687,18 @@ fn exec_extract(
             }
             let t = ctx.pool.extract((offset - 1) as usize, (offset - w) as usize, content.term);
             let taint = content.taint.extract((offset - 1) as usize, (offset - w) as usize);
-            st.write_global(fp.as_str(), Sym::with_taint(t, taint));
+            st.write(fp.as_str(), Sym::with_taint(t, taint));
             offset -= w;
         }
     }
     let valid = ctx.constant(1, 1);
-    st.write_global(hp.valid().as_str(), valid);
-    st.log(format!("extract {hp} ({need} bits)"));
+    st.write(header.valid().as_str(), valid);
+    st.log(format!("extract {header} ({need} bits)"));
     Ok(())
 }
 
 /// Remove queued parser continuations (statements, parser states, hooks) up
-/// to the current frame boundary, leaving the PopFrame in place.
+/// to the next pipeline step, which stays in place.
 fn truncate_parser_continuations(st: &mut ExecState) {
     while let Some(cmd) = st.continuations.last() {
         match cmd {
@@ -757,21 +728,20 @@ fn exec_emit(
     ctx: &mut ExecCtx,
     st: &mut ExecState,
     target: &dyn Target,
-    header: &Path,
+    hp: &Path,
     ty: &str,
 ) -> ExecResult<()> {
-    let hp = st.resolve(header);
-    let validity = match st.read_global(hp.valid().as_str()) {
+    let validity = match st.read(hp.valid().as_str()) {
         Some(s) => s.clone(),
         None => ctx.constant(1, 0),
     };
     match ctx.pool.as_const(validity.term) {
-        Some(v) if v.is_true() => emit_fields(ctx, st, target, &hp, ty),
+        Some(v) if v.is_true() => emit_fields(ctx, st, target, hp, ty),
         Some(_) => Ok(()), // invalid: emit nothing
         None => {
             // Symbolic validity: fork.
             let mut valid_fork = ctx.fork(st, validity.term);
-            emit_fields(ctx, &mut valid_fork, target, &hp, ty)?;
+            emit_fields(ctx, &mut valid_fork, target, hp, ty)?;
             let nv = ctx.pool.not(validity.term);
             let invalid_fork = ctx.fork(st, nv);
             ctx.forks.push(valid_fork);
@@ -805,7 +775,7 @@ fn emit_fields(
                 let data = read_slot(ctx, st, target, &fp, *max);
                 let lenp = fp.child("$len");
                 let len = st
-                    .read_global(lenp.as_str())
+                    .read(lenp.as_str())
                     .and_then(|s| ctx.pool.as_const(s.term))
                     .and_then(|c| c.to_u64())
                     .unwrap_or(0) as u32;
@@ -843,14 +813,13 @@ fn emit_fields(
 fn exec_stack_op(
     ctx: &mut ExecCtx,
     st: &mut ExecState,
-    stack: &Path,
+    sp: &Path,
     push: bool,
     count: u32,
 ) -> ExecResult<()> {
-    let sp = st.resolve(stack);
     // Discover the stack size by probing validity slots.
     let mut size: u32 = 0;
-    while st.read_global(sp.indexed(size).valid().as_str()).is_some() && size < 64 {
+    while st.read(sp.indexed(size).valid().as_str()).is_some() && size < 64 {
         size += 1;
     }
     if size == 0 {
@@ -872,19 +841,19 @@ fn exec_stack_op(
                 let src_prefix = sp.indexed(src).as_str().to_string();
                 for (k, v) in &snapshot[src as usize] {
                     let suffix = &k[src_prefix.len()..];
-                    st.write_global(&format!("{dst_prefix}{suffix}"), v.clone());
+                    st.write(&format!("{dst_prefix}{suffix}"), v.clone());
                 }
             }
             None => {
                 let zero = ctx.constant(1, 0);
-                st.write_global(sp.indexed(i).valid().as_str(), zero);
+                st.write(sp.indexed(i).valid().as_str(), zero);
             }
         }
     }
     // Adjust $next (saturating at the bounds).
     let nextp = sp.next_index();
     let cur = st
-        .read_global(nextp.as_str())
+        .read(nextp.as_str())
         .and_then(|s| ctx.pool.as_const(s.term))
         .and_then(|c| c.to_u64())
         .unwrap_or(0);
@@ -894,7 +863,7 @@ fn exec_stack_op(
         cur.saturating_sub(count as u64)
     };
     let nv = ctx.constant(32, newv as u128);
-    st.write_global(nextp.as_str(), nv);
+    st.write(nextp.as_str(), nv);
     Ok(())
 }
 

@@ -6,8 +6,9 @@
 //! *whole-program semantics* (§5) exactly as the paper does:
 //!
 //! * [`target`] — the extension interface: pipeline templates (§5.1),
-//!   parameter bindings (Fig. 3), interstitial hooks (Fig. 5), extern
-//!   dispatch, and policies (uninitialized values, minimum packet size).
+//!   package roots that lowering binds block parameters to (Fig. 3),
+//!   interstitial hooks (Fig. 5), extern dispatch, and policies
+//!   (uninitialized values, minimum packet size).
 //! * [`state`] — per-path execution state with a continuation stack
 //!   (§5.1.2); continuations let targets express recirculation, cloning, and
 //!   multi-pipe traversal by pushing commands.

@@ -6,7 +6,7 @@
 
 use crate::packet::PacketModel;
 use crate::sym::Sym;
-use p4t_ir::{IrStmt, Path, StmtId};
+use p4t_ir::{IrStmt, StmtId};
 use p4t_smt::fingerprint::FingerprintFrame;
 use p4t_smt::{BitVec, TermId, TermPool};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -22,8 +22,6 @@ pub enum Cmd {
     ParserState { parser: String, state: String },
     /// Execute pipeline step `idx` of the target's pipeline template.
     PipeStep(usize),
-    /// Pop the current alias frame (end of a block).
-    PopFrame,
     /// Flush the emit buffer into the live packet (trigger point, §5.2.1).
     FlushEmit,
     /// Invoke a named target hook (interstitial control flow, e.g. the
@@ -116,8 +114,6 @@ pub struct ExecState {
     /// resubmit metadata) is deterministic and independent of insertion
     /// history — a requirement for reproducible parallel exploration.
     env: BTreeMap<String, Sym>,
-    /// Alias frames: local head segment → global head segment.
-    frames: Vec<HashMap<String, String>>,
     /// Path constraints (1-bit terms), in collection order. Append-only:
     /// `fingerprint` folds a prefix of it.
     pub constraints: Vec<TermId>,
@@ -151,7 +147,6 @@ impl ExecState {
             id,
             trail: Vec::new(),
             env: BTreeMap::new(),
-            frames: vec![HashMap::new()],
             constraints: Vec::new(),
             fingerprint: FingerprintFrame::default(),
             packet: PacketModel::new(),
@@ -177,46 +172,17 @@ impl ExecState {
         s
     }
 
-    // ---- alias frames ------------------------------------------------------
-
-    pub fn push_frame(&mut self, aliases: HashMap<String, String>) {
-        self.frames.push(aliases);
-    }
-
-    pub fn pop_frame(&mut self) {
-        self.frames.pop();
-    }
-
-    /// Resolve a (possibly block-local) path to its global storage path.
-    pub fn resolve(&self, path: &Path) -> Path {
-        let head = path.head();
-        for frame in self.frames.iter().rev() {
-            if let Some(alias) = frame.get(head) {
-                return path.rebase(alias);
-            }
-        }
-        path.clone()
-    }
-
     // ---- environment -------------------------------------------------------
 
     /// Read a slot; `None` if never written (caller decides the
-    /// uninitialized-read policy — taint vs. target zero-init).
-    pub fn read(&self, path: &Path) -> Option<&Sym> {
-        self.env.get(self.resolve(path).as_str())
-    }
-
-    pub fn write(&mut self, path: &Path, value: Sym) {
-        self.env.insert(self.resolve(path).0, value);
-    }
-
-    /// Write to an already-global path (no alias resolution).
-    pub fn write_global(&mut self, path: &str, value: Sym) {
-        self.env.insert(path.to_string(), value);
-    }
-
-    pub fn read_global(&self, path: &str) -> Option<&Sym> {
+    /// uninitialized-read policy — taint vs. target zero-init). Every path
+    /// is global: lowering already bound block parameters to their roots.
+    pub fn read(&self, path: &str) -> Option<&Sym> {
         self.env.get(path)
+    }
+
+    pub fn write(&mut self, path: &str, value: Sym) {
+        self.env.insert(path.to_string(), value);
     }
 
     /// Remove every slot whose global path starts with `prefix` (used to
@@ -323,56 +289,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alias_resolution() {
-        let mut st = ExecState::new(0);
-        let mut frame = HashMap::new();
-        frame.insert("h".to_string(), "hdr".to_string());
-        st.push_frame(frame);
-        assert_eq!(st.resolve(&Path::new("h.eth.dst")).as_str(), "hdr.eth.dst");
-        assert_eq!(st.resolve(&Path::new("m.x")).as_str(), "m.x");
-        st.pop_frame();
-        assert_eq!(st.resolve(&Path::new("h.eth.dst")).as_str(), "h.eth.dst");
-    }
-
-    #[test]
-    fn nested_frames_shadow() {
-        let mut st = ExecState::new(0);
-        let mut f1 = HashMap::new();
-        f1.insert("x".to_string(), "outer".to_string());
-        st.push_frame(f1);
-        let mut f2 = HashMap::new();
-        f2.insert("x".to_string(), "inner".to_string());
-        st.push_frame(f2);
-        assert_eq!(st.resolve(&Path::new("x.f")).as_str(), "inner.f");
-        st.pop_frame();
-        assert_eq!(st.resolve(&Path::new("x.f")).as_str(), "outer.f");
-    }
-
-    #[test]
-    fn env_read_write_via_alias() {
-        let pool = TermPool::new();
-        let mut st = ExecState::new(0);
-        let mut frame = HashMap::new();
-        frame.insert("m".to_string(), "meta".to_string());
-        st.push_frame(frame);
-        let v = zero_sym(&pool, 8);
-        st.write(&Path::new("m.x"), v.clone());
-        assert_eq!(st.read_global("meta.x"), Some(&v));
-        assert_eq!(st.read(&Path::new("m.x")), Some(&v));
-    }
-
-    #[test]
     fn clear_prefix_scopes_correctly() {
         let pool = TermPool::new();
         let mut st = ExecState::new(0);
         let v = zero_sym(&pool, 8);
-        st.write_global("meta.x", v.clone());
-        st.write_global("meta.y", v.clone());
-        st.write_global("metadata.z", v.clone());
+        st.write("meta.x", v.clone());
+        st.write("meta.y", v.clone());
+        st.write("metadata.z", v.clone());
         st.clear_prefix("meta");
-        assert!(st.read_global("meta.x").is_none());
-        assert!(st.read_global("meta.y").is_none());
-        assert!(st.read_global("metadata.z").is_some(), "prefix must match whole segment");
+        assert!(st.read("meta.x").is_none());
+        assert!(st.read("meta.y").is_none());
+        assert!(st.read("metadata.z").is_some(), "prefix must match whole segment");
     }
 
     #[test]

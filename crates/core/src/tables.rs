@@ -140,9 +140,9 @@ pub fn apply_table(
 /// Record `<table>.$hit` and `$applied` slots.
 fn mark_result(ctx: &mut ExecCtx, st: &mut ExecState, table: &str, hit: bool, action: &str) {
     let h = ctx.constant(1, hit as u128);
-    st.write_global(&format!("{table}.$hit"), h);
+    st.write(&format!("{table}.$hit"), h);
     let a = ctx.constant(1, 1);
-    st.write_global(&format!("{table}.$applied"), a);
+    st.write(&format!("{table}.$applied"), a);
     st.set_flag(&format!("{table}.$action:{action}"), 1);
 }
 

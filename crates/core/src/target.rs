@@ -3,9 +3,10 @@
 //!
 //! A target extension supplies:
 //! * a **prelude** — P4 source declaring the architecture's types & externs;
-//! * a **pipeline template** — the ordered [`PipeStep`]s a packet traverses,
-//!   with parameter bindings mapping each block's parameters onto global
-//!   pipeline state (the Fig. 3 structure);
+//! * **package roots** — the global pipeline state each package block's
+//!   parameters bind to (the Fig. 3 structure). Lowering applies them, so
+//!   every IR path the engine sees is already global;
+//! * a **pipeline template** — the ordered [`PipeStep`]s a packet traverses;
 //! * **hooks** — target-defined control flow between blocks (traffic
 //!   manager, recirculation, drop checks; the green segments of Fig. 5);
 //! * **extern implementations** — including taint-based rapid prototypes and
@@ -24,10 +25,9 @@ pub use crate::state::Cmd;
 /// One step of a pipeline template.
 #[derive(Clone, Debug)]
 pub enum PipeStep {
-    /// Run a programmable block. `bindings[i]` is the global storage name
-    /// bound to the block's i-th parameter (`None` for packet parameters,
-    /// which have no storage).
-    Block { block: String, bindings: Vec<Option<String>> },
+    /// Run the named programmable block. Its parameters were bound to
+    /// [`Target::package_roots`] in lowering.
+    Block(String),
     /// Invoke a named target hook.
     Hook(String),
     /// Flush the emit buffer into the live packet (trigger point).
@@ -41,7 +41,7 @@ pub enum ExtArg {
     Val(Sym),
     /// A flattened list (`{a, b, c}`).
     List(Vec<Sym>),
-    /// An output l-value (path already block-local; write via the state).
+    /// An output l-value (a global path; write via the state).
     Out(Path, u32),
     /// A struct/header passed by reference.
     Ref(Path),
@@ -67,10 +67,12 @@ impl ExtArg {
 }
 
 /// Execution context shared by the executor, hooks, and externs: the term
-/// pool, the program, and the fork buffer.
+/// pool, the program, its pipeline template, and the fork buffer.
 pub struct ExecCtx<'a> {
     pub pool: &'a TermPool,
     pub prog: &'a IrProgram,
+    /// The target's pipeline template for `prog`, built once per program.
+    pub pipeline: &'a [PipeStep],
     /// States forked during the current step; collected by the driver.
     pub forks: Vec<ExecState>,
     /// Shared state-id counter. State ids are diagnostic labels only (path
@@ -89,6 +91,7 @@ impl<'a> ExecCtx<'a> {
     pub fn new(
         pool: &'a TermPool,
         prog: &'a IrProgram,
+        pipeline: &'a [PipeStep],
         next_id: &'a AtomicU64,
         parser_loop_bound: u32,
         seed: u64,
@@ -96,6 +99,7 @@ impl<'a> ExecCtx<'a> {
         ExecCtx {
             pool,
             prog,
+            pipeline,
             forks: Vec::new(),
             next_id,
             parser_loop_bound,
@@ -165,6 +169,11 @@ pub trait Target: Send + Sync + 'static {
     /// prepended to every program before parsing.
     fn prelude(&self) -> &str;
 
+    /// The pipeline state each package argument's parameters bind to
+    /// (Fig. 3): entry `i` lists the roots of the `i`-th block's non-packet
+    /// parameters, in order. Lowering stores each parameter at its root.
+    fn package_roots(&self) -> &[&[&str]];
+
     /// The pipeline template for a program (§5.1.1): resolves the package
     /// instantiation's block arguments to concrete steps.
     fn pipeline(&self, prog: &IrProgram) -> Result<Vec<PipeStep>, String>;
@@ -180,7 +189,7 @@ pub trait Target: Send + Sync + 'static {
 
     /// Per-slot refinement of the uninitialized-read policy (e.g. Tofino
     /// zero-initializes user metadata but leaves intrinsic metadata
-    /// undefined). Receives the resolved global path.
+    /// undefined). Receives the slot's global path.
     fn uninit_policy_for(&self, _global_path: &str) -> UninitPolicy {
         self.uninit_policy()
     }

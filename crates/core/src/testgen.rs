@@ -30,7 +30,7 @@ use crate::coverage::{AbandonSite, SharedCoverage};
 use crate::memo::{feas_budget_class, FeasMemo};
 use crate::state::{Cmd, ExecState};
 use crate::summary::{reason, ResumeInfo, RunSummary, TestProvenance, MAX_PANIC_RECORDS};
-use crate::target::{ExecCtx, Target};
+use crate::target::{ExecCtx, PipeStep, Target};
 use crate::testspec::TestSpec;
 use crate::worker::{
     panic_payload_text, replay_to_trail, run_worker, Journal, Pending, Shared, WorkerOut,
@@ -114,8 +114,10 @@ impl std::error::Error for RunError {}
 /// without recompiling.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
-    /// The lowered IR (target pipeline shape already validated).
+    /// The lowered IR, its block parameters bound to the target's roots.
     pub prog: IrProgram,
+    /// The target's pipeline template for `prog`.
+    pub pipeline: Vec<PipeStep>,
     /// Warning diagnostics from the frontend (program still compiled).
     pub frontend_warnings: Vec<p4t_frontend::Diagnostic>,
     /// Number of prelude lines prepended ahead of the user's source.
@@ -126,20 +128,21 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Compile `source` with `target`'s prelude prepended and validate the
-    /// pipeline shape against the target.
+    /// Compile `source` with `target`'s prelude prepended, binding block
+    /// parameters to the target's package roots, and build the target's
+    /// pipeline template for it.
     pub fn build(source: &str, target: &dyn Target) -> Result<CompiledProgram, BuildError> {
         let prelude = target.prelude();
         let full = format!("{prelude}\n{source}");
         // Number of newlines ahead of the user's first line in `full`.
         let prelude_lines = prelude.matches('\n').count() as u32 + 1;
-        let (prog, frontend_warnings) = p4t_ir::compile_full(&full)
+        let (prog, frontend_warnings) = p4t_ir::compile_full(&full, target.package_roots())
             .map_err(|diagnostics| BuildError::Frontend { diagnostics, prelude_lines })?;
-        target.pipeline(&prog).map_err(BuildError::Target)?; // validate early
+        let pipeline = target.pipeline(&prog).map_err(BuildError::Target)?;
         let mut source_fingerprint = FNV_OFFSET;
         fnv_mix(&mut source_fingerprint, full.as_bytes());
         fnv_mix(&mut source_fingerprint, target.name().as_bytes());
-        Ok(CompiledProgram { prog, frontend_warnings, prelude_lines, source_fingerprint })
+        Ok(CompiledProgram { prog, pipeline, frontend_warnings, prelude_lines, source_fingerprint })
     }
 }
 
@@ -183,6 +186,8 @@ pub fn run_fingerprint_of(source_fingerprint: u64, c: &TestgenConfig) -> u64 {
 /// compiled program; each exploration worker owns its solver.
 pub struct Testgen {
     pub prog: IrProgram,
+    /// The target's pipeline template for `prog`.
+    pipeline: Vec<PipeStep>,
     pub target: Box<dyn Target>,
     pool: TermPool,
     pub config: TestgenConfig,
@@ -230,8 +235,8 @@ impl Testgen {
     /// Build a driver from an already-compiled program (see
     /// [`CompiledProgram`]) — no frontend work, so a host with a compile
     /// cache pays only the (cheap) driver construction per request. The
-    /// compiled program must have been built for the same target kind;
-    /// the pipeline shape was already validated at compile time.
+    /// compiled program must have been built for the same target kind:
+    /// its parameter roots and pipeline template come from that target.
     pub fn from_compiled(
         program_name: &str,
         compiled: CompiledProgram,
@@ -240,6 +245,7 @@ impl Testgen {
     ) -> Self {
         Testgen {
             prog: compiled.prog,
+            pipeline: compiled.pipeline,
             target: target.into(),
             pool: TermPool::new(),
             config,
@@ -386,6 +392,7 @@ impl Testgen {
 
         let shared = Shared {
             prog: &self.prog,
+            pipeline: &self.pipeline,
             target: &*self.target,
             pool: &self.pool,
             config: &self.config,
@@ -424,6 +431,7 @@ impl Testgen {
             let mut ctx = ExecCtx::new(
                 shared.pool,
                 shared.prog,
+                shared.pipeline,
                 &shared.next_id,
                 self.config.parser_loop_bound,
                 self.config.seed,

@@ -13,7 +13,7 @@ use crate::state::{ExecState, FinishReason, RegisterOp, SynthKeyMatch};
 use crate::summary::{
     classify_abandon_reason, reason, ErrorStats, PanicRecord, PhaseStats, MAX_PANIC_RECORDS,
 };
-use crate::target::{ExecCtx, Target};
+use crate::target::{ExecCtx, PipeStep, Target};
 use crate::testspec::{
     KeyMatch, MaskedBytes, OutputPacketSpec, RegisterSpec, TableEntrySpec, TestSpec,
 };
@@ -77,6 +77,7 @@ pub(crate) struct Journal {
 /// Everything the workers share for one run.
 pub(crate) struct Shared<'a> {
     pub(crate) prog: &'a IrProgram,
+    pub(crate) pipeline: &'a [PipeStep],
     pub(crate) target: &'a dyn Target,
     pub(crate) pool: &'a TermPool,
     pub(crate) config: &'a TestgenConfig,
@@ -355,6 +356,7 @@ pub(crate) fn replay_to_trail(
         let mut ctx = ExecCtx::new(
             sh.pool,
             sh.prog,
+            sh.pipeline,
             &sh.next_id,
             sh.config.parser_loop_bound,
             sh.config.seed,
@@ -997,6 +999,7 @@ impl PathWorker<'_, '_> {
             let mut ctx = ExecCtx::new(
                 sh.pool,
                 sh.prog,
+                sh.pipeline,
                 &sh.next_id,
                 sh.config.parser_loop_bound,
                 sh.config.seed,
@@ -1254,7 +1257,7 @@ impl PathWorker<'_, '_> {
         }
         let input_packet = bits_to_bytes(&input_bits);
         // Input port (targets record it in a conventional slot).
-        let input_port = match st.read_global("$input_port") {
+        let input_port = match st.read("$input_port") {
             Some(s) => self.model_u64(&model, s.term) as u32,
             None => 0,
         };
@@ -1376,7 +1379,7 @@ impl PathWorker<'_, '_> {
                 }
             }
         }
-        if let Some(p) = st.read_global("$input_port") {
+        if let Some(p) = st.read("$input_port") {
             vars.extend(pool.vars_of(p.term));
         }
         vars.sort();

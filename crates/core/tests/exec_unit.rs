@@ -22,42 +22,28 @@ extern void mini_log(in bit<8> code);
 "#
     }
 
+    fn package_roots(&self) -> &[&[&str]] {
+        &[&["hdr", "m"], &["hdr", "m"], &["hdr"]]
+    }
+
     fn pipeline(&self, prog: &IrProgram) -> Result<Vec<PipeStep>, String> {
         let args = &prog.package_args;
         if prog.package != "Mini" || args.len() != 3 {
             return Err("mini expects Mini(parser, control, deparser)".to_string());
         }
-        let bind = |block: &str, names: &[&str]| {
-            let b = prog.blocks.get(block).unwrap();
-            let params = match b {
-                p4t_ir::IrBlock::Parser(p) => &p.params,
-                p4t_ir::IrBlock::Control(c) => &c.params,
-            };
-            let mut out = Vec::new();
-            let mut it = names.iter();
-            for p in params {
-                match p.ty {
-                    p4t_frontend::types::Type::PacketIn | p4t_frontend::types::Type::PacketOut => {
-                        out.push(None)
-                    }
-                    _ => out.push(it.next().map(|s| s.to_string())),
-                }
-            }
-            out
-        };
         Ok(vec![
-            PipeStep::Block { block: args[0].clone(), bindings: bind(&args[0], &["hdr", "m"]) },
-            PipeStep::Block { block: args[1].clone(), bindings: bind(&args[1], &["hdr", "m"]) },
-            PipeStep::Block { block: args[2].clone(), bindings: bind(&args[2], &["hdr"]) },
+            PipeStep::Block(args[0].clone()),
+            PipeStep::Block(args[1].clone()),
+            PipeStep::Block(args[2].clone()),
             PipeStep::FlushEmit,
         ])
     }
 
     fn init(&self, ctx: &mut ExecCtx, st: &mut ExecState) {
         let z = ctx.constant(9, 0);
-        st.write_global("m.port", z);
+        st.write("m.port", z);
         let p = ctx.constant(9, 0);
-        st.write_global("$input_port", p);
+        st.write("$input_port", p);
     }
 
     fn uninit_policy(&self) -> UninitPolicy {
@@ -88,7 +74,7 @@ extern void mini_log(in bit<8> code);
     }
 
     fn finalize(&self, ctx: &mut ExecCtx, st: &mut ExecState) {
-        let port = st.read_global("m.port").cloned().unwrap_or_else(|| ctx.constant(9, 0));
+        let port = st.read("m.port").cloned().unwrap_or_else(|| ctx.constant(9, 0));
         if ctx.pool.as_const(port.term).is_some_and(|v| v.to_u64() == Some(0x1FF)) {
             st.finish(FinishReason::Dropped);
             return;

@@ -103,7 +103,7 @@ fn replay(dir: &Path, quiet: bool) -> std::io::Result<u64> {
     let mut panics = 0;
     for (name, source, arch) in &entries {
         let full = format!("{}\n{source}", prelude_for(arch));
-        match check_input(&full) {
+        match check_input(&full, arch) {
             Outcome::Panicked(sig) => {
                 eprintln!("REGRESSION {name}: panicked at {}: {}", sig.location, sig.message);
                 panics += 1;

@@ -125,10 +125,12 @@ pub enum Outcome {
     Panicked(PanicSig),
 }
 
-/// Feed one complete source (prelude already prepended) through the full
-/// pipeline and classify the result.
-pub fn check_input(full_source: &str) -> Outcome {
-    match catch_panics(|| p4t_ir::compile_full(full_source)) {
+/// Feed one complete source (the `arch` prelude already prepended) through
+/// the full pipeline, binding to `arch`'s package roots, and classify the
+/// result.
+pub fn check_input(full_source: &str, arch: &str) -> Outcome {
+    let target = target_for(arch);
+    match catch_panics(|| p4t_ir::compile_full(full_source, target.package_roots())) {
         Ok(Ok((_, warnings))) => Outcome::Clean { warnings: warnings.len() },
         Ok(Err(diags)) => Outcome::Rejected { codes: diags.iter().map(|d| d.code).collect() },
         Err(sig) => Outcome::Panicked(sig),
@@ -147,10 +149,12 @@ pub fn arch_of(source: &str) -> &'static str {
 /// The prelude for an architecture name from [`arch_of`]; unknown names get
 /// v1model's.
 pub fn prelude_for(arch: &str) -> String {
-    p4t_targets::by_name(arch)
-        .unwrap_or_else(|| Box::new(p4t_targets::V1Model::new()))
-        .prelude()
-        .to_string()
+    target_for(arch).prelude().to_string()
+}
+
+/// The named target; unknown names fall back to v1model.
+fn target_for(arch: &str) -> Box<dyn p4testgen_core::Target> {
+    p4t_targets::by_name(arch).unwrap_or_else(|| Box::new(p4t_targets::V1Model::new()))
 }
 
 // ---------------------------------------------------------------------------
@@ -436,7 +440,7 @@ pub fn run_fuzz(seeds: &[(String, String, &'static str)], iterations: u64, seed:
         let prelude = prelude_for(arch);
         let full = format!("{prelude}\n{mutant}");
         report.iterations += 1;
-        match check_input(&full) {
+        match check_input(&full, arch) {
             Outcome::Clean { .. } => report.clean += 1,
             Outcome::Rejected { codes } => {
                 report.rejected += 1;
@@ -451,7 +455,7 @@ pub fn run_fuzz(seeds: &[(String, String, &'static str)], iterations: u64, seed:
                 let location = sig.location.clone();
                 let minimized = minimize(&mutant, |candidate| {
                     let full = format!("{prelude}\n{candidate}");
-                    matches!(check_input(&full),
+                    matches!(check_input(&full, arch),
                         Outcome::Panicked(s) if s.location == location)
                 });
                 report.crashes.push(Crash {
@@ -502,9 +506,9 @@ mod tests {
     #[test]
     fn check_input_triages_clean_and_rejected() {
         let full = format!("{}\n{}", prelude_for("v1model"), crate::FIG1A);
-        assert!(matches!(check_input(&full), Outcome::Clean { .. }));
+        assert!(matches!(check_input(&full, "v1model"), Outcome::Clean { .. }));
         let bad = format!("{}\ncontrol C( {{", prelude_for("v1model"));
-        match check_input(&bad) {
+        match check_input(&bad, "v1model") {
             Outcome::Rejected { codes } => assert!(!codes.is_empty()),
             other => panic!("expected Rejected, got {other:?}"),
         }

@@ -144,7 +144,6 @@ pub struct Interp<'p> {
     arch: Arch,
     faults: FaultSet,
     env: HashMap<String, BitVec>,
-    frames: Vec<HashMap<String, String>>,
     tables: HashMap<String, Vec<Entry>>,
     registers: HashMap<String, HashMap<u64, BitVec>>,
     packet: CPacket,
@@ -184,7 +183,6 @@ impl<'p> Interp<'p> {
             arch,
             faults,
             env: HashMap::new(),
-            frames: vec![HashMap::new()],
             tables: HashMap::new(),
             registers: HashMap::new(),
             packet: CPacket::new(BitVec::empty()),
@@ -380,19 +378,11 @@ impl<'p> Interp<'p> {
     }
 
     // ---- env ---------------------------------------------------------------
+    //
+    // Every IR path is global: lowering bound block parameters to the
+    // target's roots.
 
-    fn resolve(&self, path: &Path) -> String {
-        let head = path.head();
-        for frame in self.frames.iter().rev() {
-            if let Some(alias) = frame.get(head) {
-                return path.rebase(alias).0;
-            }
-        }
-        path.0.clone()
-    }
-
-    fn read_env(&mut self, path: &Path, width: u32) -> BitVec {
-        let key = self.resolve(path);
+    fn read_env(&mut self, key: &str, width: u32) -> BitVec {
         // Reading a field of an invalid header: garbage (undefined).
         if let Some((parent, leaf)) = key.rsplit_once('.') {
             if !leaf.starts_with('$') {
@@ -407,7 +397,7 @@ impl<'p> Interp<'p> {
                 }
             }
         }
-        if let Some(v) = self.env.get(&key) {
+        if let Some(v) = self.env.get(key) {
             return v.clone();
         }
         let zeroed = match self.arch {
@@ -422,13 +412,8 @@ impl<'p> Interp<'p> {
         } else {
             self.garbage(width as usize)
         };
-        self.env.insert(key, v.clone());
+        self.env.insert(key.to_string(), v.clone());
         v
-    }
-
-    fn write_path(&mut self, path: &Path, v: BitVec) {
-        let key = self.resolve(path);
-        self.env.insert(key, v);
     }
 
     fn write_env(&mut self, key: &str, v: BitVec) {
@@ -450,7 +435,7 @@ impl<'p> Interp<'p> {
     }
 
     fn run_v1model(&mut self, spec: &TestSpec) -> IResult<()> {
-        let args = self.prog.package_args.clone();
+        let args = &self.prog.package_args;
         if args.len() != 6 {
             return Err(InterpException("V1Switch needs 6 blocks".into()));
         }
@@ -467,9 +452,9 @@ impl<'p> Interp<'p> {
         self.write_env("sm.ingress_port", BitVec::from_u64(9, spec.input_port as u64));
         let mut rounds = 0;
         loop {
-            self.run_parser(&args[0], &["hdr", "meta", "sm"])?;
-            self.run_control(&args[1], &["hdr", "meta"])?;
-            self.run_control(&args[2], &["hdr", "meta", "sm"])?;
+            self.run_parser(&args[0])?;
+            self.run_control(&args[1])?;
+            self.run_control(&args[2])?;
             // Traffic manager: resubmit re-injects the *original* packet.
             if self.flags.get("resubmit").copied().unwrap_or(0) == 1 && rounds < 2 {
                 self.flags.insert("resubmit".into(), 0);
@@ -488,9 +473,9 @@ impl<'p> Interp<'p> {
                     return Ok(());
                 }
             self.write_env("sm.egress_port", spec_port);
-            self.run_control(&args[3], &["hdr", "meta", "sm"])?;
-            self.run_control(&args[4], &["hdr", "meta"])?;
-            self.run_control(&args[5], &["hdr"])?;
+            self.run_control(&args[3])?;
+            self.run_control(&args[4])?;
+            self.run_control(&args[5])?;
             // Deparsed packet = emitted headers + unparsed payload.
             let mut out = BitVec::empty();
             for e in self.emit_buf.drain(..) {
@@ -525,7 +510,7 @@ impl<'p> Interp<'p> {
     }
 
     fn run_tofino(&mut self, _spec: &TestSpec) -> IResult<()> {
-        let args = self.prog.package_args.clone();
+        let args = &self.prog.package_args;
         if args.len() != 6 && args.len() != 7 {
             return Err(InterpException("Pipeline needs 6 or 7 blocks".into()));
         }
@@ -540,15 +525,12 @@ impl<'p> Interp<'p> {
         self.write_env("eg_prsr_md.parser_err", BitVec::zeros(16));
         self.flags.insert("in_ingress".into(), 1);
         // Ingress pipeline.
-        self.run_parser(&args[0], &["hdr", "meta", "ig_intr_md"])?;
+        self.run_parser(&args[0])?;
         if self.dropped {
             return Ok(());
         }
-        self.run_control(
-            &args[1],
-            &["hdr", "meta", "ig_intr_md", "ig_prsr_md", "ig_dprsr_md", "ig_tm_md"],
-        )?;
-        self.run_control(&args[2], &["hdr", "meta", "ig_dprsr_md"])?;
+        self.run_control(&args[1])?;
+        self.run_control(&args[2])?;
         // Emit buffer becomes the packet entering the traffic manager.
         let mut tm_packet = BitVec::empty();
         for e in self.emit_buf.drain(..) {
@@ -586,16 +568,13 @@ impl<'p> Interp<'p> {
             return Ok(());
         }
         // Egress pipeline.
-        self.run_parser(&args[3], &["hdr", "emeta", "eg_intr_md"])?;
+        self.run_parser(&args[3])?;
         if self.dropped {
             return Ok(());
         }
         self.write_env("eg_intr_md.egress_port", BitVec::from_u64(9, port));
-        self.run_control(
-            &args[4],
-            &["hdr", "emeta", "eg_intr_md", "eg_prsr_md", "eg_dprsr_md", "eg_oport_md"],
-        )?;
-        self.run_control(&args[5], &["hdr", "emeta", "eg_dprsr_md"])?;
+        self.run_control(&args[4])?;
+        self.run_control(&args[5])?;
         let eg_drop = self.read_key("eg_dprsr_md.drop_ctl").cloned().unwrap_or_else(|| BitVec::zeros(3));
         if !eg_drop.is_zero() && !self.faults.has(Fault::IgnoreDropCtl) {
             self.dropped = true;
@@ -611,16 +590,16 @@ impl<'p> Interp<'p> {
     }
 
     fn run_ebpf(&mut self, _spec: &TestSpec) -> IResult<()> {
-        let args = self.prog.package_args.clone();
+        let args = &self.prog.package_args;
         if args.len() != 2 {
             return Err(InterpException("ebpfFilter needs 2 blocks".into()));
         }
         self.write_env("accept", BitVec::zeros(1));
-        self.run_parser(&args[0], &["hdr"])?;
+        self.run_parser(&args[0])?;
         if self.dropped {
             return Ok(());
         }
-        self.run_control(&args[1], &["hdr", "accept"])?;
+        self.run_control(&args[1])?;
         let accept = self.read_key("accept").map(|v| !v.is_zero()).unwrap_or(false);
         if !accept {
             self.dropped = true;
@@ -679,7 +658,7 @@ impl<'p> Interp<'p> {
             if w == 0 {
                 continue;
             }
-            let v = self.read_env(&base.child(&f.name), w);
+            let v = self.read_env(base.child(&f.name).as_str(), w);
             acc = acc.concat(&v);
         }
         acc
@@ -693,33 +672,23 @@ impl<'p> Interp<'p> {
 
     // ---- blocks -----------------------------------------------------------
 
-    fn enter_frame(&mut self, block: &str, names: &[&str]) -> IResult<()> {
-        let Some(b) = self.prog.blocks.get(block) else {
-            return Err(InterpException(format!("unknown block '{block}'")));
+    /// The named block, with its bound `out` parameters reset: headers
+    /// invalid.
+    fn enter_block(&mut self, name: &str) -> IResult<&'p IrBlock> {
+        let prog = self.prog;
+        let Some(b) = prog.blocks.get(name) else {
+            return Err(InterpException(format!("unknown block '{name}'")));
         };
         let params = match b {
             IrBlock::Parser(p) => &p.params,
             IrBlock::Control(c) => &c.params,
         };
-        let mut frame = HashMap::new();
-        let mut it = names.iter();
         for p in params {
-            match p.ty {
-                Type::PacketIn | Type::PacketOut => {}
-                _ => {
-                    if let Some(n) = it.next() {
-                        frame.insert(p.name.clone(), n.to_string());
-                        if p.direction == p4t_frontend::ast::Direction::Out {
-                            // Reset out params: headers invalid.
-                            let ty = p.ty.clone();
-                            self.invalidate(&ty, &Path::new(n.to_string()));
-                        }
-                    }
-                }
+            if let (p4t_frontend::ast::Direction::Out, Some(root)) = (p.direction, &p.root) {
+                self.invalidate(&p.ty, &Path::new(root.clone()));
             }
         }
-        self.frames.push(frame);
-        Ok(())
+        Ok(b)
     }
 
     fn invalidate(&mut self, ty: &Type, base: &Path) {
@@ -745,12 +714,10 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn run_parser(&mut self, name: &str, bindings: &[&str]) -> IResult<()> {
-        self.enter_frame(name, bindings)?;
-        let Some(IrBlock::Parser(p)) = self.prog.blocks.get(name) else {
+    fn run_parser(&mut self, name: &str) -> IResult<()> {
+        let IrBlock::Parser(p) = self.enter_block(name)? else {
             return Err(InterpException(format!("'{name}' is not a parser")));
         };
-        let p = p.clone();
         let mut state = "start".to_string();
         let mut visits = 0;
         while state != "accept" && state != "reject" {
@@ -795,7 +762,6 @@ impl<'p> Interp<'p> {
                 }
             };
         }
-        self.frames.pop();
         if state == "reject" {
             self.on_parser_reject();
         }
@@ -828,23 +794,20 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn run_control(&mut self, name: &str, bindings: &[&str]) -> IResult<()> {
+    fn run_control(&mut self, name: &str) -> IResult<()> {
         if self.dropped {
             return Ok(());
         }
-        self.enter_frame(name, bindings)?;
-        let Some(IrBlock::Control(c)) = self.prog.blocks.get(name) else {
+        let IrBlock::Control(c) = self.enter_block(name)? else {
             return Err(InterpException(format!("'{name}' is not a control")));
         };
-        let stmts = c.apply.clone();
         self.exited = false;
-        for s in &stmts {
+        for s in &c.apply {
             if !self.exec_stmt(s)? || self.exited {
                 break;
             }
         }
         self.exited = false;
-        self.frames.pop();
         Ok(())
     }
 
@@ -862,12 +825,12 @@ impl<'p> Interp<'p> {
                     Arch::V1Model => BitVec::zeros(*width as usize),
                     _ => self.garbage(*width as usize),
                 };
-                self.write_path(path, v);
+                self.write_env(path.as_str(), v);
                 Ok(true)
             }
             IrStmt::Assign { target, value, .. } => {
                 let v = self.eval(value)?;
-                self.write_path(target, v);
+                self.write_env(target.as_str(), v);
                 Ok(true)
             }
             IrStmt::If { cond, then_s, else_s, .. } => {
@@ -907,8 +870,7 @@ impl<'p> Interp<'p> {
                 Ok(true)
             }
             IrStmt::SetValid { header, valid, .. } => {
-                let hp = self.resolve(header);
-                self.write_env(&format!("{hp}.$valid"), BitVec::from_bool(*valid));
+                self.write_env(header.valid().as_str(), BitVec::from_bool(*valid));
                 Ok(true)
             }
             IrStmt::CallAction { action, args, .. } => {
@@ -932,7 +894,7 @@ impl<'p> Interp<'p> {
 
     fn exec_extract(
         &mut self,
-        header: &Path,
+        hp: &Path,
         ty: &str,
         varbit_len: Option<&IrExpr>,
     ) -> IResult<bool> {
@@ -951,7 +913,6 @@ impl<'p> Interp<'p> {
                 "compiler mistranslated varbit extract with expression length".into(),
             ));
         }
-        let hp = self.resolve(header);
         // A failing extract consumes nothing: the unparsed content passes
         // through as payload (matching the oracle's model and Fig 1c).
         let need: usize = fields
@@ -988,8 +949,7 @@ impl<'p> Interp<'p> {
         Ok(true)
     }
 
-    fn exec_emit(&mut self, header: &Path, ty: &str) -> IResult<()> {
-        let hp = self.resolve(header);
+    fn exec_emit(&mut self, hp: &Path, ty: &str) -> IResult<()> {
         let validity = self.env.get(&format!("{hp}.$valid")).cloned();
         let valid = validity.map(|v| !v.is_zero()).unwrap_or(false);
         if !valid {
@@ -1019,7 +979,7 @@ impl<'p> Interp<'p> {
         for f in &fields {
             match &f.ty {
                 Type::Varbit(max) => {
-                    let data = self.read_env(&Path::new(format!("{hp}.{}", f.name)), *max);
+                    let data = self.read_env(&format!("{hp}.{}", f.name), *max);
                     let len = self
                         .env
                         .get(&format!("{hp}.{}.$len", f.name))
@@ -1034,7 +994,7 @@ impl<'p> Interp<'p> {
                     if w == 0 {
                         continue;
                     }
-                    let v = self.read_env(&Path::new(format!("{hp}.{}", f.name)), w);
+                    let v = self.read_env(&format!("{hp}.{}", f.name), w);
                     acc = acc.concat(&v);
                 }
             }
@@ -1043,11 +1003,10 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn exec_stack_op(&mut self, stack: &Path, push: bool, count: u32) -> IResult<()> {
+    fn exec_stack_op(&mut self, sp: &Path, push: bool, count: u32) -> IResult<()> {
         if self.faults.has(Fault::StackPushWrongOp) {
             return Err(InterpException("wrong operation on header stack push/pop".into()));
         }
-        let sp = self.resolve(stack);
         let mut size = 0u32;
         while self.env.contains_key(&format!("{sp}[{size}].$valid")) && size < 64 {
             size += 1;
@@ -1097,14 +1056,13 @@ impl<'p> Interp<'p> {
     }
 
     fn call_action(&mut self, action: &str, args: &[BitVec]) -> IResult<()> {
-        for block in self.prog.blocks.values() {
+        let prog = self.prog;
+        for block in prog.blocks.values() {
             if let IrBlock::Control(c) = block {
                 if let Some(a) = c.actions.get(action) {
-                    let a = a.clone();
-                    let cname = c.name.clone();
                     for ((pname, pw), v) in a.params.iter().zip(args) {
                         self.write_env(
-                            &format!("{cname}::{action}::{pname}"),
+                            &format!("{}::{action}::{pname}", c.name),
                             v.cast(*pw as usize),
                         );
                     }
@@ -1129,20 +1087,19 @@ impl<'p> Interp<'p> {
         table: &str,
         switch_cases: Option<&[(Option<String>, Vec<IrStmt>)]>,
     ) -> IResult<()> {
-        let tbl = self
-            .prog
+        let prog = self.prog;
+        let tbl = prog
             .all_tables()
             .find(|t| t.name == table)
-            .ok_or_else(|| InterpException(format!("unknown table '{table}'")))?
-            .clone();
+            .ok_or_else(|| InterpException(format!("unknown table '{table}'")))?;
         let key_vals: Vec<BitVec> =
             tbl.keys.iter().map(|k| self.eval(&k.expr)).collect::<IResult<_>>()?;
         // Const entries first (priority-ordered), then installed entries.
         let mut was_hit = true;
-        let hit = self.match_const_entries(&tbl, &key_vals)?;
+        let hit = self.match_const_entries(tbl, &key_vals)?;
         let (action, args) = match hit {
             Some((a, args)) => (a, args),
-            None => match self.match_installed(&tbl, &key_vals)? {
+            None => match self.match_installed(tbl, &key_vals)? {
                 Some((a, args)) => (a, args),
                 None => {
                     was_hit = false;
@@ -1342,7 +1299,7 @@ impl<'p> Interp<'p> {
                     if let IrArg::Out(p, w) = &args[2] {
                         let algo = self.eval_arg(&args[3])?.to_u64().unwrap_or(2);
                         let v = self.run_hash(algo, &data, *w);
-                        self.write_path(p, v);
+                        self.write_env(p.as_str(), v);
                     }
                 }
             }
@@ -1359,13 +1316,13 @@ impl<'p> Interp<'p> {
                     } else {
                         base.cast(*w as usize).add(&h.urem(&maxc))
                     };
-                    self.write_path(p, v);
+                    self.write_env(p.as_str(), v);
                 }
             }
             "random" => {
                 if let IrArg::Out(p, w) = &args[0] {
                     let v = self.garbage(*w as usize);
-                    self.write_path(p, v);
+                    self.write_env(p.as_str(), v);
                 }
             }
             "read" if instance.is_some() => {
@@ -1385,7 +1342,7 @@ impl<'p> Interp<'p> {
                         .and_then(|r| r.get(&i))
                         .cloned()
                         .unwrap_or_else(|| BitVec::zeros(w as usize));
-                    self.write_path(&p, v.cast(w as usize));
+                    self.write_env(p.as_str(), v.cast(w as usize));
                 }
             }
             "write" if instance.is_some() => {
@@ -1403,10 +1360,10 @@ impl<'p> Interp<'p> {
                         let data = self.eval_arg_list(&args[0])?;
                         let algo = if self.faults.has(Fault::HashAlgorithmSwap) { 1 } else { 0 };
                         let v = self.run_hash(algo, &data, *w);
-                        self.write_path(&p.clone(), v);
+                        self.write_env(p.as_str(), v);
                     } else {
                         let v = self.garbage(*w as usize);
-                        self.write_path(&p.clone(), v);
+                        self.write_env(p.as_str(), v);
                     }
                 }
             }
@@ -1425,7 +1382,7 @@ impl<'p> Interp<'p> {
                         .and_then(|r| r.get(&idx))
                         .cloned()
                         .unwrap_or_else(|| BitVec::zeros(w as usize));
-                    self.write_path(&p, v.cast(w as usize));
+                    self.write_env(p.as_str(), v.cast(w as usize));
                 }
             }
             "add" | "subtract" if instance.is_some() => {
@@ -1451,7 +1408,7 @@ impl<'p> Interp<'p> {
                     items.sort_by(|a, b| a.0.cmp(&b.0));
                     let data: Vec<BitVec> = items.into_iter().map(|(_, v)| v).collect();
                     let c = concolic::csum16(&data, 16);
-                    self.write_path(&p.clone(), BitVec::from_bool(c.is_zero()));
+                    self.write_env(p.as_str(), BitVec::from_bool(c.is_zero()));
                 }
             }
             "truncate" => {
@@ -1545,11 +1502,11 @@ impl<'p> Interp<'p> {
                 if self.faults.has(Fault::StackDerefWrongOp) && path.as_str().contains('[') {
                     return Err(InterpException("wrong operation dereferencing header stack".into()));
                 }
-                self.read_env(path, *width)
+                self.read_env(path.as_str(), *width)
             }
             IrExpr::IsValid { path } => {
-                let key = format!("{}.$valid", self.resolve(path));
-                BitVec::from_bool(self.env.get(&key).map(|v| !v.is_zero()).unwrap_or(false))
+                let key = path.valid();
+                BitVec::from_bool(self.env.get(key.as_str()).map(|v| !v.is_zero()).unwrap_or(false))
             }
             IrExpr::Unary { op, arg, .. } => {
                 let a = self.eval(arg)?;
@@ -1598,8 +1555,8 @@ impl<'p> Interp<'p> {
                 }
             }
             IrExpr::VarbitLen { path } => {
-                let key = format!("{}.$len", self.resolve(path));
-                self.env.get(&key).cloned().unwrap_or_else(|| BitVec::zeros(32))
+                let key = path.child("$len");
+                self.env.get(key.as_str()).cloned().unwrap_or_else(|| BitVec::zeros(32))
             }
         })
     }

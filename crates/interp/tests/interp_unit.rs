@@ -2,11 +2,17 @@
 //! hand-written test specifications (no symbolic oracle involved).
 
 use p4t_interp::{check, Arch, Fault, FaultSet, Interp, Verdict};
-use p4t_targets::v1model::V1MODEL_PRELUDE;
 use p4testgen_core::testspec::*;
+use p4testgen_core::Target;
+
+/// Compile `src` with `target`'s prelude and package roots.
+fn compile_for(target: &dyn Target, src: &str) -> p4t_ir::IrProgram {
+    let full = format!("{}\n{src}", target.prelude());
+    p4t_ir::compile_full(&full, target.package_roots()).expect("compiles").0
+}
 
 fn compile_v1(src: &str) -> p4t_ir::IrProgram {
-    p4t_ir::compile(&format!("{V1MODEL_PRELUDE}\n{src}")).expect("compiles")
+    compile_for(&p4t_targets::V1Model::new(), src)
 }
 
 const FWD: &str = r#"
@@ -290,12 +296,7 @@ control EDep(packet_out pkt, inout headers_t hdr, in egress_intrinsic_metadata_f
 }
 Pipeline(IPrs(), Ing(), IDep(), EPrs(), Egr(), EDep()) main;
 "#;
-    let prog = p4t_ir::compile(&format!(
-        "{}\n{}",
-        p4t_targets::tofino::TNA_PRELUDE,
-        src
-    ))
-    .unwrap();
+    let prog = compile_for(&p4t_targets::Tofino::tna(), src);
     // 20-byte packet < 64-byte minimum: dropped before the pipeline.
     let s = spec(vec![0u8; 20], vec![], vec![]);
     let interp = Interp::new(&prog, Arch::Tna, FaultSet::none());

@@ -7,6 +7,9 @@
 //! * Every expression node carries an explicit bit width; booleans are 1 bit.
 //! * L-values are flattened dotted paths (`hdr.eth.dst`); header validity is
 //!   a synthetic `$valid` field; header stacks get a synthetic `$next` index.
+//! * Paths are global: lowering binds each package block's parameters to
+//!   the target's pipeline state, so neither engine aliases names at run
+//!   time.
 //! * Struct assignments, slices-as-targets, and dynamic stack indices are
 //!   elaborated away during lowering (the paper's midend transformations).
 //! * Every statement has a [`StmtId`] used for coverage accounting.
@@ -45,20 +48,6 @@ impl Path {
     /// The synthetic next-index slot of a header-stack path.
     pub fn next_index(&self) -> Path {
         self.child("$next")
-    }
-
-    /// First dotted segment (used for parameter aliasing across blocks).
-    pub fn head(&self) -> &str {
-        let s = &self.0;
-        let dot = s.find('.').unwrap_or(s.len());
-        let brk = s.find('[').unwrap_or(s.len());
-        &s[..dot.min(brk)]
-    }
-
-    /// Replace the first segment with `alias`.
-    pub fn rebase(&self, alias: &str) -> Path {
-        let head = self.head();
-        Path(format!("{}{}", alias, &self.0[head.len()..]))
     }
 
     pub fn as_str(&self) -> &str {
@@ -278,6 +267,11 @@ pub struct IrParam {
     pub direction: p4t_frontend::ast::Direction,
     /// Type name for struct/header parameters, or None for packets.
     pub ty: p4t_frontend::types::Type,
+    /// The pipeline state the package binds this parameter to (`hdr`,
+    /// `meta`, `sm`, ...). The block's paths already use it. `None` for
+    /// packet parameters and for blocks the package does not bind; those
+    /// keep their own name.
+    pub root: Option<String>,
 }
 
 /// A parser block.

@@ -9,30 +9,33 @@
 //! * [`ir`] — the width-resolved, flattened IR interpreted by both the
 //!   symbolic executor (`p4testgen-core`) and the concrete software models
 //!   (`p4t-interp`). Every statement carries a coverage id.
-//! * [`mod@lower`] — AST → IR lowering, performing the midend elaborations.
+//! * [`mod@lower`] — AST → IR lowering, performing the midend elaborations
+//!   and binding package block parameters to the target's pipeline state.
 //! * [`passes`] — constant folding and dead-code elimination; the statement
 //!   table is rebuilt afterwards, matching the paper's "coverage after
 //!   dead-code elimination".
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ir;
 pub mod lower;
 pub mod passes;
 
 pub use ir::*;
-pub use lower::lower;
+pub use lower::{lower, lower_with_roots};
 pub use passes::{fold_expr, optimize};
 
 use p4t_frontend::error::Diagnostic;
 
-/// Frontend + lowering + midend in one call.
-pub fn compile(source: &str) -> Result<IrProgram, Vec<Diagnostic>> {
-    compile_full(source).map(|(prog, _)| prog)
-}
-
-/// Like [`compile`], but also surfaces warning diagnostics from a clean run.
-pub fn compile_full(source: &str) -> Result<(IrProgram, Vec<Diagnostic>), Vec<Diagnostic>> {
+/// Frontend + lowering + midend in one call, binding package block
+/// parameters to `roots` (see [`lower_with_roots`]). Also surfaces warning
+/// diagnostics from a clean run.
+pub fn compile_full(
+    source: &str,
+    roots: &[&[&str]],
+) -> Result<(IrProgram, Vec<Diagnostic>), Vec<Diagnostic>> {
     let checked = p4t_frontend::frontend(source)?;
-    let mut prog = lower(&checked)?;
+    let mut prog = lower_with_roots(&checked, roots)?;
     optimize(&mut prog);
     Ok((prog, checked.warnings))
 }

@@ -14,39 +14,32 @@ use p4t_frontend::typecheck::{const_eval, type_of_expr, CheckedProgram, Scope};
 use p4t_frontend::types::{Type, TypeEnv, ERROR_WIDTH};
 use std::collections::HashMap;
 
-/// Lower a checked program to IR.
-///
-/// Lowering runs only on programs that passed typechecking, so any error
-/// here reflects a frontend/lowering disagreement; it is reported as a
-/// single diagnostic for uniformity with the other stages.
+/// Lower a checked program to IR without binding any block parameters:
+/// every parameter keeps its own name. [`lower_with_roots`] is the form
+/// the engines run on.
 pub fn lower(
     checked: &CheckedProgram,
 ) -> Result<IrProgram, Vec<p4t_frontend::error::Diagnostic>> {
-    lower_inner(checked).map_err(|e| vec![e])
+    lower_with_roots(checked, &[])
 }
 
-fn lower_inner(checked: &CheckedProgram) -> Result<IrProgram, FrontendError> {
-    let mut lw = Lowerer {
-        env: &checked.env,
-        next_stmt: 0,
-        next_temp: 0,
-        statements: Vec::new(),
-        block: String::new(),
-    };
-    let mut blocks = HashMap::new();
-    for decl in &checked.program.decls {
-        match decl {
-            Decl::Parser(p) => {
-                let irp = lw.lower_parser(p)?;
-                blocks.insert(p.name.clone(), IrBlock::Parser(irp));
-            }
-            Decl::Control(c) => {
-                let irc = lw.lower_control(c)?;
-                blocks.insert(c.name.clone(), IrBlock::Control(irc));
-            }
-            _ => {}
-        }
-    }
+/// Lower a checked program to IR, binding package block parameters to
+/// pipeline state (Fig. 3). `roots[i]` lists the roots of the `i`-th
+/// package argument's non-packet parameters, in order. A block passed at
+/// two positions must get the same roots at both. A block with no roots
+/// keeps its parameters' own names.
+///
+/// Lowering runs only on programs that passed typechecking, so any other
+/// error here reflects a frontend/lowering disagreement; it is reported as
+/// a single diagnostic for uniformity with the other stages.
+pub fn lower_with_roots(
+    checked: &CheckedProgram,
+    roots: &[&[&str]],
+) -> Result<IrProgram, Vec<p4t_frontend::error::Diagnostic>> {
+    lower_inner(checked, roots).map_err(|e| vec![e])
+}
+
+fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram, FrontendError> {
     let (package, package_args) = match checked.program.main_instantiation() {
         Some(inst) => {
             let pname = match &inst.ty {
@@ -69,6 +62,30 @@ fn lower_inner(checked: &CheckedProgram) -> Result<IrProgram, FrontendError> {
         }
         None => (String::new(), Vec::new()),
     };
+    let roots_of = |block: &str| -> Vec<&[&str]> {
+        package_args.iter().zip(roots).filter(|(a, _)| *a == block).map(|(_, r)| *r).collect()
+    };
+    let mut lw = Lowerer {
+        env: &checked.env,
+        next_stmt: 0,
+        next_temp: 0,
+        statements: Vec::new(),
+        block: String::new(),
+    };
+    let mut blocks = HashMap::new();
+    for decl in &checked.program.decls {
+        match decl {
+            Decl::Parser(p) => {
+                let irp = lw.lower_parser(p, &roots_of(&p.name))?;
+                blocks.insert(p.name.clone(), IrBlock::Parser(irp));
+            }
+            Decl::Control(c) => {
+                let irc = lw.lower_control(c, &roots_of(&c.name))?;
+                blocks.insert(c.name.clone(), IrBlock::Control(irc));
+            }
+            _ => {}
+        }
+    }
     Ok(IrProgram {
         env: checked.env.clone(),
         blocks,
@@ -127,7 +144,10 @@ impl Ctx {
 
     fn declare(&mut self, name: &str, ty: Type, path: Path) {
         self.scope.declare(name, ty);
-        self.aliases.last_mut().unwrap().insert(name.to_string(), path);
+        // Pushes and pops pair up, so the base frame is always there.
+        if let Some(frame) = self.aliases.last_mut() {
+            frame.insert(name.to_string(), path);
+        }
     }
 }
 
@@ -167,33 +187,58 @@ impl<'a> Lowerer<'a> {
 
     // ---- blocks ------------------------------------------------------------
 
-    fn lower_params(&self, params: &[ast::Param]) -> LResult<Vec<IrParam>> {
-        params
+    /// Lower a block's parameters and bind the non-packet ones, in order,
+    /// to the roots of each package position the block is passed at.
+    fn lower_params(
+        &self,
+        params: &[ast::Param],
+        roots: &[&[&str]],
+        span: Span,
+    ) -> LResult<Vec<IrParam>> {
+        let tys = params
             .iter()
-            .map(|p| {
-                Ok(IrParam {
-                    name: p.name.clone(),
-                    direction: p.direction,
-                    ty: self.env.resolve(&p.ty, p.span)?,
+            .map(|p| self.env.resolve(&p.ty, p.span))
+            .collect::<LResult<Vec<_>>>()?;
+        let bind = |names: &[&str]| -> Vec<Option<String>> {
+            let mut next = names.iter();
+            tys.iter()
+                .map(|t| match t {
+                    Type::PacketIn | Type::PacketOut => None,
+                    _ => next.next().map(|r| r.to_string()),
                 })
-            })
-            .collect()
+                .collect()
+        };
+        let mut per_position = roots.iter().map(|names| bind(names));
+        let bound = per_position.next().unwrap_or_else(|| vec![None; tys.len()]);
+        if per_position.any(|other| other != bound) {
+            return Err(FrontendError::typecheck(
+                span,
+                format!("block '{}' is passed at two package positions with different roots", self.block),
+            ));
+        }
+        Ok(params
+            .iter()
+            .zip(tys)
+            .zip(bound)
+            .map(|((p, ty), root)| IrParam { name: p.name.clone(), direction: p.direction, ty, root })
+            .collect())
     }
 
-    fn ctx_for_params(&self, params: &[ast::Param]) -> LResult<Ctx> {
+    fn ctx_for_params(params: &[IrParam]) -> Ctx {
         let mut ctx = Ctx::new();
         for p in params {
-            let t = self.env.resolve(&p.ty, p.span)?;
-            // Parameters keep their own name as storage path; the executor
-            // aliases them onto the target's pipeline state.
-            ctx.declare(&p.name, t, Path::new(p.name.clone()));
+            // A bound parameter is stored at its root, so every path the
+            // block touches is already global pipeline state.
+            let path = p.root.as_deref().unwrap_or(&p.name);
+            ctx.declare(&p.name, p.ty.clone(), Path::new(path));
         }
-        Ok(ctx)
+        ctx
     }
 
-    fn lower_parser(&mut self, p: &ast::ParserDecl) -> LResult<IrParser> {
+    fn lower_parser(&mut self, p: &ast::ParserDecl, roots: &[&[&str]]) -> LResult<IrParser> {
         self.block = p.name.clone();
-        let mut ctx = self.ctx_for_params(&p.params)?;
+        let params = self.lower_params(&p.params, roots, p.span)?;
+        let mut ctx = Self::ctx_for_params(&params);
         ctx.in_parser = true;
         // Parser locals.
         let mut prelude = Vec::new();
@@ -243,12 +288,13 @@ impl<'a> Lowerer<'a> {
                 IrState { name: st.name.clone(), stmts, transition },
             );
         }
-        Ok(IrParser { name: p.name.clone(), params: self.lower_params(&p.params)?, states })
+        Ok(IrParser { name: p.name.clone(), params, states })
     }
 
-    fn lower_control(&mut self, c: &ast::ControlDecl) -> LResult<IrControl> {
+    fn lower_control(&mut self, c: &ast::ControlDecl, roots: &[&[&str]]) -> LResult<IrControl> {
         self.block = c.name.clone();
-        let mut ctx = self.ctx_for_params(&c.params)?;
+        let params = self.lower_params(&c.params, roots, c.span)?;
+        let mut ctx = Self::ctx_for_params(&params);
         for a in &c.actions {
             ctx.actions.insert(a.name.clone(), a.params.clone());
         }
@@ -327,7 +373,7 @@ impl<'a> Lowerer<'a> {
         }
         Ok(IrControl {
             name: c.name.clone(),
-            params: self.lower_params(&c.params)?,
+            params,
             actions,
             tables,
             instances,
@@ -1096,8 +1142,10 @@ impl<'a> Lowerer<'a> {
             Expr::Dontcare { .. } => Err(FrontendError::typecheck(span, "dontcare in expression")),
             Expr::Ident { name, .. } => {
                 if let Some(p) = ctx.alias_of(name) {
-                    let t = ctx.scope.lookup(name).cloned().unwrap();
-                    let w = self.width_of_type(&t, span)?;
+                    let t = ctx.scope.lookup(name).ok_or_else(|| {
+                        FrontendError::typecheck(span, format!("untyped name '{name}'"))
+                    })?;
+                    let w = self.width_of_type(t, span)?;
                     return Ok(IrExpr::Read { path: p.clone(), width: w });
                 }
                 if let Some((t, v)) = self.env.consts.get(name) {

@@ -9,9 +9,7 @@ use std::collections::BTreeSet;
 
 /// Run all midend passes in place and rebuild the statement table.
 pub fn optimize(prog: &mut IrProgram) {
-    let names: Vec<String> = prog.blocks.keys().cloned().collect();
-    for name in names {
-        let block = prog.blocks.get_mut(&name).unwrap();
+    for block in prog.blocks.values_mut() {
         match block {
             IrBlock::Parser(p) => {
                 for st in p.states.values_mut() {

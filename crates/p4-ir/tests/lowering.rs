@@ -1,6 +1,17 @@
 //! Lowering tests: AST → IR on realistic programs.
 
-use p4t_ir::{compile, IrExpr, IrStmt, IrTransition, Path};
+use p4t_frontend::ast::Direction;
+use p4t_frontend::Diagnostic;
+use p4t_ir::{IrBlock, IrExpr, IrProgram, IrStmt, IrTransition, Path};
+
+/// Compile without package roots: parameters keep their own names.
+fn compile(src: &str) -> Result<IrProgram, Vec<Diagnostic>> {
+    compile_with(src, &[])
+}
+
+fn compile_with(src: &str, roots: &[&[&str]]) -> Result<IrProgram, Vec<Diagnostic>> {
+    p4t_ir::compile_full(src, roots).map(|(prog, _)| prog)
+}
 
 const PRELUDE: &str = r#"
 struct standard_metadata_t {
@@ -241,9 +252,127 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 #[test]
 fn path_helpers() {
     let p = Path::new("hdr.eth");
-    assert_eq!(p.head(), "hdr");
     assert_eq!(p.child("dst").as_str(), "hdr.eth.dst");
-    assert_eq!(p.rebase("headers").as_str(), "headers.eth");
-    let q = Path::new("hdr[3].x");
-    assert_eq!(q.head(), "hdr");
+}
+
+/// The v1model package roots, in V1Switch argument order.
+const V1_ROOTS: &[&[&str]] = &[
+    &["hdr", "meta", "sm"],
+    &["hdr", "meta"],
+    &["hdr", "meta", "sm"],
+    &["hdr", "meta", "sm"],
+    &["hdr", "meta"],
+    &["hdr"],
+];
+
+/// A V1Switch program whose parser and ingress name their parameters
+/// against the roots: `meta` is the headers, `hdr` the user metadata.
+fn swapped_v1(extra: &str, main: &str) -> String {
+    format!(
+        r#"{PRELUDE}
+header ethernet_t {{ bit<48> dst; bit<48> src; bit<16> etherType; }}
+struct headers_t {{ ethernet_t eth; }}
+struct meta_t {{ bit<16> seen; }}
+parser P(packet_in pkt, out headers_t meta, inout meta_t hdr, inout standard_metadata_t std) {{
+    state start {{ pkt.extract(meta.eth); hdr.seen = meta.eth.etherType; transition accept; }}
+}}
+control Ck(inout headers_t h, inout meta_t m) {{ apply {{ }} }}
+control Ing(inout headers_t meta, inout meta_t hdr, inout standard_metadata_t std) {{
+    apply {{ std.egress_spec = 1; }}
+}}
+control Dep(packet_out pkt, in headers_t h) {{ apply {{ pkt.emit(h.eth); }} }}
+{extra}
+V1Switch({main}) main;
+"#
+    )
+}
+
+fn params(ir: &IrProgram, block: &str) -> Vec<(String, Option<String>)> {
+    let params = match &ir.blocks[block] {
+        IrBlock::Parser(p) => &p.params,
+        IrBlock::Control(c) => &c.params,
+    };
+    params.iter().map(|p| (p.name.clone(), p.root.clone())).collect()
+}
+
+#[test]
+fn swapped_parameter_names_lower_to_their_roots() {
+    let src = swapped_v1("", "P(), Ck(), Ing(), Ing(), Ck(), Dep()");
+    let ir = compile_with(&src, V1_ROOTS).expect("swapped program lowers");
+    let start = &ir.parser("P").unwrap().states["start"];
+    assert!(matches!(
+        &start.stmts[0],
+        IrStmt::Extract { header, .. } if header.as_str() == "hdr.eth"
+    ));
+    assert!(matches!(
+        &start.stmts[1],
+        IrStmt::Assign { target, value: IrExpr::Read { path, .. }, .. }
+            if target.as_str() == "meta.seen" && path.as_str() == "hdr.eth.etherType"
+    ));
+    let ing = ir.control("Ing").unwrap();
+    assert!(matches!(
+        &ing.apply[0],
+        IrStmt::Assign { target, .. } if target.as_str() == "sm.egress_spec"
+    ));
+    let dep = ir.control("Dep").unwrap();
+    assert!(matches!(&dep.apply[0], IrStmt::Emit { header, .. } if header.as_str() == "hdr.eth"));
+}
+
+#[test]
+fn out_parameter_records_its_root() {
+    let src = swapped_v1("", "P(), Ck(), Ing(), Ing(), Ck(), Dep()");
+    let ir = compile_with(&src, V1_ROOTS).unwrap();
+    let p = &ir.parser("P").unwrap().params;
+    assert_eq!(p[1].name, "meta");
+    assert_eq!(p[1].direction, Direction::Out);
+    assert_eq!(p[1].root.as_deref(), Some("hdr"));
+    assert_eq!(
+        params(&ir, "P"),
+        vec![
+            ("pkt".to_string(), None),
+            ("meta".to_string(), Some("hdr".to_string())),
+            ("hdr".to_string(), Some("meta".to_string())),
+            ("std".to_string(), Some("sm".to_string())),
+        ]
+    );
+}
+
+#[test]
+fn a_block_at_two_positions_needs_equal_roots() {
+    // v1model: one control as both verify and compute checksum, and one
+    // as both ingress and egress, binds the same roots at each position.
+    let src = swapped_v1("", "P(), Ck(), Ing(), Ing(), Ck(), Dep()");
+    let ir = compile_with(&src, V1_ROOTS).expect("equal roots are accepted");
+    assert_eq!(
+        params(&ir, "Ck"),
+        vec![("h".to_string(), Some("hdr".to_string())), ("m".to_string(), Some("meta".to_string()))]
+    );
+    // The same control as ingress (`sm` third) and as a block whose third
+    // root differs is rejected.
+    let roots: &[&[&str]] = &[
+        &["hdr", "meta", "sm"],
+        &["hdr", "meta"],
+        &["hdr", "meta", "sm"],
+        &["hdr", "meta", "eg_md"],
+        &["hdr", "meta"],
+        &["hdr"],
+    ];
+    let err = compile_with(&src, roots).expect_err("conflicting roots are rejected");
+    assert!(
+        err[0].message.contains("'Ing'") && err[0].message.contains("different roots"),
+        "{:?}",
+        err[0].message
+    );
+}
+
+#[test]
+fn a_block_outside_the_package_keeps_its_own_names() {
+    let extra = "control Spare(inout headers_t h) { apply { h.eth.etherType = 7; } }";
+    let src = swapped_v1(extra, "P(), Ck(), Ing(), Ing(), Ck(), Dep()");
+    let ir = compile_with(&src, V1_ROOTS).unwrap();
+    assert_eq!(params(&ir, "Spare"), vec![("h".to_string(), None)]);
+    assert!(matches!(
+        &ir.control("Spare").unwrap().apply[0],
+        IrStmt::Assign { target, .. } if target.as_str() == "h.eth.etherType"
+    ));
 }

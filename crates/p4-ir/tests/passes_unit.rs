@@ -1,6 +1,12 @@
 //! Additional midend-pass and IR-utility tests.
 
-use p4t_ir::{compile, fold_expr, IrBinOp, IrExpr, IrStmt, Path};
+use p4t_frontend::Diagnostic;
+use p4t_ir::{fold_expr, IrBinOp, IrExpr, IrProgram, IrStmt, Path};
+
+/// Compile without package roots: parameters keep their own names.
+fn compile(src: &str) -> Result<IrProgram, Vec<Diagnostic>> {
+    p4t_ir::compile_full(src, &[]).map(|(prog, _)| prog)
+}
 
 const PRELUDE: &str = r#"
 struct standard_metadata_t { bit<9> egress_spec; }

@@ -25,7 +25,7 @@ pub fn register_read(
         result: result.term,
         width: *width,
     });
-    st.write(path, result);
+    st.write(path.as_str(), result);
 }
 
 /// Record a register write for post-test validation.
@@ -88,5 +88,5 @@ pub fn push_output(ctx: &mut ExecCtx, st: &mut ExecState, port: Sym) {
 
 /// Read a conventional global slot as a term, if present.
 pub fn read_term(st: &ExecState, path: &str) -> Option<TermId> {
-    st.read_global(path).map(|s| s.term)
+    st.read(path).map(|s| s.term)
 }

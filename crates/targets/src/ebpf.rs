@@ -50,6 +50,11 @@ impl Target for EbpfModel {
         EBPF_PRELUDE
     }
 
+    fn package_roots(&self) -> &[&[&str]] {
+        // ebpfFilter(parser, filter).
+        &[&["hdr"], &["hdr", "accept"]]
+    }
+
     fn pipeline(&self, prog: &IrProgram) -> Result<Vec<PipeStep>, String> {
         if prog.package != "ebpfFilter" {
             return Err(format!(
@@ -62,23 +67,17 @@ impl Target for EbpfModel {
             return Err(format!("ebpfFilter expects 2 blocks, got {}", args.len()));
         }
         Ok(vec![
-            PipeStep::Block {
-                block: args[0].clone(),
-                bindings: crate::v1model::bind_params(prog, &args[0], &["hdr"])?,
-            },
-            PipeStep::Block {
-                block: args[1].clone(),
-                bindings: crate::v1model::bind_params(prog, &args[1], &["hdr", "accept"])?,
-            },
+            PipeStep::Block(args[0].clone()),
+            PipeStep::Block(args[1].clone()),
             PipeStep::Hook("verdict".to_string()),
         ])
     }
 
     fn init(&self, ctx: &mut ExecCtx, st: &mut ExecState) {
         let accept = ctx.constant(1, 0);
-        st.write_global("accept", accept);
+        st.write("accept", accept);
         let port = ctx.constant(9, 0); // eBPF has no port concept; use 0.
-        st.write_global("$input_port", port);
+        st.write("$input_port", port);
     }
 
     fn uninit_policy(&self) -> UninitPolicy {
@@ -94,7 +93,7 @@ impl Target for EbpfModel {
             }
             "verdict" => {
                 let accept = st
-                    .read_global("accept")
+                    .read("accept")
                     .cloned()
                     .unwrap_or_else(|| ctx.constant(1, 0));
                 match ctx.pool.as_const(accept.term) {
@@ -199,7 +198,7 @@ fn collect_valid_headers(
         match &f.ty {
             Type::Header(hn) => {
                 let valid = st
-                    .read_global(fp.valid().as_str())
+                    .read(fp.valid().as_str())
                     .and_then(|s| ctx.pool.as_const(s.term))
                     .map(|v| v.is_true())
                     .unwrap_or(false);
@@ -212,7 +211,7 @@ fn collect_valid_headers(
                             continue;
                         }
                         let v = st
-                            .read_global(fp.child(&hf.name).as_str())
+                            .read(fp.child(&hf.name).as_str())
                             .cloned()
                             .unwrap_or_else(|| ctx.constant(w, 0));
                         header_bits = Some(match header_bits {

@@ -16,7 +16,6 @@
 //! * t2na adds the ghost thread (logged when present) and extra metadata.
 
 use crate::common::{concolic_hash, push_output, register_read, register_write};
-use crate::v1model::bind_params;
 use p4testgen_core::state::{ExecState, FinishReason};
 use p4testgen_core::sym::Sym;
 use p4testgen_core::target::{ExecCtx, ExtArg, ExternOutcome, PipeStep, Target, UninitPolicy};
@@ -180,6 +179,19 @@ impl Target for Tofino {
         TNA_PRELUDE
     }
 
+    fn package_roots(&self) -> &[&[&str]] {
+        // Pipeline(IngressParser, Ingress, IngressDeparser, EgressParser,
+        // Egress, EgressDeparser); t2na's ghost control is not bound.
+        &[
+            &["hdr", "meta", "ig_intr_md"],
+            &["hdr", "meta", "ig_intr_md", "ig_prsr_md", "ig_dprsr_md", "ig_tm_md"],
+            &["hdr", "meta", "ig_dprsr_md"],
+            &["hdr", "emeta", "eg_intr_md"],
+            &["hdr", "emeta", "eg_intr_md", "eg_prsr_md", "eg_dprsr_md", "eg_oport_md"],
+            &["hdr", "emeta", "eg_dprsr_md"],
+        ]
+    }
+
     fn pipeline(&self, prog: &IrProgram) -> Result<Vec<PipeStep>, String> {
         if prog.package != "Pipeline" {
             return Err(format!(
@@ -200,23 +212,11 @@ impl Target for Tofino {
         if args.len() == 7 && self.variant == TofinoVariant::Tna {
             return Err("ghost control requires t2na".to_string());
         }
+        let block = |i: usize| PipeStep::Block(args[i].clone());
         let mut steps = vec![
-            PipeStep::Block {
-                block: args[0].clone(),
-                bindings: bind_params(prog, &args[0], &["hdr", "meta", "ig_intr_md"])?,
-            },
-            PipeStep::Block {
-                block: args[1].clone(),
-                bindings: bind_params(
-                    prog,
-                    &args[1],
-                    &["hdr", "meta", "ig_intr_md", "ig_prsr_md", "ig_dprsr_md", "ig_tm_md"],
-                )?,
-            },
-            PipeStep::Block {
-                block: args[2].clone(),
-                bindings: bind_params(prog, &args[2], &["hdr", "meta", "ig_dprsr_md"])?,
-            },
+            block(0),
+            block(1),
+            block(2),
             PipeStep::FlushEmit,
             PipeStep::Hook("traffic_manager".to_string()),
         ];
@@ -224,23 +224,10 @@ impl Target for Tofino {
             steps.push(PipeStep::Hook("ghost".to_string()));
         }
         steps.extend([
-            PipeStep::Block {
-                block: args[3].clone(),
-                bindings: bind_params(prog, &args[3], &["hdr", "emeta", "eg_intr_md"])?,
-            },
+            block(3),
             PipeStep::Hook("egress_parser_done".to_string()),
-            PipeStep::Block {
-                block: args[4].clone(),
-                bindings: bind_params(
-                    prog,
-                    &args[4],
-                    &["hdr", "emeta", "eg_intr_md", "eg_prsr_md", "eg_dprsr_md", "eg_oport_md"],
-                )?,
-            },
-            PipeStep::Block {
-                block: args[5].clone(),
-                bindings: bind_params(prog, &args[5], &["hdr", "emeta", "eg_dprsr_md"])?,
-            },
+            block(4),
+            block(5),
             PipeStep::FlushEmit,
         ]);
         Ok(steps)
@@ -259,16 +246,16 @@ impl Target for Tofino {
         let fcs = ctx.havoc("tofino_fcs", 32);
         st.packet.append_target(fcs);
         let port = ctx.fresh("input_port", 9);
-        st.write_global("ig_intr_md.ingress_port", port.clone());
-        st.write_global("$input_port", port);
+        st.write("ig_intr_md.ingress_port", port.clone());
+        st.write("$input_port", port);
         let z3 = ctx.constant(3, 0);
-        st.write_global("ig_dprsr_md.drop_ctl", z3.clone());
-        st.write_global("eg_dprsr_md.drop_ctl", z3);
+        st.write("ig_dprsr_md.drop_ctl", z3.clone());
+        st.write("eg_dprsr_md.drop_ctl", z3);
         let z1 = ctx.constant(1, 0);
-        st.write_global("ig_tm_md.bypass_egress", z1);
+        st.write("ig_tm_md.bypass_egress", z1);
         let zerr = ctx.constant(16, 0);
-        st.write_global("ig_prsr_md.parser_err", zerr.clone());
-        st.write_global("eg_prsr_md.parser_err", zerr);
+        st.write("ig_prsr_md.parser_err", zerr.clone());
+        st.write("eg_prsr_md.parser_err", zerr);
         st.set_flag("in_ingress", 1);
     }
 
@@ -305,9 +292,9 @@ impl Target for Tofino {
                 // Short packets are dropped in the ingress parser, but not
                 // the egress parser (Appendix A.1). Programs that read
                 // parser_err see the error and continue instead.
-                if let Some(err) = st.read_global("$parser_error").cloned() {
+                if let Some(err) = st.read("$parser_error").cloned() {
                     if st.flag("in_ingress") == 1 {
-                        st.write_global("ig_prsr_md.parser_err", err);
+                        st.write("ig_prsr_md.parser_err", err);
                         if program_reads_parser_err(ctx.prog) {
                             st.log(
                                 "tna: parser error, program reads parser_err -> continue"
@@ -318,7 +305,7 @@ impl Target for Tofino {
                             st.finish(FinishReason::Dropped);
                         }
                     } else {
-                        st.write_global("eg_prsr_md.parser_err", err);
+                        st.write("eg_prsr_md.parser_err", err);
                         st.log("tna: parser error in egress parser -> continue".to_string());
                     }
                 }
@@ -326,7 +313,7 @@ impl Target for Tofino {
             "traffic_manager" => {
                 // Drop check: ig_dprsr_md.drop_ctl != 0 drops the packet.
                 let drop_ctl = st
-                    .read_global("ig_dprsr_md.drop_ctl")
+                    .read("ig_dprsr_md.drop_ctl")
                     .cloned()
                     .unwrap_or_else(|| ctx.constant(3, 0));
                 let zero = ctx.constant(3, 0);
@@ -348,7 +335,7 @@ impl Target for Tofino {
                 }
                 // If the egress port was never written, the packet is
                 // considered dropped (Appendix A.1).
-                match st.read_global("ig_tm_md.ucast_egress_port").cloned() {
+                match st.read("ig_tm_md.ucast_egress_port").cloned() {
                     None => {
                         st.log("tna: egress port never written -> drop".to_string());
                         st.finish(FinishReason::Dropped);
@@ -358,13 +345,13 @@ impl Target for Tofino {
                         // Stash the port: the egress parser's `out` intrinsic
                         // metadata parameter resets eg_intr_md on entry; the
                         // egress_parser_done hook restores it.
-                        st.write_global("$egress_port", port);
+                        st.write("$egress_port", port);
                     }
                 }
                 st.set_flag("in_ingress", 0);
                 // bypass_egress skips egress processing entirely.
                 let bypass = st
-                    .read_global("ig_tm_md.bypass_egress")
+                    .read("ig_tm_md.bypass_egress")
                     .cloned()
                     .unwrap_or_else(|| ctx.constant(1, 0));
                 let mut skip = false;
@@ -374,8 +361,7 @@ impl Target for Tofino {
                     None => {
                         let mut b = ctx.fork(st, bypass.term);
                         b.log("tna: bypass_egress -> skip egress".to_string());
-                        let plen = self.pipeline(ctx.prog).map(|p| p.len()).unwrap_or(1);
-                        skip_to_pipeline_end(&mut b, plen);
+                        skip_to_pipeline_end(&mut b, ctx.pipeline.len());
                         ctx.forks.push(b);
                         let nb = ctx.pool.not(bypass.term);
                         st.add_constraint(ctx.pool, nb);
@@ -383,13 +369,12 @@ impl Target for Tofino {
                 }
                 if skip {
                     st.log("tna: bypass_egress -> skip egress".to_string());
-                    let plen = self.pipeline(ctx.prog).map(|p| p.len()).unwrap_or(1);
-                    skip_to_pipeline_end(st, plen);
+                    skip_to_pipeline_end(st, ctx.pipeline.len());
                 }
             }
             "egress_parser_done" => {
-                if let Some(port) = st.read_global("$egress_port").cloned() {
-                    st.write_global("eg_intr_md.egress_port", port);
+                if let Some(port) = st.read("$egress_port").cloned() {
+                    st.write("eg_intr_md.egress_port", port);
                 }
             }
             "ghost" => {
@@ -435,10 +420,10 @@ impl Target for Tofino {
                     if args.len() >= 2 {
                         let data = args[0].values();
                         let r = concolic_hash(ctx, st, "crc32", &data, *w);
-                        st.write(p, r);
+                        st.write(p.as_str(), r);
                     } else {
                         let r = ctx.havoc("random", *w);
-                        st.write(p, r);
+                        st.write(p.as_str(), r);
                     }
                 }
                 ExternOutcome::Handled
@@ -448,7 +433,7 @@ impl Target for Tofino {
                 let inst = instance.unwrap_or("");
                 let n = st.bump_flag(&format!("csum_inputs_{inst}"));
                 for (i, v) in args[0].values().into_iter().enumerate() {
-                    st.write_global(&format!("$csum.{inst}.{n:04}.{i:04}"), v);
+                    st.write(&format!("$csum.{inst}.{n:04}.{i:04}"), v);
                 }
                 ExternOutcome::Handled
             }
@@ -461,7 +446,7 @@ impl Target for Tofino {
                     let zero = ctx.constant(16, 0);
                     let ok = ctx.pool.eq(r.term, zero.term);
                     let taint = r.taint.extract(0, 0);
-                    st.write(p, Sym::with_taint(ok, taint));
+                    st.write(p.as_str(), Sym::with_taint(ok, taint));
                 }
                 ExternOutcome::Handled
             }
@@ -495,7 +480,7 @@ impl Target for Tofino {
     fn finalize(&self, ctx: &mut ExecCtx, st: &mut ExecState) {
         // Egress drop_ctl check.
         let drop_ctl = st
-            .read_global("eg_dprsr_md.drop_ctl")
+            .read("eg_dprsr_md.drop_ctl")
             .cloned()
             .unwrap_or_else(|| ctx.constant(3, 0));
         let zero = ctx.constant(3, 0);
@@ -515,8 +500,8 @@ impl Target for Tofino {
             }
         }
         let port = st
-            .read_global("$egress_port")
-            .or_else(|| st.read_global("eg_intr_md.egress_port"))
+            .read("$egress_port")
+            .or_else(|| st.read("eg_intr_md.egress_port"))
             .cloned()
             .unwrap_or_else(|| ctx.constant(9, 0));
         push_output(ctx, st, port);

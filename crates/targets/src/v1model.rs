@@ -18,8 +18,7 @@ use crate::common::{algo_of, concolic_hash, push_output, register_read, register
 use p4testgen_core::state::{ExecState, FinishReason, SynthEntry, SynthKeyMatch};
 use p4testgen_core::sym::Sym;
 use p4testgen_core::target::{ExecCtx, ExtArg, ExternOutcome, PipeStep, Target, UninitPolicy};
-use p4t_frontend::types::Type;
-use p4t_ir::{IrBlock, IrProgram};
+use p4t_ir::IrProgram;
 
 /// BMv2's drop port.
 pub const DROP_PORT: u128 = 511;
@@ -102,28 +101,6 @@ extern direct_meter<T> {
 }
 "#;
 
-/// Bind a block's parameters positionally onto global pipeline state,
-/// skipping packet parameters (the Fig. 3 structure).
-pub fn bind_params(prog: &IrProgram, block: &str, names: &[&str]) -> Result<Vec<Option<String>>, String> {
-    let b = prog
-        .blocks
-        .get(block)
-        .ok_or_else(|| format!("program has no block named '{block}'"))?;
-    let params = match b {
-        IrBlock::Parser(p) => &p.params,
-        IrBlock::Control(c) => &c.params,
-    };
-    let mut out = Vec::new();
-    let mut it = names.iter();
-    for p in params {
-        match p.ty {
-            Type::PacketIn | Type::PacketOut => out.push(None),
-            _ => out.push(it.next().map(|s| s.to_string())),
-        }
-    }
-    Ok(out)
-}
-
 impl V1Model {
     /// `verify_checksum(cond, data, checksum, algo)` (§5.4): the computed
     /// checksum is an uninterpreted concolic result `R`. We fork three ways:
@@ -152,7 +129,7 @@ impl V1Model {
         // Mismatch fork: checksum error raised.
         if !ctx.pool.is_const_false(mismatch_c) {
             let mut m = ctx.fork(st, mismatch_c);
-            m.write_global("sm.checksum_error", err1);
+            m.write("sm.checksum_error", err1);
             m.log(format!("{name}: checksum mismatch"));
             ctx.forks.push(m);
         }
@@ -191,7 +168,7 @@ impl V1Model {
             last.func = func.to_string();
         }
         let t = ctx.pool.ite(cond.term, r.term, old.term);
-        st.write(out_path, Sym::with_taint(t, old.taint.or(&r.taint)));
+        st.write(out_path.as_str(), Sym::with_taint(t, old.taint.or(&r.taint)));
         st.log(format!("{name}: checksum updated"));
     }
 }
@@ -205,6 +182,19 @@ impl Target for V1Model {
         V1MODEL_PRELUDE
     }
 
+    fn package_roots(&self) -> &[&[&str]] {
+        // V1Switch(parser, verify checksum, ingress, egress, compute
+        // checksum, deparser).
+        &[
+            &["hdr", "meta", "sm"],
+            &["hdr", "meta"],
+            &["hdr", "meta", "sm"],
+            &["hdr", "meta", "sm"],
+            &["hdr", "meta"],
+            &["hdr"],
+        ]
+    }
+
     fn pipeline(&self, prog: &IrProgram) -> Result<Vec<PipeStep>, String> {
         if prog.package != "V1Switch" {
             return Err(format!("v1model expects a V1Switch package, got '{}'", prog.package));
@@ -213,14 +203,15 @@ impl Target for V1Model {
         if args.len() != 6 {
             return Err(format!("V1Switch expects 6 blocks, got {}", args.len()));
         }
+        let block = |i: usize| PipeStep::Block(args[i].clone());
         Ok(vec![
-            PipeStep::Block { block: args[0].clone(), bindings: bind_params(prog, &args[0], &["hdr", "meta", "sm"])? },
-            PipeStep::Block { block: args[1].clone(), bindings: bind_params(prog, &args[1], &["hdr", "meta"])? },
-            PipeStep::Block { block: args[2].clone(), bindings: bind_params(prog, &args[2], &["hdr", "meta", "sm"])? },
+            block(0),
+            block(1),
+            block(2),
             PipeStep::Hook("traffic_manager".to_string()),
-            PipeStep::Block { block: args[3].clone(), bindings: bind_params(prog, &args[3], &["hdr", "meta", "sm"])? },
-            PipeStep::Block { block: args[4].clone(), bindings: bind_params(prog, &args[4], &["hdr", "meta"])? },
-            PipeStep::Block { block: args[5].clone(), bindings: bind_params(prog, &args[5], &["hdr"])? },
+            block(3),
+            block(4),
+            block(5),
             PipeStep::FlushEmit,
             PipeStep::Hook("recirculate_check".to_string()),
         ])
@@ -239,17 +230,17 @@ impl Target for V1Model {
             ("priority", 3),
         ] {
             let z = ctx.constant(width, 0);
-            st.write_global(&format!("sm.{field}"), z);
+            st.write(&format!("sm.{field}"), z);
         }
         let port = ctx.fresh("input_port", 9);
         // 511 is the BMv2 drop port and cannot be an ingress port.
         let drop = ctx.constant(9, DROP_PORT);
         let ne = ctx.pool.neq(port.term, drop.term);
         st.add_constraint(ctx.pool, ne);
-        st.write_global("sm.ingress_port", port.clone());
-        st.write_global("$input_port", port);
+        st.write("sm.ingress_port", port.clone());
+        st.write("$input_port", port);
         let err = ctx.constant(p4t_frontend::types::ERROR_WIDTH, 0);
-        st.write_global("sm.parser_error", err);
+        st.write("sm.parser_error", err);
     }
 
     fn uninit_policy(&self) -> UninitPolicy {
@@ -262,8 +253,8 @@ impl Target for V1Model {
             "parser_reject" => {
                 // BMv2 does not drop on parser errors: record the error and
                 // continue with ingress.
-                if let Some(err) = st.read_global("$parser_error").cloned() {
-                    st.write_global("sm.parser_error", err);
+                if let Some(err) = st.read("$parser_error").cloned() {
+                    st.write("sm.parser_error", err);
                 }
                 st.log("v1model: parser reject -> continue to ingress".to_string());
             }
@@ -276,13 +267,13 @@ impl Target for V1Model {
                     st.log("resubmit: original packet re-enters ingress".to_string());
                     st.packet.resubmit_original();
                     let z = ctx.constant(9, 0);
-                    st.write_global("sm.egress_spec", z);
+                    st.write("sm.egress_spec", z);
                     st.continuations.clear();
                     st.continuations.push(p4testgen_core::Cmd::PipeStep(0));
                     return;
                 }
                 let spec = st
-                    .read_global("sm.egress_spec")
+                    .read("sm.egress_spec")
                     .cloned()
                     .unwrap_or_else(|| ctx.constant(9, 0));
                 let drop = ctx.constant(9, DROP_PORT);
@@ -293,7 +284,7 @@ impl Target for V1Model {
                         st.finish(FinishReason::Dropped);
                     }
                     Some(_) => {
-                        st.write_global("sm.egress_port", spec);
+                        st.write("sm.egress_port", spec);
                     }
                     None => {
                         // A symbolic egress_spec comes from synthesized
@@ -302,7 +293,7 @@ impl Target for V1Model {
                         // (explicit drops still arrive here as constants).
                         let not_drop = ctx.pool.not(is_drop);
                         st.add_constraint(ctx.pool, not_drop);
-                        st.write_global("sm.egress_port", spec);
+                        st.write("sm.egress_port", spec);
                     }
                 }
             }
@@ -314,7 +305,7 @@ impl Target for V1Model {
                     // The deparsed packet (now in L) re-enters the parser.
                     // Metadata is reset except for preserved fields.
                     let z = ctx.constant(9, 0);
-                    st.write_global("sm.egress_spec", z);
+                    st.write("sm.egress_spec", z);
                     st.continuations.push(p4testgen_core::Cmd::PipeStep(0));
                 }
             }
@@ -335,9 +326,9 @@ impl Target for V1Model {
         match name {
             "mark_to_drop" => {
                 let drop = ctx.constant(9, DROP_PORT);
-                st.write_global("sm.egress_spec", drop);
+                st.write("sm.egress_spec", drop);
                 let z = ctx.constant(16, 0);
-                st.write_global("sm.mcast_grp", z);
+                st.write("sm.mcast_grp", z);
                 ExternOutcome::Handled
             }
             "verify_checksum" | "verify_checksum_with_payload" => {
@@ -367,7 +358,7 @@ impl Target for V1Model {
                 let zero = ctx.constant(*out_w, 0);
                 let is_zero = ctx.pool.eq(max_c, zero.term);
                 let result = ctx.pool.ite(is_zero, base_c, sum);
-                st.write(out_path, Sym::clean(result, *out_w));
+                st.write(out_path.as_str(), Sym::clean(result, *out_w));
                 ExternOutcome::Handled
             }
             "random" => {
@@ -376,7 +367,7 @@ impl Target for V1Model {
                     return ExternOutcome::Handled;
                 };
                 let r = ctx.havoc("random", *out_w);
-                st.write(out_path, r);
+                st.write(out_path.as_str(), r);
                 ExternOutcome::Handled
             }
             "read" if instance.is_some() => {
@@ -432,7 +423,7 @@ impl Target for V1Model {
             }
             "clone" | "clone_preserving_field_list" => {
                 let session = args[1].value().clone();
-                st.write_global("$clone_session", session);
+                st.write("$clone_session", session);
                 st.set_flag("clone_pending", 1);
                 st.log("clone requested".to_string());
                 ExternOutcome::Handled
@@ -469,7 +460,7 @@ impl Target for V1Model {
             }
         }
         let port = st
-            .read_global("sm.egress_port")
+            .read("sm.egress_port")
             .cloned()
             .unwrap_or_else(|| ctx.constant(9, 0));
         push_output(ctx, st, port);
@@ -477,7 +468,7 @@ impl Target for V1Model {
         // session's port (control-plane configured).
         if st.flag("clone_pending") == 1 {
             let session = st
-                .read_global("$clone_session")
+                .read("$clone_session")
                 .cloned()
                 .unwrap_or_else(|| ctx.constant(32, 0));
             let clone_port = ctx.fresh("clone_port", 9);

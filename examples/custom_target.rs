@@ -36,46 +36,46 @@ extern void punt_to_cpu(inout punt_metadata_t md);
 "#
     }
 
-    // 2. The pipeline template: parser then control, then a verdict hook.
+    // 2. The package roots: the global state each block's parameters bind
+    //    to, in package-argument order.
+    fn package_roots(&self) -> &[&[&str]] {
+        &[&["hdr", "md"], &["hdr", "md"]]
+    }
+
+    // 3. The pipeline template: parser then control, then a verdict hook.
     fn pipeline(&self, prog: &IrProgram) -> Result<Vec<PipeStep>, String> {
         if prog.package != "PuntPipeline" {
             return Err(format!("punt expects PuntPipeline, got {}", prog.package));
         }
         let args = &prog.package_args;
         Ok(vec![
-            PipeStep::Block {
-                block: args[0].clone(),
-                bindings: p4t_targets::v1model::bind_params(prog, &args[0], &["hdr", "md"])?,
-            },
-            PipeStep::Block {
-                block: args[1].clone(),
-                bindings: p4t_targets::v1model::bind_params(prog, &args[1], &["hdr", "md"])?,
-            },
+            PipeStep::Block(args[0].clone()),
+            PipeStep::Block(args[1].clone()),
             PipeStep::FlushEmit,
             PipeStep::Hook("verdict".to_string()),
         ])
     }
 
-    // 3. Target state initialization.
+    // 4. Target state initialization.
     fn init(&self, ctx: &mut ExecCtx, st: &mut ExecState) {
         let port = ctx.fresh("input_port", 9);
-        st.write_global("md.in_port", port.clone());
-        st.write_global("$input_port", port);
+        st.write("md.in_port", port.clone());
+        st.write("$input_port", port);
         let z2 = ctx.constant(2, 0);
-        st.write_global("md.verdict", z2);
+        st.write("md.verdict", z2);
     }
 
     fn uninit_policy(&self) -> UninitPolicy {
         UninitPolicy::Zero
     }
 
-    // 4. Target-defined interstitial control flow (the Fig. 5 green boxes).
+    // 5. Target-defined interstitial control flow (the Fig. 5 green boxes).
     fn hook(&self, name: &str, ctx: &mut ExecCtx, st: &mut ExecState) {
         match name {
             "parser_reject" => st.finish(FinishReason::Dropped),
             "verdict" => {
                 let v = st
-                    .read_global("md.verdict")
+                    .read("md.verdict")
                     .cloned()
                     .unwrap_or_else(|| ctx.constant(2, 0));
                 // Fork the three verdict outcomes symbolically.
@@ -90,7 +90,7 @@ extern void punt_to_cpu(inout punt_metadata_t md);
                         "drop" => f.finish(FinishReason::Dropped),
                         "forward" => {
                             let port = f
-                                .read_global("md.out_port")
+                                .read("md.out_port")
                                 .cloned()
                                 .unwrap_or_else(|| ctx.constant(9, 0));
                             let payload = f.packet.live_value(ctx.pool);
@@ -110,7 +110,7 @@ extern void punt_to_cpu(inout punt_metadata_t md);
         }
     }
 
-    // 5. Target externs.
+    // 6. Target externs.
     fn extern_call(
         &self,
         name: &str,
@@ -122,7 +122,7 @@ extern void punt_to_cpu(inout punt_metadata_t md);
         match name {
             "punt_to_cpu" => {
                 let two = ctx.constant(2, 2);
-                st.write_global("md.verdict", two);
+                st.write("md.verdict", two);
                 ExternOutcome::Handled
             }
             _ => ExternOutcome::Unknown,

@@ -73,6 +73,39 @@ fn synthetic_path_count_scales_exponentially() {
     }
 }
 
+/// Parameter names that swap the v1model roots: the parser and ingress
+/// call the headers `meta` and the user metadata `hdr`. Lowering binds by
+/// position, and refeval binds on the AST on its own, so a wrong root
+/// table shows up as a disagreement.
+const SWAPPED_ROOTS: &str = r#"
+header ethernet_t { bit<48> dst; bit<48> src; bit<16> etherType; }
+struct headers_t { ethernet_t eth; }
+struct meta_t { bit<16> seen; bit<9> port; }
+parser P(packet_in pkt, out headers_t meta, inout meta_t hdr, inout standard_metadata_t std) {
+    state start { pkt.extract(meta.eth); hdr.seen = meta.eth.etherType; transition accept; }
+}
+control VC(inout headers_t meta, inout meta_t hdr) { apply { } }
+control Ing(inout headers_t meta, inout meta_t hdr, inout standard_metadata_t std) {
+    action fwd(bit<9> port) { hdr.port = port; std.egress_spec = port; }
+    action drop() { mark_to_drop(std); }
+    table t {
+        key = { meta.eth.etherType: exact @name("etype"); }
+        actions = { fwd; drop; }
+        default_action = drop();
+    }
+    apply {
+        t.apply();
+        if (hdr.seen == 0x800) { meta.eth.src = 1; }
+    }
+}
+control Eg(inout headers_t meta, inout meta_t hdr, inout standard_metadata_t std) {
+    apply { meta.eth.dst = (bit<48>)hdr.port; }
+}
+control CC(inout headers_t meta, inout meta_t hdr) { apply { } }
+control Dep(packet_out pkt, in headers_t meta) { apply { pkt.emit(meta.eth); } }
+V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
+"#;
+
 /// A degraded generator must not manufacture false divergences: when the
 /// PR 2 fault plan taints generation (unknown bits widen the don't-care
 /// masks), every test that still gets emitted has to pass on BOTH the
@@ -81,7 +114,12 @@ fn synthetic_path_count_scales_exponentially() {
 /// library-level half of the `p4testgen diff` invariance contract.
 #[test]
 fn emitted_tests_agree_across_engines_under_generation_fault_plans() {
-    let src = p4t_corpus::generate_synthetic(2, 2);
+    for src in [p4t_corpus::generate_synthetic(2, 2), SWAPPED_ROOTS.to_string()] {
+        agree_across_engines(&src);
+    }
+}
+
+fn agree_across_engines(src: &str) {
     for permille in [0u32, 250, 700] {
         let mut config = TestgenConfig::default();
         config.seed = 7;
@@ -90,7 +128,7 @@ fn emitted_tests_agree_across_engines_under_generation_fault_plans() {
         config.fault_plan.unknown_permille = permille;
         let bound = config.interp_parser_loop_bound;
         let mut tg =
-            Testgen::new("faultplan", &src, V1Model::new(), config).expect("compiles");
+            Testgen::new("faultplan", src, V1Model::new(), config).expect("compiles");
         let mut tests = Vec::new();
         tg.run(|t| {
             tests.push(t.clone());
