@@ -10,8 +10,11 @@ use crate::state::{Cmd, ExecState, FinishReason};
 use crate::sym::{Sym, SymOps};
 use crate::tables;
 use crate::target::{ExecCtx, ExtArg, ExternOutcome, Target, UninitPolicy};
-use p4t_frontend::types::{Type, ERROR_WIDTH};
-use p4t_ir::{IrArg, IrBinOp, IrBlock, IrExpr, IrKeyset, IrStmt, IrTransition, IrUnOp, Path};
+use p4t_frontend::types::ERROR_WIDTH;
+use p4t_ir::{
+    HeaderId, IrArg, IrBinOp, IrBlock, IrExpr, IrKeyset, IrStmt, IrTransition, IrUnOp, Path,
+    StackId,
+};
 use p4t_smt::{BinOp, BitVec, TermId};
 
 /// An execution abort: the state cannot continue (unsupported construct,
@@ -248,16 +251,23 @@ pub fn enter_block(ctx: &mut ExecCtx, st: &mut ExecState, block: &str) -> ExecRe
     let Some(b) = prog.blocks.get(block) else {
         return Err(Abort(format!("unknown block '{block}'")));
     };
-    let params = match b {
-        IrBlock::Parser(p) => &p.params,
-        IrBlock::Control(c) => &c.params,
-    };
     // `out` parameters are reset on entry: slots cleared (so the uninit
-    // policy applies) and header validity explicitly zeroed.
-    for p in params {
+    // policy applies), header validity and stack `$next` explicitly zeroed.
+    for p in b.params() {
         if let (p4t_frontend::ast::Direction::Out, Some(root)) = (p.direction, &p.root) {
             st.clear_prefix(root);
-            invalidate_headers(ctx, st, &p.ty, &Path::new(root.clone()));
+            let zero = ctx.constant(1, 0);
+            for &h in &p.headers {
+                st.write(prog.header(h).valid.as_str(), zero.clone());
+            }
+            for &s in &p.stacks {
+                let stack = prog.stack(s);
+                let z32 = ctx.constant(32, 0);
+                st.write(stack.next.as_str(), z32);
+                for &h in &stack.elements {
+                    st.write(prog.header(h).valid.as_str(), zero.clone());
+                }
+            }
         }
     }
     st.log(format!("enter block {block}"));
@@ -273,35 +283,6 @@ pub fn enter_block(ctx: &mut ExecCtx, st: &mut ExecState, block: &str) -> ExecRe
         }
     }
     Ok(())
-}
-
-/// Set `$valid = 0` for every header reachable under a type at a path.
-pub fn invalidate_headers(ctx: &mut ExecCtx, st: &mut ExecState, ty: &Type, base: &Path) {
-    let zero = ctx.constant(1, 0);
-    match ty {
-        Type::Header(_) => {
-            st.write(base.valid().as_str(), zero);
-        }
-        Type::Struct(sn) => {
-            let prog = ctx.prog;
-            let Some(fields) = prog.env.fields_of(sn) else {
-                return;
-            };
-            for f in fields {
-                invalidate_headers(ctx, st, &f.ty, &base.child(&f.name));
-            }
-        }
-        Type::Stack(elem, n) => {
-            if matches!(elem.as_ref(), Type::Header(_)) {
-                let z32 = ctx.constant(32, 0);
-                st.write(base.next_index().as_str(), z32);
-                for i in 0..*n {
-                    st.write(base.indexed(i).valid().as_str(), zero.clone());
-                }
-            }
-        }
-        _ => {}
-    }
 }
 
 fn enter_parser_state(
@@ -521,8 +502,8 @@ fn exec_stmt(
         IrStmt::SwitchActionRun { table, cases, .. } => {
             tables::apply_table(ctx, st, target, table, Some(cases))
         }
-        IrStmt::Extract { header, ty, varbit_len, .. } => {
-            exec_extract(ctx, st, target, header, ty, varbit_len.as_ref())
+        IrStmt::Extract { header, varbit_len, .. } => {
+            exec_extract(ctx, st, target, *header, varbit_len.as_ref())
         }
         IrStmt::Advance { bits, .. } => {
             let b = eval_expr(ctx, st, target, bits)?;
@@ -531,7 +512,7 @@ fn exec_stmt(
             };
             exec_advance(ctx, st, n as u32)
         }
-        IrStmt::Emit { header, ty, .. } => exec_emit(ctx, st, target, header, ty),
+        IrStmt::Emit { header, .. } => exec_emit(ctx, st, target, *header),
         IrStmt::SetValid { header, valid, .. } => {
             let v = ctx.constant(1, *valid as u128);
             st.write(header.valid().as_str(), v);
@@ -547,7 +528,7 @@ fn exec_stmt(
         IrStmt::ExternCall { name, instance, args, .. } => {
             exec_extern(ctx, st, target, name, instance.as_deref(), args)
         }
-        IrStmt::StackOp { stack, push, count, .. } => exec_stack_op(ctx, st, stack, *push, *count),
+        IrStmt::StackOp { stack, push, count, .. } => exec_stack_op(ctx, st, *stack, *push, *count),
         IrStmt::Exit { .. } => {
             // `exit` terminates the pipeline block: drop queued commands up
             // to the next pipeline step, which sits directly below them.
@@ -597,24 +578,11 @@ fn exec_extract(
     ctx: &mut ExecCtx,
     st: &mut ExecState,
     target: &dyn Target,
-    header: &Path,
-    ty: &str,
+    header: HeaderId,
     varbit_len: Option<&IrExpr>,
 ) -> ExecResult<()> {
-    let prog = ctx.prog;
-    let fields: Vec<(String, Type)> = prog
-        .env
-        .fields_of(ty)
-        .ok_or_else(|| Abort(format!("unknown header type '{ty}'")))?
-        .iter()
-        .map(|f| (f.name.clone(), f.ty.clone()))
-        .collect();
-    let mut fixed_bits: u32 = 0;
-    for (_, fty) in &fields {
-        if !matches!(fty, Type::Varbit(_)) {
-            fixed_bits += fty.width(&prog.env).unwrap_or(0);
-        }
-    }
+    let h = ctx.prog.header(header);
+    let fixed_bits: u32 = h.fields.iter().filter(|f| f.varbit_len.is_none()).map(|f| f.width).sum();
     // Varbit length must be concrete.
     let vb_len: u32 = match varbit_len {
         Some(e) => {
@@ -637,11 +605,7 @@ fn exec_extract(
         // The short packet ends after all but the last field, matching the
         // paper's example tests (96-bit packet for a 112-bit Ethernet header
         // whose last field is 16 bits).
-        let last_field_bits = fields
-            .last()
-            .and_then(|(_, t)| t.width(&prog.env))
-            .unwrap_or(0)
-            .min(need);
+        let last_field_bits = h.fields.last().map_or(0, |f| f.width).min(need);
         let short_total = need.saturating_sub(last_field_bits).max(have as u32);
         let missing = short_total.saturating_sub(have as u32);
         if missing > 0 {
@@ -650,7 +614,7 @@ fn exec_extract(
         // The failed extract consumes nothing: the unparsed content remains
         // and passes through as payload (Fig 1c line 7: 96 bits in, 96 out).
         set_parser_error(ctx, &mut short, ERR_PACKET_TOO_SHORT);
-        short.log(format!("extract {header}: packet too short"));
+        short.log(format!("extract {}: packet too short", h.path));
         truncate_parser_continuations(&mut short);
         short.continuations.push(Cmd::Hook("parser_reject".to_string()));
         ctx.forks.push(short);
@@ -658,9 +622,8 @@ fn exec_extract(
     // Normal path: read the content and assign fields MSB-first.
     let content = st.packet.read(ctx.pool, need);
     let mut offset = need; // bits remaining, counted from the MSB end
-    for (fname, fty) in &fields {
-        let fp = header.child(fname);
-        if let Type::Varbit(max) = fty {
+    for f in &h.fields {
+        if let Some(lenp) = &f.varbit_len {
             let data = if vb_len > 0 {
                 let t = ctx.pool.extract(
                     (offset - 1) as usize,
@@ -671,29 +634,26 @@ fn exec_extract(
                     .taint
                     .extract((offset - 1) as usize, (offset - vb_len) as usize);
                 let part = Sym::with_taint(t, taint);
-                let padded = ctx.pool.cast(part.term, *max as usize);
-                Sym::with_taint(padded, SymOps::cast_taint(&part, *max))
+                let padded = ctx.pool.cast(part.term, f.width as usize);
+                Sym::with_taint(padded, SymOps::cast_taint(&part, f.width))
             } else {
-                ctx.constant(*max, 0)
+                ctx.constant(f.width, 0)
             };
-            st.write(fp.as_str(), data);
+            st.write(f.path.as_str(), data);
             let len = ctx.constant(32, vb_len as u128);
-            st.write(fp.child("$len").as_str(), len);
+            st.write(lenp.as_str(), len);
             offset -= vb_len;
         } else {
-            let w = fty.width(&prog.env).unwrap_or(0);
-            if w == 0 {
-                continue;
-            }
+            let w = f.width;
             let t = ctx.pool.extract((offset - 1) as usize, (offset - w) as usize, content.term);
             let taint = content.taint.extract((offset - 1) as usize, (offset - w) as usize);
-            st.write(fp.as_str(), Sym::with_taint(t, taint));
+            st.write(f.path.as_str(), Sym::with_taint(t, taint));
             offset -= w;
         }
     }
     let valid = ctx.constant(1, 1);
-    st.write(header.valid().as_str(), valid);
-    st.log(format!("extract {header} ({need} bits)"));
+    st.write(h.valid.as_str(), valid);
+    st.log(format!("extract {} ({need} bits)", h.path));
     Ok(())
 }
 
@@ -728,20 +688,19 @@ fn exec_emit(
     ctx: &mut ExecCtx,
     st: &mut ExecState,
     target: &dyn Target,
-    hp: &Path,
-    ty: &str,
+    header: HeaderId,
 ) -> ExecResult<()> {
-    let validity = match st.read(hp.valid().as_str()) {
+    let validity = match st.read(ctx.prog.header(header).valid.as_str()) {
         Some(s) => s.clone(),
         None => ctx.constant(1, 0),
     };
     match ctx.pool.as_const(validity.term) {
-        Some(v) if v.is_true() => emit_fields(ctx, st, target, hp, ty),
+        Some(v) if v.is_true() => emit_fields(ctx, st, target, header),
         Some(_) => Ok(()), // invalid: emit nothing
         None => {
             // Symbolic validity: fork.
             let mut valid_fork = ctx.fork(st, validity.term);
-            emit_fields(ctx, &mut valid_fork, target, hp, ty)?;
+            emit_fields(ctx, &mut valid_fork, target, header)?;
             let nv = ctx.pool.not(validity.term);
             let invalid_fork = ctx.fork(st, nv);
             ctx.forks.push(valid_fork);
@@ -756,24 +715,14 @@ fn emit_fields(
     ctx: &mut ExecCtx,
     st: &mut ExecState,
     target: &dyn Target,
-    hp: &Path,
-    ty: &str,
+    header: HeaderId,
 ) -> ExecResult<()> {
-    let prog = ctx.prog;
-    let fields: Vec<(String, Type)> = prog
-        .env
-        .fields_of(ty)
-        .ok_or_else(|| Abort(format!("unknown header type '{ty}'")))?
-        .iter()
-        .map(|f| (f.name.clone(), f.ty.clone()))
-        .collect();
+    let h = ctx.prog.header(header);
     let mut acc: Option<Sym> = None;
-    for (fname, fty) in &fields {
-        let fp = hp.child(fname);
-        let part = match fty {
-            Type::Varbit(max) => {
-                let data = read_slot(ctx, st, target, &fp, *max);
-                let lenp = fp.child("$len");
+    for f in &h.fields {
+        let data = read_slot(ctx, st, target, &f.path, f.width);
+        let part = match &f.varbit_len {
+            Some(lenp) => {
                 let len = st
                     .read(lenp.as_str())
                     .and_then(|s| ctx.pool.as_const(s.term))
@@ -782,18 +731,12 @@ fn emit_fields(
                 if len == 0 {
                     continue;
                 }
-                // The varbit data is left-aligned... stored right-aligned by
-                // extract's cast; emit the low `len` bits.
+                // The varbit data is stored right-aligned by extract's
+                // cast; emit the low `len` bits.
                 let t = ctx.pool.extract((len - 1) as usize, 0, data.term);
                 Sym::with_taint(t, data.taint.extract((len - 1) as usize, 0))
             }
-            t => {
-                let w = t.width(&prog.env).unwrap_or(0);
-                if w == 0 {
-                    continue;
-                }
-                read_slot(ctx, st, target, &fp, w)
-            }
+            None => data,
         };
         acc = Some(match acc {
             None => part,
@@ -805,55 +748,59 @@ fn emit_fields(
     }
     if let Some(v) = acc {
         st.packet.emit(v);
-        st.log(format!("emit {hp}"));
+        st.log(format!("emit {}", h.path));
     }
     Ok(())
 }
 
+/// Shift a stack's elements by `count` toward its end (`push`) or its
+/// front. Each element's slots are copied from the layout's slots of its
+/// source element, unwritten slots staying unwritten; elements shifted in
+/// from outside the stack are invalid.
 fn exec_stack_op(
     ctx: &mut ExecCtx,
     st: &mut ExecState,
-    sp: &Path,
+    stack: StackId,
     push: bool,
     count: u32,
 ) -> ExecResult<()> {
-    // Discover the stack size by probing validity slots.
-    let mut size: u32 = 0;
-    while st.read(sp.indexed(size).valid().as_str()).is_some() && size < 64 {
-        size += 1;
+    let prog = ctx.prog;
+    let layout = prog.stack(stack);
+    let size = layout.elements.len() as u32;
+    let zero = ctx.constant(1, 0);
+    // Walk away from the sources, so each is read before it is overwritten.
+    let mut order: Vec<u32> = (0..size).collect();
+    if push {
+        order.reverse();
     }
-    if size == 0 {
-        return Ok(());
-    }
-    let snapshot: Vec<Vec<(String, Sym)>> = (0..size)
-        .map(|i| st.snapshot_prefix(sp.indexed(i).as_str()))
-        .collect();
-    for i in 0..size {
+    for i in order {
+        let dst = prog.header(layout.elements[i as usize]);
         let from = if push {
             i.checked_sub(count)
         } else {
             i.checked_add(count).filter(|v| *v < size)
         };
-        let dst_prefix = sp.indexed(i).as_str().to_string();
-        st.clear_prefix(&dst_prefix);
         match from {
             Some(src) => {
-                let src_prefix = sp.indexed(src).as_str().to_string();
-                for (k, v) in &snapshot[src as usize] {
-                    let suffix = &k[src_prefix.len()..];
-                    st.write(&format!("{dst_prefix}{suffix}"), v.clone());
+                let src = prog.header(layout.elements[src as usize]);
+                for (d, s) in dst.slots().zip(src.slots()) {
+                    match st.read(s.as_str()).cloned() {
+                        Some(v) => st.write(d.as_str(), v),
+                        None => st.remove(d.as_str()),
+                    }
                 }
             }
             None => {
-                let zero = ctx.constant(1, 0);
-                st.write(sp.indexed(i).valid().as_str(), zero);
+                for d in dst.slots() {
+                    st.remove(d.as_str());
+                }
+                st.write(dst.valid.as_str(), zero.clone());
             }
         }
     }
     // Adjust $next (saturating at the bounds).
-    let nextp = sp.next_index();
     let cur = st
-        .read(nextp.as_str())
+        .read(layout.next.as_str())
         .and_then(|s| ctx.pool.as_const(s.term))
         .and_then(|c| c.to_u64())
         .unwrap_or(0);
@@ -863,7 +810,7 @@ fn exec_stack_op(
         cur.saturating_sub(count as u64)
     };
     let nv = ctx.constant(32, newv as u128);
-    st.write(nextp.as_str(), nv);
+    st.write(layout.next.as_str(), nv);
     Ok(())
 }
 

@@ -110,9 +110,9 @@ pub struct ExecState {
     /// per-path RNG seeding under parallel exploration.
     pub trail: Vec<u32>,
     /// Flattened storage: global path → symbolic value. A `BTreeMap` so that
-    /// iteration (e.g. [`ExecState::snapshot_prefix`], used for clone /
-    /// resubmit metadata) is deterministic and independent of insertion
-    /// history — a requirement for reproducible parallel exploration.
+    /// iteration (e.g. [`ExecState::slots`], used for clone / resubmit
+    /// metadata) is deterministic and independent of insertion history — a
+    /// requirement for reproducible parallel exploration.
     env: BTreeMap<String, Sym>,
     /// Path constraints (1-bit terms), in collection order. Append-only:
     /// `fingerprint` folds a prefix of it.
@@ -185,6 +185,11 @@ impl ExecState {
         self.env.insert(path.to_string(), value);
     }
 
+    /// Make a slot unwritten again.
+    pub fn remove(&mut self, path: &str) {
+        self.env.remove(path);
+    }
+
     /// Remove every slot whose global path starts with `prefix` (used to
     /// reset `out` parameters and recirculation metadata).
     pub fn clear_prefix(&mut self, prefix: &str) {
@@ -194,22 +199,6 @@ impl ExecState {
     /// Iterate over all global slots (diagnostics, clone semantics).
     pub fn slots(&self) -> impl Iterator<Item = (&String, &Sym)> {
         self.env.iter()
-    }
-
-    /// Snapshot of all slots below a prefix (clone/resubmit metadata saving).
-    pub fn snapshot_prefix(&self, prefix: &str) -> Vec<(String, Sym)> {
-        let dot = format!("{prefix}.");
-        self.env
-            .iter()
-            .filter(|(k, _)| *k == prefix || k.starts_with(&dot))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    pub fn restore_snapshot(&mut self, snap: Vec<(String, Sym)>) {
-        for (k, v) in snap {
-            self.env.insert(k, v);
-        }
     }
 
     // ---- constraints ---------------------------------------------------------

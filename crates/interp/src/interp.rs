@@ -12,10 +12,9 @@
 //! the tests' don't-care masks must absorb it.
 
 use crate::faults::{Fault, FaultSet};
-use p4t_frontend::types::Type;
 use p4t_ir::{
-    IrArg, IrBinOp, IrBlock, IrConstEntry, IrExpr, IrKeyset, IrProgram, IrStmt, IrTable,
-    IrTransition, IrUnOp, Path,
+    HeaderId, IrArg, IrBinOp, IrBlock, IrConstEntry, IrExpr, IrKeyset, IrProgram, IrStmt,
+    IrTable, IrTransition, IrUnOp, StackId,
 };
 use p4t_smt::BitVec;
 use p4testgen_core::testspec::{KeyMatch, TableEntrySpec, TestSpec};
@@ -605,63 +604,21 @@ impl<'p> Interp<'p> {
             self.dropped = true;
             return Ok(());
         }
-        // Implicit deparse: valid headers in declaration order + payload.
-        let header_ty = self.prog.blocks.values().find_map(|b| match b {
-            IrBlock::Parser(p) => p.params.iter().find_map(|prm| match &prm.ty {
-                Type::Struct(s) => Some(s.clone()),
-                _ => None,
-            }),
-            _ => None,
-        });
+        // Implicit deparse: the parser's valid headers in declaration order,
+        // then the payload.
+        let prog = self.prog;
         let mut out = BitVec::empty();
-        if let Some(ty) = header_ty {
-            out = self.concat_valid_headers(&ty, &Path::new("hdr"), out);
+        for &h in prog.bound_param(&args[0], "hdr").map_or(&[][..], |p| &p.headers) {
+            let h = prog.header(h);
+            if self.env.get(h.valid.as_str()).is_some_and(|v| !v.is_zero()) {
+                for f in &h.fields {
+                    out = out.concat(&self.read_env(f.path.as_str(), f.width));
+                }
+            }
         }
         out = out.concat(&self.packet.rest());
         self.push_output(0, &out);
         Ok(())
-    }
-
-    fn concat_valid_headers(&mut self, ty: &str, base: &Path, mut acc: BitVec) -> BitVec {
-        let Some(fields) = self.prog.env.fields_of(ty) else {
-            return acc;
-        };
-        let fields: Vec<_> = fields.to_vec();
-        for f in fields {
-            let fp = base.child(&f.name);
-            match &f.ty {
-                Type::Header(hn) => {
-                    let valid = self
-                        .env
-                        .get(fp.valid().as_str())
-                        .map(|v| !v.is_zero())
-                        .unwrap_or(false);
-                    if valid {
-                        let hn = hn.clone();
-                        acc = self.concat_header_fields(&hn, &fp, acc);
-                    }
-                }
-                Type::Struct(sn) => {
-                    let sn = sn.clone();
-                    acc = self.concat_valid_headers(&sn, &fp, acc);
-                }
-                _ => {}
-            }
-        }
-        acc
-    }
-
-    fn concat_header_fields(&mut self, ty: &str, base: &Path, mut acc: BitVec) -> BitVec {
-        let fields: Vec<_> = self.prog.env.fields_of(ty).unwrap_or(&[]).to_vec();
-        for f in fields {
-            let w = f.ty.width(&self.prog.env).unwrap_or(0);
-            if w == 0 {
-                continue;
-            }
-            let v = self.read_env(base.child(&f.name).as_str(), w);
-            acc = acc.concat(&v);
-        }
-        acc
     }
 
     fn push_output(&mut self, port: u32, bits: &BitVec) {
@@ -679,39 +636,21 @@ impl<'p> Interp<'p> {
         let Some(b) = prog.blocks.get(name) else {
             return Err(InterpException(format!("unknown block '{name}'")));
         };
-        let params = match b {
-            IrBlock::Parser(p) => &p.params,
-            IrBlock::Control(c) => &c.params,
-        };
-        for p in params {
-            if let (p4t_frontend::ast::Direction::Out, Some(root)) = (p.direction, &p.root) {
-                self.invalidate(&p.ty, &Path::new(root.clone()));
-            }
-        }
-        Ok(b)
-    }
-
-    fn invalidate(&mut self, ty: &Type, base: &Path) {
-        match ty {
-            Type::Header(_) => {
-                self.env.insert(base.valid().0.clone(), BitVec::zeros(1));
-            }
-            Type::Struct(sn) => {
-                let fields: Vec<_> = self.prog.env.fields_of(sn).unwrap_or(&[]).to_vec();
-                for f in fields {
-                    self.invalidate(&f.ty, &base.child(&f.name));
+        for p in b.params() {
+            if let (p4t_frontend::ast::Direction::Out, Some(_)) = (p.direction, &p.root) {
+                for &h in &p.headers {
+                    self.env.insert(prog.header(h).valid.0.clone(), BitVec::zeros(1));
                 }
-            }
-            Type::Stack(elem, n) => {
-                if matches!(elem.as_ref(), Type::Header(_)) {
-                    self.env.insert(base.next_index().0.clone(), BitVec::zeros(32));
-                    for i in 0..*n {
-                        self.env.insert(base.indexed(i).valid().0.clone(), BitVec::zeros(1));
+                for &s in &p.stacks {
+                    let stack = prog.stack(s);
+                    self.env.insert(stack.next.0.clone(), BitVec::zeros(32));
+                    for &h in &stack.elements {
+                        self.env.insert(prog.header(h).valid.0.clone(), BitVec::zeros(1));
                     }
                 }
             }
-            _ => {}
         }
+        Ok(b)
     }
 
     fn run_parser(&mut self, name: &str) -> IResult<()> {
@@ -779,7 +718,7 @@ impl<'p> Interp<'p> {
                 let err = BitVec::from_u64(16, self.parser_error);
                 if self.flags.get("in_ingress").copied().unwrap_or(1) == 1 {
                     self.write_env("ig_prsr_md.parser_err", err);
-                    if !program_reads_parser_err(self.prog) {
+                    if !self.prog.reads_parser_err {
                         self.dropped = true;
                         self.trace.push("tofino: ingress parser reject -> drop".into());
                     }
@@ -854,8 +793,8 @@ impl<'p> Interp<'p> {
                 self.apply_table(table, Some(cases))?;
                 Ok(true)
             }
-            IrStmt::Extract { header, ty, varbit_len, .. } => {
-                self.exec_extract(header, ty, varbit_len.as_ref())
+            IrStmt::Extract { header, varbit_len, .. } => {
+                self.exec_extract(*header, varbit_len.as_ref())
             }
             IrStmt::Advance { bits, .. } => {
                 let n = self.eval(bits)?.to_u64().unwrap_or(0) as usize;
@@ -865,8 +804,8 @@ impl<'p> Interp<'p> {
                 }
                 Ok(true)
             }
-            IrStmt::Emit { header, ty, .. } => {
-                self.exec_emit(header, ty)?;
+            IrStmt::Emit { header, .. } => {
+                self.exec_emit(*header)?;
                 Ok(true)
             }
             IrStmt::SetValid { header, valid, .. } => {
@@ -882,7 +821,7 @@ impl<'p> Interp<'p> {
                 self.exec_extern(name, instance.as_deref(), args)
             }
             IrStmt::StackOp { stack, push, count, .. } => {
-                self.exec_stack_op(stack, *push, *count)?;
+                self.exec_stack_op(*stack, *push, *count)?;
                 Ok(true)
             }
             IrStmt::Exit { .. } | IrStmt::Return { .. } => {
@@ -892,18 +831,8 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn exec_extract(
-        &mut self,
-        hp: &Path,
-        ty: &str,
-        varbit_len: Option<&IrExpr>,
-    ) -> IResult<bool> {
-        let fields: Vec<_> = self
-            .prog
-            .env
-            .fields_of(ty)
-            .ok_or_else(|| InterpException(format!("unknown header '{ty}'")))?
-            .to_vec();
+    fn exec_extract(&mut self, header: HeaderId, varbit_len: Option<&IrExpr>) -> IResult<bool> {
+        let h = self.prog.header(header);
         let vb_len = match varbit_len {
             Some(e) => self.eval(e)?.to_u64().unwrap_or(0) as usize,
             None => 0,
@@ -915,43 +844,35 @@ impl<'p> Interp<'p> {
         }
         // A failing extract consumes nothing: the unparsed content passes
         // through as payload (matching the oracle's model and Fig 1c).
-        let need: usize = fields
-            .iter()
-            .map(|f| match &f.ty {
-                Type::Varbit(_) => vb_len,
-                t => t.width(&self.prog.env).unwrap_or(0) as usize,
-            })
-            .sum();
+        let width = |f: &p4t_ir::FieldLayout| match f.varbit_len {
+            Some(_) => vb_len,
+            None => f.width as usize,
+        };
+        let need: usize = h.fields.iter().map(width).sum();
         if self.packet.remaining() < need {
             self.parser_error = 1; // PacketTooShort
             return Ok(false);
         }
-        for f in &fields {
-            let w = match &f.ty {
-                Type::Varbit(_) => vb_len,
-                t => t.width(&self.prog.env).unwrap_or(0) as usize,
-            };
-            let Some(v) = self.packet.read(w) else {
+        for f in &h.fields {
+            let Some(v) = self.packet.read(width(f)) else {
                 self.parser_error = 1; // PacketTooShort
                 return Ok(false);
             };
-            if let Type::Varbit(max) = &f.ty {
-                self.write_env(&format!("{hp}.{}", f.name), v.cast(*max as usize));
-                self.write_env(
-                    &format!("{hp}.{}.$len", f.name),
-                    BitVec::from_u64(32, vb_len as u64),
-                );
-            } else {
-                self.write_env(&format!("{hp}.{}", f.name), v);
+            match &f.varbit_len {
+                Some(lenp) => {
+                    self.write_env(f.path.as_str(), v.cast(f.width as usize));
+                    self.write_env(lenp.as_str(), BitVec::from_u64(32, vb_len as u64));
+                }
+                None => self.write_env(f.path.as_str(), v),
             }
         }
-        self.write_env(&format!("{hp}.$valid"), BitVec::from_bool(true));
+        self.write_env(h.valid.as_str(), BitVec::from_bool(true));
         Ok(true)
     }
 
-    fn exec_emit(&mut self, hp: &Path, ty: &str) -> IResult<()> {
-        let validity = self.env.get(&format!("{hp}.$valid")).cloned();
-        let valid = validity.map(|v| !v.is_zero()).unwrap_or(false);
+    fn exec_emit(&mut self, header: HeaderId) -> IResult<()> {
+        let h = self.prog.header(header);
+        let valid = self.env.get(h.valid.as_str()).is_some_and(|v| !v.is_zero());
         if !valid {
             return Ok(());
         }
@@ -959,99 +880,87 @@ impl<'p> Interp<'p> {
             // P4C-6 analogue: emitting a header with a never-initialized
             // field (validity set programmatically, fields partially written)
             // crashes the deparser.
-            let fields: Vec<_> = self.prog.env.fields_of(ty).unwrap_or(&[]).to_vec();
-            for f in &fields {
-                if !matches!(f.ty, Type::Varbit(_))
-                    && !self.env.contains_key(&format!("{hp}.{}", f.name))
-                {
-                    return Err(InterpException(format!(
-                        "deparser: emit of {hp} with uninitialized field {}",
-                        f.name
-                    )));
-                }
+            if let Some(f) = h
+                .fields
+                .iter()
+                .find(|f| f.varbit_len.is_none() && !self.env.contains_key(f.path.as_str()))
+            {
+                return Err(InterpException(format!(
+                    "deparser: emit of {} with uninitialized field {}",
+                    h.path,
+                    f.path.as_str().rsplit('.').next().unwrap_or_default()
+                )));
             }
         }
         if self.faults.has(Fault::DeparserManyHeaders) && self.emit_buf.len() >= 3 {
             return Err(InterpException("deparser: too many emitted headers".into()));
         }
-        let fields: Vec<_> = self.prog.env.fields_of(ty).unwrap_or(&[]).to_vec();
         let mut acc = BitVec::empty();
-        for f in &fields {
-            match &f.ty {
-                Type::Varbit(max) => {
-                    let data = self.read_env(&format!("{hp}.{}", f.name), *max);
-                    let len = self
-                        .env
-                        .get(&format!("{hp}.{}.$len", f.name))
-                        .and_then(|v| v.to_u64())
-                        .unwrap_or(0) as usize;
+        for f in &h.fields {
+            let v = self.read_env(f.path.as_str(), f.width);
+            match &f.varbit_len {
+                Some(lenp) => {
+                    let len =
+                        self.env.get(lenp.as_str()).and_then(|v| v.to_u64()).unwrap_or(0) as usize;
                     if len > 0 {
-                        acc = acc.concat(&data.extract(len - 1, 0));
+                        acc = acc.concat(&v.extract(len - 1, 0));
                     }
                 }
-                t => {
-                    let w = t.width(&self.prog.env).unwrap_or(0);
-                    if w == 0 {
-                        continue;
-                    }
-                    let v = self.read_env(&format!("{hp}.{}", f.name), w);
-                    acc = acc.concat(&v);
-                }
+                None => acc = acc.concat(&v),
             }
         }
         self.emit_buf.push(acc);
         Ok(())
     }
 
-    fn exec_stack_op(&mut self, sp: &Path, push: bool, count: u32) -> IResult<()> {
+    /// Shift a stack's elements by `count` toward its end (`push`) or its
+    /// front, copying each element's layout slots from its source element
+    /// (unwritten slots stay unwritten); elements shifted in from outside
+    /// the stack are invalid.
+    fn exec_stack_op(&mut self, stack: StackId, push: bool, count: u32) -> IResult<()> {
         if self.faults.has(Fault::StackPushWrongOp) {
             return Err(InterpException("wrong operation on header stack push/pop".into()));
         }
-        let mut size = 0u32;
-        while self.env.contains_key(&format!("{sp}[{size}].$valid")) && size < 64 {
-            size += 1;
+        let prog = self.prog;
+        let layout = prog.stack(stack);
+        let size = layout.elements.len() as u32;
+        // Walk away from the sources, so each is read before it is overwritten.
+        let mut order: Vec<u32> = (0..size).collect();
+        if push {
+            order.reverse();
         }
-        if size == 0 {
-            return Ok(());
-        }
-        let snapshot: Vec<Vec<(String, BitVec)>> = (0..size)
-            .map(|i| {
-                let prefix = format!("{sp}[{i}].");
-                self.env
-                    .iter()
-                    .filter(|(k, _)| k.starts_with(&prefix))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect()
-            })
-            .collect();
-        for i in 0..size {
+        for i in order {
+            let dst = prog.header(layout.elements[i as usize]);
             let from = if push {
                 i.checked_sub(count)
             } else {
                 i.checked_add(count).filter(|v| *v < size)
             };
-            let dst = format!("{sp}[{i}].");
-            self.env.retain(|k, _| !k.starts_with(&dst));
             match from {
                 Some(src) => {
-                    let src_prefix = format!("{sp}[{src}].");
-                    for (k, v) in &snapshot[src as usize] {
-                        let suffix = &k[src_prefix.len()..];
-                        self.env.insert(format!("{dst}{suffix}"), v.clone());
+                    let src = prog.header(layout.elements[src as usize]);
+                    for (d, s) in dst.slots().zip(src.slots()) {
+                        match self.env.get(s.as_str()).cloned() {
+                            Some(v) => self.env.insert(d.0.clone(), v),
+                            None => self.env.remove(d.as_str()),
+                        };
                     }
                 }
                 None => {
-                    self.env.insert(format!("{sp}[{i}].$valid"), BitVec::zeros(1));
+                    for d in dst.slots() {
+                        self.env.remove(d.as_str());
+                    }
+                    self.env.insert(dst.valid.0.clone(), BitVec::zeros(1));
                 }
             }
         }
-        let next = self.env.get(&format!("{sp}.$next")).and_then(|v| v.to_u64()).unwrap_or(0);
+        let next = self.env.get(layout.next.as_str()).and_then(|v| v.to_u64()).unwrap_or(0);
         let newv = if push {
             (next + count as u64).min(size as u64)
         } else {
             next.saturating_sub(count as u64)
         };
-        self.env.insert(format!("{sp}.$next"), BitVec::from_u64(32, newv));
+        self.env.insert(layout.next.0.clone(), BitVec::from_u64(32, newv));
         Ok(())
     }
 
@@ -1256,8 +1165,8 @@ impl<'p> Interp<'p> {
         args: &[IrArg],
     ) -> IResult<bool> {
         use p4testgen_core::concolic;
-        match name {
-            "$parser_error" => {
+        match (name, instance) {
+            ("$parser_error", _) => {
                 if let Some(IrArg::In(e)) = args.first() {
                     self.parser_error = self.eval(e)?.to_u64().unwrap_or(0);
                 }
@@ -1270,11 +1179,11 @@ impl<'p> Interp<'p> {
                 }
                 return Ok(false);
             }
-            "mark_to_drop" => {
+            ("mark_to_drop", _) => {
                 self.write_env("sm.egress_spec", BitVec::from_u64(9, DROP_PORT));
                 self.write_env("sm.mcast_grp", BitVec::zeros(16));
             }
-            "verify_checksum" | "verify_checksum_with_payload" => {
+            ("verify_checksum" | "verify_checksum_with_payload", _) => {
                 let cond = !self.eval_arg(&args[0])?.is_zero();
                 if cond {
                     let mut data = self.eval_arg_list(&args[1])?;
@@ -1289,7 +1198,7 @@ impl<'p> Interp<'p> {
                     }
                 }
             }
-            "update_checksum" | "update_checksum_with_payload" => {
+            ("update_checksum" | "update_checksum_with_payload", _) => {
                 let cond = !self.eval_arg(&args[0])?.is_zero();
                 if cond {
                     let mut data = self.eval_arg_list(&args[1])?;
@@ -1303,7 +1212,7 @@ impl<'p> Interp<'p> {
                     }
                 }
             }
-            "hash" => {
+            ("hash", _) => {
                 if let IrArg::Out(p, w) = &args[0] {
                     let algo = self.eval_arg(&args[1])?.to_u64().unwrap_or(0);
                     let base = self.eval_arg(&args[2])?;
@@ -1319,13 +1228,13 @@ impl<'p> Interp<'p> {
                     self.write_env(p.as_str(), v);
                 }
             }
-            "random" => {
+            ("random", _) => {
                 if let IrArg::Out(p, w) = &args[0] {
                     let v = self.garbage(*w as usize);
                     self.write_env(p.as_str(), v);
                 }
             }
-            "read" if instance.is_some() => {
+            ("read", Some(inst)) => {
                 // v1model: read(out result, index); tna: read(index) + temp.
                 let (out, idx) = match (&args[0], args.last()) {
                     (IrArg::Out(p, w), _) => (Some((p.clone(), *w)), self.eval_arg(&args[1])?),
@@ -1333,7 +1242,6 @@ impl<'p> Interp<'p> {
                     _ => (None, BitVec::zeros(32)),
                 };
                 if let Some((p, w)) = out {
-                    let inst = instance.unwrap();
                     let i = idx.to_u64().unwrap_or(0);
                     self.check_register_fault(inst, i)?;
                     let v = self
@@ -1345,16 +1253,15 @@ impl<'p> Interp<'p> {
                     self.write_env(p.as_str(), v.cast(w as usize));
                 }
             }
-            "write" if instance.is_some() => {
+            ("write", Some(inst)) => {
                 let idx = self.eval_arg(&args[0])?.to_u64().unwrap_or(0);
                 let val = self.eval_arg(&args[1])?;
-                let inst = instance.unwrap();
                 self.check_register_fault(inst, idx)?;
                 if !self.faults.has(Fault::RegisterWriteLost) {
                     self.registers.entry(inst.to_string()).or_default().insert(idx, val);
                 }
             }
-            "get" if instance.is_some() => {
+            ("get", Some(_)) => {
                 if let Some(IrArg::Out(p, w)) = args.last() {
                     if args.len() >= 2 {
                         let data = self.eval_arg_list(&args[0])?;
@@ -1367,7 +1274,7 @@ impl<'p> Interp<'p> {
                     }
                 }
             }
-            "execute" | "execute_meter" | "read_meter" => {
+            ("execute" | "execute_meter" | "read_meter", _) => {
                 // Meter colors come from control-plane configuration (the
                 // spec's register_init), mirroring the oracle's model.
                 if let Some(IrArg::Out(p, w)) = args.iter().find(|a| matches!(a, IrArg::Out(..))).cloned() {
@@ -1385,8 +1292,8 @@ impl<'p> Interp<'p> {
                     self.write_env(p.as_str(), v.cast(w as usize));
                 }
             }
-            "add" | "subtract" if instance.is_some() => {
-                let inst = instance.unwrap().to_string();
+            ("add" | "subtract", Some(inst)) => {
+                let inst = inst.to_string();
                 let n = *self.flags.entry(format!("csum_n_{inst}")).or_insert(0) + 1;
                 self.flags.insert(format!("csum_n_{inst}"), n);
                 let data = self.eval_arg_list(&args[0])?;
@@ -1395,9 +1302,8 @@ impl<'p> Interp<'p> {
                     self.env.insert(key, v);
                 }
             }
-            "verify" if instance.is_some() => {
+            ("verify", Some(inst)) => {
                 if let Some(IrArg::Out(p, _)) = args.last() {
-                    let inst = instance.unwrap();
                     let prefix = format!("$csum.{inst}.");
                     let mut items: Vec<(String, BitVec)> = self
                         .env
@@ -1411,29 +1317,29 @@ impl<'p> Interp<'p> {
                     self.write_env(p.as_str(), BitVec::from_bool(c.is_zero()));
                 }
             }
-            "truncate" => {
+            ("truncate", _) => {
                 let len = self.eval_arg(&args[0])?.to_u64().unwrap_or(0);
                 self.flags.insert("truncate_bytes".into(), len);
             }
-            "resubmit_preserving_field_list" => {
+            ("resubmit_preserving_field_list", _) => {
                 self.flags.insert("resubmit".into(), 1);
             }
-            "recirculate_preserving_field_list" => {
+            ("recirculate_preserving_field_list", _) => {
                 self.flags.insert("recirculate".into(), 1);
             }
-            "clone" | "clone_preserving_field_list" => {
+            ("clone" | "clone_preserving_field_list", _) => {
                 let session = self.eval_arg(&args[1])?.to_u64().unwrap_or(0);
                 self.flags.insert("clone_pending".into(), 1);
                 self.flags.insert("clone_session".into(), session);
             }
-            "assert" | "assume" => {
+            ("assert" | "assume", _) => {
                 let c = self.eval_arg(&args[0])?;
                 if c.is_zero() {
                     return Err(InterpException("assert/assume failed at runtime".into()));
                 }
             }
-            "count" | "digest" | "log_msg" | "pack" | "emit" | "increment" => {}
-            other => {
+            ("count" | "digest" | "log_msg" | "pack" | "emit" | "increment", _) => {}
+            (other, _) => {
                 return Err(InterpException(format!("unimplemented extern '{other}'")));
             }
         }
@@ -1587,36 +1493,4 @@ fn eval_binop(op: IrBinOp, a: &BitVec, b: &BitVec) -> BitVec {
         IrBinOp::Sge => BitVec::from_bool(b.sle(a)),
         IrBinOp::Concat => a.concat(b),
     }
-}
-
-fn program_reads_parser_err(prog: &IrProgram) -> bool {
-    fn expr_reads(e: &IrExpr) -> bool {
-        match e {
-            IrExpr::Read { path, .. } => path.as_str().contains("parser_err"),
-            IrExpr::Unary { arg, .. } => expr_reads(arg),
-            IrExpr::Binary { lhs, rhs, .. } => expr_reads(lhs) || expr_reads(rhs),
-            IrExpr::Slice { base, .. } => expr_reads(base),
-            IrExpr::Cast { arg, .. } | IrExpr::SignCast { arg, .. } => expr_reads(arg),
-            IrExpr::Mux { cond, then_e, else_e, .. } => {
-                expr_reads(cond) || expr_reads(then_e) || expr_reads(else_e)
-            }
-            _ => false,
-        }
-    }
-    fn stmt_reads(s: &IrStmt) -> bool {
-        match s {
-            IrStmt::Assign { value, .. } => expr_reads(value),
-            IrStmt::If { cond, then_s, else_s, .. } => {
-                expr_reads(cond) || then_s.iter().any(stmt_reads) || else_s.iter().any(stmt_reads)
-            }
-            _ => false,
-        }
-    }
-    prog.blocks.values().any(|b| match b {
-        IrBlock::Control(c) => {
-            c.apply.iter().any(stmt_reads)
-                || c.actions.values().any(|a| a.body.iter().any(stmt_reads))
-        }
-        _ => false,
-    })
 }

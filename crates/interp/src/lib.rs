@@ -19,6 +19,8 @@
 //! oracle-correctness experiment; running them against each faulted model
 //! and counting detections reproduces the bug-finding experiment.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod faults;
 pub mod interp;
 pub mod verdict;

@@ -7,6 +7,10 @@
 //! * Every expression node carries an explicit bit width; booleans are 1 bit.
 //! * L-values are flattened dotted paths (`hdr.eth.dst`); header validity is
 //!   a synthetic `$valid` field; header stacks get a synthetic `$next` index.
+//! * Header layouts are resolved in lowering: [`IrProgram::headers`] and
+//!   [`IrProgram::stacks`] hold each header instance's and stack's slots,
+//!   and statements name them by [`HeaderId`] / [`StackId`]. The IR carries
+//!   no type environment, so neither engine walks types at run time.
 //! * Paths are global: lowering binds each package block's parameters to
 //!   the target's pipeline state, so neither engine aliases names at run
 //!   time.
@@ -15,13 +19,20 @@
 //! * Every statement has a [`StmtId`] used for coverage accounting.
 
 use p4t_frontend::ast::Annotation;
-use p4t_frontend::types::TypeEnv;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a coverable statement.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct StmtId(pub u32);
+
+/// Index of a header instance in [`IrProgram::headers`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct HeaderId(pub u32);
+
+/// Index of a header stack in [`IrProgram::stacks`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct StackId(pub u32);
 
 /// A flattened storage path such as `hdr.eth.dst` or `hdr.vlans[1].$valid`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -194,14 +205,13 @@ pub enum IrStmt {
     ApplyTable { id: StmtId, table: String },
     /// `switch (t.apply().action_run)`; case label `None` = default.
     SwitchActionRun { id: StmtId, table: String, cases: Vec<(Option<String>, Vec<IrStmt>)> },
-    /// Parser `pkt.extract(hdr)`; `ty` is the header type name and
-    /// `varbit_len` the second argument (bits).
-    Extract { id: StmtId, header: Path, ty: String, varbit_len: Option<IrExpr> },
+    /// Parser `pkt.extract(hdr)`; `varbit_len` is the second argument (bits).
+    Extract { id: StmtId, header: HeaderId, varbit_len: Option<IrExpr> },
     /// Parser `pkt.advance(n)`.
     Advance { id: StmtId, bits: IrExpr },
-    /// Deparser `pkt.emit(hdr)` (also used for struct-recursive emission);
-    /// `ty` is the header type name.
-    Emit { id: StmtId, header: Path, ty: String },
+    /// Deparser `pkt.emit(hdr)`; emitting a struct or a stack lowers to
+    /// one `Emit` per header, in declaration order.
+    Emit { id: StmtId, header: HeaderId },
     /// `hdr.setValid()` / `hdr.setInvalid()`.
     SetValid { id: StmtId, header: Path, valid: bool },
     /// Direct action invocation with value arguments.
@@ -210,7 +220,7 @@ pub enum IrStmt {
     /// instantiation for method calls (e.g. a register).
     ExternCall { id: StmtId, name: String, instance: Option<String>, args: Vec<IrArg> },
     /// `stack.push_front(n)` / `pop_front(n)`.
-    StackOp { id: StmtId, stack: Path, push: bool, count: u32 },
+    StackOp { id: StmtId, stack: StackId, push: bool, count: u32 },
     Exit { id: StmtId },
     Return { id: StmtId },
 }
@@ -265,8 +275,12 @@ pub struct IrParam {
     pub name: String,
     /// Direction as written; `out` parameters are reset on block entry.
     pub direction: p4t_frontend::ast::Direction,
-    /// Type name for struct/header parameters, or None for packets.
-    pub ty: p4t_frontend::types::Type,
+    /// The header instances below the parameter outside stacks, in
+    /// declaration order: what an `out` reset invalidates, and the ebpf
+    /// filter's implicit deparse list.
+    pub headers: Vec<HeaderId>,
+    /// The header stacks below the parameter, in declaration order.
+    pub stacks: Vec<StackId>,
     /// The pipeline state the package binds this parameter to (`hdr`,
     /// `meta`, `sm`, ...). The block's paths already use it. `None` for
     /// packet parameters and for blocks the package does not bind; those
@@ -370,6 +384,52 @@ impl IrBlock {
             IrBlock::Control(c) => &c.name,
         }
     }
+
+    pub fn params(&self) -> &[IrParam] {
+        match self {
+            IrBlock::Parser(p) => &p.params,
+            IrBlock::Control(c) => &c.params,
+        }
+    }
+}
+
+/// One field of a header instance.
+#[derive(Clone, PartialEq, Debug)]
+pub struct FieldLayout {
+    pub path: Path,
+    /// Bit width; a varbit field's maximum width.
+    pub width: u32,
+    /// A varbit field's `$len` slot: its current length in bits.
+    pub varbit_len: Option<Path>,
+}
+
+/// The storage layout of one header instance.
+#[derive(Clone, PartialEq, Debug)]
+pub struct HeaderLayout {
+    pub path: Path,
+    /// The `$valid` slot.
+    pub valid: Path,
+    /// The fields in declaration (wire) order. Zero-width fields hold no
+    /// bits and are left out.
+    pub fields: Vec<FieldLayout>,
+}
+
+impl HeaderLayout {
+    /// Every slot of the header: `$valid`, then each field and its `$len`.
+    pub fn slots(&self) -> impl Iterator<Item = &Path> {
+        std::iter::once(&self.valid)
+            .chain(self.fields.iter().flat_map(|f| std::iter::once(&f.path).chain(&f.varbit_len)))
+    }
+}
+
+/// The storage layout of one header stack.
+#[derive(Clone, PartialEq, Debug)]
+pub struct StackLayout {
+    pub path: Path,
+    /// The `$next` slot.
+    pub next: Path,
+    /// The element headers in index order; the declared size is their count.
+    pub elements: Vec<HeaderId>,
 }
 
 /// Metadata about one coverable statement (for reports).
@@ -389,8 +449,6 @@ pub struct StmtInfo {
 /// A complete lowered program.
 #[derive(Clone, Debug)]
 pub struct IrProgram {
-    /// The type environment from the frontend (field layouts, enums, ...).
-    pub env: TypeEnv,
     pub blocks: HashMap<String, IrBlock>,
     /// The package instantiation: package type name and the block name bound
     /// to each package argument, in order.
@@ -398,6 +456,16 @@ pub struct IrProgram {
     pub package_args: Vec<String>,
     /// Statement table (after dead-code elimination) for coverage reports.
     pub statements: Vec<StmtInfo>,
+    /// Header instance layouts, indexed by [`HeaderId`]. One path can have
+    /// several, one per header type stored there (ingress and egress may
+    /// bind different header structs to the same root).
+    pub headers: Vec<HeaderLayout>,
+    /// Header stack layouts, indexed by [`StackId`].
+    pub stacks: Vec<StackLayout>,
+    /// Whether any control reads a `parser_err` field, which turns Tofino's
+    /// ingress drop-on-parser-error into a continue (Appendix A.1).
+    /// Recomputed by [`crate::optimize`].
+    pub reads_parser_err: bool,
 }
 
 impl IrProgram {
@@ -413,6 +481,19 @@ impl IrProgram {
             IrBlock::Control(c) => Some(c),
             _ => None,
         }
+    }
+
+    pub fn header(&self, id: HeaderId) -> &HeaderLayout {
+        &self.headers[id.0 as usize]
+    }
+
+    pub fn stack(&self, id: StackId) -> &StackLayout {
+        &self.stacks[id.0 as usize]
+    }
+
+    /// The parameter of `block` bound to pipeline state `root`.
+    pub fn bound_param(&self, block: &str, root: &str) -> Option<&IrParam> {
+        self.blocks.get(block)?.params().iter().find(|p| p.root.as_deref() == Some(root))
     }
 
     /// Total number of coverable statements.

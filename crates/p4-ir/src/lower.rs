@@ -5,6 +5,12 @@
 //! indices into conditional chains with constant indices, splitting
 //! read-modify-write slice assignments, hoisting value-returning extern calls
 //! out of expressions, and assigning coverage ids to statements.
+//!
+//! Lowering is the only place that knows how a header, a struct of headers
+//! or a header stack flattens into storage paths: it interns each header
+//! instance and stack it meets into the program's layout tables, and
+//! aggregate copies and local declarations take their slots from the same
+//! layouts.
 
 use crate::ir::*;
 use p4t_frontend::ast::{self, BinaryOp, Decl, Direction, Expr, Stmt, Transition, UnaryOp};
@@ -71,6 +77,10 @@ fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram,
         next_temp: 0,
         statements: Vec::new(),
         block: String::new(),
+        headers: Vec::new(),
+        header_ids: HashMap::new(),
+        stacks: Vec::new(),
+        stack_ids: HashMap::new(),
     };
     let mut blocks = HashMap::new();
     for decl in &checked.program.decls {
@@ -86,12 +96,15 @@ fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram,
             _ => {}
         }
     }
+    let reads_parser_err = crate::passes::reads_parser_err(&blocks);
     Ok(IrProgram {
-        env: checked.env.clone(),
         blocks,
         package,
         package_args,
         statements: lw.statements,
+        headers: lw.headers,
+        stacks: lw.stacks,
+        reads_parser_err,
     })
 }
 
@@ -101,6 +114,14 @@ struct Lowerer<'a> {
     next_temp: u32,
     statements: Vec<StmtInfo>,
     block: String,
+    headers: Vec<HeaderLayout>,
+    /// Keyed by path and header type: ingress and egress may bind
+    /// different header types to one root, and two actions may declare
+    /// same-named locals of different types.
+    header_ids: HashMap<(Path, String), HeaderId>,
+    stacks: Vec<StackLayout>,
+    /// Keyed by path, element type and declared size.
+    stack_ids: HashMap<(Path, String, u32), StackId>,
 }
 
 /// Per-block lowering context: variable scoping and name mangling.
@@ -188,13 +209,14 @@ impl<'a> Lowerer<'a> {
     // ---- blocks ------------------------------------------------------------
 
     /// Lower a block's parameters and bind the non-packet ones, in order,
-    /// to the roots of each package position the block is passed at.
+    /// to the roots of each package position the block is passed at. The
+    /// returned context declares each parameter at its storage path.
     fn lower_params(
-        &self,
+        &mut self,
         params: &[ast::Param],
         roots: &[&[&str]],
         span: Span,
-    ) -> LResult<Vec<IrParam>> {
+    ) -> LResult<(Vec<IrParam>, Ctx)> {
         let tys = params
             .iter()
             .map(|p| self.env.resolve(&p.ty, p.span))
@@ -216,29 +238,29 @@ impl<'a> Lowerer<'a> {
                 format!("block '{}' is passed at two package positions with different roots", self.block),
             ));
         }
-        Ok(params
-            .iter()
-            .zip(tys)
-            .zip(bound)
-            .map(|((p, ty), root)| IrParam { name: p.name.clone(), direction: p.direction, ty, root })
-            .collect())
-    }
-
-    fn ctx_for_params(params: &[IrParam]) -> Ctx {
         let mut ctx = Ctx::new();
-        for p in params {
+        let mut irparams = Vec::with_capacity(params.len());
+        for ((p, ty), root) in params.iter().zip(tys).zip(bound) {
             // A bound parameter is stored at its root, so every path the
             // block touches is already global pipeline state.
-            let path = p.root.as_deref().unwrap_or(&p.name);
-            ctx.declare(&p.name, p.ty.clone(), Path::new(path));
+            let path = Path::new(root.as_deref().unwrap_or(&p.name));
+            let (mut headers, mut stacks) = (Vec::new(), Vec::new());
+            self.instances_of(&ty, &path, &mut headers, Some(&mut stacks))?;
+            ctx.declare(&p.name, ty, path);
+            irparams.push(IrParam {
+                name: p.name.clone(),
+                direction: p.direction,
+                headers,
+                stacks,
+                root,
+            });
         }
-        ctx
+        Ok((irparams, ctx))
     }
 
     fn lower_parser(&mut self, p: &ast::ParserDecl, roots: &[&[&str]]) -> LResult<IrParser> {
         self.block = p.name.clone();
-        let params = self.lower_params(&p.params, roots, p.span)?;
-        let mut ctx = Self::ctx_for_params(&params);
+        let (params, mut ctx) = self.lower_params(&p.params, roots, p.span)?;
         ctx.in_parser = true;
         // Parser locals.
         let mut prelude = Vec::new();
@@ -293,8 +315,7 @@ impl<'a> Lowerer<'a> {
 
     fn lower_control(&mut self, c: &ast::ControlDecl, roots: &[&[&str]]) -> LResult<IrControl> {
         self.block = c.name.clone();
-        let params = self.lower_params(&c.params, roots, c.span)?;
-        let mut ctx = Self::ctx_for_params(&params);
+        let (params, mut ctx) = self.lower_params(&c.params, roots, c.span)?;
         for a in &c.actions {
             ctx.actions.insert(a.name.clone(), a.params.clone());
         }
@@ -486,10 +507,14 @@ impl<'a> Lowerer<'a> {
                 let t = self.env.resolve(ty, *span)?;
                 let path = Path::new(format!("{}::{}", self.block, name));
                 match &t {
-                    Type::Struct(tn) | Type::Header(tn) => {
-                        // Aggregate local: declare each leaf slot.
+                    Type::Struct(_) | Type::Header(_) => {
+                        // Aggregate local: declare each leaf slot. A header
+                        // local's `$valid` is not declared but starts false.
                         let id = self.stmt_id(format!("decl {name}"), *span);
-                        for (leaf, w) in self.leaves_of(tn, &path)? {
+                        let mut leaves = Vec::new();
+                        self.leaves_of(&t, &path, &mut leaves)?;
+                        let skip = usize::from(matches!(t, Type::Header(_)));
+                        for (leaf, w) in leaves.into_iter().skip(skip) {
                             out.push(IrStmt::DeclVar { id, path: leaf, width: w });
                         }
                         if matches!(t, Type::Header(_)) {
@@ -632,14 +657,16 @@ impl<'a> Lowerer<'a> {
     ) -> LResult<()> {
         let lt = self.type_of(lhs, ctx)?;
         // Aggregate copy: field-wise.
-        if let Type::Struct(tn) | Type::Header(tn) = &lt {
+        if let Type::Struct(_) | Type::Header(_) = &lt {
             let dst = self.lvalue_path(lhs, ctx, out)?;
             let src = self.lvalue_path(rhs, ctx, out)?;
             let id = self.stmt_id(format!("copy {dst}"), span);
-            for (leaf, w) in self.leaves_of(tn, &Path::new(""))? {
-                let rel = leaf.as_str().trim_start_matches('.');
-                let d = Path::new(format!("{}.{}", dst, rel));
-                let s = Path::new(format!("{}.{}", src, rel));
+            let (mut dsts, mut srcs) = (Vec::new(), Vec::new());
+            self.leaves_of(&lt, &dst, &mut dsts)?;
+            self.leaves_of(&lt, &src, &mut srcs)?;
+            // A header's own `$valid` is copied last.
+            let skip = usize::from(matches!(lt, Type::Header(_)));
+            for ((d, w), (s, _)) in dsts.into_iter().zip(srcs).skip(skip) {
                 out.push(IrStmt::Assign {
                     id,
                     target: d,
@@ -734,52 +761,136 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Leaf scalar slots of a struct/header type relative to `base`:
-    /// `(path, width)` pairs, including nested structs, headers (validity
-    /// slots included for nested headers), and stacks.
-    fn leaves_of(&self, type_name: &str, base: &Path) -> LResult<Vec<(Path, u32)>> {
-        let mut out = Vec::new();
-        self.collect_leaves(type_name, base, &mut out)?;
-        Ok(out)
-    }
+    // ---- layouts -------------------------------------------------------------
 
-    fn collect_leaves(
-        &self,
-        type_name: &str,
-        base: &Path,
-        out: &mut Vec<(Path, u32)>,
-    ) -> LResult<()> {
-        let fields = self.env.fields_of(type_name).ok_or_else(|| {
-            FrontendError::typecheck(Span::default(), format!("unknown aggregate '{type_name}'"))
-        })?;
-        for f in fields {
-            let fp = base.child(&f.name);
-            match &f.ty {
-                Type::Struct(sn) => self.collect_leaves(sn, &fp, out)?,
-                Type::Header(hn) => {
-                    out.push((fp.valid(), 1));
-                    self.collect_leaves(hn, &fp, out)?;
-                }
-                Type::Stack(elem, n) => {
-                    if let Type::Header(hn) = elem.as_ref() {
-                        out.push((fp.next_index(), 32));
-                        for i in 0..*n {
-                            let ep = fp.indexed(i);
-                            out.push((ep.valid(), 1));
-                            self.collect_leaves(hn, &ep, out)?;
-                        }
-                    }
-                }
-                t => {
-                    let w = t.width(self.env).ok_or_else(|| {
-                        FrontendError::typecheck(
-                            Span::default(),
-                            format!("field {fp} has no width"),
-                        )
-                    })?;
-                    out.push((fp, w));
+    /// Leaf scalar slots `(path, width)` of a value of type `ty` at
+    /// `base`, in declaration order: nested structs, stacks (`$next`
+    /// first) and headers, each header's slots taken from its interned
+    /// layout (`$valid`, then each field and a varbit's `$len`).
+    fn leaves_of(&mut self, ty: &Type, base: &Path, out: &mut Vec<(Path, u32)>) -> LResult<()> {
+        match ty {
+            Type::Header(hn) => {
+                let id = self.header_id(hn, base)?;
+                self.header_leaves(id, out);
+            }
+            Type::Struct(sn) => {
+                let env = self.env;
+                let fields = env.fields_of(sn).ok_or_else(|| {
+                    FrontendError::typecheck(Span::default(), format!("unknown aggregate '{sn}'"))
+                })?;
+                for f in fields {
+                    self.leaves_of(&f.ty, &base.child(&f.name), out)?;
                 }
             }
+            Type::Stack(elem, n) => {
+                if let Type::Header(hn) = elem.as_ref() {
+                    let id = self.stack_id(hn, *n, base)?;
+                    let stack = &self.stacks[id.0 as usize];
+                    out.push((stack.next.clone(), 32));
+                    for &e in &stack.elements {
+                        self.header_leaves(e, out);
+                    }
+                }
+            }
+            t => {
+                let w = t.width(self.env).ok_or_else(|| {
+                    FrontendError::typecheck(Span::default(), format!("field {base} has no width"))
+                })?;
+                out.push((base.clone(), w));
+            }
+        }
+        Ok(())
+    }
+
+    fn header_leaves(&self, id: HeaderId, out: &mut Vec<(Path, u32)>) {
+        let h = &self.headers[id.0 as usize];
+        out.push((h.valid.clone(), 1));
+        for f in &h.fields {
+            out.push((f.path.clone(), f.width));
+            out.extend(f.varbit_len.iter().map(|len| (len.clone(), 32)));
+        }
+    }
+
+    /// The id of the header instance of type `type_name` at `path`,
+    /// interning its layout on first use. A path holds one layout per
+    /// header type that is stored at it.
+    fn header_id(&mut self, type_name: &str, path: &Path) -> LResult<HeaderId> {
+        let key = (path.clone(), type_name.to_string());
+        if let Some(&id) = self.header_ids.get(&key) {
+            return Ok(id);
+        }
+        let env = self.env;
+        let decl = env.fields_of(type_name).ok_or_else(|| {
+            FrontendError::typecheck(Span::default(), format!("unknown header type '{type_name}'"))
+        })?;
+        let mut fields = Vec::with_capacity(decl.len());
+        for f in decl {
+            let fp = path.child(&f.name);
+            let (width, varbit_len) = match &f.ty {
+                Type::Varbit(max) => (*max, Some(fp.child("$len"))),
+                t => (t.width(env).ok_or_else(|| {
+                    FrontendError::typecheck(Span::default(), format!("field {fp} has no width"))
+                })?, None),
+            };
+            if width > 0 {
+                fields.push(FieldLayout { path: fp, width, varbit_len });
+            }
+        }
+        let id = HeaderId(self.headers.len() as u32);
+        self.headers.push(HeaderLayout { path: path.clone(), valid: path.valid(), fields });
+        self.header_ids.insert(key, id);
+        Ok(id)
+    }
+
+    /// The id of the stack of `n` headers of type `elem` at `path`,
+    /// interning its layout (and its elements') on first use.
+    fn stack_id(&mut self, elem: &str, n: u32, path: &Path) -> LResult<StackId> {
+        let key = (path.clone(), elem.to_string(), n);
+        if let Some(&id) = self.stack_ids.get(&key) {
+            return Ok(id);
+        }
+        let elements = (0..n)
+            .map(|i| self.header_id(elem, &path.indexed(i)))
+            .collect::<LResult<_>>()?;
+        let id = StackId(self.stacks.len() as u32);
+        self.stacks.push(StackLayout { path: path.clone(), next: path.next_index(), elements });
+        self.stack_ids.insert(key, id);
+        Ok(id)
+    }
+
+    /// Push the header instances below a value of type `ty` at `base` onto
+    /// `headers`, in declaration order. Each stack goes onto `stacks` when
+    /// that is given; otherwise its elements go onto `headers` in place
+    /// (the order a deparser emits them in).
+    fn instances_of(
+        &mut self,
+        ty: &Type,
+        base: &Path,
+        headers: &mut Vec<HeaderId>,
+        mut stacks: Option<&mut Vec<StackId>>,
+    ) -> LResult<()> {
+        match ty {
+            Type::Header(hn) => headers.push(self.header_id(hn, base)?),
+            Type::Struct(sn) => {
+                let env = self.env;
+                let fields = env.fields_of(sn).ok_or_else(|| {
+                    FrontendError::typecheck(Span::default(), format!("unknown struct {sn}"))
+                })?;
+                for f in fields {
+                    let fp = base.child(&f.name);
+                    self.instances_of(&f.ty, &fp, headers, stacks.as_deref_mut())?;
+                }
+            }
+            Type::Stack(elem, n) => {
+                if let Type::Header(hn) = elem.as_ref() {
+                    let id = self.stack_id(hn, *n, base)?;
+                    match stacks {
+                        Some(stacks) => stacks.push(id),
+                        None => headers.extend_from_slice(&self.stacks[id.0 as usize].elements),
+                    }
+                }
+            }
+            _ => {}
         }
         Ok(())
     }
@@ -821,33 +932,17 @@ impl<'a> Lowerer<'a> {
                         let target = Self::arg(args, 0, span, "emit")?;
                         let ht = self.type_of(target, ctx)?;
                         let hp = self.lvalue_path(target, ctx, out)?;
-                        let id = self.stmt_id(format!("emit {hp}"), span);
-                        match ht {
-                            Type::Header(hn) => {
-                                out.push(IrStmt::Emit { id, header: hp, ty: hn })
-                            }
-                            Type::Struct(sn) => {
-                                // Emit each nested header in declaration order.
-                                self.emit_struct(&sn, &hp, id, out)?;
-                            }
-                            Type::Stack(elem, n) => {
-                                if let Type::Header(hn) = elem.as_ref() {
-                                    for i in 0..n {
-                                        out.push(IrStmt::Emit {
-                                            id,
-                                            header: hp.indexed(i),
-                                            ty: hn.clone(),
-                                        });
-                                    }
-                                }
-                            }
-                            other => {
-                                return Err(FrontendError::typecheck(
-                                    span,
-                                    format!("cannot emit value of type {other}"),
-                                ))
-                            }
+                        if !matches!(ht, Type::Header(_) | Type::Struct(_) | Type::Stack(..)) {
+                            return Err(FrontendError::typecheck(
+                                span,
+                                format!("cannot emit value of type {ht}"),
+                            ));
                         }
+                        let id = self.stmt_id(format!("emit {hp}"), span);
+                        // Emit each nested header in declaration order.
+                        let mut headers = Vec::new();
+                        self.instances_of(&ht, &hp, &mut headers, None)?;
+                        out.extend(headers.into_iter().map(|header| IrStmt::Emit { id, header }));
                         Ok(())
                     }
                     (Type::Header(_), "setValid" | "setInvalid") => {
@@ -862,12 +957,16 @@ impl<'a> Lowerer<'a> {
                         out.push(IrStmt::ApplyTable { id, table: tname.clone() });
                         Ok(())
                     }
-                    (Type::Stack(_, _), "push_front" | "pop_front") => {
+                    (Type::Stack(elem, n), "push_front" | "pop_front") => {
+                        let Type::Header(hn) = elem.as_ref() else {
+                            return Err(FrontendError::typecheck(span, "stack of non-headers"));
+                        };
                         let sp = self.lvalue_path(base, ctx, out)?;
+                        let stack = self.stack_id(hn, *n, &sp)?;
                         let count =
                             args.first().and_then(|a| const_eval(self.env, a)).unwrap_or(1) as u32;
                         let id = self.stmt_id(format!("{member} {sp}"), span);
-                        out.push(IrStmt::StackOp { id, stack: sp, push: member == "push_front", count });
+                        out.push(IrStmt::StackOp { id, stack, push: member == "push_front", count });
                         Ok(())
                     }
                     (Type::Extern { name, type_args }, m) => {
@@ -944,40 +1043,6 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn emit_struct(
-        &mut self,
-        struct_name: &str,
-        base: &Path,
-        id: StmtId,
-        out: &mut Vec<IrStmt>,
-    ) -> LResult<()> {
-        let fields = self
-            .env
-            .fields_of(struct_name)
-            .ok_or_else(|| {
-                FrontendError::typecheck(Span::default(), format!("unknown struct {struct_name}"))
-            })?
-            .to_vec();
-        for f in fields {
-            let fp = base.child(&f.name);
-            match &f.ty {
-                Type::Header(hn) => {
-                    out.push(IrStmt::Emit { id, header: fp, ty: hn.clone() })
-                }
-                Type::Struct(sn) => self.emit_struct(sn, &fp, id, out)?,
-                Type::Stack(elem, n) => {
-                    if let Type::Header(hn) = elem.as_ref() {
-                        for i in 0..*n {
-                            out.push(IrStmt::Emit { id, header: fp.indexed(i), ty: hn.clone() });
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
     fn lower_extract(
         &mut self,
         args: &[Expr],
@@ -1001,6 +1066,7 @@ impl<'a> Lowerer<'a> {
                     return Err(FrontendError::typecheck(span, "stack of non-headers"));
                 };
                 let sp = self.lvalue_path(base, ctx, out)?;
+                let stack = self.stack_id(&elem_ty, n, &sp)?;
                 let id = self.stmt_id(format!("extract {sp}.next"), span);
                 let next = IrExpr::Read { path: sp.next_index(), width: 32 };
                 // else-branch: StackOutOfBounds parser error.
@@ -1024,8 +1090,7 @@ impl<'a> Lowerer<'a> {
                     let body = vec![
                         IrStmt::Extract {
                             id,
-                            header: sp.indexed(i),
-                            ty: elem_ty.clone(),
+                            header: self.stacks[stack.0 as usize].elements[i as usize],
                             varbit_len: varbit_len.clone(),
                         },
                         IrStmt::Assign {
@@ -1045,8 +1110,9 @@ impl<'a> Lowerer<'a> {
             return Err(FrontendError::typecheck(span, "extract target must be a header"));
         };
         let hp = self.lvalue_path(target, ctx, out)?;
+        let header = self.header_id(&hty, &hp)?;
         let id = self.stmt_id(format!("extract {hp}"), span);
-        out.push(IrStmt::Extract { id, header: hp, ty: hty, varbit_len });
+        out.push(IrStmt::Extract { id, header, varbit_len });
         Ok(())
     }
 

@@ -5,7 +5,7 @@
 //! only statements that survive DCE are coverable.
 
 use crate::ir::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Run all midend passes in place and rebuild the statement table.
 pub fn optimize(prog: &mut IrProgram) {
@@ -40,6 +40,41 @@ pub fn optimize(prog: &mut IrProgram) {
         }
     }
     rebuild_statement_table(prog);
+    prog.reads_parser_err = reads_parser_err(&prog.blocks);
+}
+
+/// Whether any control assigns from or branches on a `parser_err` field
+/// (see [`IrProgram::reads_parser_err`]).
+pub(crate) fn reads_parser_err(blocks: &HashMap<String, IrBlock>) -> bool {
+    fn expr_reads(e: &IrExpr) -> bool {
+        match e {
+            IrExpr::Read { path, .. } => path.as_str().contains("parser_err"),
+            IrExpr::Unary { arg, .. } => expr_reads(arg),
+            IrExpr::Binary { lhs, rhs, .. } => expr_reads(lhs) || expr_reads(rhs),
+            IrExpr::Slice { base, .. } => expr_reads(base),
+            IrExpr::Cast { arg, .. } | IrExpr::SignCast { arg, .. } => expr_reads(arg),
+            IrExpr::Mux { cond, then_e, else_e, .. } => {
+                expr_reads(cond) || expr_reads(then_e) || expr_reads(else_e)
+            }
+            _ => false,
+        }
+    }
+    fn stmt_reads(s: &IrStmt) -> bool {
+        match s {
+            IrStmt::Assign { value, .. } => expr_reads(value),
+            IrStmt::If { cond, then_s, else_s, .. } => {
+                expr_reads(cond) || then_s.iter().any(stmt_reads) || else_s.iter().any(stmt_reads)
+            }
+            _ => false,
+        }
+    }
+    blocks.values().any(|b| match b {
+        IrBlock::Control(c) => {
+            c.apply.iter().any(stmt_reads)
+                || c.actions.values().any(|a| a.body.iter().any(stmt_reads))
+        }
+        _ => false,
+    })
 }
 
 fn fold_keyset(ks: &mut IrKeyset) {
@@ -112,10 +147,9 @@ fn fold_stmt(s: IrStmt) -> FoldedStmt {
                 .collect();
             FoldedStmt::Keep(IrStmt::SwitchActionRun { id, table, cases })
         }
-        IrStmt::Extract { id, header, ty, varbit_len } => FoldedStmt::Keep(IrStmt::Extract {
+        IrStmt::Extract { id, header, varbit_len } => FoldedStmt::Keep(IrStmt::Extract {
             id,
             header,
-            ty,
             varbit_len: varbit_len.map(fold_expr),
         }),
         IrStmt::Advance { id, bits } => {

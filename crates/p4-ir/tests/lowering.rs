@@ -2,7 +2,7 @@
 
 use p4t_frontend::ast::Direction;
 use p4t_frontend::Diagnostic;
-use p4t_ir::{IrBlock, IrExpr, IrProgram, IrStmt, IrTransition, Path};
+use p4t_ir::{HeaderId, IrBlock, IrExpr, IrProgram, IrStmt, IrTransition, Path};
 
 /// Compile without package roots: parameters keep their own names.
 fn compile(src: &str) -> Result<IrProgram, Vec<Diagnostic>> {
@@ -27,6 +27,11 @@ extern Register<T, I> {
     void write(in I index, in T value);
 }
 "#;
+
+/// The storage path of an interned header instance.
+fn header_path(ir: &IrProgram, id: HeaderId) -> &str {
+    ir.header(id).path.as_str()
+}
 
 fn fig1a_ir() -> p4t_ir::IrProgram {
     let src = format!(
@@ -71,7 +76,7 @@ fn lower_fig1a_structure() {
     let start = &p.states["start"];
     assert!(matches!(
         &start.stmts[0],
-        IrStmt::Extract { header, .. } if header.as_str() == "hdr.eth"
+        IrStmt::Extract { header, .. } if header_path(&ir, *header) == "hdr.eth"
     ));
     assert!(matches!(&start.transition, IrTransition::Direct(s) if s == "accept"));
     let c = ir.control("MyIngress").expect("control block");
@@ -135,7 +140,13 @@ parser P(packet_in pkt, out headers_t hdr, inout meta_t m, inout standard_metada
         IrExpr::Binary { lhs, .. }
             if matches!(lhs.as_ref(), IrExpr::Read { path, .. } if path.as_str() == "hdr.vlans.$next")
     ));
-    assert!(matches!(&then_s[0], IrStmt::Extract { header, .. } if header.as_str() == "hdr.vlans[0]"));
+    let IrStmt::Extract { header, .. } = &then_s[0] else {
+        panic!("expected extract, got {:?}", then_s[0]);
+    };
+    // The elaborated extract names the stack's first element.
+    assert_eq!(header_path(&ir, *header), "hdr.vlans[0]");
+    assert_eq!(ir.stacks.len(), 1);
+    assert_eq!(ir.stacks[0].elements[0], *header);
     // Inner chain ends with a parser error call.
     let IrStmt::If { else_s: inner_else, .. } = &else_s[0] else {
         panic!("expected nested If");
@@ -224,7 +235,7 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 fn header_copy_expands_fieldwise() {
     let src = format!(
         r#"{PRELUDE}
-header h_t {{ bit<8> a; bit<8> b; }}
+header h_t {{ bit<8> a; bit<8> b; varbit<16> v; }}
 struct headers_t {{ h_t x; h_t y; }}
 struct meta_t {{ bit<8> z; }}
 control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
@@ -234,19 +245,28 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
     );
     let ir = compile(&src).expect("copy program lowers");
     let c = ir.control("C").unwrap();
-    // Two field copies plus the validity copy.
-    assert_eq!(c.apply.len(), 3);
-    let targets: Vec<&str> = c
+    // The field copies (a varbit's length travels with it), then validity.
+    let copies: Vec<(&str, &str, u32)> = c
         .apply
         .iter()
         .filter_map(|s| match s {
-            IrStmt::Assign { target, .. } => Some(target.as_str()),
+            IrStmt::Assign { target, value: IrExpr::Read { path, width }, .. } => {
+                Some((target.as_str(), path.as_str(), *width))
+            }
             _ => None,
         })
         .collect();
-    assert!(targets.contains(&"hdr.x.a"));
-    assert!(targets.contains(&"hdr.x.b"));
-    assert!(targets.contains(&"hdr.x.$valid"));
+    assert_eq!(c.apply.len(), copies.len());
+    assert_eq!(
+        copies,
+        vec![
+            ("hdr.x.a", "hdr.y.a", 8),
+            ("hdr.x.b", "hdr.y.b", 8),
+            ("hdr.x.v", "hdr.y.v", 16),
+            ("hdr.x.v.$len", "hdr.y.v.$len", 32),
+            ("hdr.x.$valid", "hdr.y.$valid", 1),
+        ]
+    );
 }
 
 #[test]
@@ -302,7 +322,7 @@ fn swapped_parameter_names_lower_to_their_roots() {
     let start = &ir.parser("P").unwrap().states["start"];
     assert!(matches!(
         &start.stmts[0],
-        IrStmt::Extract { header, .. } if header.as_str() == "hdr.eth"
+        IrStmt::Extract { header, .. } if header_path(&ir, *header) == "hdr.eth"
     ));
     assert!(matches!(
         &start.stmts[1],
@@ -315,7 +335,10 @@ fn swapped_parameter_names_lower_to_their_roots() {
         IrStmt::Assign { target, .. } if target.as_str() == "sm.egress_spec"
     ));
     let dep = ir.control("Dep").unwrap();
-    assert!(matches!(&dep.apply[0], IrStmt::Emit { header, .. } if header.as_str() == "hdr.eth"));
+    assert!(matches!(
+        &dep.apply[0],
+        IrStmt::Emit { header, .. } if header_path(&ir, *header) == "hdr.eth"
+    ));
 }
 
 #[test]
@@ -375,4 +398,138 @@ fn a_block_outside_the_package_keeps_its_own_names() {
         &ir.control("Spare").unwrap().apply[0],
         IrStmt::Assign { target, .. } if target.as_str() == "h.eth.etherType"
     ));
+}
+
+/// The ebpf_model package roots: `ebpfFilter(parser, filter)`.
+const EBPF_ROOTS: &[&[&str]] = &[&["hdr"], &["hdr", "accept"]];
+
+/// One program pins every layout lowering resolves: field order and
+/// widths, a varbit field's `$len`, nested struct headers, a stack, and
+/// the ebpf filter's implicit deparse list.
+#[test]
+fn lowering_resolves_header_layouts() {
+    let src = r#"
+header eth_t { bit<48> dst; bit<48> src; bit<16> etherType; }
+header vlan_t { bit<3> pcp; bit<13> vid; bit<16> etherType; }
+header opt_t { bit<8> kind; varbit<40> data; }
+struct inner_t { vlan_t a; vlan_t b; }
+struct headers_t { eth_t eth; vlan_t[3] vlans; inner_t inner; opt_t opt; }
+parser prs(packet_in pkt, out headers_t hdr) {
+    state start {
+        pkt.extract(hdr.eth);
+        pkt.extract(hdr.opt, 16);
+        transition accept;
+    }
+}
+control pipe(inout headers_t hdr, out bool pass) {
+    apply { hdr.vlans.push_front(1); pass = true; }
+}
+ebpfFilter(prs(), pipe()) main;
+"#;
+    let ir = compile_with(src, EBPF_ROOTS).expect("layout program lowers");
+    let start = &ir.parser("prs").unwrap().states["start"];
+    let fields = |id: HeaderId| -> Vec<(&str, u32, Option<&str>)> {
+        ir.header(id)
+            .fields
+            .iter()
+            .map(|f| (f.path.as_str(), f.width, f.varbit_len.as_ref().map(Path::as_str)))
+            .collect()
+    };
+
+    // Field order and widths.
+    let IrStmt::Extract { header: eth, .. } = &start.stmts[0] else {
+        panic!("expected extract, got {:?}", start.stmts[0]);
+    };
+    assert_eq!(ir.header(*eth).valid.as_str(), "hdr.eth.$valid");
+    assert_eq!(
+        fields(*eth),
+        vec![("hdr.eth.dst", 48, None), ("hdr.eth.src", 48, None), ("hdr.eth.etherType", 16, None)]
+    );
+
+    // A varbit field carries its maximum width and its `$len` slot.
+    let IrStmt::Extract { header: opt, .. } = &start.stmts[1] else {
+        panic!("expected extract, got {:?}", start.stmts[1]);
+    };
+    assert_eq!(
+        fields(*opt),
+        vec![("hdr.opt.kind", 8, None), ("hdr.opt.data", 40, Some("hdr.opt.data.$len"))]
+    );
+    let slots: Vec<&str> = ir.header(*opt).slots().map(Path::as_str).collect();
+    assert_eq!(slots, vec!["hdr.opt.$valid", "hdr.opt.kind", "hdr.opt.data", "hdr.opt.data.$len"]);
+
+    // The parser's `hdr` parameter lists the headers outside stacks in
+    // declaration order, nested struct members included, and its stack.
+    let hdr = ir.bound_param("prs", "hdr").expect("parser binds hdr");
+    let headers: Vec<&str> = hdr.headers.iter().map(|&h| header_path(&ir, h)).collect();
+    assert_eq!(headers, vec!["hdr.eth", "hdr.inner.a", "hdr.inner.b", "hdr.opt"]);
+    assert_eq!(hdr.stacks.len(), 1);
+
+    // The stack's declared size and `$next` slot; `push_front` names it.
+    let stack = ir.stack(hdr.stacks[0]);
+    assert_eq!(stack.path.as_str(), "hdr.vlans");
+    assert_eq!(stack.next.as_str(), "hdr.vlans.$next");
+    let elements: Vec<&str> = stack.elements.iter().map(|&h| header_path(&ir, h)).collect();
+    assert_eq!(elements, vec!["hdr.vlans[0]", "hdr.vlans[1]", "hdr.vlans[2]"]);
+    assert!(matches!(
+        &ir.control("pipe").unwrap().apply[0],
+        IrStmt::StackOp { stack, push: true, count: 1, .. } if *stack == hdr.stacks[0]
+    ));
+
+    // The filter's implicit deparse list is the parser's `hdr` headers,
+    // and the filter control sees the same interned instances.
+    let filter_hdr = ir.bound_param("pipe", "hdr").expect("filter binds hdr");
+    assert_eq!(filter_hdr.headers, hdr.headers);
+    assert_eq!(filter_hdr.stacks, hdr.stacks);
+    assert_eq!(ir.headers.len(), 7, "each instance is interned once");
+}
+
+/// Layouts are interned per path *and* type: the parser and the filter bind
+/// `hdr` to different header structs, and two actions declare same-named
+/// locals of different header types.
+#[test]
+fn one_path_with_two_types_gets_two_layouts() {
+    let src = r#"
+header a_t { bit<8> v; }
+header b_t { bit<16> v; bit<8> w; }
+struct ha_t { a_t tag; a_t[2] s; }
+struct hb_t { b_t tag; a_t[4] s; }
+parser prs(packet_in pkt, out ha_t hdr) {
+    state start { pkt.extract(hdr.tag); pkt.extract(hdr.s.next); transition accept; }
+}
+control pipe(inout hb_t hdr, out bool pass) {
+    action one() { a_t tmp; tmp.setValid(); }
+    action two() { b_t tmp; tmp.setValid(); }
+    table t { key = { hdr.tag.v: exact; } actions = { one; two; } default_action = one(); }
+    apply { t.apply(); hdr.s.push_front(1); pass = true; }
+}
+ebpfFilter(prs(), pipe()) main;
+"#;
+    let ir = compile_with(src, EBPF_ROOTS).expect("program lowers");
+    let widths = |id: HeaderId| -> Vec<(&str, u32)> {
+        ir.header(id).fields.iter().map(|f| (f.path.as_str(), f.width)).collect()
+    };
+    let parser = ir.bound_param("prs", "hdr").expect("parser binds hdr");
+    let filter = ir.bound_param("pipe", "hdr").expect("filter binds hdr");
+    assert_eq!(widths(parser.headers[0]), vec![("hdr.tag.v", 8)]);
+    assert_eq!(widths(filter.headers[0]), vec![("hdr.tag.v", 16), ("hdr.tag.w", 8)]);
+
+    // Each side's stack has its own declared size; the parser's `.next`
+    // extract is elaborated over two elements, the filter's push over four.
+    let sizes = |p: &p4t_ir::IrParam| ir.stack(p.stacks[0]).elements.len();
+    assert_eq!((sizes(parser), sizes(filter)), (2, 4));
+    let start = &ir.parser("prs").unwrap().states["start"];
+    let chain = format!("{:?}", start.stmts);
+    assert!(!chain.contains("hdr.s[2]"), "the parser's stack has two elements");
+
+    let locals: Vec<Vec<(&str, u32)>> = ir
+        .headers
+        .iter()
+        .enumerate()
+        .filter(|(_, h)| h.path.as_str() == "pipe::tmp")
+        .map(|(i, _)| widths(HeaderId(i as u32)))
+        .collect();
+    assert_eq!(
+        locals,
+        vec![vec![("pipe::tmp.v", 8)], vec![("pipe::tmp.v", 16), ("pipe::tmp.w", 8)]]
+    );
 }

@@ -537,21 +537,24 @@ impl<'p> Ev<'p> {
             return Ok(());
         }
         // The ebpf model deparses by re-emitting every valid header of the
-        // parsed header struct, in declaration order.
+        // parser's `hdr` parameter (its first non-packet one: a header or a
+        // struct of headers), in declaration order.
         let parser = self
             .prog
             .find_parser(&blocks[0])
             .ok_or_else(|| RefError::Trap(format!("unknown block '{}'", blocks[0])))?;
-        let mut header_ty: Option<String> = None;
-        for p in &parser.params {
-            if let Ok(Type::Struct(sn)) = self.tenv.resolve(&p.ty, p.span) {
-                header_ty = Some(sn);
-                break;
-            }
-        }
+        let hdr_ty = parser
+            .params
+            .iter()
+            .filter_map(|p| self.tenv.resolve(&p.ty, p.span).ok())
+            .find(|t| !matches!(t, Type::PacketIn | Type::PacketOut));
         let mut out = Bits::empty();
-        if let Some(sn) = header_ty {
-            out = self.concat_valid_headers(&sn, "hdr", out);
+        match hdr_ty {
+            Some(Type::Struct(sn)) => out = self.concat_valid_headers(&sn, "hdr", out),
+            Some(Type::Header(hn)) if self.env_raw("hdr.$valid").is_some_and(|v| !v.is_zero()) => {
+                out = self.concat_header_fields(&hn, "hdr", out);
+            }
+            _ => {}
         }
         out = out.concat(&self.pkt.rest());
         self.push_output(0, &out);

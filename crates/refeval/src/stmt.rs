@@ -184,6 +184,10 @@ impl<'p> Ev<'p> {
                 ft => {
                     if let Some(w) = ft.width(tenv) {
                         let v = self.decl_value(w as usize);
+                        if matches!(ft, Type::Varbit(_)) {
+                            let len = self.decl_value(32);
+                            self.write_env(format!("{fp}.$len"), len);
+                        }
                         self.write_env(fp, v);
                     }
                 }
@@ -291,7 +295,10 @@ impl<'p> Ev<'p> {
                     let Some(w) = ft.width(self.tenv) else {
                         return unsupported(format!("field '{fp}' has no width"));
                     };
+                    // A varbit's current length travels with it.
+                    let len = matches!(ft, Type::Varbit(_)).then(|| (format!("{fp}.$len"), 32));
                     out.push((fp, w as usize));
+                    out.extend(len);
                 }
             }
         }
@@ -336,14 +343,15 @@ impl<'p> Ev<'p> {
                     self.apply_table_expr(base)?;
                     return Ok(true);
                 }
-                "push_front" | "pop_front"
-                    if matches!(self.type_of(base), Some(Type::Stack(..))) =>
-                {
-                    let count = args
-                        .first()
-                        .and_then(|a| const_eval(self.tenv, a))
-                        .unwrap_or(1) as usize;
-                    return self.exec_stack_op(base, member == "push_front", count);
+                "push_front" | "pop_front" => {
+                    if let Some(Type::Stack(_, size)) = self.type_of(base) {
+                        let count = args
+                            .first()
+                            .and_then(|a| const_eval(self.tenv, a))
+                            .unwrap_or(1) as usize;
+                        let push = member == "push_front";
+                        return self.exec_stack_op(base, size as usize, push, count);
+                    }
                 }
                 _ => {}
             }
@@ -553,15 +561,15 @@ impl<'p> Ev<'p> {
         Ok(())
     }
 
-    fn exec_stack_op(&mut self, base: &Expr, push: bool, count: usize) -> EvResult<bool> {
+    /// Shift the `size`-element stack at `base` by `count`.
+    fn exec_stack_op(
+        &mut self,
+        base: &Expr,
+        size: usize,
+        push: bool,
+        count: usize,
+    ) -> EvResult<bool> {
         let (sp, _) = self.lvalue(base)?;
-        let mut size = 0usize;
-        while self.env.contains_key(&format!("{sp}[{size}].$valid")) && size < 64 {
-            size += 1;
-        }
-        if size == 0 {
-            return Ok(true);
-        }
         let snapshot: Vec<Vec<(String, Bits)>> = (0..size)
             .map(|i| {
                 let prefix = format!("{sp}[{i}].");

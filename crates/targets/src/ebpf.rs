@@ -13,8 +13,7 @@
 use p4testgen_core::state::{ExecState, FinishReason, SymOutput};
 use p4testgen_core::sym::Sym;
 use p4testgen_core::target::{ExecCtx, ExtArg, ExternOutcome, PipeStep, Target, UninitPolicy};
-use p4t_frontend::types::Type;
-use p4t_ir::{IrBlock, IrProgram, Path};
+use p4t_ir::IrProgram;
 
 /// The ebpf_model target.
 #[derive(Clone, Default)]
@@ -148,87 +147,50 @@ impl Target for EbpfModel {
 }
 
 impl EbpfModel {
-    /// Implicit deparsing: emit every valid header of the parsed header
-    /// struct in declaration order, then the unparsed payload (§6.1.3).
+    /// Implicit deparsing: emit every valid header of the parser's `hdr`
+    /// parameter in declaration order, then the unparsed payload (§6.1.3).
+    /// Only *concretely valid* headers are emitted: symbolically valid ones
+    /// would need a fork, and the filter model emits only headers whose
+    /// validity the path taken has already decided.
     fn accept_packet(&self, ctx: &mut ExecCtx, st: &mut ExecState) {
         let prog = ctx.prog;
-        // Find the parser's header struct type from its out parameter.
-        let header_ty = prog.blocks.values().find_map(|b| match b {
-            IrBlock::Parser(p) => p.params.iter().find_map(|prm| match &prm.ty {
-                Type::Struct(s) => Some(s.clone()),
-                _ => None,
-            }),
-            _ => None,
-        });
+        let deparse = prog
+            .package_args
+            .first()
+            .and_then(|parser| prog.bound_param(parser, "hdr"))
+            .map_or(&[][..], |p| &p.headers);
         let mut parts: Vec<Sym> = Vec::new();
-        if let Some(ty) = header_ty {
-            collect_valid_headers(ctx, st, &ty, &Path::new("hdr"), &mut parts);
+        for &h in deparse {
+            let h = prog.header(h);
+            let valid = st
+                .read(h.valid.as_str())
+                .and_then(|s| ctx.pool.as_const(s.term))
+                .is_some_and(|v| v.is_true());
+            if !valid {
+                continue;
+            }
+            let fields: Vec<Sym> = h
+                .fields
+                .iter()
+                .map(|f| st.read(f.path.as_str()).cloned().unwrap_or_else(|| ctx.constant(f.width, 0)))
+                .collect();
+            parts.extend(concat_all(ctx, fields));
         }
         // Followed by the remaining live packet (the unparsed payload).
         if let Some(rest) = st.packet.live_value(ctx.pool) {
             parts.push(rest);
         }
-        let payload = parts.into_iter().reduce(|a, b| {
-            let t = ctx.pool.concat(a.term, b.term);
-            Sym::with_taint(t, a.taint.concat(&b.taint))
-        });
+        let payload = concat_all(ctx, parts);
         let port = ctx.constant(9, 0);
         st.outputs.push(SymOutput { port, payload });
         st.log("ebpf: filter accepted packet".to_string());
     }
 }
 
-/// Concatenate the fields of every *concretely valid* header below a struct
-/// type. Symbolically valid headers would need a fork; the filter model only
-/// emits headers whose validity is decided by the path already taken.
-fn collect_valid_headers(
-    ctx: &mut ExecCtx,
-    st: &mut ExecState,
-    ty_name: &str,
-    base: &Path,
-    out: &mut Vec<Sym>,
-) {
-    let prog = ctx.prog;
-    let Some(fields) = prog.env.fields_of(ty_name) else {
-        return;
-    };
-    let fields: Vec<_> = fields.to_vec();
-    for f in fields {
-        let fp = base.child(&f.name);
-        match &f.ty {
-            Type::Header(hn) => {
-                let valid = st
-                    .read(fp.valid().as_str())
-                    .and_then(|s| ctx.pool.as_const(s.term))
-                    .map(|v| v.is_true())
-                    .unwrap_or(false);
-                if valid {
-                    let mut header_bits: Option<Sym> = None;
-                    let hfields: Vec<_> = prog.env.fields_of(hn).unwrap_or(&[]).to_vec();
-                    for hf in hfields {
-                        let w = hf.ty.width(&prog.env).unwrap_or(0);
-                        if w == 0 {
-                            continue;
-                        }
-                        let v = st
-                            .read(fp.child(&hf.name).as_str())
-                            .cloned()
-                            .unwrap_or_else(|| ctx.constant(w, 0));
-                        header_bits = Some(match header_bits {
-                            None => v,
-                            Some(a) => {
-                                let t = ctx.pool.concat(a.term, v.term);
-                                Sym::with_taint(t, a.taint.concat(&v.taint))
-                            }
-                        });
-                    }
-                    if let Some(h) = header_bits {
-                        out.push(h);
-                    }
-                }
-            }
-            Type::Struct(sn) => collect_valid_headers(ctx, st, sn, &fp, out),
-            _ => {}
-        }
-    }
+/// Concatenate values MSB-first, left to right.
+fn concat_all(ctx: &mut ExecCtx, parts: Vec<Sym>) -> Option<Sym> {
+    parts.into_iter().reduce(|a, b| {
+        let t = ctx.pool.concat(a.term, b.term);
+        Sym::with_taint(t, a.taint.concat(&b.taint))
+    })
 }

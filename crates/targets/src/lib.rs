@@ -21,6 +21,8 @@
 //! [`quirks`] documents the expected cross-target behavioral differences
 //! the differential harness tolerates (`p4testgen diff --cross`).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod common;
 pub mod ebpf;
 pub mod quirks;

@@ -295,7 +295,7 @@ impl Target for Tofino {
                 if let Some(err) = st.read("$parser_error").cloned() {
                     if st.flag("in_ingress") == 1 {
                         st.write("ig_prsr_md.parser_err", err);
-                        if program_reads_parser_err(ctx.prog) {
+                        if ctx.prog.reads_parser_err {
                             st.log(
                                 "tna: parser error, program reads parser_err -> continue"
                                     .to_string(),
@@ -398,23 +398,23 @@ impl Target for Tofino {
         ctx: &mut ExecCtx,
         st: &mut ExecState,
     ) -> ExternOutcome {
-        match name {
-            "read" if instance.is_some() => {
+        match (name, instance) {
+            ("read", Some(inst)) => {
                 // TNA Register.read(index): value-returning, so lowering
                 // appended an Out temp as the final argument.
                 if let Some(ExtArg::Out(p, w)) = args.last() {
                     let idx = args[0].value().clone();
-                    register_read(ctx, st, instance.unwrap(), &idx, &(p.clone(), *w));
+                    register_read(ctx, st, inst, &idx, &(p.clone(), *w));
                 }
                 ExternOutcome::Handled
             }
-            "write" if instance.is_some() => {
+            ("write", Some(inst)) => {
                 let idx = args[0].value().clone();
                 let val = args[1].value().clone();
-                register_write(st, instance.unwrap(), &idx, &val);
+                register_write(st, inst, &idx, &val);
                 ExternOutcome::Handled
             }
-            "get" if instance.is_some() => {
+            ("get", Some(_)) => {
                 // Hash.get(data) (concolic) or Random.get() (taint).
                 if let Some(ExtArg::Out(p, w)) = args.last() {
                     if args.len() >= 2 {
@@ -428,7 +428,7 @@ impl Target for Tofino {
                 }
                 ExternOutcome::Handled
             }
-            "add" | "subtract" => {
+            ("add" | "subtract", _) => {
                 // Checksum unit accumulation: remember the inputs.
                 let inst = instance.unwrap_or("");
                 let n = st.bump_flag(&format!("csum_inputs_{inst}"));
@@ -437,11 +437,11 @@ impl Target for Tofino {
                 }
                 ExternOutcome::Handled
             }
-            "verify" if instance.is_some() => {
+            ("verify", Some(inst)) => {
                 // Checksum.verify(): true iff the accumulated data checksums
                 // to zero — concolic.
                 if let Some(ExtArg::Out(p, _)) = args.last() {
-                    let inputs = collect_csum_inputs(st, instance.unwrap_or(""));
+                    let inputs = collect_csum_inputs(st, inst);
                     let r = concolic_hash(ctx, st, "csum16", &inputs, 16);
                     let zero = ctx.constant(16, 0);
                     let ok = ctx.pool.eq(r.term, zero.term);
@@ -450,7 +450,7 @@ impl Target for Tofino {
                 }
                 ExternOutcome::Handled
             }
-            "execute" => {
+            ("execute", _) => {
                 // Meter color is control-plane configuration, like register
                 // contents: deterministic per test.
                 if let Some(ExtArg::Out(p, w)) = args.last() {
@@ -462,17 +462,17 @@ impl Target for Tofino {
                 }
                 ExternOutcome::Handled
             }
-            "count" => ExternOutcome::Handled,
-            "emit" if instance.is_some() => {
+            ("count", _) => ExternOutcome::Handled,
+            ("emit", Some(inst)) => {
                 // Mirror.emit / Resubmit.emit (Fig. 4's resubmit path): the
                 // packet re-enters the ingress pipeline; bounded.
                 if st.flag("resubmit_count") < 1 {
                     st.bump_flag("resubmit_count");
-                    st.log(format!("{}: resubmit/mirror emit", instance.unwrap()));
+                    st.log(format!("{}: resubmit/mirror emit", inst));
                 }
                 ExternOutcome::Handled
             }
-            "pack" => ExternOutcome::Handled, // Digest: control-plane only
+            ("pack", _) => ExternOutcome::Handled, // Digest: control-plane only
             _ => ExternOutcome::Unknown,
         }
     }
@@ -516,18 +516,6 @@ fn skip_to_pipeline_end(st: &mut ExecState, pipeline_len: usize) {
     st.continuations.push(Cmd::PipeStep(pipeline_len - 1));
 }
 
-/// Whether the program reads the ingress `parser_err` field, which changes
-/// Tofino's drop-on-parser-error behavior (Appendix A.1).
-fn program_reads_parser_err(prog: &IrProgram) -> bool {
-    prog.blocks.values().any(|b| match b {
-        p4t_ir::IrBlock::Control(c) => {
-            c.apply.iter().any(stmt_reads_parser_err)
-                || c.actions.values().any(|a| a.body.iter().any(stmt_reads_parser_err))
-        }
-        _ => false,
-    })
-}
-
 fn collect_csum_inputs(st: &ExecState, instance: &str) -> Vec<Sym> {
     let prefix = format!("$csum.{instance}.");
     let mut items: Vec<(String, Sym)> = st
@@ -537,31 +525,4 @@ fn collect_csum_inputs(st: &ExecState, instance: &str) -> Vec<Sym> {
         .collect();
     items.sort_by(|a, b| a.0.cmp(&b.0));
     items.into_iter().map(|(_, v)| v).collect()
-}
-
-fn stmt_reads_parser_err(s: &p4t_ir::IrStmt) -> bool {
-    fn expr_reads(e: &p4t_ir::IrExpr) -> bool {
-        match e {
-            p4t_ir::IrExpr::Read { path, .. } => path.as_str().contains("parser_err"),
-            p4t_ir::IrExpr::Unary { arg, .. } => expr_reads(arg),
-            p4t_ir::IrExpr::Binary { lhs, rhs, .. } => expr_reads(lhs) || expr_reads(rhs),
-            p4t_ir::IrExpr::Slice { base, .. } => expr_reads(base),
-            p4t_ir::IrExpr::Cast { arg, .. } | p4t_ir::IrExpr::SignCast { arg, .. } => {
-                expr_reads(arg)
-            }
-            p4t_ir::IrExpr::Mux { cond, then_e, else_e, .. } => {
-                expr_reads(cond) || expr_reads(then_e) || expr_reads(else_e)
-            }
-            _ => false,
-        }
-    }
-    match s {
-        p4t_ir::IrStmt::Assign { value, .. } => expr_reads(value),
-        p4t_ir::IrStmt::If { cond, then_s, else_s, .. } => {
-            expr_reads(cond)
-                || then_s.iter().any(stmt_reads_parser_err)
-                || else_s.iter().any(stmt_reads_parser_err)
-        }
-        _ => false,
-    }
 }

@@ -323,23 +323,23 @@ impl Target for V1Model {
         ctx: &mut ExecCtx,
         st: &mut ExecState,
     ) -> ExternOutcome {
-        match name {
-            "mark_to_drop" => {
+        match (name, instance) {
+            ("mark_to_drop", _) => {
                 let drop = ctx.constant(9, DROP_PORT);
                 st.write("sm.egress_spec", drop);
                 let z = ctx.constant(16, 0);
                 st.write("sm.mcast_grp", z);
                 ExternOutcome::Handled
             }
-            "verify_checksum" | "verify_checksum_with_payload" => {
+            ("verify_checksum" | "verify_checksum_with_payload", _) => {
                 self.do_verify_checksum(name, args, ctx, st);
                 ExternOutcome::Handled
             }
-            "update_checksum" | "update_checksum_with_payload" => {
+            ("update_checksum" | "update_checksum_with_payload", _) => {
                 self.do_update_checksum(name, args, ctx, st);
                 ExternOutcome::Handled
             }
-            "hash" => {
+            ("hash", _) => {
                 // hash(out result, algo, base, data, max)
                 let ExtArg::Out(out_path, out_w) = &args[0] else {
                     return ExternOutcome::Handled;
@@ -361,7 +361,7 @@ impl Target for V1Model {
                 st.write(out_path.as_str(), Sym::clean(result, *out_w));
                 ExternOutcome::Handled
             }
-            "random" => {
+            ("random", _) => {
                 // Unpredictable output: fully tainted (§5.3).
                 let ExtArg::Out(out_path, out_w) = &args[0] else {
                     return ExternOutcome::Handled;
@@ -370,26 +370,26 @@ impl Target for V1Model {
                 st.write(out_path.as_str(), r);
                 ExternOutcome::Handled
             }
-            "read" if instance.is_some() => {
+            ("read", Some(inst)) => {
                 // register.read(out result, in index)
                 let ExtArg::Out(p, w) = &args[0] else {
                     return ExternOutcome::Handled;
                 };
                 let idx = args[1].value().clone();
-                register_read(ctx, st, instance.unwrap(), &idx, &(p.clone(), *w));
+                register_read(ctx, st, inst, &idx, &(p.clone(), *w));
                 ExternOutcome::Handled
             }
-            "write" if instance.is_some() => {
+            ("write", Some(inst)) => {
                 let idx = args[0].value().clone();
                 let val = args[1].value().clone();
-                register_write(st, instance.unwrap(), &idx, &val);
+                register_write(st, inst, &idx, &val);
                 ExternOutcome::Handled
             }
-            "count" => {
+            ("count", _) => {
                 st.log(format!("counter {:?} counted", instance));
                 ExternOutcome::Handled
             }
-            "execute_meter" | "read_meter" => {
+            ("execute_meter" | "read_meter", _) => {
                 // Meter state is control-plane configuration (§6: "P4Testgen
                 // can also initialize externs such as registers, meters,
                 // counters"): the color is a fresh clean variable whose
@@ -403,7 +403,7 @@ impl Target for V1Model {
                 }
                 ExternOutcome::Handled
             }
-            "truncate" => {
+            ("truncate", _) => {
                 if let ExtArg::Val(len) = &args[0] {
                     if let Some(bytes) = ctx.pool.as_const(len.term).and_then(|v| v.to_u64()) {
                         st.set_flag("truncate_bytes", bytes);
@@ -411,24 +411,24 @@ impl Target for V1Model {
                 }
                 ExternOutcome::Handled
             }
-            "resubmit_preserving_field_list" => {
+            ("resubmit_preserving_field_list", _) => {
                 st.set_flag("resubmit", 1);
                 st.log("resubmit requested".to_string());
                 ExternOutcome::Handled
             }
-            "recirculate_preserving_field_list" => {
+            ("recirculate_preserving_field_list", _) => {
                 st.set_flag("recirculate", 1);
                 st.log("recirculate requested".to_string());
                 ExternOutcome::Handled
             }
-            "clone" | "clone_preserving_field_list" => {
+            ("clone" | "clone_preserving_field_list", _) => {
                 let session = args[1].value().clone();
                 st.write("$clone_session", session);
                 st.set_flag("clone_pending", 1);
                 st.log("clone requested".to_string());
                 ExternOutcome::Handled
             }
-            "assert" | "assume" => {
+            ("assert" | "assume", _) => {
                 // Both restrict the path (assume semantics during generation;
                 // the concrete models treat failed asserts as crashes).
                 if let ExtArg::Val(c) = &args[0] {
@@ -436,7 +436,7 @@ impl Target for V1Model {
                 }
                 ExternOutcome::Handled
             }
-            "digest" | "log_msg" => {
+            ("digest" | "log_msg", _) => {
                 st.log(format!("extern {name} (no-op in test generation)"));
                 ExternOutcome::Handled
             }
