@@ -6,6 +6,8 @@
 //! of each P4 construct, with the target consulted for extern calls, hooks,
 //! and policies.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::state::{Cmd, ExecState, FinishReason};
 use crate::sym::{Sym, SymOps};
 use crate::tables;

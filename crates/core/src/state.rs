@@ -3,6 +3,19 @@
 //! the symbolic environment, collected path constraints, the packet model,
 //! the continuation stack, synthesized control-plane objects, concolic
 //! bindings, coverage, and an execution trace.
+//!
+//! A state is independent in what it means, not in what it stores. Forks
+//! share storage: every per-path collection except the small stacks a fork
+//! changes at once (`trail`, `constraints`, `fingerprint`,
+//! `continuations`) sits behind a copy-on-write [`Shared`] handle, and the
+//! trace is a persistent [`Trace`] list. A fork is then a few reference
+//! count bumps plus those four small copies. The first write to a shared
+//! collection on either side copies that one collection, and a write that
+//! changes nothing (removing an absent slot, covering a covered statement,
+//! writing the value a slot already holds) copies nothing. Many forks are
+//! proved infeasible and dropped before they write to any of them.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::packet::PacketModel;
 use crate::sym::Sym;
@@ -10,6 +23,118 @@ use p4t_ir::{IrStmt, StmtId};
 use p4t_smt::fingerprint::FingerprintFrame;
 use p4t_smt::{BitVec, TermId, TermPool};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+use std::ops::{Bound, Deref, DerefMut};
+use std::sync::Arc;
+
+/// A copy-on-write value: clones share it, reads go through [`Deref`], and
+/// the first write through [`DerefMut`] on a shared value copies it.
+pub struct Shared<T>(Arc<T>);
+
+impl<T: Clone> Shared<T> {
+    /// Mutable access, copying the value first if another handle shares it.
+    fn make_mut(this: &mut Self) -> &mut T {
+        Arc::make_mut(&mut this.0)
+    }
+}
+
+impl<T> Clone for Shared<T> {
+    fn clone(&self) -> Self {
+        Shared(Arc::clone(&self.0))
+    }
+}
+
+impl<T: Default> Default for Shared<T> {
+    fn default() -> Self {
+        Shared(Arc::default())
+    }
+}
+
+impl<T> Deref for Shared<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T: Clone> DerefMut for Shared<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        Shared::make_mut(self)
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Shared<T>
+where
+    &'a T: IntoIterator,
+{
+    type Item = <&'a T as IntoIterator>::Item;
+    type IntoIter = <&'a T as IntoIterator>::IntoIter;
+    fn into_iter(self) -> Self::IntoIter {
+        (&*self.0).into_iter()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// The human-readable execution trace: a persistent list whose newest
+/// entry points at the one before it. A push allocates one node and a fork
+/// shares the whole history.
+#[derive(Clone, Default)]
+pub struct Trace(Option<Arc<TraceNode>>);
+
+struct TraceNode {
+    msg: String,
+    prev: Option<Arc<TraceNode>>,
+}
+
+impl Trace {
+    fn push(&mut self, msg: String) {
+        let prev = self.0.take();
+        self.0 = Some(Arc::new(TraceNode { msg, prev }));
+    }
+
+    /// The newest entry.
+    pub fn last(&self) -> Option<&str> {
+        self.0.as_deref().map(|n| n.msg.as_str())
+    }
+
+    /// The entries, newest first.
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        std::iter::successors(self.0.as_deref(), |n| n.prev.as_deref()).map(|n| n.msg.as_str())
+    }
+
+    /// The entries in push order, in a `Vec` of exactly their number (a
+    /// test keeps it for the rest of the run).
+    pub fn to_vec(&self) -> Vec<String> {
+        let mut v = Vec::with_capacity(self.iter().count());
+        v.extend(self.iter().map(str::to_owned));
+        v.reverse();
+        v
+    }
+}
+
+impl Drop for Trace {
+    /// Unlink the nodes this trace holds the last reference to in a loop:
+    /// the default drop would recurse once per entry.
+    fn drop(&mut self) {
+        let mut next = self.0.take();
+        while let Some(node) = next {
+            // `into_inner` is `None` while another trace shares the node;
+            // exactly one of the racing owners sees `Some`.
+            next = Arc::into_inner(node).and_then(|mut n| n.prev.take());
+        }
+    }
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.to_vec()).finish()
+    }
+}
 
 /// A continuation command. The continuation stack generalizes control flow
 /// (§5.1.2): target pipelines, recirculation, and block chaining are all
@@ -113,7 +238,7 @@ pub struct ExecState {
     /// iteration (e.g. [`ExecState::slots`], used for clone / resubmit
     /// metadata) is deterministic and independent of insertion history — a
     /// requirement for reproducible parallel exploration.
-    env: BTreeMap<String, Sym>,
+    env: Shared<BTreeMap<String, Sym>>,
     /// Path constraints (1-bit terms), in collection order. Append-only:
     /// `fingerprint` folds a prefix of it.
     pub constraints: Vec<TermId>,
@@ -121,21 +246,21 @@ pub struct ExecState {
     /// key. Forks clone it, and a feasibility check folds in only the
     /// constraints added since the last check on this path's lineage.
     pub fingerprint: FingerprintFrame,
-    pub packet: PacketModel,
+    pub packet: Shared<PacketModel>,
     /// Continuation stack; the top (last) element executes next.
     pub continuations: Vec<Cmd>,
-    pub covered: BTreeSet<StmtId>,
-    pub entries: Vec<SynthEntry>,
-    pub concolics: Vec<ConcolicBinding>,
-    pub register_ops: Vec<RegisterOp>,
-    pub outputs: Vec<SymOutput>,
+    pub covered: Shared<BTreeSet<StmtId>>,
+    pub entries: Shared<Vec<SynthEntry>>,
+    pub concolics: Shared<Vec<ConcolicBinding>>,
+    pub register_ops: Shared<Vec<RegisterOp>>,
+    pub outputs: Shared<Vec<SymOutput>>,
     /// Target-specific counters and flags (recirculation depth, clone
     /// sessions, ...).
-    pub flags: HashMap<String, u64>,
+    pub flags: Shared<HashMap<String, u64>>,
     /// Parser state visit counts (loop bounding).
-    pub visits: HashMap<(String, String), u32>,
+    pub visits: Shared<HashMap<(String, String), u32>>,
     /// Human-readable execution trace.
-    pub trace: Vec<String>,
+    pub trace: Trace,
     pub finished: Option<FinishReason>,
     /// Depth in the exploration tree (for selector heuristics).
     pub depth: u32,
@@ -146,25 +271,26 @@ impl ExecState {
         ExecState {
             id,
             trail: Vec::new(),
-            env: BTreeMap::new(),
+            env: Shared::default(),
             constraints: Vec::new(),
             fingerprint: FingerprintFrame::default(),
-            packet: PacketModel::new(),
+            packet: Shared::default(),
             continuations: Vec::new(),
-            covered: BTreeSet::new(),
-            entries: Vec::new(),
-            concolics: Vec::new(),
-            register_ops: Vec::new(),
-            outputs: Vec::new(),
-            flags: HashMap::new(),
-            visits: HashMap::new(),
-            trace: Vec::new(),
+            covered: Shared::default(),
+            entries: Shared::default(),
+            concolics: Shared::default(),
+            register_ops: Shared::default(),
+            outputs: Shared::default(),
+            flags: Shared::default(),
+            visits: Shared::default(),
+            trace: Trace::default(),
             finished: None,
             depth: 0,
         }
     }
 
-    /// Fork this state with a new id.
+    /// Fork this state with a new id. The fork shares every [`Shared`]
+    /// collection and the trace with `self`.
     pub fn fork(&self, id: u64) -> ExecState {
         let mut s = self.clone();
         s.id = id;
@@ -182,18 +308,39 @@ impl ExecState {
     }
 
     pub fn write(&mut self, path: &str, value: Sym) {
-        self.env.insert(path.to_string(), value);
+        if self.env.get(path) == Some(&value) {
+            return;
+        }
+        match self.env.get_mut(path) {
+            Some(slot) => *slot = value,
+            None => {
+                self.env.insert(path.to_string(), value);
+            }
+        }
     }
 
     /// Make a slot unwritten again.
     pub fn remove(&mut self, path: &str) {
-        self.env.remove(path);
+        if self.env.contains_key(path) {
+            self.env.remove(path);
+        }
     }
 
-    /// Remove every slot whose global path starts with `prefix` (used to
-    /// reset `out` parameters and recirculation metadata).
+    /// Remove the slot `prefix` and every slot under it, `prefix.*` (used
+    /// to reset `out` parameters and recirculation metadata).
     pub fn clear_prefix(&mut self, prefix: &str) {
-        self.env.retain(|k, _| !(k == prefix || k.starts_with(&format!("{prefix}."))));
+        // The keys under `prefix.` are exactly those in
+        // [`prefix.`, `prefix/`): `/` is the byte after `.`.
+        let lo = format!("{prefix}.");
+        let hi = format!("{prefix}/");
+        let under = (Bound::Included(lo.as_str()), Bound::Excluded(hi.as_str()));
+        if !self.env.contains_key(prefix) && self.env.range::<str, _>(under).next().is_none() {
+            return;
+        }
+        let env = Shared::make_mut(&mut self.env);
+        env.remove(prefix);
+        let mut from_lo = env.split_off(lo.as_str());
+        env.append(&mut from_lo.split_off(hi.as_str()));
     }
 
     /// Iterate over all global slots (diagnostics, clone semantics).
@@ -222,7 +369,9 @@ impl ExecState {
     // ---- misc ------------------------------------------------------------------
 
     pub fn cover(&mut self, id: StmtId) {
-        self.covered.insert(id);
+        if !self.covered.contains(&id) {
+            self.covered.insert(id);
+        }
     }
 
     pub fn log(&mut self, msg: impl Into<String>) {
@@ -277,18 +426,145 @@ pub fn zero_sym(pool: &TermPool, width: u32) -> Sym {
 mod tests {
     use super::*;
 
+    impl<T> Shared<T> {
+        fn shares(&self, other: &Self) -> bool {
+            Arc::ptr_eq(&self.0, &other.0)
+        }
+    }
+
+    /// Which of the nine shared collections `a` and `b` share storage for.
+    fn sharing(a: &ExecState, b: &ExecState) -> [bool; 9] {
+        [
+            a.env.shares(&b.env),
+            a.packet.shares(&b.packet),
+            a.covered.shares(&b.covered),
+            a.entries.shares(&b.entries),
+            a.concolics.shares(&b.concolics),
+            a.register_ops.shares(&b.register_ops),
+            a.outputs.shares(&b.outputs),
+            a.flags.shares(&b.flags),
+            a.visits.shares(&b.visits),
+        ]
+    }
+
+    /// One write per shared collection, in the order of [`sharing`].
+    fn writes() -> [fn(&mut ExecState, &Sym); 9] {
+        [
+            |st, v| st.write("hdr.f", v.clone()),
+            |st, v| st.packet.emit(v.clone()),
+            |st, _| st.cover(StmtId(7)),
+            |st, _| {
+                st.entries.push(SynthEntry {
+                    table: "t".into(),
+                    keys: Vec::new(),
+                    action: "a".into(),
+                    args: Vec::new(),
+                    priority: 0,
+                })
+            },
+            |st, v| st.concolics.push(ConcolicBinding { func: "f".into(), args: vec![], result: v.term }),
+            |st, v| {
+                st.register_ops.push(RegisterOp::Write {
+                    instance: "r".into(),
+                    index: v.term,
+                    value: v.term,
+                    width: 8,
+                })
+            },
+            |st, v| st.outputs.push(SymOutput { port: v.clone(), payload: None }),
+            |st, _| st.set_flag("recirculated", 1),
+            |st, _| {
+                st.visits.insert(("p".into(), "start".into()), 1);
+            },
+        ]
+    }
+
+    #[test]
+    fn a_write_in_a_fork_splits_only_its_collection() {
+        let pool = TermPool::new();
+        let v = zero_sym(&pool, 8);
+        let mut base = ExecState::new(0);
+        base.write("hdr.g", v.clone());
+        base.log("start");
+        for (i, write) in writes().into_iter().enumerate() {
+            let expect_split: [bool; 9] = std::array::from_fn(|j| j != i);
+            // The fork writes: the parent keeps what it had.
+            let mut parent = base.fork(1);
+            let mut child = parent.fork(2);
+            assert_eq!(sharing(&parent, &child), [true; 9], "a fresh fork shares everything");
+            let before = format!("{parent:?}");
+            write(&mut child, &v);
+            assert_eq!(format!("{parent:?}"), before, "collection {i}: the fork's write leaked");
+            assert_eq!(sharing(&parent, &child), expect_split, "collection {i}");
+            // The parent writes: the fork keeps what it had.
+            let child = parent.fork(3);
+            let before = format!("{child:?}");
+            write(&mut parent, &v);
+            assert_eq!(format!("{child:?}"), before, "collection {i}: the parent's write leaked");
+            assert_eq!(sharing(&parent, &child), expect_split, "collection {i}");
+        }
+    }
+
+    #[test]
+    fn writes_that_change_nothing_keep_storage_shared() {
+        let pool = TermPool::new();
+        let v = zero_sym(&pool, 8);
+        let mut parent = ExecState::new(0);
+        parent.write("meta.x", v.clone());
+        parent.cover(StmtId(3));
+        let mut child = parent.fork(1);
+        child.cover(StmtId(3));
+        child.remove("meta.absent");
+        child.write("meta.x", v.clone());
+        child.clear_prefix("hdr");
+        assert_eq!(sharing(&parent, &child), [true; 9]);
+        child.remove("meta.x");
+        assert!(!child.env.shares(&parent.env));
+        assert!(parent.read("meta.x").is_some());
+    }
+
+    #[test]
+    fn trace_keeps_push_order_across_divergent_forks() {
+        let mut parent = ExecState::new(0);
+        parent.log("a");
+        parent.log("b");
+        let mut child = parent.fork(1);
+        child.log("c");
+        parent.log("d");
+        assert_eq!(parent.trace.to_vec(), ["a", "b", "d"]);
+        assert_eq!(child.trace.last(), Some("c"));
+        drop(parent);
+        assert_eq!(child.trace.to_vec(), ["a", "b", "c"]);
+        assert_eq!(child.trace.iter().collect::<Vec<_>>(), ["c", "b", "a"]);
+    }
+
+    #[test]
+    fn dropping_a_long_trace_does_not_overflow_the_stack() {
+        let mut parent = ExecState::new(0);
+        for _ in 0..500_000 {
+            parent.log(String::new());
+        }
+        let mut child = parent.fork(1);
+        for _ in 0..500_000 {
+            parent.log(String::new());
+            child.log(String::new());
+        }
+        drop(parent);
+        assert_eq!(child.trace.iter().count(), 1_000_000);
+        drop(child);
+    }
+
     #[test]
     fn clear_prefix_scopes_correctly() {
         let pool = TermPool::new();
         let mut st = ExecState::new(0);
         let v = zero_sym(&pool, 8);
-        st.write("meta.x", v.clone());
-        st.write("meta.y", v.clone());
-        st.write("metadata.z", v.clone());
+        for path in ["meta", "meta.x", "meta.y.z", "meta_x", "meta/x", "metadata.z"] {
+            st.write(path, v.clone());
+        }
         st.clear_prefix("meta");
-        assert!(st.read("meta.x").is_none());
-        assert!(st.read("meta.y").is_none());
-        assert!(st.read("metadata.z").is_some(), "prefix must match whole segment");
+        let left: Vec<&str> = st.slots().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(left, ["meta/x", "meta_x", "metadata.z"], "prefix must match whole segment");
     }
 
     #[test]

@@ -23,6 +23,10 @@ use std::time::Duration;
 pub struct PhaseStats {
     /// CPU time stepping the symbolic executor, summed across workers.
     pub stepping: Duration,
+    /// States forked while stepping, summed across workers.
+    pub forks: u64,
+    /// CPU time making those forks, summed; part of `stepping`.
+    pub fork: Duration,
     /// CPU time inside the solver (bit-blasting + SAT search), summed.
     pub solving: Duration,
     /// CPU time concretizing models into test specifications, summed.
@@ -40,6 +44,8 @@ pub struct PhaseStats {
 impl PhaseStats {
     pub(crate) fn absorb(&mut self, other: &PhaseStats) {
         self.stepping += other.stepping;
+        self.forks += other.forks;
+        self.fork += other.fork;
         self.solving += other.solving;
         self.emission += other.emission;
         self.busy += other.busy;
@@ -444,6 +450,8 @@ impl RunSummary {
             ("wall_ns".into(), dur(self.phases.total)),
             ("workers".into(), Value::Number(Number::U(u64::from(self.phases.workers)))),
             ("utilization".into(), Value::Number(Number::F(self.phases.utilization()))),
+            ("forks".into(), Value::Number(Number::U(self.phases.forks))),
+            ("fork_ns".into(), dur(self.phases.fork)),
         ]);
         let errors = Value::Object(vec![
             ("unknown_queries".into(), Value::Number(Number::U(self.errors.unknown_queries))),

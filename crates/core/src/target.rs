@@ -19,6 +19,7 @@ use crate::sym::havoc;
 use p4t_ir::{IrProgram, Path};
 use p4t_smt::{BitVec, TermId, TermPool};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 pub use crate::state::Cmd;
 
@@ -85,6 +86,10 @@ pub struct ExecCtx<'a> {
     pub seed: u64,
     /// Honor `@entry_restriction` annotations (P4-constraints, Table 4b).
     pub apply_entry_restrictions: bool,
+    /// Forks made through [`ExecCtx::fork`] and the time they took; the
+    /// worker folds them into `PhaseStats::{forks, fork}`.
+    pub(crate) fork_count: u64,
+    pub(crate) fork_time: Duration,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -105,15 +110,20 @@ impl<'a> ExecCtx<'a> {
             parser_loop_bound,
             seed,
             apply_entry_restrictions: true,
+            fork_count: 0,
+            fork_time: Duration::ZERO,
         }
     }
 
     /// Fork `st`, adding `constraint` to the fork. The fork continues from
     /// the same continuation stack.
     pub fn fork(&mut self, st: &ExecState, constraint: TermId) -> ExecState {
+        let t0 = Instant::now();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let mut f = st.fork(id);
         f.add_constraint(self.pool, constraint);
+        self.fork_count += 1;
+        self.fork_time += t0.elapsed();
         f
     }
 

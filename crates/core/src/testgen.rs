@@ -761,6 +761,11 @@ fn fold_run_metrics(
         .add(*n);
     }
 
+    reg.counter("p4testgen_forks_total", "states forked while stepping")
+        .add(summary.phases.forks);
+    reg.counter("p4testgen_fork_ns_total", "time making forks, part of stepping (ns)")
+        .add(summary.phases.fork.as_nanos() as u64);
+
     let s = &out.solver_stats;
     reg.counter("p4testgen_solver_checks_total", "solver checks issued").add(s.checks);
     let verdict_help = "solver verdicts by kind";

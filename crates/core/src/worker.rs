@@ -610,7 +610,7 @@ pub(crate) fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pendin
             w.errors.panics.push(PanicRecord {
                 trail: st.trail.clone(),
                 payload: payload_text,
-                last_trace: st.trace.last().cloned(),
+                last_trace: st.trace.last().map(str::to_owned),
             });
             // Step/check counts died with the unwound frame; the trail
             // survives in the state and identifies the path.
@@ -1008,6 +1008,8 @@ impl PathWorker<'_, '_> {
             let res = exec::step(&mut ctx, st, sh.target, cmd);
             let forks = std::mem::take(&mut ctx.forks);
             self.phases.stepping += t0.elapsed();
+            self.phases.forks += ctx.fork_count;
+            self.phases.fork += ctx.fork_time;
             if let Err(e) = res {
                 st.finish(FinishReason::Abandoned(e.0));
                 break;
@@ -1325,7 +1327,7 @@ impl PathWorker<'_, '_> {
             register_expect,
             outputs,
             covered_statements: st.covered.iter().map(|s| s.0).collect(),
-            trace: st.trace.clone(),
+            trace: st.trace.to_vec(),
         })
     }
 

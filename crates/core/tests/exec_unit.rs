@@ -489,3 +489,27 @@ fn deep_parser_simplification_grows_linearly() {
     let (r20, r40) = (run(20), run(40));
     assert!(r40 < 3 * r20, "rewrites grew superlinearly: {r20} at depth 20, {r40} at depth 40");
 }
+
+#[test]
+fn forks_are_counted_alike_at_any_job_count() {
+    // Every explored path makes the same forks whichever worker steps it,
+    // so the fork count is schedule-independent; the fork time is part of
+    // stepping.
+    let run = |jobs: usize| {
+        let config = TestgenConfig { jobs, ..TestgenConfig::default() };
+        let src = p4t_corpus::generate_parser_deep(20, 8);
+        let mut tg = Testgen::new("deep", &src, p4t_targets::V1Model::new(), config)
+            .expect("parser_deep compiles");
+        let summary = tg.run(|_| true);
+        let phases = &summary.phases;
+        assert!(phases.fork <= phases.stepping);
+        let json = summary.to_json();
+        let key = |k: &str| json.get("phases").and_then(|p| p.get(k)).and_then(|v| v.as_u64());
+        assert_eq!(key("forks"), Some(phases.forks));
+        assert_eq!(key("fork_ns"), Some(phases.fork.as_nanos() as u64));
+        phases.forks
+    };
+    let forks = run(1);
+    assert!(forks > 0);
+    assert_eq!(run(4), forks);
+}

@@ -1260,7 +1260,7 @@ impl<'a> Lowerer<'a> {
                     (Type::Stack(elem, n), "last") => {
                         let ew = self.width_of_type(elem, span)?;
                         let sp = self.lvalue_path(base, ctx, out)?;
-                        self.stack_element_mux(&sp, *n, ew, true)
+                        Ok(stack_mux(&sp, *n, ew, true, |el| IrExpr::Read { path: el, width: ew }))
                     }
                     (Type::Stack(_, _), "lastIndex") => {
                         let sp = self.lvalue_path(base, ctx, out)?;
@@ -1277,21 +1277,13 @@ impl<'a> Lowerer<'a> {
                     _ => {
                         // Field read through `stack.last.field` / `.next.field`:
                         // mux chain over the constant element indices.
-                        if let Expr::Member { base: sbase, member: smember, .. } = base.as_ref() {
-                            if smember == "last" || smember == "next" {
-                                if let Type::Stack(_, n) = self.type_of(sbase, ctx)? {
-                                    let t = type_of_expr(self.env, e, &ctx.scope)?;
-                                    let w = self.width_of_type(&t, span)?;
-                                    let sp = self.lvalue_path(sbase, ctx, out)?;
-                                    return self.stack_field_mux(
-                                        &sp,
-                                        n,
-                                        member,
-                                        w,
-                                        smember == "last",
-                                    );
-                                }
-                            }
+                        if let Some((sp, n, last)) = self.stack_cursor(base, ctx, out)? {
+                            let t = type_of_expr(self.env, e, &ctx.scope)?;
+                            let w = self.width_of_type(&t, span)?;
+                            return Ok(stack_mux(&sp, n, w, last, |el| IrExpr::Read {
+                                path: el.child(member),
+                                width: w,
+                            }));
                         }
                         let t = type_of_expr(self.env, e, &ctx.scope)?;
                         let w = self.width_of_type(&t, span)?;
@@ -1390,6 +1382,11 @@ impl<'a> Lowerer<'a> {
                     let bt = self.type_of(base, ctx)?;
                     match (&bt, member.as_str()) {
                         (Type::Header(_), "isValid") => {
+                            if let Some((sp, n, last)) = self.stack_cursor(base, ctx, out)? {
+                                return Ok(stack_mux(&sp, n, 1, last, |el| IrExpr::IsValid {
+                                    path: el,
+                                }));
+                            }
                             let hp = self.lvalue_path(base, ctx, out)?;
                             return Ok(IrExpr::IsValid { path: hp });
                         }
@@ -1477,55 +1474,21 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Field read through `.last`/`.next`: mux over `$next`.
-    fn stack_field_mux(
+    /// `stack.last` / `stack.next` as (stack path, stack size, whether it
+    /// is `last`); `None` for any other expression.
+    fn stack_cursor(
         &mut self,
-        sp: &Path,
-        n: u32,
-        field: &str,
-        fw: u32,
-        last: bool,
-    ) -> LResult<IrExpr> {
-        let next = IrExpr::Read { path: sp.next_index(), width: 32 };
-        let mut acc = IrExpr::Const { width: fw, value: 0 };
-        for i in (0..n).rev() {
-            let target = if last { i + 1 } else { i };
-            let cond = IrExpr::Binary {
-                op: IrBinOp::Eq,
-                lhs: Box::new(next.clone()),
-                rhs: Box::new(IrExpr::Const { width: 32, value: target as u128 }),
-                width: 1,
-            };
-            acc = IrExpr::Mux {
-                cond: Box::new(cond),
-                then_e: Box::new(IrExpr::Read { path: sp.indexed(i).child(field), width: fw }),
-                else_e: Box::new(acc),
-                width: fw,
-            };
+        e: &Expr,
+        ctx: &mut Ctx,
+        out: &mut Vec<IrStmt>,
+    ) -> LResult<Option<(Path, u32, bool)>> {
+        let Expr::Member { base, member, .. } = e else { return Ok(None) };
+        if member != "last" && member != "next" {
+            return Ok(None);
         }
-        Ok(acc)
-    }
-
-    /// `.last` (or `.next` reads): mux over `$next` (- 1 for last).
-    fn stack_element_mux(&mut self, sp: &Path, n: u32, ew: u32, last: bool) -> LResult<IrExpr> {
-        let next = IrExpr::Read { path: sp.next_index(), width: 32 };
-        let mut acc = IrExpr::Const { width: ew, value: 0 };
-        for i in (0..n).rev() {
-            let target = if last { i + 1 } else { i };
-            let cond = IrExpr::Binary {
-                op: IrBinOp::Eq,
-                lhs: Box::new(next.clone()),
-                rhs: Box::new(IrExpr::Const { width: 32, value: target as u128 }),
-                width: 1,
-            };
-            acc = IrExpr::Mux {
-                cond: Box::new(cond),
-                then_e: Box::new(IrExpr::Read { path: sp.indexed(i), width: ew }),
-                else_e: Box::new(acc),
-                width: ew,
-            };
-        }
-        Ok(acc)
+        let Type::Stack(_, n) = self.type_of(base, ctx)? else { return Ok(None) };
+        let sp = self.lvalue_path(base, ctx, out)?;
+        Ok(Some((sp, n, member == "last")))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1646,6 +1609,30 @@ impl<'a> Lowerer<'a> {
         }
         Ok(IrExpr::Binary { op: irop, lhs: Box::new(l), rhs: Box::new(r), width: out_width })
     }
+}
+
+/// A read through `stack.last` (or `stack.next`): a mux chain over `$next`
+/// that selects `arm(element path)` for element `$next - 1` (or `$next`),
+/// and a `w`-bit zero when `$next` is out of range.
+fn stack_mux(sp: &Path, n: u32, w: u32, last: bool, arm: impl Fn(Path) -> IrExpr) -> IrExpr {
+    let next = IrExpr::Read { path: sp.next_index(), width: 32 };
+    let mut acc = IrExpr::Const { width: w, value: 0 };
+    for i in (0..n).rev() {
+        let target = if last { i + 1 } else { i };
+        let cond = IrExpr::Binary {
+            op: IrBinOp::Eq,
+            lhs: Box::new(next.clone()),
+            rhs: Box::new(IrExpr::Const { width: 32, value: target as u128 }),
+            width: 1,
+        };
+        acc = IrExpr::Mux {
+            cond: Box::new(cond),
+            then_e: Box::new(arm(sp.indexed(i))),
+            else_e: Box::new(acc),
+            width: w,
+        };
+    }
+    acc
 }
 
 fn concat_all(mut parts: Vec<IrExpr>) -> IrExpr {

@@ -338,7 +338,8 @@ impl<'p> Ev<'p> {
 
     /// `stack.last.f` / `stack.next.f`: the element selected by the current
     /// next-index ($next - 1 for `last`, $next for `next`); out of range
-    /// reads as zero, matching the lowered mux chain's default arm.
+    /// reads as zero, matching the lowered mux chain's default arm. The
+    /// field `$valid` is `isValid()`: an element never made valid is not.
     fn stack_field_read(&mut self, stack: &Expr, last: bool, field: &str) -> EvResult<Bits> {
         let (sp, sty) = self.lvalue(stack)?;
         let Type::Stack(elem, n) = sty else {
@@ -347,18 +348,28 @@ impl<'p> Ev<'p> {
         let Type::Header(hn) = *elem else {
             return unsupported("stack of non-headers");
         };
-        let Some(ft) = self.tenv.field_type(&hn, field) else {
-            return unsupported(format!("unknown field '{field}' of '{hn}'"));
-        };
-        let Some(w) = self.width_of(&ft) else {
-            return unsupported("stack field has no width");
+        let w = if field == "$valid" {
+            1
+        } else {
+            let Some(ft) = self.tenv.field_type(&hn, field) else {
+                return unsupported(format!("unknown field '{field}' of '{hn}'"));
+            };
+            let Some(w) = self.width_of(&ft) else {
+                return unsupported("stack field has no width");
+            };
+            w
         };
         let next = self.read_env(&format!("{sp}.$next"), 32).to_u64().unwrap_or(u64::MAX);
         let target = if last { next.checked_sub(1) } else { Some(next) };
-        match target {
-            Some(i) if i < u64::from(n) => Ok(self.read_env(&format!("{sp}[{i}].{field}"), w)),
-            _ => Ok(Bits::zeros(w)),
-        }
+        let path = match target {
+            Some(i) if i < u64::from(n) => format!("{sp}[{i}].{field}"),
+            _ => return Ok(Bits::zeros(w)),
+        };
+        Ok(if field == "$valid" {
+            Bits::from_bool(self.env_raw(&path).is_some_and(|v| !v.is_zero()))
+        } else {
+            self.read_env(&path, w)
+        })
     }
 
     fn eval_call(&mut self, e: &Expr, ctx: Option<usize>) -> EvResult<Bits> {
@@ -366,6 +377,14 @@ impl<'p> Ev<'p> {
         if let Expr::Member { base, member, .. } = callee.as_ref() {
             match member.as_str() {
                 "isValid" => {
+                    // stack.last.isValid() / stack.next.isValid()
+                    if let Expr::Member { base: sb, member: sm, .. } = base.as_ref() {
+                        if (sm == "last" || sm == "next")
+                            && matches!(self.type_of(sb), Some(Type::Stack(..)))
+                        {
+                            return self.stack_field_read(sb, sm == "last", "$valid");
+                        }
+                    }
                     let (p, _) = self.lvalue(base)?;
                     let v = self
                         .env_raw(&format!("{p}.$valid"))

@@ -106,6 +106,43 @@ control Dep(packet_out pkt, in headers_t meta) { apply { pkt.emit(meta.eth); } }
 V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
 "#;
 
+/// `isValid()` through a stack's `.last` and `.next` cursors: both follow
+/// `$next` through parsing, an explicit `setValid` and a `pop_front`.
+const V1_STACK_CURSOR_VALIDITY: &str = r#"
+header ethernet_t { bit<48> dst; bit<48> src; bit<16> etherType; }
+header vlan_t { bit<16> tci; bit<16> etherType; }
+struct headers_t { ethernet_t eth; vlan_t[3] vlans; }
+struct meta_t { bit<8> x; }
+parser P(packet_in pkt, out headers_t hdr, inout meta_t meta, inout standard_metadata_t sm) {
+    state start {
+        pkt.extract(hdr.eth);
+        transition select(hdr.eth.etherType) { 0x8100: parse_vlan; default: accept; }
+    }
+    state parse_vlan {
+        pkt.extract(hdr.vlans.next);
+        transition select(hdr.vlans.last.etherType) { 0x8100: parse_vlan; default: accept; }
+    }
+}
+control VC(inout headers_t hdr, inout meta_t meta) { apply { } }
+control Ing(inout headers_t hdr, inout meta_t meta, inout standard_metadata_t sm) {
+    apply {
+        sm.egress_spec = 1;
+        if (hdr.vlans.last.isValid()) {
+            sm.egress_spec = 2;
+            hdr.vlans[1].setValid();
+            hdr.vlans[1].tci = 5;
+            if (hdr.vlans.next.isValid()) { sm.egress_spec = 3; }
+        }
+        hdr.vlans.pop_front(1);
+        if (hdr.vlans.last.isValid()) { hdr.eth.src = 4; }
+    }
+}
+control Eg(inout headers_t hdr, inout meta_t meta, inout standard_metadata_t sm) { apply { } }
+control CC(inout headers_t hdr, inout meta_t meta) { apply { } }
+control Dep(packet_out pkt, in headers_t hdr) { apply { pkt.emit(hdr.eth); pkt.emit(hdr.vlans); } }
+V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
+"#;
+
 /// Ingress and egress bind their header parameters to the same root
 /// `hdr`, but nothing makes them share a header struct: here the member
 /// `tag` has a different header type on each side.
@@ -219,6 +256,7 @@ fn emitted_tests_agree_across_engines_under_generation_fault_plans() {
     for (src, arch) in [
         (synthetic.as_str(), "v1model"),
         (SWAPPED_ROOTS, "v1model"),
+        (V1_STACK_CURSOR_VALIDITY, "v1model"),
         (TNA_SPLIT_HEADER_TYPES, "tna"),
         (TNA_SPLIT_STACK_SIZES, "tna"),
         (EBPF_HEADER_PARAM, "ebpf_model"),
