@@ -25,7 +25,7 @@
 //! byte-identical across solver modes and worker counts.
 
 use crate::state::ConcolicBinding;
-use p4t_smt::{eval, Assignment, BitVec, CheckResult, Solver, TermId, TermPool};
+use p4t_smt::{eval, Assignment, BitVec, CheckResult, Solver, TermId, TermPool, VarWalk};
 use std::collections::HashMap;
 
 /// A concrete implementation backing an uninterpreted extern function.
@@ -76,6 +76,7 @@ impl ConcolicRegistry {
 pub fn resolve_concolics(
     pool: &TermPool,
     solver: &mut Solver,
+    walk: &mut VarWalk,
     registry: &ConcolicRegistry,
     bindings: &[ConcolicBinding],
     path_constraints: &[TermId],
@@ -93,7 +94,7 @@ pub fn resolve_concolics(
             return None;
         }
         // Concretize arguments under the model, compute results.
-        let model = model_for(pool, solver, bindings, path_constraints);
+        let model = model_for(pool, solver, walk, bindings, path_constraints);
         let mut equalities = Vec::new();
         let mut attempt_key = Vec::new();
         for b in bindings {
@@ -123,23 +124,16 @@ pub fn resolve_concolics(
     None
 }
 
+/// The model over every variable of the bindings' arguments and the path.
 fn model_for(
     pool: &TermPool,
     solver: &Solver,
+    walk: &mut VarWalk,
     bindings: &[ConcolicBinding],
     constraints: &[TermId],
 ) -> Assignment {
-    let mut vars = Vec::new();
-    for b in bindings {
-        for &a in &b.args {
-            vars.extend(pool.vars_of(a));
-        }
-    }
-    for &c in constraints {
-        vars.extend(pool.vars_of(c));
-    }
-    vars.sort();
-    vars.dedup();
+    let args = bindings.iter().flat_map(|b| b.args.iter().copied());
+    let vars = walk.vars(pool, args.chain(constraints.iter().copied()));
     solver.model(pool, &vars)
 }
 
@@ -281,7 +275,7 @@ mod tests {
         let x = pool.fresh_var("x", 32);
         let r = pool.fresh_var("csum_result", 16);
         let bindings = vec![ConcolicBinding { func: "csum16".into(), args: vec![x], result: r }];
-        let eqs = resolve_concolics(&pool, &mut solver, &reg, &bindings, &[], 3)
+        let eqs = resolve_concolics(&pool, &mut solver, &mut VarWalk::default(), &reg, &bindings, &[], 3)
             .expect("resolvable");
         assert!(!eqs.is_empty());
     }
@@ -303,7 +297,7 @@ mod tests {
         let pin_r = pool.eq(r, wrong_c);
         let bindings = vec![ConcolicBinding { func: "csum16".into(), args: vec![x], result: r }];
         let out =
-            resolve_concolics(&pool, &mut solver, &reg, &bindings, &[pin, pin_r], 2);
+            resolve_concolics(&pool, &mut solver, &mut VarWalk::default(), &reg, &bindings, &[pin, pin_r], 2);
         assert!(out.is_none());
     }
 }

@@ -37,11 +37,10 @@ pub fn apply_table(
         .blocks
         .values()
         .find_map(|b| match b {
-            IrBlock::Control(c) => c.tables.get(table).map(|t| (c.name.clone(), t)),
+            IrBlock::Control(c) => c.tables.get(table).map(|t| (c.name.as_str(), t)),
             _ => None,
         })
         .ok_or_else(|| Abort(format!("unknown table '{table}'")))?;
-    let tbl = tbl.clone();
     // Evaluate key expressions once, in the current state.
     let key_syms: Vec<Sym> = tbl
         .keys
@@ -106,7 +105,7 @@ pub fn apply_table(
                 continue;
             }
             if let Some(f) =
-                synthesize_entry_fork(ctx, st, target, &control, &tbl, &key_syms, &no_const_match, &aref.action, switch_cases)?
+                synthesize_entry_fork(ctx, st, target, control, tbl, &key_syms, &no_const_match, &aref.action, switch_cases)?
             {
                 forks.push(f);
             }

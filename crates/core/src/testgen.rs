@@ -128,20 +128,29 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Compile `source` with `target`'s prelude prepended, binding block
-    /// parameters to the target's package roots, and build the target's
-    /// pipeline template for it.
+    /// Compile `source` placed on the line after `target`'s prelude,
+    /// binding block parameters to the target's package roots, and build
+    /// the target's pipeline template for it.
+    ///
+    /// The prelude is parsed once per process (see
+    /// [`p4t_frontend::prelude`]): a compile clones the prelude's cached
+    /// declarations and lexes and parses only `source`, at the positions it
+    /// has in the concatenated file. Typecheck, lowering and everything
+    /// after them see the same program, spans and diagnostics as a compile
+    /// of `format!("{prelude}\n{source}")`, and so does the fingerprint,
+    /// which streams the prelude, the newline and the source.
     pub fn build(source: &str, target: &dyn Target) -> Result<CompiledProgram, BuildError> {
         let prelude = target.prelude();
-        let full = format!("{prelude}\n{source}");
-        // Number of newlines ahead of the user's first line in `full`.
+        // Number of newlines ahead of the user's first line.
         let prelude_lines = prelude.matches('\n').count() as u32 + 1;
-        let (prog, frontend_warnings) = p4t_ir::compile_full(&full, target.package_roots())
-            .map_err(|diagnostics| BuildError::Frontend { diagnostics, prelude_lines })?;
+        let (prog, frontend_warnings) =
+            p4t_ir::compile_with_prelude(prelude, source, target.package_roots())
+                .map_err(|diagnostics| BuildError::Frontend { diagnostics, prelude_lines })?;
         let pipeline = target.pipeline(&prog).map_err(BuildError::Target)?;
         let mut source_fingerprint = FNV_OFFSET;
-        fnv_mix(&mut source_fingerprint, full.as_bytes());
-        fnv_mix(&mut source_fingerprint, target.name().as_bytes());
+        for part in [prelude, "\n", source, target.name()] {
+            fnv_mix(&mut source_fingerprint, part.as_bytes());
+        }
         Ok(CompiledProgram { prog, pipeline, frontend_warnings, prelude_lines, source_fingerprint })
     }
 }

@@ -25,7 +25,7 @@ use p4t_smt::fingerprint::TermHashes;
 use p4t_smt::sat::SatStats;
 use p4t_smt::solver::{IncrementalStats, SolverStats};
 use p4t_smt::{
-    eval, Assignment, BitVec, CheckResult, SolveBudget, Solver, TermId, TermPool, VarId,
+    eval, Assignment, BitVec, CheckResult, SolveBudget, Solver, TermId, TermPool, VarWalk,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -422,6 +422,8 @@ struct PathWorker<'a, 'b> {
     path_checks: u64,
     /// Term hashes for extending fingerprint frames, kept across checks.
     term_hashes: TermHashes,
+    /// Marks for gathering a test's variables, kept across emissions.
+    var_walk: VarWalk,
 }
 
 /// If a worker dies *outside* the per-path panic isolation, its `live`
@@ -470,6 +472,7 @@ pub(crate) fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pendin
         steals: 0,
         path_checks: 0,
         term_hashes: TermHashes::default(),
+        var_walk: VarWalk::default(),
     };
     w.event("worker-start", None, None);
     let live_status = sh.config.obs.live.as_deref();
@@ -1195,6 +1198,7 @@ impl PathWorker<'_, '_> {
         let Some(eqs) = resolve_concolics(
             sh.pool,
             &mut self.solver,
+            &mut self.var_walk,
             sh.concolics,
             &st.concolics,
             &st.constraints,
@@ -1344,48 +1348,30 @@ impl PathWorker<'_, '_> {
         }
     }
 
-    fn model_for(&self, st: &ExecState, assumptions: &[TermId]) -> Assignment {
+    /// The model over every variable the test depends on, gathered in one
+    /// walk over all of its terms.
+    fn model_for(&mut self, st: &ExecState, assumptions: &[TermId]) -> Assignment {
         let pool = self.sh.pool;
-        let mut vars: Vec<VarId> = Vec::new();
-        for &c in assumptions {
-            vars.extend(pool.vars_of(c));
-        }
-        for chunk in &st.packet.input {
-            vars.extend(pool.vars_of(chunk.term));
-        }
+        let mut roots = assumptions.to_vec();
+        roots.extend(st.packet.input.iter().map(|chunk| chunk.term));
         for out in &st.outputs {
-            vars.extend(pool.vars_of(out.port.term));
-            if let Some(p) = &out.payload {
-                vars.extend(pool.vars_of(p.term));
-            }
+            roots.push(out.port.term);
+            roots.extend(out.payload.as_ref().map(|p| p.term));
         }
         for e in &st.entries {
             for k in &e.keys {
-                for t in [k.value, k.mask, k.hi].into_iter().flatten() {
-                    vars.extend(pool.vars_of(t));
-                }
+                roots.extend([k.value, k.mask, k.hi].into_iter().flatten());
             }
-            for (_, t, _) in &e.args {
-                vars.extend(pool.vars_of(*t));
-            }
+            roots.extend(e.args.iter().map(|(_, t, _)| *t));
         }
         for op in &st.register_ops {
-            match op {
-                RegisterOp::Read { index, result, .. } => {
-                    vars.extend(pool.vars_of(*index));
-                    vars.extend(pool.vars_of(*result));
-                }
-                RegisterOp::Write { index, value, .. } => {
-                    vars.extend(pool.vars_of(*index));
-                    vars.extend(pool.vars_of(*value));
-                }
-            }
+            roots.extend(match op {
+                RegisterOp::Read { index, result, .. } => [*index, *result],
+                RegisterOp::Write { index, value, .. } => [*index, *value],
+            });
         }
-        if let Some(p) = st.read("$input_port") {
-            vars.extend(pool.vars_of(p.term));
-        }
-        vars.sort();
-        vars.dedup();
+        roots.extend(st.read("$input_port").map(|p| p.term));
+        let vars = self.var_walk.vars(pool, roots);
         self.solver.model(pool, &vars)
     }
 

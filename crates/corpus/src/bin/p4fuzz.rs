@@ -22,7 +22,7 @@
 //! as `crash-<hash>.p4` with a banner recording the panic signature and
 //! the architecture, so the regression corpus is self-describing.
 
-use p4t_corpus::fuzz::{arch_of, check_input, prelude_for, run_fuzz, Outcome};
+use p4t_corpus::fuzz::{arch_of, check_input, run_fuzz, Outcome};
 use p4testgen_core::{fnv_mix, FNV_OFFSET};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -102,8 +102,7 @@ fn replay(dir: &Path, quiet: bool) -> std::io::Result<u64> {
     let entries = load_dir(dir)?;
     let mut panics = 0;
     for (name, source, arch) in &entries {
-        let full = format!("{}\n{source}", prelude_for(arch));
-        match check_input(&full, arch) {
+        match check_input(source, arch) {
             Outcome::Panicked(sig) => {
                 eprintln!("REGRESSION {name}: panicked at {}: {}", sig.location, sig.message);
                 panics += 1;

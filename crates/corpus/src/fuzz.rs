@@ -13,6 +13,7 @@
 //! visits the same mutants in the same order, so a crash report is
 //! reproducible from its `(seed, iteration)` coordinates alone.
 
+use p4t_frontend::Diagnostic;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{self, AssertUnwindSafe};
@@ -125,15 +126,45 @@ pub enum Outcome {
     Panicked(PanicSig),
 }
 
-/// Feed one complete source (the `arch` prelude already prepended) through
-/// the full pipeline, binding to `arch`'s package roots, and classify the
-/// result.
-pub fn check_input(full_source: &str, arch: &str) -> Outcome {
+/// Feed one user source through the full pipeline against `arch`'s
+/// prelude, binding to `arch`'s package roots, and classify the result.
+/// The source compiles through [`p4t_ir::compile_with_prelude`], the path
+/// `CompiledProgram::build` takes, so the fuzzer exercises the cached
+/// prelude parse. Debug builds also compile the concatenated text cold and
+/// panic on any difference in outcome, warnings or diagnostics; under
+/// [`catch_panics`] that difference is a crash like any other.
+pub fn check_input(source: &str, arch: &str) -> Outcome {
     let target = target_for(arch);
-    match catch_panics(|| p4t_ir::compile_full(full_source, target.package_roots())) {
+    let (prelude, roots) = (target.prelude(), target.package_roots());
+    let compiled = catch_panics(|| {
+        let result = p4t_ir::compile_with_prelude(prelude, source, roots);
+        if cfg!(debug_assertions) {
+            let cold = p4t_ir::compile_full(&format!("{prelude}\n{source}"), roots);
+            assert_same_diagnostics(&result, &cold);
+        }
+        result
+    });
+    match compiled {
         Ok(Ok((_, warnings))) => Outcome::Clean { warnings: warnings.len() },
         Ok(Err(diags)) => Outcome::Rejected { codes: diags.iter().map(|d| d.code).collect() },
         Err(sig) => Outcome::Panicked(sig),
+    }
+}
+
+type Compiled = Result<(p4t_ir::IrProgram, Vec<Diagnostic>), Vec<Diagnostic>>;
+
+/// Panic unless two compiles agree on `Ok`/`Err` and on every warning or
+/// diagnostic (phase, severity, code, span and message). The IR is not
+/// compared: its `Debug` output iterates hash maps.
+fn assert_same_diagnostics(cached: &Compiled, cold: &Compiled) {
+    match (cached, cold) {
+        (Ok((_, a)), Ok((_, b))) => assert_eq!(a, b, "cached prelude parse changed the warnings"),
+        (Err(a), Err(b)) => assert_eq!(a, b, "cached prelude parse changed the diagnostics"),
+        _ => panic!(
+            "cached prelude parse changed the outcome: cached ok={}, cold ok={}",
+            cached.is_ok(),
+            cold.is_ok()
+        ),
     }
 }
 
@@ -437,10 +468,8 @@ pub fn run_fuzz(seeds: &[(String, String, &'static str)], iterations: u64, seed:
     for iter in 0..iterations {
         let (name, source, arch) = &seeds[(iter as usize) % seeds.len()];
         let mutant = mutate(source, &mut rng);
-        let prelude = prelude_for(arch);
-        let full = format!("{prelude}\n{mutant}");
         report.iterations += 1;
-        match check_input(&full, arch) {
+        match check_input(&mutant, arch) {
             Outcome::Clean { .. } => report.clean += 1,
             Outcome::Rejected { codes } => {
                 report.rejected += 1;
@@ -454,8 +483,7 @@ pub fn run_fuzz(seeds: &[(String, String, &'static str)], iterations: u64, seed:
                 seen.insert(sig.location.clone(), ());
                 let location = sig.location.clone();
                 let minimized = minimize(&mutant, |candidate| {
-                    let full = format!("{prelude}\n{candidate}");
-                    matches!(check_input(&full, arch),
+                    matches!(check_input(candidate, arch),
                         Outcome::Panicked(s) if s.location == location)
                 });
                 report.crashes.push(Crash {
@@ -505,10 +533,8 @@ mod tests {
 
     #[test]
     fn check_input_triages_clean_and_rejected() {
-        let full = format!("{}\n{}", prelude_for("v1model"), crate::FIG1A);
-        assert!(matches!(check_input(&full, "v1model"), Outcome::Clean { .. }));
-        let bad = format!("{}\ncontrol C( {{", prelude_for("v1model"));
-        match check_input(&bad, "v1model") {
+        assert!(matches!(check_input(crate::FIG1A, "v1model"), Outcome::Clean { .. }));
+        match check_input("control C( {", "v1model") {
             Outcome::Rejected { codes } => assert!(!codes.is_empty()),
             other => panic!("expected Rejected, got {other:?}"),
         }

@@ -1111,8 +1111,7 @@ mod tests {
     fn intersection_variants_typecheck_under_their_preludes() {
         for target in INTERSECTION_TARGETS {
             let src = generate_intersection(target);
-            let full = format!("{}{}", fuzz::prelude_for(target), src);
-            let checked = p4t_frontend::frontend(&full);
+            let checked = p4t_frontend::frontend_with_prelude(&fuzz::prelude_for(target), &src);
             assert!(checked.is_ok(), "{target}: {:?}", checked.err());
         }
     }

@@ -119,7 +119,7 @@ impl fmt::Display for Severity {
 
 /// A problem with source location, produced by the lexer, parser, checker,
 /// or IR lowering.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
     pub phase: Phase,
     pub severity: Severity,

@@ -33,22 +33,61 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Vec<Diagnostic>> {
 /// alongside any diagnostics, so the parser can keep going after lexical
 /// errors.
 pub fn lex_all(source: &str) -> (Vec<Token>, Vec<Diagnostic>) {
+    let lexed = lex_at(source, Origin::default());
+    (lexed.tokens, lexed.diags)
+}
+
+/// Where a source starts inside a longer file whose earlier text was lexed
+/// apart: the lines ahead of it, and its starting byte offset in each of
+/// the three offset spaces the lexer reports positions in. An unterminated
+/// block comment is reported at its raw offset, a `#pragma` warning at its
+/// offset once block comments are blanked, and tokens and the tokenizer's
+/// diagnostics at their offset in the preprocessed text. Lexing a source at
+/// the origin where a prefix ended gives the positions lexing the
+/// concatenation would.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Origin {
+    lines: u32,
+    raw: usize,
+    unblocked: usize,
+    preprocessed: usize,
+}
+
+/// A source lexed at an [`Origin`].
+pub(crate) struct Lexed {
+    pub tokens: Vec<Token>,
+    pub diags: Vec<Diagnostic>,
+    /// Where text after this source would start. Meaningful only when the
+    /// source ends in a newline.
+    pub end: Origin,
+    /// Whether any line was a `#` directive.
+    pub directives: bool,
+}
+
+/// Lex `source` as the text that starts at `at` of a longer file.
+pub(crate) fn lex_at(source: &str, at: Origin) -> Lexed {
     let mut diags = DiagSink::new();
-    let pre = preprocess(source, &mut diags);
-    let tokens = Lexer::new(&pre).run(&mut diags);
-    (tokens, diags.into_vec())
+    let pre = preprocess(source, at, &mut diags);
+    let tokens = Lexer::new(&pre.text, at).run(&mut diags);
+    Lexed { tokens, diags: diags.into_vec(), end: pre.end, directives: pre.directives }
+}
+
+struct Preprocessed {
+    text: String,
+    end: Origin,
+    directives: bool,
 }
 
 /// Strip comments and handle `#` directives, preserving line structure so
 /// diagnostic line numbers stay meaningful. Problems (an unterminated block
-/// comment) are reported through `diags`.
-fn preprocess(src: &str, diags: &mut DiagSink) -> String {
+/// comment) are reported through `diags`, at positions counted from `at`.
+fn preprocess(src: &str, at: Origin, diags: &mut DiagSink) -> Preprocessed {
     // Remove block comments first (replace with spaces, keep newlines),
     // tracking positions so an unterminated comment gets a real span.
     let mut no_block = String::with_capacity(src.len());
     let mut chars = src.chars().peekable();
-    let mut offset = 0usize;
-    let mut line = 1u32;
+    let mut offset = at.raw;
+    let mut line = at.lines + 1;
     let mut col = 1u32;
     while let Some(c) = chars.next() {
         if c == '/' && chars.peek() == Some(&'*') {
@@ -96,8 +135,11 @@ fn preprocess(src: &str, diags: &mut DiagSink) -> String {
     // Line comments, directives, and object-like macro substitution.
     let mut defines: HashMap<String, String> = HashMap::new();
     let mut out = String::with_capacity(no_block.len());
-    let mut line_start = 0usize;
-    for (line_idx, raw_line) in no_block.lines().enumerate() {
+    let mut line_start = at.unblocked;
+    let mut lines = at.lines;
+    let mut directives = false;
+    for raw_line in no_block.lines() {
+        lines += 1;
         let raw_len = raw_line.len();
         let line = match raw_line.find("//") {
             Some(i) => &raw_line[..i],
@@ -105,6 +147,7 @@ fn preprocess(src: &str, diags: &mut DiagSink) -> String {
         };
         let trimmed = line.trim_start();
         if let Some(rest) = trimmed.strip_prefix('#') {
+            directives = true;
             let rest = rest.trim_start();
             if let Some(def) = rest.strip_prefix("define") {
                 let mut it = def.trim().splitn(2, char::is_whitespace);
@@ -121,7 +164,7 @@ fn preprocess(src: &str, diags: &mut DiagSink) -> String {
                 let col = (line.len() - trimmed.len()) as u32 + 1;
                 let pos = Pos {
                     offset: line_start + (line.len() - trimmed.len()),
-                    line: line_idx as u32 + 1,
+                    line: lines,
                     col,
                 };
                 diags.push(
@@ -143,7 +186,13 @@ fn preprocess(src: &str, diags: &mut DiagSink) -> String {
         }
         out.push('\n');
     }
-    out
+    let end = Origin {
+        lines,
+        raw: at.raw + src.len(),
+        unblocked: line_start,
+        preprocessed: at.preprocessed + out.len(),
+    };
+    Preprocessed { text: out, end, directives }
 }
 
 /// Whole-identifier textual substitution of object-like macros.
@@ -174,18 +223,20 @@ fn substitute(line: &str, defines: &HashMap<String, String>) -> String {
 
 struct Lexer<'a> {
     src: &'a [u8],
+    /// Offset of `src` in the preprocessed file it belongs to.
+    base: usize,
     pos: usize,
     line: u32,
     col: u32,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer { src: src.as_bytes(), pos: 0, line: 1, col: 1 }
+    fn new(src: &'a str, at: Origin) -> Self {
+        Lexer { src: src.as_bytes(), base: at.preprocessed, pos: 0, line: at.lines + 1, col: 1 }
     }
 
     fn here(&self) -> Pos {
-        Pos { offset: self.pos, line: self.line, col: self.col }
+        Pos { offset: self.base + self.pos, line: self.line, col: self.col }
     }
 
     fn peek(&self) -> Option<u8> {

@@ -19,7 +19,7 @@
 
 use crate::ast::*;
 use crate::error::{codes, DiagSink, Diagnostic};
-use crate::lexer::lex_all;
+use crate::lexer::{lex_all, lex_at, Lexed, Origin};
 use crate::token::{IntLit, Keyword, Span, Tok, Token};
 
 /// Maximum nesting depth for expressions, statements, and types. Each level
@@ -47,11 +47,53 @@ pub fn parse(source: &str) -> Result<Program, Vec<Diagnostic>> {
 /// Total variant of [`parse`]: always returns the best-effort program (with
 /// declarations that failed to parse dropped) alongside all diagnostics.
 pub fn parse_all(source: &str) -> (Program, Vec<Diagnostic>) {
-    let (tokens, lex_diags) = lex_all(source);
-    let mut p = Parser::new(tokens);
-    p.diags.extend(lex_diags);
-    let prog = p.program();
-    (prog, p.diags.into_vec())
+    parse_lexed(lex_at(source, Origin::default()), &[])
+}
+
+/// Parse a lexed source as the text after `prefix`'s declarations.
+fn parse_lexed(lexed: Lexed, prefix: &[Decl]) -> (Program, Vec<Diagnostic>) {
+    let mut p = Parser::new(lexed.tokens);
+    p.diags.extend(lexed.diags);
+    // A lexer that hit the diagnostic cap stops the parse before its first
+    // declaration, which in the whole file is the prefix's first.
+    let mut decls = if p.diags.capped() { Vec::new() } else { prefix.to_vec() };
+    p.declarations(&mut decls);
+    (Program { decls }, p.diags.into_vec())
+}
+
+/// Source text parsed once, for sources that follow it on the next line.
+#[derive(Debug)]
+pub struct Prefix {
+    /// The prefix's declarations.
+    program: Program,
+    /// Where a source placed on the line after the prefix starts.
+    origin: Origin,
+}
+
+impl Prefix {
+    /// Parse `text` as a prefix, or `None` when it cannot stand apart from
+    /// what follows it: it has a diagnostic of any severity, or a `#`
+    /// directive (a `#define` rewrites the lines after it).
+    pub fn parse(text: &str) -> Option<Prefix> {
+        let lexed = lex_at(&format!("{text}\n"), Origin::default());
+        if lexed.directives || !lexed.diags.is_empty() {
+            return None;
+        }
+        let origin = lexed.end;
+        let (program, diags) = parse_lexed(lexed, &[]);
+        diags.is_empty().then_some(Prefix { program, origin })
+    }
+
+    /// The prefix's declarations followed by `source`'s, and `source`'s
+    /// diagnostics: what [`parse_all`] returns for the prefix, a newline and
+    /// `source`. `source` is lexed at the prefix's end `Origin`, so every
+    /// token span and lexer diagnostic is counted as in the whole file. A
+    /// clean prefix leaves the parser between declarations with no
+    /// diagnostic recorded, so the concatenated parse goes on exactly as a
+    /// parse of `source` alone does.
+    pub fn parse_after(&self, source: &str) -> (Program, Vec<Diagnostic>) {
+        parse_lexed(lex_at(source, self.origin), &self.program.decls)
+    }
 }
 
 /// Parse a single expression (used by the P4-constraints sub-language).
@@ -106,12 +148,13 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1).min(self.tokens.len() - 1)].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// Step past the current token, returning its span.
+    fn bump(&mut self) -> Span {
+        let span = self.span();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+        span
     }
 
     fn eat(&mut self, t: Tok) -> bool {
@@ -125,7 +168,7 @@ impl Parser {
 
     fn expect(&mut self, t: Tok) -> PResult<Span> {
         if *self.peek() == t {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             let code = if *self.peek() == Tok::Eof {
                 codes::PARSE_UNEXPECTED_EOF
@@ -138,37 +181,28 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> PResult<(String, Span)> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                let sp = self.bump().span;
-                Ok((s, sp))
-            }
+        let name = match self.peek() {
+            Tok::Ident(s) => s.clone(),
             // Some keywords double as identifiers in member positions.
-            Tok::Kw(Keyword::Apply) => {
-                let sp = self.bump().span;
-                Ok(("apply".into(), sp))
+            Tok::Kw(Keyword::Apply) => "apply".into(),
+            Tok::Kw(Keyword::Key) => "key".into(),
+            Tok::Kw(Keyword::Size) => "size".into(),
+            other => {
+                return Err(Diagnostic::parse(
+                    self.span(),
+                    format!("expected identifier, found {other}"),
+                )
+                .with_code(codes::PARSE_EXPECTED_IDENT))
             }
-            Tok::Kw(Keyword::Key) => {
-                let sp = self.bump().span;
-                Ok(("key".into(), sp))
-            }
-            Tok::Kw(Keyword::Size) => {
-                let sp = self.bump().span;
-                Ok(("size".into(), sp))
-            }
-            other => Err(Diagnostic::parse(
-                self.span(),
-                format!("expected identifier, found {other}"),
-            )
-            .with_code(codes::PARSE_EXPECTED_IDENT)),
-        }
+        };
+        Ok((name, self.bump()))
     }
 
     fn expect_int(&mut self) -> PResult<(u128, Span)> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(i) => {
-                let sp = self.bump().span;
-                Ok((i.value, sp))
+                let value = i.value;
+                Ok((value, self.bump()))
             }
             other => Err(Diagnostic::parse(self.span(), format!("expected integer, found {other}"))
                 .with_code(codes::PARSE_EXPECTED_INT)),
@@ -291,7 +325,7 @@ impl Parser {
     fn annotations(&mut self) -> PResult<Vec<Annotation>> {
         let mut anns = Vec::new();
         while let Tok::At(name) = self.peek().clone() {
-            let span = self.bump().span;
+            let span = self.bump();
             let mut args = Vec::new();
             if self.eat(Tok::LParen) {
                 while *self.peek() != Tok::RParen {
@@ -424,8 +458,7 @@ impl Parser {
 
     // ---- program ----------------------------------------------------------
 
-    fn program(&mut self) -> Program {
-        let mut decls = Vec::new();
+    fn declarations(&mut self, decls: &mut Vec<Decl>) {
         while *self.peek() != Tok::Eof {
             if self.diags.capped() {
                 break;
@@ -439,7 +472,6 @@ impl Parser {
                 }
             }
         }
-        Program { decls }
     }
 
     fn declaration(&mut self) -> PResult<Decl> {
@@ -832,7 +864,7 @@ impl Parser {
         } else {
             let (name, _) = match self.peek() {
                 Tok::Kw(Keyword::Default) => {
-                    let sp = self.bump().span;
+                    let sp = self.bump();
                     ("accept".to_string(), sp)
                 }
                 _ => self.expect_ident()?,
@@ -1682,6 +1714,28 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_source_parsed_after_a_prefix_matches_the_concatenation() {
+        // Comments make the prefix's raw, comment-blanked and preprocessed
+        // lengths differ; the sources put a diagnostic in each space.
+        let prefix = "// p\nheader a_t { bit<8> f; } /* two\nlines */ struct s_t { a_t a; }\r\n// end";
+        let parsed = Prefix::parse(prefix).expect("a clean prefix");
+        for source in [
+            "",
+            "header b_t { bit<8> g; }",
+            "#pragma x\nconst bit<8> C = ` 1;\n/* open",
+            "#define W 8\nconst bit<W> C = \"open",
+            "control c( {",
+            &"`".repeat(150),
+        ] {
+            let whole = parse_all(&format!("{prefix}\n{source}"));
+            assert_eq!(parsed.parse_after(source), whole, "{source:?}");
+        }
+        assert!(Prefix::parse("#define W 8").is_none());
+        assert!(Prefix::parse("header a_t {").is_none());
+        assert!(Prefix::parse("/* open").is_none());
+    }
 
     #[test]
     fn recovers_multiple_errors() {

@@ -34,7 +34,25 @@ pub fn compile_full(
     source: &str,
     roots: &[&[&str]],
 ) -> Result<(IrProgram, Vec<Diagnostic>), Vec<Diagnostic>> {
-    let checked = p4t_frontend::frontend(source)?;
+    lower_checked(p4t_frontend::frontend(source)?, roots)
+}
+
+/// [`compile_full`] for `source` placed on the line after `prelude`, with
+/// the prelude's parse taken from the process-wide cache when it qualifies
+/// (see [`p4t_frontend::prelude`]). The result equals
+/// `compile_full(&format!("{prelude}\n{source}"), roots)`.
+pub fn compile_with_prelude(
+    prelude: &str,
+    source: &str,
+    roots: &[&[&str]],
+) -> Result<(IrProgram, Vec<Diagnostic>), Vec<Diagnostic>> {
+    lower_checked(p4t_frontend::frontend_with_prelude(prelude, source)?, roots)
+}
+
+fn lower_checked(
+    checked: p4t_frontend::CheckedProgram,
+    roots: &[&[&str]],
+) -> Result<(IrProgram, Vec<Diagnostic>), Vec<Diagnostic>> {
     let mut prog = lower_with_roots(&checked, roots)?;
     optimize(&mut prog);
     Ok((prog, checked.warnings))

@@ -48,4 +48,4 @@ pub use fingerprint::stable_fingerprint;
 pub use sat::SolveBudget;
 pub use simplify::SimplifyStats;
 pub use solver::{CheckResult, IncrementalStats, Solver, SolverMode};
-pub use term::{BinOp, Node, TermId, TermPool, VarId};
+pub use term::{BinOp, Node, TermId, TermPool, VarId, VarWalk};

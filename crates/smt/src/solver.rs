@@ -74,7 +74,7 @@ use crate::blast::Blaster;
 use crate::eval::Assignment;
 use crate::sat::{Lit, SatResult, SatSolver, SolveBudget};
 use crate::simplify::{simplify_conjunction, RewriteCache, Simplified, SimplifyStats};
-use crate::term::{TermId, TermPool, VarId};
+use crate::term::{TermId, TermPool, VarId, VarWalk};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -606,12 +606,7 @@ impl Solver {
 
     /// Model over every variable mentioned in the current assertions.
     pub fn model_of_assertions(&self, pool: &TermPool) -> Assignment {
-        let mut vars = Vec::new();
-        for &t in &self.asserted_terms {
-            vars.extend(pool.vars_of(t));
-        }
-        vars.sort();
-        vars.dedup();
+        let vars = VarWalk::default().vars(pool, self.asserted_terms.iter().copied());
         self.model(pool, &vars)
     }
 

@@ -116,6 +116,60 @@ pub struct TermPool {
     contended_interns: std::sync::atomic::AtomicU64,
 }
 
+/// Scratch for collecting the variables under many roots in one walk. Each
+/// term id carries the epoch of the walk that last visited it, so a walk
+/// costs the terms it visits rather than the pool's size; keep one per
+/// worker and reuse it.
+#[derive(Default)]
+pub struct VarWalk {
+    /// Indexed by term id: the epoch that visited the term.
+    marks: Vec<u32>,
+    epoch: u32,
+    stack: Vec<TermId>,
+}
+
+impl VarWalk {
+    /// The variables appearing under any of `roots`, sorted and distinct.
+    pub fn vars(&mut self, pool: &TermPool, roots: impl IntoIterator<Item = TermId>) -> Vec<VarId> {
+        if self.marks.len() < pool.len() {
+            self.marks.resize(pool.len(), 0);
+        }
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(e) => e,
+            None => {
+                self.marks.fill(0);
+                1
+            }
+        };
+        let mut out = Vec::new();
+        self.stack.extend(roots);
+        while let Some(t) = self.stack.pop() {
+            let mark = &mut self.marks[t.0 as usize];
+            if *mark == self.epoch {
+                continue;
+            }
+            *mark = self.epoch;
+            match pool.node(t) {
+                Node::Const(_) => {}
+                Node::Var(v) => out.push(*v),
+                Node::Not(a) | Node::Neg(a) | Node::Extract { arg: a, .. } => self.stack.push(*a),
+                Node::Bin(_, a, b) => {
+                    self.stack.push(*a);
+                    self.stack.push(*b);
+                }
+                Node::Ite(c, a, b) => {
+                    self.stack.push(*c);
+                    self.stack.push(*a);
+                    self.stack.push(*b);
+                }
+            }
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+}
+
 impl Default for TermPool {
     fn default() -> Self {
         Self::new()
@@ -562,34 +616,9 @@ impl TermPool {
         acc
     }
 
-    /// Collect the set of variables appearing in a term.
+    /// Collect the set of variables appearing in a term, sorted.
     pub fn vars_of(&self, root: TermId) -> Vec<VarId> {
-        let mut seen = vec![false; self.len()];
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(t) = stack.pop() {
-            if seen[t.0 as usize] {
-                continue;
-            }
-            seen[t.0 as usize] = true;
-            match self.node(t) {
-                Node::Const(_) => {}
-                Node::Var(v) => out.push(*v),
-                Node::Not(a) | Node::Neg(a) | Node::Extract { arg: a, .. } => stack.push(*a),
-                Node::Bin(_, a, b) => {
-                    stack.push(*a);
-                    stack.push(*b);
-                }
-                Node::Ite(c, a, b) => {
-                    stack.push(*c);
-                    stack.push(*a);
-                    stack.push(*b);
-                }
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
+        VarWalk::default().vars(self, [root])
     }
 
     /// Render a term as an s-expression (for debugging and trace output).
@@ -745,6 +774,27 @@ mod tests {
         let s = p.add(x, y);
         let e = p.eq(s, x);
         assert_eq!(p.vars_of(e).len(), 2);
+    }
+
+    #[test]
+    fn one_walk_over_many_roots_is_the_union_of_single_walks() {
+        let p = TermPool::new();
+        let vars: Vec<TermId> = (0..6).map(|i| p.fresh_var(format!("v{i}"), 8)).collect();
+        let a = p.add(vars[0], vars[3]);
+        let b = p.ite(p.eq(vars[5], vars[1]), a, vars[3]);
+        let c = p.extract(3, 0, p.concat(vars[4], vars[4]));
+        let mut walk = VarWalk::default();
+        for roots in [vec![a, b, c], vec![c], vec![b, a, b], vec![]] {
+            let mut union: Vec<VarId> = roots.iter().flat_map(|&r| p.vars_of(r)).collect();
+            union.sort();
+            union.dedup();
+            // The same scratch serves every walk: marks from an earlier
+            // walk hide nothing from a later one.
+            assert_eq!(walk.vars(&p, roots.iter().copied()), union);
+        }
+        // Terms interned after the scratch was sized are walked too.
+        let d = p.xor(p.fresh_var("late", 8), vars[2]);
+        assert_eq!(walk.vars(&p, [d]).len(), 2);
     }
 
     #[test]

@@ -401,7 +401,7 @@ fn prepare(
         true
     })
     .map_err(|e| format!("generation failed: {e}"))?;
-    let checked = p4t_frontend::frontend(&format!("{}{source}", tg.target.prelude()))
+    let checked = p4t_frontend::frontend_with_prelude(tg.target.prelude(), source)
         .map_err(|d| format!("reference-side frontend rejected the program ({} diagnostic(s))", d.len()))?;
     Ok(Prepared {
         name: name.to_string(),
@@ -605,7 +605,7 @@ fn run_cross(opts: &DiffOptions, diag: &Diag) -> Result<Tally, ExitCode> {
     for target in p4t_corpus::INTERSECTION_TARGETS {
         let src = p4t_corpus::generate_intersection(target);
         let t = p4t_targets::by_name(target).expect("intersection targets are known");
-        match p4t_frontend::frontend(&format!("{}{src}", t.prelude())) {
+        match p4t_frontend::frontend_with_prelude(t.prelude(), &src) {
             Ok(checked) => {
                 let arch = RefArch::from_target_name(target).expect("known target");
                 variants.push((target.to_string(), arch, checked));
