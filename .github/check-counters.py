@@ -14,6 +14,8 @@ import json
 import sys
 
 COUNTERS = [
+    "frontend.tokens",
+    "ir.statements",
     "core.paths",
     "core.tests",
     "core.solver_checks",

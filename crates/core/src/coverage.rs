@@ -61,7 +61,7 @@ impl CoverageTracker {
             .filter(|s| !self.covered.contains(&s.id))
             .map(|s| MissedStatement {
                 id: s.id,
-                block: s.block.clone(),
+                block: s.block.to_string(),
                 line: s.line,
                 col: s.col,
                 describe: s.describe.clone(),
@@ -183,7 +183,7 @@ impl SharedCoverage {
             .filter(|s| !self.contains(s.id))
             .map(|s| MissedStatement {
                 id: s.id,
-                block: s.block.clone(),
+                block: s.block.to_string(),
                 line: s.line,
                 col: s.col,
                 describe: s.describe.clone(),

@@ -130,9 +130,10 @@ pub enum Outcome {
 /// prelude, binding to `arch`'s package roots, and classify the result.
 /// The source compiles through [`p4t_ir::compile_with_prelude`], the path
 /// `CompiledProgram::build` takes, so the fuzzer exercises the cached
-/// prelude parse. Debug builds also compile the concatenated text cold and
-/// panic on any difference in outcome, warnings or diagnostics; under
-/// [`catch_panics`] that difference is a crash like any other.
+/// prelude parse and the prelude's shared type environment. Debug builds
+/// also compile the concatenated text cold and panic on any difference in
+/// outcome, IR, warnings or diagnostics; under [`catch_panics`] that
+/// difference is a crash like any other.
 pub fn check_input(source: &str, arch: &str) -> Outcome {
     let target = target_for(arch);
     let (prelude, roots) = (target.prelude(), target.package_roots());
@@ -140,7 +141,7 @@ pub fn check_input(source: &str, arch: &str) -> Outcome {
         let result = p4t_ir::compile_with_prelude(prelude, source, roots);
         if cfg!(debug_assertions) {
             let cold = p4t_ir::compile_full(&format!("{prelude}\n{source}"), roots);
-            assert_same_diagnostics(&result, &cold);
+            assert_same_compile(&result, &cold);
         }
         result
     });
@@ -153,12 +154,14 @@ pub fn check_input(source: &str, arch: &str) -> Outcome {
 
 type Compiled = Result<(p4t_ir::IrProgram, Vec<Diagnostic>), Vec<Diagnostic>>;
 
-/// Panic unless two compiles agree on `Ok`/`Err` and on every warning or
-/// diagnostic (phase, severity, code, span and message). The IR is not
-/// compared: its `Debug` output iterates hash maps.
-fn assert_same_diagnostics(cached: &Compiled, cold: &Compiled) {
+/// Panic unless two compiles agree on `Ok`/`Err`, on the IR, and on every
+/// warning or diagnostic (phase, severity, code, span and message).
+fn assert_same_compile(cached: &Compiled, cold: &Compiled) {
     match (cached, cold) {
-        (Ok((_, a)), Ok((_, b))) => assert_eq!(a, b, "cached prelude parse changed the warnings"),
+        (Ok((a_ir, a)), Ok((b_ir, b))) => {
+            assert_eq!(a, b, "cached prelude parse changed the warnings");
+            assert!(a_ir == b_ir, "cached prelude compile changed the IR");
+        }
         (Err(a), Err(b)) => assert_eq!(a, b, "cached prelude parse changed the diagnostics"),
         _ => panic!(
             "cached prelude parse changed the outcome: cached ok={}, cold ok={}",

@@ -143,6 +143,8 @@ pub struct Interp<'p> {
     arch: Arch,
     faults: FaultSet,
     env: HashMap<String, BitVec>,
+    /// Installed entries by table, highest priority first, equal
+    /// priorities in install order.
     tables: HashMap<String, Vec<Entry>>,
     registers: HashMap<String, HashMap<u64, BitVec>>,
     packet: CPacket,
@@ -160,6 +162,8 @@ pub struct Interp<'p> {
     /// configurable bound.
     parser_loop_bound: u32,
     stats: InterpStats,
+    /// A reused buffer for building environment keys.
+    key_buf: String,
 }
 
 /// Work counters for one model execution. Returned by
@@ -196,6 +200,7 @@ impl<'p> Interp<'p> {
             garbage_counter: 0,
             parser_loop_bound: 64,
             stats: InterpStats::default(),
+            key_buf: String::new(),
         }
     }
 
@@ -273,6 +278,10 @@ impl<'p> Interp<'p> {
     fn install_control_plane(&mut self, spec: &TestSpec) -> IResult<()> {
         for e in &spec.entries {
             self.install_entry(e)?;
+        }
+        // Stable: equal priorities keep their install order.
+        for entries in self.tables.values_mut() {
+            entries.sort_by_key(|e| std::cmp::Reverse(e.priority));
         }
         for r in &spec.register_init {
             let v = BitVec::from_bytes_be(&r.value);
@@ -385,14 +394,14 @@ impl<'p> Interp<'p> {
         // Reading a field of an invalid header: garbage (undefined).
         if let Some((parent, leaf)) = key.rsplit_once('.') {
             if !leaf.starts_with('$') {
-                let vkey = format!("{parent}.$valid");
-                if let Some(v) = self.env.get(&vkey) {
-                    if v.is_zero() {
-                        return match self.arch {
-                            Arch::V1Model => BitVec::zeros(width as usize),
-                            _ => self.garbage(width as usize),
-                        };
-                    }
+                let vkey = self.joined_key(&[parent, ".$valid"]);
+                let invalid = self.env.get(vkey.as_str()).is_some_and(BitVec::is_zero);
+                self.key_buf = vkey;
+                if invalid {
+                    return match self.arch {
+                        Arch::V1Model => BitVec::zeros(width as usize),
+                        _ => self.garbage(width as usize),
+                    };
                 }
             }
         }
@@ -416,7 +425,30 @@ impl<'p> Interp<'p> {
     }
 
     fn write_env(&mut self, key: &str, v: BitVec) {
-        self.env.insert(key.to_string(), v);
+        match self.env.get_mut(key) {
+            Some(slot) => *slot = v,
+            None => {
+                self.env.insert(key.to_string(), v);
+            }
+        }
+    }
+
+    /// Write `table`'s synthetic slot `table.$<slot>`.
+    fn write_table_slot(&mut self, table: &str, slot: &str, v: BitVec) {
+        let key = self.joined_key(&[table, ".$", slot]);
+        self.write_env(&key, v);
+        self.key_buf = key;
+    }
+
+    /// `parts` joined in the reused key buffer. The caller hands the
+    /// buffer back (`self.key_buf = key`) once done with the key.
+    fn joined_key(&mut self, parts: &[&str]) -> String {
+        let mut key = std::mem::take(&mut self.key_buf);
+        key.clear();
+        for part in parts {
+            key.push_str(part);
+        }
+        key
     }
 
     fn read_key(&self, key: &str) -> Option<&BitVec> {
@@ -1022,8 +1054,8 @@ impl<'p> Interp<'p> {
             },
         };
         // Record hit/miss in the synthetic slots `t.apply().hit` reads.
-        self.write_env(&format!("{table}.$hit"), BitVec::from_bool(was_hit));
-        self.write_env(&format!("{table}.$applied"), BitVec::from_bool(true));
+        self.write_table_slot(table, "hit", BitVec::from_bool(was_hit));
+        self.write_table_slot(table, "applied", BitVec::from_bool(true));
         self.trace.push(format!("{table} -> {action}"));
         // P4C-7 (wrong code): inside a switch statement, the compiler
         // swallowed the table.apply() — the chosen action never runs.
@@ -1039,9 +1071,9 @@ impl<'p> Interp<'p> {
                 .iter()
                 .find(|(l, _)| l.as_deref() == Some(action.as_str()))
                 .or_else(|| cases.iter().find(|(l, _)| l.is_none()))
-                .map(|(_, b)| b.clone());
+                .map(|(_, b)| b);
             if let Some(body) = body {
-                for s in &body {
+                for s in body {
                     self.exec_stmt(s)?;
                     if self.exited {
                         break;
@@ -1081,9 +1113,7 @@ impl<'p> Interp<'p> {
         let Some(entries) = self.tables.get(&tbl.control_plane_name) else {
             return Ok(None);
         };
-        let mut entries: Vec<Entry> = entries.clone();
-        entries.sort_by_key(|e| std::cmp::Reverse(e.priority));
-        'entry: for e in &entries {
+        'entry: for e in entries {
             for (k, m) in keys.iter().zip(&e.keys) {
                 if !self.key_matches(k, m)? {
                     continue 'entry;

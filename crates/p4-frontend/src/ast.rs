@@ -5,6 +5,7 @@
 //! indices) lives in the `p4t-ir` crate.
 
 use crate::token::Span;
+use std::sync::Arc;
 
 /// An annotation such as `@name("x")`, `@priority(3)`, or
 /// `@entry_restriction("...")`.
@@ -388,22 +389,39 @@ pub enum Decl {
     Action(ActionDecl),
 }
 
-/// A parsed program: an ordered list of declarations.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// A parsed program: an ordered list of declarations, the first of which
+/// may be shared with other programs (a cached prelude's, see
+/// [`crate::prelude`]). Two programs are equal when their declaration
+/// sequences are, however those are split.
+#[derive(Clone, Debug, Default)]
 pub struct Program {
-    pub decls: Vec<Decl>,
+    /// Declarations ahead of the program's own, shared, not copied.
+    pub prefix: Arc<[Decl]>,
+    /// The program's own declarations.
+    pub own: Vec<Decl>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        self.decls().eq(other.decls())
+    }
 }
 
 impl Program {
+    /// Every declaration, in source order: the prefix's, then the own.
+    pub fn decls(&self) -> impl Iterator<Item = &Decl> {
+        self.prefix.iter().chain(&self.own)
+    }
+
     pub fn parsers(&self) -> impl Iterator<Item = &ParserDecl> {
-        self.decls.iter().filter_map(|d| match d {
+        self.decls().filter_map(|d| match d {
             Decl::Parser(p) => Some(p),
             _ => None,
         })
     }
 
     pub fn controls(&self) -> impl Iterator<Item = &ControlDecl> {
-        self.decls.iter().filter_map(|d| match d {
+        self.decls().filter_map(|d| match d {
             Decl::Control(c) => Some(c),
             _ => None,
         })
@@ -411,7 +429,7 @@ impl Program {
 
     /// The `main` package instantiation, if present.
     pub fn main_instantiation(&self) -> Option<&Instantiation> {
-        self.decls.iter().find_map(|d| match d {
+        self.decls().find_map(|d| match d {
             Decl::Instantiation(i) if i.name == "main" => Some(i),
             _ => None,
         })

@@ -78,68 +78,134 @@ struct Preprocessed {
     directives: bool,
 }
 
-/// Strip comments and handle `#` directives, preserving line structure so
-/// diagnostic line numbers stay meaningful. Problems (an unterminated block
-/// comment) are reported through `diags`, at positions counted from `at`.
+/// Strip comments and handle `#` directives in one pass, preserving line
+/// structure so diagnostic line numbers stay meaningful. Problems (an
+/// unterminated block comment) are reported through `diags`, at positions
+/// counted from `at`.
+///
+/// Block comments are blanked first, over the whole text: each becomes one
+/// space, keeping its newlines, and `//` or a string does not hide a `/*`.
+/// Each line of that text (without a `\r` before its `\n`) then loses its
+/// `//` comment, and a `#` line becomes empty. The source is copied once,
+/// into the result; only a line a block comment touched is assembled apart.
 fn preprocess(src: &str, at: Origin, diags: &mut DiagSink) -> Preprocessed {
-    // Remove block comments first (replace with spaces, keep newlines),
-    // tracking positions so an unterminated comment gets a real span.
-    let mut no_block = String::with_capacity(src.len());
-    let mut chars = src.chars().peekable();
-    let mut offset = at.raw;
-    let mut line = at.lines + 1;
-    let mut col = 1u32;
-    while let Some(c) = chars.next() {
-        if c == '/' && chars.peek() == Some(&'*') {
-            let open = Pos { offset, line, col };
-            offset += 2;
-            col += 2;
-            chars.next();
-            let mut closed = false;
-            while let Some(c) = chars.next() {
-                let len = c.len_utf8();
-                offset += len;
-                if c == '\n' {
-                    line += 1;
-                    col = 1;
-                    no_block.push('\n');
+    let bytes = src.as_bytes();
+    let mut lines = LineSink {
+        out: String::with_capacity(src.len() + 1),
+        defines: HashMap::new(),
+        line_start: at.unblocked,
+        lines: at.lines,
+        directives: false,
+        pragmas: Vec::new(),
+    };
+    // The current line's text so far, once a block comment has touched it;
+    // until then the line is read straight from `src`.
+    let mut joined = String::new();
+    let mut joining = false;
+    // Start of the current line's text not yet in `joined`.
+    let mut seg = 0;
+    let mut unterminated = None;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\n' => {
+                if joining {
+                    joined.push_str(&src[seg..i]);
+                    lines.line(strip_cr(&joined));
+                    joined.clear();
+                    joining = false;
                 } else {
-                    col += 1;
+                    lines.line(strip_cr(&src[seg..i]));
                 }
-                if c == '*' && chars.peek() == Some(&'/') {
-                    chars.next();
-                    offset += 1;
-                    col += 1;
-                    no_block.push(' ');
-                    closed = true;
-                    break;
+                i += 1;
+                seg = i;
+            }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                joined.push_str(&src[seg..i]);
+                joining = true;
+                let open = i;
+                i += 2;
+                loop {
+                    match bytes.get(i) {
+                        None => {
+                            unterminated = Some(open);
+                            break;
+                        }
+                        // A newline inside the comment ends the line.
+                        Some(b'\n') => {
+                            lines.line(strip_cr(&joined));
+                            joined.clear();
+                            i += 1;
+                        }
+                        Some(b'*') if bytes.get(i + 1) == Some(&b'/') => {
+                            joined.push(' ');
+                            i += 2;
+                            break;
+                        }
+                        Some(_) => i += 1,
+                    }
                 }
+                seg = i;
             }
-            if !closed {
-                diags.push(
-                    Diagnostic::lex(open, "unterminated block comment")
-                        .with_code(codes::LEX_UNTERMINATED_COMMENT),
-                );
-            }
-        } else {
-            offset += c.len_utf8();
-            if c == '\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            no_block.push(c);
+            _ => i += 1,
         }
     }
-    // Line comments, directives, and object-like macro substitution.
-    let mut defines: HashMap<String, String> = HashMap::new();
-    let mut out = String::with_capacity(no_block.len());
-    let mut line_start = at.unblocked;
-    let mut lines = at.lines;
-    let mut directives = false;
-    for raw_line in no_block.lines() {
-        lines += 1;
+    // A last line without a newline, unless it is empty.
+    let last = if joining {
+        joined.push_str(&src[seg..]);
+        &joined[..]
+    } else {
+        &src[seg..]
+    };
+    if !last.is_empty() {
+        lines.line(last);
+    }
+    if let Some(open) = unterminated {
+        let line_begin = src[..open].rfind('\n').map_or(0, |n| n + 1);
+        let pos = Pos {
+            offset: at.raw + open,
+            line: at.lines + 1 + src[..open].matches('\n').count() as u32,
+            col: src[line_begin..open].chars().count() as u32 + 1,
+        };
+        diags.push(
+            Diagnostic::lex(pos, "unterminated block comment")
+                .with_code(codes::LEX_UNTERMINATED_COMMENT),
+        );
+    }
+    for d in lines.pragmas {
+        diags.push(d);
+    }
+    let end = Origin {
+        lines: lines.lines,
+        raw: at.raw + src.len(),
+        unblocked: lines.line_start,
+        preprocessed: at.preprocessed + lines.out.len(),
+    };
+    Preprocessed { text: lines.out, end, directives: lines.directives }
+}
+
+/// `line` without the `\r` of a `\r\n` line end.
+fn strip_cr(line: &str) -> &str {
+    line.strip_suffix('\r').unwrap_or(line)
+}
+
+/// The second half of [`preprocess`]: takes the comment-blanked text a line
+/// at a time.
+struct LineSink {
+    out: String,
+    defines: HashMap<String, String>,
+    /// Offset of the next line in the comment-blanked text.
+    line_start: usize,
+    lines: u32,
+    directives: bool,
+    /// `#pragma` warnings, reported after any block-comment problem.
+    pragmas: Vec<Diagnostic>,
+}
+
+impl LineSink {
+    /// Take one comment-blanked line, without its line end.
+    fn line(&mut self, raw_line: &str) {
+        self.lines += 1;
         let raw_len = raw_line.len();
         let line = match raw_line.find("//") {
             Some(i) => &raw_line[..i],
@@ -147,7 +213,7 @@ fn preprocess(src: &str, at: Origin, diags: &mut DiagSink) -> Preprocessed {
         };
         let trimmed = line.trim_start();
         if let Some(rest) = trimmed.strip_prefix('#') {
-            directives = true;
+            self.directives = true;
             let rest = rest.trim_start();
             if let Some(def) = rest.strip_prefix("define") {
                 let mut it = def.trim().splitn(2, char::is_whitespace);
@@ -155,49 +221,35 @@ fn preprocess(src: &str, at: Origin, diags: &mut DiagSink) -> Preprocessed {
                     // Function-like macros are out of scope; skip them.
                     if !name.contains('(') {
                         let val = it.next().unwrap_or("").trim().to_string();
-                        defines.insert(name.to_string(), val);
+                        self.defines.insert(name.to_string(), val);
                     }
                 }
             } else if rest.starts_with("pragma") {
                 // Recognized but deliberately not interpreted; worth telling
                 // the user since pragmas often change target semantics.
-                let col = (line.len() - trimmed.len()) as u32 + 1;
-                let pos = Pos {
-                    offset: line_start + (line.len() - trimmed.len()),
-                    line: lines,
-                    col,
-                };
-                diags.push(
+                let indent = line.len() - trimmed.len();
+                let pos =
+                    Pos { offset: self.line_start + indent, line: self.lines, col: indent as u32 + 1 };
+                self.pragmas.push(
                     Diagnostic::lex(pos, "#pragma directive is ignored")
                         .with_code(codes::WARN_IGNORED_DIRECTIVE)
                         .warning(),
                 );
             }
             // #include, #if(n)def, #endif, #pragma: dropped.
-            out.push('\n');
-            line_start += raw_len + 1;
-            continue;
-        }
-        line_start += raw_len + 1;
-        if defines.is_empty() {
-            out.push_str(line);
+        } else if self.defines.is_empty() {
+            self.out.push_str(line);
         } else {
-            out.push_str(&substitute(line, &defines));
+            substitute(line, &self.defines, &mut self.out);
         }
-        out.push('\n');
+        self.out.push('\n');
+        self.line_start += raw_len + 1;
     }
-    let end = Origin {
-        lines,
-        raw: at.raw + src.len(),
-        unblocked: line_start,
-        preprocessed: at.preprocessed + out.len(),
-    };
-    Preprocessed { text: out, end, directives }
 }
 
-/// Whole-identifier textual substitution of object-like macros.
-fn substitute(line: &str, defines: &HashMap<String, String>) -> String {
-    let mut out = String::with_capacity(line.len());
+/// Whole-identifier textual substitution of object-like macros, appended
+/// to `out`.
+fn substitute(line: &str, defines: &HashMap<String, String>, out: &mut String) {
     let bytes = line.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -218,11 +270,15 @@ fn substitute(line: &str, defines: &HashMap<String, String>) -> String {
             i += 1;
         }
     }
-    out
+}
+
+/// Whether `c` may continue an identifier.
+fn is_word_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_'
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     /// Offset of `src` in the preprocessed file it belongs to.
     base: usize,
     pos: usize,
@@ -232,7 +288,7 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str, at: Origin) -> Self {
-        Lexer { src: src.as_bytes(), base: at.preprocessed, pos: 0, line: at.lines + 1, col: 1 }
+        Lexer { src, base: at.preprocessed, pos: 0, line: at.lines + 1, col: 1 }
     }
 
     fn here(&self) -> Pos {
@@ -240,11 +296,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -259,16 +315,31 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// Step over blanks and line ends.
+    fn skip_blanks(&mut self) {
+        let bytes = self.src.as_bytes();
+        while let Some(&c) = bytes.get(self.pos) {
+            match c {
+                b' ' | b'\t' | b'\r' => self.col += 1,
+                b'\n' => {
+                    self.line += 1;
+                    self.col = 1;
+                }
+                _ => return,
+            }
+            self.pos += 1;
+        }
+    }
+
     /// Tokenize the whole input. Never fails: bytes that cannot start a token
     /// produce a diagnostic and are skipped, and unterminated literals are
     /// closed at end of input with a diagnostic. The returned stream always
     /// ends with `Tok::Eof`.
     fn run(mut self, diags: &mut DiagSink) -> Vec<Token> {
-        let mut out = Vec::new();
+        // About a token per four bytes of text; a denser text grows it once.
+        let mut out = Vec::with_capacity(self.src.len() / 4 + 1);
         loop {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-                self.bump();
-            }
+            self.skip_blanks();
             let start = self.here();
             let Some(c) = self.peek() else {
                 out.push(Token { tok: Tok::Eof, span: Span { start, end: start } });
@@ -278,9 +349,9 @@ impl<'a> Lexer<'a> {
                 self.lex_number(start, diags)
             } else if c.is_ascii_alphabetic() || c == b'_' {
                 let word = self.lex_word();
-                match Keyword::from_str(&word) {
+                match Keyword::from_str(word) {
                     Some(k) => Tok::Kw(k),
-                    None => Tok::Ident(word),
+                    None => Tok::Ident(word.to_string()),
                 }
             } else if c == b'"' {
                 self.bump();
@@ -294,7 +365,7 @@ impl<'a> Lexer<'a> {
                     );
                     continue;
                 }
-                Tok::At(self.lex_word())
+                Tok::At(self.lex_word().to_string())
             } else {
                 match self.lex_symbol() {
                     Some(t) => t,
@@ -316,12 +387,14 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_word(&mut self) -> String {
+    /// The identifier or keyword at the cursor, stepped over. Words are
+    /// ASCII and hold no line end, so the column moves by their length.
+    fn lex_word(&mut self) -> &'a str {
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
-            self.bump();
-        }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        let len = self.src.as_bytes()[start..].iter().take_while(|&&c| is_word_byte(c)).count();
+        self.pos += len;
+        self.col += len as u32;
+        &self.src[start..self.pos]
     }
 
     /// Lex a string body, the opening `"` having been consumed. An

@@ -11,8 +11,9 @@
 //!   match kinds, extern functions and objects, parsers with `select`,
 //!   controls with actions/tables (exact/ternary/lpm/range/optional match
 //!   kinds, const entries, annotations), and package instantiations.
-//! * [`mod@prelude`] — each architecture prelude parsed once per process;
-//!   a program compiled against it lexes and parses only its own source.
+//! * [`mod@prelude`] — each architecture prelude parsed and checked once
+//!   per process; a program compiled against it lexes, parses and checks
+//!   only its own source.
 //! * [`mod@typecheck`] — builds a [`types::TypeEnv`] and checks the program;
 //!   the resulting [`typecheck::CheckedProgram`] feeds IR lowering.
 //!
@@ -44,7 +45,7 @@ pub use ast::Program;
 pub use diag::SourceMap;
 pub use error::{codes, Diagnostic, FrontendError, Phase, Severity};
 pub use parser::{parse, parse_expression, Prefix};
-pub use prelude::parse_with_prelude;
+pub use prelude::{frontend_with_prelude, parse_with_prelude};
 pub use typecheck::{typecheck, CheckedProgram};
 pub use types::{Type, TypeEnv};
 
@@ -54,18 +55,15 @@ pub use types::{Type, TypeEnv};
 /// the per-file cap), ordered by phase then source position. Warnings from a
 /// clean run are carried on the [`CheckedProgram`].
 pub fn frontend(source: &str) -> Result<CheckedProgram, Vec<Diagnostic>> {
-    check(parser::parse_all(source))
+    check(parser::parse_all(source), typecheck)
 }
 
-/// [`frontend`] for `source` placed on the line after `prelude`, parsing
-/// only `source` when the prelude's parse is cached (see [`mod@prelude`]).
-/// The result equals `frontend(&format!("{prelude}\n{source}"))`.
-pub fn frontend_with_prelude(prelude: &str, source: &str) -> Result<CheckedProgram, Vec<Diagnostic>> {
-    check(parse_with_prelude(prelude, source))
-}
-
-/// Typecheck a parse, merging its diagnostics into the result.
-fn check((prog, parse_diags): (Program, Vec<Diagnostic>)) -> Result<CheckedProgram, Vec<Diagnostic>> {
+/// Typecheck a parse with `typecheck`, merging its diagnostics into the
+/// result.
+pub(crate) fn check(
+    (prog, parse_diags): (Program, Vec<Diagnostic>),
+    typecheck: impl FnOnce(Program) -> Result<CheckedProgram, Vec<Diagnostic>>,
+) -> Result<CheckedProgram, Vec<Diagnostic>> {
     if parse_diags.iter().any(Diagnostic::is_error) {
         return Err(parse_diags);
     }

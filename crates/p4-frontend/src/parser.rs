@@ -21,12 +21,14 @@ use crate::ast::*;
 use crate::error::{codes, DiagSink, Diagnostic};
 use crate::lexer::{lex_all, lex_at, Lexed, Origin};
 use crate::token::{IntLit, Keyword, Span, Tok, Token};
+use std::sync::Arc;
 
 /// Maximum nesting depth for expressions, statements, and types. Each level
-/// costs a bounded number of stack frames — and the expression ladder is
-/// ~14 frames per level, several KiB each in unoptimized builds — so the
-/// budget must fit a 2 MiB thread stack with headroom (48 levels measured
-/// safe under a debug-profile test runner). Real P4 programs nest
+/// costs a bounded number of stack frames, several KiB each in unoptimized
+/// builds, so the budget must fit a 2 MiB thread stack with headroom (48
+/// levels measured safe under a debug-profile test runner when an
+/// expression level took ~14 frames; precedence climbing takes fewer now).
+/// Real P4 programs nest
 /// expressions ~10 deep; anything near this limit is adversarial input
 /// (`((((…))))`, `if(c) if(c) …`).
 const MAX_DEPTH: u32 = 48;
@@ -47,25 +49,26 @@ pub fn parse(source: &str) -> Result<Program, Vec<Diagnostic>> {
 /// Total variant of [`parse`]: always returns the best-effort program (with
 /// declarations that failed to parse dropped) alongside all diagnostics.
 pub fn parse_all(source: &str) -> (Program, Vec<Diagnostic>) {
-    parse_lexed(lex_at(source, Origin::default()), &[])
+    parse_lexed(lex_at(source, Origin::default()), &Arc::default())
 }
 
 /// Parse a lexed source as the text after `prefix`'s declarations.
-fn parse_lexed(lexed: Lexed, prefix: &[Decl]) -> (Program, Vec<Diagnostic>) {
+fn parse_lexed(lexed: Lexed, prefix: &Arc<[Decl]>) -> (Program, Vec<Diagnostic>) {
     let mut p = Parser::new(lexed.tokens);
     p.diags.extend(lexed.diags);
     // A lexer that hit the diagnostic cap stops the parse before its first
     // declaration, which in the whole file is the prefix's first.
-    let mut decls = if p.diags.capped() { Vec::new() } else { prefix.to_vec() };
-    p.declarations(&mut decls);
-    (Program { decls }, p.diags.into_vec())
+    let prefix = if p.diags.capped() { Arc::default() } else { prefix.clone() };
+    let mut own = Vec::new();
+    p.declarations(&mut own);
+    (Program { prefix, own }, p.diags.into_vec())
 }
 
 /// Source text parsed once, for sources that follow it on the next line.
 #[derive(Debug)]
 pub struct Prefix {
-    /// The prefix's declarations.
-    program: Program,
+    /// The prefix's declarations, shared by every program parsed after it.
+    decls: Arc<[Decl]>,
     /// Where a source placed on the line after the prefix starts.
     origin: Origin,
 }
@@ -80,8 +83,13 @@ impl Prefix {
             return None;
         }
         let origin = lexed.end;
-        let (program, diags) = parse_lexed(lexed, &[]);
-        diags.is_empty().then_some(Prefix { program, origin })
+        let (program, diags) = parse_lexed(lexed, &Arc::default());
+        diags.is_empty().then(|| Prefix { decls: program.own.into(), origin })
+    }
+
+    /// The prefix's declarations.
+    pub(crate) fn decls(&self) -> &[Decl] {
+        &self.decls
     }
 
     /// The prefix's declarations followed by `source`'s, and `source`'s
@@ -92,7 +100,7 @@ impl Prefix {
     /// diagnostic recorded, so the concatenated parse goes on exactly as a
     /// parse of `source` alone does.
     pub fn parse_after(&self, source: &str) -> (Program, Vec<Diagnostic>) {
-        parse_lexed(lex_at(source, self.origin), &self.program.decls)
+        parse_lexed(lex_at(source, self.origin), &self.decls)
     }
 }
 
@@ -180,13 +188,25 @@ impl Parser {
         }
     }
 
+    /// Step past the current token, taking the text of an identifier,
+    /// string or annotation token: the parser never looks back at a token
+    /// it has stepped past, so the text moves into the AST uncopied.
+    fn bump_text(&mut self) -> (String, Span) {
+        let i = self.pos.min(self.tokens.len() - 1);
+        let text = match &mut self.tokens[i].tok {
+            Tok::Ident(s) | Tok::Str(s) | Tok::At(s) => std::mem::take(s),
+            _ => String::new(),
+        };
+        (text, self.bump())
+    }
+
     fn expect_ident(&mut self) -> PResult<(String, Span)> {
         let name = match self.peek() {
-            Tok::Ident(s) => s.clone(),
+            Tok::Ident(_) => return Ok(self.bump_text()),
             // Some keywords double as identifiers in member positions.
-            Tok::Kw(Keyword::Apply) => "apply".into(),
-            Tok::Kw(Keyword::Key) => "key".into(),
-            Tok::Kw(Keyword::Size) => "size".into(),
+            Tok::Kw(Keyword::Apply) => "apply",
+            Tok::Kw(Keyword::Key) => "key",
+            Tok::Kw(Keyword::Size) => "size",
             other => {
                 return Err(Diagnostic::parse(
                     self.span(),
@@ -195,7 +215,7 @@ impl Parser {
                 .with_code(codes::PARSE_EXPECTED_IDENT))
             }
         };
-        Ok((name, self.bump()))
+        Ok((name.to_string(), self.bump()))
     }
 
     fn expect_int(&mut self) -> PResult<(u128, Span)> {
@@ -324,24 +344,19 @@ impl Parser {
 
     fn annotations(&mut self) -> PResult<Vec<Annotation>> {
         let mut anns = Vec::new();
-        while let Tok::At(name) = self.peek().clone() {
-            let span = self.bump();
+        while let Tok::At(_) = self.peek() {
+            let (name, span) = self.bump_text();
             let mut args = Vec::new();
             if self.eat(Tok::LParen) {
                 while *self.peek() != Tok::RParen {
-                    match self.peek().clone() {
-                        Tok::Str(s) => {
-                            self.bump();
-                            args.push(AnnotationArg::Str(s));
-                        }
+                    match self.peek() {
+                        Tok::Str(_) => args.push(AnnotationArg::Str(self.bump_text().0)),
                         Tok::Int(i) => {
+                            let value = i.value;
                             self.bump();
-                            args.push(AnnotationArg::Int(i.value));
+                            args.push(AnnotationArg::Int(value));
                         }
-                        Tok::Ident(s) => {
-                            self.bump();
-                            args.push(AnnotationArg::Ident(s));
-                        }
+                        Tok::Ident(_) => args.push(AnnotationArg::Ident(self.bump_text().0)),
                         other => {
                             return Err(Diagnostic::parse(
                                 self.span(),
@@ -377,7 +392,7 @@ impl Parser {
     }
 
     fn type_ref_inner(&mut self) -> PResult<TypeRef> {
-        let base = match self.peek().clone() {
+        let base = match self.peek() {
             Tok::Kw(Keyword::Bool) => {
                 self.bump();
                 TypeRef::Bool
@@ -414,13 +429,14 @@ impl Parser {
                 self.close_angle()?;
                 TypeRef::Varbit(w as u32)
             }
-            Tok::Ident(name) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let (name, _) = self.bump_text();
                 if *self.peek() == Tok::Lt {
                     self.bump();
                     let mut args = Vec::new();
                     loop {
-                        if self.eat(Tok::Ident("_".into())) {
+                        if matches!(self.peek(), Tok::Ident(s) if s == "_") {
+                            self.bump();
                             args.push(TypeRef::Dontcare);
                         } else {
                             args.push(self.type_ref()?);
@@ -477,7 +493,7 @@ impl Parser {
     fn declaration(&mut self) -> PResult<Decl> {
         let annotations = self.annotations()?;
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Kw(Keyword::Const) => {
                 self.bump();
                 let ty = self.type_ref()?;
@@ -726,7 +742,7 @@ impl Parser {
             while !matches!(self.peek(), Tok::RBrace | Tok::Eof) {
                 let _anns = self.annotations()?;
                 let mspan = self.span();
-                if *self.peek() == Tok::Ident(name.clone()) && *self.peek_at(1) == Tok::LParen {
+                if matches!(self.peek(), Tok::Ident(n) if *n == name) && *self.peek_at(1) == Tok::LParen {
                     // constructor
                     self.bump();
                     constructors.push(self.param_list()?);
@@ -979,7 +995,7 @@ impl Parser {
         apply: &mut Vec<Stmt>,
     ) -> PResult<()> {
         let danns = self.annotations()?;
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Kw(Keyword::Action) => actions.push(self.action_decl(danns)?),
             Tok::Kw(Keyword::Table) => tables.push(self.table_decl(danns)?),
             Tok::Kw(Keyword::Apply) => {
@@ -1076,7 +1092,7 @@ impl Parser {
 
     fn table_item(&mut self, t: &mut TableDecl) -> PResult<()> {
         let is_const = self.eat(Tok::Kw(Keyword::Const));
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Kw(Keyword::Key) => {
                 self.bump();
                 self.expect(Tok::Assign)?;
@@ -1210,7 +1226,7 @@ impl Parser {
     fn statement_inner(&mut self) -> PResult<Stmt> {
         let _anns = self.annotations()?;
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LBrace => self.block(),
             Tok::Semi => {
                 self.bump();
@@ -1331,7 +1347,7 @@ impl Parser {
     }
 
     fn ternary_expr(&mut self) -> PResult<Expr> {
-        let cond = self.or_expr()?;
+        let cond = self.binary_expr(1)?;
         if self.eat(Tok::Question) {
             let then_e = self.expr()?;
             self.expect(Tok::Colon)?;
@@ -1347,66 +1363,46 @@ impl Parser {
         Ok(cond)
     }
 
-    fn or_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(Tok::PipePipe) {
-            let rhs = self.and_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op: BinaryOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
+    /// The binary operator at the cursor: the operator, its precedence
+    /// level (higher binds tighter) and how many tokens it spans.
+    fn binary_op(&self) -> Option<(BinaryOp, u8, usize)> {
+        Some(match self.peek() {
+            Tok::PipePipe => (BinaryOp::Or, 1, 1),
+            Tok::AmpAmp => (BinaryOp::And, 2, 1),
+            Tok::Pipe => (BinaryOp::BitOr, 3, 1),
+            Tok::Caret => (BinaryOp::BitXor, 4, 1),
+            Tok::Amp => (BinaryOp::BitAnd, 5, 1),
+            Tok::Eq => (BinaryOp::Eq, 6, 1),
+            Tok::Neq => (BinaryOp::Neq, 6, 1),
+            Tok::Lt => (BinaryOp::Lt, 7, 1),
+            Tok::Le => (BinaryOp::Le, 7, 1),
+            Tok::Gt if self.gt_gt_adjacent() => (BinaryOp::Shr, 8, 2),
+            Tok::Gt => (BinaryOp::Gt, 7, 1),
+            Tok::Ge => (BinaryOp::Ge, 7, 1),
+            Tok::Shl => (BinaryOp::Shl, 8, 1),
+            Tok::PlusPlus => (BinaryOp::Concat, 9, 1),
+            Tok::Plus => (BinaryOp::Add, 10, 1),
+            Tok::Minus => (BinaryOp::Sub, 10, 1),
+            Tok::Star => (BinaryOp::Mul, 11, 1),
+            Tok::Slash => (BinaryOp::Div, 11, 1),
+            Tok::Percent => (BinaryOp::Mod, 11, 1),
+            _ => return None,
+        })
     }
 
-    fn and_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.bitor_expr()?;
-        while self.eat(Tok::AmpAmp) {
-            let rhs = self.bitor_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op: BinaryOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
-    }
-
-    fn bitor_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.bitxor_expr()?;
-        while self.eat(Tok::Pipe) {
-            let rhs = self.bitxor_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op: BinaryOp::BitOr, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
-    }
-
-    fn bitxor_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.bitand_expr()?;
-        while self.eat(Tok::Caret) {
-            let rhs = self.bitand_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op: BinaryOp::BitXor, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
-    }
-
-    fn bitand_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.equality_expr()?;
-        while self.eat(Tok::Amp) {
-            let rhs = self.equality_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op: BinaryOp::BitAnd, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
-    }
-
-    fn equality_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.relational_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Eq => BinaryOp::Eq,
-                Tok::Neq => BinaryOp::Neq,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.relational_expr()?;
+    /// A chain of binary operators of level `min` or tighter, each level
+    /// left-associative (precedence climbing). Only unary operands open a
+    /// nesting level for the depth guard.
+    fn binary_expr(&mut self, min: u8) -> PResult<Expr> {
+        let mut lhs = self.unary_expr()?;
+        while let Some((op, level, len)) = self.binary_op() {
+            if level < min {
+                break;
+            }
+            for _ in 0..len {
+                self.bump();
+            }
+            let rhs = self.binary_expr(level + 1)?;
             let span = lhs.span().merge(rhs.span());
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
         }
@@ -1422,87 +1418,6 @@ impl Parser {
                 .get(self.pos + 1)
                 .map(|next| self.tokens[self.pos].span.end.offset == next.span.start.offset)
                 .unwrap_or(false)
-    }
-
-    fn relational_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.shift_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinaryOp::Lt,
-                Tok::Le => BinaryOp::Le,
-                Tok::Gt if !self.gt_gt_adjacent() => BinaryOp::Gt,
-                Tok::Ge => BinaryOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.shift_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
-    }
-
-    fn shift_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.concat_expr()?;
-        loop {
-            let op = if *self.peek() == Tok::Shl {
-                self.bump();
-                BinaryOp::Shl
-            } else if self.gt_gt_adjacent() {
-                self.bump();
-                self.bump();
-                BinaryOp::Shr
-            } else {
-                break;
-            };
-            let rhs = self.concat_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
-    }
-
-    fn concat_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.additive_expr()?;
-        while self.eat(Tok::PlusPlus) {
-            let rhs = self.additive_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op: BinaryOp::Concat, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
-    }
-
-    fn additive_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinaryOp::Add,
-                Tok::Minus => BinaryOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.multiplicative_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinaryOp::Mul,
-                Tok::Slash => BinaryOp::Div,
-                Tok::Percent => BinaryOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
-        }
-        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> PResult<Expr> {
@@ -1545,7 +1460,7 @@ impl Parser {
         let mut e = self.primary_expr()?;
         loop {
             let span = self.span();
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Dot => {
                     self.bump();
                     let (member, msp) = self.expect_ident()?;
@@ -1633,8 +1548,8 @@ impl Parser {
 
     fn primary_expr(&mut self) -> PResult<Expr> {
         let span = self.span();
-        match self.peek().clone() {
-            Tok::Int(IntLit { value, width, signed }) => {
+        match self.peek() {
+            &Tok::Int(IntLit { value, width, signed }) => {
                 self.bump();
                 Ok(Expr::Int { value, width, signed, span })
             }
@@ -1646,10 +1561,7 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Bool { value: false, span })
             }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr::Str { value: s, span })
-            }
+            Tok::Str(_) => Ok(Expr::Str { value: self.bump_text().0, span }),
             Tok::Kw(Keyword::Error) => {
                 // `error.NoError`
                 self.bump();
@@ -1661,10 +1573,7 @@ impl Parser {
                     span: span.merge(msp),
                 })
             }
-            Tok::Ident(name) => {
-                self.bump();
-                Ok(Expr::Ident { name, span })
-            }
+            Tok::Ident(_) => Ok(Expr::Ident { name: self.bump_text().0, span }),
             Tok::LBrace => {
                 self.bump();
                 let items = self.expr_list(Tok::RBrace)?;
@@ -1683,14 +1592,14 @@ impl Parser {
                 }
                 // Cast for named types: `(TypeName) e` — identifier alone in
                 // parens followed by an expression-start token.
-                if let Tok::Ident(tname) = self.peek().clone() {
+                if let Tok::Ident(_) = self.peek() {
                     if *self.peek_at(1) == Tok::RParen
                         && matches!(
                             self.peek_at(2),
                             Tok::Ident(_) | Tok::Int(_) | Tok::LParen | Tok::Kw(Keyword::True | Keyword::False)
                         )
                     {
-                        self.bump();
+                        let (tname, _) = self.bump_text();
                         self.expect(Tok::RParen)?;
                         let arg = self.unary_expr()?;
                         let sp = span.merge(arg.span());
@@ -1744,7 +1653,7 @@ mod tests {
         let errors: Vec<_> = diags.iter().filter(|d| d.is_error()).collect();
         assert!(errors.len() >= 2, "expected 2+ errors, got {errors:?}");
         // The struct between the two bad declarations still parses.
-        assert!(prog.decls.iter().any(|d| matches!(d, Decl::Struct { name, .. } if name == "s_t")));
+        assert!(prog.decls().any(|d| matches!(d, Decl::Struct { name, .. } if name == "s_t")));
     }
 
     #[test]
@@ -1752,7 +1661,7 @@ mod tests {
         let src = "control c(inout bit<8> x) { apply { x = ; x = 1; } }";
         let (prog, diags) = parse_all(src);
         assert!(diags.iter().any(|d| d.is_error()));
-        let Some(Decl::Control(c)) = prog.decls.first() else {
+        let Some(Decl::Control(c)) = prog.decls().next() else {
             panic!("control did not survive recovery: {prog:?}")
         };
         assert_eq!(c.apply.len(), 1, "statement after the error should survive");

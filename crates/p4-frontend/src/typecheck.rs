@@ -21,7 +21,8 @@ use crate::error::{codes, DiagSink, Diagnostic, FrontendError};
 use crate::token::Span;
 use crate::types::{Type, TypeDef, TypeEnv, ResolvedField, ERROR_WIDTH};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// A program that has passed type checking.
 #[derive(Clone, Debug)]
@@ -32,50 +33,65 @@ pub struct CheckedProgram {
     pub warnings: Vec<Diagnostic>,
 }
 
-/// Lexical scope: a stack of name → type frames.
+/// Lexical scope: a stack of frames of declared names and their types.
+/// Names are borrowed from the program, and a block declares a handful, so
+/// a frame is a run of a flat list and a lookup scans it from the
+/// innermost declaration out: a later declaration shadows an earlier one.
 #[derive(Clone, Debug, Default)]
-pub struct Scope {
-    frames: Vec<HashMap<String, Type>>,
+pub struct Scope<'a> {
+    names: Vec<(&'a str, Type)>,
+    /// Where each open frame's declarations start in `names`.
+    frames: Vec<usize>,
 }
 
-impl Scope {
+impl<'a> Scope<'a> {
     pub fn new() -> Self {
-        Scope { frames: vec![HashMap::new()] }
+        Scope::default()
     }
 
     pub fn push(&mut self) {
-        self.frames.push(HashMap::new());
+        self.frames.push(self.names.len());
     }
 
     pub fn pop(&mut self) {
-        self.frames.pop();
+        let start = self.frames.pop().unwrap_or(0);
+        self.names.truncate(start);
     }
 
-    pub fn declare(&mut self, name: &str, ty: Type) {
-        if self.frames.is_empty() {
-            self.frames.push(HashMap::new());
-        }
-        if let Some(frame) = self.frames.last_mut() {
-            frame.insert(name.to_string(), ty);
-        }
+    pub fn declare(&mut self, name: &'a str, ty: Type) {
+        self.names.push((name, ty));
     }
 
     pub fn lookup(&self, name: &str) -> Option<&Type> {
-        self.frames.iter().rev().find_map(|f| f.get(name))
+        self.names.iter().rev().find(|(n, _)| *n == name).map(|(_, t)| t)
     }
 }
 
-/// Typecheck a parsed program against a (possibly empty) prelude environment.
+/// Typecheck a parsed program.
 ///
 /// Returns every diagnostic found (up to the per-file cap). `Err` iff any
 /// diagnostic is an error; warnings from a clean run are carried on the
 /// [`CheckedProgram`].
 pub fn typecheck(program: Program) -> Result<CheckedProgram, Vec<Diagnostic>> {
-    let mut env = TypeEnv::new();
+    typecheck_over(None, program)
+}
+
+/// [`typecheck`] for a program whose prefix declarations `base` already
+/// holds: the environment pass 1 builds from them (see [`checked_prefix`]).
+/// Only the program's own declarations are walked; the result equals
+/// `typecheck(program)`. With no base, every declaration is walked.
+pub(crate) fn typecheck_over(
+    base: Option<Arc<TypeEnv>>,
+    program: Program,
+) -> Result<CheckedProgram, Vec<Diagnostic>> {
+    let (mut env, skip) = match base {
+        Some(base) => (TypeEnv::over(base), program.prefix.len()),
+        None => (TypeEnv::new(), 0),
+    };
     let mut sink = DiagSink::new();
-    collect_declarations_into(&program, &mut env, &mut sink);
+    collect_declarations(program.decls().skip(skip), &mut env, &mut sink);
     let checker = Checker { env: &env, diags: RefCell::new(sink) };
-    for decl in &program.decls {
+    for decl in program.decls().skip(skip) {
         if checker.capped() {
             break;
         }
@@ -97,23 +113,30 @@ pub fn typecheck(program: Program) -> Result<CheckedProgram, Vec<Diagnostic>> {
     }
 }
 
-/// Pass 1 (compatibility form): populate the type environment, stopping at
-/// the first error. IR lowering uses this to rebuild an environment from an
-/// already-checked program, where no errors can occur.
-pub fn collect_declarations(program: &Program, env: &mut TypeEnv) -> Result<(), FrontendError> {
-    let mut sink = DiagSink::new();
-    collect_declarations_into(program, env, &mut sink);
-    match sink.into_vec().into_iter().find(Diagnostic::is_error) {
-        Some(e) => Err(e),
-        None => Ok(()),
+/// The environment pass 1 builds from `decls`, when a program that starts
+/// with them can be checked on top of it: pass 1 reports nothing, and no
+/// declaration has a body (pass 2 of a body would see the names declared
+/// after it). `None` otherwise.
+pub(crate) fn checked_prefix(decls: &[Decl]) -> Option<TypeEnv> {
+    let has_body = |d: &Decl| matches!(d, Decl::Parser(_) | Decl::Control(_) | Decl::Action(_));
+    if decls.iter().any(has_body) {
+        return None;
     }
+    let mut env = TypeEnv::new();
+    let mut sink = DiagSink::new();
+    collect_declarations(decls.iter(), &mut env, &mut sink);
+    sink.into_vec().is_empty().then_some(env)
 }
 
 /// Pass 1: populate the type environment from declarations, in order,
 /// accumulating diagnostics. Declarations that fail to resolve are entered
 /// as poison so references to them do not cascade.
-fn collect_declarations_into(program: &Program, env: &mut TypeEnv, diags: &mut DiagSink) {
-    for decl in &program.decls {
+fn collect_declarations<'d>(
+    decls: impl Iterator<Item = &'d Decl>,
+    env: &mut TypeEnv,
+    diags: &mut DiagSink,
+) {
+    for decl in decls {
         if diags.capped() {
             return;
         }
@@ -131,11 +154,11 @@ fn collect_declarations_into(program: &Program, env: &mut TypeEnv, diags: &mut D
                         ));
                     }
                 }
-                env.types.insert(name.clone(), TypeDef::Header(rf));
+                env.insert_type(name, TypeDef::Header(rf));
             }
             Decl::Struct { name, fields, .. } => {
                 let rf = resolve_fields_into(env, fields, diags);
-                env.types.insert(name.clone(), TypeDef::Struct(rf));
+                env.insert_type(name, TypeDef::Struct(rf));
             }
             Decl::Enum { name, underlying, members, span } => {
                 let repr = match underlying {
@@ -174,7 +197,7 @@ fn collect_declarations_into(program: &Program, env: &mut TypeEnv, diags: &mut D
                     next = val.wrapping_add(1);
                     resolved.push((m.clone(), val));
                 }
-                env.types.insert(name.clone(), TypeDef::Enum { repr, members: resolved });
+                env.insert_type(name, TypeDef::Enum { repr, members: resolved });
             }
             Decl::Typedef { ty, name, span } => {
                 let t = match env.resolve(ty, *span) {
@@ -184,7 +207,7 @@ fn collect_declarations_into(program: &Program, env: &mut TypeEnv, diags: &mut D
                         Type::Poison
                     }
                 };
-                env.types.insert(name.clone(), TypeDef::Alias(t));
+                env.insert_type(name, TypeDef::Alias(t));
             }
             Decl::Const { ty, name, value, span } => {
                 let t = match env.resolve(ty, *span) {
@@ -207,27 +230,23 @@ fn collect_declarations_into(program: &Program, env: &mut TypeEnv, diags: &mut D
                         0
                     }
                 };
-                env.consts.insert(name.clone(), (t, v));
+                env.insert_const(name, t, v);
             }
             Decl::ErrorDecl { members, .. } => {
                 for m in members {
-                    if !env.errors.contains(m) {
-                        env.errors.push(m.clone());
-                    }
+                    env.add_error(m);
                 }
             }
             Decl::MatchKindDecl { members, .. } => {
                 for m in members {
-                    if !env.match_kinds.contains(m) {
-                        env.match_kinds.push(m.clone());
-                    }
+                    env.add_match_kind(m);
                 }
             }
             Decl::ExternFunction(f) => {
-                env.extern_fns.insert(f.name.clone(), f.clone());
+                env.insert_extern_fn(f);
             }
             Decl::ExternObject(o) => {
-                env.types.insert(o.name.clone(), TypeDef::ExternObject(o.clone()));
+                env.insert_type(&o.name, TypeDef::ExternObject(o.clone()));
             }
             _ => {}
         }
@@ -260,7 +279,7 @@ pub fn const_eval(env: &TypeEnv, e: &Expr) -> Option<u128> {
     Some(match e {
         Expr::Int { value, .. } => *value,
         Expr::Bool { value, .. } => *value as u128,
-        Expr::Ident { name, .. } => env.consts.get(name)?.1,
+        Expr::Ident { name, .. } => env.constant(name)?.1,
         Expr::Member { base, member, .. } => {
             if let Expr::Ident { name, .. } = base.as_ref() {
                 if name == "error" {
@@ -329,7 +348,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn scope_from_params(&self, params: &[Param]) -> Scope {
+    fn scope_from_params<'s>(&self, params: &'s [Param]) -> Scope<'s> {
         let mut scope = Scope::new();
         for p in params {
             let t = self.resolve_or_poison(&p.ty, p.span);
@@ -436,12 +455,9 @@ impl<'a> Checker<'a> {
         for l in &c.locals {
             self.check_stmt(l, &mut scope);
         }
-        // Action signatures (for table refs and calls).
-        let mut actions: HashMap<String, Vec<Param>> = HashMap::new();
-        actions.insert("NoAction".to_string(), Vec::new());
-        for a in &c.actions {
-            actions.insert(a.name.clone(), a.params.clone());
-        }
+        // Action names (for table refs).
+        let mut actions: HashSet<&str> = c.actions.iter().map(|a| a.name.as_str()).collect();
+        actions.insert("NoAction");
         for a in &c.actions {
             if self.capped() {
                 return;
@@ -469,7 +485,7 @@ impl<'a> Checker<'a> {
         scope.pop();
     }
 
-    fn check_action(&self, a: &ActionDecl, scope: &mut Scope) {
+    fn check_action<'s>(&self, a: &'s ActionDecl, scope: &mut Scope<'s>) {
         scope.push();
         for p in &a.params {
             let t = self.resolve_or_poison(&p.ty, p.span);
@@ -481,7 +497,7 @@ impl<'a> Checker<'a> {
         scope.pop();
     }
 
-    fn check_table(&self, t: &TableDecl, scope: &Scope, actions: &HashMap<String, Vec<Param>>) {
+    fn check_table(&self, t: &TableDecl, scope: &Scope, actions: &HashSet<&str>) {
         for k in &t.keys {
             match self.type_of(&k.expr, scope) {
                 Ok(kt) => {
@@ -505,7 +521,7 @@ impl<'a> Checker<'a> {
             }
         }
         for a in &t.actions {
-            if !actions.contains_key(&a.name) {
+            if !actions.contains(a.name.as_str()) {
                 self.report(
                     FrontendError::typecheck(
                         a.span,
@@ -551,7 +567,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_stmt(&self, s: &Stmt, scope: &mut Scope) {
+    fn check_stmt<'s>(&self, s: &'s Stmt, scope: &mut Scope<'s>) {
         if self.capped() {
             return;
         }
@@ -719,10 +735,10 @@ pub fn type_of_expr(env: &TypeEnv, e: &Expr, scope: &Scope) -> Result<Type, Fron
             if let Some(t) = scope.lookup(name) {
                 return Ok(t.clone());
             }
-            if let Some((t, _)) = env.consts.get(name) {
+            if let Some((t, _)) = env.constant(name) {
                 return Ok(t.clone());
             }
-            if env.extern_fns.contains_key(name) {
+            if env.extern_fn(name).is_some() {
                 return Ok(Type::Action(name.clone()));
             }
             Err(FrontendError::typecheck(span, format!("unknown name '{name}'"))
@@ -741,9 +757,9 @@ pub fn type_of_expr(env: &TypeEnv, e: &Expr, scope: &Scope) -> Result<Type, Fron
                 }
                 // `EnumName.Member` when not shadowed by a local.
                 if scope.lookup(name).is_none() {
-                    if let Some(TypeDef::Enum { repr, .. }) = env.types.get(name) {
+                    if let Some((enum_name, TypeDef::Enum { repr, .. })) = env.named(name) {
                         return if env.enum_value(name, member).is_some() {
-                            Ok(Type::Enum { name: name.clone(), repr: *repr })
+                            Ok(Type::Enum { name: enum_name.clone(), repr: *repr })
                         } else {
                             Err(FrontendError::typecheck(
                                 span,
@@ -840,7 +856,7 @@ pub fn type_of_expr(env: &TypeEnv, e: &Expr, scope: &Scope) -> Result<Type, Fron
         }
         Expr::Mask { value, .. } => type_of_expr(env, value, scope),
         Expr::Range { lo, .. } => type_of_expr(env, lo, scope),
-        Expr::List { .. } => Ok(Type::Struct("<list>".to_string())),
+        Expr::List { .. } => Ok(Type::Struct(Arc::from("<list>"))),
         Expr::Call { callee, type_args, args, .. } => {
             call_type(env, callee, type_args, args, scope, span)
         }
@@ -1059,7 +1075,7 @@ fn call_type(
         }
         Expr::Ident { name, .. } => {
             // Extern function or action call.
-            if let Some(sig) = env.extern_fns.get(name) {
+            if let Some(sig) = env.extern_fn(name) {
                 let sig = sig.clone();
                 return check_extern_args(env, &sig, type_args, args, scope, span);
             }
@@ -1127,7 +1143,7 @@ fn check_extern_args(
         let pt = env.resolve(&param.ty, span)?;
         let compatible = pt == at
             || merge_numeric(&pt, &at).is_some()
-            || matches!(at, Type::Struct(ref s) if s == "<list>")
+            || matches!(at, Type::Struct(ref s) if &**s == "<list>")
             || matches!(pt, Type::Varbit(_));
         if !compatible {
             return Err(FrontendError::typecheck(

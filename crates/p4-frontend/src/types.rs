@@ -10,6 +10,7 @@ use crate::error::FrontendError;
 use crate::token::Span;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A fully resolved type.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -22,10 +23,13 @@ pub enum Type {
     Error,
     /// An unsized integer literal, adapting to context.
     InfInt,
-    Header(String),
-    Struct(String),
+    /// A header, struct or enum type by name. The name is shared with the
+    /// declaration's entry in the [`TypeEnv`], so a copy of a type costs
+    /// no allocation.
+    Header(Arc<str>),
+    Struct(Arc<str>),
     /// An enum; `repr` is the bit width used for its runtime representation.
-    Enum { name: String, repr: u32 },
+    Enum { name: Arc<str>, repr: u32 },
     Stack(Box<Type>, u32),
     /// An extern object instance with its (resolved) type arguments.
     Extern { name: String, type_args: Vec<Type> },
@@ -141,21 +145,31 @@ pub enum TypeDef {
     ExternObject(ExternObject),
 }
 
-/// The type environment.
+/// The type environment: the names a program declares, optionally layered
+/// over a shared base environment (a checked prelude's).
+///
+/// A lookup finds this layer's entry first and falls through to the base,
+/// so a program's declaration shadows a base one of the same name, exactly
+/// as a later declaration overwrites an earlier one in a single layer.
+/// Error codes and match kinds list the base's members first.
 #[derive(Clone, Debug, Default)]
 pub struct TypeEnv {
-    pub types: HashMap<String, TypeDef>,
+    base: Option<Arc<TypeEnv>>,
+    types: HashMap<Arc<str>, TypeDef>,
     /// Constants: name → (type, value).
-    pub consts: HashMap<String, (Type, u128)>,
-    /// Error members, in declaration order (`error.X` has code = index).
-    pub errors: Vec<String>,
-    /// Declared match kinds.
-    pub match_kinds: Vec<String>,
+    consts: HashMap<String, (Type, u128)>,
+    /// Error members, in declaration order (`error.X` has code = index),
+    /// after the base's.
+    errors: Vec<String>,
+    /// Declared match kinds, after the base's.
+    match_kinds: Vec<String>,
     /// Extern function signatures by name (overloads not supported).
-    pub extern_fns: HashMap<String, ExternFunction>,
+    extern_fns: HashMap<String, ExternFunction>,
 }
 
 impl TypeEnv {
+    /// The environment every program starts from: the core error members
+    /// and match kinds, and nothing else.
     pub fn new() -> Self {
         let mut env = TypeEnv::default();
         // Core error members per the P4-16 spec.
@@ -174,6 +188,58 @@ impl TypeEnv {
             env.match_kinds.push(mk.to_string());
         }
         env
+    }
+
+    /// An empty layer over `base`: it sees every name `base` declares.
+    pub(crate) fn over(base: Arc<TypeEnv>) -> Self {
+        TypeEnv { base: Some(base), ..TypeEnv::default() }
+    }
+
+    /// The definition of a named type.
+    pub fn type_def(&self, name: &str) -> Option<&TypeDef> {
+        self.named(name).map(|(_, def)| def)
+    }
+
+    /// The definition of a named type and the name as the environment
+    /// holds it, which [`Type`]s of it share.
+    pub fn named(&self, name: &str) -> Option<(&Arc<str>, &TypeDef)> {
+        self.types.get_key_value(name).or_else(|| self.base.as_ref()?.named(name))
+    }
+
+    /// A constant's type and value.
+    pub fn constant(&self, name: &str) -> Option<&(Type, u128)> {
+        self.consts.get(name).or_else(|| self.base.as_ref()?.constant(name))
+    }
+
+    /// An extern function's signature.
+    pub fn extern_fn(&self, name: &str) -> Option<&ExternFunction> {
+        self.extern_fns.get(name).or_else(|| self.base.as_ref()?.extern_fn(name))
+    }
+
+    pub(crate) fn insert_type(&mut self, name: &str, def: TypeDef) {
+        self.types.insert(Arc::from(name), def);
+    }
+
+    pub(crate) fn insert_const(&mut self, name: &str, ty: Type, value: u128) {
+        self.consts.insert(name.to_string(), (ty, value));
+    }
+
+    pub(crate) fn insert_extern_fn(&mut self, f: &ExternFunction) {
+        self.extern_fns.insert(f.name.clone(), f.clone());
+    }
+
+    /// Declare an error member; a member already declared keeps its code.
+    pub(crate) fn add_error(&mut self, member: &str) {
+        if self.error_code(member).is_none() {
+            self.errors.push(member.to_string());
+        }
+    }
+
+    /// Declare a match kind, once.
+    pub(crate) fn add_match_kind(&mut self, kind: &str) {
+        if !self.is_match_kind(kind) {
+            self.match_kinds.push(kind.to_string());
+        }
     }
 
     /// Resolve a surface type to a semantic type.
@@ -195,7 +261,7 @@ impl TypeEnv {
                     .iter()
                     .map(|a| self.resolve(a, span))
                     .collect::<Result<Vec<_>, _>>()?;
-                match self.types.get(name) {
+                match self.type_def(name) {
                     Some(TypeDef::ExternObject(_)) => {
                         Type::Extern { name: name.clone(), type_args: targs }
                     }
@@ -217,14 +283,12 @@ impl TypeEnv {
             "packet_out" => return Ok(Type::PacketOut),
             _ => {}
         }
-        match self.types.get(name) {
-            Some(TypeDef::Header(_)) => Ok(Type::Header(name.to_string())),
-            Some(TypeDef::Struct(_)) => Ok(Type::Struct(name.to_string())),
-            Some(TypeDef::Enum { repr, .. }) => {
-                Ok(Type::Enum { name: name.to_string(), repr: *repr })
-            }
-            Some(TypeDef::Alias(t)) => Ok(t.clone()),
-            Some(TypeDef::ExternObject(_)) => {
+        match self.named(name) {
+            Some((n, TypeDef::Header(_))) => Ok(Type::Header(n.clone())),
+            Some((n, TypeDef::Struct(_))) => Ok(Type::Struct(n.clone())),
+            Some((n, TypeDef::Enum { repr, .. })) => Ok(Type::Enum { name: n.clone(), repr: *repr }),
+            Some((_, TypeDef::Alias(t))) => Ok(t.clone()),
+            Some((_, TypeDef::ExternObject(_))) => {
                 Ok(Type::Extern { name: name.to_string(), type_args: Vec::new() })
             }
             None => Err(FrontendError::typecheck(span, format!("unknown type '{name}'"))
@@ -234,7 +298,7 @@ impl TypeEnv {
 
     /// Fields of a header or struct by type name.
     pub fn fields_of(&self, name: &str) -> Option<&[ResolvedField]> {
-        match self.types.get(name)? {
+        match self.type_def(name)? {
             TypeDef::Header(f) | TypeDef::Struct(f) => Some(f),
             _ => None,
         }
@@ -246,7 +310,7 @@ impl TypeEnv {
 
     /// Value of an enum member (declared or ordinal).
     pub fn enum_value(&self, enum_name: &str, member: &str) -> Option<(u128, u32)> {
-        match self.types.get(enum_name)? {
+        match self.type_def(enum_name)? {
             TypeDef::Enum { repr, members } => members
                 .iter()
                 .find(|(m, _)| m == member)
@@ -257,12 +321,25 @@ impl TypeEnv {
 
     /// Code for an `error.X` constant.
     pub fn error_code(&self, member: &str) -> Option<u32> {
-        self.errors.iter().position(|e| e == member).map(|i| i as u32)
+        let (below, inherited) = match &self.base {
+            Some(base) => (base.error_count(), base.error_code(member)),
+            None => (0, None),
+        };
+        inherited.or_else(|| {
+            let own = self.errors.iter().position(|e| e == member)?;
+            Some(below + own as u32)
+        })
+    }
+
+    /// How many error members are declared, the base's included.
+    fn error_count(&self) -> u32 {
+        self.base.as_ref().map_or(0, |b| b.error_count()) + self.errors.len() as u32
     }
 
     /// Whether a match kind has been declared.
     pub fn is_match_kind(&self, name: &str) -> bool {
         self.match_kinds.iter().any(|m| m == name)
+            || self.base.as_ref().is_some_and(|b| b.is_match_kind(name))
     }
 
     /// Look up a method signature on an extern object, substituting the
@@ -273,7 +350,7 @@ impl TypeEnv {
         type_args: &[Type],
         method: &str,
     ) -> Option<ExternFunction> {
-        let TypeDef::ExternObject(decl) = self.types.get(obj)? else {
+        let TypeDef::ExternObject(decl) = self.type_def(obj)? else {
             return None;
         };
         let m = decl.methods.iter().find(|m| m.name == method)?.clone();
@@ -317,8 +394,8 @@ pub fn type_to_ref(t: &Type) -> TypeRef {
         Type::Int(w) => TypeRef::Int(*w),
         Type::Varbit(w) => TypeRef::Varbit(*w),
         Type::Error => TypeRef::Error,
-        Type::Header(n) | Type::Struct(n) => TypeRef::Named(n.clone()),
-        Type::Enum { name, .. } => TypeRef::Named(name.clone()),
+        Type::Header(n) | Type::Struct(n) => TypeRef::Named(n.to_string()),
+        Type::Enum { name, .. } => TypeRef::Named(name.to_string()),
         Type::Stack(t, n) => TypeRef::Stack(Box::new(type_to_ref(t)), *n),
         Type::Void => TypeRef::Void,
         Type::TypeVar(n) => TypeRef::Named(n.clone()),

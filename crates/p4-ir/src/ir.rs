@@ -21,6 +21,7 @@
 use p4t_frontend::ast::Annotation;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a coverable statement.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -433,10 +434,11 @@ pub struct StackLayout {
 }
 
 /// Metadata about one coverable statement (for reports).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct StmtInfo {
     pub id: StmtId,
-    pub block: String,
+    /// The block the statement is in, shared by all of its statements.
+    pub block: Arc<str>,
     pub line: u32,
     /// Start column (1-based) of the statement's source span.
     pub col: u32,
@@ -447,7 +449,7 @@ pub struct StmtInfo {
 }
 
 /// A complete lowered program.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct IrProgram {
     pub blocks: HashMap<String, IrBlock>,
     /// The package instantiation: package type name and the block name bound

@@ -19,6 +19,7 @@ use p4t_frontend::token::Span;
 use p4t_frontend::typecheck::{const_eval, type_of_expr, CheckedProgram, Scope};
 use p4t_frontend::types::{Type, TypeEnv, ERROR_WIDTH};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Lower a checked program to IR without binding any block parameters:
 /// every parameter keeps its own name. [`lower_with_roots`] is the form
@@ -76,14 +77,14 @@ fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram,
         next_stmt: 0,
         next_temp: 0,
         statements: Vec::new(),
-        block: String::new(),
+        block: Arc::from(""),
         headers: Vec::new(),
         header_ids: HashMap::new(),
         stacks: Vec::new(),
         stack_ids: HashMap::new(),
     };
     let mut blocks = HashMap::new();
-    for decl in &checked.program.decls {
+    for decl in checked.program.decls() {
         match decl {
             Decl::Parser(p) => {
                 let irp = lw.lower_parser(p, &roots_of(&p.name))?;
@@ -113,62 +114,61 @@ struct Lowerer<'a> {
     next_stmt: u32,
     next_temp: u32,
     statements: Vec<StmtInfo>,
-    block: String,
+    /// The block being lowered, shared by its statements' infos.
+    block: Arc<str>,
     headers: Vec<HeaderLayout>,
-    /// Keyed by path and header type: ingress and egress may bind
+    /// Keyed by path, then header type: ingress and egress may bind
     /// different header types to one root, and two actions may declare
     /// same-named locals of different types.
-    header_ids: HashMap<(Path, String), HeaderId>,
+    header_ids: HashMap<String, Vec<(String, HeaderId)>>,
     stacks: Vec<StackLayout>,
-    /// Keyed by path, element type and declared size.
-    stack_ids: HashMap<(Path, String, u32), StackId>,
+    /// Keyed by path, then element type and declared size.
+    stack_ids: HashMap<String, Vec<(String, u32, StackId)>>,
 }
 
 /// Per-block lowering context: variable scoping and name mangling.
-struct Ctx {
+struct Ctx<'a> {
     /// Type scope for expression typing.
-    scope: Scope,
-    /// Mapping from local names to mangled storage paths.
-    aliases: Vec<HashMap<String, Path>>,
+    scope: Scope<'a>,
+    /// Local names and their mangled storage paths, innermost last.
+    aliases: Vec<(&'a str, Path)>,
+    /// Where each open frame's aliases start.
+    alias_frames: Vec<usize>,
     /// Action signatures in the enclosing control.
-    actions: HashMap<String, Vec<ast::Param>>,
-    /// Extern object instantiations: name → extern type name.
-    instances: HashMap<String, String>,
+    actions: HashMap<&'a str, &'a [ast::Param]>,
     /// True while lowering parser code (enables extract/advance/lookahead).
     in_parser: bool,
 }
 
-impl Ctx {
+impl<'a> Ctx<'a> {
     fn new() -> Self {
         Ctx {
             scope: Scope::new(),
-            aliases: vec![HashMap::new()],
+            aliases: Vec::new(),
+            alias_frames: Vec::new(),
             actions: HashMap::new(),
-            instances: HashMap::new(),
             in_parser: false,
         }
     }
 
     fn push(&mut self) {
         self.scope.push();
-        self.aliases.push(HashMap::new());
+        self.alias_frames.push(self.aliases.len());
     }
 
     fn pop(&mut self) {
         self.scope.pop();
-        self.aliases.pop();
+        let start = self.alias_frames.pop().unwrap_or(0);
+        self.aliases.truncate(start);
     }
 
     fn alias_of(&self, name: &str) -> Option<&Path> {
-        self.aliases.iter().rev().find_map(|f| f.get(name))
+        self.aliases.iter().rev().find(|(n, _)| *n == name).map(|(_, p)| p)
     }
 
-    fn declare(&mut self, name: &str, ty: Type, path: Path) {
+    fn declare(&mut self, name: &'a str, ty: Type, path: Path) {
         self.scope.declare(name, ty);
-        // Pushes and pops pair up, so the base frame is always there.
-        if let Some(frame) = self.aliases.last_mut() {
-            frame.insert(name.to_string(), path);
-        }
+        self.aliases.push((name, path));
     }
 }
 
@@ -211,22 +211,22 @@ impl<'a> Lowerer<'a> {
     /// Lower a block's parameters and bind the non-packet ones, in order,
     /// to the roots of each package position the block is passed at. The
     /// returned context declares each parameter at its storage path.
-    fn lower_params(
+    fn lower_params<'r, 'c>(
         &mut self,
-        params: &[ast::Param],
-        roots: &[&[&str]],
+        params: &'c [ast::Param],
+        roots: &[&[&'r str]],
         span: Span,
-    ) -> LResult<(Vec<IrParam>, Ctx)> {
+    ) -> LResult<(Vec<IrParam>, Ctx<'c>)> {
         let tys = params
             .iter()
             .map(|p| self.env.resolve(&p.ty, p.span))
             .collect::<LResult<Vec<_>>>()?;
-        let bind = |names: &[&str]| -> Vec<Option<String>> {
+        let bind = |names: &[&'r str]| -> Vec<Option<&'r str>> {
             let mut next = names.iter();
             tys.iter()
                 .map(|t| match t {
                     Type::PacketIn | Type::PacketOut => None,
-                    _ => next.next().map(|r| r.to_string()),
+                    _ => next.next().copied(),
                 })
                 .collect()
         };
@@ -243,7 +243,7 @@ impl<'a> Lowerer<'a> {
         for ((p, ty), root) in params.iter().zip(tys).zip(bound) {
             // A bound parameter is stored at its root, so every path the
             // block touches is already global pipeline state.
-            let path = Path::new(root.as_deref().unwrap_or(&p.name));
+            let path = Path::new(root.unwrap_or(&p.name));
             let (mut headers, mut stacks) = (Vec::new(), Vec::new());
             self.instances_of(&ty, &path, &mut headers, Some(&mut stacks))?;
             ctx.declare(&p.name, ty, path);
@@ -252,14 +252,14 @@ impl<'a> Lowerer<'a> {
                 direction: p.direction,
                 headers,
                 stacks,
-                root,
+                root: root.map(str::to_string),
             });
         }
         Ok((irparams, ctx))
     }
 
     fn lower_parser(&mut self, p: &ast::ParserDecl, roots: &[&[&str]]) -> LResult<IrParser> {
-        self.block = p.name.clone();
+        self.block = Arc::from(p.name.as_str());
         let (params, mut ctx) = self.lower_params(&p.params, roots, p.span)?;
         ctx.in_parser = true;
         // Parser locals.
@@ -314,12 +314,12 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_control(&mut self, c: &ast::ControlDecl, roots: &[&[&str]]) -> LResult<IrControl> {
-        self.block = c.name.clone();
+        self.block = Arc::from(c.name.as_str());
         let (params, mut ctx) = self.lower_params(&c.params, roots, c.span)?;
         for a in &c.actions {
-            ctx.actions.insert(a.name.clone(), a.params.clone());
+            ctx.actions.insert(&a.name, &a.params);
         }
-        ctx.actions.insert("NoAction".to_string(), Vec::new());
+        ctx.actions.insert("NoAction", &[]);
         // Instantiations (registers, counters, ...).
         let mut instances = Vec::new();
         for inst in &c.instantiations {
@@ -345,7 +345,6 @@ impl<'a> Lowerer<'a> {
                 .map(|a| const_eval(self.env, a).unwrap_or(0))
                 .collect();
             ctx.declare(&inst.name, t, Path::new(format!("{}::{}", c.name, inst.name)));
-            ctx.instances.insert(inst.name.clone(), ename.clone());
             instances.push(IrInstance {
                 name: format!("{}::{}", c.name, inst.name),
                 extern_type: ename,
@@ -377,11 +376,10 @@ impl<'a> Lowerer<'a> {
             ctx.pop();
             actions.insert(a.name.clone(), IrAction { name: a.name.clone(), params, body });
         }
-        actions.entry("NoAction".to_string()).or_insert(IrAction {
-            name: "NoAction".to_string(),
-            params: Vec::new(),
-            body: Vec::new(),
-        });
+        if !actions.contains_key("NoAction") {
+            let name = "NoAction".to_string();
+            actions.insert(name.clone(), IrAction { name, params: Vec::new(), body: Vec::new() });
+        }
         // Tables (need action info; keys typed in control scope).
         let mut tables = HashMap::new();
         for t in &c.tables {
@@ -434,8 +432,8 @@ impl<'a> Lowerer<'a> {
         let (default_action, default_args, const_default) = match &t.default_action {
             Some((name, args, is_const)) => {
                 let mut dargs = Vec::new();
-                let sig = ctx.actions.get(name).cloned().unwrap_or_default();
-                for (arg, p) in args.iter().zip(&sig) {
+                let sig = ctx.actions.get(name.as_str()).copied().unwrap_or_default();
+                for (arg, p) in args.iter().zip(sig) {
                     let w = self.width_of_type(&self.env.resolve(&p.ty, p.span)?, p.span)?;
                     dargs.push(self.lower_expr(arg, ctx, &mut hoist, Some(w))?);
                 }
@@ -449,9 +447,9 @@ impl<'a> Lowerer<'a> {
             for (k, tk) in e.keys.iter().zip(&keys) {
                 keysets.push(self.lower_keyset(k, tk.expr.width(), ctx, &mut hoist)?);
             }
-            let sig = ctx.actions.get(&e.action).cloned().unwrap_or_default();
+            let sig = ctx.actions.get(e.action.as_str()).copied().unwrap_or_default();
             let mut args = Vec::new();
-            for (arg, p) in e.args.iter().zip(&sig) {
+            for (arg, p) in e.args.iter().zip(sig) {
                 let w = self.width_of_type(&self.env.resolve(&p.ty, p.span)?, p.span)?;
                 args.push(self.lower_expr(arg, ctx, &mut hoist, Some(w))?);
             }
@@ -482,7 +480,12 @@ impl<'a> Lowerer<'a> {
 
     // ---- statements ---------------------------------------------------------
 
-    fn lower_stmt(&mut self, s: &Stmt, ctx: &mut Ctx, out: &mut Vec<IrStmt>) -> LResult<()> {
+    fn lower_stmt<'c>(
+        &mut self,
+        s: &'c Stmt,
+        ctx: &mut Ctx<'c>,
+        out: &mut Vec<IrStmt>,
+    ) -> LResult<()> {
         match s {
             Stmt::Empty { .. } => Ok(()),
             Stmt::Block { stmts, .. } => {
@@ -815,8 +818,8 @@ impl<'a> Lowerer<'a> {
     /// interning its layout on first use. A path holds one layout per
     /// header type that is stored at it.
     fn header_id(&mut self, type_name: &str, path: &Path) -> LResult<HeaderId> {
-        let key = (path.clone(), type_name.to_string());
-        if let Some(&id) = self.header_ids.get(&key) {
+        let known = self.header_ids.get(path.as_str()).into_iter().flatten();
+        if let Some(&(_, id)) = known.into_iter().find(|(t, _)| t == type_name) {
             return Ok(id);
         }
         let env = self.env;
@@ -838,15 +841,15 @@ impl<'a> Lowerer<'a> {
         }
         let id = HeaderId(self.headers.len() as u32);
         self.headers.push(HeaderLayout { path: path.clone(), valid: path.valid(), fields });
-        self.header_ids.insert(key, id);
+        self.header_ids.entry(path.0.clone()).or_default().push((type_name.to_string(), id));
         Ok(id)
     }
 
     /// The id of the stack of `n` headers of type `elem` at `path`,
     /// interning its layout (and its elements') on first use.
     fn stack_id(&mut self, elem: &str, n: u32, path: &Path) -> LResult<StackId> {
-        let key = (path.clone(), elem.to_string(), n);
-        if let Some(&id) = self.stack_ids.get(&key) {
+        let known = self.stack_ids.get(path.as_str()).into_iter().flatten();
+        if let Some(&(_, _, id)) = known.into_iter().find(|(t, m, _)| t == elem && *m == n) {
             return Ok(id);
         }
         let elements = (0..n)
@@ -854,7 +857,7 @@ impl<'a> Lowerer<'a> {
             .collect::<LResult<_>>()?;
         let id = StackId(self.stacks.len() as u32);
         self.stacks.push(StackLayout { path: path.clone(), next: path.next_index(), elements });
-        self.stack_ids.insert(key, id);
+        self.stack_ids.entry(path.0.clone()).or_default().push((elem.to_string(), n, id));
         Ok(id)
     }
 
@@ -876,9 +879,12 @@ impl<'a> Lowerer<'a> {
                 let fields = env.fields_of(sn).ok_or_else(|| {
                     FrontendError::typecheck(Span::default(), format!("unknown struct {sn}"))
                 })?;
+                // Only an aggregate field can hold a header.
                 for f in fields {
-                    let fp = base.child(&f.name);
-                    self.instances_of(&f.ty, &fp, headers, stacks.as_deref_mut())?;
+                    if matches!(f.ty, Type::Header(_) | Type::Struct(_) | Type::Stack(..)) {
+                        let fp = base.child(&f.name);
+                        self.instances_of(&f.ty, &fp, headers, stacks.as_deref_mut())?;
+                    }
                 }
             }
             Type::Stack(elem, n) => {
@@ -1016,10 +1022,10 @@ impl<'a> Lowerer<'a> {
                     });
                     return Ok(());
                 }
-                if let Some(sig) = ctx.actions.get(name).cloned() {
+                if let Some(sig) = ctx.actions.get(name.as_str()).copied() {
                     // Direct action call with value arguments.
                     let mut irargs = Vec::new();
-                    for (arg, p) in args.iter().zip(&sig) {
+                    for (arg, p) in args.iter().zip(sig) {
                         let t = self.env.resolve(&p.ty, p.span)?;
                         let w = self.width_of_type(&t, p.span)?;
                         irargs.push(self.lower_expr(arg, ctx, out, Some(w))?);
@@ -1028,7 +1034,7 @@ impl<'a> Lowerer<'a> {
                     out.push(IrStmt::CallAction { id, action: name.clone(), args: irargs });
                     return Ok(());
                 }
-                if let Some(sig) = self.env.extern_fns.get(name).cloned() {
+                if let Some(sig) = self.env.extern_fn(name).cloned() {
                     let irargs = self.lower_extern_args(&sig.params, args, ctx, out)?;
                     let id = self.stmt_id(format!("extern {name}"), span);
                     out.push(IrStmt::ExternCall { id, name: name.clone(), instance: None, args: irargs });
@@ -1214,7 +1220,7 @@ impl<'a> Lowerer<'a> {
                     let w = self.width_of_type(t, span)?;
                     return Ok(IrExpr::Read { path: p.clone(), width: w });
                 }
-                if let Some((t, v)) = self.env.consts.get(name) {
+                if let Some((t, v)) = self.env.constant(name) {
                     let w = t.width(self.env).or(ctx_width).unwrap_or(32);
                     return Ok(IrExpr::Const { width: w, value: *v });
                 }
@@ -1446,7 +1452,7 @@ impl<'a> Lowerer<'a> {
                 // Member(Call(...)) and is handled in Expr::Member above via
                 // typing; handle extern functions returning values here.
                 if let Expr::Ident { name, .. } = callee.as_ref() {
-                    if let Some(sig) = self.env.extern_fns.get(name).cloned() {
+                    if let Some(sig) = self.env.extern_fn(name).cloned() {
                         let ret_t = self.env.resolve(&sig.ret, span).ok();
                         let w = ret_t
                             .as_ref()

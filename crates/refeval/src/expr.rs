@@ -43,7 +43,7 @@ impl<'p> Ev<'p> {
                 Some(Binding::PacketIn) => Some(Type::PacketIn),
                 Some(Binding::PacketOut) => Some(Type::PacketOut),
                 None => {
-                    if let Some((t, _)) = self.tenv.consts.get(name) {
+                    if let Some((t, _)) = self.tenv.constant(name) {
                         return Some(t.clone());
                     }
                     // A table name in the current control.
@@ -58,6 +58,7 @@ impl<'p> Ev<'p> {
                     }
                     if self.lookup(name).is_none() {
                         if let Some((_, repr)) = self.tenv.enum_value(name, member) {
+                            let (name, _) = self.tenv.named(name)?;
                             return Some(Type::Enum { name: name.clone(), repr });
                         }
                     }
@@ -140,7 +141,7 @@ impl<'p> Ev<'p> {
                     return None;
                 }
                 if let Expr::Ident { name, .. } = callee.as_ref() {
-                    let sig = self.tenv.extern_fns.get(name)?;
+                    let sig = self.tenv.extern_fn(name)?;
                     return self.tenv.resolve(&sig.ret, sig.span).ok();
                 }
                 None
@@ -202,7 +203,7 @@ impl<'p> Ev<'p> {
                     };
                     return Ok(self.read_env(&path, w));
                 }
-                if let Some((t, v)) = self.tenv.consts.get(name) {
+                if let Some((t, v)) = self.tenv.constant(name) {
                     let w = self.width_of(t).or(ctx).unwrap_or(32);
                     return Ok(Bits::from_u128(w, *v));
                 }
@@ -439,7 +440,7 @@ impl<'p> Ev<'p> {
             return unsupported("unsupported call in expression");
         }
         if let Expr::Ident { name, .. } = callee.as_ref() {
-            if let Some(sig) = self.tenv.extern_fns.get(name).cloned() {
+            if let Some(sig) = self.tenv.extern_fn(name).cloned() {
                 let ret = self.tenv.resolve(&sig.ret, sig.span).ok();
                 let w = ret
                     .as_ref()

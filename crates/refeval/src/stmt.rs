@@ -400,7 +400,7 @@ impl<'p> Ev<'p> {
                 self.call_action(&cn, &an, vals)?;
                 return Ok(true);
             }
-            if let Some(sig) = self.tenv.extern_fns.get(name).cloned() {
+            if let Some(sig) = self.tenv.extern_fn(name).cloned() {
                 let cargs = self.classify_args(&sig, args)?;
                 self.exec_extern_arm(name, None, &cargs)?;
                 return Ok(true);

@@ -251,3 +251,143 @@ fn preludes_that_cannot_stand_apart_bypass_the_cache_and_match() {
         assert_prelude_matches_cold(&prelude, roots);
     }
 }
+
+/// Check `source` placed after `prelude` through the prelude cache and
+/// cold, and require the same outcome, diagnostics, program, type
+/// environment and IR. `names` are looked up in both environments under
+/// every kind of name. Returns whether the source checked clean.
+fn assert_checked_matches_cold(prelude: &str, source: &str, names: &[&str]) -> bool {
+    let cached = p4t_frontend::frontend_with_prelude(prelude, source);
+    let cold = p4t_frontend::frontend(&format!("{prelude}\n{source}"));
+    match (cached, cold) {
+        (Ok(cached), Ok(cold)) => {
+            assert_eq!(cached.program, cold.program, "{source:?}: program");
+            assert_eq!(cached.warnings, cold.warnings, "{source:?}: warnings");
+            let (a, b) = (&cached.env, &cold.env);
+            for &n in names {
+                assert_eq!(a.error_code(n), b.error_code(n), "{source:?}: error.{n}");
+                assert_eq!(a.is_match_kind(n), b.is_match_kind(n), "{source:?}: match_kind {n}");
+                assert_eq!(a.constant(n), b.constant(n), "{source:?}: const {n}");
+                assert_eq!(a.extern_fn(n), b.extern_fn(n), "{source:?}: extern {n}");
+                let (ta, tb) = (format!("{:?}", a.type_def(n)), format!("{:?}", b.type_def(n)));
+                assert_eq!(ta, tb, "{source:?}: type {n}");
+            }
+            assert_eq!(p4t_ir::lower(&cached), p4t_ir::lower(&cold), "{source:?}: IR");
+            true
+        }
+        (Err(cached), Err(cold)) => {
+            assert_eq!(cached, cold, "{source:?}: diagnostics");
+            false
+        }
+        (cached, cold) => panic!(
+            "{source:?}: outcomes differ: cached {:?}, cold {:?}",
+            cached.map(|_| ()),
+            cold.map(|_| ())
+        ),
+    }
+}
+
+#[test]
+fn a_user_redeclaration_shadows_the_prelude_struct_enum_and_extern() {
+    let v1 = p4t_targets::by_name("v1model").expect("v1model");
+    let source = r#"
+enum CloneType { I2E, E2E, Mirror }
+struct standard_metadata_t { bit<9> ingress_port; bit<9> egress_spec; }
+extern void mark_to_drop();
+control C(inout standard_metadata_t sm) {
+    apply {
+        if (CloneType.Mirror == CloneType.Mirror) { mark_to_drop(); }
+        sm.egress_spec = sm.ingress_port;
+    }
+}
+"#;
+    let names = ["CloneType", "standard_metadata_t", "mark_to_drop", "HashAlgorithm", "clone"];
+    assert!(assert_checked_matches_cold(v1.prelude(), source, &names));
+    // The prelude's own signature no longer applies.
+    let stale = source.replace("mark_to_drop();", "mark_to_drop(sm);");
+    assert!(!assert_checked_matches_cold(v1.prelude(), &stale, &names));
+}
+
+#[test]
+fn user_error_members_follow_core_and_prelude_ones() {
+    let v1 = p4t_targets::by_name("v1model").expect("v1model");
+    let prelude = format!("{}\nerror {{ PrelErr, NoMatch }}\n", v1.prelude());
+    let source = r#"
+error { NoError, Mine, PrelErr, Mine2 }
+const bit<16> E = (bit<16>)error.Mine2;
+control C(inout error e, inout bit<16> x) {
+    apply {
+        e = error.Mine2;
+        x = E;
+        if (e == error.PrelErr) { e = error.Mine; }
+    }
+}
+"#;
+    let names = ["NoError", "NoMatch", "ParserInvalidArgument", "PrelErr", "Mine", "Mine2", "E"];
+    assert!(assert_checked_matches_cold(&prelude, source, &names));
+    let unknown = "control C(inout error e) { apply { e = error.Nope; } }";
+    assert!(!assert_checked_matches_cold(&prelude, unknown, &names));
+}
+
+#[test]
+fn a_user_match_kind_joins_the_core_ones() {
+    let v1 = p4t_targets::by_name("v1model").expect("v1model");
+    let source = r#"
+match_kind { fancy, exact }
+control C(inout bit<8> x) {
+    action set(bit<8> v) { x = v; }
+    table t { key = { x: fancy; } actions = { set; NoAction; } }
+    apply { t.apply(); }
+}
+"#;
+    let names = ["fancy", "exact", "lpm", "selector", "plain"];
+    assert!(assert_checked_matches_cold(v1.prelude(), source, &names));
+    let unknown = source.replace("x: fancy", "x: plain");
+    assert!(!assert_checked_matches_cold(v1.prelude(), &unknown, &names));
+}
+
+#[test]
+fn a_user_const_reads_a_prelude_enum_member() {
+    let v1 = p4t_targets::by_name("v1model").expect("v1model");
+    let source = r#"
+const bit<32> K = HashAlgorithm.csum16;
+const bit<8> K2 = (bit<8>)K + 1;
+control C(inout bit<8> x) { apply { x = K2; } }
+"#;
+    let names = ["K", "K2", "HashAlgorithm", "crc16"];
+    assert!(assert_checked_matches_cold(v1.prelude(), source, &names));
+    let missing = source.replace("HashAlgorithm.csum16", "HashAlgorithm.sha256");
+    assert!(!assert_checked_matches_cold(v1.prelude(), &missing, &names));
+}
+
+#[test]
+fn a_custom_prelude_with_a_const_is_checked_once_and_matches() {
+    let prelude = "const bit<8> PRE = 7;\nenum E_t { a, b }\nmatch_kind { special }\n\
+                   typedef bit<8> byte_t;\nextern void ping(in byte_t v);";
+    let source = r#"
+const bit<8> Q = PRE * 2;
+control C(inout byte_t x) {
+    action set() { x = Q + PRE; ping(x); }
+    table t { key = { x: special; } actions = { set; } }
+    apply { t.apply(); if (E_t.b == E_t.b) { x = PRE; } }
+}
+"#;
+    let names = ["PRE", "Q", "E_t", "special", "byte_t", "ping", "a"];
+    assert!(assert_checked_matches_cold(prelude, source, &names));
+    assert!(assert_checked_matches_cold(prelude, "const bit<8> PRE = 9;", &names));
+    assert!(!assert_checked_matches_cold(prelude, "const bit<8> R = NOPE;", &names));
+}
+
+#[test]
+fn a_custom_prelude_with_a_body_is_checked_with_its_program() {
+    // The prelude's control reads `K`, which only the program declares:
+    // checking the prelude apart would reject what the concatenation
+    // accepts, and accept what it rejects.
+    let prelude = "header h_t { bit<8> f; }\ncontrol Pre(inout h_t h) { apply { h.f = K; } }";
+    let names = ["K", "h_t", "Pre"];
+    assert!(Prefix::parse(prelude).is_some(), "the parse is still cached");
+    assert!(assert_checked_matches_cold(prelude, "const bit<8> K = 3;", &names));
+    assert!(!assert_checked_matches_cold(prelude, "", &names));
+    let action = "action a() { x = 1; }";
+    assert!(!assert_checked_matches_cold(action, "bit<8> x;", &names));
+}
