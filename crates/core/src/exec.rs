@@ -14,8 +14,8 @@ use crate::tables;
 use crate::target::{ExecCtx, ExtArg, ExternOutcome, Target, UninitPolicy};
 use p4t_frontend::types::ERROR_WIDTH;
 use p4t_ir::{
-    HeaderId, IrArg, IrBinOp, IrBlock, IrExpr, IrKeyset, IrStmt, IrTransition, IrUnOp, Path,
-    StackId,
+    ActionId, HeaderId, IrArg, IrBinOp, IrBlock, IrExpr, IrKeyset, IrStmt, IrTransition, IrUnOp,
+    Path, StackId,
 };
 use p4t_smt::{BinOp, BitVec, TermId};
 
@@ -500,9 +500,9 @@ fn exec_stmt(
             st.finish(FinishReason::Infeasible);
             Ok(())
         }
-        IrStmt::ApplyTable { table, .. } => tables::apply_table(ctx, st, target, table, None),
+        IrStmt::ApplyTable { table, .. } => tables::apply_table(ctx, st, target, *table, None),
         IrStmt::SwitchActionRun { table, cases, .. } => {
-            tables::apply_table(ctx, st, target, table, Some(cases))
+            tables::apply_table(ctx, st, target, *table, Some(cases))
         }
         IrStmt::Extract { header, varbit_len, .. } => {
             exec_extract(ctx, st, target, *header, varbit_len.as_ref())
@@ -525,7 +525,8 @@ fn exec_stmt(
                 .iter()
                 .map(|a| eval_expr(ctx, st, target, a))
                 .collect::<ExecResult<_>>()?;
-            call_action(ctx, st, action, &arg_syms)
+            call_action(ctx, st, *action, &arg_syms);
+            Ok(())
         }
         IrStmt::ExternCall { name, instance, args, .. } => {
             exec_extern(ctx, st, target, name, instance.as_deref(), args)
@@ -553,27 +554,14 @@ fn exec_stmt(
 }
 
 /// Run an action body with bound data-plane arguments.
-pub fn call_action(
-    ctx: &mut ExecCtx,
-    st: &mut ExecState,
-    action: &str,
-    args: &[Sym],
-) -> ExecResult<()> {
+pub fn call_action(ctx: &mut ExecCtx, st: &mut ExecState, action: ActionId, args: &[Sym]) {
     let prog = ctx.prog;
-    for block in prog.blocks.values() {
-        if let IrBlock::Control(c) = block {
-            if let Some(a) = c.actions.get(action) {
-                for ((pname, pwidth), v) in a.params.iter().zip(args) {
-                    let path = format!("{}::{}::{}", c.name, a.name, pname);
-                    let cast = ctx.pool.cast(v.term, *pwidth as usize);
-                    st.write(&path, Sym::with_taint(cast, SymOps::cast_taint(v, *pwidth)));
-                }
-                st.push_stmts(&a.body);
-                return Ok(());
-            }
-        }
+    let a = prog.action(action);
+    for (p, v) in a.params.iter().zip(args) {
+        let cast = ctx.pool.cast(v.term, p.width as usize);
+        st.write(p.path.as_str(), Sym::with_taint(cast, SymOps::cast_taint(v, p.width)));
     }
-    Err(Abort(format!("unknown action '{action}'")))
+    st.push_stmts(&a.body);
 }
 
 fn exec_extract(

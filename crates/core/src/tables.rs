@@ -3,8 +3,9 @@
 //! Applying a table forks the execution state:
 //!
 //! 1. one fork per **const entry** (first-match-wins over earlier entries,
-//!    reordered by the `@priority` annotation when present — the v1model
-//!    extension overrides the canonical table continuation this way, §5.2);
+//!    in the match order lowering gave them: by `@priority` when present —
+//!    the v1model extension overrides the canonical table continuation this
+//!    way, §5.2);
 //! 2. one fork per **synthesizable action**: P4Testgen invents a single
 //!    control-plane entry whose keys are fresh symbolic values constrained
 //!    to match the key expressions; the solver later concretizes the entry.
@@ -12,15 +13,15 @@
 //!    could be flaky) but merely wildcard ternary/optional matches (§5.3);
 //! 3. one **miss** fork running the default action.
 //!
-//! Each fork records `<table>.$hit` and the action that ran (for
-//! `switch (t.apply().action_run)` dispatch).
+//! Each fork records `<table>.$hit` and queues the `switch
+//! (t.apply().action_run)` case of the action that ran.
 
 use crate::exec::{call_action, eval_expr, keyset_match, Abort, ExecResult};
 use crate::preconditions;
 use crate::state::{ExecState, FinishReason, SynthEntry, SynthKeyMatch};
 use crate::sym::Sym;
 use crate::target::{ExecCtx, Target};
-use p4t_ir::{IrBlock, IrStmt, IrTable};
+use p4t_ir::{ActionId, IrStmt, IrTable, TableId};
 use p4t_smt::TermId;
 
 /// Apply a table; `switch_cases` supplies the bodies of a
@@ -29,25 +30,18 @@ pub fn apply_table(
     ctx: &mut ExecCtx,
     st: &mut ExecState,
     target: &dyn Target,
-    table: &str,
-    switch_cases: Option<&[(Option<String>, Vec<IrStmt>)]>,
+    table: TableId,
+    switch_cases: Option<&[(Option<ActionId>, Vec<IrStmt>)]>,
 ) -> ExecResult<()> {
     let prog = ctx.prog;
-    let (control, tbl) = prog
-        .blocks
-        .values()
-        .find_map(|b| match b {
-            IrBlock::Control(c) => c.tables.get(table).map(|t| (c.name.as_str(), t)),
-            _ => None,
-        })
-        .ok_or_else(|| Abort(format!("unknown table '{table}'")))?;
+    let tbl = prog.table(table);
     // Evaluate key expressions once, in the current state.
     let key_syms: Vec<Sym> = tbl
         .keys
         .iter()
         .map(|k| eval_expr(ctx, st, target, &k.expr))
         .collect::<ExecResult<_>>()?;
-    st.log(format!("apply {table}"));
+    st.log(format!("apply {}", tbl.name));
     let keys_tainted = key_syms.iter().any(|k| k.is_tainted());
     // Const-entry matching against tainted keys is unpredictable: those
     // forks (and the miss fork, whose constraint negates the entry matches)
@@ -56,15 +50,9 @@ pub fn apply_table(
 
     let mut forks: Vec<ExecState> = Vec::new();
 
-    // --- const entries (priority order; first match wins) -----------------
-    let mut entry_order: Vec<usize> = (0..tbl.const_entries.len()).collect();
-    entry_order.sort_by_key(|&i| {
-        // Higher @priority matches first; stable for equal/no priorities.
-        std::cmp::Reverse(tbl.const_entries[i].priority.unwrap_or(0))
-    });
+    // --- const entries (match order; first match wins) -------------------
     let mut earlier_matches: Vec<TermId> = Vec::new();
-    for &i in &entry_order {
-        let entry = &tbl.const_entries[i];
+    for (i, entry) in tbl.const_entries.iter().enumerate() {
         let m = keyset_match(ctx, &key_syms, &entry.keysets)?;
         let mut conj = vec![m];
         for &e in &earlier_matches {
@@ -80,16 +68,16 @@ pub fn apply_table(
         if const_flaky {
             f.set_flag("taint_flaky", 1);
         }
-        mark_result(ctx, &mut f, table, true, &entry.action);
-        push_switch_case(&mut f, switch_cases, &entry.action);
+        mark_result(ctx, &mut f, tbl, true);
+        push_switch_case(&mut f, switch_cases, entry.action);
         // Bind const entry args and run the action.
         let arg_syms: Vec<Sym> = entry
             .args
             .iter()
             .map(|a| eval_expr(ctx, &mut f, target, a))
             .collect::<ExecResult<_>>()?;
-        f.log(format!("{table}: const entry {i} -> {}", entry.action));
-        call_action(ctx, &mut f, &entry.action, &arg_syms)?;
+        f.log(format!("{}: const entry {i} -> {}", tbl.name, prog.action(entry.action).name));
+        call_action(ctx, &mut f, entry.action, &arg_syms);
         forks.push(f);
     }
     // ¬(any const entry matches) applies to both synthesized-entry forks and
@@ -101,14 +89,12 @@ pub fn apply_table(
     let has_keys = !tbl.keys.is_empty();
     if has_keys {
         for aref in &tbl.actions {
-            if aref.default_only || aref.action == "NoAction" {
+            if aref.default_only || prog.action(aref.action).name == "NoAction" {
                 continue;
             }
-            if let Some(f) =
-                synthesize_entry_fork(ctx, st, target, control, tbl, &key_syms, &no_const_match, &aref.action, switch_cases)?
-            {
-                forks.push(f);
-            }
+            forks.extend(synthesize_entry_fork(
+                ctx, st, tbl, &key_syms, &no_const_match, aref.action, switch_cases,
+            )?);
         }
     }
 
@@ -119,15 +105,15 @@ pub fn apply_table(
         if const_flaky {
             f.set_flag("taint_flaky", 1);
         }
-        mark_result(ctx, &mut f, table, false, &tbl.default_action);
-        push_switch_case(&mut f, switch_cases, &tbl.default_action);
+        mark_result(ctx, &mut f, tbl, false);
+        push_switch_case(&mut f, switch_cases, tbl.default_action);
         let arg_syms: Vec<Sym> = tbl
             .default_args
             .iter()
             .map(|a| eval_expr(ctx, &mut f, target, a))
             .collect::<ExecResult<_>>()?;
-        f.log(format!("{table}: miss -> {}", tbl.default_action));
-        call_action(ctx, &mut f, &tbl.default_action, &arg_syms)?;
+        f.log(format!("{}: miss -> {}", tbl.name, prog.action(tbl.default_action).name));
+        call_action(ctx, &mut f, tbl.default_action, &arg_syms);
         forks.push(f);
     }
 
@@ -137,27 +123,26 @@ pub fn apply_table(
 }
 
 /// Record `<table>.$hit` and `$applied` slots.
-fn mark_result(ctx: &mut ExecCtx, st: &mut ExecState, table: &str, hit: bool, action: &str) {
+fn mark_result(ctx: &mut ExecCtx, st: &mut ExecState, tbl: &IrTable, hit: bool) {
     let h = ctx.constant(1, hit as u128);
-    st.write(&format!("{table}.$hit"), h);
+    st.write(tbl.hit.as_str(), h);
     let a = ctx.constant(1, 1);
-    st.write(&format!("{table}.$applied"), a);
-    st.set_flag(&format!("{table}.$action:{action}"), 1);
+    st.write(tbl.applied.as_str(), a);
 }
 
 /// Queue the matching switch case body (after the action body, which is
 /// pushed later and therefore executes first).
 fn push_switch_case(
     st: &mut ExecState,
-    cases: Option<&[(Option<String>, Vec<IrStmt>)]>,
-    action: &str,
+    cases: Option<&[(Option<ActionId>, Vec<IrStmt>)]>,
+    action: ActionId,
 ) {
     let Some(cases) = cases else {
         return;
     };
     let body = cases
         .iter()
-        .find(|(label, _)| label.as_deref() == Some(action))
+        .find(|(label, _)| *label == Some(action))
         .or_else(|| cases.iter().find(|(label, _)| label.is_none()))
         .map(|(_, body)| body);
     if let Some(body) = body {
@@ -169,17 +154,14 @@ fn push_switch_case(
 /// packet into `action`. Returns `None` when taint on the keys makes a
 /// guaranteed match impossible (the paper then falls back to the default
 /// action rather than generating a flaky test).
-#[allow(clippy::too_many_arguments)]
 fn synthesize_entry_fork(
     ctx: &mut ExecCtx,
     st: &ExecState,
-    _target: &dyn Target,
-    control: &str,
     tbl: &IrTable,
     key_syms: &[Sym],
     no_const_match: &[TermId],
-    action: &str,
-    switch_cases: Option<&[(Option<String>, Vec<IrStmt>)]>,
+    action: ActionId,
+    switch_cases: Option<&[(Option<ActionId>, Vec<IrStmt>)]>,
 ) -> ExecResult<Option<ExecState>> {
     let mut conj: Vec<TermId> = no_const_match.to_vec();
     let mut keys = Vec::new();
@@ -187,6 +169,15 @@ fn synthesize_entry_fork(
     for (k, key) in key_syms.iter().zip(&tbl.keys) {
         let w = k.width();
         let kname = &key.name;
+        let base = SynthKeyMatch {
+            key_name: kname.clone(),
+            match_kind: key.match_kind.clone(),
+            width: w,
+            value: None,
+            mask: None,
+            hi: None,
+            prefix_len: None,
+        };
         match key.match_kind.as_str() {
             "exact" => {
                 if k.is_tainted() {
@@ -194,71 +185,33 @@ fn synthesize_entry_fork(
                 }
                 let v = ctx.fresh(&format!("{}_{}_key", tbl.name, kname), w);
                 conj.push(ctx.pool.eq(k.term, v.term));
-                keys.push(SynthKeyMatch {
-                    key_name: kname.clone(),
-                    match_kind: "exact".into(),
-                    width: w,
-                    value: Some(v.term),
-                    mask: None,
-                    hi: None,
-                    prefix_len: None,
-                });
+                keys.push(SynthKeyMatch { value: Some(v.term), ..base });
             }
             "ternary" | "optional" => {
                 needs_priority = true;
                 if k.is_tainted() {
                     // Wildcard entry: always matches; removes nondeterminism.
                     let zero = ctx.constant(w, 0);
-                    keys.push(SynthKeyMatch {
-                        key_name: kname.clone(),
-                        match_kind: key.match_kind.clone(),
-                        width: w,
-                        value: Some(zero.term),
-                        mask: Some(zero.term),
-                        hi: None,
-                        prefix_len: None,
-                    });
+                    let (value, mask) = (Some(zero.term), Some(zero.term));
+                    keys.push(SynthKeyMatch { value, mask, ..base });
                 } else {
                     // Full mask, value == key: deterministic exact-style match.
                     let v = ctx.fresh(&format!("{}_{}_key", tbl.name, kname), w);
                     conj.push(ctx.pool.eq(k.term, v.term));
                     let ones = ctx.constant(w, u128::MAX);
-                    keys.push(SynthKeyMatch {
-                        key_name: kname.clone(),
-                        match_kind: key.match_kind.clone(),
-                        width: w,
-                        value: Some(v.term),
-                        mask: Some(ones.term),
-                        hi: None,
-                        prefix_len: None,
-                    });
+                    keys.push(SynthKeyMatch { value: Some(v.term), mask: Some(ones.term), ..base });
                 }
             }
             "lpm" => {
                 if k.is_tainted() {
                     // Zero-length prefix matches everything.
                     let zero = ctx.constant(w, 0);
-                    keys.push(SynthKeyMatch {
-                        key_name: kname.clone(),
-                        match_kind: "lpm".into(),
-                        width: w,
-                        value: Some(zero.term),
-                        mask: None,
-                        hi: None,
-                        prefix_len: Some(0),
-                    });
+                    let (value, prefix_len) = (Some(zero.term), Some(0));
+                    keys.push(SynthKeyMatch { value, prefix_len, ..base });
                 } else {
                     let v = ctx.fresh(&format!("{}_{}_key", tbl.name, kname), w);
                     conj.push(ctx.pool.eq(k.term, v.term));
-                    keys.push(SynthKeyMatch {
-                        key_name: kname.clone(),
-                        match_kind: "lpm".into(),
-                        width: w,
-                        value: Some(v.term),
-                        mask: None,
-                        hi: None,
-                        prefix_len: Some(w),
-                    });
+                    keys.push(SynthKeyMatch { value: Some(v.term), prefix_len: Some(w), ..base });
                 }
             }
             "range" => {
@@ -271,15 +224,7 @@ fn synthesize_entry_fork(
                 let hi = ctx.fresh(&format!("{}_{}_hi", tbl.name, kname), w);
                 conj.push(ctx.pool.ule(lo.term, k.term));
                 conj.push(ctx.pool.ule(k.term, hi.term));
-                keys.push(SynthKeyMatch {
-                    key_name: kname.clone(),
-                    match_kind: "range".into(),
-                    width: w,
-                    value: Some(lo.term),
-                    mask: None,
-                    hi: Some(hi.term),
-                    prefix_len: None,
-                });
+                keys.push(SynthKeyMatch { value: Some(lo.term), hi: Some(hi.term), ..base });
             }
             other => {
                 return Err(Abort(format!("unsupported match kind '{other}'")));
@@ -302,33 +247,24 @@ fn synthesize_entry_fork(
     let mut f = ctx.fork(st, cond);
     // Fresh action arguments, bound to the action parameter slots.
     let prog = ctx.prog;
-    let action_params: Vec<(String, u32)> = prog
-        .blocks
-        .values()
-        .find_map(|b| match b {
-            IrBlock::Control(c) if c.name == control => {
-                c.actions.get(action).map(|a| a.params.clone())
-            }
-            _ => None,
-        })
-        .unwrap_or_default();
+    let a = prog.action(action);
     let mut args = Vec::new();
     let mut arg_syms = Vec::new();
-    for (pname, pwidth) in &action_params {
-        let v = ctx.fresh(&format!("{}_{}_{}", tbl.name, action, pname), *pwidth);
-        args.push((pname.clone(), v.term, *pwidth));
+    for p in &a.params {
+        let v = ctx.fresh(&format!("{}_{}_{}", tbl.name, a.name, p.name), p.width);
+        args.push((p.name.clone(), v.term, p.width));
         arg_syms.push(v);
     }
     f.entries.push(SynthEntry {
         table: tbl.control_plane_name.clone(),
         keys,
-        action: format!("{control}.{action}"),
+        action: a.control_plane_name.clone(),
         args,
         priority: if needs_priority { 1 } else { 0 },
     });
-    mark_result(ctx, &mut f, &tbl.name, true, action);
+    mark_result(ctx, &mut f, tbl, true);
     push_switch_case(&mut f, switch_cases, action);
-    f.log(format!("{}: synthesized entry -> {action}", tbl.name));
-    call_action(ctx, &mut f, action, &arg_syms)?;
+    f.log(format!("{}: synthesized entry -> {}", tbl.name, a.name));
+    call_action(ctx, &mut f, action, &arg_syms);
     Ok(Some(f))
 }

@@ -29,15 +29,14 @@ fn synthetic_generator_scales() {
         let src = p4t_corpus::generate_synthetic(t, a);
         let prog = compile("v1model", &src)
             .unwrap_or_else(|e| panic!("synthetic({t},{a}) failed: {e:?}"));
-        let tables: Vec<_> = prog.all_tables().collect();
-        assert_eq!(tables.len(), t as usize);
+        assert_eq!(prog.tables.len(), t as usize);
     }
 }
 
 #[test]
 fn middleblock_has_entry_restriction() {
     let prog = compile("v1model", p4t_corpus::MIDDLEBLOCK_SIM.as_str()).unwrap();
-    let acl = prog.all_tables().find(|t| t.name == "acl").expect("acl table");
+    let acl = prog.tables.iter().find(|t| t.name == "acl").expect("acl table");
     assert!(acl.entry_restriction.is_some(), "P4-constraints annotation survives");
     assert_eq!(acl.keys.len(), 3);
 }

@@ -13,8 +13,8 @@
 
 use crate::faults::{Fault, FaultSet};
 use p4t_ir::{
-    HeaderId, IrArg, IrBinOp, IrBlock, IrConstEntry, IrExpr, IrKeyset, IrProgram, IrStmt,
-    IrTable, IrTransition, IrUnOp, StackId,
+    ActionId, HeaderId, IrArg, IrBinOp, IrBlock, IrConstEntry, IrExpr, IrKeyset, IrProgram,
+    IrStmt, IrTable, IrTransition, IrUnOp, StackId, TableId,
 };
 use p4t_smt::BitVec;
 use p4testgen_core::testspec::{KeyMatch, TableEntrySpec, TestSpec};
@@ -132,7 +132,7 @@ type IResult<T> = Result<T, InterpException>;
 #[derive(Clone, Debug)]
 struct Entry {
     keys: Vec<KeyMatch>,
-    action: String,
+    action: ActionId,
     args: Vec<BitVec>,
     priority: u32,
 }
@@ -145,7 +145,7 @@ pub struct Interp<'p> {
     env: HashMap<String, BitVec>,
     /// Installed entries by table, highest priority first, equal
     /// priorities in install order.
-    tables: HashMap<String, Vec<Entry>>,
+    tables: HashMap<TableId, Vec<Entry>>,
     registers: HashMap<String, HashMap<u64, BitVec>>,
     packet: CPacket,
     emit_buf: Vec<BitVec>,
@@ -373,10 +373,20 @@ impl<'p> Interp<'p> {
                 }
             }
         }
-        // The action name arrives as "Control.action"; the IR uses the bare
-        // name within the control.
-        let action = e.action.rsplit('.').next().unwrap_or(&e.action).to_string();
-        self.tables.entry(e.table.clone()).or_default().push(Entry {
+        // An entry for a table the program does not declare never matches.
+        // The action arrives as "Control.action" and resolves among the
+        // table's own actions.
+        let prog = self.prog;
+        let Some(t) = prog.tables.iter().position(|t| t.control_plane_name == e.table) else {
+            return Ok(());
+        };
+        let bare = e.action.rsplit('.').next().unwrap_or(&e.action);
+        let mut refs = prog.tables[t].actions.iter().map(|r| r.action);
+        let action = refs.find(|&a| prog.action(a).name == bare).ok_or_else(|| {
+            let msg = format!("control plane: table '{}' has no action '{}'", e.table, e.action);
+            InterpException(msg)
+        })?;
+        self.tables.entry(TableId(t as u32)).or_default().push(Entry {
             keys: e.keys.clone(),
             action,
             args,
@@ -431,13 +441,6 @@ impl<'p> Interp<'p> {
                 self.env.insert(key.to_string(), v);
             }
         }
-    }
-
-    /// Write `table`'s synthetic slot `table.$<slot>`.
-    fn write_table_slot(&mut self, table: &str, slot: &str, v: BitVec) {
-        let key = self.joined_key(&[table, ".$", slot]);
-        self.write_env(&key, v);
-        self.key_buf = key;
     }
 
     /// `parts` joined in the reused key buffer. The caller hands the
@@ -818,11 +821,11 @@ impl<'p> Interp<'p> {
                 Ok(true)
             }
             IrStmt::ApplyTable { table, .. } => {
-                self.apply_table(table, None)?;
+                self.apply_table(*table, None)?;
                 Ok(true)
             }
             IrStmt::SwitchActionRun { table, cases, .. } => {
-                self.apply_table(table, Some(cases))?;
+                self.apply_table(*table, Some(cases))?;
                 Ok(true)
             }
             IrStmt::Extract { header, varbit_len, .. } => {
@@ -846,7 +849,7 @@ impl<'p> Interp<'p> {
             }
             IrStmt::CallAction { action, args, .. } => {
                 let vals: Vec<BitVec> = args.iter().map(|a| self.eval(a)).collect::<IResult<_>>()?;
-                self.call_action(action, &vals)?;
+                self.call_action(*action, &vals)?;
                 Ok(true)
             }
             IrStmt::ExternCall { name, instance, args, .. } => {
@@ -996,43 +999,30 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn call_action(&mut self, action: &str, args: &[BitVec]) -> IResult<()> {
-        let prog = self.prog;
-        for block in prog.blocks.values() {
-            if let IrBlock::Control(c) = block {
-                if let Some(a) = c.actions.get(action) {
-                    for ((pname, pw), v) in a.params.iter().zip(args) {
-                        self.write_env(
-                            &format!("{}::{action}::{pname}", c.name),
-                            v.cast(*pw as usize),
-                        );
-                    }
-                    for s in &a.body {
-                        self.exec_stmt(s)?;
-                        if self.exited {
-                            break;
-                        }
-                    }
-                    self.exited = false;
-                    return Ok(());
-                }
+    fn call_action(&mut self, action: ActionId, args: &[BitVec]) -> IResult<()> {
+        let a = self.prog.action(action);
+        for (p, v) in a.params.iter().zip(args) {
+            self.write_env(p.path.as_str(), v.cast(p.width as usize));
+        }
+        for s in &a.body {
+            self.exec_stmt(s)?;
+            if self.exited {
+                break;
             }
         }
-        Err(InterpException(format!("unknown action '{action}'")))
+        self.exited = false;
+        Ok(())
     }
 
     // ---- tables -----------------------------------------------------------------
 
     fn apply_table(
         &mut self,
-        table: &str,
-        switch_cases: Option<&[(Option<String>, Vec<IrStmt>)]>,
+        table: TableId,
+        switch_cases: Option<&[(Option<ActionId>, Vec<IrStmt>)]>,
     ) -> IResult<()> {
         let prog = self.prog;
-        let tbl = prog
-            .all_tables()
-            .find(|t| t.name == table)
-            .ok_or_else(|| InterpException(format!("unknown table '{table}'")))?;
+        let tbl = prog.table(table);
         let key_vals: Vec<BitVec> =
             tbl.keys.iter().map(|k| self.eval(&k.expr)).collect::<IResult<_>>()?;
         // Const entries first (priority-ordered), then installed entries.
@@ -1040,7 +1030,7 @@ impl<'p> Interp<'p> {
         let hit = self.match_const_entries(tbl, &key_vals)?;
         let (action, args) = match hit {
             Some((a, args)) => (a, args),
-            None => match self.match_installed(tbl, &key_vals)? {
+            None => match self.match_installed(table, &key_vals)? {
                 Some((a, args)) => (a, args),
                 None => {
                     was_hit = false;
@@ -1049,19 +1039,19 @@ impl<'p> Interp<'p> {
                         .iter()
                         .map(|e| self.eval(e))
                         .collect::<IResult<_>>()?;
-                    (tbl.default_action.clone(), dargs)
+                    (tbl.default_action, dargs)
                 }
             },
         };
         // Record hit/miss in the synthetic slots `t.apply().hit` reads.
-        self.write_table_slot(table, "hit", BitVec::from_bool(was_hit));
-        self.write_table_slot(table, "applied", BitVec::from_bool(true));
-        self.trace.push(format!("{table} -> {action}"));
+        self.write_env(tbl.hit.as_str(), BitVec::from_bool(was_hit));
+        self.write_env(tbl.applied.as_str(), BitVec::from_bool(true));
+        self.trace.push(format!("{} -> {}", tbl.name, prog.action(action).name));
         // P4C-7 (wrong code): inside a switch statement, the compiler
         // swallowed the table.apply() — the chosen action never runs.
         let swallow = switch_cases.is_some() && self.faults.has(Fault::SwallowSwitchApply);
         if !swallow {
-            self.call_action(&action, &args)?;
+            self.call_action(action, &args)?;
         } else {
             self.trace.push("fault: switch apply swallowed".into());
         }
@@ -1069,7 +1059,7 @@ impl<'p> Interp<'p> {
             // Run the matching case body (or default).
             let body = cases
                 .iter()
-                .find(|(l, _)| l.as_deref() == Some(action.as_str()))
+                .find(|(l, _)| *l == Some(action))
                 .or_else(|| cases.iter().find(|(l, _)| l.is_none()))
                 .map(|(_, b)| b);
             if let Some(body) = body {
@@ -1088,18 +1078,20 @@ impl<'p> Interp<'p> {
         &mut self,
         tbl: &IrTable,
         keys: &[BitVec],
-    ) -> IResult<Option<(String, Vec<BitVec>)>> {
-        let mut order: Vec<&IrConstEntry> = tbl.const_entries.iter().collect();
+    ) -> IResult<Option<(ActionId, Vec<BitVec>)>> {
+        // Lowering stored the entries in match order; the fault matches the
+        // lowest priority first.
+        let mut inverted: Vec<&IrConstEntry> = Vec::new();
         if self.faults.has(Fault::PriorityInverted) {
-            order.sort_by_key(|e| e.priority.unwrap_or(0));
-        } else {
-            order.sort_by_key(|e| std::cmp::Reverse(e.priority.unwrap_or(0)));
+            inverted.extend(&tbl.const_entries);
+            inverted.sort_by_key(|e| e.priority.unwrap_or(0));
         }
-        for e in order {
+        let lowered = if inverted.is_empty() { &tbl.const_entries[..] } else { &[] };
+        for e in lowered.iter().chain(inverted) {
             if self.keysets_match(keys, &e.keysets)? {
                 let args: Vec<BitVec> =
                     e.args.iter().map(|a| self.eval(a)).collect::<IResult<_>>()?;
-                return Ok(Some((e.action.clone(), args)));
+                return Ok(Some((e.action, args)));
             }
         }
         Ok(None)
@@ -1107,10 +1099,10 @@ impl<'p> Interp<'p> {
 
     fn match_installed(
         &mut self,
-        tbl: &IrTable,
+        table: TableId,
         keys: &[BitVec],
-    ) -> IResult<Option<(String, Vec<BitVec>)>> {
-        let Some(entries) = self.tables.get(&tbl.control_plane_name) else {
+    ) -> IResult<Option<(ActionId, Vec<BitVec>)>> {
+        let Some(entries) = self.tables.get(&table) else {
             return Ok(None);
         };
         'entry: for e in entries {
@@ -1119,7 +1111,7 @@ impl<'p> Interp<'p> {
                     continue 'entry;
                 }
             }
-            return Ok(Some((e.action.clone(), e.args.clone())));
+            return Ok(Some((e.action, e.args.clone())));
         }
         Ok(None)
     }

@@ -14,6 +14,10 @@
 //! * Paths are global: lowering binds each package block's parameters to
 //!   the target's pipeline state, so neither engine aliases names at run
 //!   time.
+//! * References are resolved in lowering: [`IrProgram::actions`] and
+//!   [`IrProgram::tables`] hold every control's actions and tables, and
+//!   statements, table action lists and const entries name them by
+//!   [`ActionId`] / [`TableId`]. Neither engine looks a name up at run time.
 //! * Struct assignments, slices-as-targets, and dynamic stack indices are
 //!   elaborated away during lowering (the paper's midend transformations).
 //! * Every statement has a [`StmtId`] used for coverage accounting.
@@ -34,6 +38,14 @@ pub struct HeaderId(pub u32);
 /// Index of a header stack in [`IrProgram::stacks`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct StackId(pub u32);
+
+/// Index of an action in [`IrProgram::actions`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct ActionId(pub u32);
+
+/// Index of a table in [`IrProgram::tables`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct TableId(pub u32);
 
 /// A flattened storage path such as `hdr.eth.dst` or `hdr.vlans[1].$valid`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -203,9 +215,9 @@ pub enum IrStmt {
     Assign { id: StmtId, target: Path, width: u32, value: IrExpr },
     If { id: StmtId, cond: IrExpr, then_s: Vec<IrStmt>, else_s: Vec<IrStmt> },
     /// Apply a table.
-    ApplyTable { id: StmtId, table: String },
+    ApplyTable { id: StmtId, table: TableId },
     /// `switch (t.apply().action_run)`; case label `None` = default.
-    SwitchActionRun { id: StmtId, table: String, cases: Vec<(Option<String>, Vec<IrStmt>)> },
+    SwitchActionRun { id: StmtId, table: TableId, cases: Vec<(Option<ActionId>, Vec<IrStmt>)> },
     /// Parser `pkt.extract(hdr)`; `varbit_len` is the second argument (bits).
     Extract { id: StmtId, header: HeaderId, varbit_len: Option<IrExpr> },
     /// Parser `pkt.advance(n)`.
@@ -216,7 +228,7 @@ pub enum IrStmt {
     /// `hdr.setValid()` / `hdr.setInvalid()`.
     SetValid { id: StmtId, header: Path, valid: bool },
     /// Direct action invocation with value arguments.
-    CallAction { id: StmtId, action: String, args: Vec<IrExpr> },
+    CallAction { id: StmtId, action: ActionId, args: Vec<IrExpr> },
     /// Extern function or method call; `instance` names the extern object
     /// instantiation for method calls (e.g. a register).
     ExternCall { id: StmtId, name: String, instance: Option<String>, args: Vec<IrArg> },
@@ -309,7 +321,7 @@ pub struct IrTableKey {
 /// A reference to an action from a table.
 #[derive(Clone, PartialEq, Debug)]
 pub struct IrActionRef {
-    pub action: String,
+    pub action: ActionId,
     pub default_only: bool,
 }
 
@@ -317,7 +329,7 @@ pub struct IrActionRef {
 #[derive(Clone, PartialEq, Debug)]
 pub struct IrConstEntry {
     pub keysets: Vec<IrKeyset>,
-    pub action: String,
+    pub action: ActionId,
     pub args: Vec<IrExpr>,
     pub priority: Option<u32>,
 }
@@ -330,22 +342,38 @@ pub struct IrTable {
     pub control_plane_name: String,
     pub keys: Vec<IrTableKey>,
     pub actions: Vec<IrActionRef>,
-    pub default_action: String,
+    pub default_action: ActionId,
     pub default_args: Vec<IrExpr>,
     pub const_default: bool,
+    /// In match order: highest `@priority` first, equal priorities (and
+    /// entries without one, priority 0) in source order.
     pub const_entries: Vec<IrConstEntry>,
     pub size: u64,
     /// The `@entry_restriction` P4-constraints source, if any.
     pub entry_restriction: Option<String>,
     pub annotations: Vec<Annotation>,
+    /// The `$hit` slot an application writes and `t.apply().hit` reads.
+    pub hit: Path,
+    /// The `$applied` slot an application writes.
+    pub applied: Path,
+}
+
+/// An action parameter.
+#[derive(Clone, PartialEq, Debug)]
+pub struct IrActionParam {
+    pub name: String,
+    pub width: u32,
+    /// The slot a call or a table entry binds the argument to.
+    pub path: Path,
 }
 
 /// An action.
 #[derive(Clone, PartialEq, Debug)]
 pub struct IrAction {
     pub name: String,
-    /// Control-plane (directionless) parameters: (name, width).
-    pub params: Vec<(String, u32)>,
+    /// Control-plane name (`control.action`).
+    pub control_plane_name: String,
+    pub params: Vec<IrActionParam>,
     pub body: Vec<IrStmt>,
 }
 
@@ -365,8 +393,6 @@ pub struct IrInstance {
 pub struct IrControl {
     pub name: String,
     pub params: Vec<IrParam>,
-    pub actions: HashMap<String, IrAction>,
-    pub tables: HashMap<String, IrTable>,
     pub instances: Vec<IrInstance>,
     pub apply: Vec<IrStmt>,
 }
@@ -464,6 +490,11 @@ pub struct IrProgram {
     pub headers: Vec<HeaderLayout>,
     /// Header stack layouts, indexed by [`StackId`].
     pub stacks: Vec<StackLayout>,
+    /// Every control's actions, indexed by [`ActionId`], in declaration
+    /// order (a control's synthesized `NoAction` after its own).
+    pub actions: Vec<IrAction>,
+    /// Every control's tables, indexed by [`TableId`], in declaration order.
+    pub tables: Vec<IrTable>,
     /// Whether any control reads a `parser_err` field, which turns Tofino's
     /// ingress drop-on-parser-error into a continue (Appendix A.1).
     /// Recomputed by [`crate::optimize`].
@@ -493,6 +524,14 @@ impl IrProgram {
         &self.stacks[id.0 as usize]
     }
 
+    pub fn action(&self, id: ActionId) -> &IrAction {
+        &self.actions[id.0 as usize]
+    }
+
+    pub fn table(&self, id: TableId) -> &IrTable {
+        &self.tables[id.0 as usize]
+    }
+
     /// The parameter of `block` bound to pipeline state `root`.
     pub fn bound_param(&self, block: &str, root: &str) -> Option<&IrParam> {
         self.blocks.get(block)?.params().iter().find(|p| p.root.as_deref() == Some(root))
@@ -501,13 +540,5 @@ impl IrProgram {
     /// Total number of coverable statements.
     pub fn num_statements(&self) -> usize {
         self.statements.len()
-    }
-
-    /// All tables across all controls.
-    pub fn all_tables(&self) -> impl Iterator<Item = &IrTable> {
-        self.blocks.values().filter_map(|b| match b {
-            IrBlock::Control(c) => Some(c.tables.values()),
-            _ => None,
-        }).flatten()
     }
 }

@@ -10,7 +10,10 @@
 //! or a header stack flattens into storage paths: it interns each header
 //! instance and stack it meets into the program's layout tables, and
 //! aggregate copies and local declarations take their slots from the same
-//! layouts.
+//! layouts. It is also the only place that resolves action and table
+//! names: each control's actions and tables are interned into the
+//! program's tables before its bodies are lowered, and every reference
+//! names them by id.
 
 use crate::ir::*;
 use p4t_frontend::ast::{self, BinaryOp, Decl, Direction, Expr, Stmt, Transition, UnaryOp};
@@ -82,6 +85,8 @@ fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram,
         header_ids: HashMap::new(),
         stacks: Vec::new(),
         stack_ids: HashMap::new(),
+        actions: Vec::new(),
+        tables: Vec::new(),
     };
     let mut blocks = HashMap::new();
     for decl in checked.program.decls() {
@@ -97,16 +102,19 @@ fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram,
             _ => {}
         }
     }
-    let reads_parser_err = crate::passes::reads_parser_err(&blocks);
-    Ok(IrProgram {
+    let mut prog = IrProgram {
         blocks,
         package,
         package_args,
         statements: lw.statements,
         headers: lw.headers,
         stacks: lw.stacks,
-        reads_parser_err,
-    })
+        actions: lw.actions,
+        tables: lw.tables,
+        reads_parser_err: false,
+    };
+    prog.reads_parser_err = crate::passes::reads_parser_err(&prog);
+    Ok(prog)
 }
 
 struct Lowerer<'a> {
@@ -124,6 +132,8 @@ struct Lowerer<'a> {
     stacks: Vec<StackLayout>,
     /// Keyed by path, then element type and declared size.
     stack_ids: HashMap<String, Vec<(String, u32, StackId)>>,
+    actions: Vec<IrAction>,
+    tables: Vec<IrTable>,
 }
 
 /// Per-block lowering context: variable scoping and name mangling.
@@ -134,8 +144,10 @@ struct Ctx<'a> {
     aliases: Vec<(&'a str, Path)>,
     /// Where each open frame's aliases start.
     alias_frames: Vec<usize>,
-    /// Action signatures in the enclosing control.
-    actions: HashMap<&'a str, &'a [ast::Param]>,
+    /// The enclosing control's actions: id and signature.
+    actions: HashMap<&'a str, (ActionId, &'a [ast::Param])>,
+    /// The enclosing control's tables.
+    tables: HashMap<&'a str, TableId>,
     /// True while lowering parser code (enables extract/advance/lookahead).
     in_parser: bool,
 }
@@ -147,6 +159,7 @@ impl<'a> Ctx<'a> {
             aliases: Vec::new(),
             alias_frames: Vec::new(),
             actions: HashMap::new(),
+            tables: HashMap::new(),
             in_parser: false,
         }
     }
@@ -169,6 +182,18 @@ impl<'a> Ctx<'a> {
     fn declare(&mut self, name: &'a str, ty: Type, path: Path) {
         self.scope.declare(name, ty);
         self.aliases.push((name, path));
+    }
+
+    fn action(&self, name: &str, span: Span) -> LResult<(ActionId, &'a [ast::Param])> {
+        self.actions.get(name).copied().ok_or_else(|| {
+            FrontendError::typecheck(span, format!("unknown action '{name}'"))
+        })
+    }
+
+    fn table(&self, name: &str, span: Span) -> LResult<TableId> {
+        self.tables.get(name).copied().ok_or_else(|| {
+            FrontendError::typecheck(span, format!("unknown table '{name}'"))
+        })
     }
 }
 
@@ -198,6 +223,14 @@ impl<'a> Lowerer<'a> {
 
     fn type_of(&self, e: &Expr, ctx: &Ctx) -> LResult<Type> {
         type_of_expr(self.env, e, &ctx.scope)
+    }
+
+    /// A table of the control being lowered; only a table lowered before
+    /// the reference has its slots.
+    fn table(&self, id: TableId, span: Span) -> LResult<&IrTable> {
+        self.tables.get(id.0 as usize).ok_or_else(|| {
+            FrontendError::typecheck(span, "table is used before its declaration")
+        })
     }
 
     fn width_of_type(&self, t: &Type, span: Span) -> LResult<u32> {
@@ -316,10 +349,18 @@ impl<'a> Lowerer<'a> {
     fn lower_control(&mut self, c: &ast::ControlDecl, roots: &[&[&str]]) -> LResult<IrControl> {
         self.block = Arc::from(c.name.as_str());
         let (params, mut ctx) = self.lower_params(&c.params, roots, c.span)?;
-        for a in &c.actions {
-            ctx.actions.insert(&a.name, &a.params);
+        // Intern the control's actions (a synthesized `NoAction` last) and
+        // tables in declaration order before lowering any body.
+        let first_action = self.actions.len();
+        for (i, a) in c.actions.iter().enumerate() {
+            ctx.actions.insert(&a.name, (ActionId((first_action + i) as u32), &a.params));
         }
-        ctx.actions.insert("NoAction", &[]);
+        let synth_no_action = !ctx.actions.contains_key("NoAction");
+        let no_action = ActionId((first_action + c.actions.len()) as u32);
+        ctx.actions.entry("NoAction").or_insert((no_action, &[]));
+        for (i, t) in c.tables.iter().enumerate() {
+            ctx.tables.insert(&t.name, TableId((self.tables.len() + i) as u32));
+        }
         // Instantiations (registers, counters, ...).
         let mut instances = Vec::new();
         for inst in &c.instantiations {
@@ -358,46 +399,51 @@ impl<'a> Lowerer<'a> {
             self.lower_stmt(l, &mut ctx, &mut apply)?;
         }
         // Actions.
-        let mut actions = HashMap::new();
         for a in &c.actions {
             ctx.push();
             let mut params = Vec::new();
             for p in &a.params {
                 let t = self.env.resolve(&p.ty, p.span)?;
-                let w = self.width_of_type(&t, p.span)?;
+                let width = self.width_of_type(&t, p.span)?;
                 let path = Path::new(format!("{}::{}::{}", c.name, a.name, p.name));
-                ctx.declare(&p.name, t, path);
-                params.push((p.name.clone(), w));
+                ctx.declare(&p.name, t, path.clone());
+                params.push(IrActionParam { name: p.name.clone(), width, path });
             }
             let mut body = Vec::new();
             for s in &a.body {
                 self.lower_stmt(s, &mut ctx, &mut body)?;
             }
             ctx.pop();
-            actions.insert(a.name.clone(), IrAction { name: a.name.clone(), params, body });
+            self.push_action(&c.name, &a.name, params, body);
         }
-        if !actions.contains_key("NoAction") {
-            let name = "NoAction".to_string();
-            actions.insert(name.clone(), IrAction { name, params: Vec::new(), body: Vec::new() });
+        if synth_no_action {
+            self.push_action(&c.name, "NoAction", Vec::new(), Vec::new());
         }
         // Tables (need action info; keys typed in control scope).
-        let mut tables = HashMap::new();
         for t in &c.tables {
             ctx.scope.declare(&t.name, Type::Table(t.name.clone()));
             let irt = self.lower_table(t, c, &mut ctx)?;
-            tables.insert(t.name.clone(), irt);
+            self.tables.push(irt);
         }
         for s in &c.apply {
             self.lower_stmt(s, &mut ctx, &mut apply)?;
         }
-        Ok(IrControl {
-            name: c.name.clone(),
+        Ok(IrControl { name: c.name.clone(), params, instances, apply })
+    }
+
+    fn push_action(
+        &mut self,
+        control: &str,
+        name: &str,
+        params: Vec<IrActionParam>,
+        body: Vec<IrStmt>,
+    ) {
+        self.actions.push(IrAction {
+            name: name.to_string(),
+            control_plane_name: format!("{control}.{name}"),
             params,
-            actions,
-            tables,
-            instances,
-            apply,
-        })
+            body,
+        });
     }
 
     fn lower_table(
@@ -421,25 +467,27 @@ impl<'a> Lowerer<'a> {
                 "table keys with side effects are not supported",
             ));
         }
-        let actions: Vec<IrActionRef> = t
+        let actions = t
             .actions
             .iter()
-            .map(|a| IrActionRef {
-                action: a.name.clone(),
-                default_only: ast::find_annotation(&a.annotations, "defaultonly").is_some(),
+            .map(|a| {
+                Ok(IrActionRef {
+                    action: ctx.action(&a.name, a.span)?.0,
+                    default_only: ast::find_annotation(&a.annotations, "defaultonly").is_some(),
+                })
             })
-            .collect();
+            .collect::<LResult<Vec<_>>>()?;
         let (default_action, default_args, const_default) = match &t.default_action {
             Some((name, args, is_const)) => {
                 let mut dargs = Vec::new();
-                let sig = ctx.actions.get(name.as_str()).copied().unwrap_or_default();
+                let (id, sig) = ctx.action(name, t.span)?;
                 for (arg, p) in args.iter().zip(sig) {
                     let w = self.width_of_type(&self.env.resolve(&p.ty, p.span)?, p.span)?;
                     dargs.push(self.lower_expr(arg, ctx, &mut hoist, Some(w))?);
                 }
-                (name.clone(), dargs, *is_const)
+                (id, dargs, *is_const)
             }
-            None => ("NoAction".to_string(), Vec::new(), false),
+            None => (ctx.action("NoAction", t.span)?.0, Vec::new(), false),
         };
         let mut const_entries = Vec::new();
         for e in &t.entries {
@@ -447,7 +495,7 @@ impl<'a> Lowerer<'a> {
             for (k, tk) in e.keys.iter().zip(&keys) {
                 keysets.push(self.lower_keyset(k, tk.expr.width(), ctx, &mut hoist)?);
             }
-            let sig = ctx.actions.get(e.action.as_str()).copied().unwrap_or_default();
+            let (action, sig) = ctx.action(&e.action, e.span)?;
             let mut args = Vec::new();
             for (arg, p) in e.args.iter().zip(sig) {
                 let w = self.width_of_type(&self.env.resolve(&p.ty, p.span)?, p.span)?;
@@ -456,8 +504,11 @@ impl<'a> Lowerer<'a> {
             let priority = ast::find_annotation(&e.annotations, "priority")
                 .and_then(|a| a.int_arg())
                 .map(|v| v as u32);
-            const_entries.push(IrConstEntry { keysets, action: e.action.clone(), args, priority });
+            const_entries.push(IrConstEntry { keysets, action, args, priority });
         }
+        // Match order; the sort is stable, so equal priorities keep their
+        // source order.
+        const_entries.sort_by_key(|e| std::cmp::Reverse(e.priority.unwrap_or(0)));
         let entry_restriction = ast::find_annotation(&t.annotations, "entry_restriction")
             .and_then(|a| a.string_arg().map(str::to_string));
         let control_plane_name = ast::find_annotation(&t.annotations, "name")
@@ -475,6 +526,8 @@ impl<'a> Lowerer<'a> {
             size: t.size.unwrap_or(1024),
             entry_restriction,
             annotations: t.annotations.clone(),
+            hit: Path::new(format!("{}.$hit", t.name)),
+            applied: Path::new(format!("{}.$applied", t.name)),
         })
     }
 
@@ -576,48 +629,16 @@ impl<'a> Lowerer<'a> {
                 Ok(())
             }
             Stmt::Switch { scrutinee, cases, span } => {
-                // Must be `table.apply().action_run`.
-                let table = match scrutinee {
-                    Expr::Member { base, member, .. } if member == "action_run" => {
-                        match base.as_ref() {
-                            Expr::Call { callee, .. } => match callee.as_ref() {
-                                Expr::Member { base, member, .. } if member == "apply" => {
-                                    match base.as_ref() {
-                                        Expr::Ident { name, .. } => name.clone(),
-                                        _ => {
-                                            return Err(FrontendError::typecheck(
-                                                *span,
-                                                "switch scrutinee must be table.apply().action_run",
-                                            ))
-                                        }
-                                    }
-                                }
-                                _ => {
-                                    return Err(FrontendError::typecheck(
-                                        *span,
-                                        "switch scrutinee must be table.apply().action_run",
-                                    ))
-                                }
-                            },
-                            _ => {
-                                return Err(FrontendError::typecheck(
-                                    *span,
-                                    "switch scrutinee must be table.apply().action_run",
-                                ))
-                            }
-                        }
-                    }
-                    _ => {
-                        return Err(FrontendError::typecheck(
-                            *span,
-                            "switch scrutinee must be table.apply().action_run",
-                        ))
-                    }
-                };
-                let mut ircases: Vec<(Option<String>, Vec<IrStmt>)> = Vec::new();
-                let mut pending: Vec<Option<String>> = Vec::new();
+                let table = action_run_table(scrutinee).ok_or_else(|| {
+                    let msg = "switch scrutinee must be table.apply().action_run";
+                    FrontendError::typecheck(*span, msg)
+                })?;
+                let table_id = ctx.table(table, *span)?;
+                let mut ircases: Vec<(Option<ActionId>, Vec<IrStmt>)> = Vec::new();
+                let mut pending: Vec<Option<ActionId>> = Vec::new();
                 for case in cases {
-                    pending.push(case.label.clone());
+                    let label = case.label.as_ref().map(|l| ctx.action(l, case.span));
+                    pending.push(label.transpose()?.map(|(id, _)| id));
                     if let Some(body) = &case.body {
                         ctx.push();
                         let mut v = Vec::new();
@@ -633,7 +654,7 @@ impl<'a> Lowerer<'a> {
                     ircases.push((label, Vec::new()));
                 }
                 let id = self.stmt_id(format!("switch {table}"), *span);
-                out.push(IrStmt::SwitchActionRun { id, table, cases: ircases });
+                out.push(IrStmt::SwitchActionRun { id, table: table_id, cases: ircases });
                 Ok(())
             }
             Stmt::Exit { span } => {
@@ -959,8 +980,9 @@ impl<'a> Lowerer<'a> {
                         Ok(())
                     }
                     (Type::Table(tname), "apply") => {
+                        let table = ctx.table(tname, span)?;
                         let id = self.stmt_id(format!("apply {tname}"), span);
-                        out.push(IrStmt::ApplyTable { id, table: tname.clone() });
+                        out.push(IrStmt::ApplyTable { id, table });
                         Ok(())
                     }
                     (Type::Stack(elem, n), "push_front" | "pop_front") => {
@@ -1022,7 +1044,7 @@ impl<'a> Lowerer<'a> {
                     });
                     return Ok(());
                 }
-                if let Some(sig) = ctx.actions.get(name.as_str()).copied() {
+                if let Some(&(action, sig)) = ctx.actions.get(name.as_str()) {
                     // Direct action call with value arguments.
                     let mut irargs = Vec::new();
                     for (arg, p) in args.iter().zip(sig) {
@@ -1031,7 +1053,7 @@ impl<'a> Lowerer<'a> {
                         irargs.push(self.lower_expr(arg, ctx, out, Some(w))?);
                     }
                     let id = self.stmt_id(format!("call {name}"), span);
-                    out.push(IrStmt::CallAction { id, action: name.clone(), args: irargs });
+                    out.push(IrStmt::CallAction { id, action, args: irargs });
                     return Ok(());
                 }
                 if let Some(sig) = self.env.extern_fn(name).cloned() {
@@ -1245,12 +1267,9 @@ impl<'a> Lowerer<'a> {
                 // `t.apply().hit` / `.miss`: lower the base (hoisting the
                 // ApplyTable statement), then read the synthetic hit slot.
                 if let Type::ApplyResult { table } = &bt {
-                    let table = table.clone();
+                    let table = ctx.table(table, span)?;
                     let _ = self.lower_expr(base, ctx, out, Some(1))?;
-                    let hit = IrExpr::Read {
-                        path: Path::new(format!("{table}.$hit")),
-                        width: 1,
-                    };
+                    let hit = IrExpr::Read { path: self.table(table, span)?.hit.clone(), width: 1 };
                     return Ok(match member.as_str() {
                         "hit" => hit,
                         "miss" => IrExpr::Unary { op: IrUnOp::Not, arg: Box::new(hit), width: 1 },
@@ -1412,12 +1431,11 @@ impl<'a> Lowerer<'a> {
                         }
                         (Type::Table(tname), "apply") => {
                             // `t.apply().hit` — apply, then read synthetic slot.
+                            let table = ctx.table(tname, span)?;
                             let id = self.stmt_id(format!("apply {tname}"), span);
-                            out.push(IrStmt::ApplyTable { id, table: tname.clone() });
-                            return Ok(IrExpr::Read {
-                                path: Path::new(format!("{tname}.$applied")),
-                                width: 1,
-                            });
+                            out.push(IrStmt::ApplyTable { id, table });
+                            let path = self.table(table, span)?.applied.clone();
+                            return Ok(IrExpr::Read { path, width: 1 });
                         }
                         (Type::Extern { name, type_args: targs }, m) => {
                             let sig = self.env.extern_method(name, targs, m).ok_or_else(|| {
@@ -1615,6 +1633,15 @@ impl<'a> Lowerer<'a> {
         }
         Ok(IrExpr::Binary { op: irop, lhs: Box::new(l), rhs: Box::new(r), width: out_width })
     }
+}
+
+/// The table `t` of a switch scrutinee `t.apply().action_run`.
+fn action_run_table(e: &Expr) -> Option<&str> {
+    let Expr::Member { base, member, .. } = e else { return None };
+    let Expr::Call { callee, .. } = base.as_ref() else { return None };
+    let Expr::Member { base: table, member: apply, .. } = callee.as_ref() else { return None };
+    let Expr::Ident { name, .. } = table.as_ref() else { return None };
+    (member == "action_run" && apply == "apply").then_some(name.as_str())
 }
 
 /// A read through `stack.last` (or `stack.next`): a mux chain over `$next`

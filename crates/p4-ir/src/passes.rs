@@ -5,7 +5,7 @@
 //! only statements that survive DCE are coverable.
 
 use crate::ir::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Run all midend passes in place and rebuild the statement table.
 pub fn optimize(prog: &mut IrProgram) {
@@ -26,26 +26,24 @@ pub fn optimize(prog: &mut IrProgram) {
                     }
                 }
             }
-            IrBlock::Control(c) => {
-                fold_stmts(&mut c.apply);
-                for a in c.actions.values_mut() {
-                    fold_stmts(&mut a.body);
-                }
-                for t in c.tables.values_mut() {
-                    for k in t.keys.iter_mut() {
-                        k.expr = fold_expr(k.expr.clone());
-                    }
-                }
-            }
+            IrBlock::Control(c) => fold_stmts(&mut c.apply),
+        }
+    }
+    for a in &mut prog.actions {
+        fold_stmts(&mut a.body);
+    }
+    for t in &mut prog.tables {
+        for k in t.keys.iter_mut() {
+            k.expr = fold_expr(k.expr.clone());
         }
     }
     rebuild_statement_table(prog);
-    prog.reads_parser_err = reads_parser_err(&prog.blocks);
+    prog.reads_parser_err = reads_parser_err(prog);
 }
 
 /// Whether any control assigns from or branches on a `parser_err` field
 /// (see [`IrProgram::reads_parser_err`]).
-pub(crate) fn reads_parser_err(blocks: &HashMap<String, IrBlock>) -> bool {
+pub(crate) fn reads_parser_err(prog: &IrProgram) -> bool {
     fn expr_reads(e: &IrExpr) -> bool {
         match e {
             IrExpr::Read { path, .. } => path.as_str().contains("parser_err"),
@@ -68,13 +66,11 @@ pub(crate) fn reads_parser_err(blocks: &HashMap<String, IrBlock>) -> bool {
             _ => false,
         }
     }
-    blocks.values().any(|b| match b {
-        IrBlock::Control(c) => {
-            c.apply.iter().any(stmt_reads)
-                || c.actions.values().any(|a| a.body.iter().any(stmt_reads))
-        }
+    let applies_read = prog.blocks.values().any(|b| match b {
+        IrBlock::Control(c) => c.apply.iter().any(stmt_reads),
         _ => false,
-    })
+    });
+    applies_read || prog.actions.iter().any(|a| a.body.iter().any(stmt_reads))
 }
 
 fn fold_keyset(ks: &mut IrKeyset) {
@@ -330,13 +326,11 @@ fn rebuild_statement_table(prog: &mut IrProgram) {
                     collect_ids(&st.stmts, &mut live);
                 }
             }
-            IrBlock::Control(c) => {
-                collect_ids(&c.apply, &mut live);
-                for a in c.actions.values() {
-                    collect_ids(&a.body, &mut live);
-                }
-            }
+            IrBlock::Control(c) => collect_ids(&c.apply, &mut live),
         }
+    }
+    for a in &prog.actions {
+        collect_ids(&a.body, &mut live);
     }
     prog.statements.retain(|s| live.contains(&s.id));
     // Deduplicate: elaborated statements may share ids.

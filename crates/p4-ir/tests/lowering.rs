@@ -2,7 +2,7 @@
 
 use p4t_frontend::ast::Direction;
 use p4t_frontend::Diagnostic;
-use p4t_ir::{HeaderId, IrBlock, IrExpr, IrProgram, IrStmt, IrTransition, Path};
+use p4t_ir::{ActionId, HeaderId, IrBlock, IrExpr, IrProgram, IrStmt, IrTransition, Path, TableId};
 
 /// Compile without package roots: parameters keep their own names.
 fn compile(src: &str) -> Result<IrProgram, Vec<Diagnostic>> {
@@ -80,18 +80,21 @@ fn lower_fig1a_structure() {
     ));
     assert!(matches!(&start.transition, IrTransition::Direct(s) if s == "accept"));
     let c = ir.control("MyIngress").expect("control block");
-    let t = &c.tables["forward_table"];
+    let t = &ir.tables[0];
+    assert_eq!(t.name, "forward_table");
     assert_eq!(t.keys[0].name, "type");
     assert_eq!(t.keys[0].match_kind, "exact");
-    assert_eq!(t.default_action, "noop");
+    assert_eq!(ir.action(t.default_action).name, "noop");
     assert_eq!(t.control_plane_name, "MyIngress.forward_table");
+    assert_eq!(t.hit.as_str(), "forward_table.$hit");
+    assert_eq!(t.applied.as_str(), "forward_table.$applied");
     // Apply: assign then table apply.
     assert!(matches!(
         &c.apply[0],
         IrStmt::Assign { target, value: IrExpr::Const { value: 0xBEEF, width: 16 }, .. }
             if target.as_str() == "hdr.eth.etherType"
     ));
-    assert!(matches!(&c.apply[1], IrStmt::ApplyTable { table, .. } if table == "forward_table"));
+    assert!(matches!(&c.apply[1], IrStmt::ApplyTable { table: TableId(0), .. }));
     // Statement table is non-empty and covers all blocks.
     assert!(ir.num_statements() >= 4);
 }
@@ -99,9 +102,11 @@ fn lower_fig1a_structure() {
 #[test]
 fn action_params_are_mangled() {
     let ir = fig1a_ir();
-    let c = ir.control("MyIngress").unwrap();
-    let a = &c.actions["set_out"];
-    assert_eq!(a.params, vec![("port".to_string(), 9)]);
+    let a = &ir.actions[0];
+    assert_eq!((a.name.as_str(), a.control_plane_name.as_str()), ("set_out", "MyIngress.set_out"));
+    assert_eq!(a.params.len(), 1);
+    assert_eq!((a.params[0].name.as_str(), a.params[0].width), ("port", 9));
+    assert_eq!(a.params[0].path.as_str(), "MyIngress::set_out::port");
     assert!(matches!(
         &a.body[0],
         IrStmt::Assign { target, value: IrExpr::Read { path, .. }, .. }
@@ -532,4 +537,101 @@ ebpfFilter(prs(), pipe()) main;
         locals,
         vec![vec![("pipe::tmp.v", 8)], vec![("pipe::tmp.v", 16), ("pipe::tmp.w", 8)]]
     );
+}
+
+/// The id of the action whose control-plane name is `name`.
+fn action_id(ir: &IrProgram, name: &str) -> ActionId {
+    let i = ir.actions.iter().position(|a| a.control_plane_name == name);
+    ActionId(i.unwrap_or_else(|| panic!("no action {name}")) as u32)
+}
+
+/// Two controls declare an action `mark` and a table `t`: every call,
+/// apply, switch label and table action list resolves within its own
+/// control, and ids follow declaration order.
+#[test]
+fn same_named_actions_and_tables_resolve_within_their_control() {
+    let src = format!(
+        r#"{PRELUDE}
+header h_t {{ bit<8> a; bit<16> b; }}
+struct headers_t {{ h_t h; }}
+struct meta_t {{ bit<8> x; }}
+control A(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
+    action mark(bit<9> p) {{ sm.egress_spec = p; }}
+    table t {{ key = {{ hdr.h.a: exact; }} actions = {{ mark; }} default_action = mark(9w1); }}
+    apply {{
+        switch (t.apply().action_run) {{ mark: {{ m.x = 1; }} }}
+        mark(9w2);
+    }}
+}}
+control B(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
+    action mark(bit<16> v) {{ hdr.h.b = v; }}
+    table t {{ key = {{ hdr.h.b: exact; }} actions = {{ mark; NoAction; }} }}
+    apply {{
+        if (t.apply().hit) {{ mark(16w3); }}
+    }}
+}}
+"#
+    );
+    let ir = compile(&src).expect("program lowers");
+    let names: Vec<&str> = ir.actions.iter().map(|a| a.control_plane_name.as_str()).collect();
+    assert_eq!(names, ["A.mark", "A.NoAction", "B.mark", "B.NoAction"]);
+    let (a_mark, b_mark) = (action_id(&ir, "A.mark"), action_id(&ir, "B.mark"));
+    assert_eq!(ir.action(b_mark).params[0].path.as_str(), "B::mark::v");
+
+    let (ta, tb) = (&ir.tables[0], &ir.tables[1]);
+    assert_eq!((ta.control_plane_name.as_str(), tb.control_plane_name.as_str()), ("A.t", "B.t"));
+    assert_eq!(ta.actions[0].action, a_mark);
+    assert_eq!(ta.default_action, a_mark);
+    assert_eq!(tb.actions.iter().map(|r| r.action).collect::<Vec<_>>(), [b_mark, ActionId(3)]);
+    assert_eq!(tb.default_action, action_id(&ir, "B.NoAction"));
+
+    let a = &ir.control("A").unwrap().apply;
+    assert!(matches!(
+        &a[0],
+        IrStmt::SwitchActionRun { table: TableId(0), cases, .. } if cases[0].0 == Some(a_mark)
+    ));
+    assert!(matches!(&a[1], IrStmt::CallAction { action, .. } if *action == a_mark));
+    let b = &ir.control("B").unwrap().apply;
+    assert!(matches!(&b[0], IrStmt::ApplyTable { table: TableId(1), .. }));
+    let IrStmt::If { cond: IrExpr::Read { path, .. }, then_s, .. } = &b[1] else {
+        panic!("B's apply: {b:?}");
+    };
+    assert_eq!(path, &tb.hit);
+    assert!(matches!(&then_s[0], IrStmt::CallAction { action, .. } if *action == b_mark));
+}
+
+/// Const entries are stored in match order: highest `@priority` first, and
+/// equal priorities (entries without one count as 0) in source order.
+#[test]
+fn const_entries_are_stored_in_match_order() {
+    let src = format!(
+        r#"{PRELUDE}
+header h_t {{ bit<8> a; }}
+struct headers_t {{ h_t h; }}
+struct meta_t {{ bit<8> x; }}
+control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
+    action set(bit<8> v) {{ m.x = v; }}
+    table t {{
+        key = {{ hdr.h.a: exact; }}
+        actions = {{ set; }}
+        const entries = {{
+            1: set(8w1);
+            @priority(1) 2: set(8w2);
+            @priority(5) 3: set(8w3);
+            @priority(1) 4: set(8w4);
+            5: set(8w5);
+        }}
+    }}
+    apply {{ t.apply(); }}
+}}
+"#
+    );
+    let ir = compile(&src).expect("program lowers");
+    let order: Vec<(Option<u32>, Option<u128>)> = ir.tables[0]
+        .const_entries
+        .iter()
+        .map(|e| (e.priority, e.args[0].as_const()))
+        .collect();
+    let expected = [(Some(5), 3), (Some(1), 2), (Some(1), 4), (None, 1), (None, 5)];
+    assert_eq!(order, expected.map(|(p, v)| (p, Some(v))));
 }

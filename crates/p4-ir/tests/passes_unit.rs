@@ -60,8 +60,8 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 "#
     );
     let ir = compile(&src).unwrap();
-    let c = ir.control("C").unwrap();
-    let body = &c.actions["a"].body;
+    let body = &ir.actions[0].body;
+    assert_eq!(ir.actions[0].control_plane_name, "C.a");
     // assign, return — the unreachable assign is gone.
     assert_eq!(body.len(), 2, "{body:?}");
     assert!(matches!(body[1], IrStmt::Return { .. }));
@@ -126,7 +126,7 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 "#
     );
     let ir = compile(&src).unwrap();
-    let t = ir.all_tables().next().unwrap();
+    let t = &ir.tables[0];
     assert_eq!(t.control_plane_name, "custom.table.name");
 }
 
@@ -149,5 +149,5 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 "#
     );
     let ir = compile(&src).unwrap();
-    assert_eq!(ir.all_tables().next().unwrap().size, 1024);
+    assert_eq!(ir.tables[0].size, 1024);
 }

@@ -242,14 +242,82 @@ control pipe(inout ethernet_t hdr, out bool pass) {
 ebpfFilter(prs(), pipe()) main;
 "#;
 
+/// Two controls declare a same-named action and a same-named table with
+/// different bodies and keys; lowering must resolve each reference within
+/// its own control, which refeval does on the AST on its own.
+const SHARED_NAMES_V1: &str = include_str!("../examples/p4/shared_names.p4");
+
+/// The tna shape of the same, with overlapping equal-priority const
+/// entries in egress: they must match in source order.
+const SHARED_NAMES_TNA: &str = r#"
+header tofino_md_t { bit<64> pad; }
+header ethernet_t { bit<48> dst; bit<48> src; bit<16> etherType; }
+struct ig_headers_t { tofino_md_t tofino_md; ethernet_t eth; }
+struct eg_headers_t { ethernet_t eth; }
+struct meta_t { bit<8> x; }
+parser IPrs(packet_in pkt, out ig_headers_t hdr, out meta_t meta, out ingress_intrinsic_metadata_t ig_intr_md) {
+    state start { pkt.extract(hdr.tofino_md); pkt.extract(hdr.eth); transition accept; }
+}
+control Ing(inout ig_headers_t hdr, inout meta_t meta,
+            in ingress_intrinsic_metadata_t ig_intr_md,
+            in ingress_intrinsic_metadata_from_parser_t ig_prsr_md,
+            inout ingress_intrinsic_metadata_for_deparser_t ig_dprsr_md,
+            inout ingress_intrinsic_metadata_for_tm_t ig_tm_md) {
+    action mark(bit<9> port) { ig_tm_md.ucast_egress_port = port; hdr.eth.src = 48w1; }
+    action drop() { ig_dprsr_md.drop_ctl = 3w1; }
+    table t {
+        key = { hdr.eth.etherType: exact @name("etype"); }
+        actions = { mark; drop; }
+        default_action = mark(9w2);
+    }
+    apply {
+        switch (t.apply().action_run) {
+            mark: { hdr.eth.dst = 48w0x0103; }
+            drop: { }
+        }
+    }
+}
+control IDep(packet_out pkt, inout ig_headers_t hdr, in ingress_intrinsic_metadata_for_deparser_t ig_dprsr_md) {
+    apply { pkt.emit(hdr.eth); }
+}
+parser EPrs(packet_in pkt, out eg_headers_t hdr, out meta_t emeta, out egress_intrinsic_metadata_t eg_intr_md) {
+    state start { pkt.extract(hdr.eth); transition accept; }
+}
+control Egr(inout eg_headers_t hdr, inout meta_t emeta,
+            in egress_intrinsic_metadata_t eg_intr_md,
+            in egress_intrinsic_metadata_from_parser_t eg_prsr_md,
+            inout egress_intrinsic_metadata_for_deparser_t eg_dprsr_md,
+            inout egress_intrinsic_metadata_for_output_port_t eg_oport_md) {
+    action mark(bit<16> v) { hdr.eth.etherType = v; }
+    action keep() { hdr.eth.src = 48w5; }
+    table t {
+        key = { hdr.eth.dst: ternary @name("dst"); }
+        actions = { mark; keep; }
+        const entries = {
+            @priority(1) 48w0x03 &&& 48w0xFF: mark(16w0x0A0A);
+            @priority(1) 48w0x0103 &&& 48w0xFFFF: mark(16w0x0B0B);
+            @priority(2) 48w0x0203 &&& 48w0xFFFF: keep();
+        }
+        default_action = keep();
+    }
+    apply {
+        if (t.apply().hit) { hdr.eth.dst = 48w9; }
+    }
+}
+control EDep(packet_out pkt, inout eg_headers_t hdr, in egress_intrinsic_metadata_for_deparser_t eg_dprsr_md) {
+    apply { pkt.emit(hdr.eth); }
+}
+Pipeline(IPrs(), Ing(), IDep(), EPrs(), Egr(), EDep()) main;
+"#;
+
 /// A degraded generator must not manufacture false divergences: when the
 /// generation fault plan taints generation (unknown bits widen the don't-care
 /// masks), every test that still gets emitted has to pass on BOTH the
 /// interpreter and the independent reference evaluator, and the two
 /// engines' verdict checkers must agree test by test. This is the
 /// library-level half of the `p4testgen diff` invariance contract. Besides
-/// a synthetic program, the inputs are shapes whose root binding or
-/// layouts are easy to get wrong.
+/// a synthetic program, the inputs are shapes whose root binding, layouts
+/// or name resolution are easy to get wrong.
 #[test]
 fn emitted_tests_agree_across_engines_under_generation_fault_plans() {
     let synthetic = p4t_corpus::generate_synthetic(2, 2);
@@ -260,6 +328,8 @@ fn emitted_tests_agree_across_engines_under_generation_fault_plans() {
         (TNA_SPLIT_HEADER_TYPES, "tna"),
         (TNA_SPLIT_STACK_SIZES, "tna"),
         (EBPF_HEADER_PARAM, "ebpf_model"),
+        (SHARED_NAMES_V1, "v1model"),
+        (SHARED_NAMES_TNA, "tna"),
     ] {
         agree_across_engines(src, arch);
     }

@@ -18,6 +18,7 @@ const PINNED: &[(&str, u64)] = &[
     ("examples/p4/fig1b", 0x42dd81ac188ce187),
     ("examples/p4/middleblock_sim", 0xbb0d09ba412be6f5),
     ("examples/p4/register_prog", 0x77a28140da4a64eb),
+    ("examples/p4/shared_names", 0xb9ba27e89ef3d517),
     ("examples/p4/stack_prog", 0xee3f0c84d78804b8),
     ("examples/p4/switch_sim", 0xf3ea675c7310f51c),
     ("examples/p4/switch_stmt_prog", 0x4ffe9b6c5426fb59),
