@@ -14,8 +14,8 @@ use crate::tables;
 use crate::target::{ExecCtx, ExtArg, ExternOutcome, Target, UninitPolicy};
 use p4t_frontend::types::ERROR_WIDTH;
 use p4t_ir::{
-    ActionId, HeaderId, IrArg, IrBinOp, IrBlock, IrExpr, IrKeyset, IrStmt, IrTransition, IrUnOp,
-    Path, StackId,
+    ActionId, BlockId, HeaderId, IrArg, IrBinOp, IrBlock, IrExpr, IrKeyset, IrNext, IrStmt,
+    IrTransition, IrUnOp, Path, StackId, StateId,
 };
 use p4t_smt::{BinOp, BitVec, TermId};
 
@@ -198,20 +198,15 @@ pub fn step(
 ) -> ExecResult<()> {
     match cmd {
         Cmd::Stmt(s) => exec_stmt(ctx, st, target, &s),
-        Cmd::ParserState { parser, state } => {
-            if let Some(base) = state.strip_suffix("$select") {
-                run_select(ctx, st, target, &parser, base)
-            } else {
-                enter_parser_state(ctx, st, &parser, &state)
-            }
-        }
+        Cmd::ParserState(state) => enter_parser_state(ctx, st, state),
+        Cmd::Select(state) => run_select(ctx, st, target, state),
         Cmd::PipeStep(idx) => pipe_step(ctx, st, target, idx),
         Cmd::FlushEmit => {
             st.packet.flush_emit();
             Ok(())
         }
         Cmd::Hook(name) => {
-            target.hook(&name, ctx, st);
+            target.hook(name, ctx, st);
             Ok(())
         }
     }
@@ -234,25 +229,17 @@ fn pipe_step(
     // Queue the next step underneath this one's work.
     st.continuations.push(Cmd::PipeStep(idx + 1));
     match &pipeline[idx] {
-        crate::target::PipeStep::Hook(name) => {
-            st.continuations.push(Cmd::Hook(name.clone()));
-        }
-        crate::target::PipeStep::FlushEmit => {
-            st.continuations.push(Cmd::FlushEmit);
-        }
-        crate::target::PipeStep::Block(block) => {
-            enter_block(ctx, st, block)?;
-        }
+        crate::target::PipeStep::Hook(name) => st.continuations.push(Cmd::Hook(name)),
+        crate::target::PipeStep::FlushEmit => st.continuations.push(Cmd::FlushEmit),
+        crate::target::PipeStep::Block(block) => enter_block(ctx, st, *block),
     }
     Ok(())
 }
 
 /// Reset a block's `out` parameters and queue its body.
-pub fn enter_block(ctx: &mut ExecCtx, st: &mut ExecState, block: &str) -> ExecResult<()> {
+pub fn enter_block(ctx: &mut ExecCtx, st: &mut ExecState, block: BlockId) {
     let prog = ctx.prog;
-    let Some(b) = prog.blocks.get(block) else {
-        return Err(Abort(format!("unknown block '{block}'")));
-    };
+    let b = prog.block(block);
     // `out` parameters are reset on entry: slots cleared (so the uninit
     // policy applies), header validity and stack `$next` explicitly zeroed.
     for p in b.params() {
@@ -272,64 +259,41 @@ pub fn enter_block(ctx: &mut ExecCtx, st: &mut ExecState, block: &str) -> ExecRe
             }
         }
     }
-    st.log(format!("enter block {block}"));
+    st.log(format!("enter block {}", b.name()));
     match b {
-        IrBlock::Parser(_) => {
-            st.continuations.push(Cmd::ParserState {
-                parser: block.to_string(),
-                state: "start".to_string(),
-            });
-        }
-        IrBlock::Control(c) => {
-            st.push_stmts(&c.apply);
-        }
+        IrBlock::Parser(p) => st.continuations.push(Cmd::ParserState(p.start)),
+        IrBlock::Control(c) => st.push_stmts(&c.apply),
     }
-    Ok(())
 }
 
-fn enter_parser_state(
-    ctx: &mut ExecCtx,
-    st: &mut ExecState,
-    parser: &str,
-    state: &str,
-) -> ExecResult<()> {
-    if state == "accept" {
-        return Ok(());
+/// Queue a parser transition: nothing for `accept`, the target's
+/// `parser_reject` hook for `reject`.
+fn push_next(st: &mut ExecState, next: IrNext) {
+    match next {
+        IrNext::Accept => {}
+        IrNext::Reject => st.continuations.push(Cmd::Hook("parser_reject")),
+        IrNext::State(s) => st.continuations.push(Cmd::ParserState(s)),
     }
-    if state == "reject" {
-        st.continuations.push(Cmd::Hook("parser_reject".to_string()));
-        return Ok(());
-    }
-    let key = (parser.to_string(), state.to_string());
-    let visits = st.visits.entry(key).or_insert(0);
+}
+
+fn enter_parser_state(ctx: &mut ExecCtx, st: &mut ExecState, state: StateId) -> ExecResult<()> {
+    let prog = ctx.prog;
+    let ir_state = prog.state(state);
+    let parser = prog.block(ir_state.parser).name();
+    let visits = st.visits.entry(state).or_insert(0);
     *visits += 1;
     if *visits > ctx.parser_loop_bound {
         // Loop bound exceeded: stop this path (the paper bounds parser
         // unrolling in the midend; we bound dynamically).
-        st.log(format!("parser loop bound hit in {parser}.{state}"));
+        st.log(format!("parser loop bound hit in {parser}.{}", ir_state.name));
         st.finish(FinishReason::Abandoned("parser loop bound".into()));
         return Ok(());
     }
-    let prog = ctx.prog;
-    let Some(IrBlock::Parser(p)) = prog.blocks.get(parser) else {
-        return Err(Abort(format!("unknown parser '{parser}'")));
-    };
-    let Some(ir_state) = p.states.get(state) else {
-        return Err(Abort(format!("unknown parser state '{parser}.{state}'")));
-    };
-    st.log(format!("parser state {parser}.{state}"));
+    st.log(format!("parser state {parser}.{}", ir_state.name));
     // Queue: statements, then the transition decision.
     match &ir_state.transition {
-        IrTransition::Direct(next) => {
-            st.continuations
-                .push(Cmd::ParserState { parser: parser.to_string(), state: next.clone() });
-        }
-        IrTransition::Select { .. } => {
-            st.continuations.push(Cmd::ParserState {
-                parser: parser.to_string(),
-                state: format!("{state}$select"),
-            });
-        }
+        IrTransition::Direct(next) => push_next(st, *next),
+        IrTransition::Select { .. } => st.continuations.push(Cmd::Select(state)),
     }
     st.push_stmts(&ir_state.stmts);
     Ok(())
@@ -341,17 +305,10 @@ fn run_select(
     ctx: &mut ExecCtx,
     st: &mut ExecState,
     target: &dyn Target,
-    parser: &str,
-    state: &str,
+    state: StateId,
 ) -> ExecResult<()> {
     let prog = ctx.prog;
-    let Some(IrBlock::Parser(p)) = prog.blocks.get(parser) else {
-        return Err(Abort(format!("unknown parser '{parser}'")));
-    };
-    let Some(ir_state) = p.states.get(state) else {
-        return Err(Abort(format!("unknown parser state '{parser}.{state}'")));
-    };
-    let IrTransition::Select { keys, cases } = &ir_state.transition else {
+    let IrTransition::Select { keys, cases } = &prog.state(state).transition else {
         return Err(Abort("select pseudo-state without select transition".into()));
     };
     let key_syms: Vec<Sym> = keys
@@ -371,11 +328,8 @@ fn run_select(
             if keys_tainted {
                 f.set_flag("taint_flaky", 1);
             }
-            f.continuations.push(Cmd::ParserState {
-                parser: parser.to_string(),
-                state: case.next_state.clone(),
-            });
-            f.log(format!("select -> {}", case.next_state));
+            push_next(&mut f, case.next_state);
+            f.log(format!("select -> {}", prog.next_name(case.next_state)));
             forks.push(f);
         }
         let nm = ctx.pool.not(m);
@@ -389,10 +343,7 @@ fn run_select(
             f.set_flag("taint_flaky", 1);
         }
         set_parser_error(ctx, &mut f, ERR_NO_MATCH);
-        f.continuations.push(Cmd::ParserState {
-            parser: parser.to_string(),
-            state: "reject".to_string(),
-        });
+        push_next(&mut f, IrNext::Reject);
         f.log("select -> reject (NoMatch)".to_string());
         forks.push(f);
     }
@@ -606,7 +557,7 @@ fn exec_extract(
         set_parser_error(ctx, &mut short, ERR_PACKET_TOO_SHORT);
         short.log(format!("extract {}: packet too short", h.path));
         truncate_parser_continuations(&mut short);
-        short.continuations.push(Cmd::Hook("parser_reject".to_string()));
+        short.continuations.push(Cmd::Hook("parser_reject"));
         ctx.forks.push(short);
     }
     // Normal path: read the content and assign fields MSB-first.
@@ -647,16 +598,14 @@ fn exec_extract(
     Ok(())
 }
 
-/// Remove queued parser continuations (statements, parser states, hooks) up
-/// to the next pipeline step, which stays in place.
+/// Remove queued parser continuations (statements, parser states, selects,
+/// hooks) up to the next pipeline step, which stays in place.
 fn truncate_parser_continuations(st: &mut ExecState) {
-    while let Some(cmd) = st.continuations.last() {
-        match cmd {
-            Cmd::Stmt(_) | Cmd::ParserState { .. } | Cmd::Hook(_) => {
-                st.continuations.pop();
-            }
-            _ => break,
-        }
+    while matches!(
+        st.continuations.last(),
+        Some(Cmd::Stmt(_) | Cmd::ParserState(_) | Cmd::Select(_) | Cmd::Hook(_))
+    ) {
+        st.continuations.pop();
     }
 }
 
@@ -667,7 +616,7 @@ fn exec_advance(ctx: &mut ExecCtx, st: &mut ExecState, bits: u32) -> ExecResult<
         let mut short = ctx.fork(st, t);
         set_parser_error(ctx, &mut short, ERR_PACKET_TOO_SHORT);
         truncate_parser_continuations(&mut short);
-        short.continuations.push(Cmd::Hook("parser_reject".to_string()));
+        short.continuations.push(Cmd::Hook("parser_reject"));
         ctx.forks.push(short);
     }
     let _ = st.packet.read(ctx.pool, bits);
@@ -835,7 +784,7 @@ fn exec_extern(
             set_parser_error(ctx, st, c);
         }
         truncate_parser_continuations(st);
-        st.continuations.push(Cmd::Hook("parser_reject".to_string()));
+        st.continuations.push(Cmd::Hook("parser_reject"));
         return Ok(());
     }
     match target.extern_call(name, instance, &ext_args, ctx, st) {

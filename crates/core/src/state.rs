@@ -19,7 +19,7 @@
 
 use crate::packet::PacketModel;
 use crate::sym::Sym;
-use p4t_ir::{IrStmt, StmtId};
+use p4t_ir::{IrStmt, StateId, StmtId};
 use p4t_smt::fingerprint::FingerprintFrame;
 use p4t_smt::{BitVec, TermId, TermPool};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -143,15 +143,18 @@ impl fmt::Debug for Trace {
 pub enum Cmd {
     /// Execute one IR statement.
     Stmt(IrStmt),
-    /// Enter a parser state of the named parser block.
-    ParserState { parser: String, state: String },
+    /// Enter a parser state.
+    ParserState(StateId),
+    /// Decide a parser state's `select` transition; queued below the
+    /// state's statements.
+    Select(StateId),
     /// Execute pipeline step `idx` of the target's pipeline template.
     PipeStep(usize),
     /// Flush the emit buffer into the live packet (trigger point, §5.2.1).
     FlushEmit,
     /// Invoke a named target hook (interstitial control flow, e.g. the
     /// traffic manager between ingress and egress).
-    Hook(String),
+    Hook(&'static str),
 }
 
 /// Why a path terminated.
@@ -258,7 +261,7 @@ pub struct ExecState {
     /// sessions, ...).
     pub flags: Shared<HashMap<String, u64>>,
     /// Parser state visit counts (loop bounding).
-    pub visits: Shared<HashMap<(String, String), u32>>,
+    pub visits: Shared<HashMap<StateId, u32>>,
     /// Human-readable execution trace.
     pub trace: Trace,
     pub finished: Option<FinishReason>,
@@ -474,7 +477,7 @@ mod tests {
             |st, v| st.outputs.push(SymOutput { port: v.clone(), payload: None }),
             |st, _| st.set_flag("recirculated", 1),
             |st, _| {
-                st.visits.insert(("p".into(), "start".into()), 1);
+                st.visits.insert(StateId(0), 1);
             },
         ]
     }
@@ -582,7 +585,7 @@ mod tests {
     #[test]
     fn continuation_order() {
         let mut st = ExecState::new(0);
-        st.push_cmds(vec![Cmd::Hook("a".into()), Cmd::Hook("b".into())]);
+        st.push_cmds(vec![Cmd::Hook("a"), Cmd::Hook("b")]);
         let Some(Cmd::Hook(first)) = st.continuations.pop() else {
             panic!()
         };

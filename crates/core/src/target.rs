@@ -16,7 +16,7 @@
 use crate::state::ExecState;
 use crate::sym::Sym;
 use crate::sym::havoc;
-use p4t_ir::{IrProgram, Path};
+use p4t_ir::{BlockId, IrProgram, Path};
 use p4t_smt::{BitVec, TermId, TermPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -26,11 +26,11 @@ pub use crate::state::Cmd;
 /// One step of a pipeline template.
 #[derive(Clone, Debug)]
 pub enum PipeStep {
-    /// Run the named programmable block. Its parameters were bound to
+    /// Run a programmable block. Its parameters were bound to
     /// [`Target::package_roots`] in lowering.
-    Block(String),
+    Block(BlockId),
     /// Invoke a named target hook.
-    Hook(String),
+    Hook(&'static str),
     /// Flush the emit buffer into the live packet (trigger point).
     FlushEmit,
 }

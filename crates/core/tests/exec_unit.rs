@@ -32,9 +32,9 @@ extern void mini_log(in bit<8> code);
             return Err("mini expects Mini(parser, control, deparser)".to_string());
         }
         Ok(vec![
-            PipeStep::Block(args[0].clone()),
-            PipeStep::Block(args[1].clone()),
-            PipeStep::Block(args[2].clone()),
+            PipeStep::Block(args[0]),
+            PipeStep::Block(args[1]),
+            PipeStep::Block(args[2]),
             PipeStep::FlushEmit,
         ])
     }

@@ -13,8 +13,8 @@
 
 use crate::faults::{Fault, FaultSet};
 use p4t_ir::{
-    ActionId, HeaderId, IrArg, IrBinOp, IrBlock, IrConstEntry, IrExpr, IrKeyset, IrProgram,
-    IrStmt, IrTable, IrTransition, IrUnOp, StackId, TableId,
+    ActionId, BlockId, HeaderId, IrArg, IrBinOp, IrBlock, IrConstEntry, IrExpr, IrKeyset, IrNext,
+    IrProgram, IrStmt, IrTable, IrTransition, IrUnOp, StackId, TableId,
 };
 use p4t_smt::BitVec;
 use p4testgen_core::testspec::{KeyMatch, TableEntrySpec, TestSpec};
@@ -153,7 +153,16 @@ pub struct Interp<'p> {
     parser_error: u64,
     dropped: bool,
     exited: bool,
-    flags: HashMap<String, u64>,
+    /// What v1model's resubmit, recirculate, truncate and clone externs
+    /// asked of the traffic manager and the deparser.
+    resubmit: bool,
+    recirculate: bool,
+    truncate_bytes: u64,
+    clone_session: Option<u64>,
+    /// Tofino: still in ingress, where a parser reject drops the packet.
+    in_ingress: bool,
+    /// Each checksum instance's `add`ed data, in call order.
+    checksums: HashMap<String, Vec<BitVec>>,
     clone_sessions: HashMap<u64, u64>,
     trace: Vec<String>,
     garbage_counter: u8,
@@ -194,7 +203,12 @@ impl<'p> Interp<'p> {
             parser_error: 0,
             dropped: false,
             exited: false,
-            flags: HashMap::new(),
+            resubmit: false,
+            recirculate: false,
+            truncate_bytes: 0,
+            clone_session: None,
+            in_ingress: true,
+            checksums: HashMap::new(),
             clone_sessions: HashMap::new(),
             trace: Vec::new(),
             garbage_counter: 0,
@@ -486,12 +500,12 @@ impl<'p> Interp<'p> {
         self.write_env("sm.ingress_port", BitVec::from_u64(9, spec.input_port as u64));
         let mut rounds = 0;
         loop {
-            self.run_parser(&args[0])?;
-            self.run_control(&args[1])?;
-            self.run_control(&args[2])?;
+            self.run_parser(args[0])?;
+            self.run_control(args[1])?;
+            self.run_control(args[2])?;
             // Traffic manager: resubmit re-injects the *original* packet.
-            if self.flags.get("resubmit").copied().unwrap_or(0) == 1 && rounds < 2 {
-                self.flags.insert("resubmit".into(), 0);
+            if self.resubmit && rounds < 2 {
+                self.resubmit = false;
                 rounds += 1;
                 self.packet = CPacket::new(BitVec::from_bytes_be(&spec.input_packet));
                 self.emit_buf.clear();
@@ -507,23 +521,18 @@ impl<'p> Interp<'p> {
                     return Ok(());
                 }
             self.write_env("sm.egress_port", spec_port);
-            self.run_control(&args[3])?;
-            self.run_control(&args[4])?;
-            self.run_control(&args[5])?;
-            // Deparsed packet = emitted headers + unparsed payload.
-            let mut out = BitVec::empty();
-            for e in self.emit_buf.drain(..) {
-                out = out.concat(&e);
-            }
-            out = out.concat(&self.packet.rest());
+            self.run_control(args[3])?;
+            self.run_control(args[4])?;
+            self.run_control(args[5])?;
+            let mut out = self.deparsed();
             // Truncation.
-            let trunc = self.flags.get("truncate_bytes").copied().unwrap_or(0);
+            let trunc = self.truncate_bytes;
             if trunc > 0 && (trunc * 8) < out.width() as u64 {
                 out = out.extract(out.width() - 1, out.width() - (trunc as usize * 8));
             }
             // Recirculate?
-            if self.flags.get("recirculate").copied().unwrap_or(0) == 1 && rounds < 2 {
-                self.flags.insert("recirculate".into(), 0);
+            if self.recirculate && rounds < 2 {
+                self.recirculate = false;
                 rounds += 1;
                 self.packet = CPacket::new(out);
                 self.write_env("sm.egress_spec", BitVec::zeros(9));
@@ -534,8 +543,7 @@ impl<'p> Interp<'p> {
                 self.read_key("sm.egress_port").and_then(|v| v.to_u64()).unwrap_or(0) as u32;
             self.push_output(port, &out);
             // Clone output.
-            if self.flags.get("clone_pending").copied().unwrap_or(0) == 1 {
-                let session = self.flags.get("clone_session").copied().unwrap_or(0);
+            if let Some(session) = self.clone_session {
                 let cport = self.clone_sessions.get(&session).copied().unwrap_or(0) as u32;
                 self.push_output(cport, &out);
             }
@@ -557,20 +565,16 @@ impl<'p> Interp<'p> {
         self.write_env("ig_tm_md.bypass_egress", BitVec::zeros(1));
         self.write_env("ig_prsr_md.parser_err", BitVec::zeros(16));
         self.write_env("eg_prsr_md.parser_err", BitVec::zeros(16));
-        self.flags.insert("in_ingress".into(), 1);
+        self.in_ingress = true;
         // Ingress pipeline.
-        self.run_parser(&args[0])?;
+        self.run_parser(args[0])?;
         if self.dropped {
             return Ok(());
         }
-        self.run_control(&args[1])?;
-        self.run_control(&args[2])?;
-        // Emit buffer becomes the packet entering the traffic manager.
-        let mut tm_packet = BitVec::empty();
-        for e in self.emit_buf.drain(..) {
-            tm_packet = tm_packet.concat(&e);
-        }
-        tm_packet = tm_packet.concat(&self.packet.rest());
+        self.run_control(args[1])?;
+        self.run_control(args[2])?;
+        // The deparsed packet enters the traffic manager.
+        let tm_packet = self.deparsed();
         // Traffic manager.
         let drop_ctl = self.read_key("ig_dprsr_md.drop_ctl").cloned().unwrap_or_else(|| BitVec::zeros(3));
         let has_port = self.env.contains_key("ig_tm_md.ucast_egress_port");
@@ -594,7 +598,7 @@ impl<'p> Interp<'p> {
             .read_key("ig_tm_md.bypass_egress")
             .map(|v| !v.is_zero())
             .unwrap_or(false);
-        self.flags.insert("in_ingress".into(), 0);
+        self.in_ingress = false;
         self.packet = CPacket::new(tm_packet);
         if bypass && !self.faults.has(Fault::BypassEgressIgnored) {
             let out = self.packet.rest();
@@ -602,23 +606,19 @@ impl<'p> Interp<'p> {
             return Ok(());
         }
         // Egress pipeline.
-        self.run_parser(&args[3])?;
+        self.run_parser(args[3])?;
         if self.dropped {
             return Ok(());
         }
         self.write_env("eg_intr_md.egress_port", BitVec::from_u64(9, port));
-        self.run_control(&args[4])?;
-        self.run_control(&args[5])?;
+        self.run_control(args[4])?;
+        self.run_control(args[5])?;
         let eg_drop = self.read_key("eg_dprsr_md.drop_ctl").cloned().unwrap_or_else(|| BitVec::zeros(3));
         if !eg_drop.is_zero() && !self.faults.has(Fault::IgnoreDropCtl) {
             self.dropped = true;
             return Ok(());
         }
-        let mut out = BitVec::empty();
-        for e in self.emit_buf.drain(..) {
-            out = out.concat(&e);
-        }
-        out = out.concat(&self.packet.rest());
+        let out = self.deparsed();
         self.push_output(port as u32, &out);
         Ok(())
     }
@@ -629,11 +629,11 @@ impl<'p> Interp<'p> {
             return Err(InterpException("ebpfFilter needs 2 blocks".into()));
         }
         self.write_env("accept", BitVec::zeros(1));
-        self.run_parser(&args[0])?;
+        self.run_parser(args[0])?;
         if self.dropped {
             return Ok(());
         }
-        self.run_control(&args[1])?;
+        self.run_control(args[1])?;
         let accept = self.read_key("accept").map(|v| !v.is_zero()).unwrap_or(false);
         if !accept {
             self.dropped = true;
@@ -643,7 +643,7 @@ impl<'p> Interp<'p> {
         // then the payload.
         let prog = self.prog;
         let mut out = BitVec::empty();
-        for &h in prog.bound_param(&args[0], "hdr").map_or(&[][..], |p| &p.headers) {
+        for &h in prog.bound_param(args[0], "hdr").map_or(&[][..], |p| &p.headers) {
             let h = prog.header(h);
             if self.env.get(h.valid.as_str()).is_some_and(|v| !v.is_zero()) {
                 for f in &h.fields {
@@ -656,6 +656,12 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
+    /// The deparsed packet: the emitted headers, then the unparsed payload.
+    fn deparsed(&mut self) -> BitVec {
+        let emitted = self.emit_buf.drain(..).fold(BitVec::empty(), |out, e| out.concat(&e));
+        emitted.concat(&self.packet.rest())
+    }
+
     fn push_output(&mut self, port: u32, bits: &BitVec) {
         let w = bits.width();
         let padded = if w.is_multiple_of(8) { bits.clone() } else { bits.concat(&BitVec::zeros(8 - w % 8)) };
@@ -664,13 +670,10 @@ impl<'p> Interp<'p> {
 
     // ---- blocks -----------------------------------------------------------
 
-    /// The named block, with its bound `out` parameters reset: headers
-    /// invalid.
-    fn enter_block(&mut self, name: &str) -> IResult<&'p IrBlock> {
+    /// The block, with its bound `out` parameters reset: headers invalid.
+    fn enter_block(&mut self, id: BlockId) -> &'p IrBlock {
         let prog = self.prog;
-        let Some(b) = prog.blocks.get(name) else {
-            return Err(InterpException(format!("unknown block '{name}'")));
-        };
+        let b = prog.block(id);
         for p in b.params() {
             if let (p4t_frontend::ast::Direction::Out, Some(_)) = (p.direction, &p.root) {
                 for &h in &p.headers {
@@ -685,58 +688,45 @@ impl<'p> Interp<'p> {
                 }
             }
         }
-        Ok(b)
+        b
     }
 
-    fn run_parser(&mut self, name: &str) -> IResult<()> {
-        let IrBlock::Parser(p) = self.enter_block(name)? else {
+    fn run_parser(&mut self, id: BlockId) -> IResult<()> {
+        let IrBlock::Parser(p) = self.enter_block(id) else {
+            let name = self.prog.block(id).name();
             return Err(InterpException(format!("'{name}' is not a parser")));
         };
-        let mut state = "start".to_string();
+        let mut next = IrNext::State(p.start);
         let mut visits = 0;
-        while state != "accept" && state != "reject" {
+        while let IrNext::State(state) = next {
             visits += 1;
             self.stats.parser_visits += 1;
             if visits > self.parser_loop_bound {
                 return Err(InterpException::parser_loop_bound());
             }
-            let Some(s) = p.states.get(&state) else {
-                return Err(InterpException(format!("unknown state '{state}'")));
-            };
-            let mut rejected = false;
-            for stmt in &s.stmts {
-                if !self.exec_stmt(stmt)? {
-                    rejected = true;
-                    break;
-                }
-            }
-            if rejected {
-                state = "reject".to_string();
-                break;
-            }
-            state = match &s.transition {
-                IrTransition::Direct(n) => n.clone(),
-                IrTransition::Select { keys, cases } => {
-                    let key_vals: Vec<BitVec> =
-                        keys.iter().map(|k| self.eval(k)).collect::<IResult<_>>()?;
-                    let mut next = None;
-                    for c in cases {
-                        if self.keysets_match(&key_vals, &c.keysets)? {
-                            next = Some(c.next_state.clone());
-                            break;
-                        }
-                    }
-                    match next {
-                        Some(n) => n,
-                        None => {
-                            self.parser_error = 2; // NoMatch
-                            "reject".to_string()
-                        }
+            let s = self.prog.state(state);
+            next = 'next: {
+                for stmt in &s.stmts {
+                    if !self.exec_stmt(stmt)? {
+                        break 'next IrNext::Reject;
                     }
                 }
+                let (keys, cases) = match &s.transition {
+                    IrTransition::Direct(n) => break 'next *n,
+                    IrTransition::Select { keys, cases } => (keys, cases),
+                };
+                let key_vals: Vec<BitVec> =
+                    keys.iter().map(|k| self.eval(k)).collect::<IResult<_>>()?;
+                for c in cases {
+                    if self.keysets_match(&key_vals, &c.keysets)? {
+                        break 'next c.next_state;
+                    }
+                }
+                self.parser_error = 2; // NoMatch
+                IrNext::Reject
             };
         }
-        if state == "reject" {
+        if next == IrNext::Reject {
             self.on_parser_reject();
         }
         Ok(())
@@ -751,7 +741,7 @@ impl<'p> Interp<'p> {
             }
             Arch::Tna | Arch::T2na => {
                 let err = BitVec::from_u64(16, self.parser_error);
-                if self.flags.get("in_ingress").copied().unwrap_or(1) == 1 {
+                if self.in_ingress {
                     self.write_env("ig_prsr_md.parser_err", err);
                     if !self.prog.reads_parser_err {
                         self.dropped = true;
@@ -768,11 +758,12 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn run_control(&mut self, name: &str) -> IResult<()> {
+    fn run_control(&mut self, id: BlockId) -> IResult<()> {
         if self.dropped {
             return Ok(());
         }
-        let IrBlock::Control(c) = self.enter_block(name)? else {
+        let IrBlock::Control(c) = self.enter_block(id) else {
+            let name = self.prog.block(id).name();
             return Err(InterpException(format!("'{name}' is not a control")));
         };
         self.exited = false;
@@ -1315,44 +1306,29 @@ impl<'p> Interp<'p> {
                 }
             }
             ("add" | "subtract", Some(inst)) => {
-                let inst = inst.to_string();
-                let n = *self.flags.entry(format!("csum_n_{inst}")).or_insert(0) + 1;
-                self.flags.insert(format!("csum_n_{inst}"), n);
                 let data = self.eval_arg_list(&args[0])?;
-                for (i, v) in data.into_iter().enumerate() {
-                    let key = format!("$csum.{inst}.{n:04}.{i:04}");
-                    self.env.insert(key, v);
-                }
+                self.checksums.entry(inst.to_string()).or_default().extend(data);
             }
             ("verify", Some(inst)) => {
                 if let Some(IrArg::Out(p, _)) = args.last() {
-                    let prefix = format!("$csum.{inst}.");
-                    let mut items: Vec<(String, BitVec)> = self
-                        .env
-                        .iter()
-                        .filter(|(k, _)| k.starts_with(&prefix))
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    items.sort_by(|a, b| a.0.cmp(&b.0));
-                    let data: Vec<BitVec> = items.into_iter().map(|(_, v)| v).collect();
-                    let c = concolic::csum16(&data, 16);
+                    let data = self.checksums.get(inst).map_or(&[][..], Vec::as_slice);
+                    let c = concolic::csum16(data, 16);
                     self.write_env(p.as_str(), BitVec::from_bool(c.is_zero()));
                 }
             }
             ("truncate", _) => {
                 let len = self.eval_arg(&args[0])?.to_u64().unwrap_or(0);
-                self.flags.insert("truncate_bytes".into(), len);
+                self.truncate_bytes = len;
             }
             ("resubmit_preserving_field_list", _) => {
-                self.flags.insert("resubmit".into(), 1);
+                self.resubmit = true;
             }
             ("recirculate_preserving_field_list", _) => {
-                self.flags.insert("recirculate".into(), 1);
+                self.recirculate = true;
             }
             ("clone" | "clone_preserving_field_list", _) => {
                 let session = self.eval_arg(&args[1])?.to_u64().unwrap_or(0);
-                self.flags.insert("clone_pending".into(), 1);
-                self.flags.insert("clone_session".into(), session);
+                self.clone_session = Some(session);
             }
             ("assert" | "assume", _) => {
                 let c = self.eval_arg(&args[0])?;
@@ -1371,7 +1347,7 @@ impl<'p> Interp<'p> {
     fn check_register_fault(&self, inst: &str, idx: u64) -> IResult<()> {
         if self.faults.has(Fault::RegisterLastIndex) {
             // Find the declared register size.
-            for block in self.prog.blocks.values() {
+            for block in &self.prog.blocks {
                 if let IrBlock::Control(c) = block {
                     for i in &c.instances {
                         if i.name == inst {

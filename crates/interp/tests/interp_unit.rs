@@ -303,6 +303,63 @@ Pipeline(IPrs(), Ing(), IDep(), EPrs(), Egr(), EDep()) main;
     assert_eq!(check(&s, interp.run(&s)), Verdict::Pass);
 }
 
+/// A Tofino `Checksum`'s `verify` sums every `add`ed item, across calls and
+/// in call order: the one-byte first item makes the order matter.
+#[test]
+fn tofino_checksum_verify_accumulates_adds_in_call_order() {
+    let src = r#"
+header tofino_md_t { bit<64> pad; }
+header ethernet_t { bit<48> dst; bit<48> src; bit<16> etherType; }
+struct headers_t { tofino_md_t tofino_md; ethernet_t eth; }
+struct meta_t { bit<8> x; }
+parser IPrs(packet_in pkt, out headers_t hdr, out meta_t meta, out ingress_intrinsic_metadata_t ig_intr_md) {
+    state start { pkt.extract(hdr.tofino_md); pkt.extract(hdr.eth); transition accept; }
+}
+control Ing(inout headers_t hdr, inout meta_t meta,
+            in ingress_intrinsic_metadata_t ig_intr_md,
+            in ingress_intrinsic_metadata_from_parser_t ig_prsr_md,
+            inout ingress_intrinsic_metadata_for_deparser_t ig_dprsr_md,
+            inout ingress_intrinsic_metadata_for_tm_t ig_tm_md) {
+    Checksum() ck;
+    apply {
+        ck.add({hdr.eth.dst[47:40]});
+        ck.add({hdr.eth.etherType});
+        if (ck.verify()) { ig_tm_md.ucast_egress_port = 9w1; } else { ig_tm_md.ucast_egress_port = 9w2; }
+    }
+}
+control IDep(packet_out pkt, inout headers_t hdr, in ingress_intrinsic_metadata_for_deparser_t ig_dprsr_md) {
+    apply { pkt.emit(hdr.eth); }
+}
+parser EPrs(packet_in pkt, out headers_t hdr, out meta_t emeta, out egress_intrinsic_metadata_t eg_intr_md) {
+    state start { transition accept; }
+}
+control Egr(inout headers_t hdr, inout meta_t emeta,
+            in egress_intrinsic_metadata_t eg_intr_md,
+            in egress_intrinsic_metadata_from_parser_t eg_prsr_md,
+            inout egress_intrinsic_metadata_for_deparser_t eg_dprsr_md,
+            inout egress_intrinsic_metadata_for_output_port_t eg_oport_md) {
+    apply { }
+}
+control EDep(packet_out pkt, inout headers_t hdr, in egress_intrinsic_metadata_for_deparser_t eg_dprsr_md) {
+    apply { }
+}
+Pipeline(IPrs(), Ing(), IDep(), EPrs(), Egr(), EDep()) main;
+"#;
+    let prog = compile_for(&p4t_targets::Tofino::tna(), src);
+    let port_for = |etype: u16| {
+        // dst starts with 0x12: the words are 0x12 ff and ed 00 in call
+        // order (sum 0xffff, verified), 0xffed and 0x12 00 reversed.
+        let mut packet = vec![0u8; 64];
+        packet[0] = 0x12;
+        packet[12..14].copy_from_slice(&etype.to_be_bytes());
+        let s = spec(packet, vec![], vec![]);
+        let result = Interp::new(&prog, Arch::Tna, FaultSet::none()).run(&s).expect("runs");
+        result.outputs.iter().map(|(port, _)| *port).collect::<Vec<_>>()
+    };
+    assert_eq!(port_for(0xFFED), [1]);
+    assert_eq!(port_for(0xFFEE), [2]);
+}
+
 #[test]
 fn priority_orders_installed_entries() {
     let prog = compile_v1(FWD);

@@ -20,7 +20,7 @@ use crate::ast::*;
 use crate::error::{codes, DiagSink, Diagnostic, FrontendError};
 use crate::token::Span;
 use crate::types::{Type, TypeDef, TypeEnv, ResolvedField, ERROR_WIDTH};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -90,7 +90,7 @@ pub(crate) fn typecheck_over(
     };
     let mut sink = DiagSink::new();
     collect_declarations(program.decls().skip(skip), &mut env, &mut sink);
-    let checker = Checker { env: &env, diags: RefCell::new(sink) };
+    let checker = Checker { env: &env, diags: RefCell::new(sink), tables: Cell::new(&[]) };
     for decl in program.decls().skip(skip) {
         if checker.capped() {
             break;
@@ -326,6 +326,9 @@ pub fn const_eval(env: &TypeEnv, e: &Expr) -> Option<u128> {
 struct Checker<'a> {
     env: &'a TypeEnv,
     diags: RefCell<DiagSink>,
+    /// The tables of the control whose apply block is being checked, for
+    /// its `switch` labels.
+    tables: Cell<&'a [TableDecl]>,
 }
 
 impl<'a> Checker<'a> {
@@ -445,7 +448,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_control(&self, c: &ControlDecl) {
+    fn check_control(&self, c: &'a ControlDecl) {
         let mut scope = self.scope_from_params(&c.params);
         // Declare instantiations (registers, counters, sub-externs).
         for inst in &c.instantiations {
@@ -479,10 +482,27 @@ impl<'a> Checker<'a> {
         for t in &c.tables {
             scope.declare(&t.name, Type::Table(t.name.clone()));
         }
+        self.tables.set(&c.tables);
         for s in &c.apply {
             self.check_stmt(s, &mut scope);
         }
+        self.tables.set(&[]);
         scope.pop();
+    }
+
+    /// A `switch` on `table.apply().action_run`: each label must name one
+    /// of the table's actions or its default action.
+    fn check_switch_labels(&self, table: &str, cases: &[SwitchCase]) {
+        let Some(t) = self.tables.get().iter().find(|t| t.name == table) else { return };
+        let default = t.default_action.as_ref().map_or("NoAction", |(n, _, _)| n.as_str());
+        for (label, span) in cases.iter().filter_map(|k| Some((k.label.as_deref()?, k.span))) {
+            if label != default && !t.actions.iter().any(|a| a.name == label) {
+                let msg = format!("switch label '{label}' is not an action of table '{table}'");
+                self.report(
+                    FrontendError::typecheck(span, msg).with_code(codes::TYPE_UNKNOWN_SYMBOL),
+                );
+            }
+        }
     }
 
     fn check_action<'s>(&self, a: &'s ActionDecl, scope: &mut Scope<'s>) {
@@ -645,7 +665,8 @@ impl<'a> Checker<'a> {
             Stmt::Switch { scrutinee, cases, span } => {
                 match self.type_of(scrutinee, scope) {
                     Ok(st) => match &st {
-                        Type::Enum { .. } | Type::Action(_) | Type::Poison => {}
+                        Type::Action(table) => self.check_switch_labels(table, cases),
+                        Type::Enum { .. } | Type::Poison => {}
                         Type::ApplyResult { .. } => {
                             self.report(FrontendError::typecheck(
                                 *span,

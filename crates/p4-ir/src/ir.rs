@@ -14,16 +14,17 @@
 //! * Paths are global: lowering binds each package block's parameters to
 //!   the target's pipeline state, so neither engine aliases names at run
 //!   time.
-//! * References are resolved in lowering: [`IrProgram::actions`] and
-//!   [`IrProgram::tables`] hold every control's actions and tables, and
-//!   statements, table action lists and const entries name them by
-//!   [`ActionId`] / [`TableId`]. Neither engine looks a name up at run time.
+//! * References are resolved in lowering: [`IrProgram`]'s `blocks`,
+//!   `states`, `actions` and `tables` hold every block, parser state, action
+//!   and table, and package arguments, transitions, statements, table action
+//!   lists and const entries name them by id ([`BlockId`], [`StateId`],
+//!   [`ActionId`], [`TableId`]). Names stay for trace lines: neither engine
+//!   looks a name up at run time.
 //! * Struct assignments, slices-as-targets, and dynamic stack indices are
 //!   elaborated away during lowering (the paper's midend transformations).
 //! * Every statement has a [`StmtId`] used for coverage accounting.
 
 use p4t_frontend::ast::Annotation;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -38,6 +39,14 @@ pub struct HeaderId(pub u32);
 /// Index of a header stack in [`IrProgram::stacks`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct StackId(pub u32);
+
+/// Index of a parser or control in [`IrProgram::blocks`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct BlockId(pub u32);
+
+/// Index of a parser state in [`IrProgram::states`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct StateId(pub u32);
 
 /// Index of an action in [`IrProgram::actions`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -259,25 +268,36 @@ impl IrStmt {
     }
 }
 
+/// The target of a parser transition.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum IrNext {
+    Accept,
+    Reject,
+    /// A state of the same parser.
+    State(StateId),
+}
+
 /// A select case.
 #[derive(Clone, PartialEq, Debug)]
 pub struct IrSelectCase {
     pub keysets: Vec<IrKeyset>,
-    pub next_state: String,
+    pub next_state: IrNext,
 }
 
 /// A parser transition.
 #[derive(Clone, PartialEq, Debug)]
 pub enum IrTransition {
-    /// `accept`, `reject`, or a state name.
-    Direct(String),
+    Direct(IrNext),
     Select { keys: Vec<IrExpr>, cases: Vec<IrSelectCase> },
 }
 
 /// A parser state.
 #[derive(Clone, PartialEq, Debug)]
 pub struct IrState {
+    /// The state's name, for trace lines.
     pub name: String,
+    /// The parser the state belongs to.
+    pub parser: BlockId,
     pub stmts: Vec<IrStmt>,
     pub transition: IrTransition,
 }
@@ -301,12 +321,12 @@ pub struct IrParam {
     pub root: Option<String>,
 }
 
-/// A parser block.
+/// A parser block. Its states are in [`IrProgram::states`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct IrParser {
     pub name: String,
     pub params: Vec<IrParam>,
-    pub states: HashMap<String, IrState>,
+    pub start: StateId,
 }
 
 /// One key of a table.
@@ -477,11 +497,14 @@ pub struct StmtInfo {
 /// A complete lowered program.
 #[derive(Clone, PartialEq, Debug)]
 pub struct IrProgram {
-    pub blocks: HashMap<String, IrBlock>,
-    /// The package instantiation: package type name and the block name bound
-    /// to each package argument, in order.
+    /// Parsers and controls in declaration order, indexed by [`BlockId`].
+    pub blocks: Vec<IrBlock>,
+    /// The package instantiation: package type name and the block bound to
+    /// each package argument, in order.
     pub package: String,
-    pub package_args: Vec<String>,
+    pub package_args: Vec<BlockId>,
+    /// Parser states in declaration order, indexed by [`StateId`].
+    pub states: Vec<IrState>,
     /// Statement table (after dead-code elimination) for coverage reports.
     pub statements: Vec<StmtInfo>,
     /// Header instance layouts, indexed by [`HeaderId`]. One path can have
@@ -502,17 +525,20 @@ pub struct IrProgram {
 }
 
 impl IrProgram {
-    pub fn parser(&self, name: &str) -> Option<&IrParser> {
-        match self.blocks.get(name)? {
-            IrBlock::Parser(p) => Some(p),
-            _ => None,
-        }
+    pub fn block(&self, id: BlockId) -> &IrBlock {
+        &self.blocks[id.0 as usize]
     }
 
-    pub fn control(&self, name: &str) -> Option<&IrControl> {
-        match self.blocks.get(name)? {
-            IrBlock::Control(c) => Some(c),
-            _ => None,
+    pub fn state(&self, id: StateId) -> &IrState {
+        &self.states[id.0 as usize]
+    }
+
+    /// The name a transition target is written with.
+    pub fn next_name(&self, next: IrNext) -> &str {
+        match next {
+            IrNext::Accept => "accept",
+            IrNext::Reject => "reject",
+            IrNext::State(s) => &self.state(s).name,
         }
     }
 
@@ -533,8 +559,8 @@ impl IrProgram {
     }
 
     /// The parameter of `block` bound to pipeline state `root`.
-    pub fn bound_param(&self, block: &str, root: &str) -> Option<&IrParam> {
-        self.blocks.get(block)?.params().iter().find(|p| p.root.as_deref() == Some(root))
+    pub fn bound_param(&self, block: BlockId, root: &str) -> Option<&IrParam> {
+        self.block(block).params().iter().find(|p| p.root.as_deref() == Some(root))
     }
 
     /// Total number of coverable statements.

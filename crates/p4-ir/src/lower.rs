@@ -10,10 +10,11 @@
 //! or a header stack flattens into storage paths: it interns each header
 //! instance and stack it meets into the program's layout tables, and
 //! aggregate copies and local declarations take their slots from the same
-//! layouts. It is also the only place that resolves action and table
-//! names: each control's actions and tables are interned into the
-//! program's tables before its bodies are lowered, and every reference
-//! names them by id.
+//! layouts. It is also the only place that resolves block, parser-state,
+//! action and table names: each parser's states and each control's actions
+//! and tables are interned into the program's tables before its bodies are
+//! lowered, and every reference, package arguments included, names them by
+//! id.
 
 use crate::ir::*;
 use p4t_frontend::ast::{self, BinaryOp, Decl, Direction, Expr, Stmt, Transition, UnaryOp};
@@ -50,6 +51,15 @@ pub fn lower_with_roots(
 }
 
 fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram, FrontendError> {
+    let block_names: Vec<&str> = checked
+        .program
+        .decls()
+        .filter_map(|d| match d {
+            Decl::Parser(p) => Some(p.name.as_str()),
+            Decl::Control(c) => Some(c.name.as_str()),
+            _ => None,
+        })
+        .collect();
     let (package, package_args) = match checked.program.main_instantiation() {
         Some(inst) => {
             let pname = match &inst.ty {
@@ -59,21 +69,24 @@ fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram,
             let args = inst
                 .args
                 .iter()
-                .map(|a| match a {
-                    Expr::Call { callee, .. } => match callee.as_ref() {
-                        Expr::Ident { name, .. } => name.clone(),
-                        _ => String::new(),
-                    },
-                    Expr::Ident { name, .. } => name.clone(),
-                    _ => String::new(),
+                .map(|a| {
+                    let callee =
+                        if let Expr::Call { callee, .. } = a { callee.as_ref() } else { a };
+                    let name =
+                        if let Expr::Ident { name, .. } = callee { name.as_str() } else { "" };
+                    let i = block_names.iter().position(|&b| b == name).ok_or_else(|| {
+                        let msg = format!("package argument '{name}' names no parser or control");
+                        FrontendError::typecheck(a.span(), msg)
+                    })?;
+                    Ok(BlockId(i as u32))
                 })
-                .collect();
+                .collect::<LResult<Vec<_>>>()?;
             (pname, args)
         }
         None => (String::new(), Vec::new()),
     };
-    let roots_of = |block: &str| -> Vec<&[&str]> {
-        package_args.iter().zip(roots).filter(|(a, _)| *a == block).map(|(_, r)| *r).collect()
+    let roots_of = |block: BlockId| -> Vec<&[&str]> {
+        package_args.iter().zip(roots).filter(|(a, _)| **a == block).map(|(_, r)| *r).collect()
     };
     let mut lw = Lowerer {
         env: &checked.env,
@@ -85,20 +98,18 @@ fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram,
         header_ids: HashMap::new(),
         stacks: Vec::new(),
         stack_ids: HashMap::new(),
+        states: Vec::new(),
         actions: Vec::new(),
         tables: Vec::new(),
     };
-    let mut blocks = HashMap::new();
+    let mut blocks = Vec::new();
     for decl in checked.program.decls() {
+        let id = BlockId(blocks.len() as u32);
         match decl {
             Decl::Parser(p) => {
-                let irp = lw.lower_parser(p, &roots_of(&p.name))?;
-                blocks.insert(p.name.clone(), IrBlock::Parser(irp));
+                blocks.push(IrBlock::Parser(lw.lower_parser(p, id, &roots_of(id))?))
             }
-            Decl::Control(c) => {
-                let irc = lw.lower_control(c, &roots_of(&c.name))?;
-                blocks.insert(c.name.clone(), IrBlock::Control(irc));
-            }
+            Decl::Control(c) => blocks.push(IrBlock::Control(lw.lower_control(c, &roots_of(id))?)),
             _ => {}
         }
     }
@@ -106,6 +117,7 @@ fn lower_inner(checked: &CheckedProgram, roots: &[&[&str]]) -> Result<IrProgram,
         blocks,
         package,
         package_args,
+        states: lw.states,
         statements: lw.statements,
         headers: lw.headers,
         stacks: lw.stacks,
@@ -132,6 +144,7 @@ struct Lowerer<'a> {
     stacks: Vec<StackLayout>,
     /// Keyed by path, then element type and declared size.
     stack_ids: HashMap<String, Vec<(String, u32, StackId)>>,
+    states: Vec<IrState>,
     actions: Vec<IrAction>,
     tables: Vec<IrTable>,
 }
@@ -291,16 +304,36 @@ impl<'a> Lowerer<'a> {
         Ok((irparams, ctx))
     }
 
-    fn lower_parser(&mut self, p: &ast::ParserDecl, roots: &[&[&str]]) -> LResult<IrParser> {
+    fn lower_parser(
+        &mut self,
+        p: &ast::ParserDecl,
+        id: BlockId,
+        roots: &[&[&str]],
+    ) -> LResult<IrParser> {
         self.block = Arc::from(p.name.as_str());
         let (params, mut ctx) = self.lower_params(&p.params, roots, p.span)?;
         ctx.in_parser = true;
+        // The parser's states are interned in declaration order, so every
+        // transition resolves to an id before its target is lowered.
+        let first = self.states.len();
+        let state = |name: &str| {
+            let i = p.states.iter().position(|s| s.name == name)?;
+            Some(StateId((first + i) as u32))
+        };
+        let next = |name: &str, span: Span| match name {
+            "accept" => Ok(IrNext::Accept),
+            "reject" => Ok(IrNext::Reject),
+            _ => state(name).map(IrNext::State).ok_or_else(|| {
+                FrontendError::typecheck(span, format!("unknown parser state '{name}'"))
+            }),
+        };
+        let start = state("start")
+            .ok_or_else(|| FrontendError::typecheck(p.span, "parser has no start state"))?;
         // Parser locals.
         let mut prelude = Vec::new();
         for l in &p.locals {
             self.lower_stmt(l, &mut ctx, &mut prelude)?;
         }
-        let mut states = HashMap::new();
         for st in &p.states {
             ctx.push();
             let mut stmts = if st.name == "start" { prelude.clone() } else { Vec::new() };
@@ -308,7 +341,7 @@ impl<'a> Lowerer<'a> {
                 self.lower_stmt(s, &mut ctx, &mut stmts)?;
             }
             let transition = match &st.transition {
-                Transition::Direct(n) => IrTransition::Direct(n.clone()),
+                Transition::Direct(n) => IrTransition::Direct(next(n, st.span)?),
                 Transition::Select { exprs, cases, .. } => {
                     let keys: Vec<IrExpr> = exprs
                         .iter()
@@ -332,18 +365,18 @@ impl<'a> Lowerer<'a> {
                                 )?);
                             }
                         }
-                        ircases.push(IrSelectCase { keysets, next_state: c.next_state.clone() });
+                        ircases.push(IrSelectCase {
+                            keysets,
+                            next_state: next(&c.next_state, c.span)?,
+                        });
                     }
                     IrTransition::Select { keys, cases: ircases }
                 }
             };
             ctx.pop();
-            states.insert(
-                st.name.clone(),
-                IrState { name: st.name.clone(), stmts, transition },
-            );
+            self.states.push(IrState { name: st.name.clone(), parser: id, stmts, transition });
         }
-        Ok(IrParser { name: p.name.clone(), params, states })
+        Ok(IrParser { name: p.name.clone(), params, start })
     }
 
     fn lower_control(&mut self, c: &ast::ControlDecl, roots: &[&[&str]]) -> LResult<IrControl> {

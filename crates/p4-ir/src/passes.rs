@@ -9,24 +9,22 @@ use std::collections::BTreeSet;
 
 /// Run all midend passes in place and rebuild the statement table.
 pub fn optimize(prog: &mut IrProgram) {
-    for block in prog.blocks.values_mut() {
-        match block {
-            IrBlock::Parser(p) => {
-                for st in p.states.values_mut() {
-                    fold_stmts(&mut st.stmts);
-                    if let IrTransition::Select { keys, cases } = &mut st.transition {
-                        for k in keys.iter_mut() {
-                            *k = fold_expr(k.clone());
-                        }
-                        for c in cases.iter_mut() {
-                            for ks in c.keysets.iter_mut() {
-                                fold_keyset(ks);
-                            }
-                        }
-                    }
+    for st in &mut prog.states {
+        fold_stmts(&mut st.stmts);
+        if let IrTransition::Select { keys, cases } = &mut st.transition {
+            for k in keys.iter_mut() {
+                *k = fold_expr(k.clone());
+            }
+            for c in cases.iter_mut() {
+                for ks in c.keysets.iter_mut() {
+                    fold_keyset(ks);
                 }
             }
-            IrBlock::Control(c) => fold_stmts(&mut c.apply),
+        }
+    }
+    for block in &mut prog.blocks {
+        if let IrBlock::Control(c) = block {
+            fold_stmts(&mut c.apply);
         }
     }
     for a in &mut prog.actions {
@@ -66,7 +64,7 @@ pub(crate) fn reads_parser_err(prog: &IrProgram) -> bool {
             _ => false,
         }
     }
-    let applies_read = prog.blocks.values().any(|b| match b {
+    let applies_read = prog.blocks.iter().any(|b| match b {
         IrBlock::Control(c) => c.apply.iter().any(stmt_reads),
         _ => false,
     });
@@ -319,14 +317,12 @@ fn fold_binop(op: IrBinOp, a: u128, b: u128, operand_w: u32, out_w: u32) -> Opti
 /// Rebuild the statement table from the statements that survived DCE.
 fn rebuild_statement_table(prog: &mut IrProgram) {
     let mut live: BTreeSet<StmtId> = BTreeSet::new();
-    for block in prog.blocks.values() {
-        match block {
-            IrBlock::Parser(p) => {
-                for st in p.states.values() {
-                    collect_ids(&st.stmts, &mut live);
-                }
-            }
-            IrBlock::Control(c) => collect_ids(&c.apply, &mut live),
+    for st in &prog.states {
+        collect_ids(&st.stmts, &mut live);
+    }
+    for block in &prog.blocks {
+        if let IrBlock::Control(c) = block {
+            collect_ids(&c.apply, &mut live);
         }
     }
     for a in &prog.actions {

@@ -2,7 +2,10 @@
 
 use p4t_frontend::ast::Direction;
 use p4t_frontend::Diagnostic;
-use p4t_ir::{ActionId, HeaderId, IrBlock, IrExpr, IrProgram, IrStmt, IrTransition, Path, TableId};
+use p4t_ir::{
+    ActionId, BlockId, HeaderId, IrBlock, IrControl, IrExpr, IrKeyset, IrNext, IrParser, IrProgram,
+    IrState, IrStmt, IrTransition, Path, StateId, TableId,
+};
 
 /// Compile without package roots: parameters keep their own names.
 fn compile(src: &str) -> Result<IrProgram, Vec<Diagnostic>> {
@@ -27,6 +30,31 @@ extern Register<T, I> {
     void write(in I index, in T value);
 }
 "#;
+
+/// The id of the block named `name`.
+fn block_id(ir: &IrProgram, name: &str) -> BlockId {
+    let i = ir.blocks.iter().position(|b| b.name() == name);
+    BlockId(i.unwrap_or_else(|| panic!("no block '{name}'")) as u32)
+}
+
+fn parser<'a>(ir: &'a IrProgram, name: &str) -> &'a IrParser {
+    match ir.block(block_id(ir, name)) {
+        IrBlock::Parser(p) => p,
+        IrBlock::Control(_) => panic!("'{name}' is a control"),
+    }
+}
+
+fn control<'a>(ir: &'a IrProgram, name: &str) -> &'a IrControl {
+    match ir.block(block_id(ir, name)) {
+        IrBlock::Control(c) => c,
+        IrBlock::Parser(_) => panic!("'{name}' is a parser"),
+    }
+}
+
+/// The start state of the parser named `name`.
+fn start<'a>(ir: &'a IrProgram, name: &str) -> &'a IrState {
+    ir.state(parser(ir, name).start)
+}
 
 /// The storage path of an interned header instance.
 fn header_path(ir: &IrProgram, id: HeaderId) -> &str {
@@ -71,15 +99,15 @@ V1Switch(MyParser(), MyIngress(), MyDeparser()) main;
 fn lower_fig1a_structure() {
     let ir = fig1a_ir();
     assert_eq!(ir.package, "V1Switch");
-    assert_eq!(ir.package_args, vec!["MyParser", "MyIngress", "MyDeparser"]);
-    let p = ir.parser("MyParser").expect("parser block");
-    let start = &p.states["start"];
+    let args: Vec<&str> = ir.package_args.iter().map(|&b| ir.block(b).name()).collect();
+    assert_eq!(args, vec!["MyParser", "MyIngress", "MyDeparser"]);
+    let start = start(&ir, "MyParser");
     assert!(matches!(
         &start.stmts[0],
         IrStmt::Extract { header, .. } if header_path(&ir, *header) == "hdr.eth"
     ));
-    assert!(matches!(&start.transition, IrTransition::Direct(s) if s == "accept"));
-    let c = ir.control("MyIngress").expect("control block");
+    assert!(matches!(&start.transition, IrTransition::Direct(IrNext::Accept)));
+    let c = control(&ir, "MyIngress");
     let t = &ir.tables[0];
     assert_eq!(t.name, "forward_table");
     assert_eq!(t.keys[0].name, "type");
@@ -134,8 +162,7 @@ parser P(packet_in pkt, out headers_t hdr, inout meta_t m, inout standard_metada
 "#
     );
     let ir = compile(&src).expect("stack program lowers");
-    let p = ir.parser("P").unwrap();
-    let start = &p.states["start"];
+    let start = start(&ir, "P");
     // The extract became an If chain on hdr.vlans.$next.
     let IrStmt::If { cond, then_s, else_s, .. } = &start.stmts[0] else {
         panic!("expected elaborated If, got {:?}", start.stmts[0]);
@@ -174,7 +201,7 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 "#
     );
     let ir = compile(&src).expect("slice program lowers");
-    let c = ir.control("C").unwrap();
+    let c = control(&ir, "C");
     let IrStmt::Assign { target, width, value, .. } = &c.apply[0] else {
         panic!("expected assign");
     };
@@ -196,7 +223,7 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 "#
     );
     let ir = compile(&src).expect("register program lowers");
-    let c = ir.control("C").unwrap();
+    let c = control(&ir, "C");
     assert_eq!(c.instances.len(), 1);
     assert_eq!(c.instances[0].extern_type, "Register");
     assert_eq!(c.instances[0].type_widths, vec![32, 8]);
@@ -224,7 +251,7 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 "#
     );
     let ir = compile(&src).expect("folding program lowers");
-    let c = ir.control("C").unwrap();
+    let c = control(&ir, "C");
     // The If folded away, leaving only the taken assign.
     assert_eq!(c.apply.len(), 1);
     assert!(matches!(
@@ -249,7 +276,7 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 "#
     );
     let ir = compile(&src).expect("copy program lowers");
-    let c = ir.control("C").unwrap();
+    let c = control(&ir, "C");
     // The field copies (a varbit's length travels with it), then validity.
     let copies: Vec<(&str, &str, u32)> = c
         .apply
@@ -313,7 +340,7 @@ V1Switch({main}) main;
 }
 
 fn params(ir: &IrProgram, block: &str) -> Vec<(String, Option<String>)> {
-    let params = match &ir.blocks[block] {
+    let params = match ir.block(block_id(ir, block)) {
         IrBlock::Parser(p) => &p.params,
         IrBlock::Control(c) => &c.params,
     };
@@ -324,7 +351,7 @@ fn params(ir: &IrProgram, block: &str) -> Vec<(String, Option<String>)> {
 fn swapped_parameter_names_lower_to_their_roots() {
     let src = swapped_v1("", "P(), Ck(), Ing(), Ing(), Ck(), Dep()");
     let ir = compile_with(&src, V1_ROOTS).expect("swapped program lowers");
-    let start = &ir.parser("P").unwrap().states["start"];
+    let start = start(&ir, "P");
     assert!(matches!(
         &start.stmts[0],
         IrStmt::Extract { header, .. } if header_path(&ir, *header) == "hdr.eth"
@@ -334,12 +361,12 @@ fn swapped_parameter_names_lower_to_their_roots() {
         IrStmt::Assign { target, value: IrExpr::Read { path, .. }, .. }
             if target.as_str() == "meta.seen" && path.as_str() == "hdr.eth.etherType"
     ));
-    let ing = ir.control("Ing").unwrap();
+    let ing = control(&ir, "Ing");
     assert!(matches!(
         &ing.apply[0],
         IrStmt::Assign { target, .. } if target.as_str() == "sm.egress_spec"
     ));
-    let dep = ir.control("Dep").unwrap();
+    let dep = control(&ir, "Dep");
     assert!(matches!(
         &dep.apply[0],
         IrStmt::Emit { header, .. } if header_path(&ir, *header) == "hdr.eth"
@@ -350,7 +377,7 @@ fn swapped_parameter_names_lower_to_their_roots() {
 fn out_parameter_records_its_root() {
     let src = swapped_v1("", "P(), Ck(), Ing(), Ing(), Ck(), Dep()");
     let ir = compile_with(&src, V1_ROOTS).unwrap();
-    let p = &ir.parser("P").unwrap().params;
+    let p = &parser(&ir, "P").params;
     assert_eq!(p[1].name, "meta");
     assert_eq!(p[1].direction, Direction::Out);
     assert_eq!(p[1].root.as_deref(), Some("hdr"));
@@ -400,7 +427,7 @@ fn a_block_outside_the_package_keeps_its_own_names() {
     let ir = compile_with(&src, V1_ROOTS).unwrap();
     assert_eq!(params(&ir, "Spare"), vec![("h".to_string(), None)]);
     assert!(matches!(
-        &ir.control("Spare").unwrap().apply[0],
+        &control(&ir, "Spare").apply[0],
         IrStmt::Assign { target, .. } if target.as_str() == "h.eth.etherType"
     ));
 }
@@ -432,7 +459,7 @@ control pipe(inout headers_t hdr, out bool pass) {
 ebpfFilter(prs(), pipe()) main;
 "#;
     let ir = compile_with(src, EBPF_ROOTS).expect("layout program lowers");
-    let start = &ir.parser("prs").unwrap().states["start"];
+    let start = start(&ir, "prs");
     let fields = |id: HeaderId| -> Vec<(&str, u32, Option<&str>)> {
         ir.header(id)
             .fields
@@ -464,7 +491,7 @@ ebpfFilter(prs(), pipe()) main;
 
     // The parser's `hdr` parameter lists the headers outside stacks in
     // declaration order, nested struct members included, and its stack.
-    let hdr = ir.bound_param("prs", "hdr").expect("parser binds hdr");
+    let hdr = ir.bound_param(block_id(&ir, "prs"), "hdr").expect("parser binds hdr");
     let headers: Vec<&str> = hdr.headers.iter().map(|&h| header_path(&ir, h)).collect();
     assert_eq!(headers, vec!["hdr.eth", "hdr.inner.a", "hdr.inner.b", "hdr.opt"]);
     assert_eq!(hdr.stacks.len(), 1);
@@ -476,13 +503,13 @@ ebpfFilter(prs(), pipe()) main;
     let elements: Vec<&str> = stack.elements.iter().map(|&h| header_path(&ir, h)).collect();
     assert_eq!(elements, vec!["hdr.vlans[0]", "hdr.vlans[1]", "hdr.vlans[2]"]);
     assert!(matches!(
-        &ir.control("pipe").unwrap().apply[0],
+        &control(&ir, "pipe").apply[0],
         IrStmt::StackOp { stack, push: true, count: 1, .. } if *stack == hdr.stacks[0]
     ));
 
     // The filter's implicit deparse list is the parser's `hdr` headers,
     // and the filter control sees the same interned instances.
-    let filter_hdr = ir.bound_param("pipe", "hdr").expect("filter binds hdr");
+    let filter_hdr = ir.bound_param(block_id(&ir, "pipe"), "hdr").expect("filter binds hdr");
     assert_eq!(filter_hdr.headers, hdr.headers);
     assert_eq!(filter_hdr.stacks, hdr.stacks);
     assert_eq!(ir.headers.len(), 7, "each instance is interned once");
@@ -513,8 +540,8 @@ ebpfFilter(prs(), pipe()) main;
     let widths = |id: HeaderId| -> Vec<(&str, u32)> {
         ir.header(id).fields.iter().map(|f| (f.path.as_str(), f.width)).collect()
     };
-    let parser = ir.bound_param("prs", "hdr").expect("parser binds hdr");
-    let filter = ir.bound_param("pipe", "hdr").expect("filter binds hdr");
+    let parser = ir.bound_param(block_id(&ir, "prs"), "hdr").expect("parser binds hdr");
+    let filter = ir.bound_param(block_id(&ir, "pipe"), "hdr").expect("filter binds hdr");
     assert_eq!(widths(parser.headers[0]), vec![("hdr.tag.v", 8)]);
     assert_eq!(widths(filter.headers[0]), vec![("hdr.tag.v", 16), ("hdr.tag.w", 8)]);
 
@@ -522,7 +549,7 @@ ebpfFilter(prs(), pipe()) main;
     // extract is elaborated over two elements, the filter's push over four.
     let sizes = |p: &p4t_ir::IrParam| ir.stack(p.stacks[0]).elements.len();
     assert_eq!((sizes(parser), sizes(filter)), (2, 4));
-    let start = &ir.parser("prs").unwrap().states["start"];
+    let start = start(&ir, "prs");
     let chain = format!("{:?}", start.stmts);
     assert!(!chain.contains("hdr.s[2]"), "the parser's stack has two elements");
 
@@ -585,13 +612,13 @@ control B(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
     assert_eq!(tb.actions.iter().map(|r| r.action).collect::<Vec<_>>(), [b_mark, ActionId(3)]);
     assert_eq!(tb.default_action, action_id(&ir, "B.NoAction"));
 
-    let a = &ir.control("A").unwrap().apply;
+    let a = &control(&ir, "A").apply;
     assert!(matches!(
         &a[0],
         IrStmt::SwitchActionRun { table: TableId(0), cases, .. } if cases[0].0 == Some(a_mark)
     ));
     assert!(matches!(&a[1], IrStmt::CallAction { action, .. } if *action == a_mark));
-    let b = &ir.control("B").unwrap().apply;
+    let b = &control(&ir, "B").apply;
     assert!(matches!(&b[0], IrStmt::ApplyTable { table: TableId(1), .. }));
     let IrStmt::If { cond: IrExpr::Read { path, .. }, then_s, .. } = &b[1] else {
         panic!("B's apply: {b:?}");
@@ -634,4 +661,71 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
         .collect();
     let expected = [(Some(5), 3), (Some(1), 2), (Some(1), 4), (None, 1), (None, 5)];
     assert_eq!(order, expected.map(|(p, v)| (p, Some(v))));
+}
+
+/// Transitions name states by id, resolved within their own parser, and
+/// package arguments name blocks by id in instantiation order, whatever the
+/// declaration order.
+#[test]
+fn transitions_and_package_args_resolve_to_ids() {
+    let src = format!(
+        r#"{PRELUDE}
+header h_t {{ bit<8> v; }}
+struct headers_t {{ h_t a; h_t b; }}
+struct meta_t {{ bit<8> x; }}
+control Dep(packet_out pkt, in headers_t hdr) {{ apply {{ pkt.emit(hdr.a); }} }}
+parser P1(packet_in pkt, out headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
+    state start {{
+        pkt.extract(hdr.a);
+        transition select(hdr.a.v) {{ 1: next; 2: reject; default: accept; }}
+    }}
+    state next {{ transition start; }}
+}}
+parser P2(packet_in pkt, out headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
+    state next {{ pkt.extract(hdr.b); transition accept; }}
+    state start {{ transition next; }}
+}}
+control Ing(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{ apply {{ }} }}
+V1Switch(P2(), Ing(), Dep()) main;
+"#
+    );
+    let ir = compile(&src).expect("program lowers");
+    let names: Vec<&str> = ir.blocks.iter().map(IrBlock::name).collect();
+    assert_eq!(names, ["Dep", "P1", "P2", "Ing"]);
+    assert_eq!(ir.package_args, [BlockId(2), BlockId(3), BlockId(0)]);
+
+    // Each parser's states in declaration order, parsers in order.
+    let states: Vec<(&str, BlockId)> =
+        ir.states.iter().map(|s| (s.name.as_str(), s.parser)).collect();
+    assert_eq!(
+        states,
+        [("start", BlockId(1)), ("next", BlockId(1)), ("next", BlockId(2)), ("start", BlockId(2))]
+    );
+    assert_eq!((parser(&ir, "P1").start, parser(&ir, "P2").start), (StateId(0), StateId(3)));
+
+    let IrTransition::Select { cases, .. } = &start(&ir, "P1").transition else {
+        panic!("P1.start selects: {:?}", start(&ir, "P1").transition);
+    };
+    let targets: Vec<IrNext> = cases.iter().map(|c| c.next_state).collect();
+    assert_eq!(targets, [IrNext::State(StateId(1)), IrNext::Reject, IrNext::Accept]);
+    assert!(matches!(cases[2].keysets[..], [IrKeyset::Dontcare]));
+    assert_eq!(ir.state(StateId(1)).transition, IrTransition::Direct(IrNext::State(StateId(0))));
+    // P2's `next` is its own, not P1's.
+    assert_eq!(start(&ir, "P2").transition, IrTransition::Direct(IrNext::State(StateId(2))));
+    assert_eq!(ir.state(StateId(2)).transition, IrTransition::Direct(IrNext::Accept));
+    assert_eq!(ir.next_name(IrNext::State(StateId(2))), "next");
+    assert_eq!(ir.next_name(IrNext::Reject), "reject");
+}
+
+/// A package argument that names no parser or control is a lowering error
+/// at the argument.
+#[test]
+fn package_argument_naming_no_block_is_rejected() {
+    let src = swapped_v1("", "P(), Ck(), Ghost(), Ing(), Ck(), Dep()");
+    let errs = compile_with(&src, V1_ROOTS).expect_err("Ghost is not declared");
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    assert_eq!(errs[0].code, "T0001");
+    assert!(errs[0].message.contains("'Ghost'"), "{}", errs[0].message);
+    let line = src.lines().position(|l| l.starts_with("V1Switch(")).expect("main") as u32 + 1;
+    assert_eq!(errs[0].span.start.line, line);
 }

@@ -1,7 +1,7 @@
 //! Additional midend-pass and IR-utility tests.
 
 use p4t_frontend::Diagnostic;
-use p4t_ir::{fold_expr, IrBinOp, IrExpr, IrProgram, IrStmt, Path};
+use p4t_ir::{fold_expr, IrBinOp, IrBlock, IrExpr, IrProgram, IrStmt, Path};
 
 /// Compile without package roots: parameters keep their own names.
 fn compile(src: &str) -> Result<IrProgram, Vec<Diagnostic>> {
@@ -36,7 +36,11 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
     let ir = compile(&src).unwrap();
     // The statement table counts only the surviving assign (plus nothing
     // else: the If folded away entirely).
-    let c = ir.control("C").unwrap();
+    let c = ir.blocks.iter().find_map(|b| match b {
+        IrBlock::Control(c) if c.name == "C" => Some(c),
+        _ => None,
+    });
+    let c = c.unwrap();
     assert_eq!(c.apply.len(), 1);
     let descs: Vec<&str> = ir.statements.iter().map(|s| s.describe.as_str()).collect();
     assert_eq!(descs.iter().filter(|d| d.starts_with("assign")).count(), 1, "{descs:?}");

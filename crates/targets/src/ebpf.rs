@@ -66,9 +66,9 @@ impl Target for EbpfModel {
             return Err(format!("ebpfFilter expects 2 blocks, got {}", args.len()));
         }
         Ok(vec![
-            PipeStep::Block(args[0].clone()),
-            PipeStep::Block(args[1].clone()),
-            PipeStep::Hook("verdict".to_string()),
+            PipeStep::Block(args[0]),
+            PipeStep::Block(args[1]),
+            PipeStep::Hook("verdict"),
         ])
     }
 
@@ -157,7 +157,7 @@ impl EbpfModel {
         let deparse = prog
             .package_args
             .first()
-            .and_then(|parser| prog.bound_param(parser, "hdr"))
+            .and_then(|&parser| prog.bound_param(parser, "hdr"))
             .map_or(&[][..], |p| &p.headers);
         let mut parts: Vec<Sym> = Vec::new();
         for &h in deparse {

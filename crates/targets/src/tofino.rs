@@ -212,20 +212,20 @@ impl Target for Tofino {
         if args.len() == 7 && self.variant == TofinoVariant::Tna {
             return Err("ghost control requires t2na".to_string());
         }
-        let block = |i: usize| PipeStep::Block(args[i].clone());
+        let block = |i: usize| PipeStep::Block(args[i]);
         let mut steps = vec![
             block(0),
             block(1),
             block(2),
             PipeStep::FlushEmit,
-            PipeStep::Hook("traffic_manager".to_string()),
+            PipeStep::Hook("traffic_manager"),
         ];
         if args.len() == 7 {
-            steps.push(PipeStep::Hook("ghost".to_string()));
+            steps.push(PipeStep::Hook("ghost"));
         }
         steps.extend([
             block(3),
-            PipeStep::Hook("egress_parser_done".to_string()),
+            PipeStep::Hook("egress_parser_done"),
             block(4),
             block(5),
             PipeStep::FlushEmit,

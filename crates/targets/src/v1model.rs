@@ -203,17 +203,17 @@ impl Target for V1Model {
         if args.len() != 6 {
             return Err(format!("V1Switch expects 6 blocks, got {}", args.len()));
         }
-        let block = |i: usize| PipeStep::Block(args[i].clone());
+        let block = |i: usize| PipeStep::Block(args[i]);
         Ok(vec![
             block(0),
             block(1),
             block(2),
-            PipeStep::Hook("traffic_manager".to_string()),
+            PipeStep::Hook("traffic_manager"),
             block(3),
             block(4),
             block(5),
             PipeStep::FlushEmit,
-            PipeStep::Hook("recirculate_check".to_string()),
+            PipeStep::Hook("recirculate_check"),
         ])
     }
 

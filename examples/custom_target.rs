@@ -49,10 +49,10 @@ extern void punt_to_cpu(inout punt_metadata_t md);
         }
         let args = &prog.package_args;
         Ok(vec![
-            PipeStep::Block(args[0].clone()),
-            PipeStep::Block(args[1].clone()),
+            PipeStep::Block(args[0]),
+            PipeStep::Block(args[1]),
             PipeStep::FlushEmit,
-            PipeStep::Hook("verdict".to_string()),
+            PipeStep::Hook("verdict"),
         ])
     }
 

@@ -96,6 +96,20 @@ fn cli_reports_compile_errors_with_location() {
 }
 
 #[test]
+fn cli_rejects_a_package_argument_that_names_no_block() {
+    let dir = std::env::temp_dir().join(format!("p4testgen_cli_ghost_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ghost.p4");
+    std::fs::write(&path, PROGRAM.replace("Eg(), CC()", "Ghost(), CC()")).unwrap();
+    let out = bin().args(["--target", "v1model"]).arg(&path).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let line = PROGRAM.lines().position(|l| l.starts_with("V1Switch(")).unwrap() + 1;
+    let at = format!("ghost.p4:{line}:28: error[T0001]: package argument 'Ghost'");
+    assert!(stderr.contains(&at), "{stderr}");
+}
+
+#[test]
 fn cli_max_tests_and_seed_are_honored() {
     let prog = write_program();
     let run = |seed: &str| {

@@ -112,6 +112,12 @@ fn p4_files(dir: &str) -> Vec<(String, String)> {
 fn edge_cases() -> Vec<(&'static str, String)> {
     let fig1a = p4t_corpus::FIG1A.to_string();
     let nested = format!("const bit<8> x = {}1{};\n", "(".repeat(100), ")".repeat(100));
+    let switch_on = |label: &str| {
+        let switch = format!("switch (forward_table.apply().action_run) {{ {label}: {{ }} }}");
+        fig1a
+            .replace("forward_table.apply();", &switch)
+            .replace("action noop() { }", "action noop() { }\n    action spare() { }")
+    };
     let mut flood = String::new();
     for i in 0..150 {
         flood.push_str(&format!("const mystery_t v{i} = 1;\n"));
@@ -131,6 +137,9 @@ fn edge_cases() -> Vec<(&'static str, String)> {
         ("parse-error-on-line-1", "control C( {".to_string()),
         ("bad-bytes-on-line-1", "` $ const bit<8> y = 2;".to_string()),
         ("recursion-guard", nested),
+        ("switch-label-names-no-action", switch_on("ghost")),
+        ("switch-label-not-in-table", switch_on("spare")),
+        ("package-names-no-block", fig1a.replace("Eg(), CC()", "Ghost(), CC()")),
         ("type-diagnostic-flood", flood),
         ("lex-diagnostic-flood", "`".repeat(150)),
         ("parse-diagnostic-flood", "control C( {\n".repeat(150)),
@@ -188,6 +197,9 @@ fn edge_cases_keep_their_diagnostics() {
         ("unterminated-string", codes::LEX_UNTERMINATED_STRING),
         ("pragma", codes::WARN_IGNORED_DIRECTIVE),
         ("recursion-guard", codes::PARSE_RECURSION_LIMIT),
+        ("switch-label-names-no-action", codes::TYPE_UNKNOWN_SYMBOL),
+        ("switch-label-not-in-table", codes::TYPE_UNKNOWN_SYMBOL),
+        ("package-names-no-block", codes::TYPE_GENERIC),
         ("type-diagnostic-flood", codes::DIAG_CAP),
         ("lex-diagnostic-flood", codes::DIAG_CAP),
     ] {
