@@ -80,19 +80,9 @@ pub use testgen::{run_fingerprint_of, BuildError, CompiledProgram, RunError, Tes
 pub use worker::panic_payload_text;
 pub use testspec::{KeyMatch, MaskedBytes, OutputPacketSpec, TableEntrySpec, TestSpec};
 
-/// FNV-1a (64-bit) offset basis: the starting accumulator for
-/// [`fnv_mix`]. The one FNV-1a behind run/source fingerprints, checkpoint
-/// record checksums, serve cache keys, and fuzz crash filenames — all of
-/// which persist, so its values must never change.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold bytes into an FNV-1a accumulator started at [`FNV_OFFSET`].
-pub fn fnv_mix(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
+/// The one FNV-1a behind every persisted fingerprint and checksum. It
+/// lives in the frontend, whose prelude cache starts source fingerprints.
+pub use p4t_frontend::{fnv_mix, FNV_OFFSET};
 
 #[cfg(test)]
 mod tests {

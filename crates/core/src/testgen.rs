@@ -45,7 +45,7 @@ use p4t_smt::sat::{SatStats, LEARNT_SIZE_BOUNDS};
 use p4t_smt::solver::{SolverStats, CONFLICTS_PER_CHECK_BOUNDS, SPINE_PER_CHECK_BOUNDS};
 use p4t_smt::TermPool;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -140,36 +140,18 @@ impl CompiledProgram {
     /// diagnostics as a compile of `format!("{prelude}\n{source}")`, and so
     /// does the fingerprint, which continues the prelude's from the newline.
     pub fn build(source: &str, target: &dyn Target) -> Result<CompiledProgram, BuildError> {
-        let prelude = target.prelude();
-        let (mut source_fingerprint, prelude_lines) = prelude_facts(prelude);
+        let prelude = p4t_frontend::Prelude::get(target.prelude());
+        let prelude_lines = prelude.lines();
         let (prog, frontend_warnings) =
-            p4t_ir::compile_with_prelude(prelude, source, target.package_roots())
+            p4t_ir::compile_after(&prelude, source, target.package_roots())
                 .map_err(|diagnostics| BuildError::Frontend { diagnostics, prelude_lines })?;
+        let mut source_fingerprint = prelude.fingerprint();
         let pipeline = target.pipeline(&prog).map_err(BuildError::Target)?;
         for part in [source, target.name()] {
             fnv_mix(&mut source_fingerprint, part.as_bytes());
         }
         Ok(CompiledProgram { prog, pipeline, frontend_warnings, prelude_lines, source_fingerprint })
     }
-}
-
-/// What [`CompiledProgram::build`] needs of a prelude's text, once per
-/// distinct text: the FNV state after the prelude and the newline that
-/// follows it, and the number of lines ahead of the program's first.
-fn prelude_facts(prelude: &str) -> (u64, u32) {
-    static FACTS: std::sync::OnceLock<Mutex<HashMap<String, (u64, u32)>>> =
-        std::sync::OnceLock::new();
-    let mut facts = FACTS.get_or_init(Default::default).lock();
-    if let Some(&known) = facts.get(prelude) {
-        return known;
-    }
-    let mut fingerprint = FNV_OFFSET;
-    fnv_mix(&mut fingerprint, prelude.as_bytes());
-    fnv_mix(&mut fingerprint, b"\n");
-    // Number of newlines ahead of the user's first line.
-    let known = (fingerprint, prelude.matches('\n').count() as u32 + 1);
-    facts.insert(prelude.to_string(), known);
-    known
 }
 
 /// The suite-deciding fingerprint for a compiled program under `config`:

@@ -45,9 +45,23 @@ pub use ast::Program;
 pub use diag::SourceMap;
 pub use error::{codes, Diagnostic, FrontendError, Phase, Severity};
 pub use parser::{parse, parse_expression, Prefix};
-pub use prelude::{frontend_with_prelude, parse_with_prelude};
+pub use prelude::{frontend_with_prelude, parse_with_prelude, Prelude};
 pub use typecheck::{typecheck, CheckedProgram};
 pub use types::{Type, TypeEnv};
+
+/// FNV-1a (64-bit) offset basis: the starting accumulator for
+/// [`fnv_mix`]. The one FNV-1a behind run/source fingerprints, checkpoint
+/// record checksums, serve cache keys, and fuzz crash filenames — all of
+/// which persist, so its values must never change.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold bytes into an FNV-1a accumulator started at [`FNV_OFFSET`].
+pub fn fnv_mix(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
 
 /// Parse and typecheck a source string in one step.
 ///

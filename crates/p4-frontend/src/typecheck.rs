@@ -91,9 +91,22 @@ pub(crate) fn typecheck_over(
     let mut sink = DiagSink::new();
     collect_declarations(program.decls().skip(skip), &mut env, &mut sink);
     let checker = Checker { env: &env, diags: RefCell::new(sink), tables: Cell::new(&[]) };
+    // A package argument names its block, so two blocks may not share a
+    // name. A skipped prefix has no blocks (see `checked_prefix`).
+    let mut blocks = HashSet::new();
     for decl in program.decls().skip(skip) {
         if checker.capped() {
             break;
+        }
+        if let Decl::Parser(ParserDecl { name, span, .. })
+        | Decl::Control(ControlDecl { name, span, .. }) = decl
+        {
+            if !blocks.insert(name.as_str()) {
+                checker.report(
+                    FrontendError::typecheck(*span, format!("block '{name}' is declared more than once"))
+                        .with_code(codes::TYPE_DUPLICATE),
+                );
+            }
         }
         match decl {
             Decl::Parser(p) => checker.check_parser(p),

@@ -46,7 +46,16 @@ pub fn compile_with_prelude(
     source: &str,
     roots: &[&[&str]],
 ) -> Result<(IrProgram, Vec<Diagnostic>), Vec<Diagnostic>> {
-    lower_checked(p4t_frontend::frontend_with_prelude(prelude, source)?, roots)
+    compile_after(&p4t_frontend::Prelude::get(prelude), source, roots)
+}
+
+/// [`compile_with_prelude`] over a prelude already looked up.
+pub fn compile_after(
+    prelude: &p4t_frontend::Prelude,
+    source: &str,
+    roots: &[&[&str]],
+) -> Result<(IrProgram, Vec<Diagnostic>), Vec<Diagnostic>> {
+    lower_checked(prelude.frontend(source)?, roots)
 }
 
 fn lower_checked(

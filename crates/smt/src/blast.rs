@@ -4,9 +4,15 @@
 //! Translation is cached per term, so shared subterms (the term pool is
 //! hash-consed) are encoded once — this is what makes the incremental solver
 //! facade cheap: pushing a new path constraint only encodes the new nodes.
+//!
+//! An instance whose assertions are never retracted can also *bind* them
+//! ([`Blaster::assert_fresh`]): an asserted equality names the literals of a
+//! still-unencoded variable instead of being encoded as a gate tree plus a
+//! unit clause, so a variable's bits may be constants, another variable's
+//! literals, or negated literals.
 
 use crate::bitvec::BitVec;
-use crate::sat::{Lit, SatSolver, SatVar};
+use crate::sat::{Lit, SatSolver};
 use crate::term::{BinOp, Node, TermId, TermPool, VarId};
 use std::collections::HashMap;
 
@@ -22,8 +28,9 @@ pub struct BlastStats {
 /// Bit-blaster with a per-term encoding cache.
 pub struct Blaster {
     cache: HashMap<TermId, Vec<Lit>>,
-    /// SAT variables backing each pool variable's bits (LSB first).
-    var_bits: HashMap<VarId, Vec<SatVar>>,
+    /// Literals backing each pool variable's bits (LSB first): fresh SAT
+    /// variables when blasted, any literals when bound.
+    var_bits: HashMap<VarId, Vec<Lit>>,
     /// A literal constrained to be true.
     true_lit: Lit,
     pub stats: BlastStats,
@@ -84,8 +91,8 @@ impl Blaster {
         let width = pool.var_info(v).width;
         let mut out = BitVec::zeros(width);
         if let Some(bits) = self.var_bits.get(&v) {
-            for (i, &sv) in bits.iter().enumerate() {
-                if sat.model_value(sv) {
+            for (i, &l) in bits.iter().enumerate() {
+                if sat.model_value(l.var()) == l.is_positive() {
                     out.set_bit(i, true);
                 }
             }
@@ -316,9 +323,9 @@ impl Blaster {
             Node::Const(v) => (0..v.width()).map(|i| self.const_lit(v.bit(i))).collect(),
             Node::Var(v) => {
                 let width = pool.var_info(v).width;
-                let bits: Vec<SatVar> = (0..width).map(|_| sat.new_var()).collect();
+                let bits: Vec<Lit> = (0..width).map(|_| Lit::positive(sat.new_var())).collect();
                 self.var_bits.insert(v, bits.clone());
-                bits.into_iter().map(Lit::positive).collect()
+                bits
             }
             Node::Not(a) => {
                 let al = self.blast(sat, pool, a);
@@ -437,6 +444,120 @@ impl Blaster {
         assert_eq!(pool.width(t), 1, "assertions must be 1-bit terms");
         self.blast(sat, pool, t)[0]
     }
+
+    // ---- binding top-level assertions ------------------------------------
+
+    /// Assert the 1-bit term `t` for good: binding instead of encoding where
+    /// the assertion allows it. Sound only on an instance that never
+    /// retracts an assertion (a bound variable *is* its asserted value), so
+    /// a warm core, whose constraints are retractable activation literals,
+    /// must use [`Blaster::assertion_lit`]. Returns `false` once the
+    /// instance is unsatisfiable at level 0.
+    ///
+    /// A conjunction asserts both sides; `¬a` binds `a` to false; `a == b`
+    /// blasts the side that cannot be bound and binds the other to its
+    /// literals; any other term is bound to true.
+    pub fn assert_fresh(&mut self, sat: &mut SatSolver, pool: &TermPool, t: TermId) -> bool {
+        assert_eq!(pool.width(t), 1, "assertions must be 1-bit terms");
+        match *pool.node(t) {
+            Node::Bin(BinOp::And, a, b) => {
+                self.assert_fresh(sat, pool, a) && self.assert_fresh(sat, pool, b)
+            }
+            Node::Bin(BinOp::Eq, a, b) => {
+                let (free, other) = if self.bindable(pool, b) { (b, a) } else { (a, b) };
+                let lits = self.blast(sat, pool, other);
+                self.bind(sat, pool, free, &lits)
+            }
+            Node::Not(a) => {
+                let f = self.false_lit();
+                self.bind(sat, pool, a, &[f])
+            }
+            _ => {
+                let t_lit = self.true_lit;
+                self.bind(sat, pool, t, &[t_lit])
+            }
+        }
+    }
+
+    /// The pool variable behind `x` if `x` is a variable not encoded yet.
+    fn unencoded_var(&self, pool: &TermPool, x: TermId) -> Option<VarId> {
+        match *pool.node(x) {
+            Node::Var(v) if !self.var_bits.contains_key(&v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Whether [`Blaster::bind`] would name literals for (part of) `x`
+    /// rather than encode it.
+    fn bindable(&self, pool: &TermPool, x: TermId) -> bool {
+        match *pool.node(x) {
+            Node::Var(_) => self.unencoded_var(pool, x).is_some(),
+            Node::Extract { arg, .. } => self.unencoded_var(pool, arg).is_some(),
+            Node::Bin(BinOp::Concat, hi, lo) => self.bindable(pool, hi) || self.bindable(pool, lo),
+            _ => false,
+        }
+    }
+
+    /// Constrain `x` to equal `lits` (LSB first). An unencoded variable takes
+    /// the literals as its bits; a concatenation splits them across its
+    /// parts; an extract of an unencoded variable creates that variable's
+    /// bits from the slice plus fresh variables elsewhere. Whatever is left
+    /// — including a variable that got encoded while `lits` were blasted,
+    /// so `x == x + 1` stays unsatisfiable — is blasted and equated bit by
+    /// bit.
+    fn bind(&mut self, sat: &mut SatSolver, pool: &TermPool, x: TermId, lits: &[Lit]) -> bool {
+        debug_assert_eq!(pool.width(x), lits.len(), "bound width mismatch");
+        match *pool.node(x) {
+            Node::Var(v) if !self.var_bits.contains_key(&v) => {
+                self.var_bits.insert(v, lits.to_vec());
+                self.cache.insert(x, lits.to_vec());
+                true
+            }
+            Node::Bin(BinOp::Concat, hi, lo) => {
+                let w = pool.width(lo);
+                self.bind(sat, pool, lo, &lits[..w]) && self.bind(sat, pool, hi, &lits[w..])
+            }
+            Node::Extract { hi, lo, arg } if self.unencoded_var(pool, arg).is_some() => {
+                let Node::Var(v) = *pool.node(arg) else { unreachable!() };
+                let (lo, hi) = (lo as usize, hi as usize);
+                let bits: Vec<Lit> = (0..pool.var_info(v).width)
+                    .map(|i| {
+                        if (lo..=hi).contains(&i) {
+                            lits[i - lo]
+                        } else {
+                            Lit::positive(sat.new_var())
+                        }
+                    })
+                    .collect();
+                self.var_bits.insert(v, bits.clone());
+                self.cache.insert(arg, bits);
+                true
+            }
+            _ => {
+                let xl = self.blast(sat, pool, x);
+                self.equate(sat, &xl, lits)
+            }
+        }
+    }
+
+    /// Per-bit equivalence clauses; a unit where one side is a constant.
+    fn equate(&mut self, sat: &mut SatSolver, a: &[Lit], b: &[Lit]) -> bool {
+        for (&x, &y) in a.iter().zip(b) {
+            let ok = if x == y {
+                true
+            } else if x.var() == self.true_lit.var() {
+                sat.add_clause(&[if self.is_true(x) { y } else { y.negate() }])
+            } else if y.var() == self.true_lit.var() {
+                sat.add_clause(&[if self.is_true(y) { x } else { x.negate() }])
+            } else {
+                sat.add_clause(&[x.negate(), y]) && sat.add_clause(&[x, y.negate()])
+            };
+            if !ok {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -472,6 +593,125 @@ mod tests {
             asg.set(v, bl.model_value(&sat, pool, v));
         }
         Some(asg)
+    }
+
+    /// Assert every term through the binding path and solve; on Sat,
+    /// return the model of every pool variable.
+    fn solve_bound(
+        pool: &TermPool,
+        terms: &[TermId],
+    ) -> (Blaster, Option<crate::eval::Assignment>) {
+        let mut sat = SatSolver::new();
+        let mut bl = Blaster::new(&mut sat);
+        let ok = terms.iter().all(|&t| bl.assert_fresh(&mut sat, pool, t));
+        if !ok || sat.solve(&[]) == SatResult::Unsat {
+            return (bl, None);
+        }
+        let mut asg = crate::eval::Assignment::new();
+        for vi in 0..pool.num_vars() {
+            let v = VarId(vi as u32);
+            asg.set(v, bl.model_value(&sat, pool, v));
+        }
+        for &t in terms {
+            assert!(crate::eval::eval(pool, &asg, t).is_true(), "{} is false", pool.display(t));
+        }
+        (bl, Some(asg))
+    }
+
+    fn var_id(pool: &TermPool, t: TermId) -> VarId {
+        match *pool.node(t) {
+            Node::Var(v) => v,
+            _ => panic!("not a variable"),
+        }
+    }
+
+    fn value(asg: &crate::eval::Assignment, pool: &TermPool, t: TermId) -> Option<u64> {
+        asg.get(var_id(pool, t)).and_then(|v| v.to_u64())
+    }
+
+    #[test]
+    fn occurs_check_keeps_self_reference_unsat() {
+        // Blasting one side encodes the variable the other side would bind;
+        // binding it anyway would drop the constraint.
+        let p = TermPool::new();
+        let x = p.fresh_var("x", 8);
+        let one = p.const_u128(8, 1);
+        let succ = p.add(x, one);
+        assert!(solve_bound(&p, &[p.eq(x, succ)]).1.is_none());
+        assert!(solve_bound(&p, &[p.eq(succ, x)]).1.is_none());
+        let low = p.extract(3, 0, x);
+        let low_succ = p.add(low, p.const_u128(4, 1));
+        assert!(solve_bound(&p, &[p.eq(low, low_succ)]).1.is_none());
+        assert!(solve_bound(&p, &[p.eq(low_succ, low)]).1.is_none());
+    }
+
+    #[test]
+    fn var_chains_alias_one_encoding() {
+        let p = TermPool::new();
+        let (x, y, z) = (p.fresh_var("x", 8), p.fresh_var("y", 8), p.fresh_var("z", 8));
+        let (c3, c4) = (p.const_u128(8, 3), p.const_u128(8, 4));
+        let chain = [p.eq(x, y), p.eq(y, z)];
+        let (bl, asg) = solve_bound(&p, &[chain[0], chain[1], p.eq(z, c3)]);
+        let asg = asg.expect("sat");
+        for v in [x, y, z] {
+            assert_eq!(value(&asg, &p, v), Some(3));
+        }
+        // y and z name x's literals: one set of bits for the whole chain.
+        let bits = |v| bl.var_bits[&var_id(&p, v)].clone();
+        assert_eq!(bits(x), bits(y));
+        assert_eq!(bits(y), bits(z));
+        let split = [chain[0], chain[1], p.eq(x, c3), p.eq(z, c4)];
+        assert!(solve_bound(&p, &split).1.is_none());
+    }
+
+    #[test]
+    fn bound_negations_read_back_through_polarity() {
+        let p = TermPool::new();
+        let (b, c) = (p.fresh_var("b", 1), p.fresh_var("c", 1));
+        let (x, y) = (p.fresh_var("x", 8), p.fresh_var("y", 8));
+        let terms = [p.not(b), c, p.eq(x, p.not(y)), p.eq(y, p.const_u128(8, 0x5A))];
+        let (bl, asg) = solve_bound(&p, &terms);
+        let asg = asg.expect("sat");
+        assert_eq!(value(&asg, &p, b), Some(0));
+        assert_eq!(value(&asg, &p, c), Some(1));
+        assert_eq!(value(&asg, &p, x), Some(0xA5));
+        assert!(bl.var_bits[&var_id(&p, x)].iter().all(|l| !l.is_positive()));
+        // A bound 1-bit variable is a constant: asserting it again conflicts.
+        assert!(solve_bound(&p, &[p.not(b), b]).1.is_none());
+    }
+
+    #[test]
+    fn concat_with_a_bound_part_binds_the_rest() {
+        let p = TermPool::new();
+        let (hi, lo) = (p.fresh_var("hi", 8), p.fresh_var("lo", 8));
+        let lo3 = p.eq(lo, p.const_u128(8, 3));
+        let cat = p.concat(hi, lo);
+        let (_, asg) = solve_bound(&p, &[lo3, p.eq(cat, p.const_u128(16, 0xAB03))]);
+        let asg = asg.expect("sat");
+        assert_eq!(value(&asg, &p, hi), Some(0xAB));
+        assert_eq!(value(&asg, &p, lo), Some(3));
+        assert!(solve_bound(&p, &[lo3, p.eq(cat, p.const_u128(16, 0xAB04))]).1.is_none());
+        // The bound side may be on the left, against a non-constant right.
+        let w = p.fresh_var("w", 16);
+        let wx = p.xor(w, p.const_u128(16, 0xFF00));
+        let (_, asg) = solve_bound(&p, &[lo3, p.eq(cat, wx), p.eq(w, p.const_u128(16, 0x1203))]);
+        assert_eq!(value(&asg.expect("sat"), &p, hi), Some(0xED));
+    }
+
+    #[test]
+    fn extract_bound_variable_reads_back_whole() {
+        let p = TermPool::new();
+        let x = p.fresh_var("x", 16);
+        let mid = p.eq(p.extract(11, 4, x), p.const_u128(8, 0xCD));
+        let (bl, asg) = solve_bound(&p, &[mid]);
+        assert_eq!(value(&asg.expect("sat"), &p, x), Some(0x0CD0));
+        assert_eq!(bl.var_bits[&var_id(&p, x)].len(), 16);
+        // A later slice of the now-encoded variable is equated, not bound.
+        let low = p.eq(p.extract(3, 0, x), p.const_u128(4, 5));
+        let (_, asg) = solve_bound(&p, &[mid, low]);
+        assert_eq!(value(&asg.expect("sat"), &p, x), Some(0x0CD5));
+        let clash = p.eq(p.extract(7, 4, x), p.const_u128(4, 0xE));
+        assert!(solve_bound(&p, &[mid, clash]).1.is_none());
     }
 
     #[test]

@@ -22,6 +22,17 @@
 //!   from one of these checks, which is what keeps suites byte-identical
 //!   across job counts *and across solver modes*.
 //!
+//!   A fresh instance never retracts an assertion, so it *binds* them
+//!   ([`Blaster::assert_fresh`]) instead of encoding each as a gate tree
+//!   plus a unit clause: `x == 5` makes `x`'s bits the constant literals,
+//!   `x == y` makes `y` name `x`'s literals, and an extract or concat side
+//!   binds the bits it covers. Binding is fresh-only because a bound
+//!   variable *is* its asserted value: on the warm core, where a constraint
+//!   is a retractable activation literal, it would outlive its constraint
+//!   and pin every later check. Debug builds re-evaluate every assertion
+//!   of a Sat model-bearing check under its model with [`crate::eval`], so
+//!   every binding is checked against the reference semantics.
+//!
 //! * [`Solver::check_feasible`] is **verdict-only**. In
 //!   [`SolverMode::Incremental`] (the default) the solver keeps one warm
 //!   [`SatSolver`] + [`Blaster`] pair whose clause database mirrors the
@@ -428,9 +439,7 @@ impl Solver {
         let (mut sat, mut blaster) = empty_instance(self.last.take());
         let mut ok = true;
         for &t in self.asserted_terms.iter().chain(extra) {
-            debug_assert_eq!(pool.width(t), 1, "assumptions must be 1-bit terms");
-            let l = blaster.assertion_lit(&mut sat, pool, t);
-            if !sat.add_clause(&[l]) {
+            if !blaster.assert_fresh(&mut sat, pool, t) {
                 ok = false;
                 break;
             }
@@ -453,7 +462,27 @@ impl Solver {
         self.last = Some((sat, blaster));
         let verdict = self.count_result(res);
         self.last_verdict = Some(verdict);
+        #[cfg(debug_assertions)]
+        if verdict == CheckResult::Sat {
+            self.audit_model(pool, extra);
+        }
         verdict
+    }
+
+    /// Debug builds re-evaluate every assertion of a Sat model-bearing check
+    /// under its model and panic, naming the term, if one is false: every
+    /// binding the blaster made is checked against the reference semantics.
+    #[cfg(debug_assertions)]
+    fn audit_model(&self, pool: &TermPool, extra: &[TermId]) {
+        let all = || self.asserted_terms.iter().chain(extra).copied();
+        let asg = self.model(pool, &VarWalk::default().vars(pool, all()));
+        for t in all() {
+            assert!(
+                crate::eval::eval(pool, &asg, t).is_true(),
+                "model audit failed: {} is false under the model",
+                pool.display(t)
+            );
+        }
     }
 
     /// Verdict-only feasibility check of `asserted ∧ extra`. In incremental
@@ -1014,6 +1043,64 @@ pub(crate) mod tests {
         let after: Vec<CheckResult> =
             fams.iter().map(|cs| s.check_feasible(&pool, cs)).collect();
         assert_eq!(before, after);
+    }
+
+    /// One random constraint over a small shared vocabulary, so that lists
+    /// bind, alias and contradict each other's variables.
+    fn random_constraint(pool: &TermPool, vars: &[TermId; 6], rng: &mut impl rand::Rng) -> TermId {
+        let [x, y, z, w, b, c] = *vars;
+        let k = rng.gen_range(0u64..4) as u128;
+        let op = rng.gen_range(0usize..11);
+        let wide = [x, y, pool.concat(z, w)];
+        let mut pick = |ts: &[TermId]| ts[rng.gen_range(0..ts.len())];
+        let (u, v) = (pick(&wide), pick(&wide));
+        let narrow = pick(&[z, w, pool.extract(3, 0, x), pool.extract(7, 4, y)]);
+        let flag = pick(&[b, c]);
+        match op {
+            0 => pool.eq(u, pool.const_u128(8, k)),
+            1 => pool.eq(u, v),
+            2 => pool.eq(u, pool.add(v, pool.const_u128(8, k))),
+            3 => pool.eq(narrow, pool.const_u128(4, k)),
+            4 => pool.eq(narrow, pick(&[z, w])),
+            5 => flag,
+            6 => pool.not(flag),
+            7 => pool.and(flag, pool.eq(u, pool.const_u128(8, k))),
+            8 => pool.ult(u, pool.const_u128(8, k + 1)),
+            9 => pool.neq(u, v),
+            _ => pool.eq(pool.ite(flag, u, v), pool.xor(v, pool.const_u128(8, k))),
+        }
+    }
+
+    #[test]
+    fn bound_fresh_checks_agree_with_the_warm_core() {
+        // Model-bearing checks bind their assertions; the warm core encodes
+        // them as retractable activation literals. Over one warm core fed
+        // list after list (so a binding leaking into it would pin later
+        // lists), every verdict must agree and every model must satisfy
+        // every original term.
+        use rand::{Rng, SeedableRng};
+        let pool = TermPool::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+        let vars = [("px", 8), ("py", 8), ("pz", 4), ("pw", 4), ("pb", 1), ("pc", 1)]
+            .map(|(name, width)| pool.fresh_var(name, width));
+        let (mut fresh, mut warm) = (Solver::new(), Solver::new());
+        let mut verdicts = [0usize; 2];
+        for i in 0..400 {
+            let len = rng.gen_range(1usize..7);
+            let list: Vec<TermId> = (0..len).map(|_| random_constraint(&pool, &vars, &mut rng)).collect();
+            let verdict = fresh.check_assuming(&pool, &list);
+            assert_eq!(verdict, warm.check_feasible(&pool, &list), "list {i}: verdicts differ");
+            if verdict == CheckResult::Sat {
+                let vars = VarWalk::default().vars(&pool, list.iter().copied());
+                let m = fresh.model(&pool, &vars);
+                for &t in &list {
+                    assert!(eval(&pool, &m, t).is_true(), "list {i}: {}", pool.display(t));
+                }
+            }
+            verdicts[(verdict == CheckResult::Sat) as usize] += 1;
+        }
+        assert!(verdicts.iter().all(|&n| n > 40), "too one-sided: {verdicts:?}");
+        assert!(warm.inc_stats.warm_checks > 0);
     }
 
     #[test]

@@ -1,10 +1,55 @@
-//! Helpers shared by the target extensions: register/counter/meter
-//! recording, concolic hash dispatch, and output finalization.
+//! Helpers shared by the target extensions: package-argument checks,
+//! register/counter/meter recording, concolic hash dispatch, and output
+//! finalization.
 
+use p4t_ir::{IrBlock, IrProgram};
 use p4testgen_core::state::{ConcolicBinding, ExecState, RegisterOp, SymOutput};
 use p4testgen_core::sym::Sym;
 use p4testgen_core::target::{ExecCtx, ExtArg};
 use p4t_smt::TermId;
+
+/// The kind of block a package position takes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum BlockKind {
+    Parser,
+    Control,
+}
+
+impl BlockKind {
+    fn of(block: &IrBlock) -> BlockKind {
+        match block {
+            IrBlock::Parser(_) => BlockKind::Parser,
+            IrBlock::Control(_) => BlockKind::Control,
+        }
+    }
+
+    fn as_str(self) -> &'static str {
+        match self {
+            BlockKind::Parser => "parser",
+            BlockKind::Control => "control",
+        }
+    }
+}
+
+/// Check that each of `prog`'s package arguments is a block of the kind
+/// its position takes in `kinds`, naming the first argument that is not.
+pub fn check_block_kinds(prog: &IrProgram, kinds: &[BlockKind]) -> Result<(), String> {
+    for (i, (&id, &want)) in prog.package_args.iter().zip(kinds).enumerate() {
+        let block = prog.block(id);
+        let have = BlockKind::of(block);
+        if have != want {
+            return Err(format!(
+                "{} argument {} '{}' is a {}, but that position takes a {}",
+                prog.package,
+                i + 1,
+                block.name(),
+                have.as_str(),
+                want.as_str()
+            ));
+        }
+    }
+    Ok(())
+}
 
 /// Record a register read: the result is a fresh variable; the test spec
 /// initializes the register to whatever the solver chooses (§6: "P4Testgen

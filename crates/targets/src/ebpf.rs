@@ -10,6 +10,7 @@
 //!   packet" — the original packet passes through);
 //! * a failing `extract`/`advance` drops the packet in the kernel.
 
+use crate::common::{check_block_kinds, BlockKind};
 use p4testgen_core::state::{ExecState, FinishReason, SymOutput};
 use p4testgen_core::sym::Sym;
 use p4testgen_core::target::{ExecCtx, ExtArg, ExternOutcome, PipeStep, Target, UninitPolicy};
@@ -65,6 +66,7 @@ impl Target for EbpfModel {
         if args.len() != 2 {
             return Err(format!("ebpfFilter expects 2 blocks, got {}", args.len()));
         }
+        check_block_kinds(prog, &[BlockKind::Parser, BlockKind::Control])?;
         Ok(vec![
             PipeStep::Block(args[0]),
             PipeStep::Block(args[1]),

@@ -15,7 +15,7 @@
 //!   scenario where the egress parser can grow I);
 //! * t2na adds the ghost thread (logged when present) and extra metadata.
 
-use crate::common::{concolic_hash, push_output, register_read, register_write};
+use crate::common::{check_block_kinds, BlockKind, concolic_hash, push_output, register_read, register_write};
 use p4testgen_core::state::{ExecState, FinishReason};
 use p4testgen_core::sym::Sym;
 use p4testgen_core::target::{ExecCtx, ExtArg, ExternOutcome, PipeStep, Target, UninitPolicy};
@@ -212,6 +212,8 @@ impl Target for Tofino {
         if args.len() == 7 && self.variant == TofinoVariant::Tna {
             return Err("ghost control requires t2na".to_string());
         }
+        use BlockKind::{Control, Parser};
+        check_block_kinds(prog, &[Parser, Control, Control, Parser, Control, Control, Control])?;
         let block = |i: usize| PipeStep::Block(args[i]);
         let mut steps = vec![
             block(0),

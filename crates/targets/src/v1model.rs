@@ -14,7 +14,7 @@
 //! * meter colors are control-plane state installed by the test spec (§6:
 //!   frameworks "initialize externs such as registers, meters, counters").
 
-use crate::common::{algo_of, concolic_hash, push_output, register_read, register_write};
+use crate::common::{check_block_kinds, BlockKind, algo_of, concolic_hash, push_output, register_read, register_write};
 use p4testgen_core::state::{ExecState, FinishReason, SynthEntry, SynthKeyMatch};
 use p4testgen_core::sym::Sym;
 use p4testgen_core::target::{ExecCtx, ExtArg, ExternOutcome, PipeStep, Target, UninitPolicy};
@@ -203,6 +203,8 @@ impl Target for V1Model {
         if args.len() != 6 {
             return Err(format!("V1Switch expects 6 blocks, got {}", args.len()));
         }
+        use BlockKind::{Control, Parser};
+        check_block_kinds(prog, &[Parser, Control, Control, Control, Control, Control])?;
         let block = |i: usize| PipeStep::Block(args[i]);
         Ok(vec![
             block(0),

@@ -110,6 +110,36 @@ fn cli_rejects_a_package_argument_that_names_no_block() {
 }
 
 #[test]
+fn cli_rejects_a_block_of_the_wrong_kind_and_a_duplicate_block_name() {
+    let dir = std::env::temp_dir().join(format!("p4testgen_cli_kinds_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dup = "control P(inout headers_t hdr) { apply { } }\nV1Switch(";
+    for (file, program, want) in [
+        (
+            "kind.p4",
+            PROGRAM.replace("V1Switch(P(), VC()", "V1Switch(VC(), VC()"),
+            "V1Switch argument 1 'VC' is a control, but that position takes a parser".to_string(),
+        ),
+        (
+            "dup.p4",
+            PROGRAM.replace("V1Switch(", dup),
+            format!(
+                "dup.p4:{}:1: error[T0206]: block 'P' is declared more than once",
+                PROGRAM.lines().position(|l| l.starts_with("V1Switch(")).unwrap() + 1
+            ),
+        ),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, program).unwrap();
+        let out = bin().args(["--target", "v1model", "--validate"]).arg(&path).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{file}: {stderr}");
+        assert!(stderr.contains(&want), "{file}: {stderr}");
+        assert!(!stderr.contains("software model"), "{file}: no test may run: {stderr}");
+    }
+}
+
+#[test]
 fn cli_max_tests_and_seed_are_honored() {
     let prog = write_program();
     let run = |seed: &str| {

@@ -140,6 +140,11 @@ fn edge_cases() -> Vec<(&'static str, String)> {
         ("switch-label-names-no-action", switch_on("ghost")),
         ("switch-label-not-in-table", switch_on("spare")),
         ("package-names-no-block", fig1a.replace("Eg(), CC()", "Ghost(), CC()")),
+        ("control-in-parser-slot", fig1a.replace("V1Switch(P(), VC()", "V1Switch(VC(), VC()")),
+        (
+            "duplicate-block-name",
+            fig1a.replace("V1Switch(", "control P(inout headers_t hdr) { apply { } }\nV1Switch("),
+        ),
         ("type-diagnostic-flood", flood),
         ("lex-diagnostic-flood", "`".repeat(150)),
         ("parse-diagnostic-flood", "control C( {\n".repeat(150)),
@@ -200,12 +205,17 @@ fn edge_cases_keep_their_diagnostics() {
         ("switch-label-names-no-action", codes::TYPE_UNKNOWN_SYMBOL),
         ("switch-label-not-in-table", codes::TYPE_UNKNOWN_SYMBOL),
         ("package-names-no-block", codes::TYPE_GENERIC),
+        ("duplicate-block-name", codes::TYPE_DUPLICATE),
         ("type-diagnostic-flood", codes::DIAG_CAP),
         ("lex-diagnostic-flood", codes::DIAG_CAP),
     ] {
         assert!(codes_of(get(case)).contains(&code), "{case}: expected {code}");
     }
     assert!(codes_of(get("define-used-later")).is_empty(), "the #define applies to the source");
+    match CompiledProgram::build(get("control-in-parser-slot"), target.as_ref()) {
+        Err(BuildError::Target(msg)) => assert!(msg.contains("argument 1 'VC'"), "{msg}"),
+        other => panic!("control-in-parser-slot: {:?}", other.map(|_| ())),
+    }
 }
 
 /// A prelude built from v1model's with comments of both kinds in it, so
