@@ -3,44 +3,8 @@
 //! 1. **Taint-aware entry synthesis** (§5.3): number of generated tests
 //!    with the wildcard-ternary mitigation vs dropping tainted-key tables
 //!    entirely (approximated by counting tests whose entries use wildcards).
-//! 2. **Incremental solving** (the paper solves each path incrementally):
-//!    run time and warm-core reuse counters with feasibility checks solved
-//!    fresh per check vs on the warm spine core, at one worker.
 
-use p4t_targets::V1Model;
-use p4testgen_core::{SolverMode, Testgen, TestgenConfig};
-
-fn solver_mode_table() {
-    println!("Ablation 2: fresh vs incremental feasibility checks (jobs 1)");
-    println!("| Program | Mode | Total | Roots reused / blasted | Rebuilds | Blast-cache misses |");
-    println!("|---|---|---|---|---|---|");
-    let programs = [
-        ("synthetic_4x3", p4t_corpus::generate_synthetic(4, 3)),
-        ("synthetic_5x3", p4t_corpus::generate_synthetic(5, 3)),
-        ("up4_sim", p4t_corpus::UP4_SIM.clone()),
-        ("parser_deep_12x6", p4t_corpus::generate_parser_deep(12, 6)),
-        ("parser_deep_20x8", p4t_corpus::generate_parser_deep(20, 8)),
-    ];
-    for (name, src) in &programs {
-        for mode in [SolverMode::Fresh, SolverMode::Incremental] {
-            let mut config = TestgenConfig::default();
-            config.jobs = 1;
-            config.solver_mode = mode;
-            let mut tg = Testgen::new(name, src, V1Model::new(), config).unwrap();
-            let s = tg.run(|_| true);
-            let i = &s.solver;
-            println!(
-                "| {name} | {} | {:.3}s | {} / {} | {} | {} |",
-                mode.as_str(),
-                s.phases.total.as_secs_f64(),
-                i.roots_reused,
-                i.roots_blasted,
-                i.rebuilds,
-                i.blast_cache_misses
-            );
-        }
-    }
-}
+use p4testgen_core::{Testgen, TestgenConfig};
 
 fn main() {
     println!("Ablation 1: taint-aware ternary wildcarding (tofino_quirks-style)");
@@ -118,7 +82,4 @@ Pipeline(IPrs(), Ing(), IDep(), EPrs(), Egr(), EDep()) main;
     println!("(ternary keys on tainted data are wildcarded — the §5.3 mitigation —");
     println!(" so the fwd action stays reachable; exact keys cannot be wildcarded");
     println!(" and the synthesized-entry path is dropped to avoid flaky tests)");
-
-    println!();
-    solver_mode_table();
 }

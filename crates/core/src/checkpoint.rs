@@ -34,8 +34,8 @@
 //! checksum is still verified), so minor-version readers tolerate appended
 //! record kinds. The config hash covers every suite-affecting config field
 //! plus the program source and target name — never schedule-only knobs
-//! (`jobs`, `deadline`, `solver_mode`, fault plans), so a resumed run may
-//! change worker count or solver mode and still produce identical bytes.
+//! (`jobs`, `deadline`, fault plans), so a resumed run may change worker
+//! count and still produce identical bytes.
 
 use std::collections::BTreeSet;
 use std::fmt;

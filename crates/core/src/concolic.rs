@@ -16,13 +16,11 @@
 //! value equal to the computed checksum) live in the target extensions,
 //! which fork a dedicated path instead of relying on a lucky model.
 //!
-//! Every solve in this loop is **model-bearing**, so it always runs on a
-//! fresh SAT instance via [`Solver::check_assuming`] — even when the run's
-//! feasibility checks use the warm incremental spine core
-//! ([`p4t_smt::SolverMode::Incremental`]). The concrete argument values fed
-//! to step 2 therefore depend only on the constraint set, which is what
-//! keeps concolic resolutions (and the tests built from them)
-//! byte-identical across solver modes and worker counts.
+//! Every solve in this loop is **model-bearing**: it runs unsimplified on
+//! a fresh SAT instance via [`Solver::check_assuming`]. The concrete
+//! argument values fed to step 2 therefore depend only on the constraint
+//! set, which is what keeps concolic resolutions (and the tests built from
+//! them) byte-identical across worker counts.
 
 use crate::state::ConcolicBinding;
 use p4t_smt::{eval, Assignment, BitVec, CheckResult, Solver, TermId, TermPool, VarWalk};

@@ -7,10 +7,26 @@ use crate::fault::FaultPlan;
 use crate::memo::SharedFeasMemo;
 use crate::preconditions::Preconditions;
 use p4t_obs::{FlightRecorder, LiveStatus, Registry};
-use p4t_smt::SolverMode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The feasibility-check discipline, of which there is now one: simplify,
+/// then bind a fresh instance (see `p4t_smt::solver`). Kept only because
+/// external readers name `SolverMode::Incremental` and
+/// [`TestgenConfig::solver_mode`], and because the v2 run summary's
+/// `solver.mode` key reads [`SolverMode::as_str`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum SolverMode {
+    #[default]
+    Incremental,
+}
+
+impl SolverMode {
+    pub fn as_str(&self) -> &'static str {
+        "incremental"
+    }
+}
 
 /// Path-selection strategy (§6: DFS by default; continuations make other
 /// heuristics cheap to try).
@@ -82,12 +98,7 @@ pub struct TestgenConfig {
     /// run — the engine's analogue of the paper's Z3 timeout. Defaults to
     /// the `P4TESTGEN_SOLVER_BUDGET` environment variable when set.
     pub solver_budget: u64,
-    /// Feasibility-check discipline: `Incremental` (the default) keeps one
-    /// warm SAT core per worker along its DFS spine; `Fresh` rebuilds every
-    /// check. Model-bearing checks (emission, concolic resolution) are
-    /// always fresh, so emitted suites are byte-identical in both modes.
-    /// Defaults to the `P4TESTGEN_SOLVER_MODE` environment variable
-    /// (`fresh`/`incremental`) when set.
+    /// Inert: there is one feasibility discipline (see [`SolverMode`]).
     pub solver_mode: SolverMode,
     /// Wall-clock deadline for the whole run, checked cooperatively: on
     /// expiry workers finish in-flight paths, drain their queues, and the
@@ -162,7 +173,6 @@ impl Default for TestgenConfig {
         for (var, key) in [
             ("P4TESTGEN_JOBS", "jobs"),
             ("P4TESTGEN_SOLVER_BUDGET", "solver_budget"),
-            ("P4TESTGEN_SOLVER_MODE", "solver_mode"),
             ("P4TESTGEN_DEADLINE", "deadline"),
         ] {
             if let Ok(value) = std::env::var(var) {
@@ -229,10 +239,6 @@ impl TestgenConfig {
             }
             "solver_budget" => {
                 self.solver_budget = value.parse().map_err(|_| bad("a conflict count"))?
-            }
-            "solver_mode" => {
-                self.solver_mode =
-                    SolverMode::parse(value).ok_or_else(|| bad("fresh or incremental"))?
             }
             "deadline" => {
                 let secs = value

@@ -19,15 +19,14 @@
 //! per-path containment and must be caught by the per-request
 //! `catch_unwind` in the daemon.
 //!
-//! Interplay with incremental solving: injected Unknowns fire *before* the
-//! memo and the solver, so a forced-Unknown trail never touches the warm
-//! spine core; the engine's rotated-phase-seed retry always solves fresh
-//! (a non-zero phase seed disables the warm path in
+//! Interplay with solving: injected Unknowns fire *before* the memo and
+//! the solver, so a forced-Unknown trail never touches the simplifier's
+//! rewrite memo; the engine's rotated-phase-seed retry always solves
+//! unsimplified (a non-zero phase seed skips the simplifier in
 //! `p4t_smt::Solver::check_feasible`); and an injected panic makes the
-//! worker drop its warm core (`reset_warm`) exactly as an organic panic
-//! would. Faulted runs are therefore byte-identical between
-//! `--solver-mode fresh` and `incremental`, which `tests/determinism.rs`
-//! checks directly.
+//! worker drop that memo (`Solver::reset`) exactly as an organic panic
+//! would. Faulted runs are therefore byte-identical at any worker count,
+//! which `tests/determinism.rs` checks directly.
 
 use std::collections::BTreeSet;
 use std::time::Duration;

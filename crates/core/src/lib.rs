@@ -69,8 +69,7 @@ pub use preconditions::Preconditions;
 pub use state::{Cmd, ExecState, FinishReason};
 pub use sym::Sym;
 pub use target::{ExecCtx, ExtArg, ExternOutcome, PipeStep, Target, UninitPolicy};
-pub use p4t_smt::SolverMode;
-pub use config::{ConfigError, ObsConfig, Strategy, TestgenConfig};
+pub use config::{ConfigError, ObsConfig, SolverMode, Strategy, TestgenConfig};
 pub use memo::SharedFeasMemo;
 pub use summary::{
     classify_abandon_reason, reason, DifferentialSummary, ErrorStats, PanicRecord, PhaseStats,

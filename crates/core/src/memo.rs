@@ -153,7 +153,7 @@ pub(crate) const AUDIT_FAILURE: &str = "memo audit failed";
 /// Debug-build audit of one memo lookup for `constraints`. The fingerprint
 /// `fp` a path carried must equal the whole list's, which catches a stale
 /// frame. A hit's verdict must survive a re-solve on a scratch fresh solver
-/// under the run's conflict budget, so the worker's solver, warm core,
+/// under the run's conflict budget, so the worker's solver, rewrite memo,
 /// phase seed and counters stay untouched; an Unknown answer proves nothing
 /// either way.
 #[cfg(debug_assertions)]
@@ -183,9 +183,65 @@ pub(crate) fn audit_lookup(
     }
 }
 
+/// Prefix of the panic message a failed feasibility audit raises in debug
+/// builds.
+#[cfg(debug_assertions)]
+pub(crate) const FEASIBILITY_AUDIT_FAILURE: &str = "feasibility audit failed";
+
+/// Whether a panic message is a failed audit: an engine bug, not a path
+/// fault.
+#[cfg(debug_assertions)]
+pub(crate) fn is_audit_failure(msg: &str) -> bool {
+    msg.starts_with(AUDIT_FAILURE) || msg.starts_with(FEASIBILITY_AUDIT_FAILURE)
+}
+
+/// Debug-build audit of one simplified feasibility verdict: a scratch
+/// solver re-solves `constraints` unsimplified and with no budget, and must
+/// agree. The simplifier's unit tests check equisatisfiability only on
+/// small domains; this checks every verdict it decides in a run. An
+/// Unknown verdict claims nothing and passes.
+#[cfg(debug_assertions)]
+pub(crate) fn audit_feasible(
+    pool: &p4t_smt::TermPool,
+    constraints: &[p4t_smt::TermId],
+    verdict: p4t_smt::CheckResult,
+) -> Result<(), String> {
+    use p4t_smt::{CheckResult, Solver};
+    if verdict == CheckResult::Unknown {
+        return Ok(());
+    }
+    let unsimplified = Solver::new().check_assuming(pool, constraints);
+    if unsimplified == verdict {
+        Ok(())
+    } else {
+        Err(format!(
+            "{FEASIBILITY_AUDIT_FAILURE}: the simplified check says {verdict:?}, \
+             an unsimplified solve says {unsimplified:?}"
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The feasibility audit accepts true verdicts and refutes a wrong one
+    /// either way; Unknown passes.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn feasibility_audit_refutes_a_wrong_verdict() {
+        use p4t_smt::CheckResult::{Sat, Unknown, Unsat};
+        let p = p4t_smt::TermPool::new();
+        let x = p.fresh_var("x", 8);
+        let is5 = p.eq(x, p.const_u128(8, 5));
+        let is6 = p.eq(x, p.const_u128(8, 6));
+        assert_eq!(audit_feasible(&p, &[is5], Sat), Ok(()));
+        assert_eq!(audit_feasible(&p, &[is5, is6], Unsat), Ok(()));
+        assert_eq!(audit_feasible(&p, &[is5, is6], Unknown), Ok(()));
+        let err = audit_feasible(&p, &[is5], Unsat).unwrap_err();
+        assert!(is_audit_failure(&err), "{err}");
+        assert!(audit_feasible(&p, &[is5, is6], Sat).is_err());
+    }
 
     /// The audit accepts a true verdict and refutes a planted wrong one,
     /// whichever way the plant points, and a stale fingerprint.

@@ -224,12 +224,10 @@ mod tests {
         let ks = keys(&pool);
         let c = compile_restriction(&pool, "a == 7", &ks).unwrap().unwrap();
         let mut solver = Solver::new();
-        solver.assert(&pool, c);
         // Also assert a != 7: unsat.
         let a = ks[0].value.unwrap();
         let seven = pool.const_u128(8, 7);
         let neq = pool.neq(a, seven);
-        solver.assert(&pool, neq);
-        assert_eq!(solver.check(&pool), CheckResult::Unsat);
+        assert_eq!(solver.check_assuming(&pool, &[c, neq]), CheckResult::Unsat);
     }
 }

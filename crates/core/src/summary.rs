@@ -5,7 +5,7 @@
 use crate::coverage::{AbandonSite, CoverageReport};
 use p4t_obs::trace::TraceLog;
 use p4t_smt::solver::IncrementalStats;
-use p4t_smt::SolverMode;
+use crate::config::SolverMode;
 use serde::value::{Number, Value};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -255,12 +255,8 @@ pub struct RunSummary {
     /// Fork-feasibility checks answered from the constraint-set memo
     /// instead of the solver.
     pub memo_hits: u64,
-    /// Feasibility-check discipline this run used.
-    pub solver_mode: SolverMode,
-    /// Warm-spine / simplifier / blast-cache counters for this run (all
-    /// zero under [`SolverMode::Fresh`] except the blast-cache ones, which
-    /// fresh instances also report). The `learnt_*` keys are retired and
-    /// always 0.
+    /// Simplifier and blast-cache counters for this run. The warm-core
+    /// (`rebuilds`, `roots_*`) and `learnt_*` keys are retired and always 0.
     pub solver: IncrementalStats,
     /// Degradation taxonomy (budget Unknowns, isolated panics, deadline,
     /// model-default fallbacks, per-reason abandoned counts).
@@ -507,7 +503,7 @@ impl RunSummary {
         let i = &self.solver;
         let cache_total = i.blast_cache_hits + i.blast_cache_misses;
         let solver = Value::Object(vec![
-            ("mode".into(), Value::String(self.solver_mode.as_str().into())),
+            ("mode".into(), Value::String(SolverMode::default().as_str().into())),
             ("warm_checks".into(), Value::Number(Number::U(i.warm_checks))),
             ("fresh_fallbacks".into(), Value::Number(Number::U(i.fresh_fallbacks))),
             ("rebuilds".into(), Value::Number(Number::U(i.rebuilds))),

@@ -42,7 +42,7 @@ use p4t_ir::{IrProgram, StmtId};
 use p4t_obs::trace::PathOutcome;
 use p4t_obs::Registry;
 use p4t_smt::sat::{SatStats, LEARNT_SIZE_BOUNDS};
-use p4t_smt::solver::{SolverStats, CONFLICTS_PER_CHECK_BOUNDS, SPINE_PER_CHECK_BOUNDS};
+use p4t_smt::solver::{SolverStats, CONFLICTS_PER_CHECK_BOUNDS};
 use p4t_smt::TermPool;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -157,7 +157,7 @@ impl CompiledProgram {
 /// The suite-deciding fingerprint for a compiled program under `config`:
 /// everything that decides the emitted bytes — the compiled source, the
 /// target, and the suite-affecting config fields. Schedule-only knobs
-/// (`jobs`, `deadline`, `solver_mode`, fault plans, observability,
+/// (`jobs`, `deadline`, fault plans, observability,
 /// checkpoint/resume/drain wiring, shared memo, and the shard spec — the
 /// *merged* suite is shard-independent) are excluded, so a resumed run may
 /// change them and still complete the identical suite. Exposed free-form so
@@ -724,7 +724,6 @@ impl Testgen {
             phases,
             solver_checks,
             memo_hits,
-            solver_mode: self.config.solver_mode,
             solver: std::mem::take(&mut out.inc_stats),
             errors,
             test_trails,
@@ -815,32 +814,13 @@ fn fold_run_metrics(
     reg.counter("p4testgen_memo_lookups_total", "feasibility-memo lookups").add(sh.memo.lookups.load(Ordering::Relaxed));
     reg.counter("p4testgen_memo_hits_total", "feasibility-memo hits").add(summary.memo_hits);
 
-    // The incremental layer: warm spine core, simplifier, blast cache.
+    // The feasibility layer: simplifier, blast cache.
     let inc = &summary.solver;
-    let warm_help = "feasibility checks by solving discipline";
-    reg.counter_with("p4testgen_feasibility_checks_total", warm_help, &[("path", "warm")])
+    let path_help = "feasibility checks by solving path";
+    reg.counter_with("p4testgen_feasibility_checks_total", path_help, &[("path", "simplified")])
         .add(inc.warm_checks);
-    reg.counter_with("p4testgen_feasibility_checks_total", warm_help, &[("path", "fresh_fallback")])
+    reg.counter_with("p4testgen_feasibility_checks_total", path_help, &[("path", "fresh_fallback")])
         .add(inc.fresh_fallbacks);
-    reg.counter("p4testgen_warm_rebuilds_total", "warm-core rebuilds (garbage-growth policy)")
-        .add(inc.rebuilds);
-    let roots_help = "spine constraint encodings by reuse";
-    reg.counter_with("p4testgen_spine_roots_total", roots_help, &[("kind", "reused")])
-        .add(inc.roots_reused);
-    reg.counter_with("p4testgen_spine_roots_total", roots_help, &[("kind", "blasted")])
-        .add(inc.roots_blasted);
-    reg.histogram(
-        "p4testgen_spine_reused_per_check",
-        "assertions reused from the warm core per check",
-        &SPINE_PER_CHECK_BOUNDS,
-    )
-    .merge_prebucketed(&inc.reused_per_check_hist, inc.roots_reused);
-    reg.histogram(
-        "p4testgen_spine_blasted_per_check",
-        "assertions newly blasted per check",
-        &SPINE_PER_CHECK_BOUNDS,
-    )
-    .merge_prebucketed(&inc.blasted_per_check_hist, inc.roots_blasted);
     let cache_help = "blaster term-cache outcomes";
     reg.counter_with("p4testgen_blast_cache_total", cache_help, &[("outcome", "hit")])
         .add(inc.blast_cache_hits);

@@ -274,7 +274,7 @@ pub(crate) struct WorkerOut {
     pub(crate) phases: PhaseStats,
     pub(crate) solver_stats: SolverStats,
     pub(crate) sat_stats: SatStats,
-    /// Warm-spine / simplifier / blast-cache counters.
+    /// Simplifier / blast-cache counters.
     pub(crate) inc_stats: IncrementalStats,
     /// This worker's path records and engine events (see `PathWorker::log`).
     pub(crate) log: Option<TraceLog>,
@@ -450,7 +450,6 @@ pub(crate) fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pendin
     let metrics_on = sh.config.obs.metrics.is_some();
     let mut solver = Solver::new();
     solver.set_budget(SolveBudget::conflicts(sh.config.solver_budget));
-    solver.set_mode(sh.config.solver_mode);
     let mut w = PathWorker {
         sh,
         widx: widx as u32,
@@ -592,17 +591,17 @@ pub(crate) fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pendin
         let mut st = p.st;
         let outcome = catch_unwind(AssertUnwindSafe(|| w.process(&mut st)));
         if let Err(payload) = outcome {
-            // A failed memo audit (a refuted verdict or a stale frame) is an
-            // engine bug, not a path fault: it fails the run instead of
-            // abandoning one path.
+            // A failed memo or feasibility audit (a refuted verdict or a
+            // stale frame) is an engine bug, not a path fault: it fails the
+            // run instead of abandoning one path.
             #[cfg(debug_assertions)]
-            if panic_payload_text(payload.as_ref()).starts_with(crate::memo::AUDIT_FAILURE) {
+            if crate::memo::is_audit_failure(&panic_payload_text(payload.as_ref())) {
                 std::panic::resume_unwind(payload);
             }
-            // The warm spine core may have been abandoned mid-push by
-            // the unwound frame; drop it so the next feasibility check
-            // rebuilds from its own (fully specified) constraint set.
-            w.solver.reset_warm();
+            // The unwound frame may have left a simplification round
+            // half done; drop the rewrite memo so the next feasibility
+            // check starts from its own constraint list alone.
+            w.solver.reset();
             w.abandoned += 1;
             w.errors.panicked_paths += 1;
             w.errors.bump_reason(reason::PANIC);
@@ -848,11 +847,12 @@ impl PathWorker<'_, '_> {
         self.checked_impl(trail, assumptions, false)
     }
 
-    /// Like [`PathWorker::checked`] but verdict-only: eligible for the warm
-    /// spine core under `SolverMode::Incremental`. The Unknown retry path is
-    /// identical — with a budget set, `check_feasible` always solves fresh,
-    /// and the rotated phase seed forces fresh too, so retry verdicts are a
-    /// pure function of (constraints, budget, seed, trail) in both modes.
+    /// Like [`PathWorker::checked`] but verdict-only, so the solver may
+    /// simplify first. The Unknown retry path is identical — with a budget
+    /// set, `check_feasible` solves unsimplified, and the rotated phase seed
+    /// does too, so retry verdicts are a pure function of (constraints,
+    /// budget, seed, trail). Debug builds audit every simplified verdict
+    /// against an unsimplified solve.
     fn checked_feasible(&mut self, trail: &[u32], assumptions: &[TermId]) -> CheckResult {
         self.checked_impl(trail, assumptions, true)
     }
@@ -872,6 +872,12 @@ impl PathWorker<'_, '_> {
             }
         };
         let mut res = query(&mut self.solver);
+        #[cfg(debug_assertions)]
+        if verdict_only && self.solver.budget().is_unlimited() {
+            if let Err(msg) = crate::memo::audit_feasible(sh.pool, assumptions, res) {
+                panic!("{msg} at trail {trail:?}");
+            }
+        }
         if res == CheckResult::Unknown {
             self.errors.budget_retries += 1;
             self.event("budget-retry", Some(trail), None);

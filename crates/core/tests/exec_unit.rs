@@ -447,14 +447,13 @@ fn repeated_runs_of_one_driver_report_their_own_solver_checks() {
 
 #[test]
 fn emission_makes_one_model_bearing_check_per_test() {
-    // In incremental mode with no budget every feasibility check runs on
-    // the warm spine core, so the rest of `solver_checks` are the fresh,
-    // model-bearing ones: exactly one per emitted test, with the random
-    // entry-argument proposals checked first and their model kept.
+    // With no budget every feasibility check goes through the simplifier,
+    // so the rest of `solver_checks` are the model-bearing ones: exactly
+    // one per emitted test, with the random entry-argument proposals
+    // checked first and their model kept.
     let src = p4t_corpus::generate_synthetic(2, 3);
     let config = TestgenConfig {
         jobs: 1,
-        solver_mode: p4t_smt::SolverMode::Incremental,
         solver_budget: 0,
         ..TestgenConfig::default()
     };
@@ -474,7 +473,6 @@ fn deep_parser_simplification_grows_linearly() {
     let run = |depth: u32| {
         let config = TestgenConfig {
             jobs: 1,
-            solver_mode: p4t_smt::SolverMode::Incremental,
             solver_budget: 0,
             ..TestgenConfig::default()
         };

@@ -2,8 +2,7 @@
 //!
 //! Every term maps to a vector of literals, least-significant bit first.
 //! Translation is cached per term, so shared subterms (the term pool is
-//! hash-consed) are encoded once — this is what makes the incremental solver
-//! facade cheap: pushing a new path constraint only encodes the new nodes.
+//! hash-consed) are encoded once per instance.
 //!
 //! An instance whose assertions are never retracted can also *bind* them
 //! ([`Blaster::assert_fresh`]): an asserted equality names the literals of a
@@ -439,20 +438,13 @@ impl Blaster {
         v
     }
 
-    /// Blast a 1-bit term and return its literal for use as an assumption.
-    pub fn assertion_lit(&mut self, sat: &mut SatSolver, pool: &TermPool, t: TermId) -> Lit {
-        assert_eq!(pool.width(t), 1, "assertions must be 1-bit terms");
-        self.blast(sat, pool, t)[0]
-    }
-
     // ---- binding top-level assertions ------------------------------------
 
     /// Assert the 1-bit term `t` for good: binding instead of encoding where
     /// the assertion allows it. Sound only on an instance that never
-    /// retracts an assertion (a bound variable *is* its asserted value), so
-    /// a warm core, whose constraints are retractable activation literals,
-    /// must use [`Blaster::assertion_lit`]. Returns `false` once the
-    /// instance is unsatisfiable at level 0.
+    /// retracts an assertion (a bound variable *is* its asserted value),
+    /// which every instance [`crate::solver::Solver`] builds is. Returns
+    /// `false` once the instance is unsatisfiable at level 0.
     ///
     /// A conjunction asserts both sides; `¬a` binds `a` to false; `a == b`
     /// blasts the side that cannot be bound and binds the other to its
@@ -582,9 +574,9 @@ mod tests {
     fn solve_term(pool: &TermPool, t: TermId) -> Option<crate::eval::Assignment> {
         let mut sat = SatSolver::new();
         let mut bl = Blaster::new(&mut sat);
-        let l = bl.assertion_lit(&mut sat, pool, t);
+        let l = bl.blast(&mut sat, pool, t)[0];
         sat.add_clause(&[l]);
-        if sat.solve(&[]) == SatResult::Unsat {
+        if sat.solve() == SatResult::Unsat {
             return None;
         }
         let mut asg = crate::eval::Assignment::new();
@@ -604,7 +596,7 @@ mod tests {
         let mut sat = SatSolver::new();
         let mut bl = Blaster::new(&mut sat);
         let ok = terms.iter().all(|&t| bl.assert_fresh(&mut sat, pool, t));
-        if !ok || sat.solve(&[]) == SatResult::Unsat {
+        if !ok || sat.solve() == SatResult::Unsat {
             return (bl, None);
         }
         let mut asg = crate::eval::Assignment::new();

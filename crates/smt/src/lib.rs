@@ -15,16 +15,15 @@
 //! * [`blast::Blaster`] — Tseitin bit-blasting of terms into CNF, cached per
 //!   term so shared path-prefix structure is encoded once.
 //! * [`sat::SatSolver`] — a CDCL SAT solver (two-watched literals, VSIDS,
-//!   first-UIP learning, Luby restarts, assumptions).
+//!   first-UIP learning, Luby restarts).
 //! * [`simplify`] — term-level preprocessing for feasibility checks:
 //!   constant folding over the conjunction and equality/substitution
 //!   propagation along the trail, re-interned so the blast cache is keyed
 //!   on simplified structure.
-//! * [`solver::Solver`] — the push/pop facade used by the symbolic
-//!   executor, with timing statistics for the Fig. 7 experiment. Two
-//!   disciplines behind one API: fresh-per-check for model-bearing
-//!   queries, and (by default) warm assumption-based incremental solving
-//!   along the DFS spine for verdict-only feasibility checks.
+//! * [`solver::Solver`] — the facade used by the symbolic executor, with
+//!   timing statistics for the Fig. 7 experiment. Every check binds its
+//!   constraint list into a fresh instance on recycled storage; verdict-only
+//!   feasibility checks run the simplifier first.
 //! * [`mod@eval`] — reference concrete evaluation of terms, used for model
 //!   checking, concolic execution, and cross-validation property tests.
 //!
@@ -47,5 +46,5 @@ pub use eval::{eval, Assignment};
 pub use fingerprint::stable_fingerprint;
 pub use sat::SolveBudget;
 pub use simplify::SimplifyStats;
-pub use solver::{CheckResult, IncrementalStats, Solver, SolverMode};
+pub use solver::{CheckResult, IncrementalStats, Solver};
 pub use term::{BinOp, Node, TermId, TermPool, VarId, VarWalk};

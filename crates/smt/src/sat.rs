@@ -1,6 +1,5 @@
 //! A CDCL SAT solver with two-watched literals, VSIDS branching, first-UIP
-//! clause learning, phase saving, Luby restarts, and assumption-based
-//! incremental solving.
+//! clause learning, phase saving and Luby restarts.
 //!
 //! This plays the role Z3's SAT core plays in the paper: path constraints are
 //! bit-blasted (see [`crate::blast`]) into CNF and solved here. The design
@@ -172,9 +171,8 @@ impl SatStats {
 
 /// The solver. Variables are created with [`SatSolver::new_var`], clauses
 /// added with [`SatSolver::add_clause`], and satisfiability queried with
-/// [`SatSolver::solve`]. Clauses persist across solve calls; per-query
-/// context is passed via assumptions, which is how the incremental push/pop
-/// facade in [`crate::solver`] is built.
+/// [`SatSolver::solve`]. The facade in [`crate::solver`] builds one
+/// instance per check, on storage recycled with [`SatSolver::reset`].
 pub struct SatSolver {
     clauses: Vec<Clause>,
     /// Every clause's literals, back to back, so adding a clause allocates
@@ -263,13 +261,6 @@ impl SatSolver {
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.assigns.len()
-    }
-
-    /// Whether the clause database is still consistent at level 0. Once a
-    /// level-0 conflict latches this false, the instance is permanently
-    /// Unsat — a warm incremental core observing this must rebuild.
-    pub fn is_ok(&self) -> bool {
-        self.ok
     }
 
     /// Create a fresh variable.
@@ -593,17 +584,16 @@ impl SatSolver {
         }
     }
 
-    /// Solve under the given assumptions. The assumptions hold only for this
-    /// call; learned clauses persist.
-    pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_budgeted(assumptions, &SolveBudget::UNLIMITED)
+    /// Solve the clauses added so far. Learned clauses persist.
+    pub fn solve(&mut self) -> SatResult {
+        self.solve_budgeted(&SolveBudget::UNLIMITED)
     }
 
-    /// Solve under the given assumptions and resource budget. Returns
-    /// [`SatResult::Unknown`] when the budget is exhausted; the solver state
-    /// remains consistent and reusable (budgets never mark the instance
-    /// unsat, and clauses learnt during the attempt are kept).
-    pub fn solve_budgeted(&mut self, assumptions: &[Lit], budget: &SolveBudget) -> SatResult {
+    /// Solve under a resource budget. Returns [`SatResult::Unknown`] when
+    /// the budget is exhausted; the solver state remains consistent and
+    /// reusable (budgets never mark the instance unsat, and clauses learnt
+    /// during the attempt are kept).
+    pub fn solve_budgeted(&mut self, budget: &SolveBudget) -> SatResult {
         if !self.ok {
             return SatResult::Unsat;
         }
@@ -639,15 +629,8 @@ impl SatSolver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                // Conflicts at or below the assumption prefix mean the
-                // assumptions themselves are inconsistent with the clauses.
                 let (learnt, bt_level) = self.analyze(conflict);
-                let assumption_level = self.assumption_level(assumptions);
-                if self.decision_level() <= assumption_level {
-                    return SatResult::Unsat;
-                }
-                let bt = bt_level;
-                self.backtrack(bt);
+                self.backtrack(bt_level);
                 self.stats.learnt_clauses += 1;
                 self.stats.learnt_literals += learnt.len() as u64;
                 let size = learnt.len() as u64;
@@ -656,7 +639,6 @@ impl SatSolver {
                 if learnt.len() == 1 {
                     if self.decision_level() > 0 {
                         self.backtrack(0);
-                        // Re-establish assumptions on the next loop iterations.
                     }
                     if self.value_lit(learnt[0]) == Value::False {
                         self.ok = false;
@@ -666,8 +648,7 @@ impl SatSolver {
                         self.enqueue(learnt[0], None);
                     }
                 } else {
-                    // The learnt clause is asserting at the backtrack level,
-                    // unless we had to jump further back for assumptions.
+                    // The learnt clause is asserting at the backtrack level.
                     let start = self.lits.len();
                     self.lits.extend_from_slice(&learnt);
                     let cref = self.attach_tail(start, true);
@@ -690,24 +671,6 @@ impl SatSolver {
                     self.backtrack(0);
                     continue;
                 }
-                // Establish pending assumptions as decisions.
-                let dl = self.decision_level() as usize;
-                if dl < assumptions.len() {
-                    let a = assumptions[dl];
-                    match self.value_lit(a) {
-                        Value::True => {
-                            // Already implied; open an empty decision level so
-                            // each assumption still owns one level.
-                            self.trail_lim.push(self.trail.len());
-                        }
-                        Value::False => return SatResult::Unsat,
-                        Value::Unassigned => {
-                            self.trail_lim.push(self.trail.len());
-                            self.enqueue(a, None);
-                        }
-                    }
-                    continue;
-                }
                 match self.pick_branch() {
                     None => return SatResult::Sat,
                     Some(l) => {
@@ -718,10 +681,6 @@ impl SatSolver {
                 }
             }
         }
-    }
-
-    fn assumption_level(&self, assumptions: &[Lit]) -> u32 {
-        (assumptions.len() as u32).min(self.decision_level())
     }
 
     // ---- activity-ordered heap ------------------------------------------
@@ -871,7 +830,7 @@ mod tests {
         let mut s = SatSolver::new();
         let v = s.new_var();
         s.add_clause(&[Lit::positive(v)]);
-        assert_eq!(s.solve(&[]), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         assert!(s.model_value(v));
     }
 
@@ -881,7 +840,7 @@ mod tests {
         let v = s.new_var();
         s.add_clause(&[Lit::positive(v)]);
         s.add_clause(&[Lit::negative(v)]);
-        assert_eq!(s.solve(&[]), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -892,7 +851,7 @@ mod tests {
             s.add_clause(&[Lit::negative(w[0]), Lit::positive(w[1])]);
         }
         s.add_clause(&[Lit::positive(vs[0])]);
-        assert_eq!(s.solve(&[]), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         for &v in &vs {
             assert!(s.model_value(v));
         }
@@ -919,20 +878,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(&[]), SatResult::Unsat);
-    }
-
-    #[test]
-    fn assumptions_are_transient() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[Lit::negative(a), Lit::positive(b)]);
-        assert_eq!(s.solve(&[Lit::positive(a), Lit::negative(b)]), SatResult::Unsat);
-        // The same formula is satisfiable without the assumptions.
-        assert_eq!(s.solve(&[]), SatResult::Sat);
-        assert_eq!(s.solve(&[Lit::positive(a)]), SatResult::Sat);
-        assert!(s.model_value(b));
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -940,10 +886,10 @@ mod tests {
         let mut s = SatSolver::new();
         let vs = lits(&mut s, 3);
         s.add_clause(&[Lit::positive(vs[0]), Lit::positive(vs[1])]);
-        assert_eq!(s.solve(&[]), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         s.add_clause(&[Lit::negative(vs[0])]);
         s.add_clause(&[Lit::negative(vs[1])]);
-        assert_eq!(s.solve(&[]), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -972,7 +918,7 @@ mod tests {
                 cls.push(c.clone());
                 s.add_clause(&c);
             }
-            if s.solve(&[]) == SatResult::Sat {
+            if s.solve() == SatResult::Sat {
                 for c in &cls {
                     assert!(
                         c.iter().any(|l| s.model_value(l.var()) == l.is_positive()),
@@ -1014,13 +960,13 @@ mod tests {
         let mut s = SatSolver::new();
         pigeonhole(&mut s, 6);
         assert_eq!(
-            s.solve_budgeted(&[], &SolveBudget::conflicts(3)),
+            s.solve_budgeted(&SolveBudget::conflicts(3)),
             SatResult::Unknown,
             "PH(7,6) cannot be refuted in 3 conflicts"
         );
         // The same instance must still answer Unsat without a budget —
         // Unknown leaves the solver consistent, it does not poison it.
-        assert_eq!(s.solve(&[]), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
         // A refutation this long crosses the Luby restart schedule.
         assert!(s.stats.restarts > 0, "PH(7,6) finished without a restart");
     }
@@ -1036,15 +982,15 @@ mod tests {
             s.add_clause(&[Lit::positive(a), Lit::positive(b)]);
         }
         let b = SolveBudget { decisions: 3, ..SolveBudget::UNLIMITED };
-        assert_eq!(s.solve_budgeted(&[], &b), SatResult::Unknown);
-        assert_eq!(s.solve(&[]), SatResult::Sat);
+        assert_eq!(s.solve_budgeted(&b), SatResult::Unknown);
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]
     fn unlimited_budget_matches_plain_solve() {
         let mut s = SatSolver::new();
         pigeonhole(&mut s, 3);
-        assert_eq!(s.solve_budgeted(&[], &SolveBudget::UNLIMITED), SatResult::Unsat);
+        assert_eq!(s.solve_budgeted(&SolveBudget::UNLIMITED), SatResult::Unsat);
     }
 
     #[test]
@@ -1061,7 +1007,7 @@ mod tests {
                 cls.push(c);
             }
             s.seed_phases(seed);
-            assert_eq!(s.solve(&[]), SatResult::Sat, "seed {seed}");
+            assert_eq!(s.solve(), SatResult::Sat, "seed {seed}");
             for c in &cls {
                 assert!(c.iter().any(|l| s.model_value(l.var()) == l.is_positive()));
             }
@@ -1093,16 +1039,16 @@ mod tests {
         let jobs: [Job; 6] = [
             |s| {
                 pigeonhole(s, 6);
-                s.solve_budgeted(&[], &SolveBudget::conflicts(3))
+                s.solve_budgeted(&SolveBudget::conflicts(3))
             },
             |s| {
                 random_3sat(s, 40, 120, 1);
                 s.seed_phases(0xDEAD_BEEF);
-                s.solve(&[])
+                s.solve()
             },
             |s| {
                 random_3sat(s, 150, 640, 2);
-                let r = s.solve(&[]);
+                let r = s.solve();
                 assert!(s.stats.learnt_clauses > 2000, "no learnt-clause reduction ran");
                 assert!(s.stats.restarts > 0, "no restart ran");
                 r
@@ -1111,17 +1057,18 @@ mod tests {
                 let v = s.new_var();
                 s.add_clause(&[Lit::positive(v)]);
                 s.add_clause(&[Lit::negative(v)]);
-                s.solve(&[])
+                s.solve()
             },
             |s| {
                 random_3sat(s, 30, 60, 3);
                 s.seed_phases(7);
-                s.solve_budgeted(&[], &SolveBudget { decisions: 4, ..SolveBudget::UNLIMITED })
+                s.solve_budgeted(&SolveBudget { decisions: 4, ..SolveBudget::UNLIMITED })
             },
             |s| {
                 let vs = lits(s, 3);
                 s.add_clause(&[Lit::negative(vs[0]), Lit::positive(vs[1])]);
-                s.solve(&[Lit::positive(vs[0]), Lit::negative(vs[2])])
+                s.add_clause(&[Lit::positive(vs[0]), Lit::negative(vs[2])]);
+                s.solve()
             },
         ];
         let mut reused = SatSolver::new();
@@ -1149,7 +1096,7 @@ mod tests {
         s.add_clause(&[Lit::positive(a), Lit::positive(b)]);
         s.add_clause(&[Lit::negative(a), Lit::negative(b)]);
         let mut solutions = Vec::new();
-        while s.solve(&[]) == SatResult::Sat {
+        while s.solve() == SatResult::Sat {
             let m = (s.model_value(a), s.model_value(b));
             solutions.push(m);
             s.add_clause(&[Lit::new(a, !m.0), Lit::new(b, !m.1)]);

@@ -1,5 +1,5 @@
 //! Term-level simplification of constraint conjunctions, run in front of
-//! the bit-blaster by the incremental solver facade.
+//! the bit-blaster by the solver facade's feasibility checks.
 // Same panic-freedom bar as the frontend: this runs on every feasibility
 // check, so recoverable handling only (CI runs clippy with these denies).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -7,7 +7,7 @@
 //!    satisfiable random formula must actually satisfy it.
 
 use proptest::prelude::*;
-use p4t_smt::{eval, Assignment, BitVec, CheckResult, Solver, TermId, TermPool};
+use p4t_smt::{eval, Assignment, BitVec, CheckResult, Solver, TermId, TermPool, VarWalk};
 
 fn mask(w: u32) -> u128 {
     if w >= 128 {
@@ -218,9 +218,8 @@ proptest! {
         let c = pool.const_u128(W as usize, rv as u128);
         let goal = pool.eq(t, c);
         let mut solver = Solver::new();
-        solver.assert(&pool, goal);
-        prop_assert_eq!(solver.check(&pool), CheckResult::Sat);
-        let model = solver.model_of_assertions(&pool);
+        prop_assert_eq!(solver.check_assuming(&pool, &[goal]), CheckResult::Sat);
+        let model = solver.model(&pool, &VarWalk::default().vars(&pool, [goal]));
         prop_assert!(eval(&pool, &model, goal).is_true(),
             "model does not satisfy the formula it was produced for");
     }
@@ -237,8 +236,6 @@ proptest! {
         let e1 = pool.eq(x, ca);
         let e2 = pool.eq(x, cb);
         let mut solver = Solver::new();
-        solver.assert(&pool, e1);
-        solver.assert(&pool, e2);
-        prop_assert_eq!(solver.check(&pool), CheckResult::Unsat);
+        prop_assert_eq!(solver.check_assuming(&pool, &[e1, e2]), CheckResult::Unsat);
     }
 }

@@ -17,7 +17,6 @@
 //!   --strategy <dfs|bfs|random|coverage>     path selection [dfs]
 //!   --jobs, -j <N>                           exploration worker threads [1]
 //!   --solver-budget <N>                      per-query conflict budget (0 = unlimited) [0]
-//!   --solver-mode <fresh|incremental>        feasibility-check discipline [incremental]
 //!   --deadline <SECONDS>                     wall-clock run deadline (graceful drain)
 //!   --shard <i/N>                            explore only shard i of an N-way partition
 //!   --checkpoint <FILE>                      periodically persist resumable state (atomic)
@@ -117,7 +116,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: p4testgen --target <v1model|tna|t2na|ebpf_model> [--backend stf|ptf|proto|json]\n\
          \t[--max-tests N] [--seed N] [--strategy dfs|bfs|random|coverage] [--jobs N]\n\
-         \t[--solver-budget N] [--solver-mode fresh|incremental] [--deadline SECONDS]\n\
+         \t[--solver-budget N] [--deadline SECONDS]\n\
          \t[--shard i/N] [--checkpoint FILE] [--checkpoint-every SECONDS] [--resume FILE]\n\
          \t[--model-loop-bound N]\n\
          \t[--fixed-packet-size BYTES] [--with-constraints] [--out FILE]\n\

@@ -766,7 +766,10 @@ fn cli_option_values_go_through_config_set() {
         assert!(stderr.contains("usage:"), "{stderr}");
     }
     // `-j` is `--jobs`; an unknown engine flag is a usage error too.
-    for args in [&["-j", "0"][..], &["--deadline-s", "1"], &["--max_tests", "1"]] {
+    // The retired `solver_mode` key is unknown too.
+    let retired = flag("solver_mode");
+    let retired = [retired.as_str(), "incremental"];
+    for args in [&["-j", "0"][..], &["--deadline-s", "1"], &["--max_tests", "1"], &retired] {
         let out = bin().args(["--target", "v1model"]).args(args).arg(&prog).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
     }

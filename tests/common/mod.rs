@@ -19,7 +19,6 @@ pub const EXAMPLE_VALUES: &[(&str, &str, &str)] = &[
     ("strategy", "bfs", "sideways"),
     ("jobs", "2", "0"),
     ("solver_budget", "100000", "abc"),
-    ("solver_mode", "fresh", "warm"),
     ("deadline", "300", "-1"),
     ("deadline_ms", "300000", "1.5"),
     ("shard", "0/2", "4/4"),

@@ -19,7 +19,8 @@ fn set_accepts_good_values_and_rejects_bad_ones_unchanged() {
         }
         assert_eq!(format!("{config:?}"), before, "{key}={bad} changed the config");
     }
-    for key in ["max-tests", "deadline_s", ""] {
+    // `solver_mode` is retired: there is one feasibility discipline.
+    for key in ["max-tests", "deadline_s", "", "solver_mode"] {
         let err = TestgenConfig::default().set(key, "1");
         assert_eq!(err, Err(ConfigError::UnknownKey(key.to_string())));
     }

@@ -1,7 +1,7 @@
 //! Determinism of exploration: for a fixed seed, every way of running a
 //! program must emit the same test suite. Path identity is the fork trail
 //! (schedule-independent), per-path randomness is seeded from the trail,
-//! and emission is trail-sorted — so worker count, solver mode, sharding,
+//! and emission is trail-sorted — so worker count, sharding,
 //! checkpoint and resume, observability and the serve daemon must agree
 //! with one plain run, not just as sets but in order. `check_matrix` checks
 //! all of them as the columns of one table.
@@ -139,17 +139,11 @@ fn pairs_label(pairs: Pairs) -> String {
     pairs.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
 }
 
-/// Worker counts × solver modes. The incremental warm core is verdict-only
-/// and every emitted byte comes from a fresh model-bearing check, so every
-/// cell must emit the reference suite byte for byte, in trail order.
-const JOBS_X_MODES: &[Col] = &[
-    plain(&[("jobs", "1"), ("solver_mode", "fresh")]),
-    plain(&[("jobs", "1"), ("solver_mode", "incremental")]),
-    plain(&[("jobs", "4"), ("solver_mode", "fresh")]),
-    plain(&[("jobs", "4"), ("solver_mode", "incremental")]),
-    plain(&[("jobs", "8"), ("solver_mode", "fresh")]),
-    plain(&[("jobs", "8"), ("solver_mode", "incremental")]),
-];
+/// Worker counts. Every emitted byte comes from a model-bearing check of
+/// the path's own constraint list, so every cell must emit the reference
+/// suite byte for byte, in trail order.
+const JOBS_1_4_8: &[Col] =
+    &[plain(&[("jobs", "1")]), plain(&[("jobs", "4")]), plain(&[("jobs", "8")])];
 
 /// Full exploration visits the same path set under any strategy, also with
 /// a parallel pool (the strategy only orders each worker's local deque), so
@@ -551,7 +545,7 @@ fn check_observed(
 /// The equivalence matrix: for a fixed seed, every column of a row must
 /// reproduce the row's reference cell (its first column, a plain run).
 /// Path identity is the fork trail, per-path randomness is seeded from it,
-/// and emission is trail-sorted, so worker count, solver mode, sharding,
+/// and emission is trail-sorted, so worker count, sharding,
 /// checkpoint and resume, observability and serving may not change the
 /// suite, its order, or (uncapped) the test and coverage counts. A
 /// `max_tests = k` cap keeps the k lexicographically-smallest trails, so
@@ -657,18 +651,14 @@ fn check_matrix(rows: &[Row]) {
                         }
                     }
                 }
-                // The comparison is only meaningful if the warm core ran in
-                // incremental cells and stayed off in fresh ones. (A resumed
-                // run may find every verdict in its restored memo.)
-                let mode = get("solver_mode")
-                    .unwrap_or_else(|| TestgenConfig::default().solver_mode.as_str());
-                if mode == "fresh" {
-                    assert_eq!(sum.solver.warm_checks, 0, "{ctx}: fresh mode went warm");
-                } else if one_run {
-                    assert!(sum.solver.warm_checks > 0, "{ctx}: warm core never used");
-                }
-                // The retired clause-exchange keys stay in the summary, always 0.
+                // The retired warm-core and clause-exchange keys stay in
+                // the summary, always 0.
                 let s = &sum.solver;
+                assert_eq!(
+                    (s.rebuilds, s.roots_reused, s.roots_blasted),
+                    (0, 0, 0),
+                    "{ctx}: retired warm-core counters moved"
+                );
                 assert_eq!(
                     (s.learnt_exported, s.learnt_imported, s.learnt_import_skipped),
                     (0, 0, 0),
@@ -685,14 +675,6 @@ fn check_matrix(rows: &[Row]) {
 #[test]
 fn corpus_programs_same_suite_at_jobs_1_and_4() {
     check_matrix(&corpus_rows(&[plain(&[("jobs", "1")]), plain(&[("jobs", "4")])]));
-}
-
-#[test]
-fn solver_modes_agree_on_corpus_programs() {
-    check_matrix(&corpus_rows(&[
-        plain(&[("jobs", "1"), ("solver_mode", "fresh")]),
-        plain(&[("jobs", "1"), ("solver_mode", "incremental")]),
-    ]));
 }
 
 /// Checkpointing persists the feasibility memo and serving shares one
@@ -721,21 +703,13 @@ fn fork_heavy_stress_jobs_8_no_duplicates_and_coverage_matches() {
 }
 
 #[test]
-fn solver_modes_emit_identical_suites_at_jobs_1_4_8() {
-    check_matrix(&fork_heavy_rows(&[&[]], JOBS_X_MODES));
+fn fork_heavy_suites_identical_at_jobs_1_4_8() {
+    check_matrix(&fork_heavy_rows(&[&[]], JOBS_1_4_8));
 }
 
 #[test]
 fn max_tests_cap_is_deterministic_across_job_counts() {
-    check_matrix(&fork_heavy_rows(
-        CAPS,
-        &[plain(&[("jobs", "1")]), plain(&[("jobs", "4")]), plain(&[("jobs", "8")])],
-    ));
-}
-
-#[test]
-fn solver_modes_identical_under_max_tests_cap() {
-    check_matrix(&fork_heavy_rows(CAPS, JOBS_X_MODES));
+    check_matrix(&fork_heavy_rows(CAPS, JOBS_1_4_8));
 }
 
 #[test]
@@ -749,18 +723,7 @@ fn strategies_explore_same_set_in_parallel() {
 #[test]
 fn fault_plan_injections_are_exact_and_schedule_independent() {
     let fault = Fault { unknown_at: &[0, 2, 4, 6, 8], panic_at: Some(1) };
-    let cols = &[plain(&[("jobs", "1")]), plain(&[("jobs", "4")]), plain(&[("jobs", "8")])];
-    check_matrix(&[faulted_row(fault, cols)]);
-}
-
-/// The fault machinery (forced Unknowns + injected panics) must not
-/// open a gap between the modes: injected Unknowns fire before the solver,
-/// retries force fresh solves in both modes, and a panic drops the warm
-/// core.
-#[test]
-fn solver_modes_identical_under_fault_plans() {
-    let fault = Fault { unknown_at: &[0, 2, 4], panic_at: Some(1) };
-    check_matrix(&[faulted_row(fault, JOBS_X_MODES)]);
+    check_matrix(&[faulted_row(fault, JOBS_1_4_8)]);
 }
 
 #[test]
@@ -914,16 +877,15 @@ fn saturating_unknown_injection_still_terminates_deterministically() {
 }
 
 #[test]
-fn incremental_run_reports_spine_reuse() {
-    // Sibling forks share their whole constraint prefix, so a DFS of a
-    // fork-heavy program must reuse warm-core encodings and hit the blast
-    // cache; the summary counters are how BENCH and operators see this.
+fn feasibility_run_reports_simplifier_and_blast_counters() {
+    // Every unbudgeted feasibility check goes through the simplifier, and
+    // an instance's blast cache serves shared subterms; the summary
+    // counters are how the benchmark and operators see this.
     let src = p4t_corpus::generate_synthetic(4, 3);
-    let config = config(&[("jobs", "1"), ("solver_mode", "incremental")]);
-    let (_, summary) = run("synthetic_4x3", &src, config);
+    let (_, summary) = run("synthetic_4x3", &src, config(&[("jobs", "1"), ("solver_budget", "0")]));
     let s = &summary.solver;
-    assert!(s.warm_checks > 0, "no warm checks recorded");
-    assert!(s.roots_reused > 0, "no spine reuse on a fork-heavy DFS");
+    assert!(s.warm_checks > 0, "no simplified feasibility checks recorded");
+    assert_eq!(s.fresh_fallbacks, 0, "an unbudgeted run fell back");
     assert!(s.blast_cache_hits > 0, "no blast-cache hits recorded");
 }
 
