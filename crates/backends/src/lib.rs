@@ -87,7 +87,7 @@ pub(crate) fn sample_spec() -> TestSpec {
             packet: MaskedBytes::exact(vec![0xBE, 0xEF]),
         }],
         covered_statements: vec![1, 2],
-        trace: vec![],
+        trace: Default::default(),
     }
 }
 

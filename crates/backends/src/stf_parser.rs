@@ -130,7 +130,7 @@ pub fn parse_stf(source: &str) -> Result<Vec<TestSpec>, StfParseError> {
                     register_expect: Vec::new(),
                     outputs: Vec::new(),
                     covered_statements: Vec::new(),
-                    trace: Vec::new(),
+                    trace: Default::default(),
                 });
                 next_id += 1;
             }

@@ -35,7 +35,7 @@ pub fn compile_restriction(
 
 fn key_term(keys: &[SynthKeyMatch], name: &str) -> Option<(TermId, u32)> {
     keys.iter()
-        .find(|k| k.key_name == name || k.key_name.ends_with(&format!(".{name}")))
+        .find(|k| &*k.key_name == name || k.key_name.ends_with(&format!(".{name}")))
         .and_then(|k| k.value.map(|v| (v, k.width)))
 }
 

@@ -22,6 +22,8 @@ use crate::sym::Sym;
 use p4t_ir::{IrStmt, StateId, StmtId};
 use p4t_smt::fingerprint::FingerprintFrame;
 use p4t_smt::{BitVec, TermId, TermPool};
+use serde::value::Value;
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::{Bound, Deref, DerefMut};
@@ -81,8 +83,9 @@ impl<T: fmt::Debug> fmt::Debug for Shared<T> {
 }
 
 /// The human-readable execution trace: a persistent list whose newest
-/// entry points at the one before it. A push allocates one node and a fork
-/// shares the whole history.
+/// entry points at the one before it. A push allocates one node, and a
+/// fork, or a test emitted from the path, shares the whole history. Its
+/// serialized and debug forms are the entries in push order.
 #[derive(Clone, Default)]
 pub struct Trace(Option<Arc<TraceNode>>);
 
@@ -103,17 +106,26 @@ impl Trace {
     }
 
     /// The entries, newest first.
-    fn iter(&self) -> impl Iterator<Item = &str> {
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
         std::iter::successors(self.0.as_deref(), |n| n.prev.as_deref()).map(|n| n.msg.as_str())
     }
 
-    /// The entries in push order, in a `Vec` of exactly their number (a
-    /// test keeps it for the rest of the run).
-    pub fn to_vec(&self) -> Vec<String> {
-        let mut v = Vec::with_capacity(self.iter().count());
-        v.extend(self.iter().map(str::to_owned));
+    /// The entries in push order.
+    pub fn lines(&self) -> Vec<&str> {
+        let mut v: Vec<&str> = self.iter().collect();
         v.reverse();
         v
+    }
+}
+
+impl FromIterator<String> for Trace {
+    /// A trace of `lines`, pushed in order.
+    fn from_iter<I: IntoIterator<Item = String>>(lines: I) -> Self {
+        let mut t = Trace::default();
+        for l in lines {
+            t.push(l);
+        }
+        t
     }
 }
 
@@ -130,9 +142,29 @@ impl Drop for Trace {
     }
 }
 
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Trace {}
+
 impl fmt::Debug for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.to_vec()).finish()
+        f.debug_list().entries(self.lines()).finish()
+    }
+}
+
+impl Serialize for Trace {
+    fn to_value(&self) -> Value {
+        self.lines().to_value()
+    }
+}
+
+impl Deserialize for Trace {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(Vec::<String>::from_value(v)?.into_iter().collect())
     }
 }
 
@@ -171,11 +203,12 @@ pub enum FinishReason {
     Abandoned(String),
 }
 
-/// A synthesized table-key match in a control-plane entry.
+/// A synthesized table-key match in a control-plane entry. Its names are
+/// shared strings (a program table's are the IR's), so a copy copies none.
 #[derive(Clone, Debug)]
 pub struct SynthKeyMatch {
-    pub key_name: String,
-    pub match_kind: String,
+    pub key_name: Arc<str>,
+    pub match_kind: Arc<str>,
     pub width: u32,
     /// Exact value / ternary value / lpm prefix value / range low bound.
     pub value: Option<TermId>,
@@ -187,15 +220,17 @@ pub struct SynthKeyMatch {
     pub prefix_len: Option<u32>,
 }
 
-/// A synthesized control-plane entry (one per table per path, §6).
+/// A synthesized control-plane entry (one per table per path, §6). Its
+/// names are shared strings (a program table's are the IR's), so a copy
+/// copies none.
 #[derive(Clone, Debug)]
 pub struct SynthEntry {
     /// Control-plane table name.
-    pub table: String,
+    pub table: Arc<str>,
     pub keys: Vec<SynthKeyMatch>,
-    pub action: String,
+    pub action: Arc<str>,
     /// (param name, value term, width).
-    pub args: Vec<(String, TermId, u32)>,
+    pub args: Vec<(Arc<str>, TermId, u32)>,
     pub priority: u32,
 }
 
@@ -240,8 +275,9 @@ pub struct ExecState {
     /// Flattened storage: global path → symbolic value. A `BTreeMap` so that
     /// iteration (e.g. [`ExecState::slots`], used for clone / resubmit
     /// metadata) is deterministic and independent of insertion history — a
-    /// requirement for reproducible parallel exploration.
-    env: Shared<BTreeMap<String, Sym>>,
+    /// requirement for reproducible parallel exploration. Keys are shared
+    /// strings, so the copy a fork's first write makes copies no name.
+    env: Shared<BTreeMap<Arc<str>, Sym>>,
     /// Path constraints (1-bit terms), in collection order. Append-only:
     /// `fingerprint` folds a prefix of it.
     pub constraints: Vec<TermId>,
@@ -317,7 +353,7 @@ impl ExecState {
         match self.env.get_mut(path) {
             Some(slot) => *slot = value,
             None => {
-                self.env.insert(path.to_string(), value);
+                self.env.insert(Arc::from(path), value);
             }
         }
     }
@@ -347,8 +383,8 @@ impl ExecState {
     }
 
     /// Iterate over all global slots (diagnostics, clone semantics).
-    pub fn slots(&self) -> impl Iterator<Item = (&String, &Sym)> {
-        self.env.iter()
+    pub fn slots(&self) -> impl Iterator<Item = (&str, &Sym)> {
+        self.env.iter().map(|(k, v)| (&**k, v))
     }
 
     // ---- constraints ---------------------------------------------------------
@@ -534,10 +570,10 @@ mod tests {
         let mut child = parent.fork(1);
         child.log("c");
         parent.log("d");
-        assert_eq!(parent.trace.to_vec(), ["a", "b", "d"]);
+        assert_eq!(parent.trace.lines(), ["a", "b", "d"]);
         assert_eq!(child.trace.last(), Some("c"));
         drop(parent);
-        assert_eq!(child.trace.to_vec(), ["a", "b", "c"]);
+        assert_eq!(child.trace.lines(), ["a", "b", "c"]);
         assert_eq!(child.trace.iter().collect::<Vec<_>>(), ["c", "b", "a"]);
     }
 
@@ -566,7 +602,7 @@ mod tests {
             st.write(path, v.clone());
         }
         st.clear_prefix("meta");
-        let left: Vec<&str> = st.slots().map(|(k, _)| k.as_str()).collect();
+        let left: Vec<&str> = st.slots().map(|(k, _)| k).collect();
         assert_eq!(left, ["meta/x", "meta_x", "metadata.z"], "prefix must match whole segment");
     }
 

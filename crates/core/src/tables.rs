@@ -178,7 +178,7 @@ fn synthesize_entry_fork(
             hi: None,
             prefix_len: None,
         };
-        match key.match_kind.as_str() {
+        match &*key.match_kind {
             "exact" => {
                 if k.is_tainted() {
                     return Ok(None); // cannot guarantee a match

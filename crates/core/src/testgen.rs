@@ -408,7 +408,6 @@ impl Testgen {
             program_name: &self.program_name,
             next_id: AtomicU64::new(0),
             live: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
             best: Mutex::new(BinaryHeap::new()),
             coverage: SharedCoverage::new(&self.prog),
             memo: FeasMemo::new(

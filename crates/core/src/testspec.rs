@@ -6,6 +6,7 @@
 //! don't-care masks over tainted bits. Test back ends (STF, PTF, Protobuf)
 //! concretize this structure into their own formats.
 
+use crate::state::Trace;
 use serde::{Deserialize, Serialize};
 
 /// Bytes plus a per-bit care mask of equal length (mask bit 1 = verify this
@@ -127,8 +128,10 @@ pub struct TestSpec {
     pub outputs: Vec<OutputPacketSpec>,
     /// Statement ids covered by this test's path.
     pub covered_statements: Vec<u32>,
-    /// Human-readable trace of the path (for debugging failing tests).
-    pub trace: Vec<String>,
+    /// Human-readable trace of the path (for debugging failing tests). The
+    /// path's own persistent list: tests share the prefixes their paths
+    /// share, and a clone copies no line.
+    pub trace: Trace,
 }
 
 impl TestSpec {
@@ -157,9 +160,8 @@ mod tests {
         assert_eq!(mb.to_hex(), "ab*d");
     }
 
-    #[test]
-    fn serde_round_trip() {
-        let spec = TestSpec {
+    fn sample(trace: &[&str]) -> TestSpec {
+        TestSpec {
             id: 1,
             program: "p".into(),
             target: "v1model".into(),
@@ -180,10 +182,39 @@ mod tests {
                 packet: MaskedBytes::exact(vec![1, 2, 3]),
             }],
             covered_statements: vec![0, 1],
-            trace: vec!["x".into()],
-        };
+            trace: trace.iter().map(|l| l.to_string()).collect(),
+        }
+    }
+
+    #[test]
+    fn serde_round_trip() {
+        let spec = sample(&["x"]);
         let json = serde_json::to_string(&spec).unwrap();
         let back: TestSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
     }
+
+    /// The serialized and debug forms of a spec are pinned: the trace is an
+    /// array of its lines in push order, whatever its representation.
+    #[test]
+    fn serialized_form_is_pinned() {
+        let spec = sample(&["start", "C.t: synthesized entry -> a", "emit \"eth\""]);
+        let json = serde_json::to_string(&spec).unwrap();
+        assert_eq!(json, PINNED_JSON);
+        let back: TestSpec = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, spec);
+        assert_ne!(back, sample(&["start", "C.t: synthesized entry -> a"]));
+        let debug = r#"["start", "C.t: synthesized entry -> a", "emit \"eth\""]"#;
+        assert_eq!(format!("{:?}", spec.trace), debug);
+    }
+
+    /// Written by the serializer when the trace was a `Vec<String>`.
+    const PINNED_JSON: &str = concat!(
+        r#"{"id":1,"program":"p","target":"v1model","seed":42,"input_port":0,"#,
+        r#""input_packet":[1,2,3],"entries":[{"table":"C.t","keys":[{"Exact":"#,
+        r#"{"name":"k","value":[190,239]}}],"action":"C.a","action_args":[["port",[2]]],"#,
+        r#""priority":0}],"register_init":[],"register_expect":[],"outputs":[{"port":2,"#,
+        r#""packet":{"data":[1,2,3],"mask":[255,255,255]}}],"covered_statements":[0,1],"#,
+        r#""trace":["start","C.t: synthesized entry -> a","emit \"eth\""]}"#,
+    );
 }

@@ -87,9 +87,6 @@ pub(crate) struct Shared<'a> {
     /// States queued or being processed; exploration is done when a worker
     /// finds no work and this is zero.
     pub(crate) live: AtomicU64,
-    /// Cooperative stop: set on reaching a cap; workers drain their queues
-    /// without processing.
-    pub(crate) stop: AtomicBool,
     /// With `max_tests = k`: the k lexicographically-smallest emitted
     /// trails so far (a max-heap, so the worst retained trail is at the
     /// top). A pending state whose trail is ≥ the heap's top once the heap
@@ -137,9 +134,9 @@ pub(crate) struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// Has the run deadline expired? Latches the verdict and sets the
-    /// cooperative stop flag on first observation, so workers drain their
-    /// queues and the run ends with a deterministic partial suite.
+    /// Has the run deadline expired? Latches the verdict on first
+    /// observation, so workers drain their queues and the run ends with a
+    /// deterministic partial suite.
     pub(crate) fn deadline_expired(&self) -> bool {
         let Some(d) = self.deadline else { return false };
         if self.deadline_hit.load(Ordering::Relaxed) {
@@ -147,7 +144,6 @@ impl Shared<'_> {
         }
         if self.started.elapsed() >= d {
             self.deadline_hit.store(true, Ordering::Relaxed);
-            self.stop.store(true, Ordering::Relaxed);
             return true;
         }
         false
@@ -156,7 +152,7 @@ impl Shared<'_> {
     /// Has anything asked for a cooperative drain? Sources: an external
     /// drain flag (signal handler), the run deadline, or a kill fault
     /// (latched directly by the worker that popped the poisoned trail).
-    /// Latches `drain_hit` and the stop flag on first observation.
+    /// Latches `drain_hit` on first observation.
     pub(crate) fn drain_requested(&self) -> bool {
         if self.drain_hit.load(Ordering::Relaxed) {
             return true;
@@ -164,7 +160,6 @@ impl Shared<'_> {
         let external = self.config.drain.as_ref().is_some_and(|f| f.load(Ordering::Relaxed));
         if external {
             self.drain_hit.store(true, Ordering::Relaxed);
-            self.stop.store(true, Ordering::Relaxed);
             return true;
         }
         if self.deadline_expired() {
@@ -432,20 +427,18 @@ struct PathWorker<'a, 'b> {
 /// abort flag so siblings bail out and the join can report a [`RunError`](crate::RunError).
 struct AbortGuard<'x> {
     aborted: &'x AtomicBool,
-    stop: &'x AtomicBool,
 }
 
 impl Drop for AbortGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.aborted.store(true, Ordering::Relaxed);
-            self.stop.store(true, Ordering::Relaxed);
         }
     }
 }
 
 pub(crate) fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pending>) -> WorkerOut {
-    let _abort_guard = AbortGuard { aborted: &sh.aborted, stop: &sh.stop };
+    let _abort_guard = AbortGuard { aborted: &sh.aborted };
     let t_worker = Instant::now();
     let metrics_on = sh.config.obs.metrics.is_some();
     let mut solver = Solver::new();
@@ -557,24 +550,25 @@ pub(crate) fn run_worker(sh: &Shared<'_>, widx: usize, local: WorkerDeque<Pendin
         if sh.config.fault_plan.wants_kill(&p.st.trail) {
             sh.kill_hit.store(true, Ordering::Relaxed);
             sh.drain_hit.store(true, Ordering::Relaxed);
-            sh.stop.store(true, Ordering::Relaxed);
             w.event("kill-fault", Some(&p.st.trail), None);
             w.phases.busy += t_busy.elapsed();
             sh.live.fetch_sub(1, Ordering::AcqRel);
             continue;
         }
-        let mut discard = sh.stop.load(Ordering::Relaxed);
-        if !discard && sh.config.max_tests > 0 {
-            // Subtree pruning for the deterministic test cap: every test in
-            // this state's subtree has a trail ≥ the state's trail, so once
-            // k better trails exist the subtree cannot reach the final
-            // top-k. (The converse holds under any schedule: the heap's top
-            // only ever improves, so a state that could still contribute is
-            // never pruned — the final suite is schedule-independent.)
+        // Subtree pruning for the deterministic test cap: every test in
+        // this state's subtree has a trail ≥ the state's trail, so once k
+        // better trails exist the subtree cannot reach the final top-k.
+        // (The converse holds under any schedule: the heap's top only ever
+        // improves, so a state that could still contribute is never pruned
+        // — the final suite is schedule-independent.) Only the cap decides
+        // here: a drain another worker latches after the check above is
+        // seen at the next pop, and this state is processed in full, so a
+        // drain never drops a subtree from the frontier.
+        let discard = sh.config.max_tests > 0 && {
             let best = sh.best.lock();
-            discard = best.len() as u64 >= sh.config.max_tests
-                && best.peek().is_some_and(|worst| p.st.trail >= *worst);
-        }
+            best.len() as u64 >= sh.config.max_tests
+                && best.peek().is_some_and(|worst| p.st.trail >= *worst)
+        };
         if discard {
             // Cap discards *decide* the subtree (it can never contribute),
             // so it leaves the frontier — a resumed run agrees.
@@ -1291,14 +1285,14 @@ impl PathWorker<'_, '_> {
             .entries
             .iter()
             .map(|e| TableEntrySpec {
-                table: e.table.clone(),
+                table: e.table.to_string(),
                 keys: e.keys.iter().map(|k| self.concretize_key(k, &model)).collect(),
-                action: e.action.clone(),
+                action: e.action.to_string(),
                 action_args: e
                     .args
                     .iter()
                     .map(|(n, t, w)| {
-                        (n.clone(), value_bytes(&eval(sh.pool, &model, *t), *w))
+                        (n.to_string(), value_bytes(&eval(sh.pool, &model, *t), *w))
                     })
                     .collect(),
                 priority: e.priority,
@@ -1337,7 +1331,7 @@ impl PathWorker<'_, '_> {
             register_expect,
             outputs,
             covered_statements: st.covered.iter().map(|s| s.0).collect(),
-            trace: st.trace.to_vec(),
+            trace: st.trace.clone(),
         })
     }
 
@@ -1386,19 +1380,20 @@ impl PathWorker<'_, '_> {
         let val = |t: Option<TermId>| {
             t.map(|t| value_bytes(&eval(pool, model, t), k.width)).unwrap_or_default()
         };
-        match k.match_kind.as_str() {
+        let name = k.key_name.to_string();
+        match &*k.match_kind {
             "ternary" => KeyMatch::Ternary {
-                name: k.key_name.clone(),
+                name,
                 value: val(k.value),
                 mask: val(k.mask),
             },
             "lpm" => KeyMatch::Lpm {
-                name: k.key_name.clone(),
+                name,
                 value: val(k.value),
                 prefix_len: k.prefix_len.unwrap_or(k.width),
             },
             "range" => KeyMatch::Range {
-                name: k.key_name.clone(),
+                name,
                 lo: val(k.value),
                 hi: val(k.hi),
             },
@@ -1409,11 +1404,11 @@ impl PathWorker<'_, '_> {
                     .map(|m| eval(pool, model, m).is_zero())
                     .unwrap_or(false);
                 KeyMatch::Optional {
-                    name: k.key_name.clone(),
+                    name,
                     value: if wildcard { None } else { Some(val(k.value)) },
                 }
             }
-            _ => KeyMatch::Exact { name: k.key_name.clone(), value: val(k.value) },
+            _ => KeyMatch::Exact { name, value: val(k.value) },
         }
     }
 }

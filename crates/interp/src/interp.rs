@@ -128,10 +128,11 @@ impl CPacket {
 
 type IResult<T> = Result<T, InterpException>;
 
-/// One installed table entry, normalized for lookup.
+/// One installed table entry, normalized for lookup. Its key matches are
+/// the test's own.
 #[derive(Clone, Debug)]
-struct Entry {
-    keys: Vec<KeyMatch>,
+struct Entry<'p> {
+    keys: &'p [KeyMatch],
     action: ActionId,
     args: Vec<BitVec>,
     priority: u32,
@@ -145,7 +146,7 @@ pub struct Interp<'p> {
     env: HashMap<String, BitVec>,
     /// Installed entries by table, highest priority first, equal
     /// priorities in install order.
-    tables: HashMap<TableId, Vec<Entry>>,
+    tables: HashMap<TableId, Vec<Entry<'p>>>,
     registers: HashMap<String, HashMap<u64, BitVec>>,
     packet: CPacket,
     emit_buf: Vec<BitVec>,
@@ -225,13 +226,13 @@ impl<'p> Interp<'p> {
     }
 
     /// Execute a test specification end to end.
-    pub fn run(self, spec: &TestSpec) -> IResult<InterpResult> {
+    pub fn run(self, spec: &'p TestSpec) -> IResult<InterpResult> {
         self.run_counted(spec).0
     }
 
     /// Like [`Interp::run`], additionally returning the work counters —
     /// even when the model raised an exception.
-    pub fn run_counted(mut self, spec: &TestSpec) -> (IResult<InterpResult>, InterpStats) {
+    pub fn run_counted(mut self, spec: &'p TestSpec) -> (IResult<InterpResult>, InterpStats) {
         let outcome = self.run_inner(spec);
         let stats = self.stats;
         match outcome {
@@ -240,7 +241,7 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn run_inner(&mut self, spec: &TestSpec) -> IResult<()> {
+    fn run_inner(&mut self, spec: &'p TestSpec) -> IResult<()> {
         self.install_control_plane(spec)?;
         // Assemble the wire packet the pipeline sees.
         let mut wire = BitVec::from_bytes_be(&spec.input_packet);
@@ -289,7 +290,7 @@ impl<'p> Interp<'p> {
 
     // ---- control plane ----------------------------------------------------
 
-    fn install_control_plane(&mut self, spec: &TestSpec) -> IResult<()> {
+    fn install_control_plane(&mut self, spec: &'p TestSpec) -> IResult<()> {
         for e in &spec.entries {
             self.install_entry(e)?;
         }
@@ -304,7 +305,7 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn install_entry(&mut self, e: &TableEntrySpec) -> IResult<()> {
+    fn install_entry(&mut self, e: &'p TableEntrySpec) -> IResult<()> {
         if e.table == "$clone_session" {
             // Mirror-session configuration.
             let session = match &e.keys[0] {
@@ -391,7 +392,7 @@ impl<'p> Interp<'p> {
         // The action arrives as "Control.action" and resolves among the
         // table's own actions.
         let prog = self.prog;
-        let Some(t) = prog.tables.iter().position(|t| t.control_plane_name == e.table) else {
+        let Some(t) = prog.tables.iter().position(|t| *t.control_plane_name == *e.table) else {
             return Ok(());
         };
         let bare = e.action.rsplit('.').next().unwrap_or(&e.action);
@@ -401,7 +402,7 @@ impl<'p> Interp<'p> {
             InterpException(msg)
         })?;
         self.tables.entry(TableId(t as u32)).or_default().push(Entry {
-            keys: e.keys.clone(),
+            keys: &e.keys,
             action,
             args,
             priority: e.priority,
@@ -1097,7 +1098,7 @@ impl<'p> Interp<'p> {
             return Ok(None);
         };
         'entry: for e in entries {
-            for (k, m) in keys.iter().zip(&e.keys) {
+            for (k, m) in keys.iter().zip(e.keys) {
                 if !self.key_matches(k, m)? {
                     continue 'entry;
                 }

@@ -52,7 +52,7 @@ fn spec(input: Vec<u8>, entries: Vec<TableEntrySpec>, outputs: Vec<OutputPacketS
         register_expect: vec![],
         outputs,
         covered_statements: vec![],
-        trace: vec![],
+        trace: Default::default(),
     }
 }
 

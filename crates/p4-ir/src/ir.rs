@@ -329,13 +329,15 @@ pub struct IrParser {
     pub start: StateId,
 }
 
-/// One key of a table.
+/// One key of a table. Its names, like the table's, action's and action
+/// parameters' control-plane names, are shared strings: a path's
+/// synthesized entries hold them, so copying an entry copies no name.
 #[derive(Clone, PartialEq, Debug)]
 pub struct IrTableKey {
     pub expr: IrExpr,
-    pub match_kind: String,
+    pub match_kind: Arc<str>,
     /// Control-plane name (from `@name` or the source text of the key).
-    pub name: String,
+    pub name: Arc<str>,
 }
 
 /// A reference to an action from a table.
@@ -359,7 +361,7 @@ pub struct IrConstEntry {
 pub struct IrTable {
     pub name: String,
     /// Fully qualified control-plane name (`control.table`).
-    pub control_plane_name: String,
+    pub control_plane_name: Arc<str>,
     pub keys: Vec<IrTableKey>,
     pub actions: Vec<IrActionRef>,
     pub default_action: ActionId,
@@ -381,7 +383,7 @@ pub struct IrTable {
 /// An action parameter.
 #[derive(Clone, PartialEq, Debug)]
 pub struct IrActionParam {
-    pub name: String,
+    pub name: Arc<str>,
     pub width: u32,
     /// The slot a call or a table entry binds the argument to.
     pub path: Path,
@@ -392,7 +394,7 @@ pub struct IrActionParam {
 pub struct IrAction {
     pub name: String,
     /// Control-plane name (`control.action`).
-    pub control_plane_name: String,
+    pub control_plane_name: Arc<str>,
     pub params: Vec<IrActionParam>,
     pub body: Vec<IrStmt>,
 }

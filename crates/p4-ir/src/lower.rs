@@ -440,7 +440,7 @@ impl<'a> Lowerer<'a> {
                 let width = self.width_of_type(&t, p.span)?;
                 let path = Path::new(format!("{}::{}::{}", c.name, a.name, p.name));
                 ctx.declare(&p.name, t, path.clone());
-                params.push(IrActionParam { name: p.name.clone(), width, path });
+                params.push(IrActionParam { name: Arc::from(p.name.as_str()), width, path });
             }
             let mut body = Vec::new();
             for s in &a.body {
@@ -473,7 +473,7 @@ impl<'a> Lowerer<'a> {
     ) {
         self.actions.push(IrAction {
             name: name.to_string(),
-            control_plane_name: format!("{control}.{name}"),
+            control_plane_name: Arc::from(format!("{control}.{name}")),
             params,
             body,
         });
@@ -492,7 +492,8 @@ impl<'a> Lowerer<'a> {
             let name = ast::find_annotation(&k.annotations, "name")
                 .and_then(|a| a.string_arg().map(str::to_string))
                 .unwrap_or_else(|| describe_expr(&k.expr));
-            keys.push(IrTableKey { expr, match_kind: k.match_kind.clone(), name });
+            let match_kind = Arc::from(k.match_kind.as_str());
+            keys.push(IrTableKey { expr, match_kind, name: Arc::from(name) });
         }
         if !hoist.is_empty() {
             return Err(FrontendError::typecheck(
@@ -549,7 +550,7 @@ impl<'a> Lowerer<'a> {
             .unwrap_or_else(|| format!("{}.{}", c.name, t.name));
         Ok(IrTable {
             name: t.name.clone(),
-            control_plane_name,
+            control_plane_name: Arc::from(control_plane_name),
             keys,
             actions,
             default_action,

@@ -110,10 +110,10 @@ fn lower_fig1a_structure() {
     let c = control(&ir, "MyIngress");
     let t = &ir.tables[0];
     assert_eq!(t.name, "forward_table");
-    assert_eq!(t.keys[0].name, "type");
-    assert_eq!(t.keys[0].match_kind, "exact");
+    assert_eq!(&*t.keys[0].name, "type");
+    assert_eq!(&*t.keys[0].match_kind, "exact");
     assert_eq!(ir.action(t.default_action).name, "noop");
-    assert_eq!(t.control_plane_name, "MyIngress.forward_table");
+    assert_eq!(&*t.control_plane_name, "MyIngress.forward_table");
     assert_eq!(t.hit.as_str(), "forward_table.$hit");
     assert_eq!(t.applied.as_str(), "forward_table.$applied");
     // Apply: assign then table apply.
@@ -131,9 +131,9 @@ fn lower_fig1a_structure() {
 fn action_params_are_mangled() {
     let ir = fig1a_ir();
     let a = &ir.actions[0];
-    assert_eq!((a.name.as_str(), a.control_plane_name.as_str()), ("set_out", "MyIngress.set_out"));
+    assert_eq!((a.name.as_str(), &*a.control_plane_name), ("set_out", "MyIngress.set_out"));
     assert_eq!(a.params.len(), 1);
-    assert_eq!((a.params[0].name.as_str(), a.params[0].width), ("port", 9));
+    assert_eq!((&*a.params[0].name, a.params[0].width), ("port", 9));
     assert_eq!(a.params[0].path.as_str(), "MyIngress::set_out::port");
     assert!(matches!(
         &a.body[0],
@@ -568,7 +568,7 @@ ebpfFilter(prs(), pipe()) main;
 
 /// The id of the action whose control-plane name is `name`.
 fn action_id(ir: &IrProgram, name: &str) -> ActionId {
-    let i = ir.actions.iter().position(|a| a.control_plane_name == name);
+    let i = ir.actions.iter().position(|a| *a.control_plane_name == *name);
     ActionId(i.unwrap_or_else(|| panic!("no action {name}")) as u32)
 }
 
@@ -600,13 +600,13 @@ control B(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
 "#
     );
     let ir = compile(&src).expect("program lowers");
-    let names: Vec<&str> = ir.actions.iter().map(|a| a.control_plane_name.as_str()).collect();
+    let names: Vec<&str> = ir.actions.iter().map(|a| &*a.control_plane_name).collect();
     assert_eq!(names, ["A.mark", "A.NoAction", "B.mark", "B.NoAction"]);
     let (a_mark, b_mark) = (action_id(&ir, "A.mark"), action_id(&ir, "B.mark"));
     assert_eq!(ir.action(b_mark).params[0].path.as_str(), "B::mark::v");
 
     let (ta, tb) = (&ir.tables[0], &ir.tables[1]);
-    assert_eq!((ta.control_plane_name.as_str(), tb.control_plane_name.as_str()), ("A.t", "B.t"));
+    assert_eq!((&*ta.control_plane_name, &*tb.control_plane_name), ("A.t", "B.t"));
     assert_eq!(ta.actions[0].action, a_mark);
     assert_eq!(ta.default_action, a_mark);
     assert_eq!(tb.actions.iter().map(|r| r.action).collect::<Vec<_>>(), [b_mark, ActionId(3)]);

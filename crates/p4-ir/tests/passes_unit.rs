@@ -65,7 +65,7 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
     );
     let ir = compile(&src).unwrap();
     let body = &ir.actions[0].body;
-    assert_eq!(ir.actions[0].control_plane_name, "C.a");
+    assert_eq!(&*ir.actions[0].control_plane_name, "C.a");
     // assign, return — the unreachable assign is gone.
     assert_eq!(body.len(), 2, "{body:?}");
     assert!(matches!(body[1], IrStmt::Return { .. }));
@@ -131,7 +131,7 @@ control C(inout headers_t hdr, inout meta_t m, inout standard_metadata_t sm) {{
     );
     let ir = compile(&src).unwrap();
     let t = &ir.tables[0];
-    assert_eq!(t.control_plane_name, "custom.table.name");
+    assert_eq!(&*t.control_plane_name, "custom.table.name");
 }
 
 #[test]

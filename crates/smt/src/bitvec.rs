@@ -5,52 +5,87 @@
 //! `u128` is not enough. `BitVec` stores little-endian 64-bit limbs and keeps
 //! the invariant that all bits at positions `>= width` are zero.
 //!
+//! Values of width ≤ 128 keep their limbs inline, so building, cloning and
+//! combining them never allocates; wider values spill their limbs to the
+//! heap. Which form a value takes is a function of its width alone.
+//!
 //! All arithmetic is modular in `width` bits, matching the semantics of the
 //! P4 `bit<N>` type and of SMT-LIB `QF_BV`.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// The widest value kept inline.
+const INLINE_BITS: usize = 128;
 
 /// A fixed-width bitvector value with arbitrary precision.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct BitVec {
     width: usize,
-    /// Little-endian limbs. `limbs.len() == max(1, ceil(width / 64))` unless
-    /// `width == 0`, in which case `limbs` is empty.
-    limbs: Vec<u64>,
+    limbs: Limbs,
+}
+
+/// Little-endian limbs: `ceil(width / 64)` of them are in use. A value of
+/// width ≤ [`INLINE_BITS`] is `Inline`, with its unused limbs zero; a wider
+/// one is `Heap`, with exactly the limbs in use.
+#[derive(Clone)]
+enum Limbs {
+    Inline([u64; 2]),
+    Heap(Box<[u64]>),
 }
 
 fn limbs_for(width: usize) -> usize {
     width.div_ceil(64)
 }
 
+impl PartialEq for BitVec {
+    fn eq(&self, other: &Self) -> bool {
+        self.width == other.width && self.limbs() == other.limbs()
+    }
+}
+
+impl Eq for BitVec {}
+
+impl Hash for BitVec {
+    /// The width, then the limbs in use as a slice: the input a derived
+    /// `Hash` over `{ width: usize, limbs: Vec<u64> }` feeds, so hash-map
+    /// orders and stored term hashes do not depend on the layout.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.width.hash(state);
+        self.limbs().hash(state);
+    }
+}
+
 impl BitVec {
     /// The zero-width bitvector (identity for concatenation).
     pub fn empty() -> Self {
-        BitVec { width: 0, limbs: Vec::new() }
+        BitVec::zeros(0)
     }
 
     /// All-zero value of the given width.
     pub fn zeros(width: usize) -> Self {
-        BitVec { width, limbs: vec![0; limbs_for(width)] }
+        let limbs = if width <= INLINE_BITS {
+            Limbs::Inline([0; 2])
+        } else {
+            Limbs::Heap(vec![0; limbs_for(width)].into_boxed_slice())
+        };
+        BitVec { width, limbs }
     }
 
     /// All-one value of the given width.
     pub fn ones(width: usize) -> Self {
-        let mut v = BitVec { width, limbs: vec![u64::MAX; limbs_for(width)] };
+        let mut v = BitVec::zeros(width);
+        v.limbs_mut().fill(u64::MAX);
         v.normalize();
         v
     }
 
     /// Construct from a `u128`, truncating to `width` bits.
     pub fn from_u128(width: usize, value: u128) -> Self {
-        let mut limbs = vec![0u64; limbs_for(width)];
-        if !limbs.is_empty() {
-            limbs[0] = value as u64;
+        let mut v = BitVec::zeros(width);
+        for (i, l) in v.limbs_mut().iter_mut().take(2).enumerate() {
+            *l = (value >> (64 * i)) as u64;
         }
-        if limbs.len() >= 2 {
-            limbs[1] = (value >> 64) as u64;
-        }
-        let mut v = BitVec { width, limbs };
         v.normalize();
         v
     }
@@ -66,9 +101,11 @@ impl BitVec {
     }
 
     /// Construct from little-endian limbs, truncating to `width`.
-    pub fn from_limbs(width: usize, mut limbs: Vec<u64>) -> Self {
-        limbs.resize(limbs_for(width), 0);
-        let mut v = BitVec { width, limbs };
+    pub fn from_limbs(width: usize, limbs: Vec<u64>) -> Self {
+        let mut v = BitVec::zeros(width);
+        for (d, s) in v.limbs_mut().iter_mut().zip(limbs) {
+            *d = s;
+        }
         v.normalize();
         v
     }
@@ -77,9 +114,10 @@ impl BitVec {
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
         let width = bytes.len() * 8;
         let mut v = BitVec::zeros(width);
+        let limbs = v.limbs_mut();
         for (i, b) in bytes.iter().rev().enumerate() {
             // byte i (little-endian order) occupies bits [8i, 8i+8)
-            v.limbs[i / 8] |= (*b as u64) << ((i % 8) * 8);
+            limbs[i / 8] |= (*b as u64) << ((i % 8) * 8);
         }
         v
     }
@@ -88,9 +126,10 @@ impl BitVec {
     pub fn to_bytes_be(&self) -> Vec<u8> {
         assert!(self.width.is_multiple_of(8), "to_bytes_be on width {}", self.width);
         let n = self.width / 8;
+        let limbs = self.limbs();
         let mut out = vec![0u8; n];
         for i in 0..n {
-            let byte = (self.limbs[i / 8] >> ((i % 8) * 8)) as u8;
+            let byte = (limbs[i / 8] >> ((i % 8) * 8)) as u8;
             out[n - 1 - i] = byte;
         }
         out
@@ -106,15 +145,13 @@ impl BitVec {
         Some(v)
     }
 
+    /// Clear the bits at positions `>= width` in the top limb.
     fn normalize(&mut self) {
-        if self.width == 0 {
-            self.limbs.clear();
-            return;
-        }
         let rem = self.width % 64;
         if rem != 0 {
-            let last = self.limbs.len() - 1;
-            self.limbs[last] &= (1u64 << rem) - 1;
+            if let Some(last) = self.limbs_mut().last_mut() {
+                *last &= (1u64 << rem) - 1;
+            }
         }
     }
 
@@ -125,52 +162,65 @@ impl BitVec {
 
     /// The raw little-endian limbs.
     pub fn limbs(&self) -> &[u64] {
-        &self.limbs
+        match &self.limbs {
+            Limbs::Inline(l) => &l[..limbs_for(self.width)],
+            Limbs::Heap(l) => l,
+        }
+    }
+
+    fn limbs_mut(&mut self) -> &mut [u64] {
+        match &mut self.limbs {
+            Limbs::Inline(l) => &mut l[..limbs_for(self.width)],
+            Limbs::Heap(l) => l,
+        }
     }
 
     /// Bit at position `i` (little-endian; bit 0 is least significant).
     pub fn bit(&self, i: usize) -> bool {
         assert!(i < self.width);
-        (self.limbs[i / 64] >> (i % 64)) & 1 == 1
+        (self.limbs()[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Set bit `i` to `b`.
     pub fn set_bit(&mut self, i: usize, b: bool) {
         assert!(i < self.width);
         let mask = 1u64 << (i % 64);
+        let limb = &mut self.limbs_mut()[i / 64];
         if b {
-            self.limbs[i / 64] |= mask;
+            *limb |= mask;
         } else {
-            self.limbs[i / 64] &= !mask;
+            *limb &= !mask;
         }
     }
 
     /// True if every bit is zero.
     pub fn is_zero(&self) -> bool {
-        self.limbs.iter().all(|&l| l == 0)
+        self.limbs().iter().all(|&l| l == 0)
     }
 
     /// True if this is a 1-bit value equal to 1.
     pub fn is_true(&self) -> bool {
-        self.width == 1 && self.limbs[0] == 1
+        self.width == 1 && self.limbs()[0] == 1
     }
 
     /// Value as `u64` if it fits, else `None`.
     pub fn to_u64(&self) -> Option<u64> {
-        if self.limbs.iter().skip(1).any(|&l| l != 0) {
+        let limbs = self.limbs();
+        if limbs.iter().skip(1).any(|&l| l != 0) {
             None
         } else {
-            Some(self.limbs.first().copied().unwrap_or(0))
+            Some(limbs.first().copied().unwrap_or(0))
         }
     }
 
     /// Value as `u128` if it fits, else `None`.
     pub fn to_u128(&self) -> Option<u128> {
-        if self.limbs.iter().skip(2).any(|&l| l != 0) {
+        let limbs = self.limbs();
+        if limbs.iter().skip(2).any(|&l| l != 0) {
             None
         } else {
-            let lo = self.limbs.first().copied().unwrap_or(0) as u128;
-            let hi = self.limbs.get(1).copied().unwrap_or(0) as u128;
+            let lo = limbs.first().copied().unwrap_or(0) as u128;
+            let hi = limbs.get(1).copied().unwrap_or(0) as u128;
             Some(lo | (hi << 64))
         }
     }
@@ -179,21 +229,30 @@ impl BitVec {
         assert_eq!(self.width, rhs.width, "width mismatch: {} vs {}", self.width, rhs.width);
     }
 
+    /// A value of this width whose limb `i` is `f(self.limbs[i], rhs.limbs[i])`.
+    fn zip_limbs(&self, rhs: &BitVec, f: impl Fn(u64, u64) -> u64) -> BitVec {
+        self.binary_assert(rhs);
+        let mut out = BitVec::zeros(self.width);
+        for ((o, a), b) in out.limbs_mut().iter_mut().zip(self.limbs()).zip(rhs.limbs()) {
+            *o = f(*a, *b);
+        }
+        out
+    }
+
     /// Modular addition.
     pub fn add(&self, rhs: &BitVec) -> BitVec {
         self.binary_assert(rhs);
         let mut out = BitVec::zeros(self.width);
         let mut carry = 0u64;
-        for i in 0..self.limbs.len() {
-            let (s1, c1) = self.limbs[i].overflowing_add(rhs.limbs[i]);
+        for ((o, a), b) in out.limbs_mut().iter_mut().zip(self.limbs()).zip(rhs.limbs()) {
+            let (s1, c1) = a.overflowing_add(*b);
             let (s2, c2) = s1.overflowing_add(carry);
-            out.limbs[i] = s2;
+            *o = s2;
             carry = (c1 as u64) + (c2 as u64);
         }
         out.normalize();
         out
     }
-
     /// Modular subtraction.
     pub fn sub(&self, rhs: &BitVec) -> BitVec {
         self.add(&rhs.negate())
@@ -210,21 +269,22 @@ impl BitVec {
     /// Modular multiplication (schoolbook).
     pub fn mul(&self, rhs: &BitVec) -> BitVec {
         self.binary_assert(rhs);
-        let n = self.limbs.len();
-        let mut acc = vec![0u64; n];
+        let (a, b) = (self.limbs(), rhs.limbs());
+        let mut out = BitVec::zeros(self.width);
+        let acc = out.limbs_mut();
+        let n = a.len();
         for i in 0..n {
-            let a = self.limbs[i] as u128;
-            if a == 0 {
+            let ai = a[i] as u128;
+            if ai == 0 {
                 continue;
             }
             let mut carry: u128 = 0;
             for j in 0..n - i {
-                let cur = acc[i + j] as u128 + a * rhs.limbs[j] as u128 + carry;
+                let cur = acc[i + j] as u128 + ai * b[j] as u128 + carry;
                 acc[i + j] = cur as u64;
                 carry = cur >> 64;
             }
         }
-        let mut out = BitVec { width: self.width, limbs: acc };
         out.normalize();
         out
     }
@@ -265,50 +325,41 @@ impl BitVec {
 
     /// Bitwise AND.
     pub fn and(&self, rhs: &BitVec) -> BitVec {
-        self.binary_assert(rhs);
-        let limbs = self.limbs.iter().zip(&rhs.limbs).map(|(a, b)| a & b).collect();
-        BitVec { width: self.width, limbs }
+        self.zip_limbs(rhs, |a, b| a & b)
     }
 
     /// Bitwise OR.
     pub fn or(&self, rhs: &BitVec) -> BitVec {
-        self.binary_assert(rhs);
-        let limbs = self.limbs.iter().zip(&rhs.limbs).map(|(a, b)| a | b).collect();
-        BitVec { width: self.width, limbs }
+        self.zip_limbs(rhs, |a, b| a | b)
     }
 
     /// Bitwise XOR.
     pub fn xor(&self, rhs: &BitVec) -> BitVec {
-        self.binary_assert(rhs);
-        let limbs = self.limbs.iter().zip(&rhs.limbs).map(|(a, b)| a ^ b).collect();
-        BitVec { width: self.width, limbs }
+        self.zip_limbs(rhs, |a, b| a ^ b)
     }
 
     /// Bitwise NOT.
     pub fn not(&self) -> BitVec {
-        let limbs = self.limbs.iter().map(|a| !a).collect();
-        let mut v = BitVec { width: self.width, limbs };
+        let mut v = self.zip_limbs(self, |a, _| !a);
         v.normalize();
         v
     }
 
     /// Left shift by a constant amount; shifts `>= width` yield zero.
     pub fn shl_const(&self, amount: usize) -> BitVec {
-        if amount >= self.width {
-            return BitVec::zeros(self.width);
-        }
         let mut out = BitVec::zeros(self.width);
+        if amount >= self.width {
+            return out;
+        }
+        let src = self.limbs();
         let limb_shift = amount / 64;
         let bit_shift = amount % 64;
-        for i in (0..self.limbs.len()).rev() {
-            if i < limb_shift {
-                break;
-            }
-            let mut v = self.limbs[i - limb_shift] << bit_shift;
+        for (i, o) in out.limbs_mut().iter_mut().enumerate().skip(limb_shift) {
+            let mut v = src[i - limb_shift] << bit_shift;
             if bit_shift > 0 && i > limb_shift {
-                v |= self.limbs[i - limb_shift - 1] >> (64 - bit_shift);
+                v |= src[i - limb_shift - 1] >> (64 - bit_shift);
             }
-            out.limbs[i] = v;
+            *o = v;
         }
         out.normalize();
         out
@@ -319,16 +370,25 @@ impl BitVec {
         if amount >= self.width {
             return BitVec::zeros(self.width);
         }
-        let mut out = BitVec::zeros(self.width);
-        let limb_shift = amount / 64;
-        let bit_shift = amount % 64;
-        for i in 0..self.limbs.len() - limb_shift {
-            let mut v = self.limbs[i + limb_shift] >> bit_shift;
-            if bit_shift > 0 && i + limb_shift + 1 < self.limbs.len() {
-                v |= self.limbs[i + limb_shift + 1] << (64 - bit_shift);
+        self.shifted_down(amount, self.width)
+    }
+
+    /// The `width` bits of `self` from position `lo` up, zero-filled past
+    /// the top (`lo < self.width`).
+    fn shifted_down(&self, lo: usize, width: usize) -> BitVec {
+        let src = self.limbs();
+        let limb_shift = lo / 64;
+        let bit_shift = lo % 64;
+        let mut out = BitVec::zeros(width);
+        for (i, o) in out.limbs_mut().iter_mut().enumerate() {
+            let at = |j: usize| src.get(j).copied().unwrap_or(0);
+            let mut v = at(i + limb_shift) >> bit_shift;
+            if bit_shift > 0 {
+                v |= at(i + limb_shift + 1) << (64 - bit_shift);
             }
-            out.limbs[i] = v;
+            *o = v;
         }
+        out.normalize();
         out
     }
 
@@ -377,16 +437,14 @@ impl BitVec {
     /// Concatenation: `self` becomes the high bits, `low` the low bits
     /// (SMT-LIB `concat` order).
     pub fn concat(&self, low: &BitVec) -> BitVec {
-        let width = self.width + low.width;
-        let mut out = BitVec::zeros(width);
-        for i in 0..low.width {
-            if low.bit(i) {
-                out.set_bit(i, true);
-            }
-        }
-        for i in 0..self.width {
-            if self.bit(i) {
-                out.set_bit(low.width + i, true);
+        let mut out = low.zext(self.width + low.width);
+        let limb_shift = low.width / 64;
+        let bit_shift = low.width % 64;
+        let dst = out.limbs_mut();
+        for (i, &l) in self.limbs().iter().enumerate() {
+            dst[limb_shift + i] |= l << bit_shift;
+            if bit_shift > 0 && limb_shift + i + 1 < dst.len() {
+                dst[limb_shift + i + 1] |= l >> (64 - bit_shift);
             }
         }
         out
@@ -395,20 +453,15 @@ impl BitVec {
     /// Extract bits `[lo, hi]` inclusive (SMT-LIB `extract` order, `hi >= lo`).
     pub fn extract(&self, hi: usize, lo: usize) -> BitVec {
         assert!(hi >= lo && hi < self.width, "extract [{hi}:{lo}] of width {}", self.width);
-        let mut out = BitVec::zeros(hi - lo + 1);
-        for i in lo..=hi {
-            if self.bit(i) {
-                out.set_bit(i - lo, true);
-            }
-        }
-        out
+        self.shifted_down(lo, hi - lo + 1)
     }
 
     /// Zero-extend to `width` bits (must be `>= self.width`).
     pub fn zext(&self, width: usize) -> BitVec {
         assert!(width >= self.width);
         let mut out = BitVec::zeros(width);
-        out.limbs[..self.limbs.len()].copy_from_slice(&self.limbs);
+        let src = self.limbs();
+        out.limbs_mut()[..src.len()].copy_from_slice(src);
         out
     }
 
@@ -438,9 +491,10 @@ impl BitVec {
     /// Unsigned less-than.
     pub fn ult(&self, rhs: &BitVec) -> bool {
         self.binary_assert(rhs);
-        for i in (0..self.limbs.len()).rev() {
-            if self.limbs[i] != rhs.limbs[i] {
-                return self.limbs[i] < rhs.limbs[i];
+        let (a, b) = (self.limbs(), rhs.limbs());
+        for i in (0..a.len()).rev() {
+            if a[i] != b[i] {
+                return a[i] < b[i];
             }
         }
         false
@@ -472,7 +526,7 @@ impl BitVec {
 
     /// Number of one bits.
     pub fn count_ones(&self) -> usize {
-        self.limbs.iter().map(|l| l.count_ones() as usize).sum()
+        self.limbs().iter().map(|l| l.count_ones() as usize).sum()
     }
 }
 
@@ -621,6 +675,51 @@ mod tests {
         assert_eq!(format!("{v}"), "0xbeef");
         let odd = BitVec::from_u64(9, 0x1FF);
         assert_eq!(format!("{odd}"), "0x1ff");
+    }
+
+    #[test]
+    fn values_up_to_128_bits_are_inline() {
+        assert!(std::mem::size_of::<BitVec>() <= 32);
+        for w in [0, 1, 64, 65, 128] {
+            assert!(matches!(BitVec::ones(w).limbs, Limbs::Inline(_)), "width {w}");
+        }
+        assert!(matches!(BitVec::zeros(129).limbs, Limbs::Heap(_)));
+        // Crossing the inline boundary keeps values and equality.
+        let a = BitVec::from_u128(128, u128::MAX);
+        let wide = BitVec::from_u64(8, 0x5A).concat(&a);
+        assert_eq!(wide.width(), 136);
+        assert_eq!(wide.extract(135, 128).to_u64(), Some(0x5A));
+        assert_eq!(wide.extract(127, 0), a);
+        assert_eq!(wide.cast(128), a);
+        assert_eq!(a.zext(200).cast(128), a);
+        assert_eq!(BitVec::from_limbs(150, vec![1, 2, 3, 4]).limbs(), [1, 2, 3]);
+    }
+
+    #[test]
+    fn hash_input_is_width_then_limbs() {
+        use std::collections::hash_map::DefaultHasher;
+        fn h(x: impl Hash) -> u64 {
+            let mut s = DefaultHasher::new();
+            x.hash(&mut s);
+            s.finish()
+        }
+        let values = [BitVec::empty(), BitVec::from_u64(9, 0x1FF), BitVec::ones(128), BitVec::ones(300)];
+        for v in values {
+            assert_eq!(h(&v), h((v.width(), v.limbs().to_vec())), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn wide_values_match_limb_arithmetic() {
+        let a = BitVec::from_limbs(192, vec![u64::MAX, 7, 1 << 63]);
+        let one = BitVec::from_u64(192, 1);
+        assert_eq!(a.add(&one).limbs(), [0, 8, 1 << 63]);
+        assert_eq!(a.shl_const(64).limbs(), [0, u64::MAX, 7]);
+        assert_eq!(a.lshr_const(60).limbs(), [0x7F, 0, 8]);
+        assert_eq!(a.not().not(), a);
+        assert_eq!(a.sub(&a), BitVec::zeros(192));
+        assert!(one.ult(&a) && a.slt(&one));
+        assert_eq!(a.count_ones(), 64 + 3 + 1);
     }
 
     #[test]

@@ -76,6 +76,30 @@ proptest! {
         prop_assert_eq!(c.extract((wb - 1) as usize, 0), bv);
     }
 
+    /// Values across the inline/heap boundary (128 bits) keep their bits
+    /// through concatenation, extraction, casts and shifts.
+    #[test]
+    fn bitvec_concat_extract_across_the_inline_boundary(
+        a in proptest::collection::vec(any::<u8>(), 1..34),
+        b in proptest::collection::vec(any::<u8>(), 1..34),
+        sh in 0usize..300,
+    ) {
+        let av = BitVec::from_bytes_be(&a);
+        let bv = BitVec::from_bytes_be(&b);
+        let (wa, wb) = (av.width(), bv.width());
+        let c = av.concat(&bv);
+        prop_assert_eq!(c.width(), wa + wb);
+        prop_assert_eq!(c.extract(wa + wb - 1, wb), av.clone());
+        prop_assert_eq!(c.extract(wb - 1, 0), bv.clone());
+        prop_assert_eq!(c.cast(wb), bv.clone());
+        prop_assert_eq!(av.zext(wa + wb).cast(wa), av.clone());
+        prop_assert_eq!(c.to_bytes_be(), [a, b].concat());
+        prop_assert_eq!(c.add(&c.zext(wa + wb)).sub(&c), c.clone());
+        let kept = if sh >= wa { BitVec::zeros(wa) } else { av.shl_const(sh).lshr_const(sh) };
+        let low = if sh >= wa { BitVec::zeros(wa) } else { av.cast(wa - sh).zext(wa) };
+        prop_assert_eq!(kept, low);
+    }
+
     #[test]
     fn bitvec_bytes_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 1..32)) {
         let v = BitVec::from_bytes_be(&bytes);

@@ -520,11 +520,6 @@ fn skip_to_pipeline_end(st: &mut ExecState, pipeline_len: usize) {
 
 fn collect_csum_inputs(st: &ExecState, instance: &str) -> Vec<Sym> {
     let prefix = format!("$csum.{instance}.");
-    let mut items: Vec<(String, Sym)> = st
-        .slots()
-        .filter(|(k, _)| k.starts_with(&prefix))
-        .map(|(k, v)| (k.clone(), v.clone()))
-        .collect();
-    items.sort_by(|a, b| a.0.cmp(&b.0));
-    items.into_iter().map(|(_, v)| v).collect()
+    // Slots iterate in key order.
+    st.slots().filter(|(k, _)| k.starts_with(&prefix)).map(|(_, v)| v.clone()).collect()
 }

@@ -478,18 +478,18 @@ impl Target for V1Model {
             let ne = ctx.pool.neq(clone_port.term, drop.term);
             st.add_constraint(ctx.pool, ne);
             st.entries.push(SynthEntry {
-                table: "$clone_session".to_string(),
+                table: "$clone_session".into(),
                 keys: vec![SynthKeyMatch {
-                    key_name: "session".to_string(),
-                    match_kind: "exact".to_string(),
+                    key_name: "session".into(),
+                    match_kind: "exact".into(),
                     width: 32,
                     value: Some(session.term),
                     mask: None,
                     hi: None,
                     prefix_len: None,
                 }],
-                action: "mirror".to_string(),
-                args: vec![("port".to_string(), clone_port.term, 9)],
+                action: "mirror".into(),
+                args: vec![("port".into(), clone_port.term, 9)],
                 priority: 0,
             });
             push_output(ctx, st, clone_port);
