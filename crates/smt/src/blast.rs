@@ -1,8 +1,21 @@
 //! Bit-blasting: translation of bitvector terms into CNF over the SAT solver.
 //!
-//! Every term maps to a vector of literals, least-significant bit first.
+//! Every term maps to a run of literals, least-significant bit first.
 //! Translation is cached per term, so shared subterms (the term pool is
 //! hash-consed) are encoded once per instance.
+//!
+//! All literals live in one arena, a `Vec<Lit>` the blaster owns: an encoded
+//! term is a `Span` of it, and the cache and the variables' bits map to
+//! spans. A cache hit or an `Extract` copies nothing, gates and adders push
+//! their outputs onto the arena, and [`Blaster::reset`] clears it but keeps
+//! its capacity, so a check that repeats an earlier one's encoding
+//! allocates nothing. Spans stay valid for the instance's lifetime: the
+//! arena only grows until the next reset.
+//!
+//! A variable's bits are created together ([`SatSolver::new_vars`]), even
+//! when a constraint touches only a slice of it. The bits no clause
+//! mentions cost nothing in the SAT search: they are never decided and read
+//! back as their saved phase (see [`crate::sat`]).
 //!
 //! An instance whose assertions are never retracted can also *bind* them
 //! ([`Blaster::assert_fresh`]): an asserted equality names the literals of a
@@ -11,7 +24,7 @@
 //! literals, or negated literals.
 
 use crate::bitvec::BitVec;
-use crate::sat::{Lit, SatSolver};
+use crate::sat::{Lit, SatSolver, SatVar};
 use crate::term::{BinOp, Node, TermId, TermPool, VarId};
 use std::collections::HashMap;
 
@@ -24,12 +37,38 @@ pub struct BlastStats {
     pub cache_misses: u64,
 }
 
+/// A run of the blaster's literal arena: an encoded term's bits, LSB first.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// The `len` bits starting at bit `lo`.
+    fn sub(self, lo: usize, len: usize) -> Span {
+        debug_assert!(lo + len <= self.len());
+        Span { start: self.start + lo as u32, len: len as u32 }
+    }
+}
+
+/// Arena spans of the pinned true literal and its negation.
+const TRUE_SPAN: Span = Span { start: 0, len: 1 };
+const FALSE_SPAN: Span = Span { start: 1, len: 1 };
+
 /// Bit-blaster with a per-term encoding cache.
 pub struct Blaster {
-    cache: HashMap<TermId, Vec<Lit>>,
+    /// Every encoded term's literals, back to back; starts with the true
+    /// literal and its negation.
+    lits: Vec<Lit>,
+    cache: HashMap<TermId, Span>,
     /// Literals backing each pool variable's bits (LSB first): fresh SAT
     /// variables when blasted, any literals when bound.
-    var_bits: HashMap<VarId, Vec<Lit>>,
+    var_bits: HashMap<VarId, Span>,
     /// A literal constrained to be true.
     true_lit: Lit,
     pub stats: BlastStats,
@@ -38,30 +77,59 @@ pub struct Blaster {
 impl Blaster {
     /// Create a blaster over `sat`, claiming one variable pinned to true.
     pub fn new(sat: &mut SatSolver) -> Self {
-        Blaster {
+        let mut blaster = Blaster {
+            lits: Vec::new(),
             cache: HashMap::new(),
             var_bits: HashMap::new(),
-            true_lit: Self::pin_true(sat),
+            true_lit: Lit::positive(SatVar(0)),
             stats: BlastStats::default(),
-        }
+        };
+        blaster.pin_true(sat);
+        blaster
     }
 
     /// Return to the state [`Blaster::new`] builds over `sat`, which the
-    /// caller has just [`SatSolver::reset`]: empty caches (keeping their
-    /// capacity), zeroed `stats`, and the true literal pinned again — as
-    /// variable 0, exactly where `new` puts it on a new solver.
+    /// caller has just [`SatSolver::reset`]: an empty arena and caches
+    /// (keeping their capacity), zeroed `stats`, and the true literal pinned
+    /// again — as variable 0, exactly where `new` puts it on a new solver.
     pub fn reset(&mut self, sat: &mut SatSolver) {
         debug_assert_eq!(sat.num_vars(), 0, "reset the SAT solver first");
+        self.lits.clear();
         self.cache.clear();
         self.var_bits.clear();
-        self.true_lit = Self::pin_true(sat);
+        self.pin_true(sat);
         self.stats = BlastStats::default();
     }
 
-    fn pin_true(sat: &mut SatSolver) -> Lit {
+    fn pin_true(&mut self, sat: &mut SatSolver) {
         let t = Lit::positive(sat.new_var());
         sat.add_clause(&[t]);
-        t
+        self.true_lit = t;
+        self.lits.extend([t, t.negate()]);
+    }
+
+    /// The literals of `span`.
+    fn lits(&self, span: Span) -> &[Lit] {
+        &self.lits[span.start as usize..(span.start + span.len) as usize]
+    }
+
+    fn bit(&self, span: Span, i: usize) -> Lit {
+        debug_assert!(i < span.len());
+        self.lits[span.start as usize + i]
+    }
+
+    /// Push `n` literals, bit `i` computed by `f`, and return their span.
+    fn emit(&mut self, n: usize, mut f: impl FnMut(&mut Self, usize) -> Lit) -> Span {
+        let start = self.lits.len();
+        for i in 0..n {
+            let l = f(self, i);
+            self.lits.push(l);
+        }
+        Span { start: start as u32, len: n as u32 }
+    }
+
+    fn emit_one(&mut self, l: Lit) -> Span {
+        self.emit(1, |_, _| l)
     }
 
     fn false_lit(&self) -> Lit {
@@ -89,8 +157,8 @@ impl Blaster {
     pub fn model_value(&self, sat: &SatSolver, pool: &TermPool, v: VarId) -> BitVec {
         let width = pool.var_info(v).width;
         let mut out = BitVec::zeros(width);
-        if let Some(bits) = self.var_bits.get(&v) {
-            for (i, &l) in bits.iter().enumerate() {
+        if let Some(&bits) = self.var_bits.get(&v) {
+            for (i, &l) in self.lits(bits).iter().enumerate() {
                 if sat.model_value(l.var()) == l.is_positive() {
                     out.set_bit(i, true);
                 }
@@ -181,49 +249,52 @@ impl Blaster {
         (sum, cout)
     }
 
-    fn ripple_add(&mut self, sat: &mut SatSolver, a: &[Lit], b: &[Lit], mut carry: Lit) -> Vec<Lit> {
-        let mut out = Vec::with_capacity(a.len());
-        for i in 0..a.len() {
-            let (s, c) = self.full_adder(sat, a[i], b[i], carry);
-            out.push(s);
+    fn ripple_add(&mut self, sat: &mut SatSolver, a: Span, b: Span, mut carry: Lit) -> Span {
+        self.emit(a.len(), |bl, i| {
+            let (s, c) = bl.full_adder(sat, bl.bit(a, i), bl.bit(b, i), carry);
             carry = c;
-        }
-        out
+            s
+        })
     }
 
-    fn blast_mul(&mut self, sat: &mut SatSolver, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
+    fn blast_mul(&mut self, sat: &mut SatSolver, a: Span, b: Span) -> Span {
         let w = a.len();
-        let mut acc = vec![self.false_lit(); w];
-        for (i, &bi) in b.iter().enumerate() {
+        let f = self.false_lit();
+        let mut acc = self.emit(w, |_, _| f);
+        for i in 0..b.len() {
+            let bi = self.bit(b, i);
             if self.is_false(bi) {
                 continue;
             }
             // Partial product: (a << i) & b_i, added into acc.
-            let mut pp = vec![self.false_lit(); w];
-            for j in 0..w - i {
-                pp[i + j] = self.gate_and(sat, a[j], bi);
-            }
-            let f = self.false_lit();
-            acc = self.ripple_add(sat, &acc, &pp, f);
+            let pp = self.emit(w, |bl, k| {
+                if k < i {
+                    f
+                } else {
+                    bl.gate_and(sat, bl.bit(a, k - i), bi)
+                }
+            });
+            acc = self.ripple_add(sat, acc, pp, f);
         }
         acc
     }
 
     /// `a < b` unsigned, as a single literal.
-    fn blast_ult(&mut self, sat: &mut SatSolver, a: &[Lit], b: &[Lit]) -> Lit {
+    fn blast_ult(&mut self, sat: &mut SatSolver, a: Span, b: Span) -> Lit {
         let mut lt = self.false_lit();
         for i in 0..a.len() {
             // If bits differ at i (scanning toward MSB), the result so far is b_i.
-            let diff = self.gate_xor(sat, a[i], b[i]);
-            lt = self.gate_mux(sat, diff, b[i], lt);
+            let (ai, bi) = (self.bit(a, i), self.bit(b, i));
+            let diff = self.gate_xor(sat, ai, bi);
+            lt = self.gate_mux(sat, diff, bi, lt);
         }
         lt
     }
 
-    fn blast_eq(&mut self, sat: &mut SatSolver, a: &[Lit], b: &[Lit]) -> Lit {
+    fn blast_eq(&mut self, sat: &mut SatSolver, a: Span, b: Span) -> Lit {
         let mut acc = self.true_lit;
         for i in 0..a.len() {
-            let x = self.gate_xor(sat, a[i], b[i]);
+            let x = self.gate_xor(sat, self.bit(a, i), self.bit(b, i));
             acc = self.gate_and(sat, acc, x.negate());
         }
         acc
@@ -233,44 +304,45 @@ impl Blaster {
     fn blast_shift(
         &mut self,
         sat: &mut SatSolver,
-        a: &[Lit],
-        amount: &[Lit],
+        a: Span,
+        amount: Span,
         left: bool,
         fill: Lit,
-    ) -> Vec<Lit> {
+    ) -> Span {
         let w = a.len();
-        let mut cur: Vec<Lit> = a.to_vec();
-        let stages = usize::BITS as usize - (w.max(1) - 1).leading_zeros() as usize;
-        for (s, &abit) in amount.iter().enumerate().take(stages.max(1)) {
+        let mut cur = a;
+        let stages = (usize::BITS as usize - (w.max(1) - 1).leading_zeros() as usize).max(1);
+        for s in 0..amount.len().min(stages) {
+            let abit = self.bit(amount, s);
             let dist = 1usize << s;
-            let mut next = Vec::with_capacity(w);
-            for i in 0..w {
+            let prev = cur;
+            cur = self.emit(w, |bl, i| {
                 let shifted = if left {
-                    if i >= dist { cur[i - dist] } else { fill }
+                    if i >= dist { bl.bit(prev, i - dist) } else { fill }
                 } else if i + dist < w {
-                    cur[i + dist]
+                    bl.bit(prev, i + dist)
                 } else {
                     fill
                 };
-                next.push(self.gate_mux(sat, abit, shifted, cur[i]));
-            }
-            cur = next;
+                bl.gate_mux(sat, abit, shifted, bl.bit(prev, i))
+            });
         }
         // Any set amount bit beyond the stage range forces a full shift-out.
         let mut overflow = self.false_lit();
-        for &abit in amount.iter().skip(stages.max(1)) {
-            overflow = self.gate_or(sat, overflow, abit);
+        for s in stages..amount.len() {
+            overflow = self.gate_or(sat, overflow, self.bit(amount, s));
         }
         // Amounts >= w within the staged range also overflow; detect by
         // comparing amount >= w when w is not a power of two covered above.
         if !self.is_false(overflow) || !w.is_power_of_two() {
-            let wbits: Vec<Lit> = (0..amount.len())
-                .map(|i| self.const_lit(i < usize::BITS as usize && (w >> i) & 1 == 1))
-                .collect();
-            let lt_w = self.blast_ult(sat, amount, &wbits);
+            let wbits = self.emit(amount.len(), |bl, i| {
+                bl.const_lit(i < usize::BITS as usize && (w >> i) & 1 == 1)
+            });
+            let lt_w = self.blast_ult(sat, amount, wbits);
             let ge_w = lt_w.negate();
             let ov = self.gate_or(sat, overflow, ge_w);
-            cur = cur.iter().map(|&l| self.gate_mux(sat, ov, fill, l)).collect();
+            let prev = cur;
+            cur = self.emit(w, |bl, i| bl.gate_mux(sat, ov, fill, bl.bit(prev, i)));
         }
         cur
     }
@@ -281,7 +353,7 @@ impl Blaster {
         pool: &TermPool,
         a: TermId,
         b: TermId,
-    ) -> (Vec<Lit>, Vec<Lit>) {
+    ) -> (Span, Span) {
         // Introduce fresh q, r with: b != 0 -> (a == b*q + r at 2w, r < b)
         //                            b == 0 -> (q == ones, r == a)
         let w = pool.width(a);
@@ -303,61 +375,58 @@ impl Blaster {
         let div_ok = pool.and(exact, rem_lt);
         let zero_case = pool.and(q_ones, r_a);
         let side = pool.ite(bz, zero_case, div_ok);
-        let side_l = self.blast(sat, pool, side)[0];
-        sat.add_clause(&[side_l]);
+        let side = self.blast(sat, pool, side);
+        sat.add_clause(&[self.bit(side, 0)]);
         let ql = self.blast(sat, pool, q);
         let rl = self.blast(sat, pool, r);
         (ql, rl)
     }
 
-    /// Translate a term, returning its literals (LSB first). Results cached.
-    pub fn blast(&mut self, sat: &mut SatSolver, pool: &TermPool, id: TermId) -> Vec<Lit> {
-        if let Some(c) = self.cache.get(&id) {
+    /// Translate a term, returning the span of its literals (LSB first).
+    /// Results cached.
+    fn blast(&mut self, sat: &mut SatSolver, pool: &TermPool, id: TermId) -> Span {
+        if let Some(&c) = self.cache.get(&id) {
             self.stats.cache_hits += 1;
-            return c.clone();
+            return c;
         }
         self.stats.cache_misses += 1;
-        let node = pool.node(id).clone();
-        let out: Vec<Lit> = match node {
-            Node::Const(v) => (0..v.width()).map(|i| self.const_lit(v.bit(i))).collect(),
+        let out = match *pool.node(id) {
+            Node::Const(ref v) => self.emit(v.width(), |bl, i| bl.const_lit(v.bit(i))),
             Node::Var(v) => {
                 let width = pool.var_info(v).width;
-                let bits: Vec<Lit> = (0..width).map(|_| Lit::positive(sat.new_var())).collect();
-                self.var_bits.insert(v, bits.clone());
+                let first = sat.new_vars(width).0;
+                let bits = self.emit(width, |_, i| Lit::positive(SatVar(first + i as u32)));
+                self.var_bits.insert(v, bits);
                 bits
             }
             Node::Not(a) => {
                 let al = self.blast(sat, pool, a);
-                al.into_iter().map(Lit::negate).collect()
+                self.negated(al)
             }
             Node::Neg(a) => {
                 let al = self.blast(sat, pool, a);
-                let inv: Vec<Lit> = al.into_iter().map(Lit::negate).collect();
-                let one: Vec<Lit> = (0..inv.len())
-                    .map(|i| self.const_lit(i == 0))
-                    .collect();
+                let inv = self.negated(al);
+                let one = self.emit(inv.len(), |bl, i| bl.const_lit(i == 0));
                 let f = self.false_lit();
-                self.ripple_add(sat, &inv, &one, f)
+                self.ripple_add(sat, inv, one, f)
             }
             Node::Extract { hi, lo, arg } => {
                 let al = self.blast(sat, pool, arg);
-                al[lo as usize..=hi as usize].to_vec()
+                al.sub(lo as usize, (hi - lo) as usize + 1)
             }
             Node::Ite(c, t, e) => {
-                let cl = self.blast(sat, pool, c)[0];
+                let cs = self.blast(sat, pool, c);
+                let cl = self.bit(cs, 0);
                 let tl = self.blast(sat, pool, t);
                 let el = self.blast(sat, pool, e);
-                tl.iter()
-                    .zip(&el)
-                    .map(|(&a, &b)| self.gate_mux(sat, cl, a, b))
-                    .collect()
+                self.emit(tl.len(), |bl, i| bl.gate_mux(sat, cl, bl.bit(tl, i), bl.bit(el, i)))
             }
             Node::Bin(op, a, b) => {
                 // UDiv/URem introduce fresh pool variables, handled separately.
                 if matches!(op, BinOp::UDiv | BinOp::URem) {
                     let (q, r) = self.blast_udiv_urem(sat, pool, a, b);
                     let out = if op == BinOp::UDiv { q } else { r };
-                    self.cache.insert(id, out.clone());
+                    self.cache.insert(id, out);
                     return out;
                 }
                 let al = self.blast(sat, pool, a);
@@ -365,77 +434,84 @@ impl Blaster {
                 match op {
                     BinOp::Add => {
                         let f = self.false_lit();
-                        self.ripple_add(sat, &al, &bl, f)
+                        self.ripple_add(sat, al, bl, f)
                     }
                     BinOp::Sub => {
-                        let binv: Vec<Lit> = bl.iter().map(|l| l.negate()).collect();
+                        let binv = self.negated(bl);
                         let t = self.true_lit;
-                        self.ripple_add(sat, &al, &binv, t)
+                        self.ripple_add(sat, al, binv, t)
                     }
-                    BinOp::Mul => self.blast_mul(sat, &al, &bl),
-                    BinOp::And => al
-                        .iter()
-                        .zip(&bl)
-                        .map(|(&x, &y)| self.gate_and(sat, x, y))
-                        .collect(),
-                    BinOp::Or => al
-                        .iter()
-                        .zip(&bl)
-                        .map(|(&x, &y)| self.gate_or(sat, x, y))
-                        .collect(),
-                    BinOp::Xor => al
-                        .iter()
-                        .zip(&bl)
-                        .map(|(&x, &y)| self.gate_xor(sat, x, y))
-                        .collect(),
+                    BinOp::Mul => self.blast_mul(sat, al, bl),
+                    BinOp::And => {
+                        self.emit(al.len(), |s, i| s.gate_and(sat, s.bit(al, i), s.bit(bl, i)))
+                    }
+                    BinOp::Or => {
+                        self.emit(al.len(), |s, i| s.gate_or(sat, s.bit(al, i), s.bit(bl, i)))
+                    }
+                    BinOp::Xor => {
+                        self.emit(al.len(), |s, i| s.gate_xor(sat, s.bit(al, i), s.bit(bl, i)))
+                    }
                     BinOp::Shl => {
                         let f = self.false_lit();
-                        self.blast_shift(sat, &al, &bl, true, f)
+                        self.blast_shift(sat, al, bl, true, f)
                     }
                     BinOp::LShr => {
                         let f = self.false_lit();
-                        self.blast_shift(sat, &al, &bl, false, f)
+                        self.blast_shift(sat, al, bl, false, f)
                     }
                     BinOp::AShr => {
-                        let sign = *al.last().expect("ashr of zero-width term");
-                        self.blast_shift(sat, &al, &bl, false, sign)
+                        let sign = self.bit(al, al.len() - 1);
+                        self.blast_shift(sat, al, bl, false, sign)
                     }
                     BinOp::Concat => {
                         // `a` is the high part: result = bl ++ al (LSB first).
-                        let mut out = bl.clone();
-                        out.extend_from_slice(&al);
-                        out
+                        let lo = bl.len();
+                        self.emit(lo + al.len(), |s, i| {
+                            if i < lo {
+                                s.bit(bl, i)
+                            } else {
+                                s.bit(al, i - lo)
+                            }
+                        })
                     }
-                    BinOp::Eq => vec![self.blast_eq(sat, &al, &bl)],
-                    BinOp::Ult => vec![self.blast_ult(sat, &al, &bl)],
+                    BinOp::Eq => {
+                        let l = self.blast_eq(sat, al, bl);
+                        self.emit_one(l)
+                    }
+                    BinOp::Ult => {
+                        let l = self.blast_ult(sat, al, bl);
+                        self.emit_one(l)
+                    }
                     BinOp::Ule => {
-                        let gt = self.blast_ult(sat, &bl, &al);
-                        vec![gt.negate()]
+                        let gt = self.blast_ult(sat, bl, al);
+                        self.emit_one(gt.negate())
                     }
                     BinOp::Slt => {
-                        let (af, bf) = (self.flip_msb(&al), self.flip_msb(&bl));
-                        vec![self.blast_ult(sat, &af, &bf)]
+                        let (af, bf) = (self.flip_msb(al), self.flip_msb(bl));
+                        let l = self.blast_ult(sat, af, bf);
+                        self.emit_one(l)
                     }
                     BinOp::Sle => {
-                        let (af, bf) = (self.flip_msb(&al), self.flip_msb(&bl));
-                        let gt = self.blast_ult(sat, &bf, &af);
-                        vec![gt.negate()]
+                        let (af, bf) = (self.flip_msb(al), self.flip_msb(bl));
+                        let gt = self.blast_ult(sat, bf, af);
+                        self.emit_one(gt.negate())
                     }
                     BinOp::UDiv | BinOp::URem => unreachable!(),
                 }
             }
         };
         debug_assert_eq!(out.len(), pool.width(id), "blasted width mismatch");
-        self.cache.insert(id, out.clone());
+        self.cache.insert(id, out);
         out
     }
 
-    fn flip_msb(&self, bits: &[Lit]) -> Vec<Lit> {
-        let mut v = bits.to_vec();
-        if let Some(last) = v.last_mut() {
-            *last = last.negate();
-        }
-        v
+    fn negated(&mut self, a: Span) -> Span {
+        self.emit(a.len(), |bl, i| bl.bit(a, i).negate())
+    }
+
+    fn flip_msb(&mut self, a: Span) -> Span {
+        let msb = a.len() - 1;
+        self.emit(a.len(), |bl, i| if i == msb { bl.bit(a, i).negate() } else { bl.bit(a, i) })
     }
 
     // ---- binding top-level assertions ------------------------------------
@@ -458,16 +534,10 @@ impl Blaster {
             Node::Bin(BinOp::Eq, a, b) => {
                 let (free, other) = if self.bindable(pool, b) { (b, a) } else { (a, b) };
                 let lits = self.blast(sat, pool, other);
-                self.bind(sat, pool, free, &lits)
+                self.bind(sat, pool, free, lits)
             }
-            Node::Not(a) => {
-                let f = self.false_lit();
-                self.bind(sat, pool, a, &[f])
-            }
-            _ => {
-                let t_lit = self.true_lit;
-                self.bind(sat, pool, t, &[t_lit])
-            }
+            Node::Not(a) => self.bind(sat, pool, a, FALSE_SPAN),
+            _ => self.bind(sat, pool, t, TRUE_SPAN),
         }
     }
 
@@ -497,44 +567,45 @@ impl Blaster {
     /// — including a variable that got encoded while `lits` were blasted,
     /// so `x == x + 1` stays unsatisfiable — is blasted and equated bit by
     /// bit.
-    fn bind(&mut self, sat: &mut SatSolver, pool: &TermPool, x: TermId, lits: &[Lit]) -> bool {
+    fn bind(&mut self, sat: &mut SatSolver, pool: &TermPool, x: TermId, lits: Span) -> bool {
         debug_assert_eq!(pool.width(x), lits.len(), "bound width mismatch");
         match *pool.node(x) {
             Node::Var(v) if !self.var_bits.contains_key(&v) => {
-                self.var_bits.insert(v, lits.to_vec());
-                self.cache.insert(x, lits.to_vec());
+                self.var_bits.insert(v, lits);
+                self.cache.insert(x, lits);
                 true
             }
             Node::Bin(BinOp::Concat, hi, lo) => {
                 let w = pool.width(lo);
-                self.bind(sat, pool, lo, &lits[..w]) && self.bind(sat, pool, hi, &lits[w..])
+                self.bind(sat, pool, lo, lits.sub(0, w))
+                    && self.bind(sat, pool, hi, lits.sub(w, lits.len() - w))
             }
             Node::Extract { hi, lo, arg } if self.unencoded_var(pool, arg).is_some() => {
                 let Node::Var(v) = *pool.node(arg) else { unreachable!() };
                 let (lo, hi) = (lo as usize, hi as usize);
-                let bits: Vec<Lit> = (0..pool.var_info(v).width)
-                    .map(|i| {
-                        if (lo..=hi).contains(&i) {
-                            lits[i - lo]
-                        } else {
-                            Lit::positive(sat.new_var())
-                        }
-                    })
-                    .collect();
-                self.var_bits.insert(v, bits.clone());
+                let width = pool.var_info(v).width;
+                // The bits outside the slice, numbered from the LSB up.
+                let first = sat.new_vars(width - lits.len()).0 as usize;
+                let bits = self.emit(width, |bl, i| match i {
+                    _ if i < lo => Lit::positive(SatVar((first + i) as u32)),
+                    _ if i <= hi => bl.bit(lits, i - lo),
+                    _ => Lit::positive(SatVar((first + i - lits.len()) as u32)),
+                });
+                self.var_bits.insert(v, bits);
                 self.cache.insert(arg, bits);
                 true
             }
             _ => {
                 let xl = self.blast(sat, pool, x);
-                self.equate(sat, &xl, lits)
+                self.equate(sat, xl, lits)
             }
         }
     }
 
     /// Per-bit equivalence clauses; a unit where one side is a constant.
-    fn equate(&mut self, sat: &mut SatSolver, a: &[Lit], b: &[Lit]) -> bool {
-        for (&x, &y) in a.iter().zip(b) {
+    fn equate(&mut self, sat: &mut SatSolver, a: Span, b: Span) -> bool {
+        for i in 0..a.len() {
+            let (x, y) = (self.bit(a, i), self.bit(b, i));
             let ok = if x == y {
                 true
             } else if x.var() == self.true_lit.var() {
@@ -557,7 +628,8 @@ impl Blaster {
     /// Assert that `self` and `other` are in the same state (see
     /// [`SatSolver::assert_same_state`]).
     pub(crate) fn assert_same_state(&self, other: &Blaster) {
-        let Blaster { cache, var_bits, true_lit, stats } = self;
+        let Blaster { lits, cache, var_bits, true_lit, stats } = self;
+        assert_eq!(lits, &other.lits);
         assert_eq!(cache, &other.cache);
         assert_eq!(var_bits, &other.var_bits);
         assert_eq!(true_lit, &other.true_lit);
@@ -574,8 +646,8 @@ mod tests {
     fn solve_term(pool: &TermPool, t: TermId) -> Option<crate::eval::Assignment> {
         let mut sat = SatSolver::new();
         let mut bl = Blaster::new(&mut sat);
-        let l = bl.blast(&mut sat, pool, t)[0];
-        sat.add_clause(&[l]);
+        let span = bl.blast(&mut sat, pool, t);
+        sat.add_clause(&[bl.lits(span)[0]]);
         if sat.solve() == SatResult::Unsat {
             return None;
         }
@@ -649,7 +721,7 @@ mod tests {
             assert_eq!(value(&asg, &p, v), Some(3));
         }
         // y and z name x's literals: one set of bits for the whole chain.
-        let bits = |v| bl.var_bits[&var_id(&p, v)].clone();
+        let bits = |v| bl.lits(bl.var_bits[&var_id(&p, v)]).to_vec();
         assert_eq!(bits(x), bits(y));
         assert_eq!(bits(y), bits(z));
         let split = [chain[0], chain[1], p.eq(x, c3), p.eq(z, c4)];
@@ -667,7 +739,7 @@ mod tests {
         assert_eq!(value(&asg, &p, b), Some(0));
         assert_eq!(value(&asg, &p, c), Some(1));
         assert_eq!(value(&asg, &p, x), Some(0xA5));
-        assert!(bl.var_bits[&var_id(&p, x)].iter().all(|l| !l.is_positive()));
+        assert!(bl.lits(bl.var_bits[&var_id(&p, x)]).iter().all(|l| !l.is_positive()));
         // A bound 1-bit variable is a constant: asserting it again conflicts.
         assert!(solve_bound(&p, &[p.not(b), b]).1.is_none());
     }

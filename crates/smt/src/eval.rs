@@ -39,6 +39,11 @@ impl Assignment {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
+
+    /// Remove every value, keeping the storage.
+    pub fn clear(&mut self) {
+        self.values.clear();
+    }
 }
 
 /// Evaluate `root` in `pool` under `asg`, memoizing shared subterms.
@@ -47,7 +52,9 @@ pub fn eval(pool: &TermPool, asg: &Assignment, root: TermId) -> BitVec {
     eval_memo(pool, asg, root, &mut memo)
 }
 
-fn eval_memo(
+/// [`eval`] with a caller-owned memo, which may be shared by roots
+/// evaluated under the same `asg`.
+pub fn eval_memo(
     pool: &TermPool,
     asg: &Assignment,
     id: TermId,

@@ -6,6 +6,20 @@
 //! follows MiniSat's architecture, favoring clarity over heroic optimization —
 //! the paper itself reports that constraint solving is under 10% of P4Testgen
 //! CPU time (Fig. 7), a property our Fig. 7 harness re-measures.
+//!
+//! Variables cost nothing until a clause mentions them. The blaster creates
+//! every bit of a variable even when a constraint touches one slice of it,
+//! so most variables of a check occur in no clause. Attaching a clause marks
+//! its variables as occurring, and a solve fills the decision heap with
+//! var 0 and the occurring, unassigned variables not yet in it, in index
+//! order. Any other variable is never decided: [`SatSolver::model_value`]
+//! reads its saved phase (`false`, or the [`SatSolver::seed_phases`]
+//! scramble), the value a decision on it would have taken. Until the first
+//! conflict every activity is equal, and the heap pops its root and then
+//! the rest from the back, so decisions go var 0 first, then by descending
+//! index, with or without the clause-free variables in between; a decision
+//! on one of those propagated nothing. Leaving them out therefore changes
+//! no model of a conflict-free search.
 
 /// A propositional variable, numbered from 0.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -169,8 +183,9 @@ impl SatStats {
     }
 }
 
-/// The solver. Variables are created with [`SatSolver::new_var`], clauses
-/// added with [`SatSolver::add_clause`], and satisfiability queried with
+/// The solver. Variables are created with [`SatSolver::new_var`] or
+/// [`SatSolver::new_vars`], clauses added with [`SatSolver::add_clause`],
+/// and satisfiability queried with
 /// [`SatSolver::solve`]. The facade in [`crate::solver`] builds one
 /// instance per check, on storage recycled with [`SatSolver::reset`].
 pub struct SatSolver {
@@ -188,9 +203,13 @@ pub struct SatSolver {
     // VSIDS
     activity: Vec<f64>,
     var_inc: f64,
+    /// The decision heap: var 0 and the variables some attached clause
+    /// mentions (see the module docs).
     heap: Vec<SatVar>,
     heap_pos: Vec<Option<u32>>,
     phases: Vec<bool>,
+    /// Whether an attached clause mentions the variable.
+    occurs: Vec<bool>,
     // scratch for analyze
     seen: Vec<bool>,
     ok: bool,
@@ -225,6 +244,7 @@ impl SatSolver {
             heap: Vec::new(),
             heap_pos: Vec::new(),
             phases: Vec::new(),
+            occurs: Vec::new(),
             seen: Vec::new(),
             ok: true,
             cla_inc: 1.0,
@@ -252,6 +272,7 @@ impl SatSolver {
         self.heap.clear();
         self.heap_pos.clear();
         self.phases.clear();
+        self.occurs.clear();
         self.seen.clear();
         self.ok = true;
         self.cla_inc = 1.0;
@@ -265,24 +286,32 @@ impl SatSolver {
 
     /// Create a fresh variable.
     pub fn new_var(&mut self) -> SatVar {
-        let v = SatVar(self.assigns.len() as u32);
-        self.assigns.push(Value::Unassigned);
-        self.levels.push(0);
-        self.reasons.push(None);
-        self.activity.push(0.0);
-        self.phases.push(false);
-        self.seen.push(false);
-        self.heap_pos.push(None);
-        let slot = 2 * v.0 as usize;
-        if self.watches.len() > slot {
-            self.watches[slot].clear();
-            self.watches[slot + 1].clear();
-        } else {
-            self.watches.push(Vec::new());
-            self.watches.push(Vec::new());
+        self.new_vars(1)
+    }
+
+    /// Create `n` consecutive fresh variables and return the first. A
+    /// variable enters the decision heap only once a clause mentions it.
+    pub fn new_vars(&mut self, n: usize) -> SatVar {
+        let first = self.assigns.len();
+        let total = first + n;
+        self.assigns.resize(total, Value::Unassigned);
+        self.levels.resize(total, 0);
+        self.reasons.resize(total, None);
+        self.activity.resize(total, 0.0);
+        self.phases.resize(total, false);
+        self.occurs.resize(total, false);
+        self.seen.resize(total, false);
+        self.heap_pos.resize(total, None);
+        // Watch lists past the live variables stay allocated after a reset;
+        // clear the reused ones and grow the rest.
+        let reused = self.watches.len().min(2 * total);
+        for w in &mut self.watches[2 * first..reused] {
+            w.clear();
         }
-        self.heap_insert(v);
-        v
+        if self.watches.len() < 2 * total {
+            self.watches.resize_with(2 * total, Vec::new);
+        }
+        SatVar(first as u32)
     }
 
     fn value_lit(&self, l: Lit) -> Value {
@@ -294,9 +323,15 @@ impl SatSolver {
         }
     }
 
-    /// Model value of a variable after a `Sat` result.
+    /// Model value of a variable after a `Sat` result. A variable no
+    /// clause mentions is never decided and reads its saved phase: the
+    /// value a decision on it would have taken.
     pub fn model_value(&self, v: SatVar) -> bool {
-        self.assigns[v.0 as usize] == Value::True
+        match self.assigns[v.0 as usize] {
+            Value::True => true,
+            Value::False => false,
+            Value::Unassigned => self.phases[v.0 as usize],
+        }
     }
 
     fn decision_level(&self) -> u32 {
@@ -354,10 +389,14 @@ impl SatSolver {
         }
     }
 
-    /// Attach the clause whose literals are `lits[start..]`.
+    /// Attach the clause whose literals are `lits[start..]`, marking its
+    /// variables as occurring.
     fn attach_tail(&mut self, start: usize, learnt: bool) -> ClauseRef {
         let len = self.lits.len() - start;
         debug_assert!(len >= 2);
+        for l in &self.lits[start..] {
+            self.occurs[l.var().0 as usize] = true;
+        }
         let cref = ClauseRef(self.clauses.len() as u32);
         self.watches[self.lits[start].negate().index()].push(cref);
         self.watches[self.lits[start + 1].negate().index()].push(cref);
@@ -460,9 +499,11 @@ impl SatSolver {
     }
 
     /// Conflict analysis producing a first-UIP learnt clause and the level to
-    /// backtrack to.
-    fn analyze(&mut self, mut conflict: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0 reserved for the UIP
+    /// backtrack to. The clause is built in place at the tail of the literal
+    /// arena, from the returned index; the UIP comes first.
+    fn analyze(&mut self, mut conflict: ClauseRef) -> (usize, u32) {
+        let tail = self.lits.len();
+        self.lits.push(Lit(0)); // slot 0 reserved for the UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut trail_idx = self.trail.len();
@@ -481,7 +522,7 @@ impl SatSolver {
                 if self.levels[qv] == self.decision_level() {
                     counter += 1;
                 } else {
-                    learnt.push(q);
+                    self.lits.push(q);
                 }
             }
             // Walk the trail back to the next marked literal.
@@ -501,6 +542,7 @@ impl SatSolver {
             }
             conflict = self.reasons[pv].expect("non-decision literal must have a reason");
         }
+        let learnt = &mut self.lits[tail..];
         learnt[0] = p.unwrap().negate();
         // Backtrack level: second-highest level in the learnt clause.
         let mut bt = 0u32;
@@ -515,10 +557,10 @@ impl SatSolver {
         if learnt.len() > 1 {
             learnt.swap(1, max_i);
         }
-        for &l in &learnt {
+        for &l in learnt.iter() {
             self.seen[l.var().0 as usize] = false;
         }
-        (learnt, bt)
+        (tail, bt)
     }
 
     fn backtrack(&mut self, level: u32) {
@@ -602,6 +644,7 @@ impl SatSolver {
             self.ok = false;
             return SatResult::Unsat;
         }
+        self.fill_heap();
         let start_conflicts = self.stats.conflicts;
         let start_decisions = self.stats.decisions;
         let start_propagations = self.stats.propagations;
@@ -629,31 +672,31 @@ impl SatSolver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                let (learnt, bt_level) = self.analyze(conflict);
+                let (start, bt_level) = self.analyze(conflict);
                 self.backtrack(bt_level);
+                let size = self.lits.len() - start;
                 self.stats.learnt_clauses += 1;
-                self.stats.learnt_literals += learnt.len() as u64;
-                let size = learnt.len() as u64;
+                self.stats.learnt_literals += size as u64;
                 self.stats.learnt_size_hist
-                    [LEARNT_SIZE_BOUNDS.partition_point(|&b| b < size)] += 1;
-                if learnt.len() == 1 {
+                    [LEARNT_SIZE_BOUNDS.partition_point(|&b| b < size as u64)] += 1;
+                let uip = self.lits[start];
+                if size == 1 {
+                    self.lits.truncate(start);
                     if self.decision_level() > 0 {
                         self.backtrack(0);
                     }
-                    if self.value_lit(learnt[0]) == Value::False {
+                    if self.value_lit(uip) == Value::False {
                         self.ok = false;
                         return SatResult::Unsat;
                     }
-                    if self.value_lit(learnt[0]) == Value::Unassigned {
-                        self.enqueue(learnt[0], None);
+                    if self.value_lit(uip) == Value::Unassigned {
+                        self.enqueue(uip, None);
                     }
                 } else {
                     // The learnt clause is asserting at the backtrack level.
-                    let start = self.lits.len();
-                    self.lits.extend_from_slice(&learnt);
                     let cref = self.attach_tail(start, true);
-                    if self.value_lit(learnt[0]) == Value::Unassigned {
-                        self.enqueue(learnt[0], Some(cref));
+                    if self.value_lit(uip) == Value::Unassigned {
+                        self.enqueue(uip, Some(cref));
                     }
                 }
                 self.var_inc /= VAR_DECAY;
@@ -684,6 +727,17 @@ impl SatSolver {
     }
 
     // ---- activity-ordered heap ------------------------------------------
+
+    /// Insert var 0 and every occurring, unassigned variable not yet in the
+    /// heap, in index order.
+    fn fill_heap(&mut self) {
+        for v in 0..self.num_vars() {
+            let wanted = v == 0 || (self.occurs[v] && self.assigns[v] == Value::Unassigned);
+            if wanted && self.heap_pos[v].is_none() {
+                self.heap_insert(SatVar(v as u32));
+            }
+        }
+    }
 
     fn heap_less(&self, a: SatVar, b: SatVar) -> bool {
         self.activity[a.0 as usize] > self.activity[b.0 as usize]
@@ -778,6 +832,7 @@ impl SatSolver {
             heap,
             heap_pos,
             phases,
+            occurs,
             seen,
             ok,
             cla_inc,
@@ -798,6 +853,7 @@ impl SatSolver {
         assert_eq!(heap, &other.heap);
         assert_eq!(heap_pos, &other.heap_pos);
         assert_eq!(phases, &other.phases);
+        assert_eq!(occurs, &other.occurs);
         assert_eq!(seen, &other.seen);
         assert_eq!(ok, &other.ok);
         assert_eq!(cla_inc, &other.cla_inc);
@@ -1084,6 +1140,94 @@ mod tests {
         }
         for want in [SatResult::Sat, SatResult::Unsat, SatResult::Unknown] {
             assert!(verdicts.contains(&want), "no job answered {want:?}");
+        }
+    }
+
+    #[test]
+    fn a_variable_first_mentioned_after_a_solve_is_decided_next() {
+        let mut s = SatSolver::new();
+        let v = lits(&mut s, 4);
+        s.add_clause(&[Lit::positive(v[0])]);
+        s.add_clause(&[Lit::positive(v[1]), Lit::positive(v[2])]);
+        assert_eq!(s.solve(), SatResult::Sat);
+        // Only the clause's variables are searched: v2 is decided false and
+        // v1 propagates; v3 is never decided and reads its saved phase.
+        assert_eq!((s.stats.decisions, s.stats.propagations), (1, 3));
+        assert!(s.model_value(v[1]) && !s.model_value(v[2]) && !s.model_value(v[3]));
+        let w = s.new_var();
+        s.add_clause(&[Lit::positive(v[3]), Lit::positive(w)]);
+        assert_eq!(s.solve(), SatResult::Sat);
+        let decided = |x: SatVar| s.levels[x.0 as usize] > 0 && s.reasons[x.0 as usize].is_none();
+        assert!(decided(w), "the newly mentioned variable was not decided");
+        assert!(!s.model_value(w) && s.model_value(v[3]), "the new clause is not satisfied");
+    }
+
+    /// A random CNF of `clauses` clauses of 2–3 literals over `n` variables.
+    fn random_cnf(n: usize, clauses: usize, mut seed: u64) -> Vec<Vec<(usize, bool)>> {
+        let mut next = move || {
+            seed = splitmix64(seed);
+            seed
+        };
+        (0..clauses)
+            .map(|_| {
+                let len = 2 + (next() % 2) as usize;
+                (0..len).map(|_| ((next() % n as u64) as usize, next() & 1 == 1)).collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Inserting variables no clause mentions, anywhere after var 0, must
+        /// not change the search over the others: same verdict, same stats,
+        /// same model, under default or scrambled phases. Each inserted
+        /// variable reads its saved phase.
+        #[test]
+        fn clause_free_variables_change_no_search(
+            seed: u64,
+            n in 1usize..60,
+            tenths in 0usize..60,
+            extra in 1usize..24,
+            phase_seed in 0u64..3,
+        ) {
+            let cnf = random_cnf(n, tenths * n / 10, seed);
+            // `at[i]`: base variable i's index in the padded instance.
+            let mut rng = splitmix64(seed ^ 0xA5A5);
+            let mut at = vec![0usize];
+            let (mut placed, mut inserted) = (1, 0);
+            while placed < n {
+                rng = splitmix64(rng);
+                if inserted < extra && rng.is_multiple_of(3) {
+                    inserted += 1;
+                } else {
+                    at.push(placed + inserted);
+                    placed += 1;
+                }
+            }
+            let total = n + extra;
+            let (mut base, mut padded) = (SatSolver::new(), SatSolver::new());
+            base.new_vars(n);
+            padded.new_vars(total);
+            padded.seed_phases(phase_seed);
+            for (i, &j) in at.iter().enumerate() {
+                base.phases[i] = padded.phases[j];
+            }
+            let lit = |v: usize, pos: bool| Lit::new(SatVar(v as u32), pos);
+            for c in &cnf {
+                base.add_clause(&c.iter().map(|&(v, pos)| lit(v, pos)).collect::<Vec<_>>());
+                padded.add_clause(&c.iter().map(|&(v, pos)| lit(at[v], pos)).collect::<Vec<_>>());
+            }
+            let verdict = base.solve();
+            proptest::prop_assert_eq!(verdict, padded.solve());
+            proptest::prop_assert_eq!(&base.stats, &padded.stats);
+            if verdict == SatResult::Sat {
+                for (i, &j) in at.iter().enumerate() {
+                    let (b, p) = (SatVar(i as u32), SatVar(j as u32));
+                    proptest::prop_assert_eq!(base.model_value(b), padded.model_value(p));
+                }
+                for x in (1..total).filter(|x| !at.contains(x)) {
+                    proptest::prop_assert_eq!(padded.model_value(SatVar(x as u32)), padded.phases[x]);
+                }
+            }
         }
     }
 

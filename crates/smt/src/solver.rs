@@ -27,6 +27,13 @@
 //!   a Sat model-bearing check under its model with [`crate::eval`], so
 //!   every binding is checked against the reference semantics.
 //!
+//!   The reset keeps the blaster's literal arena and the SAT solver's
+//!   vectors, and the search decides only the variables some clause
+//!   mentions (see [`crate::sat`]), so an instance costs what its clauses
+//!   constrain. A check that repeats an earlier one's list on the same
+//!   `Solver` makes no heap allocation; in debug builds the model audit
+//!   reuses its buffers to keep it so.
+//!
 //! * [`Solver::check_feasible`] is **verdict-only**. It first runs the
 //!   term-level simplifier ([`crate::simplify`]) over the conjunction:
 //!   constant folding, equality substitution along the trail, and — because
@@ -193,6 +200,19 @@ pub struct Solver {
     rewrite_cache: RewriteCache,
     pub stats: SolverStats,
     pub inc_stats: IncrementalStats,
+    #[cfg(debug_assertions)]
+    audit: AuditScratch,
+}
+
+/// Buffers the debug model audit reuses, so that once they have grown a
+/// check allocates no more in a debug build than in a release one.
+#[cfg(debug_assertions)]
+#[derive(Default)]
+struct AuditScratch {
+    walk: crate::term::VarWalk,
+    vars: Vec<VarId>,
+    model: Assignment,
+    memo: std::collections::HashMap<TermId, crate::bitvec::BitVec>,
 }
 
 impl Default for Solver {
@@ -212,6 +232,8 @@ impl Solver {
             rewrite_cache: RewriteCache::default(),
             stats: SolverStats::default(),
             inc_stats: IncrementalStats::default(),
+            #[cfg(debug_assertions)]
+            audit: AuditScratch::default(),
         }
     }
 
@@ -262,12 +284,18 @@ impl Solver {
     /// under its model and panic, naming the term, if one is false: every
     /// binding the blaster made is checked against the reference semantics.
     #[cfg(debug_assertions)]
-    fn audit_model(&self, pool: &TermPool, constraints: &[TermId]) {
-        let vars = crate::term::VarWalk::default().vars(pool, constraints.iter().copied());
-        let asg = self.model(pool, &vars);
+    fn audit_model(&mut self, pool: &TermPool, constraints: &[TermId]) {
+        let AuditScratch { walk, vars, model, memo } = &mut self.audit;
+        let (sat, blaster) = self.instance.as_ref().expect("a Sat check leaves its instance");
+        walk.vars_into(pool, constraints.iter().copied(), vars);
+        model.clear();
+        for &v in vars.iter() {
+            model.set(v, blaster.model_value(sat, pool, v));
+        }
+        memo.clear();
         for &t in constraints {
             assert!(
-                crate::eval::eval(pool, &asg, t).is_true(),
+                crate::eval::eval_memo(pool, model, t, memo).is_true(),
                 "model audit failed: {} is false under the model",
                 pool.display(t)
             );

@@ -131,6 +131,20 @@ pub struct VarWalk {
 impl VarWalk {
     /// The variables appearing under any of `roots`, sorted and distinct.
     pub fn vars(&mut self, pool: &TermPool, roots: impl IntoIterator<Item = TermId>) -> Vec<VarId> {
+        let mut out = Vec::new();
+        self.vars_into(pool, roots, &mut out);
+        out
+    }
+
+    /// [`VarWalk::vars`] into `out`, replacing its contents and reusing its
+    /// storage.
+    pub fn vars_into(
+        &mut self,
+        pool: &TermPool,
+        roots: impl IntoIterator<Item = TermId>,
+        out: &mut Vec<VarId>,
+    ) {
+        out.clear();
         if self.marks.len() < pool.len() {
             self.marks.resize(pool.len(), 0);
         }
@@ -141,7 +155,6 @@ impl VarWalk {
                 1
             }
         };
-        let mut out = Vec::new();
         self.stack.extend(roots);
         while let Some(t) = self.stack.pop() {
             let mark = &mut self.marks[t.0 as usize];
@@ -164,9 +177,8 @@ impl VarWalk {
                 }
             }
         }
-        out.sort();
+        out.sort_unstable();
         out.dedup();
-        out
     }
 }
 

@@ -4,12 +4,14 @@
 //! - values of at most 128 bits are built, combined and cloned inline;
 //! - a test holds its path's trace, so cloning it copies no line;
 //! - a fork's first write to the environment copies the map's nodes, not
-//!   its slot names or taint masks.
+//!   its slot names or taint masks;
+//! - a solver check that repeats an earlier check's list encodes and
+//!   solves on the storage that check left.
 //!
 //! The count is per thread, so tests running beside these do not disturb
 //! them.
 
-use p4t_smt::{BitVec, TermPool};
+use p4t_smt::{BitVec, CheckResult, Solver, TermPool};
 use p4t_targets::V1Model;
 use p4testgen_core::{ExecState, Sym, Testgen, TestgenConfig, TestSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -109,4 +111,24 @@ fn a_forks_first_write_copies_no_slot_name_or_taint() {
     let old = pool.constant(BitVec::from_u64(16, 50));
     assert_eq!(parent.read("meta.slot_050").map(|s| s.term), Some(old));
     assert_eq!(child.read("meta.slot_050"), Some(&fresh));
+}
+
+#[test]
+fn a_repeated_check_allocates_nothing() {
+    // Slices of one 112-bit header-like variable, bound and compared, plus
+    // an adder over a slice: the shapes a path constraint takes.
+    let pool = TermPool::new();
+    let hdr = pool.fresh_var("hdr", 112);
+    let port = pool.fresh_var("port", 16);
+    let list = [
+        pool.eq(pool.extract(15, 0, hdr), pool.const_u128(16, 0x86DD)),
+        pool.eq(pool.extract(63, 48, hdr), port),
+        pool.ult(pool.add(pool.extract(47, 16, hdr), pool.const_u128(32, 7)), pool.const_u128(32, 100)),
+        pool.not(pool.eq(port, pool.const_u128(16, 0))),
+    ];
+    let mut solver = Solver::new();
+    assert_eq!(solver.check_assuming(&pool, &list), CheckResult::Sat);
+    let (n, verdict) = allocations(|| solver.check_assuming(&pool, &list));
+    assert_eq!(verdict, CheckResult::Sat);
+    assert_eq!(n, 0, "repeating a check made {n} allocations");
 }

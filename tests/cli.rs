@@ -2,7 +2,7 @@
 
 mod common;
 
-use common::{bin, EXAMPLE_VALUES};
+use common::{bin, ScratchDir, EXAMPLE_VALUES};
 use std::process::Command;
 
 const PROGRAM: &str = r#"
@@ -29,24 +29,19 @@ control Dep(packet_out pkt, in headers_t hdr) { apply { pkt.emit(hdr.eth); } }
 V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
 "#;
 
-/// The shared program file, written exactly once per test process: tests
-/// run in parallel, and rewriting (truncating) it while another test's
-/// child process reads it makes that child see an empty program.
-fn write_program() -> std::path::PathBuf {
-    static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
-    PATH.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("p4testgen_cli_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("prog.p4");
-        std::fs::write(&path, PROGRAM).unwrap();
-        path
-    })
-    .clone()
+/// The test program, written into a scratch directory of its own (which
+/// the test may also use for its outputs); the file lives as long as the
+/// returned directory.
+fn write_program() -> (ScratchDir, std::path::PathBuf) {
+    let dir = ScratchDir::new("cli");
+    let path = dir.join("prog.p4");
+    std::fs::write(&path, PROGRAM).unwrap();
+    (dir, path)
 }
 
 #[test]
 fn cli_generates_stf_and_validates() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let out = bin()
         .args(["--target", "v1model", "--backend", "stf", "--coverage", "--validate"])
         .arg(&prog)
@@ -63,7 +58,7 @@ fn cli_generates_stf_and_validates() {
 
 #[test]
 fn cli_json_backend_is_parseable() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let out = bin()
         .args(["--target", "v1model", "--backend", "json"])
         .arg(&prog)
@@ -77,7 +72,7 @@ fn cli_json_backend_is_parseable() {
 
 #[test]
 fn cli_rejects_unknown_target() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let out = bin().args(["--target", "nonesuch"]).arg(&prog).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown target"));
@@ -85,8 +80,7 @@ fn cli_rejects_unknown_target() {
 
 #[test]
 fn cli_reports_compile_errors_with_location() {
-    let dir = std::env::temp_dir().join(format!("p4testgen_cli_bad_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("cli_bad");
     let path = dir.join("bad.p4");
     std::fs::write(&path, "control C( { }").unwrap();
     let out = bin().args(["--target", "v1model"]).arg(&path).output().unwrap();
@@ -97,8 +91,7 @@ fn cli_reports_compile_errors_with_location() {
 
 #[test]
 fn cli_rejects_a_package_argument_that_names_no_block() {
-    let dir = std::env::temp_dir().join(format!("p4testgen_cli_ghost_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("cli_ghost");
     let path = dir.join("ghost.p4");
     std::fs::write(&path, PROGRAM.replace("Eg(), CC()", "Ghost(), CC()")).unwrap();
     let out = bin().args(["--target", "v1model"]).arg(&path).output().unwrap();
@@ -111,8 +104,7 @@ fn cli_rejects_a_package_argument_that_names_no_block() {
 
 #[test]
 fn cli_rejects_a_block_of_the_wrong_kind_and_a_duplicate_block_name() {
-    let dir = std::env::temp_dir().join(format!("p4testgen_cli_kinds_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("cli_kinds");
     let dup = "control P(inout headers_t hdr) { apply { } }\nV1Switch(";
     for (file, program, want) in [
         (
@@ -141,7 +133,7 @@ fn cli_rejects_a_block_of_the_wrong_kind_and_a_duplicate_block_name() {
 
 #[test]
 fn cli_max_tests_and_seed_are_honored() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let run = |seed: &str| {
         let out = bin()
             .args(["--target", "v1model", "--max-tests", "2", "--seed", seed])
@@ -160,7 +152,7 @@ fn cli_max_tests_and_seed_are_honored() {
 
 #[test]
 fn cli_observability_outputs_round_trip() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let trace = dir.join("trace.jsonl");
     let metrics = dir.join("metrics.json");
@@ -245,7 +237,7 @@ fn cli_observability_outputs_round_trip() {
 
 #[test]
 fn cli_metrics_prometheus_text_and_summary_stdout() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let metrics = dir.join("metrics.prom");
     let suite = dir.join("suite2.stf");
@@ -274,7 +266,7 @@ fn cli_metrics_prometheus_text_and_summary_stdout() {
 
 #[test]
 fn cli_interrupt_resume_round_trip_is_byte_identical() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let ckpt = dir.join("resume.ckpt");
     let reference = dir.join("reference.stf");
@@ -323,7 +315,7 @@ fn cli_interrupt_resume_round_trip_is_byte_identical() {
 
 #[test]
 fn cli_shard_merge_matches_whole_run() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let reference = dir.join("shard_reference.stf");
     let merged = dir.join("shard_merged.stf");
@@ -368,7 +360,7 @@ fn cli_shard_merge_matches_whole_run() {
 
 #[test]
 fn cli_corrupt_resume_warns_and_cold_starts() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let bad = dir.join("corrupt.ckpt");
     std::fs::write(&bad, b"this is not a checkpoint at all").unwrap();
@@ -389,8 +381,7 @@ fn cli_corrupt_resume_warns_and_cold_starts() {
 
 #[test]
 fn cli_merge_rejects_corrupt_checkpoints() {
-    let dir = std::env::temp_dir().join(format!("p4testgen_cli_mg_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("cli_mg");
     let bad = dir.join("garbage.ckpt");
     std::fs::write(&bad, b"garbage bytes, definitely not a checkpoint").unwrap();
     let out = bin().arg("--merge-shards").arg(&bad).output().unwrap();
@@ -404,7 +395,7 @@ fn cli_merge_rejects_corrupt_checkpoints() {
 
 #[test]
 fn cli_deadline_without_checkpoint_reports_resume_null() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let out = bin()
         .args(["--target", "v1model", "--seed", "7", "--deadline", "0.0001"])
         .args(["--summary-json", "--out", "/dev/null"])
@@ -422,7 +413,7 @@ fn cli_deadline_without_checkpoint_reports_resume_null() {
 
 #[test]
 fn cli_checkpointing_run_reports_resume_object() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let ckpt = dir.join("summary.ckpt");
     let out = bin()
@@ -479,7 +470,7 @@ fn wait_for_status_addr(stderr_path: &std::path::Path) -> String {
 
 #[test]
 fn cli_status_endpoint_serves_status_metrics_and_healthz() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let stderr_path = dir.join("status_stderr.txt");
     let summary_path = dir.join("status_summary.json");
@@ -535,7 +526,7 @@ fn cli_status_endpoint_serves_status_metrics_and_healthz() {
 
 #[test]
 fn cli_provenance_records_parallel_the_suite() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let prov = dir.join("prov.jsonl");
     let out = bin()
@@ -573,7 +564,7 @@ fn cli_provenance_records_parallel_the_suite() {
 
 #[test]
 fn cli_interrupted_run_leaves_flight_dump_and_annotated_coverage_report() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let flight = dir.join("flight.jsonl");
     let report = dir.join("coverage_report.txt");
@@ -622,7 +613,7 @@ fn cli_interrupted_run_leaves_flight_dump_and_annotated_coverage_report() {
 #[cfg(unix)]
 #[test]
 fn cli_sigterm_drains_and_flushes_telemetry_without_checkpoint() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let stderr_path = dir.join("sigterm_stderr.txt");
     let flight = dir.join("sigterm_flight.jsonl");
@@ -652,7 +643,7 @@ fn cli_sigterm_drains_and_flushes_telemetry_without_checkpoint() {
 
 #[test]
 fn cli_accepts_robustness_flags_and_stays_deterministic() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let run = || {
         let out = bin()
             .args([
@@ -686,7 +677,7 @@ fn cli_accepts_robustness_flags_and_stays_deterministic() {
 
 #[test]
 fn cli_resume_under_different_shard_filter_warns() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     let dir = prog.parent().unwrap();
     let ckpt = dir.join("shard_mismatch.ckpt");
     let summary = dir.join("shard_mismatch_summary.json");
@@ -746,7 +737,7 @@ fn flag(key: &str) -> String {
 
 #[test]
 fn cli_option_values_go_through_config_set() {
-    let prog = write_program();
+    let (_scratch, prog) = write_program();
     // `--with-constraints` takes no value on the CLI.
     let valued = || EXAMPLE_VALUES.iter().filter(|(key, ..)| *key != "with_constraints");
     let mut all_good = bin();
@@ -777,8 +768,8 @@ fn cli_option_values_go_through_config_set() {
 
 #[test]
 fn cli_flags_override_env_defaults_and_bad_env_values_are_ignored() {
-    let prog = write_program();
-    let suite = std::env::temp_dir().join(format!("p4testgen_cli_{}_env.stf", std::process::id()));
+    let (_scratch, prog) = write_program();
+    let suite = prog.with_file_name("env.stf");
     let workers = |env_jobs: &str, args: &[&str]| {
         let out = bin()
             .env("P4TESTGEN_JOBS", env_jobs)
@@ -796,5 +787,4 @@ fn cli_flags_override_env_defaults_and_bad_env_values_are_ignored() {
     assert_eq!(workers("4", &["--jobs", "1"]), 1, "--jobs overrides P4TESTGEN_JOBS");
     assert_eq!(workers("4", &["-j", "1"]), 1, "-j overrides P4TESTGEN_JOBS");
     assert_eq!(workers("0", &[]), 1, "an invalid P4TESTGEN_JOBS is ignored");
-    let _ = std::fs::remove_file(&suite);
 }

@@ -1,13 +1,17 @@
 //! Shared by the integration tests that drive the binary or its engine
 //! options: the (key, good, bad) option table (`tests/config.rs`,
-//! `tests/cli.rs`, `tests/serve.rs`), and a `p4testgen serve` daemon with a
-//! line-per-message client (`tests/serve.rs`, `tests/determinism.rs`).
+//! `tests/cli.rs`, `tests/serve.rs`), a `p4testgen serve` daemon with a
+//! line-per-message client (`tests/serve.rs`, `tests/determinism.rs`), and
+//! a scratch directory that removes itself (`tests/cli.rs`, `tests/diff.rs`,
+//! `tests/serve.rs`, `tests/determinism.rs`).
 #![allow(dead_code)] // each test crate uses its own subset
 
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// One `(key, accepted value, rejected value)` row per
@@ -30,6 +34,31 @@ pub const EXAMPLE_VALUES: &[(&str, &str, &str)] = &[
 
 pub fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_p4testgen"))
+}
+
+/// A new directory under the temp dir, removed with its contents on drop,
+/// so a test leaves nothing behind even when an assertion fails.
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Create `p4testgen_<tag>_<pid>_<n>`, unique within the test process.
+    pub fn new(tag: &str) -> ScratchDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("p4testgen_{tag}_{}_{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        ScratchDir(dir)
+    }
+
+    pub fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Kill-on-drop guard so a failing assertion never leaks a daemon.

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{spawn_serve, Client, Daemon};
+use common::{spawn_serve, Client, Daemon, ScratchDir};
 use p4t_backends::{StfBackend, TestBackend};
 use p4t_obs::{FlightRecorder, LiveStatus, Registry};
 use p4t_targets::V1Model;
@@ -18,7 +18,6 @@ use p4testgen_core::{
 };
 use serde_json::Value;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// [`TestgenConfig::set`] key/value pairs.
@@ -71,11 +70,12 @@ fn suite_seq(tests: &[TestSpec]) -> Vec<String> {
         .collect()
 }
 
-fn scratch_file(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("p4testgen_ckpt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(format!("{tag}_{}.ckpt", NEXT.fetch_add(1, Ordering::Relaxed)))
+/// A checkpoint path in a scratch directory of its own, removed when the
+/// returned directory drops.
+fn scratch_file(tag: &str) -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new("ckpt");
+    let path = dir.join(format!("{tag}.ckpt"));
+    (dir, path)
 }
 
 /// Truncate a completed-path trail to its queue-time form: everything up to
@@ -263,11 +263,10 @@ fn run_cell(row: &Row, col: Col, plan: Option<&FaultPlan>, ref_sum: &RunSummary)
     match col.runner {
         Plain => one(cfg()),
         Checkpoint => {
-            let path = scratch_file("checkpoint");
+            let (_scratch, path) = scratch_file("checkpoint");
             let mut config = cfg();
             config.checkpoint = Some(CheckpointCfg::new(&path));
             let outcome = one(config);
-            let _ = std::fs::remove_file(&path);
             let info = outcome[0].2.as_ref().and_then(|s| s.resume.clone()).expect("resume info");
             assert!(
                 info.interrupted.is_none() && info.checkpoints_written >= 1,
@@ -334,7 +333,7 @@ fn run_cell(row: &Row, col: Col, plan: Option<&FaultPlan>, ref_sum: &RunSummary)
             ["kill-fault", "deadline"]
                 .into_iter()
                 .map(|cut| {
-                    let path = scratch_file(cut);
+                    let (_scratch, path) = scratch_file(cut);
                     let mut config = cfg();
                     config.checkpoint = Some(CheckpointCfg::new(&path));
                     if cut == "deadline" {
@@ -378,7 +377,6 @@ fn run_cell(row: &Row, col: Col, plan: Option<&FaultPlan>, ref_sum: &RunSummary)
                             "{cut}: completed run left a non-empty frontier in its checkpoint"
                         );
                     }
-                    let _ = std::fs::remove_file(&path);
                     (format!(" {cut}"), tests, Some(sum))
                 })
                 .collect()
@@ -892,7 +890,7 @@ fn feasibility_run_reports_simplifier_and_blast_counters() {
 #[test]
 fn config_mismatch_degrades_to_cold_start() {
     let src = p4t_corpus::generate_synthetic(3, 2);
-    let path = scratch_file("mismatch");
+    let (_scratch, path) = scratch_file("mismatch");
     {
         let mut cfg = config(&[]);
         cfg.checkpoint = Some(CheckpointCfg::new(&path));
@@ -910,13 +908,12 @@ fn config_mismatch_degrades_to_cold_start() {
     assert!(!info.resumed, "mismatched checkpoint was accepted");
     assert_eq!(info.rejected.as_deref(), Some("config-mismatch"));
     assert_eq!(tests, baseline, "cold-start fallback diverged from a plain run");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn corrupt_checkpoints_classify_and_never_panic() {
     let src = p4t_corpus::generate_synthetic(3, 2);
-    let path = scratch_file("corrupt");
+    let (_scratch, path) = scratch_file("corrupt");
     {
         let mut cfg = config(&[]);
         cfg.checkpoint = Some(CheckpointCfg::new(&path));
@@ -946,7 +943,6 @@ fn corrupt_checkpoints_classify_and_never_panic() {
         "bit flip classified as {}",
         err.kind()
     );
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -974,7 +970,7 @@ fn engine_checkpoint_round_trips_through_bytes() {
     // The engine's own final snapshot (not a hand-built state) must decode
     // to exactly what was written.
     let src = p4t_corpus::generate_synthetic(3, 2);
-    let path = scratch_file("roundtrip");
+    let (_scratch, path) = scratch_file("roundtrip");
     let mut cfg = config(&[]);
     cfg.checkpoint = Some(CheckpointCfg::new(&path));
     let (tests, summary) = run("synthetic_3x2", &src, cfg);
@@ -985,7 +981,6 @@ fn engine_checkpoint_round_trips_through_bytes() {
     let reparsed = ExplorationState::from_bytes(&saved.to_bytes()).expect("re-decode");
     assert_eq!(reparsed, saved);
     assert!(summary.resume.as_ref().is_some_and(|i| i.checkpoints_written >= 1));
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A wrong memo verdict would delete coverage silently, so a debug build
@@ -997,13 +992,11 @@ fn engine_checkpoint_round_trips_through_bytes() {
 fn debug_builds_fail_the_run_on_a_wrong_memo_verdict() {
     let src = p4t_corpus::generate_synthetic(3, 2);
     let checkpoint = |tag: &str, pairs: Pairs| {
-        let path = scratch_file(tag);
+        let (_scratch, path) = scratch_file(tag);
         let mut cfg = config(pairs);
         cfg.checkpoint = Some(CheckpointCfg::new(&path));
         let _ = run("synthetic_3x2", &src, cfg);
-        let saved = ExplorationState::load(&path).expect("checkpoint written");
-        let _ = std::fs::remove_file(&path);
-        saved
+        ExplorationState::load(&path).expect("checkpoint written")
     };
     let verdicts = checkpoint("audit-full", &[]).memo;
     assert!(!verdicts.is_empty(), "the complete run memoized nothing");

@@ -12,17 +12,9 @@
 //! * the machine-readable outputs (JSONL report, summary, quirk catalog)
 //!   keep their schemas.
 
-use std::process::Command;
+mod common;
 
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_p4testgen"))
-}
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("p4testgen_diff_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+use common::{bin, ScratchDir};
 
 fn summary_of(path: &std::path::Path) -> serde_json::Value {
     let v: serde_json::Value =
@@ -37,10 +29,11 @@ fn u64_of(v: &serde_json::Value, key: &str) -> u64 {
 
 #[test]
 fn diff_corpus_has_zero_divergences_and_jobs_invariant_reports() {
+    let scratch = ScratchDir::new("diff");
     let mut reports = Vec::new();
     for jobs in ["1", "4", "8"] {
-        let report = tmp(&format!("corpus_j{jobs}.jsonl"));
-        let summary = tmp(&format!("corpus_j{jobs}.json"));
+        let report = scratch.join(format!("corpus_j{jobs}.jsonl"));
+        let summary = scratch.join(format!("corpus_j{jobs}.json"));
         let out = bin()
             .args(["diff", "--corpus", "--max-tests", "4", "--jobs", jobs, "--quiet"])
             .arg("--report")
@@ -66,8 +59,9 @@ fn diff_corpus_has_zero_divergences_and_jobs_invariant_reports() {
 
 #[test]
 fn diff_cross_target_divergences_all_quirk_explained() {
-    let report = tmp("cross.jsonl");
-    let summary = tmp("cross.json");
+    let scratch = ScratchDir::new("diff");
+    let report = scratch.join("cross.jsonl");
+    let summary = scratch.join("cross.json");
     let out = bin()
         .args(["diff", "--cross", "--quiet"])
         .arg("--report")
@@ -107,8 +101,9 @@ fn diff_cross_target_divergences_all_quirk_explained() {
 
 #[test]
 fn diff_fault_catalog_detects_injected_faults() {
-    let report = tmp("faults.jsonl");
-    let summary = tmp("faults.json");
+    let scratch = ScratchDir::new("diff");
+    let report = scratch.join("faults.jsonl");
+    let summary = scratch.join("faults.json");
     let out = bin()
         .args([
             "diff",
@@ -157,8 +152,9 @@ fn diff_fault_catalog_detects_injected_faults() {
 
 #[test]
 fn diff_single_program_and_fuzz_corpus_replay() {
+    let scratch = ScratchDir::new("diff");
     // A single named program: the quickest sanity loop a user has.
-    let prog = tmp("one.p4");
+    let prog = scratch.join("one.p4");
     std::fs::write(
         &prog,
         r#"
@@ -203,6 +199,7 @@ V1Switch(P(), VC(), Ing(), Eg(), CC(), Dep()) main;
 
 #[test]
 fn diff_usage_and_io_errors_exit_two() {
+    let scratch = ScratchDir::new("diff");
     // No mode at all.
     let out = bin().args(["diff"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
@@ -214,7 +211,7 @@ fn diff_usage_and_io_errors_exit_two() {
         bin().args(["diff", "/nonexistent/x.p4", "--quiet"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     // A program the frontend rejects is a build failure (exit 1), not I/O.
-    let bad = tmp("bad.p4");
+    let bad = scratch.join("bad.p4");
     std::fs::write(&bad, "control C( {").unwrap();
     let out = bin().args(["diff", "--quiet"]).arg(&bad).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
@@ -222,8 +219,9 @@ fn diff_usage_and_io_errors_exit_two() {
 
 #[test]
 fn diff_exports_quirk_catalog_and_metrics() {
-    let quirks = tmp("quirks.json");
-    let metrics = tmp("diff_metrics.json");
+    let scratch = ScratchDir::new("diff");
+    let quirks = scratch.join("quirks.json");
+    let metrics = scratch.join("diff_metrics.json");
     let out = bin()
         .args(["diff", "--cross", "--quiet"])
         .arg("--quirks-out")

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{bin, spawn_serve, Client, EXAMPLE_VALUES};
+use common::{bin, spawn_serve, Client, ScratchDir, EXAMPLE_VALUES};
 use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -73,8 +73,7 @@ fn empty_config() -> Value {
 /// The reference suite: what the one-shot CLI emits for the same program,
 /// name, and config. Served responses must match it byte for byte.
 fn cold_cli_suite() -> String {
-    let dir = std::env::temp_dir().join(format!("p4testgen_serve_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("serve");
     let path = dir.join("prog.p4");
     std::fs::write(&path, PROGRAM).unwrap();
     let out = bin()
@@ -233,7 +232,7 @@ fn serve_warm_instance_restamps_program_name() {
 fn serve_matches_the_cli_on_every_target() {
     let daemon = spawn_serve(&["--workers", "1"]);
     let mut client = Client::connect(&daemon.addr);
-    let dir = std::env::temp_dir().join(format!("p4testgen_serve_targets_{}", std::process::id()));
+    let dir = ScratchDir::new("serve_targets");
     let targeted = |id: &str, target: &str, source: &str| {
         let mut req = request(id, empty_config());
         if let Value::Object(fields) = &mut req {
@@ -275,7 +274,7 @@ fn serve_matches_the_cli_on_every_target() {
             assert_eq!(str_field(field(&resp, "cache"), "ir"), ir, "{target} {round}");
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir);
 
     client.send(&targeted("nope", "bmv2", PROGRAM));
     let resp = client.recv();
